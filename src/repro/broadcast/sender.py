@@ -20,8 +20,10 @@ are filtered by the at-most-once delivery guard of the base class.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.broadcast.base import BroadcastService
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import ProcessId
 from repro.core.message import AppMessage
 from repro.failure.detector import FailureDetector
 from repro.net.frame import Frame
@@ -37,43 +39,42 @@ class SenderReliableBroadcast(BroadcastService):
     def __init__(self, transport: Transport, detector: FailureDetector) -> None:
         super().__init__(transport)
         self.detector = detector
-        self._held: dict[MessageId, AppMessage] = {}
-        self._relayed: set[MessageId] = set()
+        #: origin -> the delivered messages of that origin not relayed
+        #: yet, oldest first.  A message leaves when it is relayed, so a
+        #: detector flip touches only what it can still relay.
+        self._unrelayed: dict[ProcessId, list[AppMessage]] = defaultdict(list)
         transport.register(self.KIND, self._on_data)
         detector.on_change(self._on_detector_change)
 
     def _diffuse(self, message: AppMessage) -> None:
         self._deliver(message)
-        self._held[message.mid] = message
-        self.transport.send_all(
-            self.KIND,
-            body=message,
-            size=message.wire_size(),
-            include_self=False,
-            control=False,
-        )
+        self._unrelayed[message.mid.origin].append(message)
+        self._send(message)
 
     def _on_data(self, frame: Frame) -> None:
         message: AppMessage = frame.body
         if not self._deliver(message):
             return
-        self._held[message.mid] = message
         # If the origin is *already* suspected, relay immediately: the
         # detector change that would normally trigger the relay may have
         # fired before this copy arrived.
-        if self.detector.is_suspected(message.mid.origin):
-            self._relay(message)
+        origin = message.mid.origin
+        if self.detector.is_suspected(origin):
+            self._send(message)
+        else:
+            self._unrelayed[origin].append(message)
 
     def _on_detector_change(self) -> None:
-        suspected = self.detector.suspects()
-        for mid, message in list(self._held.items()):
-            if mid.origin in suspected and mid not in self._relayed:
-                self._relay(message)
-
-    def _relay(self, message: AppMessage) -> None:
-        if message.mid in self._relayed or self.process.crashed:
+        if self.process.crashed:
             return
-        self._relayed.add(message.mid)
+        # The detector notifies once per flipped process and a copy from
+        # an already suspected origin is relayed on arrival, so only the
+        # origin that just became suspected can have anything pending.
+        for origin in self.detector.suspects():
+            for message in self._unrelayed.pop(origin, ()):
+                self._send(message)
+
+    def _send(self, message: AppMessage) -> None:
         self.transport.send_all(
             self.KIND,
             body=message,

@@ -42,10 +42,11 @@ class AbcastChecker:
 
     def check_validity(self) -> None:
         """A correct broadcaster adelivers its own message."""
+        delivered = {p: set(self._sequences[p]) for p in self.correct}
         for mid, event in self._abroadcast.items():
             if event.process not in self.correct:
                 continue
-            if mid not in self._sequences[event.process]:
+            if mid not in delivered[event.process]:
                 raise ProtocolViolationError(
                     "Abcast Validity",
                     f"correct p{event.process} abroadcast {mid} "

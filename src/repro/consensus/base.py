@@ -127,7 +127,15 @@ class ConsensusService:
         self.detector = detector
         self.codec = codec
         self.charge_rcv = charge_rcv
+        #: Every instance ever created, decided or not — the archive
+        #: ``obs/spans.py`` and ``analysis/rounds.py`` read after a run.
         self._instances: dict[int, Any] = {}
+        #: The undecided instances, in the same relative order as
+        #: ``_instances``; the only ones a detector flip can move.
+        self._live: dict[int, Any] = {}
+        #: Instance numbers stalled on a failed ``rcv`` (the "wait"
+        #: policy's Phase 3) — the only ones a new message can move.
+        self._parked: set[int] = set()
         self._callbacks: list[DecideCallback] = []
         self.decided: dict[int, Any] = {}
         self._decide_forwarded: set[int] = set()
@@ -200,6 +208,7 @@ class ConsensusService:
         if instance is None:
             instance = self._make_instance(k)
             self._instances[k] = instance
+            self._live[k] = instance
         return instance
 
     def _make_instance(self, k: int) -> Any:
@@ -208,19 +217,23 @@ class ConsensusService:
     def _on_detector_change(self) -> None:
         if self.process.crashed:
             return
-        for instance in list(self._instances.values()):
+        for instance in list(self._live.values()):
             instance.on_detector_change()
 
     def notify_rcv_update(self) -> None:
         """The layer above received a new message: any wait whose rcv
         predicate may have flipped to true is re-evaluated.
 
-        A no-op for the original algorithms (they never consult rcv);
-        the indirect instances re-run their pending phase checks.
+        A no-op for the original algorithms (they never consult rcv)
+        and whenever nothing is parked on ``rcv``, which is always under
+        the default nack-on-missing policy; the parked instances re-run
+        their pending phase check, oldest first.
         """
-        if self.process.crashed:
+        if not self._parked or self.process.crashed:
             return
-        for instance in list(self._instances.values()):
+        for instance in [
+            i for k, i in self._live.items() if k in self._parked
+        ]:
             instance.on_rcv_update()
 
     # ------------------------------------------------------------------
@@ -277,8 +290,9 @@ class ConsensusService:
         if k in self.decided or self.process.crashed:
             return
         self.decided[k] = value
-        instance = self._instances.get(k)
+        instance = self._live.pop(k, None)
         if instance is not None:
+            self._parked.discard(k)
             instance.stop()
         self.process.trace.record(
             DecideEvent(

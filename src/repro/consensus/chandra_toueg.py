@@ -104,8 +104,17 @@ class CtInstance:
         self._enter_round()
 
     def stop(self) -> None:
-        """Instance decided (or abandoned); ignore all further events."""
+        """Instance decided; ignore all further events.
+
+        The service drops every later frame of a decided instance, so
+        the per-round buffers are dead weight from here on: release
+        them and keep only what post-run analysis reads
+        (``rounds_executed``, ``round_entries``, the final estimate).
+        """
         self.stopped = True
+        self.estimates = self.proposals = self.acks = self.nacks = None
+        self.proposal_sent = self.proposed_value = None
+        self.phase3_done = self.phase4_done = None
 
     @property
     def _active(self) -> bool:
@@ -227,6 +236,7 @@ class CtInstance:
                 # 30), stall Phase 3 until the missing messages arrive
                 # (re-triggered via on_rcv_update) or the coordinator is
                 # suspected.
+                svc._parked.add(self.k)
                 return
             else:
                 # The proposal was refused: the messages behind it are
@@ -237,6 +247,7 @@ class CtInstance:
             self._send_ack(r, c, positive=False)
         else:
             return
+        svc._parked.discard(self.k)
         self.phase3_done.add(r)
         if svc.pid != c:
             self._enter_round()

@@ -99,7 +99,11 @@ class MrInstance:
         self._enter_round()
 
     def stop(self) -> None:
+        """Instance decided; the service drops its later frames, so the
+        per-round buffers are released (``rounds_executed`` and
+        ``round_entries`` stay for post-run analysis)."""
         self.stopped = True
+        self.echoes = self.echoed = self.evaluated = None
 
     @property
     def _active(self) -> bool:

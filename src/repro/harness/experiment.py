@@ -242,17 +242,17 @@ def run_experiment(
     horizon = spec.duration + spec.drain
 
     def drained() -> bool:
-        # Once now > duration the chained generators have fired their
-        # last send, so workload.sent is the run's final offered load.
-        return (
-            system.engine.now > spec.duration
-            and all(
-                abcast.delivered_count() >= workload.sent
-                for abcast in system.abcasts.values()
-            )
+        # Consulted only once now > duration: the chained generators
+        # have fired their last send, so workload.sent is the run's
+        # final offered load.
+        return all(
+            abcast.delivered_count() >= workload.sent
+            for abcast in system.abcasts.values()
         )
 
-    system.engine.run(until=horizon, max_events=spec.max_events, stop_when=drained)
+    system.engine.run_loaded(
+        spec.duration, horizon, max_events=spec.max_events, stop_when=drained
+    )
     sent = workload.sent
 
     if spec.safety_checks:

@@ -196,15 +196,13 @@ def run_shard_point(point: ShardPoint) -> ResultSet:
         workload.install()
         workloads.append(workload)
 
-    def quiet() -> bool:
-        return (
-            service.engine.now > point.duration and router.pending() == 0
-        )
-
-    service.run(
-        until=point.duration + point.drain,
+    # Sources keep offering load until ``duration``; only after that can
+    # an empty router mean the point is over.
+    service.engine.run_loaded(
+        point.duration,
+        point.duration + point.drain,
         max_events=point.max_events,
-        stop_when=quiet,
+        stop_when=lambda: router.pending() == 0,
     )
 
     sent = sum(w.sent for w in workloads)

@@ -578,6 +578,40 @@ class Engine:
             if observer is not None:
                 observer.on_release(record)
 
+    def run_loaded(
+        self,
+        loaded_until: float,
+        until: float,
+        max_events: int | None = None,
+        stop_when: Callable[[], bool] | None = None,
+    ) -> float:
+        """Run to ``until``, consulting ``stop_when`` only past ``loaded_until``.
+
+        For completion predicates ("everything sent was delivered")
+        that cannot hold while load is still being offered: the loaded
+        phase runs predicate-free, then the drain phase runs under
+        ``stop_when``.  It stops at the same event as
+        ``run(until, max_events, lambda: now > loaded_until and
+        stop_when())`` without paying for the predicate on every event
+        of the loaded phase; ``max_events`` bounds the two phases
+        together.
+        """
+        before = self.events_executed
+        self.run(until=loaded_until, max_events=max_events)
+        remaining = max_events
+        if max_events is not None:
+            remaining -= self.events_executed - before
+        try:
+            return self.run(
+                until=until, max_events=remaining, stop_when=stop_when
+            )
+        except EventBudgetExceeded:
+            # Name the caller's budget, not what was left of it.
+            raise EventBudgetExceeded(
+                f"simulation exceeded max_events={max_events} "
+                f"at t={self._now:.6f}s (likely a protocol livelock)"
+            ) from None
+
     def run_until_idle(self, max_events: int | None = None) -> float:
         """Run until no events remain (convenience for tests)."""
         return self.run(until=None, max_events=max_events)

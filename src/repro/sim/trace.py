@@ -29,6 +29,7 @@ retention policy from the experiment's ``trace_mode``.
 from __future__ import annotations
 
 from collections import defaultdict
+from math import inf
 from typing import Iterator
 
 from repro.core.events import (
@@ -87,6 +88,12 @@ class Trace(TraceObserver):
         self._decides: dict[int, list[DecideEvent]] = defaultdict(list)
         self._proposals: dict[int, list[ProposeEvent]] = defaultdict(list)
         self._crashes: dict[ProcessId, CrashEvent] = {}
+        #: process -> (deliveries indexed so far, {mid: earliest
+        #: r-delivery time among them}); :meth:`holders_at` extends it
+        #: on demand, so recording pays nothing for it.
+        self._first_rdelivery: dict[
+            ProcessId, tuple[int, dict[MessageId, float]]
+        ] = {}
 
     def record(self, event: ProtocolEvent) -> None:
         """Append ``event`` and update the per-kind indexes."""
@@ -117,29 +124,29 @@ class Trace(TraceObserver):
     def adeliveries(self, process: ProcessId | None = None) -> list[ADeliverEvent]:
         """``adeliver`` events of one process (or all, time-ordered)."""
         if process is not None:
-            return list(self._adeliveries[process])
+            return list(self._adeliveries.get(process, ()))
         return [e for e in self.events if isinstance(e, ADeliverEvent)]
 
     def adelivery_sequence(self, process: ProcessId) -> list[MessageId]:
         """The sequence of message ids adelivered by ``process``."""
-        return [e.message.mid for e in self._adeliveries[process]]
+        return [e.message.mid for e in self._adeliveries.get(process, ())]
 
     def rbroadcasts(self) -> list[RBroadcastEvent]:
         return list(self._rbroadcasts)
 
     def rdeliveries(self, process: ProcessId | None = None) -> list[RDeliverEvent]:
         if process is not None:
-            return list(self._rdeliveries[process])
+            return list(self._rdeliveries.get(process, ()))
         return [e for e in self.events if isinstance(e, RDeliverEvent)]
 
     def proposals(self, instance: int | None = None) -> list[ProposeEvent]:
         if instance is not None:
-            return list(self._proposals[instance])
+            return list(self._proposals.get(instance, ()))
         return [e for e in self.events if isinstance(e, ProposeEvent)]
 
     def decides(self, instance: int | None = None) -> list[DecideEvent]:
         if instance is not None:
-            return list(self._decides[instance])
+            return list(self._decides.get(instance, ()))
         return [e for e in self.events if isinstance(e, DecideEvent)]
 
     def instances(self) -> list[int]:
@@ -186,10 +193,29 @@ class Trace(TraceObserver):
                 crash = self._crashes.get(process)
                 if crash is not None and crash.time <= time:
                     continue
-            held = {e.message.mid for e in deliveries if e.time <= time}
-            if ids <= held:
+            first = self._first_rdelivery_times(process, deliveries)
+            if all(first.get(mid, inf) <= time for mid in ids):
                 holders.add(process)
         return frozenset(holders)
+
+    def _first_rdelivery_times(
+        self, process: ProcessId, deliveries: list[RDeliverEvent]
+    ) -> dict[MessageId, float]:
+        """``mid -> earliest r-delivery time`` at ``process``.
+
+        ``process`` held ``mid`` at ``t`` iff that time is ``<= t``, so
+        one index answers every ``holders_at`` query instead of one
+        pass over the deliveries per query.  The delivery lists only
+        grow, so the index is extended from where it stopped.
+        """
+        indexed, first = self._first_rdelivery.get(process, (0, {}))
+        if indexed < len(deliveries):
+            for event in deliveries[indexed:]:
+                mid = event.message.mid
+                if event.time < first.get(mid, inf):
+                    first[mid] = event.time
+            self._first_rdelivery[process] = (len(deliveries), first)
+        return first
 
     def first_decision(self, instance: int) -> DecideEvent | None:
         """Earliest decide event of ``instance``, if any."""

@@ -137,6 +137,38 @@ class TestSenderRbFaultPaths:
         # The false suspicion triggered a (harmless) relay.
         assert fabric.network.total_frames("rb1.data") > 2
 
+    def test_relays_only_suspected_origins_unrelayed_in_hold_order(self):
+        """A detector flip relays the unrelayed messages of the origin
+        it suspects, oldest first, and never the same message twice."""
+        from repro.failure.detector import FalseSuspicion
+        fs = (
+            FalseSuspicion(observer=3, target=1, start=20e-3, end=30e-3),
+            FalseSuspicion(observer=3, target=2, start=25e-3, end=30e-3),
+            FalseSuspicion(observer=3, target=1, start=40e-3, end=50e-3),
+        )
+        fabric = make_fabric(4, false_suspicions=fs)
+        services = mount(fabric, "sender")
+        relayed = []
+        send_all = fabric.transports[3].send_all
+        fabric.transports[3].send_all = lambda kind, body, **kw: (
+            relayed.append(body.mid), send_all(kind, body=body, **kw)
+        )
+        # p3 holds, in this order: m1a (p1), m2 (p2), m4 (p4), m1b (p1).
+        m1a, m2, m4, m1b = (
+            app_message(1), app_message(2), app_message(4), app_message(1)
+        )
+        for at, message in ((1e-3, m1a), (2e-3, m2), (3e-3, m4), (4e-3, m1b)):
+            fabric.engine.schedule_at(
+                at, services[message.mid.origin].broadcast, message
+            )
+        m1c = app_message(1)
+        fabric.engine.schedule_at(35e-3, services[1].broadcast, m1c)
+        fabric.run(until=1.0)
+        # 20 ms: p1's two; 25 ms: p2's one (p1 still suspected, nothing
+        # left of it); 40 ms: only what p1 sent since.  p4's: never.
+        assert relayed == [m1a.mid, m1b.mid, m2.mid, m1c.mid]
+        BroadcastChecker(fabric.trace, fabric.config).check_all()
+
 
 class TestUrbUniformity:
     def test_no_delivery_without_majority(self):

@@ -371,3 +371,151 @@ def test_v_stability_counts_holders_that_crashed_after_receiving():
     checker.check_no_loss(1)       # p2 is the surviving correct holder
     assert trace.holders_at(IDS1, 0.1) == frozenset({2})
     assert trace.holders_at(IDS1, 0.1, include_crashed=True) == frozenset({1, 2})
+
+
+# ----------------------------------------------------------------------
+# The linearised checks against their definitions.
+#
+# ``check_validity`` looks a message up in a per-process delivered set
+# and ``holders_at`` answers from a first-r-delivery-time index; the
+# definitions below are the quadratic originals (list membership, the
+# held set rebuilt per query).  Each linearised check must raise the
+# same property and the same detail string on every trace here.
+# ----------------------------------------------------------------------
+
+
+def reference_holders_at(trace, ids, time, include_crashed=False):
+    holders = set()
+    for process in {e.process for e in trace.rdeliveries()}:
+        if not include_crashed:
+            crash = trace.crash_time(process)
+            if crash is not None and crash <= time:
+                continue
+        held = {
+            e.message.mid for e in trace.rdeliveries(process) if e.time <= time
+        }
+        if ids <= held:
+            holders.add(process)
+    return frozenset(holders)
+
+
+def reference_check_validity(trace, config):
+    correct = trace.correct_processes(config.processes)
+    for event in trace.abroadcasts():
+        mid = event.message.mid
+        if event.process in correct and mid not in trace.adelivery_sequence(
+            event.process
+        ):
+            raise ProtocolViolationError(
+                "Abcast Validity",
+                f"correct p{event.process} abroadcast {mid} "
+                f"but never adelivered it",
+            )
+
+
+def reference_check_no_loss(trace, config, instance):
+    first = trace.first_decision(instance)
+    holders = reference_holders_at(trace, first.value, first.time)
+    if not holders & trace.correct_processes(config.processes):
+        raise ProtocolViolationError(
+            "No loss",
+            f"instance {instance} decided {sorted(first.value)} at "
+            f"t={first.time:.6f} but no correct process held the "
+            f"messages (holders: {sorted(holders)})",
+        )
+
+
+def reference_check_v_stability(trace, config, instance):
+    first = trace.first_decision(instance)
+    holders = reference_holders_at(
+        trace, first.value, first.time, include_crashed=True
+    )
+    needed = config.stability_threshold()
+    if len(holders) < needed:
+        raise ProtocolViolationError(
+            "v-stability",
+            f"instance {instance}: only {len(holders)} processes held "
+            f"msgs(v) at decision time t={first.time:.6f}, "
+            f"need f+1={needed}",
+        )
+
+
+def _crash_at_decision_time():
+    """p1 and p2 hold msgs(v); p2 crashes at the very instant p3
+    decides.  A crash at ``t`` counts as "before t": p2 is no live
+    holder, but it is a holder that ever was."""
+    return trace_of(
+        RDeliverEvent(time=0.0, process=1, message=M1),
+        RDeliverEvent(time=0.0, process=2, message=M1),
+        CrashEvent(time=0.05, process=1),
+        CrashEvent(time=0.1, process=2),
+        DecideEvent(time=0.1, process=3, instance=1, value=IDS1),
+    )
+
+
+#: check/trace -> (checker class, the check's definition, config, trace
+#: builder, args); the check's method name is the definition's, less
+#: ``reference_``.
+EQUIVALENCE = {
+    "validity/matrix": (
+        AbcastChecker, reference_check_validity,
+        *VIOLATIONS["abcast.check_validity"][1:4],
+    ),
+    "validity/delivers-others-not-own": (
+        AbcastChecker, reference_check_validity, CFG2,
+        lambda: trace_of(
+            ABroadcastEvent(time=0.0, process=1, message=M1),
+            ABroadcastEvent(time=0.0, process=2, message=M2),
+            # both adeliver M1; correct p2 never adelivers its own M2
+            ADeliverEvent(time=0.1, process=1, message=M1),
+            ADeliverEvent(time=0.1, process=2, message=M1),
+        ),
+        (),
+    ),
+    "no_loss/matrix": (
+        ConsensusChecker, reference_check_no_loss,
+        *VIOLATIONS["consensus.check_no_loss"][1:4],
+    ),
+    "no_loss/crash-at-decision-time": (
+        ConsensusChecker, reference_check_no_loss,
+        SystemConfig(n=3, f=2), _crash_at_decision_time, (1,),
+    ),
+    "v_stability/matrix": (
+        ConsensusChecker, reference_check_v_stability,
+        *VIOLATIONS["consensus.check_v_stability"][1:4],
+    ),
+    "v_stability/crash-at-decision-time": (
+        # Two holders ever (p1, p2), both crashed by the decision:
+        # enough for f + 1 = 2, not for f + 1 = 3.
+        ConsensusChecker, reference_check_v_stability,
+        SystemConfig(n=3, f=2), _crash_at_decision_time, (1,),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE))
+def test_linearised_check_matches_its_definition(case):
+    cls, reference, config, build, args = EQUIVALENCE[case]
+    check = getattr(
+        cls(build(), config), reference.__name__.removeprefix("reference_")
+    )
+    with pytest.raises(ProtocolViolationError) as expected:
+        reference(build(), config, *args)
+    with pytest.raises(ProtocolViolationError) as actual:
+        check(*args)
+    assert actual.value.prop == expected.value.prop
+    assert actual.value.detail == expected.value.detail
+
+
+def test_holders_at_matches_its_definition_at_the_crash_instant():
+    trace = _crash_at_decision_time()
+    for include_crashed in (False, True):
+        for time in (0.0, 0.05, 0.1):
+            assert trace.holders_at(
+                IDS1, time, include_crashed=include_crashed
+            ) == reference_holders_at(trace, IDS1, time, include_crashed)
+    assert trace.holders_at(IDS1, 0.1) == frozenset()
+    assert trace.holders_at(IDS1, 0.1, include_crashed=True) == frozenset({1, 2})
+    # ... and a decision that holds under f + 1 = 2 passes both ways.
+    ConsensusChecker(trace, CFG3).check_v_stability(1)
+    reference_check_v_stability(trace, CFG3, 1)

@@ -61,10 +61,17 @@ class TestEchoMechanics:
         value = frozenset({MessageId(1, 1)})
         services[1].propose(1, value)
         services[3].propose(1, value)
-        fabric.run()
         inst = services[1]._instances[1]
-        # Round 1's echoes at p1 include ⊥ values (suspicion-driven).
+        # A decided instance releases its echo buffers, so look while
+        # the instance is still running: round 1's echoes at p1 include
+        # ⊥ values (suspicion-driven).
+        fabric.engine.run(
+            until=10.0,
+            stop_when=lambda: BOTTOM in inst.echoes.get(1, {}).values(),
+        )
+        assert not services[1].has_decided(1)
         assert BOTTOM in inst.echoes[1].values()
+        fabric.run()
         assert decisions[1][1] == value  # later round decided
 
     def test_late_coordinator_echo_after_suspicion_still_counts(self):
@@ -98,8 +105,10 @@ class TestEchoMechanics:
             services[pid].propose(1, value)
         fabric.run()
         for pid in fabric.config.processes:
-            inst = services[pid]._instances[pid in services and 1]
-            assert inst.echoed == {1}  # only round 1 was needed
+            inst = services[pid]._instances[1]
+            assert inst.rounds_executed == 1  # only round 1 was needed
+        # ... and in it every process echoed to all exactly once.
+        assert fabric.network.frames_sent.get("mr.echo", 0) == 16
 
 
 class TestIndirectFilter:

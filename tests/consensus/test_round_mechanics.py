@@ -115,9 +115,14 @@ class TestRoundAborts:
             services[pid].propose(
                 1, ids(a) if pid == 2 else frozenset(), stores[pid].rcv
             )
-        fabric.run()
         inst = services[2]._instances[1]
+        # A decided instance releases its per-round buffers, so look
+        # while round 1 is being aborted.
+        fabric.engine.run(until=10.0, stop_when=lambda: bool(inst.nacks))
+        assert not services[2].has_decided(1)
         assert 1 in inst.nacks and len(inst.nacks[1]) >= 1
+        fabric.run()
+        assert services[2].has_decided(1)
 
 
 class TestBuffering:

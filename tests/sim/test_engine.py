@@ -150,6 +150,51 @@ class TestRunControl:
         engine.run(stop_when=lambda: len(fired) >= 3)
         assert fired == [0, 1, 2]
 
+    def test_run_loaded_stops_where_the_guarded_predicate_would(self):
+        """Predicate-free to ``loaded_until``, then under the predicate:
+        the same stop event, clock and event count as one run whose
+        predicate starts with ``now > loaded_until``."""
+
+        def drive(run):
+            engine = Engine()
+            fired = []
+            calls = []
+            for i in range(10):
+                engine.schedule(0.1 * (i + 1), fired.append, i)
+
+            def done():
+                calls.append(engine.now)
+                return len(fired) >= 2
+
+            end = run(engine, done)
+            return end, engine.now, engine.events_executed, fired, calls
+
+        loaded = drive(lambda e, done: e.run_loaded(0.55, 2.0, 100, done))
+        guarded = drive(
+            lambda e, done: e.run(
+                until=2.0, max_events=100,
+                stop_when=lambda: e.now > 0.55 and done(),
+            )
+        )
+        assert loaded == guarded
+        assert loaded[3] == [0, 1, 2, 3, 4, 5]  # first event past 0.55
+        assert len(loaded[4]) == 1  # the loaded phase never asked
+
+    def test_run_loaded_on_an_empty_queue_advances_to_the_horizon(self):
+        engine = Engine()
+        assert engine.run_loaded(1.0, 3.0, stop_when=lambda: True) == 3.0
+
+    def test_run_loaded_shares_one_event_budget(self):
+        def loop(engine):
+            engine.schedule(0.001, loop, engine)
+
+        for loaded_until in (0.0105, 10.0):  # blown in either phase
+            engine = Engine()
+            engine.schedule(0.0, loop, engine)
+            with pytest.raises(RuntimeError, match="max_events=100 "):
+                engine.run_loaded(loaded_until, 20.0, 100, lambda: False)
+            assert engine.events_executed == 100
+
     def test_max_events_guards_runaway(self):
         engine = Engine()
 

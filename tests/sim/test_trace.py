@@ -77,6 +77,37 @@ class TestHoldersAt:
         trace.record(RDeliverEvent(time=0.1, process=4, message=msg(1, 1)))
         assert trace.holders_at(frozenset(), 0.0) == {4}
 
+    def test_reads_leave_the_indexes_untouched(self):
+        """Reading a process or instance that recorded nothing must not
+        create it: ``holders_at`` iterates the r-delivery index, so a
+        key inserted by an earlier read would become a phantom holder
+        of the empty set."""
+        trace = Trace()
+        trace.record(RDeliverEvent(time=0.1, process=4, message=msg(1, 1)))
+        before = trace.holders_at(frozenset(), 0.0)
+        assert trace.adeliveries(9) == []
+        assert trace.adelivery_sequence(9) == []
+        assert trace.rdeliveries(9) == []
+        assert trace.proposals(9) == []
+        assert trace.decides(9) == []
+        assert trace.holders_at(frozenset(), 0.0) == before == {4}
+        assert list(trace._rdeliveries) == [4]
+        assert not trace._adeliveries and not trace._proposals
+        assert trace.instances() == []
+
+    def test_index_follows_deliveries_recorded_after_a_query(self):
+        trace = Trace()
+        ids = frozenset({MessageId(1, 1), MessageId(2, 1)})
+        trace.record(RDeliverEvent(time=0.1, process=1, message=msg(1, 1)))
+        assert trace.holders_at(ids, 1.0) == frozenset()
+        trace.record(RDeliverEvent(time=0.3, process=1, message=msg(2, 1)))
+        trace.record(RDeliverEvent(time=0.4, process=2, message=msg(2, 1)))
+        # An out-of-order record (hand-built traces do this) still
+        # counts from its own time, not from its position.
+        trace.record(RDeliverEvent(time=0.2, process=2, message=msg(1, 1)))
+        assert trace.holders_at(ids, 0.3) == {1}
+        assert trace.holders_at(ids, 0.4) == {1, 2}
+
 
 class TestCountingTrace:
     """The probe-era performance trace: counts and crashes only."""
