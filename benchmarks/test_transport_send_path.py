@@ -11,15 +11,15 @@ tuple walk.
 
 To measure the changed path and not the downstream delivery
 simulation, the benchmark pair drives ``send_all`` against a
-frame-counting network stub (same ``attach``/``pids``/``send``
-surface); the equality test then pins, on a *real* fabric, that the
-cached path produces frames identical to the rebuild-and-sort
-reference.
+frame-counting network stub (same ``attach``/``pids``/``multicast``
+surface: the transport hands the network one ``(src, dsts, ...)``
+fan-out per call and the network builds the frames); the equality test
+then pins, on a *real* fabric, that the cached path produces frames
+identical to the rebuild-and-sort reference.
 """
 
 from __future__ import annotations
 
-from repro.net.frame import Frame
 from repro.net.transport import Transport
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
@@ -31,7 +31,7 @@ ROUNDS = 20_000
 
 
 class _CountingNetwork:
-    """Minimal Network stand-in: accepts frames, counts them, drops them."""
+    """Minimal Network stand-in: accepts fan-outs, counts their frames."""
 
     def __init__(self) -> None:
         self._processes: dict[int, SimProcess] = {}
@@ -45,8 +45,8 @@ class _CountingNetwork:
     def pids(self) -> tuple[int, ...]:
         return self._pids_sorted
 
-    def send(self, frame: Frame) -> None:
-        self.frames += 1
+    def multicast(self, src, dsts, kind, body, size, control=True) -> None:
+        self.frames += len(dsts)
 
 
 def _naive_send_all(transport, kind, body, size, include_self=True,
@@ -54,11 +54,9 @@ def _naive_send_all(transport, kind, body, size, include_self=True,
     """The pre-optimisation behaviour: rebuild + re-sort per call."""
     peers = tuple(sorted(transport.network._processes))
     dsts = [p for p in peers if include_self or p != transport.pid]
-    for dst in sorted(dsts):
-        transport.network.send(
-            Frame(src=transport.pid, dst=dst, kind=kind, body=body,
-                  size=size, control=control)
-        )
+    transport.network.multicast(
+        transport.pid, sorted(dsts), kind, body, size, control
+    )
 
 
 def _stub_fabric():

@@ -14,8 +14,7 @@ identifiers into a delivery *sequence*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 #: Processes are identified by 1-based integers, matching the paper's
 #: ``p1 .. pn`` convention (the round-robin coordinator of round ``r`` is
@@ -29,8 +28,7 @@ ProcessId = int
 MESSAGE_ID_WIRE_SIZE = 12
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class MessageId:
+class MessageId(NamedTuple):
     """Unique identifier of an atomically-broadcast message.
 
     The identifier is the pair ``(origin, seq)``: the process that called
@@ -41,6 +39,10 @@ class MessageId:
     Ordering is lexicographic on ``(origin, seq)``.  Any deterministic
     order works for Algorithm 1 line 20; lexicographic is the natural one
     and is what the reproduction uses everywhere.
+
+    A named tuple, so hashing, equality and comparison run in C: sets
+    and dicts of identifiers are what consensus, ``rcv`` and the
+    delivery queues probe per message.
     """
 
     origin: ProcessId

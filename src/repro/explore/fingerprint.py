@@ -59,6 +59,7 @@ import hashlib
 import os
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.core.identifiers import MessageId
 from repro.net.frame import Frame
 from repro.sim.engine import Engine, _EventRecord
 
@@ -96,6 +97,10 @@ def _describe_value(value: Any) -> Any:
             value.size,
             _describe_value(value.body),
         )
+    if isinstance(value, MessageId):
+        # A tuple underneath; described by name so the generic tuple
+        # branch below cannot flatten it into a bare pair.
+        return repr(value)
     if isinstance(value, (frozenset, set)):
         return ("set",) + tuple(
             sorted((repr(_describe_value(v)) for v in value))
@@ -109,7 +114,7 @@ def _describe_value(value: Any) -> Any:
         )
     if value is None or isinstance(value, (int, float, str, bool, bytes)):
         return value
-    # *Frozen* dataclasses (MessageId, AppMessage, Payload, rules...)
+    # *Frozen* dataclasses (AppMessage, Payload, rules...)
     # have deterministic, immutable reprs; anything else — including
     # non-frozen dataclasses like the live ``System``, whose repr
     # embeds ``object.__repr__`` addresses and mutable process state —

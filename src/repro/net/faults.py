@@ -284,6 +284,13 @@ class FaultPipeline:
                 "(their draws come from the net.loss / net.dup streams)"
             )
         self._match_counts: dict[int, int] = {}
+        #: True while :meth:`admit` can change a frame's fate (a loss or
+        #: duplication rule, or a partition window).  The network asks
+        #: only then; an unarmed pipeline admits every frame unchanged.
+        self.armed = bool(self._loss or self._dup or self._partitions)
+        #: True iff a :class:`DelayRule` is installed (fixed at
+        #: construction), i.e. ``delay_rule_for`` can return one.
+        self.has_delay = bool(self._delay)
         #: Frames dropped by loss rules.
         self.lost = 0
         #: Extra copies injected by duplication rules.
@@ -294,6 +301,7 @@ class FaultPipeline:
     def add_partition(self, window: PartitionWindow) -> None:
         """Arm one more partition window (used by PartitionSchedule)."""
         self._partitions.append(window)
+        self.armed = True
 
     # ------------------------------------------------------------------
     # Send-path decisions

@@ -15,8 +15,7 @@ identifiers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.identifiers import ProcessId
 
@@ -24,12 +23,26 @@ from repro.core.identifiers import ProcessId
 #: (UDP/IP-style framing).
 FRAME_HEADER_SIZE = 28
 
-_frame_counter = itertools.count(1)
+_next_seq = itertools.count(1).__next__
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class _FrameFields(NamedTuple):
+    src: ProcessId
+    dst: ProcessId
+    kind: str
+    body: Any
+    size: int
+    control: bool
+    seq: int
+
+
+class Frame(_FrameFields):
     """One datagram in flight from ``src`` to ``dst``.
+
+    Immutable, and a tuple underneath: the simulator builds one per
+    destination of every multicast, so construction is a single
+    C-level tuple allocation rather than a per-field ``__setattr__``.
 
     Attributes:
         src: Sending process.
@@ -43,16 +56,27 @@ class Frame:
             rounds, acks, heartbeats); False for application data.  Some
             network policies treat the two classes differently, mirroring
             the separate sockets/channels a real stack uses per layer.
-        seq: Globally unique frame number (diagnostics, determinism tie-break).
+        seq: Globally unique frame number (diagnostics, determinism
+            tie-break); auto-numbered unless given.
     """
 
-    src: ProcessId
-    dst: ProcessId
-    kind: str
-    body: Any
-    size: int
-    control: bool = True
-    seq: int = field(default_factory=lambda: next(_frame_counter))
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        src: ProcessId,
+        dst: ProcessId,
+        kind: str,
+        body: Any,
+        size: int,
+        control: bool = True,
+        seq: int | None = None,
+    ) -> "Frame":
+        return _tuple_new(
+            cls,
+            (src, dst, kind, body, size, control,
+             _next_seq() if seq is None else seq),
+        )
 
     def wire_size(self) -> int:
         """Bytes actually occupying the wire: body plus frame header."""

@@ -16,13 +16,16 @@ Two models are provided:
   the system saturates — exactly the effect Figures 3-7 of the paper
   measure.
 
-Every frame a model transmits first passes the network's
-:class:`~repro.net.faults.FaultPipeline`: declarative
-loss/duplication/delay rules and partition windows decide whether the
-frame reaches the wire at all, how many copies do, and how long the
-link holds them.  A :class:`~repro.net.topology.Topology` maps
-processes onto contention segments — the contention model runs one
-medium per segment, with a router latency per crossing.  With no fault
+Sends enter through one routine (:meth:`Network.multicast`, or
+:meth:`Network.send` for a caller-built frame) that validates, counts
+and costs a whole fan-out once.  While the network's
+:class:`~repro.net.faults.FaultPipeline` is armed, every frame first
+passes it: declarative loss/duplication rules and partition windows
+decide whether the frame reaches the wire at all and how many copies
+do; delay rules decide how long the link holds them.  A
+:class:`~repro.net.topology.Topology` maps processes onto contention
+segments — the contention model runs one medium per segment, with a
+router latency per crossing.  With no fault
 rules and a single segment both models are bit-identical to the
 pre-pipeline implementation (no extra RNG draws, no extra events).
 
@@ -37,12 +40,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import Any, Callable, Sequence, TYPE_CHECKING
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import ProcessId
 from repro.net.faults import DelayRule, FaultPipeline
-from repro.net.frame import Frame
+from repro.net.frame import FRAME_HEADER_SIZE, Frame
 from repro.net.topology import Topology
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.resources import FifoResource
@@ -94,8 +97,10 @@ class NetworkParams:
 class Network:
     """Base class: frame accounting, fault pipeline, crash handling.
 
-    Subclasses implement :meth:`_transmit`, which must eventually call
-    :meth:`_deliver` (typically through engine callbacks).
+    Subclasses implement :meth:`_stage_costs` (what one frame of a
+    given size costs, computed once per multicast) and
+    :meth:`_transmit`, which must eventually call :meth:`_deliver`
+    (typically through engine callbacks).
     """
 
     def __init__(
@@ -114,6 +119,10 @@ class Network:
         self._in_flight: dict[ProcessId, list[EventHandle]] = {}
         self.pipeline = FaultPipeline(engine, faults, rngs)
         self.topology = topology if topology is not None else Topology.single()
+        # pid -> segment index, filled on attach; ``_routed`` is fixed
+        # here so the frame path never asks the topology anything.
+        self._segment: dict[ProcessId, int] = {}
+        self._routed = self.topology.segment_count > 1
         #: Counters by frame kind (tests assert message complexity with these).
         self.frames_sent: dict[str, int] = {}
         self.bytes_sent: dict[str, int] = {}
@@ -142,7 +151,8 @@ class Network:
         self, process: "SimProcess", handler: Callable[[Frame], None]
     ) -> None:
         """Register ``process`` and its inbound frame ``handler``."""
-        self.topology.segment_of(process.pid)  # placement must exist
+        # Raises ConfigurationError for a pid the topology does not place.
+        self._segment[process.pid] = self.topology.segment_of(process.pid)
         self._processes[process.pid] = process
         self._pids_sorted = tuple(sorted(self._processes))
         self._handlers[process.pid] = handler
@@ -170,42 +180,79 @@ class Network:
     # ------------------------------------------------------------------
 
     def send(self, frame: Frame) -> None:
-        """Inject ``frame``; a crashed sender sends nothing.
-
-        The frame first passes the fault pipeline, which may drop it
-        (loss rules, partition windows) or fan it out into duplicate
-        copies; every surviving copy is transmitted by the model.
-        """
-        sender = self._processes.get(frame.src)
-        if sender is None:
-            raise ConfigurationError(f"unknown sender p{frame.src}")
-        if frame.dst not in self._processes:
-            raise ConfigurationError(f"unknown destination p{frame.dst}")
-        if sender.crashed:
-            self.frames_dropped += 1
-            return
-        self.frames_sent[frame.kind] = self.frames_sent.get(frame.kind, 0) + 1
-        self.bytes_sent[frame.kind] = (
-            self.bytes_sent.get(frame.kind, 0) + frame.wire_size()
+        """Inject one caller-built ``frame``: a multicast of one that
+        transmits ``frame`` itself rather than building its own."""
+        self.multicast(
+            frame.src, (frame.dst,), frame.kind, frame.body, frame.size,
+            frame.control, frame,
         )
-        copies = self.pipeline.admit(frame)
-        if not copies:
-            self.frames_dropped += 1
-            return
-        for copy in copies:
-            self._transmit(copy)
 
-    def _transmit(self, frame: Frame) -> None:
+    def multicast(
+        self,
+        src: ProcessId,
+        dsts: Sequence[ProcessId],
+        kind: str,
+        body: Any,
+        size: int,
+        control: bool = True,
+        frame: Frame | None = None,
+    ) -> None:
+        """The one send routine: a frame from ``src`` to each of ``dsts``.
+
+        A crashed sender sends nothing.  Endpoints are validated, the
+        per-kind counters bumped and the model's stage costs computed
+        once for the whole fan-out; then one frame per destination is
+        built (in ``dsts`` order; ``frame`` is :meth:`send`'s own) and
+        transmitted.  While the fault pipeline is armed each frame
+        first passes it, which may drop it (loss rules, partition
+        windows) or fan it out into duplicate copies.
+        """
+        processes = self._processes
+        sender = processes.get(src)
+        if sender is None:
+            raise ConfigurationError(f"unknown sender p{src}")
+        for dst in dsts:
+            if dst not in processes:
+                raise ConfigurationError(f"unknown destination p{dst}")
+        count = len(dsts)
+        if sender.crashed:
+            self.frames_dropped += count
+            return
+        wire_size = size + FRAME_HEADER_SIZE
+        frames_sent = self.frames_sent
+        frames_sent[kind] = frames_sent.get(kind, 0) + count
+        bytes_sent = self.bytes_sent
+        bytes_sent[kind] = bytes_sent.get(kind, 0) + count * wire_size
+        costs = self._stage_costs(size, wire_size)
+        transmit = self._transmit
+        armed = self.pipeline.armed
+        for dst in dsts:
+            out = (
+                Frame(src, dst, kind, body, size, control)
+                if frame is None
+                else frame
+            )
+            if armed:
+                copies = self.pipeline.admit(out)
+                if not copies:
+                    self.frames_dropped += 1
+                for copy in copies:
+                    transmit(copy, costs)
+            else:
+                transmit(out, costs)
+
+    def _stage_costs(self, size: int, wire_size: int) -> Any:
+        """Model-specific cost of one frame of ``size`` body bytes
+        (``wire_size`` on the wire), handed to every :meth:`_transmit`
+        of the multicast."""
+        raise NotImplementedError
+
+    def _transmit(self, frame: Frame, costs: Any) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Delivery path
     # ------------------------------------------------------------------
-
-    def _track(self, src: ProcessId, handle: EventHandle) -> None:
-        """Remember an in-flight delivery so a sender crash can void it."""
-        if self.drop_in_flight_of_crashed_sender:
-            self._in_flight[src].append(handle)
 
     def _drop_in_flight(self, src: ProcessId) -> None:
         for handle in self._in_flight[src]:
@@ -343,21 +390,26 @@ class ConstantLatencyNetwork(Network):
         self.jitter = jitter
         self.rng = rng
 
-    def _transmit(self, frame: Frame) -> None:
-        rule = self.pipeline.delay_rule_for(frame)
+    def _stage_costs(self, size: int, wire_size: int) -> float:
+        return self.base + self.per_byte * wire_size
+
+    def _transmit(self, frame: Frame, delay: float) -> None:
+        rule = None
+        if self.pipeline.has_delay:
+            rule = self.pipeline.delay_rule_for(frame)
         if rule is not None and rule.delay is not None:
             delay = rule.delay
-        else:
-            delay = self.base + self.per_byte * frame.wire_size()
-            if self.jitter > 0:
-                assert self.rng is not None
-                delay += self.rng.uniform(0.0, self.jitter)
+        elif self.jitter > 0:
+            assert self.rng is not None
+            delay += self.rng.uniform(0.0, self.jitter)
         if rule is not None:
             delay += rule.extra
-        if self.topology.crosses(frame.src, frame.dst):
+        if self._routed and self._segment[frame.src] != self._segment[frame.dst]:
             delay += self.topology.router_latency
         handle = self._schedule_delivery_at(self.engine._now + delay, frame)
-        self._track(frame.src, handle)
+        if self.drop_in_flight_of_crashed_sender:
+            # Remembered so the sender's crash can void it.
+            self._in_flight[frame.src].append(handle)
 
 
 class ContentionNetwork(Network):
@@ -418,92 +470,103 @@ class ContentionNetwork(Network):
                 FifoResource(engine, name=f"net.medium.{i}")
                 for i in range(self.topology.segment_count)
             )
+        # Where a frame goes when it leaves its last medium: only a
+        # DelayRule (fixed at construction) puts a stage in between.
+        self._after_wire = (
+            self._exit_final_wire
+            if self.pipeline.has_delay
+            else self._enter_receiver
+        )
 
     @property
     def medium(self) -> FifoResource:
         """The (first) segment medium; *the* medium when single-segment."""
         return self.media[0]
 
-    def cpu_cost(self, frame: Frame, overhead: float) -> float:
-        return overhead + self.params.cpu_per_byte * frame.size
+    def _stage_costs(
+        self, size: int, wire_size: int
+    ) -> tuple[float, float, float]:
+        """(sender CPU, medium, receiver CPU) seconds for one frame."""
+        params = self.params
+        cpu = params.cpu_per_byte * size
+        return (
+            params.send_overhead + cpu,
+            params.wire_overhead + params.wire_per_byte * wire_size,
+            params.recv_overhead + cpu,
+        )
 
-    def wire_cost(self, frame: Frame) -> float:
-        return self.params.wire_overhead + self.params.wire_per_byte * frame.wire_size()
-
-    def _transmit(self, frame: Frame) -> None:
-        sender = self._processes[frame.src]
+    def _transmit(
+        self, frame: Frame, costs: tuple[float, float, float]
+    ) -> None:
+        cpu = self._processes[frame.src].cpu
         if frame.dst == frame.src:
-            sender.cpu.occupy(
-                self.params.send_overhead, self._deliver_guarded, frame
-            )
-            return
-        sender.cpu.occupy(
-            self.cpu_cost(frame, self.params.send_overhead),
-            self._enter_medium,
-            frame,
-        )
-
-    def _enter_medium(self, frame: Frame) -> None:
-        if self._processes[frame.src].crashed and self.drop_in_flight_of_crashed_sender:
-            self.frames_dropped += 1
-            return
-        src_segment = self.topology.segment_of(frame.src)
-        if self.topology.crosses(frame.src, frame.dst):
-            self.media[src_segment].occupy(
-                self.wire_cost(frame), self._exit_source_segment, frame
-            )
+            cpu.occupy(self.params.send_overhead, self._deliver, frame)
         else:
-            self.media[src_segment].occupy(
-                self.wire_cost(frame), self._exit_final_wire, frame
-            )
+            cpu.occupy(costs[0], self._enter_medium, frame, costs[1], costs[2])
 
-    def _exit_source_segment(self, frame: Frame) -> None:
-        hop = self.topology.router_latency
-        if hop > 0:
-            self.engine.schedule(hop, self._enter_destination_segment, frame)
-        else:
-            self._enter_destination_segment(frame)
-
-    def _enter_destination_segment(self, frame: Frame) -> None:
-        dst_segment = self.topology.segment_of(frame.dst)
-        self.media[dst_segment].occupy(
-            self.wire_cost(frame), self._exit_final_wire, frame
-        )
-
-    def _exit_final_wire(self, frame: Frame) -> None:
-        extra = self.pipeline.extra_delay(frame)
-        if extra > 0:
-            self.engine.schedule(extra, self._enter_receiver, frame)
-        else:
-            self._enter_receiver(frame)
-
-    def _enter_receiver(self, frame: Frame) -> None:
+    def _enter_medium(self, frame: Frame, wire: float, recv: float) -> None:
         if (
             self.drop_in_flight_of_crashed_sender
             and self._processes[frame.src].crashed
+        ):
+            self.frames_dropped += 1
+            return
+        segment = self._segment[frame.src]
+        if self._routed and self._segment[frame.dst] != segment:
+            self.media[segment].occupy(
+                wire, self._exit_source_segment, frame, wire, recv
+            )
+        else:
+            self.media[segment].occupy(wire, self._after_wire, frame, recv)
+
+    def _exit_source_segment(
+        self, frame: Frame, wire: float, recv: float
+    ) -> None:
+        hop = self.topology.router_latency
+        if hop > 0:
+            self.engine.schedule(
+                hop, self._enter_destination_segment, frame, wire, recv
+            )
+        else:
+            self._enter_destination_segment(frame, wire, recv)
+
+    def _enter_destination_segment(
+        self, frame: Frame, wire: float, recv: float
+    ) -> None:
+        self.media[self._segment[frame.dst]].occupy(
+            wire, self._after_wire, frame, recv
+        )
+
+    def _exit_final_wire(self, frame: Frame, recv: float) -> None:
+        extra = self.pipeline.extra_delay(frame)
+        if extra > 0:
+            self.engine.schedule(extra, self._enter_receiver, frame, recv)
+        else:
+            self._enter_receiver(frame, recv)
+
+    def _enter_receiver(self, frame: Frame, recv: float) -> None:
+        processes = self._processes
+        if (
+            self.drop_in_flight_of_crashed_sender
+            and processes[frame.src].crashed
         ):
             # The sender died while this frame sat queued on the medium:
             # under the lost-socket-buffers policy it never reaches the
             # receiver (mirrors the constant model's in-flight drop).
             self.frames_dropped += 1
             return
-        dst = self._processes[frame.dst]
+        dst = processes[frame.dst]
         if dst.crashed:
             self.frames_dropped += 1
             return
-        cost = self.cpu_cost(frame, self.params.recv_overhead)
         if self.engine.annotating or not self._batching:
-            dst.cpu.occupy(cost, self._deliver_guarded, frame)
+            dst.cpu.occupy(recv, self._deliver, frame)
             return
         # Charge the CPU occupancy, then schedule the delivery through
         # the coalescing path: back-to-back zero-length completions at
         # the same instant (and destination) drain as one event.  Same
         # (time, seq) as the occupy-scheduled callback would have had.
-        finish = dst.cpu.occupy(cost)
-        self._schedule_delivery_at(finish, frame)
-
-    def _deliver_guarded(self, frame: Frame) -> None:
-        self._deliver(frame)
+        self._schedule_delivery_at(dst.cpu.occupy(recv), frame)
 
     def charge_rcv_lookups(self, pid: ProcessId, lookups: int) -> None:
         """Charge CPU time for ``lookups`` rcv() identifier lookups at ``pid``.

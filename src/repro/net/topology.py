@@ -46,16 +46,19 @@ class Topology:
         )
         if self.router_latency < 0:
             raise ConfigurationError("Topology.router_latency must be >= 0")
-        seen: set[ProcessId] = set()
-        for segment in self.segments:
+        placement: dict[ProcessId, int] = {}
+        for index, segment in enumerate(self.segments):
             if not segment:
                 raise ConfigurationError("Topology segments must be non-empty")
             for pid in segment:
-                if pid in seen:
+                if pid in placement:
                     raise ConfigurationError(
                         f"p{pid} appears in two topology segments"
                     )
-                seen.add(pid)
+                placement[pid] = index
+        # Derived from ``segments`` (not a field: equality, hashing and
+        # the cache key see the primitives only).
+        object.__setattr__(self, "_placement", placement)
 
     @classmethod
     def single(cls) -> "Topology":
@@ -75,17 +78,15 @@ class Topology:
 
     def segment_of(self, pid: ProcessId) -> int:
         """Index of the segment hosting ``pid``."""
-        for index, segment in enumerate(self.segments):
-            if pid in segment:
-                return index
         if not self.segments:
             return 0
-        raise ConfigurationError(f"p{pid} is not placed on any segment")
+        index = self._placement.get(pid)
+        if index is None:
+            raise ConfigurationError(f"p{pid} is not placed on any segment")
+        return index
 
     def crosses(self, src: ProcessId, dst: ProcessId) -> bool:
         """True iff a frame src->dst must traverse the router."""
-        if not self.segments:
-            return False
         return self.segment_of(src) != self.segment_of(dst)
 
     def validate_for(self, n: int) -> None:

@@ -37,16 +37,12 @@ class Transport:
         # identity (it is rebuilt only when a process attaches).
         self._peers_snapshot: tuple[ProcessId, ...] = ()
         self._others: tuple[ProcessId, ...] = ()
-        # Send-path caches: the pid never changes after construction
-        # and the network object never changes, so the hot paths skip
-        # the property descriptor and the per-call attribute walk.
-        self._pid = process.pid
-        self._net_send = network.send
+        # The pid never changes after construction and the network
+        # object never changes: plain attributes, so neither the layers
+        # reading ``transport.pid`` nor the send path pay a descriptor.
+        self.pid: ProcessId = process.pid
+        self._net_multicast = network.multicast
         network.attach(process, self._dispatch)
-
-    @property
-    def pid(self) -> ProcessId:
-        return self.process.pid
 
     @property
     def peers(self) -> tuple[ProcessId, ...]:
@@ -84,16 +80,7 @@ class Transport:
         control: bool = True,
     ) -> None:
         """Send one frame to ``dst`` (which may be this process itself)."""
-        self._net_send(
-            Frame(
-                src=self._pid,
-                dst=dst,
-                kind=kind,
-                body=body,
-                size=size,
-                control=control,
-            )
-        )
+        self._net_multicast(self.pid, (dst,), kind, body, size, control)
 
     def multicast(
         self,
@@ -110,11 +97,10 @@ class Transport:
         O(n) vs O(n**2) broadcast algorithms measurably different.
 
         Arbitrary destination sets pay a ``sorted`` per call; the
-        broadcast hot path is :meth:`send_all`, which iterates
+        broadcast hot path is :meth:`send_all`, which hands over
         precomputed sorted tuples instead.
         """
-        for dst in sorted(dsts):
-            self.send(dst, kind, body, size, control)
+        self._net_multicast(self.pid, sorted(dsts), kind, body, size, control)
 
     def send_all(
         self,
@@ -127,24 +113,19 @@ class Transport:
         """Send to every attached process (optionally skipping self).
 
         The destination tuples are derived from the network's peer set
-        once per attach epoch (the peer set is fixed after wiring), so
-        the per-call cost is a plain tuple walk — no list rebuild, no
-        re-sort (see ``benchmarks/test_transport_send_path.py``).
+        once per attach epoch (the peer set is fixed after wiring), and
+        the network validates, counts and costs the whole fan-out once
+        (see ``benchmarks/test_transport_send_path.py``).
         """
         peers = self.network.pids()
         if peers is not self._peers_snapshot:
             self._peers_snapshot = peers
-            self._others = tuple(p for p in peers if p != self._pid)
-        net_send = self._net_send
-        pid = self._pid
-        for dst in peers if include_self else self._others:
-            net_send(
-                Frame(
-                    src=pid,
-                    dst=dst,
-                    kind=kind,
-                    body=body,
-                    size=size,
-                    control=control,
-                )
-            )
+            self._others = tuple(p for p in peers if p != self.pid)
+        self._net_multicast(
+            self.pid,
+            peers if include_self else self._others,
+            kind,
+            body,
+            size,
+            control,
+        )

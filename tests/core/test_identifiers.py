@@ -1,5 +1,8 @@
 """Tests for message identifiers and their canonical ordering."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,6 +45,32 @@ class TestMessageId:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             MessageId(1, 1).seq = 5  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            MessageId(1, 1).payload = b""  # type: ignore[attr-defined]
+
+    def test_repr_names_both_fields(self):
+        """Explorer fingerprints and checker messages embed this string."""
+        assert repr(MessageId(origin=1, seq=2)) == "MessageId(origin=1, seq=2)"
+        assert repr(MessageId(3, 42)) == "MessageId(origin=3, seq=42)"
+
+    def test_equal_ids_hash_equal(self):
+        a, b = MessageId(4, 9), MessageId(origin=4, seq=9)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+
+    def test_sorted_matches_the_origin_seq_key(self):
+        rng = random.Random(13)
+        ids = [
+            MessageId(rng.randint(1, 9), rng.randint(1, 500))
+            for _ in range(300)
+        ]
+        assert sorted(ids) == sorted(ids, key=lambda m: (m.origin, m.seq))
+
+    def test_pickle_round_trip(self):
+        mid = MessageId(origin=7, seq=123)
+        clone = pickle.loads(pickle.dumps(mid))
+        assert type(clone) is MessageId
+        assert clone == mid and clone.origin == 7 and clone.seq == 123
 
 
 class TestOrderIdSet:
@@ -55,6 +84,16 @@ class TestOrderIdSet:
 
     def test_empty(self):
         assert order_id_set([]) == ()
+
+    def test_thousand_shuffled_ids(self):
+        expected = tuple(
+            MessageId(origin, seq)
+            for origin in range(1, 11)
+            for seq in range(1, 101)
+        )
+        shuffled = list(expected)
+        random.Random(5).shuffle(shuffled)
+        assert order_id_set(set(shuffled)) == expected
 
     @given(st.frozensets(mids, max_size=30))
     def test_deterministic_regardless_of_input_order(self, ids):

@@ -1,0 +1,90 @@
+"""State fingerprints are a function of *descriptions*, pinned here.
+
+``MessageId`` and ``Frame`` are tuples underneath (C-speed hashing and
+construction), and ``_describe_value`` has a generic tuple branch: if
+either type ever reached it, every fingerprint would silently change
+— pruning would still work, just differently, and no functional test
+would notice.  These pins make that loud: the descriptions themselves,
+and every per-step ``Menu.fingerprint`` of one small exploration,
+compared with values recorded at commit f28252a (when both types were
+frozen dataclasses).
+"""
+
+import hashlib
+
+from repro.core.identifiers import MessageId
+from repro.core.message import AppMessage, make_payload
+from repro.explore import explore_spec
+from repro.explore.executor import ScheduleExecutor
+from repro.explore.fingerprint import _describe_value
+from repro.explore.strategies import STRATEGIES
+from repro.net.frame import Frame
+
+
+class TestDescriptions:
+    def test_message_id_describes_by_name_not_as_a_pair(self):
+        mid = MessageId(origin=2, seq=5)
+        assert _describe_value(mid) == "MessageId(origin=2, seq=5)"
+        assert _describe_value((mid, 3)) == ("MessageId(origin=2, seq=5)", 3)
+        assert _describe_value(frozenset({mid})) == (
+            "set", "'MessageId(origin=2, seq=5)'",
+        )
+
+    def test_frame_description_excludes_seq_and_recurses_into_body(self):
+        mid = MessageId(1, 1)
+        described = _describe_value(
+            Frame(1, 3, "cons.est", (4, frozenset({mid})), 12, seq=77)
+        )
+        assert described == (
+            "frame", 1, 3, "cons.est", True, 12,
+            (4, ("set", "'MessageId(origin=1, seq=1)'")),
+        )
+        assert described == _describe_value(
+            Frame(1, 3, "cons.est", (4, frozenset({mid})), 12, seq=78)
+        )
+
+    def test_frozen_dataclass_embedding_an_id_keeps_its_repr(self):
+        message = AppMessage(
+            mid=MessageId(1, 2), sender=1, payload=make_payload(4)
+        )
+        assert _describe_value(message) == repr(message)
+        assert "MessageId(origin=1, seq=2)" in repr(message)
+
+
+class _RecordingExecutor(ScheduleExecutor):
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.fingerprints: list[str] = []
+
+    def run(self, deviations=(), **kwargs):
+        record = super().run(deviations, **kwargs)
+        self.fingerprints.extend(menu.fingerprint for menu in record.menus)
+        return record
+
+
+def test_pinned_exploration_fingerprints():
+    """Faulty-ids stack, n=3, the first 50 delay-bounded schedules."""
+    spec = explore_spec("faulty", n=3, budget=50, stop_after=0)
+    executor = _RecordingExecutor(spec)
+    result = STRATEGIES.get(spec.strategy).factory(
+        executor, spec, None, budget=50
+    )
+    assert (result.schedules, result.pruned, len(result.violations)) == (
+        50, 34, 3,
+    )
+    fingerprints = executor.fingerprints
+    assert len(fingerprints) == 2103
+    assert len(set(fingerprints)) == 584
+    assert fingerprints[:4] == [
+        "90a0c29b1d09c6a7444aed4ee14a1129",
+        "7e9c469a0feb9cf7e1d9dd4226570402",
+        "fc6da96e7e83f70056e8ac9de489d501",
+        "887746e9cab48ad8cb274d706232919e",
+    ]
+    assert fingerprints[-2:] == [
+        "2e18cb3106dae4ad8eee02c5c37bd4b9",
+        "46ffdeb09dd577d39e6be40f0ff36e86",
+    ]
+    assert hashlib.sha256("\n".join(fingerprints).encode()).hexdigest() == (
+        "538cb6debbc5bf15da3384d924d5cb97f8b881f2abaca3cfa1ef2863b3d8629f"
+    )

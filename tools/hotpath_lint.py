@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Allocation-discipline lint for the event-core hot path.
 
-The PR 8 columnar event core holds its per-event cost down by two
-disciplines that nothing in the type system enforces:
+The event core and the frame path hold their per-event cost down by
+three disciplines that nothing in the type system enforces:
 
 * **no instance dicts** — every class in the hot modules
   (``sim/equeue.py``, ``sim/engine.py``, ``net/frame.py``) declares
@@ -12,12 +12,19 @@ disciplines that nothing in the type system enforces:
 * **no reflective dispatch in the fused drain** — the drain loops
   (``EventQueue.drain`` implementations and ``Engine.drain_until``)
   bind their columns to locals once and never call ``getattr`` or
-  build a dict literal per event.
+  build a dict literal per event;
+* **a bare frame path** — the network's one send routine
+  (``Network.multicast``) and the contention model's three stage
+  callbacks run once per frame and do arithmetic plus one ``occupy``:
+  no ``getattr``, no dict/list literal, no call on the topology at all
+  (segments are a table built on attach) and no call on the fault
+  pipeline except under an ``armed`` / ``has_delay`` guard.
 
-Both are trivially easy to regress with an innocent-looking edit, and
-neither regression fails a functional test — they just quietly give
-back the ledger's ns/event.  CI runs this script so the regression is
-loud instead.
+All three are trivially easy to regress with an innocent-looking edit,
+and no such regression fails a functional test — they just quietly
+give back the ledger's ns/event (``tests/net/test_frame_path_budget.py``
+pins the resulting call counts).  CI runs this script so the
+regression is loud instead.
 
 Checks are deliberately layered: ``__slots__`` is verified at runtime
 (importing the module sees exactly what CPython sees, including
@@ -53,6 +60,19 @@ DRAIN_METHODS = (
     ("repro.sim.equeue", "drain"),
     ("repro.sim.engine", "drain_until"),
 )
+
+#: (module, method) bodies on the per-frame send path (every class's
+#: definition of the method is checked): the send routine and the
+#: model stage callbacks.
+FRAME_PATH_METHODS = (
+    ("repro.net.models", "multicast"),
+    ("repro.net.models", "_transmit"),
+    ("repro.net.models", "_enter_medium"),
+    ("repro.net.models", "_enter_receiver"),
+)
+
+#: A pipeline call is allowed only under an ``if`` testing one of these.
+PIPELINE_GUARDS = frozenset({"armed", "has_delay"})
 
 #: Observer lifecycle hooks the obs layer may subscribe to.  Any call
 #: of one of these inside an observer-bearing method must sit under an
@@ -129,6 +149,85 @@ def check_drain(module_name: str, method: str) -> list[str]:
     return problems
 
 
+def _receiver_chain(func: ast.expr) -> set[str]:
+    """Names along a call's receiver: ``self.pipeline.admit`` ->
+    ``{"self", "pipeline"}``."""
+    names: set[str] = set()
+    node = func.value if isinstance(func, ast.Attribute) else None
+    while isinstance(node, ast.Attribute):
+        names.add(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+    return names
+
+
+def _mentions_pipeline_guard(test: ast.expr) -> bool:
+    return any(
+        (isinstance(node, ast.Name) and node.id in PIPELINE_GUARDS)
+        or (isinstance(node, ast.Attribute) and node.attr in PIPELINE_GUARDS)
+        for node in ast.walk(test)
+    )
+
+
+def check_frame_path(module_name: str, method: str) -> list[str]:
+    """The per-frame bodies allocate nothing and ask nobody."""
+    source_path = Path(
+        importlib.import_module(module_name).__file__  # type: ignore[arg-type]
+    )
+    tree = ast.parse(source_path.read_text(), filename=str(source_path))
+    return frame_path_problems(tree, module_name, method)
+
+
+def frame_path_problems(
+    tree: ast.Module, module_name: str, method: str
+) -> list[str]:
+    """:func:`check_frame_path` on an already-parsed module."""
+    defs = _drain_defs(tree, method)
+    if not defs:
+        return [f"{module_name}: no {method!r} method found to lint"]
+    problems: list[str] = []
+
+    def visit(node: ast.AST, qualname: str, guarded: bool) -> None:
+        where = f"{module_name}:{getattr(node, 'lineno', '?')} {qualname}"
+        if isinstance(node, ast.If):
+            visit(node.test, qualname, guarded)
+            inner = guarded or _mentions_pipeline_guard(node.test)
+            for child in node.body:
+                visit(child, qualname, inner)
+            for child in node.orelse:
+                visit(child, qualname, guarded)
+            return
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "getattr":
+                problems.append(f"{where}: getattr() on the frame path")
+            receiver = _receiver_chain(node.func)
+            if "topology" in receiver:
+                problems.append(
+                    f"{where}: call on the topology per frame (use the "
+                    f"pid -> segment table built on attach)"
+                )
+            if "pipeline" in receiver and not guarded:
+                problems.append(
+                    f"{where}: fault-pipeline call outside an "
+                    f"armed/has_delay guard (an unarmed send asks nothing)"
+                )
+        elif isinstance(
+            node, (ast.Dict, ast.DictComp, ast.List, ast.ListComp)
+        ):
+            problems.append(
+                f"{where}: dict/list literal on the frame path "
+                f"(allocation per frame)"
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, qualname, guarded)
+
+    for qualname, fn in defs:
+        for statement in fn.body:
+            visit(statement, qualname, False)
+    return problems
+
+
 def _is_not_none_guard(test: ast.expr) -> bool:
     """True for ``<expr> is not None`` (the sanctioned observer guard)."""
     return (
@@ -185,6 +284,8 @@ def main() -> int:
         problems += check_drain(module_name, method)
     for module_name, method in OBSERVER_METHODS:
         problems += check_observer_guards(module_name, method)
+    for module_name, method in FRAME_PATH_METHODS:
+        problems += check_frame_path(module_name, method)
     if problems:
         print("hotpath-lint: allocation discipline regressed:")
         for problem in problems:
@@ -201,7 +302,8 @@ def main() -> int:
     print(
         f"hotpath-lint: OK ({len(SLOTTED_MODULES)} modules slotted, "
         f"{drains} drain loops clean, "
-        f"{len(OBSERVER_METHODS)} observer sites guarded)"
+        f"{len(OBSERVER_METHODS)} observer sites guarded, "
+        f"{len(FRAME_PATH_METHODS)} frame-path methods bare)"
     )
     return 0
 
