@@ -1,23 +1,30 @@
 """Macro-benchmark: schedules/sec on the Section 2.2 bug hunt.
 
 The explorer's cost model is *schedules executed per second*: a bounded
-search is thousands of full re-executions of the same small simulation,
-each one paying (a) a fresh ``build_system``, (b) the controlled run
-loop's per-step scheduler consultation, and (c) a per-step state
-fingerprint for pruning.  PR 7 attacks (b) with the singleton fast path
-(``Scheduler.wants``) and (c) with the incremental rolling-hash
-fingerprint, so this figure is the ledger entry those changes answer
-to (``BENCH_pr7.json``; the pre-change figure, measured on the same
-container right before the overhaul, is recorded in ``extra_info`` as
+search is thousands of full re-executions of the same small simulation.
+One schedule pays (a) a fresh ``build_system``, (b) the *replayed
+prefix* up to its last deviation — the controlled loop with the
+scheduler keeping bare replay bookkeeping, (c) its *expansion window* —
+a menu and a state fingerprint per step, up to the first fingerprint
+the search has already covered, (d) the *passive suffix* — the rest of
+the run on the engine's plain drain loop, scheduler not consulted — and
+(e) the checkers.  PR 7 made (b) and (c) cheap per step (the singleton
+``Scheduler.wants`` path, the incremental rolling-hash fingerprint);
+PR 15 stopped paying (c) outside the window at all — before it, every
+step of every run built a menu and a fingerprint, 90 % of them never
+read.  This figure is the ledger entry those changes answer to
+(``BENCH_pr7.json`` onwards; the pre-PR-7 figure, measured on the same
+container, is recorded in ``extra_info`` as
 ``baseline_schedules_per_sec``).
 
 Two shapes are measured:
 
-* the *pruned search* — the default delay-bounded strategy with menus
-  and fingerprints on, a fixed budget, no early stop: the steady-state
-  cost of the CI exploration matrix;
-* the *replay path* — menus and fingerprints off, the shape shrinking
-  and ``--replay`` pay per schedule.
+* the *pruned search* — the default delay-bounded strategy, windowed
+  menus and fingerprints, a fixed budget, no early stop: the
+  steady-state cost of the CI exploration matrix;
+* the *replay path* — nothing recorded, passive as soon as the last
+  deviation is behind: the shape shrinking and ``--replay`` pay per
+  schedule.
 """
 
 from __future__ import annotations

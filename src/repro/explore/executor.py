@@ -19,7 +19,7 @@ a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.checkers.abcast import AbcastChecker
 from repro.checkers.consensus import ConsensusChecker
@@ -30,6 +30,7 @@ from repro.explore.scheduler import (
     ExploreScheduler,
     Menu,
     format_deviations,
+    parse_deviations,
 )
 from repro.failure.crash import CrashSchedule
 from repro.sim.engine import EventBudgetExceeded
@@ -86,8 +87,9 @@ class ExploreSpec:
             strategy only).
         max_events: Per-schedule engine runaway guard.
         fingerprint_check: Validate the incremental fingerprint
-            tracker against a from-scratch recompute at every decision
-            step (see
+            tracker against a from-scratch recompute at every read:
+            each step of a search's expansion windows, each step of an
+            eager ``ScheduleExecutor.run`` (see
             :class:`~repro.explore.fingerprint.FingerprintTracker`).
             A debug harness — orders of magnitude slower; also
             switchable globally via ``REPRO_FP_CHECK=1``.
@@ -183,6 +185,10 @@ class RunRecord:
     #: True when the schedule hit the ``max_events`` runaway guard; the
     #: run is inconclusive (no checkers ran) and is not expanded.
     diverged: bool = False
+    #: The recorded menus, in step order: one per decision step for a
+    #: plain ``run(schedule)``; only the steps of the expansion window
+    #: (``Menu.step`` says which) when the run was given one; empty
+    #: with ``menus=False``.
     menus: tuple[Menu, ...] = field(default=(), repr=False)
 
 
@@ -210,6 +216,7 @@ class ScheduleExecutor:
         *,
         menus: bool = True,
         fingerprints: bool | None = None,
+        window: tuple[int, Callable[[str], bool] | None] | None = None,
         keep_system: bool = False,
     ) -> RunRecord | tuple[RunRecord, System]:
         """Execute one schedule; optionally return the full system too.
@@ -218,11 +225,15 @@ class ScheduleExecutor:
         checkers flagged (a violating schedule usually trips several).
         ``fingerprints`` defaults to ``menus and spec.prune``; a
         strategy that records menus but never prunes (random-walk)
-        passes ``False`` to skip the per-step hashing cost.
+        passes ``False`` to skip the hashing cost.  ``window`` — the
+        ``(record_from, covered)`` pair of
+        :class:`~repro.explore.scheduler.ExploreScheduler` — restricts
+        recording to the steps a tree search can expand.
         """
         spec = self.spec
         deviations = tuple(sorted(deviations))
         system = self._build()
+        record_from, covered = window or (0, None)
         scheduler = ExploreScheduler(
             system,
             deviations,
@@ -233,6 +244,8 @@ class ScheduleExecutor:
                 menus and spec.prune if fingerprints is None else fingerprints
             ),
             fingerprint_check=spec.fingerprint_check,
+            record_from=record_from if menus else None,
+            covered=covered,
         )
         system.engine.install_scheduler(scheduler)
         for pid, at, size in spec.sends:
@@ -291,7 +304,7 @@ class ScheduleExecutor:
             drained=drained,
             violation=violation,
             diverged=diverged,
-            menus=tuple(scheduler.menus) if menus else (),
+            menus=tuple(scheduler.menus),
         )
         if keep_system:
             return record, system
@@ -309,8 +322,6 @@ def replay(
     checker in :mod:`repro.checkers` and every tool in
     :mod:`repro.analysis` works on it unchanged.
     """
-    from repro.explore.scheduler import parse_deviations
-
     if isinstance(deviations, str):
         deviations = parse_deviations(deviations)
     record, system = ScheduleExecutor(spec).run(

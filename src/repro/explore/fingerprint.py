@@ -8,49 +8,50 @@ exploring both is redundant — symmetric interleavings of independent
 deliveries being the common case.  What matters for search results is
 therefore the *partition*, not the literal hash strings.
 
-Two implementations of the same partition live here:
+The partition is implemented by :class:`FingerprintTracker` — an
+order-independent rolling hash over canonical per-record descriptions,
+maintained from event-lifecycle notifications (push / fire / cancel /
+defer / release; see ``EventQueue.observer`` and the controlled loop's
+notification sites in :mod:`repro.sim.engine`).  A record is described
+and hashed **at most once per lifetime state, and only if a read finds
+it still pending**: notifications merely file the record under a dict
+key, so everything pushed and fired between two reads — the whole
+replayed prefix of a windowed search run (see
+:mod:`repro.explore.scheduler`) — is dropped in O(1) without ever being
+described.  The pending multiset folds with modular *sum* (not XOR: XOR
+would cancel duplicate pairs of identical descriptions, and duplicated
+frames are exactly what retransmission schedules create) plus an
+explicit count; the order-*sensitive* components (blocked events in
+deferral order, adelivery sequences) fold with a multiply-accumulate.
+Hashes come from SHA-256 of the description's ``repr`` — never Python's
+randomized ``hash()`` — so values are stable across worker processes, a
+requirement for the sharded parallel search.
 
-* :func:`fingerprint_state` — the original full recompute: canonically
-  describe every live pending event, sort, and hash the whole blob.
-  Simple, stateless, and O(pending · description cost) **per decision
-  step**, which profiling shows dominating the explorer's schedule
-  throughput (~80% of a pruned search's runtime before PR 7).
-
-* :class:`FingerprintTracker` — an order-independent rolling hash over
-  the same canonical per-record descriptions, maintained incrementally
-  from event-lifecycle notifications (push / fire / cancel / defer /
-  release; see ``EventQueue.observer`` and the controlled loop's
-  notification sites in :mod:`repro.sim.engine`).  Each record is
-  described and hashed **once per lifetime state** instead of once per
-  step it stays pending; the per-step read is O(new events + blocked +
-  processes).  The pending multiset folds with modular *sum* (not XOR:
-  XOR would cancel duplicate pairs of identical descriptions, and
-  duplicated frames are exactly what retransmission schedules create)
-  plus an explicit count; the order-*sensitive* components (blocked
-  events in deferral order, adelivery sequences) fold with a
-  multiply-accumulate.  Hashes come from SHA-256 of the description's
-  ``repr`` — never Python's randomized ``hash()`` — so values are
-  stable across worker processes, a requirement for the sharded
-  parallel search.
-
-Both read events through the *record* interface (``time``/``seq``/
+Events are read through the *record* interface (``time``/``seq``/
 ``fn``/``args``/``state``), never through queue storage directly, so
-they are storage-agnostic: the heap and calendar queues hand over
-their records, and the PR 8 columnar queue hands over the handle view
-it materializes over a slot at push time (the observer seam is exactly
-the point where a columnar event needs an identity the tracker can key
+the tracker is storage-agnostic: the heap and calendar queues hand over
+their records, and the columnar queue hands over the handle view it
+materializes over a slot at push time (an identity the tracker can key
 dictionaries on).  The three-way observer-sequence test in
 ``tests/sim/test_equeue.py`` pins the notification streams identical
 across storages.
 
-The two produce *different strings* but the **same partition** of
-states: both are injective-in-practice images of the same canonical
-tuple (pending multiset, blocked sequence, crash set, adelivery
-sequences).  ``FingerprintTracker(check=True)`` — or the
-``REPRO_FP_CHECK=1`` environment variable — verifies the maintained
-state against a from-scratch recompute at every read and raises on any
-divergence; ``tests/explore/test_fast_path.py`` runs full searches
-under the flag.
+A fingerprint covers the live pending-event set (heap, the in-hand
+ready set, deferred events), the crash record and every process's
+adelivery sequence.  Protocol layers hold internal state (round
+numbers, ack counters, received stores) it cannot see, so matching
+fingerprints do **not** guarantee identical futures: pruning on them is
+a *symmetry heuristic* aimed at reorderings of independent events —
+which do converge to genuinely identical global states — and may in
+principle also collapse prefixes that differ only in hidden layer
+state.  An ``exhausted`` search result is therefore "exhausted modulo
+fingerprint equivalence", not a proof; disable ``ExploreSpec.prune``
+for the strictly-complete (and much slower) enumeration.
+
+``FingerprintTracker(check=True)`` — or the ``REPRO_FP_CHECK=1``
+environment variable — verifies the maintained state against a
+from-scratch recompute at every read and raises on any divergence;
+``tests/explore/test_fast_path.py`` runs full searches under the flag.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "FingerprintTracker",
     "describe_record",
-    "fingerprint_state",
 ]
 
 _MASK = (1 << 128) - 1
@@ -140,67 +140,18 @@ def _describe_callable(fn: Any) -> str:
 
 def describe_record(record: _EventRecord, blocked: bool = False) -> tuple:
     """Canonical description of one pending event (for fingerprints)."""
-    fn, args = record.fn, record.args
+    args = record.args
+    name = _describe_callable(record.fn)
     # Unwrap SimProcess._guarded(fn, args) so timer descriptions name
     # the protocol callback, not the guard.
-    if _describe_callable(fn).startswith("SimProcess._guarded") and len(args) == 2:
-        fn, args = args[0], args[1]
+    if name.startswith("SimProcess._guarded") and len(args) == 2:
+        name, args = _describe_callable(args[0]), args[1]
     return (
         "blocked" if blocked else repr(record.time),
-        _describe_callable(fn),
+        name,
         _describe_value(tuple(args)),
         _describe_value(getattr(record, "info", None)),
     )
-
-
-def fingerprint_state(
-    system: "System", ready: Iterable[_EventRecord] = ()
-) -> str:
-    """Hash of the simulation's scheduler-visible state (full recompute).
-
-    Covers the live pending-event set (heap, the current ready set —
-    which the controlled loop holds off-heap while it consults the
-    scheduler — and deferred events, canonically described and
-    order-insensitively sorted), the crash record, and every process's
-    adelivery sequence.  Protocol layers hold internal state (round
-    numbers, ack counters, received stores) the fingerprint cannot
-    see, so matching fingerprints do **not** guarantee identical
-    futures: pruning on them is a *symmetry heuristic* aimed at
-    reorderings of independent events — which do converge to genuinely
-    identical global states — and may in principle also collapse
-    prefixes that differ only in hidden layer state, under-exploring
-    the space.  An ``exhausted`` search result is therefore
-    "exhausted modulo fingerprint equivalence", not a proof; disable
-    ``ExploreSpec.prune`` for the strictly-complete (and much slower)
-    enumeration.
-    """
-    engine = system.engine
-    pending = sorted(
-        [
-            repr(describe_record(record))
-            for _, _, record in engine.pending_entries()
-            if not record.cancelled
-        ]
-        + [
-            repr(describe_record(record))
-            for record in ready
-            if not record.cancelled
-        ]
-    )
-    blocked = [
-        repr(describe_record(record, blocked=True))
-        for record in engine._blocked
-        if not record.cancelled
-    ]
-    crashed = sorted(
-        pid for pid, p in system.processes.items() if p.crashed
-    )
-    delivered = [
-        (pid, tuple(map(repr, system.trace.adelivery_sequence(pid))))
-        for pid in sorted(system.processes)
-    ]
-    blob = repr((pending, blocked, crashed, delivered))
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
 def _hash_description(description: Any) -> int:
@@ -208,10 +159,6 @@ def _hash_description(description: Any) -> int:
     return int.from_bytes(
         hashlib.sha256(repr(description).encode()).digest()[:16], "big"
     )
-
-
-def _check_enabled() -> bool:
-    return os.environ.get("REPRO_FP_CHECK", "") not in ("", "0")
 
 
 class FingerprintTracker:
@@ -223,13 +170,10 @@ class FingerprintTracker:
     engine's lifecycle notifications.  :meth:`fingerprint` is the
     per-decision-step read.
 
-    Laziness: ``annotate()`` runs *after* ``push`` returns, so a
-    record's description cannot be hashed at push time — pushed records
-    park in a fresh-list and are described at the next read, by which
-    point their annotations (and any immediate cancellation) are
-    settled.  Every decision step performs a read, so the fresh-list
-    stays a handful of entries and the remove-on-cancel scan of it is
-    O(few).
+    Descriptions are lazy for a second reason besides cost:
+    ``annotate()`` runs *after* ``push`` returns, so a record cannot be
+    described at push time — only at the next read, by which point its
+    annotation is settled.
 
     ``check=True`` (or ``REPRO_FP_CHECK=1``) recomputes the whole state
     from scratch at every read and raises ``AssertionError`` on any
@@ -245,7 +189,6 @@ class FingerprintTracker:
         "_hashes",
         "_fresh",
         "_blocked",
-        "_blocked_hashes",
         "_procs",
         "_adeliv",
         "_consumed",
@@ -254,7 +197,9 @@ class FingerprintTracker:
 
     def __init__(self, system: "System", check: bool = False) -> None:
         self._system = system
-        self._check = check or _check_enabled()
+        self._check = check or os.environ.get("REPRO_FP_CHECK", "") not in (
+            "", "0",
+        )
         self._sum = 0
         self._count = 0
         #: live pending record -> its 128-bit description hash.  Keyed
@@ -263,10 +208,10 @@ class FingerprintTracker:
         #: stay tracked — they are still pending.
         self._hashes: dict[_EventRecord, int] = {}
         #: pushed since the last read; described lazily (see above).
-        self._fresh: list[_EventRecord] = []
-        #: mirror of the engine's deferred-and-blocked list, in order.
-        self._blocked: list[_EventRecord] = []
-        self._blocked_hashes: dict[_EventRecord, int] = {}
+        self._fresh: dict[_EventRecord, None] = {}
+        #: mirror of the engine's deferred-and-blocked list, in order:
+        #: record -> description hash (``None`` until first read).
+        self._blocked: dict[_EventRecord, int | None] = {}
         # Per-process state, hoisted once: the process set is fixed for
         # the lifetime of a run (crashed processes stay registered).
         processes = system.processes
@@ -274,14 +219,8 @@ class FingerprintTracker:
         self._procs = [(pid, processes[pid]) for pid in pids]
         # Adelivery sequences are append-only; track the consumed
         # prefix length and its running ordered fold per process.
-        # (A trace observer without the standard storage falls back to
-        # a full re-fold per read — correct, just not incremental.)
-        sequences = getattr(system.trace, "_adeliveries", None)
-        self._adeliv = (
-            None
-            if sequences is None
-            else [(pid, sequences[pid]) for pid in pids]
-        )
+        sequences = system.trace._adeliveries
+        self._adeliv = [(pid, sequences[pid]) for pid in pids]
         self._consumed = [0] * len(pids)
         self._folds = [0] * len(pids)
 
@@ -292,10 +231,10 @@ class FingerprintTracker:
         engine.equeue.observer = self
         for _, _, record in engine.pending_entries():
             if record.state == 0:
-                self._fresh.append(record)
+                self._fresh[record] = None
         for record in engine._blocked:
             if record.state == 0:
-                self.on_block(record)
+                self._blocked[record] = None
 
     def detach(self, engine: Engine) -> None:
         engine.equeue.observer = None
@@ -303,48 +242,36 @@ class FingerprintTracker:
     # -- lifecycle notifications ---------------------------------------
 
     def on_push(self, record: _EventRecord) -> None:
-        self._fresh.append(record)
-
-    def on_fire(self, record: _EventRecord) -> None:
-        self._forget(record)
-
-    def on_cancel(self, record: _EventRecord) -> None:
-        self._forget(record)
+        self._fresh[record] = None
 
     def on_defer(self, record: _EventRecord) -> None:
         # Bounded defer: the record's time changed, so its pending
         # description is stale — re-describe at the next read.
         self._forget(record)
-        self._fresh.append(record)
+        self._fresh[record] = None
 
     def on_block(self, record: _EventRecord) -> None:
         # Unbounded defer: moves from the pending multiset to the
         # ordered blocked sequence; blocked descriptions are
         # time-independent ("blocked" replaces the due time).
         self._forget(record)
-        self._blocked.append(record)
-        self._blocked_hashes[record] = _hash_description(
-            describe_record(record, blocked=True)
-        )
+        self._blocked[record] = None
 
     def on_release(self, record: _EventRecord) -> None:
-        if self._blocked_hashes.pop(record, None) is not None:
-            self._blocked.remove(record)
-        self._fresh.append(record)
+        self._blocked.pop(record, None)
+        self._fresh[record] = None
 
     def _forget(self, record: _EventRecord) -> None:
         h = self._hashes.pop(record, None)
         if h is not None:
             self._sum = (self._sum - h) & _MASK
             self._count -= 1
-            return
-        if self._blocked_hashes.pop(record, None) is not None:
-            self._blocked.remove(record)
-            return
-        try:
-            self._fresh.remove(record)
-        except ValueError:
-            pass
+        else:  # not described yet (or blocked): nothing to subtract
+            self._fresh.pop(record, None)
+            self._blocked.pop(record, None)
+
+    # A fired or cancelled record simply leaves whichever store holds it.
+    on_fire = on_cancel = _forget
 
     # -- the read ------------------------------------------------------
 
@@ -356,7 +283,7 @@ class FingerprintTracker:
         total = self._sum
         count = self._count
         for record in fresh:
-            if record.state == 0 and record not in hashes:
+            if record.state == 0:
                 h = _hash_description(describe_record(record))
                 hashes[record] = h
                 total += h
@@ -366,14 +293,6 @@ class FingerprintTracker:
         fresh.clear()
 
     def _delivery_fold(self) -> int:
-        if self._adeliv is None:
-            total = 0
-            for pid, _ in self._procs:
-                fold = 0
-                for mid in self._system.trace.adelivery_sequence(pid):
-                    fold = (fold * _PRIME + _hash_description(mid)) & _MASK
-                total = (total * _PRIME + fold + pid) & _MASK
-            return total
         consumed = self._consumed
         folds = self._folds
         total = 0
@@ -397,11 +316,13 @@ class FingerprintTracker:
         in-hand ready records whether on- or off-heap)."""
         self._reconcile()
         value = (self._sum * _PRIME + self._count) & _MASK
-        for record in self._blocked:
-            if record.state == 0:
-                value = (
-                    value * _PRIME + self._blocked_hashes[record]
-                ) & _MASK
+        blocked = self._blocked
+        for record, h in blocked.items():
+            if h is None:
+                h = blocked[record] = _hash_description(
+                    describe_record(record, blocked=True)
+                )
+            value = (value * _PRIME + h) & _MASK
         for pid, process in self._procs:
             if process.crashed:
                 value = (value * _PRIME + pid + 0x9E3779B9) & _MASK
@@ -447,7 +368,7 @@ class FingerprintTracker:
                 f"count {self._count} vs {len(live)})"
             )
         engine_blocked = [r for r in engine._blocked if r.state == 0]
-        tracker_blocked = [r for r in self._blocked if r.state == 0]
+        tracker_blocked = list(self._blocked)
         if engine_blocked != tracker_blocked:
             raise AssertionError(
                 "fingerprint tracker blocked-mirror drift "
@@ -456,7 +377,7 @@ class FingerprintTracker:
             )
         for record in tracker_blocked:
             h = _hash_description(describe_record(record, blocked=True))
-            if self._blocked_hashes[record] != h:
+            if self._blocked[record] != h:
                 raise AssertionError(
                     f"fingerprint tracker stale blocked description "
                     f"for {record!r}"

@@ -99,7 +99,8 @@ def _search_parallel(spec: ExploreSpec, jobs: int) -> SearchResult:
     from repro.harness.runner import parallel_map
 
     executor = ScheduleExecutor(spec)
-    root = executor.run(())
+    # children_of below passes no ``visited``: nobody reads fingerprints.
+    root = executor.run((), fingerprints=False)
     result = SearchResult(schedules=1)
     if root.violation is not None or root.diverged:
         # Mirror the serial search exactly: a violating (or runaway)
@@ -118,10 +119,14 @@ def _search_parallel(spec: ExploreSpec, jobs: int) -> SearchResult:
     # worker shares respect the spec's hard schedule cap.
     width = min(jobs, len(frontier), remaining)
     shards = [frontier[i::width] for i in range(width)]
-    share = remaining // width
+    # The first ``remaining % width`` shards take the division's remainder.
+    share, extra = divmod(remaining, width)
     outcomes = parallel_map(
         _explore_shard,
-        [(spec, shard, share, index) for index, shard in enumerate(shards)],
+        [
+            (spec, shard, share + (index < extra), index)
+            for index, shard in enumerate(shards)
+        ],
         processes=len(shards),
     )
     result.exhausted = True

@@ -9,14 +9,37 @@ with no deviation take the default, so the empty schedule replays the
 uncontrolled engine bit for bit and a repro string like
 ``"4:d1,5:d1,23:c2"`` fully determines a run.
 
-While it plays a schedule the scheduler records, per step, the *menu*
-of alternatives that were available — how many events were tied, which
-were deferrable, who could crash — plus a fingerprint of the
-simulation state.  Search strategies expand new schedules from these
-menus; the fingerprints let them skip decision prefixes that converged
-to a state some earlier schedule already explored with an equal or
-larger remaining budget (symmetric interleavings of independent
-deliveries are the common case).
+While it plays a schedule the scheduler can record, per step, the
+*menu* of alternatives that were available — how many events were
+tied, which were deferrable, who could crash — plus a fingerprint of
+the simulation state.  Search strategies expand new schedules from
+these menus; the fingerprints let them skip decision prefixes that
+converged to a state some earlier schedule already explored with an
+equal or larger remaining budget (symmetric interleavings of
+independent deliveries are the common case).
+
+Recording is demand-driven.  A tree search only ever expands a schedule
+at steps *after* its last deviation and only *up to* the first
+already-covered fingerprint, so it hands the scheduler exactly that
+*window* (``record_from`` and a ``covered`` test).  A run then has up to
+three stretches:
+
+* the **replayed prefix** keeps only what later steps depend on — the
+  step counter, which frames have lost their deferrability, which event
+  fired last (the crash-placement gate) — and evaluates
+  deferrable/crashable sets solely to validate a deviation scheduled at
+  that step.  No menu, no fingerprint;
+* the **window** records a menu (and fingerprint) per step and closes
+  on the first ``covered`` fingerprint — that menu is still recorded,
+  it is the search's cut-off marker;
+* after that the scheduler is :attr:`~ExploreScheduler.passive`: every
+  remaining answer is ``(FIRE, 0)``, so the engine finishes the run on
+  the storage's plain drain loop and reports the event count, which
+  keeps ``steps`` exact.
+
+The default (``record_from=0``, no ``covered`` test) records every
+step; ``record_from=None`` records nothing and is passive from its last
+deviation on (replay, shrinking, leaf schedules of a search).
 
 Deviation vocabulary and canonical form:
 
@@ -40,16 +63,10 @@ Deviation vocabulary and canonical form:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.core.exceptions import ConfigurationError
-from repro.explore.fingerprint import (
-    FingerprintTracker,
-    _describe_callable,
-    _describe_value,
-    describe_record,
-    fingerprint_state,
-)
+from repro.explore.fingerprint import FingerprintTracker
 from repro.net.frame import Frame
 from repro.sim.engine import AGAIN, DEFER, FIRE, Engine, Scheduler, _EventRecord
 
@@ -143,16 +160,6 @@ class Menu:
 
 
 # ----------------------------------------------------------------------
-# State fingerprints
-# ----------------------------------------------------------------------
-#
-# The canonical description machinery and both fingerprint
-# implementations (the full recompute and the incremental tracker) live
-# in :mod:`repro.explore.fingerprint`; re-exported here because this
-# module has always been their public import path.
-
-
-# ----------------------------------------------------------------------
 # The scheduler
 # ----------------------------------------------------------------------
 
@@ -171,15 +178,20 @@ class ExploreScheduler(Scheduler):
         defer_delay: Passed through to the engine (see
             :class:`repro.sim.engine.Scheduler.defer_delay`): how long
             a deferred frame is held back.
-        fingerprints: Record a state fingerprint per menu (strategies
-            need them for pruning; replay can skip the cost).  Served
-            by the incremental
+        fingerprints: Put a state fingerprint on each recorded menu
+            (tree strategies need them for pruning).  Served by the
+            incremental
             :class:`~repro.explore.fingerprint.FingerprintTracker`,
-            installed as the queue observer for the run's duration.
+            installed as the queue observer until the window closes.
         fingerprint_check: Validate the incremental fingerprint state
-            against a from-scratch recompute at every step (also
+            against a from-scratch recompute at every read (also
             enabled globally by ``REPRO_FP_CHECK=1``) — the debug
             harness, far too slow for real searches.
+        record_from: First step whose menu is recorded (the module
+            docstring's *window*); ``None`` records nothing.
+        covered: Closes the window: called with each recorded
+            fingerprint, a true answer makes that menu the last one.
+            Needs ``fingerprints``.
 
     A deviation that does not apply at its step — index beyond the
     ready set, pid not crashable, defer of a non-deferrable event — is
@@ -198,6 +210,8 @@ class ExploreScheduler(Scheduler):
         defer_delay: float | None = 5e-3,
         fingerprints: bool = True,
         fingerprint_check: bool = False,
+        record_from: int | None = 0,
+        covered: Callable[[str], bool] | None = None,
     ) -> None:
         if not isinstance(deviations, Mapping):
             listed = tuple(deviations)
@@ -211,12 +225,17 @@ class ExploreScheduler(Scheduler):
         self.max_crashes = max_crashes
         self.defer_data_only = defer_data_only
         self.defer_delay = defer_delay
-        self.fingerprints = fingerprints
+        self.fingerprints = fingerprints and record_from is not None
         self.fingerprint_check = fingerprint_check
+        self._record_from = record_from
+        self._covered = covered
+        #: No menu will be recorded from here on.
+        self._closed = record_from is None
+        self._last_deviation = max(self.deviations, default=-1)
         #: The incremental fingerprint tracker of the current run
         #: (created in ``begin_run`` when fingerprints are on).
         self._tracker: FingerprintTracker | None = None
-        #: Per-step menus, in step order.
+        #: Recorded menus, in step order.
         self.menus: list[Menu] = []
         #: Deviations actually applied (same objects as scheduled).
         self.applied: list[Deviation] = []
@@ -224,14 +243,25 @@ class ExploreScheduler(Scheduler):
         self.skipped: list[Deviation] = []
         self.steps = 0
         self.crashes_done = 0
+        # The process set is fixed for a run (crashed ones stay listed).
+        self._processes = sorted(system.processes.items())
         # Strong references, not id()s: a fired record could be freed
         # and its address reused by a later frame's record, which would
         # silently (and non-deterministically across processes) eat
         # that frame's deferrability.
         self._seen_frames: set[_EventRecord] = set()
-        # Which processes the previously fired event involved (crash
-        # placement gate); at step 0 every alive process qualifies.
-        self._crash_context: frozenset[int] | None = None
+        # The previously fired event: only processes it involved may
+        # crash now (crash placement gate); before the first one every
+        # alive process qualifies.
+        self._last_fired: _EventRecord | None = None
+
+    @property
+    def passive(self) -> bool:
+        """Nothing left to record and no deviation left to play."""
+        return self._closed and self.steps > self._last_deviation
+
+    def on_passive_drain(self, fired: int) -> None:
+        self.steps += fired
 
     # -- involvement ---------------------------------------------------
 
@@ -253,7 +283,7 @@ class ExploreScheduler(Scheduler):
                     return frozenset()
         return frozenset()
 
-    def _deferrable(self, ready: list[_EventRecord]) -> tuple[int, ...]:
+    def _deferrable(self, ready: Sequence[_EventRecord]) -> tuple[int, ...]:
         indices = []
         for i, record in enumerate(ready):
             frame = getattr(record, "info", None)
@@ -275,13 +305,33 @@ class ExploreScheduler(Scheduler):
     def _crashable(self) -> tuple[int, ...]:
         if self.crashes_done >= self.max_crashes:
             return ()
-        alive = [
-            pid for pid, p in sorted(self.system.processes.items())
-            if not p.crashed
-        ]
-        if self._crash_context is None:
-            return tuple(alive)
-        return tuple(p for p in alive if p in self._crash_context)
+        if self._last_fired is None:
+            return tuple(pid for pid, p in self._processes if not p.crashed)
+        context = self._pids_of(self._last_fired)
+        return tuple(
+            pid for pid, p in self._processes
+            if not p.crashed and pid in context
+        )
+
+    def _record(self, step: int, ready: Sequence[_EventRecord]) -> Menu:
+        """Append this step's menu; close the window if it is covered."""
+        fingerprint = None
+        tracker = self._tracker
+        if tracker is not None:
+            fingerprint = tracker.fingerprint(ready)
+            if self._covered is not None and self._covered(fingerprint):
+                self._closed = True
+                tracker.detach(self.system.engine)
+                self._tracker = None
+        menu = Menu(
+            step=step,
+            ready=len(ready),
+            deferrable=self._deferrable(ready),
+            crashable=self._crashable(),
+            fingerprint=fingerprint,
+        )
+        self.menus.append(menu)
+        return menu
 
     # -- the seam ------------------------------------------------------
 
@@ -299,68 +349,52 @@ class ExploreScheduler(Scheduler):
 
     def wants(self, ready: tuple[_EventRecord, ...]) -> bool:
         """Singleton fast path: take the default decision without
-        ``decide``'s ready-list machinery — but with *identical*
-        bookkeeping, so step numbers, menus, fingerprints, the
-        canonical deferrability set and the crash-placement context all
-        match a consultation that answered ``(FIRE, 0)`` bit for bit
-        (replayed repro strings must mean the same schedule either
-        way; pinned by ``tests/explore/test_fast_path.py``).
+        ``decide``'s ready-list machinery — but with *equivalent*
+        bookkeeping, so step numbers, menus, fingerprints and the
+        crash-placement context all match a consultation that answered
+        ``(FIRE, 0)`` bit for bit (replayed repro strings must mean the
+        same schedule either way; pinned by
+        ``tests/explore/test_fast_path.py``).  The deferrability set
+        needs nothing: the only ready record is the one that fires.
         """
         step = self.steps
-        if self.deviations.get(step) is not None:
+        if step in self.deviations:
             return True  # a deviation may apply here: consult decide()
         self.steps = step + 1
-        record = ready[0]
-        tracker = self._tracker
-        self.menus.append(Menu(
-            step=step,
-            ready=1,
-            deferrable=self._deferrable(ready),
-            crashable=self._crashable(),
-            fingerprint=(
-                None
-                if not self.fingerprints
-                # During wants() the record is still on-heap, so the
-                # full-recompute fallback must not add it again.
-                else tracker.fingerprint(ready)
-                if tracker is not None
-                else fingerprint_state(self.system, ())
-            ),
-        ))
-        if isinstance(getattr(record, "info", None), Frame):
-            self._seen_frames.add(record)
-        self._crash_context = self._pids_of(record)
+        if not self._closed:
+            if step >= self._record_from:
+                self._record(step, ready)
+        elif step > self._last_deviation:
+            return False  # passive: nothing reads the bookkeeping again
+        self._last_fired = ready[0]
         return False
 
     def decide(self, now: float, ready: list[_EventRecord]) -> tuple[str, int]:
         step = self.steps
-        self.steps += 1
-        deferrable = self._deferrable(ready)
-        crashable = self._crashable()
-        tracker = self._tracker
-        self.menus.append(Menu(
-            step=step,
-            ready=len(ready),
-            deferrable=deferrable,
-            crashable=crashable,
-            fingerprint=(
-                None
-                if not self.fingerprints
-                else tracker.fingerprint(ready)
-                if tracker is not None
-                else fingerprint_state(self.system, ready)
-            ),
-        ))
-
+        self.steps = step + 1
         deviation = self.deviations.get(step)
+        menu = None
+        if not self._closed:
+            if step >= self._record_from:
+                menu = self._record(step, ready)
+        elif step > self._last_deviation:
+            return (FIRE, 0)  # passive (see wants)
+
         decision: tuple[str, int] = (FIRE, 0)
         if deviation is not None:
-            if deviation.op == "f" and 0 < deviation.arg < len(ready):
-                decision = (FIRE, deviation.arg)
-            elif deviation.op == "d" and deviation.arg in deferrable:
-                decision = (DEFER, deviation.arg)
-            elif deviation.op == "c" and deviation.arg in crashable:
-                self.system.processes[deviation.arg].crash()
+            # Outside the window the alternatives are evaluated only
+            # here, to validate the deviation that names them.
+            op, arg = deviation.op, deviation.arg
+            if op == "f" and 0 < arg < len(ready):
+                decision = (FIRE, arg)
+            elif op == "d" and arg in (
+                self._deferrable(ready) if menu is None else menu.deferrable
+            ):
+                decision = (DEFER, arg)
+            elif op == "c" and arg in (
+                self._crashable() if menu is None else menu.crashable
+            ):
+                self.system.processes[arg].crash()
                 self.crashes_done += 1
                 decision = (AGAIN, 0)
             else:
@@ -377,5 +411,5 @@ class ExploreScheduler(Scheduler):
             for record in ready:
                 if isinstance(getattr(record, "info", None), Frame):
                     self._seen_frames.add(record)
-            self._crash_context = self._pids_of(ready[decision[1]])
+            self._last_fired = ready[decision[1]]
         return decision

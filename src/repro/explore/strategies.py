@@ -29,12 +29,18 @@ family):
 Tree strategies prune on state fingerprints: a prefix whose fingerprint
 an earlier schedule reached with an equal-or-larger remaining deviation
 budget is not expanded again (symmetric interleavings of independent
-events all converge to the same fingerprint).  The fingerprints are
-maintained incrementally by the scheduler's
-:class:`~repro.explore.fingerprint.FingerprintTracker` — O(changed
-events) per decision step instead of a full pending-set walk — which is
-most of what makes the pruned search's schedules/sec figure
-(``benchmarks/test_explore_throughput.py``).  Children are generated
+events all converge to the same fingerprint), and expansion of a run
+stops there — the *cut-off*.  :func:`children_of` therefore reads a
+run's menus only inside its *expansion window*, from the step after the
+schedule's last deviation up to and including the cut-off, and the tree
+search tells the executor that window up front
+(:func:`expansion_window`) so the run records and fingerprints those
+steps only (see :mod:`repro.explore.scheduler`); a leaf schedule — no
+deviation budget left — records nothing.  That is most of the pruned
+search's schedules/sec figure (``benchmarks/test_explore_throughput.py``),
+and it changes no result: executing every schedule eagerly and
+expanding it with :func:`children_of` is the same search
+(``tests/explore/test_demand_driven.py``).  Children are generated
 defers first, then crashes, then tie reorders — message loss through
 crash-with-in-flight-data is the historically productive direction, so
 it gets the head of the queue.
@@ -45,7 +51,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.explore.executor import RunRecord, ScheduleExecutor, Violation
 from repro.explore.scheduler import Deviation, Menu
@@ -88,7 +95,8 @@ def children_of(
     last one.  When ``visited`` is given, expansion stops at the first
     step whose state fingerprint was already expanded with at least the
     same remaining budget (the rest of this run's suffix tree is a
-    duplicate); ``result.pruned`` counts the cut-offs.
+    duplicate); ``result.pruned`` counts the cut-offs.  Menus outside
+    :func:`expansion_window` are never read.
     """
     remaining = spec.max_deviations - len(schedule)
     if remaining <= 0:
@@ -114,14 +122,47 @@ def children_of(
     return children
 
 
+def expansion_window(
+    schedule: Schedule,
+    spec: "ExploreSpec",
+    visited: dict[str, int] | None,
+) -> tuple[int, Callable[[str], bool] | None] | None:
+    """The steps of ``schedule``'s run that :func:`children_of` reads.
+
+    ``None`` for a leaf; otherwise the first expandable step and — when
+    pruning — a read-only test that is true exactly where
+    :func:`children_of` breaks: at a fingerprint ``visited`` covers
+    with at least this remaining budget, or one this same run already
+    showed (``children_of`` will have marked it by then).
+    """
+    remaining = spec.max_deviations - len(schedule)
+    if remaining <= 0:
+        return None
+    start = schedule[-1].step + 1 if schedule else 0
+    if visited is None:
+        return (start, None)
+    seen: set[str] = set()
+
+    def covered(fingerprint: str) -> bool:
+        if fingerprint in seen or visited.get(fingerprint, -1) >= remaining:
+            return True
+        seen.add(fingerprint)
+        return False
+
+    return (start, covered)
+
+
 def _tree_search(
     executor: ScheduleExecutor,
     spec: "ExploreSpec",
-    initial: Iterable[Schedule] | None,
+    initial: Iterable[Schedule] | None = None,
+    budget: int | None = None,
+    shard: int = 0,
     *,
     depth_first: bool,
-    budget: int | None = None,
 ) -> SearchResult:
+    """Breadth- or depth-first over the deviation tree (``shard`` is the
+    strategy signature's stream index; only random-walk uses it)."""
     result = SearchResult()
     frontier: deque[Schedule] = deque(
         [()] if initial is None else list(initial)
@@ -130,7 +171,10 @@ def _tree_search(
     budget = spec.budget if budget is None else budget
     while frontier and result.schedules < budget:
         schedule = frontier.pop() if depth_first else frontier.popleft()
-        record = executor.run(schedule)
+        window = expansion_window(schedule, spec, visited)
+        record = executor.run(
+            schedule, menus=window is not None, window=window
+        )
         result.schedules += 1
         if record.violation is not None:
             result.violations.append(record.violation)
@@ -146,30 +190,6 @@ def _tree_search(
             frontier.extend(children)
     result.exhausted = not frontier
     return result
-
-
-def _delay_bounded(
-    executor: ScheduleExecutor,
-    spec: "ExploreSpec",
-    initial: Iterable[Schedule] | None = None,
-    budget: int | None = None,
-    shard: int = 0,
-) -> SearchResult:
-    return _tree_search(
-        executor, spec, initial, depth_first=False, budget=budget
-    )
-
-
-def _dfs(
-    executor: ScheduleExecutor,
-    spec: "ExploreSpec",
-    initial: Iterable[Schedule] | None = None,
-    budget: int | None = None,
-    shard: int = 0,
-) -> SearchResult:
-    return _tree_search(
-        executor, spec, initial, depth_first=True, budget=budget
-    )
 
 
 def _random_walk(
@@ -236,12 +256,12 @@ def _random_walk(
 STRATEGIES.register(
     "delay-bounded",
     "breadth-first by deviation count (few-deviation bugs surface first)",
-    factory=_delay_bounded,
+    factory=partial(_tree_search, depth_first=False),
 )
 STRATEGIES.register(
     "dfs",
     "depth-first over the deviation tree (exhaustive within its budgets)",
-    factory=_dfs,
+    factory=partial(_tree_search, depth_first=True),
 )
 STRATEGIES.register(
     "random-walk",

@@ -48,12 +48,17 @@ Two fast paths keep the controlled loop's overhead proportional to the
 decisions actually taken (toggle: :data:`CONTROLLED_FAST_PATH`; the
 equivalence is pinned by ``tests/explore/test_fast_path.py``):
 
-* a **pure default scheduler** — neither ``decide`` nor ``wants``
-  overridden — can never answer anything but ``(FIRE, 0)``, so ``run``
-  delegates straight to the storage's own drain loop (no heap
-  migration, no per-event consultation); the only observable
-  difference from an uncontrolled run is that annotations are on and
-  the ``begin_run``/``end_run`` hooks fire.
+* a **passive scheduler** (:attr:`Scheduler.passive`) can never again
+  answer anything but ``(FIRE, 0)``, so the rest of the run is handed
+  to the storage's own drain loop — no per-event consultation — and
+  the scheduler is told how many events that fired
+  (:meth:`Scheduler.on_passive_drain`).  The base scheduler — neither
+  ``decide`` nor ``wants`` overridden — is passive from the start and
+  never even migrates to the heap; the only observable difference from
+  an uncontrolled run is that annotations are on and the
+  ``begin_run``/``end_run`` hooks fire.  The explorer's scheduler turns
+  passive mid-run, once it is past its last deviation and has nothing
+  left to record.
 * for consultable schedulers, a **singleton ready set** (nothing tied
   with the head event) is first offered to :meth:`Scheduler.wants`; a
   ``False`` answer lets the engine fire the head without building the
@@ -111,7 +116,7 @@ FIRE = "fire"      #: execute ready[index] now
 DEFER = "defer"    #: block ready[index] until the rest of the run drains
 AGAIN = "again"    #: scheduler mutated the simulation; re-collect and re-ask
 
-#: Kill switch for the controlled loop's fast paths (the pure-default
+#: Kill switch for the controlled loop's fast paths (the passive
 #: drain delegation and the singleton ``wants`` skip — see the module
 #: docstring).  Module-level so the equivalence tests can flip it and
 #: assert bit-identical schedules either way; leave it ``True``.
@@ -154,6 +159,8 @@ class Scheduler:
 
     Installing a scheduler switches :meth:`Engine.run` onto the
     controlled loop; ``install_scheduler(None)`` restores the hot path.
+    A scheduler that reports itself :attr:`passive` gives the rest of
+    the run back to the storage's drain loop.
     """
 
     __slots__ = ()
@@ -161,6 +168,22 @@ class Scheduler:
     #: Seconds a deferred event is delayed; ``None`` = held until the
     #: rest of the run drains (see the ``DEFER`` entry above).
     defer_delay: float | None = None
+
+    @property
+    def passive(self) -> bool:
+        """True once every remaining answer is ``(FIRE, 0)``.
+
+        The engine reads this before each step; when it holds (and the
+        fast path is on, and no deferred event is blocked) the rest of
+        the run goes to the storage's drain loop, ``wants``/``decide``
+        are not called again, and :meth:`on_passive_drain` reports the
+        events fired.  The answer must not revert to ``False`` later in
+        the same run.  The base implementation is the type test "neither
+        ``decide`` nor ``wants`` overridden"; a subclass that overrides
+        either is consulted at every step unless it also overrides this.
+        """
+        cls = type(self)
+        return cls.decide is Scheduler.decide and cls.wants is Scheduler.wants
 
     def begin_run(self, engine: "Engine") -> None:  # pragma: no cover - hook
         """Called once when a controlled ``run`` starts."""
@@ -191,8 +214,20 @@ class Scheduler:
         """Pick the next action for the current ready set."""
         return (FIRE, 0)
 
+    def on_passive_drain(self, fired: int) -> None:  # pragma: no cover - hook
+        """Called after a passive hand-over (even on error) with the
+        number of events the drain fired — each one a step this
+        scheduler would have answered ``(FIRE, 0)``."""
+
     def end_run(self, engine: "Engine") -> None:  # pragma: no cover - hook
         """Called once when a controlled ``run`` exits (even on error)."""
+
+
+def _budget_exceeded(max_events: int, now: float) -> EventBudgetExceeded:
+    return EventBudgetExceeded(
+        f"simulation exceeded max_events={max_events} "
+        f"at t={now:.6f}s (likely a protocol livelock)"
+    )
 
 
 class Engine:
@@ -269,10 +304,10 @@ class Engine:
     def install_scheduler(self, scheduler: Scheduler | None) -> None:
         """Install (or with ``None`` remove) the decision-point scheduler.
 
-        Installing a *consultable* scheduler (one that overrides
-        ``decide`` or ``wants``) migrates the pending set onto the
+        Installing a *consultable* scheduler (one that is not
+        :attr:`~Scheduler.passive`) migrates the pending set onto the
         binary heap queue — the controlled loop manipulates heap
-        entries directly; a pure default scheduler keeps the current
+        entries directly; a passive scheduler keeps the current
         storage, since ``run`` serves it through the storage's own
         drain loop (see the module docstring).  Either way annotations
         are enabled; removing the scheduler migrates back to the
@@ -288,19 +323,13 @@ class Engine:
         self._scheduler = scheduler
         if scheduler is not None:
             self.annotating = True
-            if not self._pure_default(scheduler) and self._queue.kind != "heap":
+            if (
+                not (CONTROLLED_FAST_PATH and scheduler.passive)
+                and self._queue.kind != "heap"
+            ):
                 self._migrate(BinaryHeapQueue)
         elif type(self._queue) is not self._default_cls:
             self._migrate(self._default_cls)
-
-    @staticmethod
-    def _pure_default(scheduler: Scheduler) -> bool:
-        """True when ``scheduler`` can only ever answer ``(FIRE, 0)``."""
-        return (
-            CONTROLLED_FAST_PATH
-            and type(scheduler).decide is Scheduler.decide
-            and type(scheduler).wants is Scheduler.wants
-        )
 
     def _migrate(self, cls: type[EventQueue]) -> None:
         self._queue = queue = cls.from_queue(self._queue)
@@ -372,20 +401,26 @@ class Engine:
             raise RuntimeError("Engine.run is not reentrant")
         scheduler = self._scheduler
         if scheduler is not None:
-            if self._pure_default(scheduler) and not self._blocked:
-                # A pure default scheduler makes every decision the
-                # default loop would: serve the run through the
-                # storage's drain (columnar-fast), hooks still firing.
+            if (
+                CONTROLLED_FAST_PATH
+                and scheduler.passive
+                and not self._blocked
+            ):
+                # A passive scheduler makes every decision the default
+                # loop would: serve the run through the storage's drain
+                # (columnar-fast), hooks still firing.
                 self._running = True
                 scheduler.begin_run(self)
                 try:
-                    return self.drain_until(until, max_events, stop_when)
+                    return self._drain_passive(
+                        scheduler, until, max_events, stop_when
+                    )
                 finally:
                     self._running = False
                     scheduler.end_run(self)
             if self._queue.kind != "heap":
                 # install_scheduler skipped the migration (the
-                # scheduler looked pure then, or the fast path was
+                # scheduler was passive then, or the fast path was
                 # toggled since); the controlled loop needs the heap.
                 self._migrate(BinaryHeapQueue)
             return self._run_controlled(until, max_events, stop_when)
@@ -415,6 +450,20 @@ class Engine:
         """
         return self._queue.drain(self, until, max_events, stop_when)
 
+    def _drain_passive(
+        self,
+        scheduler: Scheduler,
+        until: float | None,
+        max_events: int | None,
+        stop_when: Callable[[], bool] | None,
+    ) -> float:
+        """Drain in a passive scheduler's name and tell it the count."""
+        before = self.events_executed
+        try:
+            return self.drain_until(until, max_events, stop_when)
+        finally:
+            scheduler.on_passive_drain(self.events_executed - before)
+
     def _run_controlled(
         self,
         until: float | None,
@@ -440,6 +489,20 @@ class Engine:
         try:
             observer = queue.observer  # installed by begin_run, if any
             while True:
+                if fast and scheduler.passive and not self._blocked:
+                    # Nothing left to decide: the storage's own drain
+                    # finishes the run on what remains of the budget.
+                    try:
+                        self._drain_passive(
+                            scheduler,
+                            until,
+                            None if max_events is None
+                            else max_events - executed,
+                            stop_when,
+                        )
+                    except EventBudgetExceeded:
+                        raise _budget_exceeded(max_events, self._now) from None
+                    break
                 while heap and heap[0][2].state == 1:
                     heappop(heap)
                     queue._cancelled -= 1
@@ -482,11 +545,7 @@ class Engine:
                             observer.on_fire(record)
                         record.fn(*record.args)
                         if max_events is not None and executed >= max_events:
-                            raise EventBudgetExceeded(
-                                f"simulation exceeded max_events="
-                                f"{max_events} at t={self._now:.6f}s "
-                                f"(likely a protocol livelock)"
-                            )
+                            raise _budget_exceeded(max_events, self._now)
                         if stop_when is not None and stop_when():
                             break
                         continue
@@ -545,10 +604,7 @@ class Engine:
                     observer.on_fire(chosen)
                 chosen.fn(*chosen.args)
                 if max_events is not None and executed >= max_events:
-                    raise EventBudgetExceeded(
-                        f"simulation exceeded max_events={max_events} "
-                        f"at t={self._now:.6f}s (likely a protocol livelock)"
-                    )
+                    raise _budget_exceeded(max_events, self._now)
                 if stop_when is not None and stop_when():
                     break
         finally:
@@ -607,10 +663,7 @@ class Engine:
             )
         except EventBudgetExceeded:
             # Name the caller's budget, not what was left of it.
-            raise EventBudgetExceeded(
-                f"simulation exceeded max_events={max_events} "
-                f"at t={self._now:.6f}s (likely a protocol livelock)"
-            ) from None
+            raise _budget_exceeded(max_events, self._now) from None
 
     def run_until_idle(self, max_events: int | None = None) -> float:
         """Run until no events remain (convenience for tests)."""

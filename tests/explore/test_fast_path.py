@@ -1,9 +1,11 @@
 """Fast-path equivalence: the batched controlled loop changes nothing.
 
 The engine's controlled loop grew two fast paths (see
-:mod:`repro.sim.engine`): pure default schedulers skip heap migration
-entirely and drain the calendar queue, and singleton ready sets with no
-applicable deviation fire without consulting the scheduler
+:mod:`repro.sim.engine`): a passive scheduler (``Scheduler.passive`` —
+the base scheduler always, the explorer's once it is past its last
+deviation with nothing left to record) hands the rest of the run to the
+storage's own drain loop, and singleton ready sets with no applicable
+deviation fire without consulting the scheduler
 (``Scheduler.wants``).  Both are pure performance — every observable
 (traces, search verdicts, pruning counts, repro strings) must be
 **bit-identical** with the fast path disabled.  These tests pin that by
@@ -12,8 +14,10 @@ running the same scenarios with ``CONTROLLED_FAST_PATH`` toggled.
 The incremental fingerprint tracker (:mod:`repro.explore.fingerprint`)
 rides the same seam; its equivalence is pinned here too via the
 ``fingerprint_check`` debug harness, which recomputes every fingerprint
-from scratch and asserts agreement at each decision step.
+from scratch and asserts agreement at each read.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +25,7 @@ import repro.sim.engine as engine_mod
 from repro import CrashSchedule, StackSpec, SymmetricWorkload, build_system
 from repro.explore import explore_spec, replay
 from repro.explore.executor import ScheduleExecutor
+from repro.explore.scheduler import ExploreScheduler, parse_deviations
 from repro.explore.strategies import run_strategy
 from repro.sim.engine import Scheduler
 from repro.sim.trace import Trace
@@ -116,18 +121,101 @@ class TestSearchEquivalence:
         assert fast_record.events == slow_record.events
 
 
+#: Schedules with each kind of deviation, alone and chained (the
+#: section 2.2 counterexample with and without a deferred copy among
+#: them).  Step 8 fires alone (the ``wants`` path) an event involving
+#: p2 and p3, so a crash at step 9 is placed by what ``wants`` noted.
+#: The last three carry a deviation that cannot apply and is skipped.
+SCHEDULES = (
+    "", "5:c2", "2:d0", "2:d0,3:d0,4:d3", "2:d0,5:c2", "3:f1", "9:c3",
+    "2:d0,3:f2,7:c1", "2:d7", "9:c1",
+)
+
+
+class TestPassiveHandOver:
+    """Once the explorer's scheduler is passive the engine stops
+    consulting it; the steps it would have counted are reported back."""
+
+    @pytest.mark.parametrize("defer_delay", [5e-3, None])
+    @pytest.mark.parametrize("repro", SCHEDULES)
+    def test_steps_events_drained_identical_fast_on_off(
+        self, repro, defer_delay, monkeypatch
+    ):
+        spec = explore_spec("faulty", defer_delay=defer_delay)
+        executor = ScheduleExecutor(spec)
+        schedule = parse_deviations(repro)
+        # Never passive: every step consulted and recorded.
+        eager = executor.run(schedule)
+        assert len(eager.menus) == eager.steps
+        window = (schedule[-1].step + 1 if schedule else 0, lambda fp: True)
+        for fast in (True, False):
+            monkeypatch.setattr(engine_mod, "CONTROLLED_FAST_PATH", fast)
+            for kwargs in (dict(menus=False), dict(window=window)):
+                record = executor.run(schedule, **kwargs)
+                # Same run in every field but the menus.
+                assert replace(record, menus=()) == replace(
+                    eager, menus=()
+                ), (fast, kwargs)
+
+    def test_hand_over_happens_and_skips_the_consultations(self, monkeypatch):
+        consulted = []
+        original = ExploreScheduler.wants
+
+        def counting_wants(self, ready):
+            consulted.append(self.steps)
+            return original(self, ready)
+
+        monkeypatch.setattr(ExploreScheduler, "wants", counting_wants)
+        executor = ScheduleExecutor(explore_spec("faulty"))
+        record = executor.run(parse_deviations("5:c2"), menus=False)
+        # Passive from step 6 on: the drain fires the remaining events.
+        assert consulted and max(consulted) <= 5
+        assert record.steps > 6
+        monkeypatch.setattr(engine_mod, "CONTROLLED_FAST_PATH", False)
+        assert executor.run(
+            parse_deviations("5:c2"), menus=False
+        ).steps == record.steps
+
+    def test_violation_steps_exact_through_the_hand_over(self, monkeypatch):
+        spec = explore_spec("faulty")
+        found = {}
+        for fast in (True, False):
+            monkeypatch.setattr(engine_mod, "CONTROLLED_FAST_PATH", fast)
+            _, record = replay(spec, "5:c2")
+            found[fast] = record.violation
+        assert found[True] == found[False]
+        assert found[True].steps == ScheduleExecutor(spec).run(
+            parse_deviations("5:c2")
+        ).steps
+
+
 class TestIncrementalFingerprints:
     def test_tracker_agrees_with_recompute_over_a_full_search(self):
         """``fingerprint_check`` recomputes every fingerprint from
-        scratch at each decision step and asserts agreement; a full
-        small search is the broadest coverage of push/fire/cancel/
-        defer/crash/adeliver incremental updates."""
+        scratch at each read and asserts agreement; a full small search
+        reads at every step of every expansion window, after replayed
+        prefixes in which records were pushed, fired, cancelled and
+        deferred without ever being described."""
         spec = explore_spec(
             "faulty", budget=60, stop_after=0, fingerprint_check=True,
         )
         result = run_strategy(spec)
         assert result.schedules == 60
         assert result.violations  # the check harness still finds the bug
+
+    @pytest.mark.parametrize("defer_delay", [5e-3, None])
+    def test_tracker_agrees_with_recompute_at_every_step(self, defer_delay):
+        """Eager runs read — and so verify — at *every* step: push,
+        fire, cancel (the crash), bounded defer and block/release each
+        land between two consecutive checked reads."""
+        spec = explore_spec(
+            "faulty", defer_delay=defer_delay, fingerprint_check=True,
+        )
+        executor = ScheduleExecutor(spec)
+        for repro in SCHEDULES:
+            record = executor.run(parse_deviations(repro))
+            assert len(record.menus) == record.steps
+            assert all(menu.fingerprint for menu in record.menus)
 
     def test_menus_and_fingerprints_identical_fast_on_off(self, monkeypatch):
         spec = explore_spec("faulty")

@@ -5,9 +5,10 @@ construction), and ``_describe_value`` has a generic tuple branch: if
 either type ever reached it, every fingerprint would silently change
 — pruning would still work, just differently, and no functional test
 would notice.  These pins make that loud: the descriptions themselves,
-and every per-step ``Menu.fingerprint`` of one small exploration,
-compared with values recorded at commit f28252a (when both types were
-frozen dataclasses).
+and every per-step ``Menu.fingerprint`` of one small exploration —
+recorded eagerly, since the search itself fingerprints only the steps
+it can expand (that subsequence is pinned too) — compared with values
+recorded at commit f28252a (when both types were frozen dataclasses).
 """
 
 import hashlib
@@ -52,14 +53,25 @@ class TestDescriptions:
 
 
 class _RecordingExecutor(ScheduleExecutor):
+    """Records what the search consulted and, for the same schedules,
+    what an eager run (every step recorded) fingerprints."""
+
     def __init__(self, spec):
         super().__init__(spec)
-        self.fingerprints: list[str] = []
+        self.consulted: list[str] = []
+        self.eager: list[str] = []
 
     def run(self, deviations=(), **kwargs):
         record = super().run(deviations, **kwargs)
-        self.fingerprints.extend(menu.fingerprint for menu in record.menus)
+        self.consulted.extend(menu.fingerprint for menu in record.menus)
+        eager = super().run(deviations)
+        self.eager.extend(menu.fingerprint for menu in eager.menus)
         return record
+
+
+def _is_subsequence(short: list[str], long: list[str]) -> bool:
+    remaining = iter(long)
+    return all(item in remaining for item in short)
 
 
 def test_pinned_exploration_fingerprints():
@@ -72,7 +84,9 @@ def test_pinned_exploration_fingerprints():
     assert (result.schedules, result.pruned, len(result.violations)) == (
         50, 34, 3,
     )
-    fingerprints = executor.fingerprints
+    # Every decision step of the 50 schedules, recorded eagerly: the
+    # values of commit f28252a, unchanged.
+    fingerprints = executor.eager
     assert len(fingerprints) == 2103
     assert len(set(fingerprints)) == 584
     assert fingerprints[:4] == [
@@ -87,4 +101,11 @@ def test_pinned_exploration_fingerprints():
     ]
     assert hashlib.sha256("\n".join(fingerprints).encode()).hexdigest() == (
         "538cb6debbc5bf15da3384d924d5cb97f8b881f2abaca3cfa1ef2863b3d8629f"
+    )
+    # What the search itself reads: the expansion windows only.
+    consulted = executor.consulted
+    assert len(consulted) == 537
+    assert _is_subsequence(consulted, fingerprints)
+    assert hashlib.sha256("\n".join(consulted).encode()).hexdigest() == (
+        "e220c746f8f36643793a095409b9f9c4749f25609b379197cd72620d7aca0c83"
     )
