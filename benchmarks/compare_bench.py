@@ -92,7 +92,12 @@ def compare(snapshot: dict, baseline: dict, fail_ratio: float) -> int:
             f"({ratio:.2f}x){flag}"
         )
     for name in only_old:
-        print(f"{name.split('::')[-1]}: in ledger only (skipped)")
+        # A benchmark the ledger recorded but the snapshot no longer
+        # runs (deleted or renamed since): worth a line, never a failure.
+        print(
+            f"warning: {name.split('::')[-1]}: in ledger only — deleted "
+            "or renamed since (skipped)"
+        )
     for name in only_new:
         print(f"{name.split('::')[-1]}: new in snapshot, no ledger entry yet")
     print(

@@ -1,66 +1,32 @@
-"""Micro-benchmark: ns per event through ``Engine.run``'s inner loop.
+"""Micro-benchmark: ns per event through the engine's event store.
 
-Systematic schedule exploration (``repro.explore``) multiplies run
-count by orders of magnitude — a single bounded search re-executes the
-same small simulation thousands of times — so the per-event overhead
-of the default run loop is the subsystem's constant factor.
-
-The trajectory of this figure is tracked in the committed perf ledger
-(``BENCH_*.json``, produced with ``--bench-json``; see the README's
-Performance section).  The structural steps so far, measured on the
-container each PR was written on (CPython, pre-scheduled flat queue of
-50k no-op events):
-
-* PR 5 local-binding pass: per-iteration attribute loads hoisted into
-  locals (~12% off the seed figure);
-* PR 6 event-core overhaul: one merged record+handle allocation per
-  event (stored bare in the calendar's buckets — no wrapper tuples,
-  half the cyclic-GC scan pressure), scheduling moved onto the queue
-  object, and the calendar queue replacing per-event heap sifts with
-  bucket index bumps — 2219 -> 1095 ns/event mean on this drain
-  (2.03x, ``BENCH_baseline.json`` vs ``BENCH_pr6.json``);
-* PR 8 columnar store + fused drain: the default queue became
-  ``ColumnarQueue`` (struct-of-arrays columns, recycled slot ids, no
-  per-event record object), and ``Engine.drain_until`` dispatches
-  through local-bound columns.  The drain itself — now measured
-  separately by ``test_run_loop_drain_ns_per_event`` — is where the
-  fused loop's gain shows; scheduling cost splits by API (see below).
-
-**What each figure includes.**  Since PR 8 the scheduling side has two
-prices, so the module records them explicitly instead of blending:
+Every figure, sweep and exploration run is a drain of the one binary
+heap in ``repro.sim.equeue``, so its per-event cost is the simulator's
+constant factor; this module keeps that figure, and the handful of
+shapes around it, in the perf ledger (``BENCH_*.json``, produced with
+``--bench-json``; see the README's Performance section).
+``benchmark.extra_info["ns_per_event"]`` records each for the machine
+the suite runs on:
 
 * ``test_run_loop_drain_ns_per_event`` — the **drain alone** (prefill
   outside the timed region): pop + tombstone check + dispatch per
-  event through the fused columnar loop.  This is the figure ROADMAP
-  item 2's "faster drain" targets.
-* ``test_run_loop_ns_per_event`` — prefill **through the slot API**
-  (``push_slot``: no handle, no per-event allocation) plus the drain.
-  The engine's hot scheduling sites — frame delivery batching,
-  resource completions — moved onto the slot API in PR 8, so this is
-  the (push + pop + dispatch) cost a measurement-mode simulation's
-  dominant event traffic actually pays, and the continuation of the
-  ledger series (same 50k-event shape, scheduling cost included).
-* ``test_run_loop_ns_per_event_handles`` — prefill through
-  ``schedule_at`` (the pre-PR-8 shape): every push also materializes a
-  cancelable ``EventHandle`` view over its slot.  Columnar storage
-  makes this path dearer than the calendar queue's record-only push —
-  the view duplicates what the record used to be — which is exactly
-  why the hot sites use slots and handles are reserved for callers
-  that cancel (timers) or annotate.
-
-``benchmark.extra_info["ns_per_event"]`` records each figure for the
-machine the suite runs on, plus the reference heap queue and two
-*controlled* cases.  Since the PR 7 batched-loop work the engine
-recognises a **pure default** scheduler (neither ``decide`` nor
-``wants`` overridden) and runs it on the scheduler-free drain — no
-heap migration, near-zero seam tax — so
-``test_controlled_loop_ns_per_event`` tracks that delegation.
-``test_controlled_singleton_ns_per_event`` measures the real heap
-controlled loop with the singleton ``wants`` fast path (what
-``ExploreScheduler`` pays on the vast majority of its steps): ready
-sets of one fire without list construction or a ``decide`` call.
-Equivalence with the fast paths disabled is pinned by
-``tests/explore/test_fast_path.py``.
+  event over a flat heap of 50k no-op events.
+* ``test_run_loop_ns_per_event`` — the same queue prefilled through
+  ``EventQueue.push_entry`` (one bare list per event: what resource
+  completions and frame deliveries pay) plus the drain.
+* ``test_run_loop_ns_per_event_handles`` — prefilled through
+  ``schedule_at`` instead: every event is a cancelable ``EventHandle``.
+* ``test_schedule_run_throughput`` — a rolling population of timers
+  rescheduled from inside callbacks, a slice of them cancelled.
+* ``test_timer_churn_ns_per_event`` — heartbeat-detector churn: 32
+  watchdogs cancelled and re-armed on every heartbeat, so the heap
+  carries tombstones and compacts as it drains.
+* ``test_controlled_loop_ns_per_event`` — an installed pure-default
+  scheduler (neither ``decide`` nor ``wants`` overridden) runs on the
+  drain; ``test_controlled_singleton_ns_per_event`` measures the real
+  controlled loop under the singleton ``wants`` fast path (what
+  ``ExploreScheduler`` pays on most of its steps).  Equivalence with
+  the fast paths disabled is pinned by ``tests/explore/test_fast_path.py``.
 """
 
 from __future__ import annotations
@@ -75,26 +41,18 @@ def _noop() -> None:
 
 
 def _prefill(engine: Engine) -> None:
-    # A flat queue of distinct-time events through the slot API: the
-    # loop cost itself, with no callback work, no handle views and
-    # minimal queue churn per pop.
-    push = engine._queue.push_slot
+    # A flat queue of distinct-time fire-and-forget events: the loop
+    # cost itself, with no callback work and no handles.
+    push = engine.equeue.push_entry
     for i in range(EVENTS):
         push(i * 1e-6, _noop, ())
 
 
 def _prefill_handles(engine: Engine) -> None:
-    # The same flat queue through ``schedule_at``: every event also
-    # carries a cancelable handle view.
+    # The same flat queue through ``schedule_at``: every event is a
+    # cancelable handle.
     for i in range(EVENTS):
         engine.schedule_at(i * 1e-6, _noop)
-
-
-def _drain(equeue: str) -> int:
-    engine = Engine(equeue=equeue)
-    _prefill(engine)
-    engine.run_until_idle(max_events=EVENTS + 1)
-    return engine.events_executed
 
 
 def _drain_default() -> int:
@@ -120,10 +78,10 @@ def _drain_controlled() -> int:
 
 
 class _SingletonFastPath(Scheduler):
-    """Overrides ``wants`` (never applicable): the engine migrates to
-    the heap and runs the real controlled loop, but every singleton
-    ready set fires without a ``decide`` consultation — the
-    ``ExploreScheduler`` steady state on a no-deviation schedule."""
+    """Overrides ``wants`` (never applicable): the engine runs the real
+    controlled loop, but every singleton ready set fires without a
+    ``decide`` consultation — the ``ExploreScheduler`` steady state on
+    a no-deviation schedule."""
 
     def wants(self, ready) -> bool:
         return False
@@ -132,21 +90,78 @@ class _SingletonFastPath(Scheduler):
 def _drain_controlled_singleton() -> int:
     engine = Engine()
     engine.install_scheduler(_SingletonFastPath())
-    _prefill(engine)
+    _prefill_handles(engine)
     engine.run_until_idle(max_events=EVENTS + 1)
     return engine.events_executed
 
 
-def _note_ns(benchmark) -> None:
+THROUGHPUT_EVENTS = 20_000
+
+
+def _schedule_run() -> int:
+    engine = Engine()
+    fired = 0
+
+    def tick(depth: int) -> None:
+        nonlocal fired
+        fired += 1
+        if depth > 0:
+            # Reschedule from inside the callback, as protocol layers do.
+            engine.schedule(0.001, tick, depth - 1)
+
+    handles = [
+        engine.schedule(0.0005 * (i % 97), tick, 9)
+        for i in range(THROUGHPUT_EVENTS // 10)
+    ]
+    for handle in handles[::7]:
+        handle.cancel()
+    engine.run_until_idle(max_events=THROUGHPUT_EVENTS * 2)
+    return fired
+
+
+PROCESSES = 32
+ROUNDS = 2_000
+TIMEOUT = 0.060          # re-armed watchdog, heartbeat-FD style
+INTERVAL = 0.020         # heartbeat period per process
+
+
+def _churn() -> tuple[int, int]:
+    engine = Engine()
+    fired = 0
+    expired = 0
+    watchdogs: list = [None] * PROCESSES
+
+    def heartbeat(pid: int, remaining: int) -> None:
+        nonlocal fired
+        fired += 1
+        # Re-arm the watchdog: cancel the pending timeout, push a new
+        # one TIMEOUT ahead — the churn under test.
+        watchdog = watchdogs[pid]
+        if watchdog is not None:
+            watchdog.cancel()
+        watchdogs[pid] = engine.schedule(TIMEOUT, expire, pid)
+        if remaining > 0:
+            engine.schedule(INTERVAL, heartbeat, pid, remaining - 1)
+
+    def expire(pid: int) -> None:
+        nonlocal expired
+        expired += 1
+
+    for pid in range(PROCESSES):
+        engine.schedule(INTERVAL * (pid / PROCESSES), heartbeat, pid, ROUNDS)
+    engine.run_until_idle(max_events=PROCESSES * ROUNDS * 3)
+    return fired, expired
+
+
+def _note_ns(benchmark, events: int = EVENTS) -> None:
     benchmark.extra_info["ns_per_event"] = round(
-        benchmark.stats.stats.mean * 1e9 / EVENTS, 1
+        benchmark.stats.stats.mean * 1e9 / events, 1
     )
 
 
 def test_run_loop_drain_ns_per_event(benchmark):
-    """The fused columnar drain alone: prefill outside the timed
-    region, so the figure is (pop + dispatch) per event — the PR 8
-    tentpole's target metric."""
+    """The drain alone: prefill outside the timed region, so the
+    figure is (pop + dispatch) per event."""
 
     def setup():
         engine = Engine()
@@ -162,26 +177,31 @@ def test_run_loop_drain_ns_per_event(benchmark):
 
 
 def test_run_loop_ns_per_event(benchmark):
-    """The default engine, slot-API scheduling included — columnar
-    store since the PR 8 overhaul (see the module docstring)."""
+    """Fire-and-forget scheduling plus the drain."""
     executed = benchmark(_drain_default)
     assert executed == EVENTS
     _note_ns(benchmark)
 
 
 def test_run_loop_ns_per_event_handles(benchmark):
-    """The default engine through ``schedule_at``: slot storage plus a
-    materialized handle view per event."""
+    """Cancelable-handle scheduling plus the drain."""
     executed = benchmark(_drain_handles)
     assert executed == EVENTS
     _note_ns(benchmark)
 
 
-def test_run_loop_ns_per_event_heap(benchmark):
-    """The reference binary-heap queue on the identical drain."""
-    executed = benchmark(_drain, "heap")
-    assert executed == EVENTS
-    _note_ns(benchmark)
+def test_schedule_run_throughput(benchmark):
+    fired = benchmark(_schedule_run)
+    assert fired > THROUGHPUT_EVENTS // 2
+    _note_ns(benchmark, fired)
+
+
+def test_timer_churn_ns_per_event(benchmark):
+    fired, expired = benchmark(_churn)
+    assert fired == PROCESSES * (ROUNDS + 1)
+    # Every watchdog but the final per-process one was cancelled in time.
+    assert expired == PROCESSES
+    _note_ns(benchmark, fired)
 
 
 def test_controlled_loop_ns_per_event(benchmark):
@@ -192,7 +212,7 @@ def test_controlled_loop_ns_per_event(benchmark):
 
 
 def test_controlled_singleton_ns_per_event(benchmark):
-    """The heap controlled loop under the singleton ``wants`` skip."""
+    """The controlled loop under the singleton ``wants`` skip."""
     executed = benchmark(_drain_controlled_singleton)
     assert executed == EVENTS
     _note_ns(benchmark)

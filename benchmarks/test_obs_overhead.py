@@ -53,7 +53,7 @@ def _noop() -> None:
 def _prefill(engine: Engine) -> None:
     # Same flat 50k-event queue as test_engine_run_loop.py, so the
     # ledger figures are directly comparable.
-    push = engine._queue.push_slot
+    push = engine.equeue.push_entry
     for i in range(EVENTS):
         push(i * 1e-6, _noop, ())
 
@@ -113,8 +113,8 @@ def test_obs_off_drain_within_budget(benchmark):
     """Obs-off drain makes exactly the plain drain's Python calls."""
     plain_calls = _drain_plain(_python_calls)
     obs_off_calls = _drain_obs_off(_python_calls)
-    # One call per event (the no-op payload) plus per-bucket queue
-    # upkeep; a second per-event call would push this past 2x.
+    # One call per event (the no-op payload) plus the run's entry
+    # frames; a second per-event call would push this past 2x.
     assert EVENTS <= plain_calls < 2 * EVENTS
     assert obs_off_calls == plain_calls, (
         f"obs-off drain made {obs_off_calls} Python-level calls for "

@@ -28,13 +28,11 @@ randomized ``hash()`` — so values are stable across worker processes, a
 requirement for the sharded parallel search.
 
 Events are read through the *record* interface (``time``/``seq``/
-``fn``/``args``/``state``), never through queue storage directly, so
-the tracker is storage-agnostic: the heap and calendar queues hand over
-their records, and the columnar queue hands over the handle view it
-materializes over a slot at push time (an identity the tracker can key
-dictionaries on).  The three-way observer-sequence test in
-``tests/sim/test_equeue.py`` pins the notification streams identical
-across storages.
+``fn``/``args``/``state``) of :class:`~repro.sim.equeue.EventHandle`
+— in a controlled run every pending heap entry is one, and handles hash
+by identity, so the tracker keys its dictionaries on them.  The
+observer-sequence test in ``tests/sim/test_equeue.py`` pins the
+notification stream against a reference model of the store.
 
 A fingerprint covers the live pending-event set (heap, the in-hand
 ready set, deferred events), the crash record and every process's

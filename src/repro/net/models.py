@@ -48,6 +48,7 @@ from repro.net.faults import DelayRule, FaultPipeline
 from repro.net.frame import FRAME_HEADER_SIZE, Frame
 from repro.net.topology import Topology
 from repro.sim.engine import Engine, EventHandle
+from repro.sim.equeue import ARGS, FN, PENDING, STATE
 from repro.sim.resources import FifoResource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -117,6 +118,8 @@ class Network:
         self._handlers: dict[ProcessId, Callable[[Frame], None]] = {}
         self.drop_in_flight_of_crashed_sender = drop_in_flight_of_crashed_sender
         self._in_flight: dict[ProcessId, list[EventHandle]] = {}
+        #: pid -> ``_in_flight`` length at which the next prune runs.
+        self._in_flight_prune: dict[ProcessId, int] = {}
         self.pipeline = FaultPipeline(engine, faults, rngs)
         self.topology = topology if topology is not None else Topology.single()
         # pid -> segment index, filled on attach; ``_routed`` is fixed
@@ -132,12 +135,10 @@ class Network:
         # policy: in-flight tracking must be able to cancel each frame
         # individually.
         self._batching = not drop_in_flight_of_crashed_sender
-        # The open batch's queue token — an opaque value of the *live*
-        # queue's slot API (an int slot id on the columnar store, the
-        # record itself elsewhere).  Only dereferenced through the
-        # queue, and only while ``_batch_seq == queue.seq`` proves the
-        # queue (and the token's slot) untouched since it was issued.
-        self._batch_token: object = None
+        # The open batch's heap entry (see EventQueue.push_entry),
+        # only touched while ``_batch_seq == queue.seq`` proves nothing
+        # was scheduled since it was pushed.
+        self._batch_entry: list | None = None
         self._batch_frames: list[Frame] | None = None
         self._batch_time = -1.0
         self._batch_dst = -1
@@ -157,6 +158,7 @@ class Network:
         self._pids_sorted = tuple(sorted(self._processes))
         self._handlers[process.pid] = handler
         self._in_flight[process.pid] = []
+        self._in_flight_prune[process.pid] = 64
         if self.drop_in_flight_of_crashed_sender:
             process.on_crash(lambda pid=process.pid: self._drop_in_flight(pid))
 
@@ -256,12 +258,23 @@ class Network:
 
     def _drop_in_flight(self, src: ProcessId) -> None:
         for handle in self._in_flight[src]:
-            if not handle.cancelled and not handle.finished:
+            if handle[STATE] == PENDING:
                 handle.cancel()
                 self.frames_dropped += 1
         self._in_flight[src].clear()
 
-    def _schedule_delivery_at(self, time: float, frame: Frame) -> object:
+    def _prune_in_flight(self, src: ProcessId) -> None:
+        """Forget ``src``'s delivered (or cancelled) in-flight handles.
+
+        Run whenever the list has doubled since the last prune, so it
+        stays within twice the frames actually in flight at amortized
+        O(1) per frame.
+        """
+        flight = self._in_flight[src]
+        flight[:] = [h for h in flight if h[STATE] == PENDING]
+        self._in_flight_prune[src] = max(64, 2 * len(flight))
+
+    def _schedule_delivery_at(self, time: float, frame: Frame) -> list:
         """Schedule ``frame``'s delivery at absolute ``time``, coalescing
         back-to-back frames due at the same (time, destination) into one
         event draining a batch list.
@@ -274,17 +287,15 @@ class Network:
         from one callback is exactly the order the unbatched engine
         would have produced.  The batch is closed the moment anything
         else is scheduled, the time or destination differs, or the
-        event has started executing (``token_pending`` false), which
-        also covers a same-time send issued *from within* the batch's
-        own drain.  The seq check also guarantees the token is safe to
-        dereference at all: on the columnar store a slot id can only be
-        recycled by a later push, which would have bumped ``seq``.
+        event has started executing (its entry no longer
+        :data:`~repro.sim.equeue.PENDING`), which also covers a
+        same-time send issued *from within* the batch's own drain.
 
-        This is the zero-allocation path: deliveries go through the
-        queue's slot API (``push_slot``/``retarget``), never
-        materializing a handle.  With the engine annotating (explorer
-        installed) every frame keeps its own annotated event so the
-        scheduler seam can defer frames individually; under the
+        This is the one-allocation path: deliveries are bare heap
+        entries (:meth:`~repro.sim.equeue.EventQueue.push_entry`), and
+        the batch edits its entry in place.  With the engine annotating
+        (explorer installed) every frame keeps its own annotated event
+        so the scheduler seam can defer frames individually; under the
         lost-socket-buffers policy batching is off so in-flight
         tracking can cancel per frame — both of those paths return a
         real :class:`EventHandle`.
@@ -297,33 +308,32 @@ class Network:
             return engine.schedule_at(time, self._deliver, frame).annotate(frame)
         if not self._batching:
             return engine.schedule_at(time, self._deliver, frame)
-        queue = engine._queue
+        queue = engine.equeue
+        entry = self._batch_entry
         if (
             self._batch_seq == queue.seq
             and self._batch_time == time
             and self._batch_dst == frame.dst
-            and queue.token_pending(self._batch_token)
+            and entry[STATE] == PENDING
         ):
-            token = self._batch_token
             frames = self._batch_frames
             if frames is None:
                 # Upgrade the pending single delivery in place: the
                 # already-queued event keeps its (time, seq) key and
                 # now drains a batch list instead of one frame.
-                self._batch_frames = frames = [
-                    queue.token_arg0(token), frame,
-                ]
-                queue.retarget(token, self._deliver_batch, (frames,))
+                self._batch_frames = frames = [entry[ARGS][0], frame]
+                entry[FN] = self._deliver_batch
+                entry[ARGS] = (frames,)
             else:
                 frames.append(frame)
-            return token
-        token = queue.push_slot(time, self._deliver, (frame,))
-        self._batch_token = token
+            return entry
+        entry = queue.push_entry(time, self._deliver, (frame,))
+        self._batch_entry = entry
         self._batch_frames = None
         self._batch_time = time
         self._batch_dst = frame.dst
         self._batch_seq = queue.seq
-        return token
+        return entry
 
     def _deliver_batch(self, frames: list) -> None:
         deliver = self._deliver
@@ -409,7 +419,10 @@ class ConstantLatencyNetwork(Network):
         handle = self._schedule_delivery_at(self.engine._now + delay, frame)
         if self.drop_in_flight_of_crashed_sender:
             # Remembered so the sender's crash can void it.
-            self._in_flight[frame.src].append(handle)
+            flight = self._in_flight[frame.src]
+            flight.append(handle)
+            if len(flight) >= self._in_flight_prune[frame.src]:
+                self._prune_in_flight(frame.src)
 
 
 class ContentionNetwork(Network):
@@ -500,9 +513,9 @@ class ContentionNetwork(Network):
     ) -> None:
         cpu = self._processes[frame.src].cpu
         if frame.dst == frame.src:
-            cpu.occupy(self.params.send_overhead, self._deliver, frame)
+            cpu.stage(self.params.send_overhead, self._deliver, (frame,))
         else:
-            cpu.occupy(costs[0], self._enter_medium, frame, costs[1], costs[2])
+            cpu.stage(costs[0], self._enter_medium, (frame, costs[1], costs[2]))
 
     def _enter_medium(self, frame: Frame, wire: float, recv: float) -> None:
         if (
@@ -513,11 +526,11 @@ class ContentionNetwork(Network):
             return
         segment = self._segment[frame.src]
         if self._routed and self._segment[frame.dst] != segment:
-            self.media[segment].occupy(
-                wire, self._exit_source_segment, frame, wire, recv
+            self.media[segment].stage(
+                wire, self._exit_source_segment, (frame, wire, recv)
             )
         else:
-            self.media[segment].occupy(wire, self._after_wire, frame, recv)
+            self.media[segment].stage(wire, self._after_wire, (frame, recv))
 
     def _exit_source_segment(
         self, frame: Frame, wire: float, recv: float
@@ -533,8 +546,8 @@ class ContentionNetwork(Network):
     def _enter_destination_segment(
         self, frame: Frame, wire: float, recv: float
     ) -> None:
-        self.media[self._segment[frame.dst]].occupy(
-            wire, self._after_wire, frame, recv
+        self.media[self._segment[frame.dst]].stage(
+            wire, self._after_wire, (frame, recv)
         )
 
     def _exit_final_wire(self, frame: Frame, recv: float) -> None:
@@ -559,13 +572,17 @@ class ContentionNetwork(Network):
         if dst.crashed:
             self.frames_dropped += 1
             return
-        if self.engine.annotating or not self._batching:
-            dst.cpu.occupy(recv, self._deliver, frame)
+        if recv or self.engine.annotating or not self._batching:
+            # A positive receive cost finishes every job on this CPU
+            # strictly after the one before, so no delivery to this
+            # destination can share the time of the last one: the
+            # coalescing path could never engage.
+            dst.cpu.stage(recv, self._deliver, (frame,))
             return
-        # Charge the CPU occupancy, then schedule the delivery through
-        # the coalescing path: back-to-back zero-length completions at
-        # the same instant (and destination) drain as one event.  Same
-        # (time, seq) as the occupy-scheduled callback would have had.
+        # Zero-cost receive: charge the CPU, then schedule the delivery
+        # through the coalescing path — back-to-back completions at the
+        # same instant (and destination) drain as one event.  Same
+        # (time, seq) as the staged callback would have had.
         self._schedule_delivery_at(dst.cpu.occupy(recv), frame)
 
     def charge_rcv_lookups(self, pid: ProcessId, lookups: int) -> None:

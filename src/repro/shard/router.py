@@ -113,6 +113,9 @@ class Router:
         self._inflight: list[dict[object, float]] = [{} for _ in range(k)]
         #: Parked arrivals awaiting re-admission (``"delay"`` only).
         self._parked: list[int] = [0] * k
+        #: In-flight plus parked operations over all shards, kept
+        #: current at every change (``pending`` is read per event).
+        self._pending = 0
         self._rr: list[int] = [0] * k
         self.offered = [0] * k
         self.admitted = [0] * k
@@ -194,6 +197,7 @@ class Router:
                 self.shed[shard] += 1  # window over: parked op is lost
                 return False
             self._parked[shard] += 1
+            self._pending += 1
             self.engine.schedule(
                 self.retry_delay, self._retry, shard, payload, arrival
             )
@@ -204,6 +208,7 @@ class Router:
         # token and swap it for the mid when the abroadcast happens.
         token = object()
         self._inflight[shard][token] = arrival
+        self._pending += 1
         self.engine.schedule(
             self.forward_latency, self._forward, shard, payload, token
         )
@@ -211,6 +216,7 @@ class Router:
 
     def _retry(self, shard: int, payload: "Payload", arrival: float) -> None:
         self._parked[shard] -= 1
+        self._pending -= 1
         self._admit(shard, payload, arrival, first=False)
 
     def _forward(self, shard: int, payload: "Payload", token: object) -> None:
@@ -220,6 +226,7 @@ class Router:
             # Every replica crashed; the op is lost, not in-flight.
             self.shed[shard] += 1
             self.admitted[shard] -= 1
+            self._pending -= 1
             return
         self._inflight[shard][message.mid] = arrival
 
@@ -249,14 +256,18 @@ class Router:
         arrival = self._inflight[shard].pop(message.mid, None)
         if arrival is None:
             return  # later replica of an already-completed op
+        self._pending -= 1
         self.completions[shard].append((arrival, self.engine.now - arrival))
 
     # ------------------------------------------------------------------
     # introspection
 
     def pending(self) -> int:
-        """Operations still in flight or parked (0 = quiescent router)."""
-        return sum(len(s) for s in self._inflight) + sum(self._parked)
+        """Operations still in flight or parked (0 = quiescent router).
+
+        O(1): ``run_shard_point``'s drain phase asks after every event.
+        """
+        return self._pending
 
     def shard_stats(self, shard: int) -> dict[str, float]:
         """Measurement-window counters for one shard."""

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.core.exceptions import ConfigurationError
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Trace, TraceObserver
+from repro.sim.trace import TraceObserver
 from repro.shard.commit import TwoGroupCommit
 from repro.shard.router import Router
 from repro.stack.builder import StackSpec, System, build_system
@@ -175,10 +175,7 @@ def build_sharded_system(
             f"got {len(traces)} traces for {spec.shards} shards"
         )
 
-    annotating = traces is None or any(
-        isinstance(t, Trace) for t in traces
-    )
-    engine = Engine(equeue="columnar", annotating=annotating)
+    engine = Engine()
     root = RngRegistry(seed=spec.stack.seed)
     groups: list[System] = []
     for i in range(spec.shards):

@@ -1,33 +1,16 @@
-"""The discrete-event engine: a simulated clock and an event queue.
+"""The discrete-event engine: a simulated clock and an event heap.
 
-The engine is deliberately minimal: a pluggable pending-event store
-(see :mod:`repro.sim.equeue`) and a ``run`` loop.  Protocol logic lives
-in layers; the engine only guarantees that callbacks fire in
+The engine is deliberately minimal: one pending-event store (the binary
+heap of :mod:`repro.sim.equeue`) and a ``run`` loop.  Protocol logic
+lives in layers; the engine only guarantees that callbacks fire in
 non-decreasing time order and that ties are broken by scheduling order,
 which — together with the named RNG streams of :mod:`repro.sim.rng` —
 makes whole simulations bit-for-bit reproducible.
 
-The *storage* of pending events is a seam.  ``Engine(equeue=...)``
-selects an :class:`~repro.sim.equeue.EventQueue` implementation:
+Two run loops exist, both over that one heap:
 
-* ``"columnar"`` (the default) — the calendar's bucket structure over
-  struct-of-arrays storage: hot per-event fields live in parallel
-  ``array``/``bytearray`` columns indexed by recycled slot ids, so the
-  steady-state push/pop cycle allocates no per-event queue objects and
-  the fused drain dispatches straight off the columns.
-* ``"calendar"`` — a calendar-queue / timer-wheel hybrid with one
-  record object per event; push/pop cost beats heap sifts on both
-  dense frame traffic and sparse timer stretches.
-* ``"heap"`` — the reference ``heapq`` implementation.
-
-All three order identically, bit for bit — golden-guarded, plus a
-randomized three-way equivalence property test in
-``tests/sim/test_equeue.py``.  The choice is purely performance.
-
-Two run loops exist:
-
-* the **default loop** — the hot path, owned by the queue itself
-  (:meth:`EventQueue.drain`), so each storage keeps its loop on locals
+* the **default loop** — the hot path, owned by the store itself
+  (:meth:`EventQueue.drain`), so it runs on locals
   (``benchmarks/test_engine_run_loop.py`` tracks the ns/event figure).
 
 * the **controlled loop**, entered only when a :class:`Scheduler` is
@@ -36,13 +19,13 @@ Two run loops exist:
   defer one until the rest of the run has drained, or mutate the
   simulation (inject a crash) and be asked again.  This is the
   decision-point seam the systematic schedule exploration of
-  :mod:`repro.explore` drives.  The controlled loop manipulates binary
-  heap entries directly, so a scheduler that can actually be consulted
-  migrates the engine onto the heap queue (and removing it migrates
-  back); entries keep their ``(time, seq)`` keys across a migration,
-  so the schedule is unaffected.  With no scheduler installed none of
-  this runs and traces are bit-identical to the pre-seam engine
-  (golden-guarded by ``tests/stack/test_golden_traces.py``).
+  :mod:`repro.explore` drives.  It pops and pushes heap entries
+  directly and reads them as :class:`EventHandle`\\ s, which is why
+  ``install_scheduler`` promotes any bare fire-and-forget entry still
+  pending to a handle; nothing else changes, so the schedule is
+  unaffected.  With no scheduler installed none of this runs and traces
+  are bit-identical to the pre-seam engine (golden-guarded by
+  ``tests/stack/test_golden_traces.py``).
 
 Two fast paths keep the controlled loop's overhead proportional to the
 decisions actually taken (toggle: :data:`CONTROLLED_FAST_PATH`; the
@@ -50,15 +33,14 @@ equivalence is pinned by ``tests/explore/test_fast_path.py``):
 
 * a **passive scheduler** (:attr:`Scheduler.passive`) can never again
   answer anything but ``(FIRE, 0)``, so the rest of the run is handed
-  to the storage's own drain loop — no per-event consultation — and
+  to the store's own drain loop — no per-event consultation — and
   the scheduler is told how many events that fired
   (:meth:`Scheduler.on_passive_drain`).  The base scheduler — neither
-  ``decide`` nor ``wants`` overridden — is passive from the start and
-  never even migrates to the heap; the only observable difference from
-  an uncontrolled run is that annotations are on and the
-  ``begin_run``/``end_run`` hooks fire.  The explorer's scheduler turns
-  passive mid-run, once it is past its last deviation and has nothing
-  left to record.
+  ``decide`` nor ``wants`` overridden — is passive from the start; the
+  only observable difference from an uncontrolled run is that
+  annotations are on and the ``begin_run``/``end_run`` hooks fire.  The
+  explorer's scheduler turns passive mid-run, once it is past its last
+  deviation and has nothing left to record.
 * for consultable schedulers, a **singleton ready set** (nothing tied
   with the head event) is first offered to :meth:`Scheduler.wants`; a
   ``False`` answer lets the engine fire the head without building the
@@ -71,10 +53,10 @@ equivalence is pinned by ``tests/explore/test_fast_path.py``):
 Annotations (:meth:`EventHandle.annotate`) are **lazy**: the engine
 carries an ``annotating`` flag, off by default, and the hot scheduling
 sites (process timers, resource grants, frame deliveries) only attach
-their metadata when it is set.  Installing a scheduler turns it on, as
-does building a system with a full :class:`~repro.sim.trace.Trace`
-observer (the explorer builds that way); pure performance runs pay
-nothing for metadata nobody will read.
+their metadata when it is set.  Installing a scheduler turns it on, and
+the explorer builds its systems on an ``Engine(annotating=True)`` so
+wiring-time events carry metadata too; every other run pays nothing for
+metadata nobody will read.
 """
 
 from __future__ import annotations
@@ -84,14 +66,11 @@ from typing import Any, Callable
 
 from repro.core.exceptions import ConfigurationError
 from repro.sim.equeue import (
-    EQUEUES,
-    BinaryHeapQueue,
-    CalendarQueue,
-    ColumnarQueue,
+    CANCELLED,
+    FINISHED,
     EventBudgetExceeded,
     EventHandle,
     EventQueue,
-    make_equeue,
 )
 
 __all__ = [
@@ -105,9 +84,7 @@ __all__ = [
     "Scheduler",
 ]
 
-#: Backward-compatible alias: the queue record and the schedule handle
-#: are one object now (one allocation per event; see
-#: :class:`repro.sim.equeue.EventHandle`).
+#: The record type a scheduler sees (the stored heap entry itself).
 _EventRecord = EventHandle
 
 
@@ -160,7 +137,7 @@ class Scheduler:
     Installing a scheduler switches :meth:`Engine.run` onto the
     controlled loop; ``install_scheduler(None)`` restores the hot path.
     A scheduler that reports itself :attr:`passive` gives the rest of
-    the run back to the storage's drain loop.
+    the run back to the store's drain loop.
     """
 
     __slots__ = ()
@@ -175,7 +152,7 @@ class Scheduler:
 
         The engine reads this before each step; when it holds (and the
         fast path is on, and no deferred event is blocked) the rest of
-        the run goes to the storage's drain loop, ``wants``/``decide``
+        the run goes to the store's drain loop, ``wants``/``decide``
         are not called again, and :meth:`on_passive_drain` reports the
         events fired.  The answer must not revert to ``False`` later in
         the same run.  The base implementation is the type test "neither
@@ -244,21 +221,16 @@ class Engine:
     long the callbacks take to execute.
 
     Args:
-        equeue: Pending-event storage — a key of
-            :data:`repro.sim.equeue.EQUEUES`
-            (``"columnar"``/``"calendar"``/``"heap"``) or a ready
-            :class:`EventQueue` instance.  Purely a performance choice;
-            ordering is identical.
         annotating: Start with scheduler-visible event annotations
-            enabled (normally left to ``install_scheduler`` /
-            ``build_system``; see the module docstring).
+            enabled (the explorer builds its systems this way;
+            ``install_scheduler`` turns them on in any case — see the
+            module docstring).
     """
 
     __slots__ = (
         "_now",
         "_queue",
         "_qpush",
-        "_default_cls",
         "_running",
         "_scheduler",
         "_blocked",
@@ -266,17 +238,10 @@ class Engine:
         "events_executed",
     )
 
-    def __init__(
-        self,
-        equeue: str | EventQueue = "columnar",
-        annotating: bool = False,
-    ) -> None:
+    def __init__(self, annotating: bool = False) -> None:
         self._now = 0.0
-        self._queue = make_equeue(equeue)
+        self._queue = EventQueue()
         self._qpush = self._queue.push
-        #: The storage class the engine was constructed with — where a
-        #: scheduler-forced heap migration migrates back to.
-        self._default_cls = type(self._queue)
         self._running = False
         self._scheduler: Scheduler | None = None
         self._blocked: list[EventHandle] = []
@@ -298,23 +263,17 @@ class Engine:
 
     @property
     def equeue(self) -> EventQueue:
-        """The live pending-event store (see :mod:`repro.sim.equeue`)."""
+        """The pending-event store (see :mod:`repro.sim.equeue`)."""
         return self._queue
 
     def install_scheduler(self, scheduler: Scheduler | None) -> None:
         """Install (or with ``None`` remove) the decision-point scheduler.
 
-        Installing a *consultable* scheduler (one that is not
-        :attr:`~Scheduler.passive`) migrates the pending set onto the
-        binary heap queue — the controlled loop manipulates heap
-        entries directly; a passive scheduler keeps the current
-        storage, since ``run`` serves it through the storage's own
-        drain loop (see the module docstring).  Either way annotations
-        are enabled; removing the scheduler migrates back to the
-        storage the engine was constructed with.  Entries keep their
-        ``(time, seq)`` keys across a migration, so a migration never
-        reorders anything.  Must not be called while the engine is
-        running.
+        Installing one turns annotations on and promotes every bare
+        fire-and-forget entry still pending to a handle (same
+        ``(time, seq)`` key, so nothing is reordered): the controlled
+        loop and the explorer read events through the handle interface.
+        Must not be called while the engine is running.
         """
         if self._running:
             raise ConfigurationError(
@@ -323,24 +282,7 @@ class Engine:
         self._scheduler = scheduler
         if scheduler is not None:
             self.annotating = True
-            if (
-                not (CONTROLLED_FAST_PATH and scheduler.passive)
-                and self._queue.kind != "heap"
-            ):
-                self._migrate(BinaryHeapQueue)
-        elif type(self._queue) is not self._default_cls:
-            self._migrate(self._default_cls)
-
-    def _migrate(self, cls: type[EventQueue]) -> None:
-        self._queue = queue = cls.from_queue(self._queue)
-        self._qpush = queue.push
-        # Deferred-and-blocked records live outside the store: repoint
-        # them (their cancel() must hit the live queue's counters) and
-        # carry their tombstones, which snapshot() cannot see.
-        for record in self._blocked:
-            record._queue = queue
-            if record.state == 1:
-                queue._cancelled += 1
+            self._queue.promote_entries()
 
     def schedule(
         self, delay: float, fn: Callable[..., None], *args: Any
@@ -369,12 +311,13 @@ class Engine:
         """
         return self._queue.pending
 
-    def pending_entries(self) -> list[tuple[float, int, EventHandle]]:
-        """Snapshot of the stored ``(time, seq, record)`` entries.
+    def pending_entries(self) -> list[tuple[float, int, list]]:
+        """Snapshot of the stored ``(time, seq, entry)`` triples.
 
-        Unordered, and may include cancelled tombstones (check
-        ``record.cancelled``); the explorer's state fingerprint and
-        debugging tools read this instead of reaching into the store.
+        Unordered, and may include cancelled tombstones; see
+        :meth:`EventQueue.snapshot` for what an entry is.  The
+        explorer's state fingerprint and debugging tools read this
+        instead of reaching into the store.
         """
         return self._queue.snapshot()
 
@@ -407,8 +350,8 @@ class Engine:
                 and not self._blocked
             ):
                 # A passive scheduler makes every decision the default
-                # loop would: serve the run through the storage's drain
-                # (columnar-fast), hooks still firing.
+                # loop would: serve the run through the store's drain,
+                # hooks still firing.
                 self._running = True
                 scheduler.begin_run(self)
                 try:
@@ -418,11 +361,6 @@ class Engine:
                 finally:
                     self._running = False
                     scheduler.end_run(self)
-            if self._queue.kind != "heap":
-                # install_scheduler skipped the migration (the
-                # scheduler was passive then, or the fast path was
-                # toggled since); the controlled loop needs the heap.
-                self._migrate(BinaryHeapQueue)
             return self._run_controlled(until, max_events, stop_when)
         self._running = True
         try:
@@ -436,17 +374,12 @@ class Engine:
         max_events: int | None = None,
         stop_when: Callable[[], bool] | None = None,
     ) -> float:
-        """The fused inner loop: hand the run to the storage's drain.
+        """The fused inner loop: hand the run to the store's drain.
 
-        Each :class:`EventQueue` owns its drain so the hot loop runs on
-        locals bound to that storage's internals — the columnar default
-        dispatches whole same-day buckets of slot ids straight off the
-        columns with no per-event record or attribute chasing.  ``run``
-        re-enters the generic step machinery only when a consultable
-        scheduler is installed; annotations and observers are carried
-        by the storages themselves.  Called by :meth:`run`; callers
-        wanting the engine's re-entrancy guard and scheduler hooks
-        should go through ``run``.
+        :meth:`EventQueue.drain` owns the loop so it runs on locals
+        bound to the heap.  Called by :meth:`run`; callers wanting the
+        engine's re-entrancy guard and scheduler hooks should go
+        through ``run``.
         """
         return self._queue.drain(self, until, max_events, stop_when)
 
@@ -474,13 +407,13 @@ class Engine:
 
         Identical semantics to the default loop when the scheduler
         always answers ``(FIRE, 0)``; every deviation from that answer
-        is an explored schedule.
+        is an explored schedule.  Entries are handled by position
+        (``entry[TIME]`` …), like the drain.
         """
         scheduler = self._scheduler
         assert scheduler is not None
         self._running = True
         queue = self._queue
-        assert queue.kind == "heap"  # run()/install_scheduler migrated us
         heap = queue.entries
         executed = 0
         scheduler.begin_run(self)
@@ -490,7 +423,7 @@ class Engine:
             observer = queue.observer  # installed by begin_run, if any
             while True:
                 if fast and scheduler.passive and not self._blocked:
-                    # Nothing left to decide: the storage's own drain
+                    # Nothing left to decide: the store's own drain
                     # finishes the run on what remains of the budget.
                     try:
                         self._drain_passive(
@@ -503,7 +436,7 @@ class Engine:
                     except EventBudgetExceeded:
                         raise _budget_exceeded(max_events, self._now) from None
                     break
-                while heap and heap[0][2].state == 1:
+                while heap and heap[0][4] == CANCELLED:
                     heappop(heap)
                     queue._cancelled -= 1
                 if not heap:
@@ -533,76 +466,70 @@ class Engine:
                     and (len(heap) < 2 or heap[1][0] != time)
                     and (len(heap) < 3 or heap[2][0] != time)
                 ):
-                    record = head[2]
-                    if not wants((record,)):
+                    if not wants((head,)):
                         heappop(heap)
                         self._now = time
-                        record.state = 2
+                        head[4] = FINISHED
                         queue.pending -= 1
                         executed += 1
                         self.events_executed += 1
                         if observer is not None:
-                            observer.on_fire(record)
-                        record.fn(*record.args)
+                            observer.on_fire(head)
+                        head[2](*head[3])
                         if max_events is not None and executed >= max_events:
                             raise _budget_exceeded(max_events, self._now)
                         if stop_when is not None and stop_when():
                             break
                         continue
                 # Ready set: every enabled event tied at the minimum
-                # time, in (time, seq) order.
+                # time, in (time, seq) order; ``tied`` keeps the
+                # tombstones too, to go back on the heap.
                 ready: list[EventHandle] = []
-                entries: list[tuple[float, int, EventHandle]] = []
+                tied: list[EventHandle] = []
                 while heap and heap[0][0] == time:
                     entry = heappop(heap)
-                    entries.append(entry)
-                    if entry[2].state != 1:
-                        ready.append(entry[2])
+                    tied.append(entry)
+                    if entry[4] != CANCELLED:
+                        ready.append(entry)
                 if not ready:
-                    queue._cancelled -= len(entries)
+                    queue._cancelled -= len(tied)
                     continue
                 op, index = scheduler.decide(time, ready)
-                if op == FIRE:
-                    chosen = ready[index]
-                elif op == DEFER:
-                    chosen = ready[index]
-                    chosen_entry = next(
-                        e for e in entries if e[2] is chosen
+                if op == AGAIN:
+                    for entry in tied:
+                        heappush(heap, entry)
+                    continue
+                if op not in (FIRE, DEFER):  # pragma: no cover - defensive
+                    raise ConfigurationError(
+                        f"scheduler returned unknown op {op!r}"
                     )
-                    entries.remove(chosen_entry)
+                chosen = ready[index]
+                for entry in tied:
+                    if entry is not chosen:
+                        heappush(heap, entry)
+                if op == DEFER:
                     delay = scheduler.defer_delay
                     if delay is None:
                         self._blocked.append(chosen)
                         if observer is not None:
                             observer.on_block(chosen)
                     else:
-                        chosen.time = time + delay
+                        # Re-keyed behind everything already due then.
+                        chosen[0] = time + delay
                         queue.seq += 1
-                        heappush(heap, (chosen.time, queue.seq, chosen))
+                        chosen[1] = queue.seq
+                        heappush(heap, chosen)
                         if observer is not None:
                             observer.on_defer(chosen)
-                    for entry in entries:
-                        heappush(heap, entry)
                     continue
-                elif op == AGAIN:
-                    for entry in entries:
-                        heappush(heap, entry)
-                    continue
-                else:  # pragma: no cover - defensive
-                    raise ConfigurationError(
-                        f"scheduler returned unknown op {op!r}"
-                    )
-                for entry in entries:
-                    if entry[2] is not chosen:
-                        heappush(heap, entry)
                 self._now = time
-                chosen.state = 2
+                chosen[4] = FINISHED
                 queue.pending -= 1
                 executed += 1
                 self.events_executed += 1
                 if observer is not None:
                     observer.on_fire(chosen)
-                chosen.fn(*chosen.args)
+                chosen[2](*chosen[3])
                 if max_events is not None and executed >= max_events:
                     raise _budget_exceeded(max_events, self._now)
                 if stop_when is not None and stop_when():
@@ -623,14 +550,15 @@ class Engine:
         observer = queue.observer
         blocked, self._blocked = self._blocked, []
         for record in blocked:
-            if record.state == 1:
-                # Never entered the store as a tombstone: settle the
+            if record[4] == CANCELLED:
+                # Never entered the heap as a tombstone: settle the
                 # cancellation accounting here instead.
                 queue._cancelled -= 1
                 continue
-            record.time = max(self._now, record.time)
+            record[0] = max(self._now, record[0])
             queue.seq += 1
-            heappush(queue.entries, (record.time, queue.seq, record))
+            record[1] = queue.seq
+            heappush(queue.entries, record)
             if observer is not None:
                 observer.on_release(record)
 

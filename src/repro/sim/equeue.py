@@ -1,79 +1,59 @@
-"""Pluggable event queues for the discrete-event engine.
+"""The engine's pending-event store: one binary heap of list entries.
 
-The engine's contract is small and strict: events fire in non-decreasing
-``time`` order, ties broken by scheduling order (``seq``), and the whole
-thing is bit-for-bit deterministic.  *How* the pending set is stored is
-a pure performance decision, so it is a seam: an :class:`EventQueue`
-owns the pending entries, the monotonically increasing sequence
-counter, the O(1) ``pending`` count, **and the run loop itself** —
-``Engine.run`` delegates to :meth:`EventQueue.drain` so each
-implementation can keep its hot loop on locals instead of paying a
-method call per event.
+The engine's contract is small and strict: events fire in
+non-decreasing ``time`` order, ties broken by scheduling order
+(``seq``), and the whole thing is bit-for-bit deterministic.
+:class:`EventQueue` keeps that contract with a single ``heapq`` min-heap
+and owns what goes with it: the monotonically increasing sequence
+counter, the O(1) ``pending`` count, and the run loop itself
+(``Engine.run`` delegates to :meth:`EventQueue.drain`, so the hot loop
+runs on locals instead of paying a method call per event).
 
-Three implementations:
+**One entry per event.**  A heap entry is one mutable list
+``[time, seq, fn, args, state]`` (positions :data:`TIME` …
+:data:`STATE`).  ``heapq`` compares the leading ``(time, seq)`` pair in
+C; ``seq`` is unique per queue, so the comparison never reaches ``fn``.
+The entry is the only allocation a fire-and-forget event makes — resource
+completions and frame deliveries push through :meth:`EventQueue.push_entry`
+and the network's delivery batching edits a still-pending entry in place
+(``entry[FN]`` / ``entry[ARGS]``; same key, so same order).  ``state``
+is the lifecycle: :data:`PENDING`, :data:`CANCELLED` or
+:data:`FINISHED`.
 
-* :class:`BinaryHeapQueue` — the reference implementation: a ``heapq``
-  min-heap of ``(time, seq, record)`` tuples, exactly the structure the
-  engine grew up with.  The controlled (scheduler-driven) run loop of
-  :mod:`repro.explore` manipulates heap entries directly, so installing
-  a :class:`~repro.sim.engine.Scheduler` migrates the engine onto this
-  queue automatically.
+**Handles are entries too.**  :meth:`EventQueue.push` — the cancelable
+``Engine.schedule`` / ``schedule_at`` path — stores an
+:class:`EventHandle`: a ``list`` subclass holding the same five fields
+plus its queue, with read-only ``time``/``seq``/``fn``/``args``/
+``state`` properties, ``cancel()`` and the scheduler-visible ``info``
+annotation.  The explorer's controlled loop and fingerprint tracker read
+events only through that interface, so :meth:`Engine.install_scheduler`
+first promotes any bare entry still pending to a handle (same key,
+same callback); from then on the engine annotates and every push is a
+handle.
 
-* :class:`CalendarQueue` — a calendar-queue / timer-wheel hybrid.
-  Events hash into fixed-width time buckets (*days*); a small heap of
-  day indices orders the non-empty buckets, so the common case — dense
-  microsecond-scale frame/CPU events — costs an append on push and an
-  index bump on pop, while sparse timer-only stretches (heartbeat
-  failure detectors, chained workload timers) degrade gracefully to a
-  heap of *buckets* instead of a heap of *events*.  The bucket width
-  adapts in both directions: it grows when a sampling window observes
-  mostly-singleton buckets, and shrinks back (never below the
-  constructed width) when the density re-concentrates, so a sparse
-  burst does not permanently ratchet a run onto over-wide buckets.
-
-* :class:`ColumnarQueue` — the default for scheduler-free runs: the
-  calendar's bucket structure over **struct-of-arrays** storage.  The
-  hot per-event fields live in parallel columns (``array('d')`` times,
-  ``array('q')`` seqs, a ``bytearray`` of lifecycle states, plain
-  lists for callbacks/payloads) indexed by a recycled integer *slot*
-  id; buckets hold bare slot ids.  A free-list recycles slots, so
-  steady-state push/pop through the slot API allocates no per-event
-  queue objects at all — :class:`EventHandle` becomes a *view*,
-  materialized only when a caller needs a cancelable reference (the
-  public ``Engine.schedule`` contract) or when the engine is
-  annotating.  Hot internal sites — frame deliveries, resource
-  completions — schedule through :meth:`EventQueue.push_slot` and
-  never materialize one.
-
-Ordering is bit-identical across all three: within a bucket entries
-are sorted by the same ``(time, seq)`` key the heap uses (the columnar
-bucket sorts *stably* by time alone, which is equivalent because slot
-ids are appended in ``seq`` order), equal times always land in the
-same bucket, and times in day *d* are strictly below times in day
-*d+1*.  ``tests/sim/test_equeue.py`` drives all queues through
-randomized adversarial schedules (bucket-boundary ties, same-tick
-bursts, far-future timers, mid-run cancellations) and asserts identical
-pop sequences; the golden-trace suite pins whole-simulation
-bit-identity on top.
-
-Cancellation is lazy — ``cancel`` flags the record and the drain loops
-skip tombstones — but not unboundedly so: the queue counts live
-tombstones and compacts the stored entries in place once they are the
-majority (see :meth:`EventQueue.note_cancel`), so a timer-churn-heavy
-run (failure detectors re-arming per heartbeat) cannot accumulate a
-queue-head glacier of dead events.  ``pending`` stays O(1) throughout.
+Cancellation is lazy — ``cancel`` flags the entry and the drain skips
+tombstones — but bounded: the queue counts live tombstones and compacts
+the heap in place once they are the majority (see
+:meth:`EventQueue.note_cancel`), so timer churn (failure detectors
+re-arming per heartbeat) cannot pile up dead entries at the head.
+``tests/sim/test_equeue.py`` holds the store to a sorted-list reference
+model through adversarial schedules; the golden-trace suite pins
+whole-simulation bit-identity on top.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import insort
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
+from operator import itemgetter
 from typing import Any, Callable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
+
+#: Field positions in every heap entry (handles append their queue).
+TIME, SEQ, FN, ARGS, STATE = range(5)
+#: Lifecycle values of ``entry[STATE]``.
+PENDING, CANCELLED, FINISHED = range(3)
 
 _INF = float("inf")
 #: Never execute more events than this in one ``drain`` call without an
@@ -82,13 +62,6 @@ _UNBOUNDED = 1 << 62
 #: Tombstones must number at least this many — and outnumber live
 #: entries — before a compaction pass is worth its O(n).
 _COMPACT_MIN = 64
-#: Drained prefix length at which the calendar's current bucket is
-#: trimmed (bounds memory held by fired entries in same-tick bursts).
-_TRIM = 8192
-#: Pre-built column growth blocks for :class:`ColumnarQueue._grow`
-#: (``array.extend(array)`` is a single C-level memcpy).
-_CHUNK_D = array("d", bytes(8 * 256))
-_CHUNK_Q = array("q", bytes(8 * 256))
 
 
 class EventBudgetExceeded(RuntimeError):
@@ -100,40 +73,28 @@ class EventBudgetExceeded(RuntimeError):
     """
 
 
-class EventHandle:
-    """A scheduled event: callback, due time, and cancellation state.
+class EventHandle(list):
+    """A cancelable heap entry: ``[time, seq, fn, args, state, queue]``.
 
-    For the heap and calendar queues this is both the queue's internal
-    record *and* the opaque handle :meth:`Engine.schedule` returns —
-    one allocation per event, on the hottest path of the whole
-    simulator.  For the :class:`ColumnarQueue` it is a *view*: the
-    authoritative hot fields live in the queue's columns, the view
-    carries standalone copies (so it keeps working after a queue
-    migration discards the columns) plus the owning slot id in
-    ``_slot``, and the queue keeps ``view.state`` in sync with the
-    state column.  ``state`` encodes the lifecycle (0 pending, 1
-    cancelled, 2 finished); ``info`` is the scheduler-visible
-    annotation and is **only assigned when someone annotates** — read
-    it with ``getattr(record, "info", None)`` (the normal run path
-    never allocates or touches it; see ``Engine.annotating``).
+    The object :meth:`Engine.schedule` returns *is* the stored entry,
+    so a cancelable event costs one allocation.  ``info`` is the
+    scheduler-visible annotation and is only assigned when someone
+    annotates — read it with ``getattr(record, "info", None)`` (see
+    ``Engine.annotating``).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "state", "info", "_queue", "_slot")
+    __slots__ = ("info",)
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., None],
-        args: tuple[Any, ...],
-        queue: "EventQueue",
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.state = 0
-        self._queue = queue
+    # Identity hashing: the explorer keys dicts and sets on handles.
+    # Two distinct handles never compare equal (their ``seq`` differs),
+    # so this agrees with the inherited list equality.
+    __hash__ = object.__hash__
+
+    time = property(itemgetter(TIME), doc="Due time (simulated seconds).")
+    seq = property(itemgetter(SEQ), doc="Tie-break counter of the heap key.")
+    fn = property(itemgetter(FN), doc="The callback.")
+    args = property(itemgetter(ARGS), doc="The callback's arguments.")
+    state = property(itemgetter(STATE), doc="PENDING, CANCELLED or FINISHED.")
 
     def cancel(self) -> None:
         """Prevent the callback from firing (idempotent).
@@ -141,10 +102,10 @@ class EventHandle:
         A no-op once the callback has already executed — there is
         nothing left to prevent.
         """
-        if self.state:
+        if self[STATE]:
             return
-        self.state = 1
-        self._queue.note_cancel(self)
+        self[STATE] = CANCELLED
+        self[5].note_cancel(self)
 
     def annotate(self, info: Any) -> "EventHandle":
         """Attach scheduler-visible metadata to this event (chainable).
@@ -153,242 +114,129 @@ class EventHandle:
         :mod:`repro.explore.scheduler` for the vocabulary the explorer
         understands (frames, timer owners, crash injections).  Hot
         scheduling sites skip the call entirely unless
-        ``Engine.annotating`` is set — which is what makes annotations
-        free for plain performance runs.
+        ``Engine.annotating`` is set.
         """
         self.info = info
         return self
 
     @property
     def cancelled(self) -> bool:
-        return self.state == 1
+        return self[STATE] == CANCELLED
 
     @property
     def finished(self) -> bool:
         """True once the callback has executed."""
-        return self.state == 2
+        return self[STATE] == FINISHED
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        status = ("pending", "cancelled", "finished")[self.state]
-        return f"EventHandle(t={self.time!r}, {status})"
-
-
-#: Bound once: the push paths allocate handles via ``__new__`` plus
-#: inline attribute stores, skipping the ``__init__`` frame (~45 ns per
-#: event on this class — measured, see benchmarks/test_engine_heap.py).
-_new_handle = EventHandle.__new__
-#: C-level sort/insort key for record-holding bucket lists: the merged
-#: handle carries its own ``(time, seq)``, so the calendar stores bare
-#: records (one tracked container per event instead of two — halves
-#: the cyclic-GC scan pressure a 50k-event prefill generates).
-_time_seq = attrgetter("time", "seq")
+        status = ("pending", "cancelled", "finished")[self[STATE]]
+        return f"EventHandle(t={self[TIME]!r}, {status})"
 
 
 class EventQueue:
-    """Interface + shared bookkeeping of a pending-event store.
+    """The pending-event heap and its counters.
 
-    Subclasses implement the storage (:meth:`push`, :meth:`drain`,
-    :meth:`snapshot`, :meth:`_compact`); the base class owns the
-    counters every implementation shares:
-
-    * ``seq`` — the monotonically increasing tie-break counter.  It
-      lives on the queue (not the engine) so the push path touches a
-      single object; migrations between queue kinds carry it over, so
-      ``(time, seq)`` keys stay globally unique per engine.
+    * ``entries`` — the ``heapq`` list.  Public: the engine's
+      controlled loop pops and pushes entries directly.
+    * ``seq`` — the tie-break counter; one increment per push, so it
+      also counts every event ever scheduled.
     * ``pending`` — live (scheduled, not yet fired, not cancelled)
-      event count; O(1) by maintenance.
-    * ``_cancelled`` — tombstones still physically stored; drives the
-      opportunistic compaction policy in :meth:`note_cancel`.
+      events; O(1) by maintenance.
+    * ``observer`` — optional lifecycle observer: ``on_push`` /
+      ``on_cancel`` here, fire/defer/block/release from the engine's
+      controlled loop.  The explorer's fingerprint tracker and the
+      queue telemetry install themselves here; ``None`` — the common
+      case — costs one load-and-test per push and nothing in the drain.
     """
 
-    kind = "abstract"
-
-    __slots__ = ("seq", "pending", "_cancelled", "observer")
+    __slots__ = ("entries", "seq", "pending", "_cancelled", "observer")
 
     def __init__(self) -> None:
+        self.entries: list[list] = []
         self.seq = 0
         self.pending = 0
+        #: Tombstones still physically stored; drives compaction.
         self._cancelled = 0
-        #: Optional lifecycle observer (``on_push``/``on_cancel`` here;
-        #: the engine's controlled loop adds fire/defer/release
-        #: notifications).  The explorer's incremental fingerprint
-        #: tracker (:mod:`repro.explore.fingerprint`) installs itself
-        #: here for the duration of a controlled run; ``None`` — the
-        #: overwhelmingly common case — costs one load-and-test on the
-        #: heap push path and nothing anywhere else.
         self.observer = None
-
-    # -- storage interface --------------------------------------------
 
     def push(
         self, time: float, fn: Callable[..., None], args: tuple[Any, ...]
     ) -> EventHandle:
-        """Schedule ``fn(*args)`` at ``time``; returns the handle."""
-        raise NotImplementedError
+        """Schedule ``fn(*args)`` at ``time``; returns the cancelable handle."""
+        self.seq = seq = self.seq + 1
+        handle = EventHandle((time, seq, fn, args, PENDING, self))
+        heappush(self.entries, handle)
+        self.pending += 1
+        observer = self.observer
+        if observer is not None:
+            observer.on_push(handle)
+        return handle
 
-    # -- slot (token) interface ---------------------------------------
-    #
-    # The zero-allocation scheduling seam: ``push_slot`` returns an
-    # opaque *token* instead of a handle — the record itself for the
-    # heap/calendar queues, a bare slot id (int) for the columnar
-    # queue, which is what lets its steady-state push/pop allocate no
-    # per-event queue objects.  Tokens cannot be cancelled; the only
-    # operations are the three the network's delivery batching needs.
-    # Hot internal sites (frame deliveries, resource completions) use
-    # this; anything that may need ``cancel()`` uses :meth:`push`.
-
-    def push_slot(
+    def push_entry(
         self, time: float, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> Any:
-        """Schedule ``fn(*args)`` at ``time``; returns an opaque token."""
-        return self.push(time, fn, args)
+    ) -> list:
+        """Schedule a fire-and-forget ``fn(*args)``; returns the bare entry.
 
-    def token_pending(self, token: Any) -> bool:
-        """True while the token's event is scheduled and unfired.
-
-        Only meaningful under the caller's own seq-adjacency guard
-        (``queue.seq`` unchanged since the token was issued): a
-        columnar slot id may be recycled by any later push, and the
-        guard is exactly what rules that out.
+        The entry cannot be cancelled; its holder may read
+        ``entry[STATE]`` and, while it is still :data:`PENDING`, swap
+        ``entry[FN]`` / ``entry[ARGS]`` (the network's delivery
+        batching does both).
         """
-        return token.state == 0
+        self.seq = seq = self.seq + 1
+        entry = [time, seq, fn, args, PENDING]
+        heappush(self.entries, entry)
+        self.pending += 1
+        observer = self.observer
+        if observer is not None:
+            observer.on_push(entry)
+        return entry
 
-    def token_arg0(self, token: Any) -> Any:
-        """The first scheduled argument of the token's event."""
-        return token.args[0]
+    def promote_entries(self) -> None:
+        """Replace every bare entry in the heap by an equal handle.
 
-    def retarget(
-        self, token: Any, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> None:
-        """Swap the token's callback in place (same ``(time, seq)`` key)."""
-        token.fn = fn
-        token.args = args
+        Same key, callback and state, so the order is unaffected; run
+        once when a scheduler is installed (the controlled loop and the
+        explorer read events through the handle interface).
+        """
+        entries = self.entries
+        for index, entry in enumerate(entries):
+            if type(entry) is list:
+                entries[index] = EventHandle((*entry, self))
 
-    def drain(
-        self,
-        engine: "Engine",
-        until: float | None,
-        max_events: int | None,
-        stop_when: Callable[[], bool] | None,
-    ) -> float:
-        """The default (scheduler-free) run loop over this storage."""
-        raise NotImplementedError
-
-    def snapshot(self) -> list[tuple[float, int, EventHandle]]:
-        """Every stored ``(time, seq, record)`` entry, tombstones
-        included, in no particular order (callers sort or filter)."""
-        raise NotImplementedError
-
-    def _stored(self) -> int:
-        """Number of entries physically stored (live + tombstones)."""
-        raise NotImplementedError
-
-    def _compact(self) -> None:
-        """Drop tombstoned entries from storage, in place."""
-        raise NotImplementedError
-
-    # -- shared bookkeeping -------------------------------------------
-
-    def note_cancel(self, record: EventHandle) -> None:
+    def note_cancel(self, handle: EventHandle) -> None:
         """Account one cancellation; compact if tombstones dominate.
 
         Called by :meth:`EventHandle.cancel`.  Compaction triggers only
         when at least ``_COMPACT_MIN`` tombstones exist *and* they are
         at least half the stored entries, so the amortized cost per
-        cancel is O(1) and a cancel-heavy run (failure-detector timer
-        churn) never scans a mostly-live queue.
+        cancel is O(1) and a cancel-heavy run never scans a mostly-live
+        heap.
         """
         observer = self.observer
         if observer is not None:
-            observer.on_cancel(record)
+            observer.on_cancel(handle)
         self.pending -= 1
         cancelled = self._cancelled = self._cancelled + 1
-        if cancelled >= _COMPACT_MIN and cancelled * 2 >= self._stored():
+        if cancelled >= _COMPACT_MIN and cancelled * 2 >= len(self.entries):
             self._compact()
-
-    @classmethod
-    def from_queue(cls, other: "EventQueue") -> "EventQueue":
-        """Build this kind of queue holding ``other``'s pending set.
-
-        Entries keep their original ``(time, seq)`` keys, so ordering
-        is unaffected by a migration; the engine migrates to the heap
-        when a scheduler is installed (the controlled loop manipulates
-        heap entries directly) and back when it is removed.
-        """
-        queue = cls()
-        queue.seq = other.seq
-        queue.pending = other.pending
-        entries = other.snapshot()
-        queue._cancelled = sum(1 for e in entries if e[2].state == 1)
-        for entry in entries:
-            entry[2]._queue = queue
-        queue._adopt(entries)
-        return queue
-
-    def _adopt(self, entries: list[tuple[float, int, EventHandle]]) -> None:
-        raise NotImplementedError
-
-
-class BinaryHeapQueue(EventQueue):
-    """The reference storage: one ``heapq`` min-heap of plain tuples.
-
-    Heap entries are ``(time, seq, record)`` so every sift compares the
-    leading float (and, on a tie, the int) and never dispatches into
-    Python-level ``__lt__``.  ``heappush``/``heappop``/``heapify`` are
-    bound as module globals, so neither the push path nor the drain
-    loop performs a dotted module-attribute load per event (see
-    ``benchmarks/test_engine_heap.py``).
-    """
-
-    kind = "heap"
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: The heap list.  Public: the engine's controlled loop (and
-        #: ``_release_blocked``) push/pop entries directly.
-        self.entries: list[tuple[float, int, EventHandle]] = []
-
-    def push(
-        self, time: float, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> EventHandle:
-        self.seq = seq = self.seq + 1
-        record = _new_handle(EventHandle)
-        record.time = time
-        record.seq = seq
-        record.fn = fn
-        record.args = args
-        record.state = 0
-        record._queue = self
-        heappush(self.entries, (time, seq, record))
-        self.pending += 1
-        observer = self.observer
-        if observer is not None:
-            observer.on_push(record)
-        return record
-
-    def snapshot(self) -> list[tuple[float, int, EventHandle]]:
-        return list(self.entries)
-
-    def _stored(self) -> int:
-        return len(self.entries)
 
     def _compact(self) -> None:
         # In place: the drain loop binds the list object once, so the
-        # identity must survive a mid-run compaction triggered by a
-        # cancel inside a callback.  Decrement by what was removed
-        # rather than resetting: tombstones can also live outside the
-        # store (the controlled loop's deferred-and-blocked records).
+        # identity must survive a compaction triggered by a cancel
+        # inside a callback.  Decrement by what was removed rather than
+        # resetting: tombstones can also live outside the heap (the
+        # controlled loop's deferred-and-blocked records).
         entries = self.entries
         before = len(entries)
-        entries[:] = [e for e in entries if not e[2].state]
+        entries[:] = [e for e in entries if not e[STATE]]
         heapify(entries)
         self._cancelled -= before - len(entries)
 
-    def _adopt(self, entries: list[tuple[float, int, EventHandle]]) -> None:
-        heapify(entries)
-        self.entries = entries
+    def snapshot(self) -> list[tuple[float, int, list]]:
+        """Every stored ``(time, seq, entry)``, tombstones included, in
+        no particular order.  Entries are handles once a scheduler is
+        installed; before that, fire-and-forget events are bare lists."""
+        return [(e[TIME], e[SEQ], e) for e in self.entries]
 
     def drain(
         self,
@@ -397,34 +245,33 @@ class BinaryHeapQueue(EventQueue):
         max_events: int | None,
         stop_when: Callable[[], bool] | None,
     ) -> float:
+        """The scheduler-free run loop (see ``Engine.drain_until``)."""
         entries = self.entries
         pop = heappop
         until_f = _INF if until is None else until
         budget = _UNBOUNDED if max_events is None else max_events
         executed = 0
         events_before = engine.events_executed
-        pending = self.pending
+        # Field positions are literals here (see TIME … STATE): the
+        # per-event path skips four global loads.
         try:
             while entries:
-                head = entries[0]
-                record = head[2]
-                if record.state:
-                    pop(entries)
+                entry = pop(entries)
+                if entry[4]:  # a cancelled tombstone
                     self._cancelled -= 1
                     continue
-                time = head[0]
+                time = entry[0]
                 if time > until_f:
+                    # Not due in this run: back where it was.
+                    heappush(entries, entry)
                     engine._now = until
                     break
-                pop(entries)
                 engine._now = time
-                record.state = 2
-                pending -= 1
-                self.pending = pending
+                entry[4] = 2  # FINISHED
+                self.pending -= 1
                 executed += 1
-                record.fn(*record.args)
+                entry[2](*entry[3])
                 # The callback may have scheduled or cancelled events.
-                pending = self.pending
                 if executed >= budget:
                     raise EventBudgetExceeded(
                         f"simulation exceeded max_events={max_events} "
@@ -438,847 +285,3 @@ class BinaryHeapQueue(EventQueue):
         finally:
             engine.events_executed = events_before + executed
         return engine._now
-
-
-class CalendarQueue(EventQueue):
-    """Calendar-queue / timer-wheel hybrid storage.
-
-    Records hash into *days* — fixed-``width`` time buckets stored in
-    a dict — and a small int-heap of day indices orders the non-empty
-    days.  Buckets hold the :class:`EventHandle` records themselves
-    (the merged handle carries its own ``(time, seq)``), not wrapper
-    tuples: one tracked container per event instead of two, which
-    halves the cyclic-GC scan pressure of a large pending set.  The
-    day being drained (``_cur``) is sorted ascending by ``(time,
-    seq)`` (via the C-level ``attrgetter`` key) and consumed through
-    an index, so a pop is an index bump and a push into the current
-    day is a C-level ``insort``; pushes into future days are a dict
-    lookup plus ``list.append``, with one ``sort`` amortized over the
-    whole bucket when the drain reaches it.  Cross-bucket order is
-    inherited from the day index
-    (``time1 < time2`` implies ``day1 <= day2``; equal times share a
-    day), so the pop sequence is exactly the heap's.
-
-    The width adapts in both directions, re-hashed at an advance point
-    (current bucket exhausted, no callback mid-flight):
-
-    * when a sampling window of bucket advances observes
-      mostly-singleton buckets (a sparse, timer-dominated stretch —
-      the regime where a calendar degenerates into a slower heap), the
-      width grows by ``_GROW``;
-    * when a later window observes the density re-concentrating
-      (``>= _SHRINK_DENSITY`` events per advanced bucket on average —
-      e.g. dense frame traffic resuming after a sparse timer burst
-      grew the width), the width shrinks by the same factor, never
-      below the constructed width.  Before this, widths only ever
-      grew: one sparse burst permanently ratcheted the rest of the run
-      onto over-wide buckets (bigger sorts, coarser compaction).
-    """
-
-    kind = "calendar"
-
-    __slots__ = (
-        "_width",
-        "_width0",
-        "_inv",
-        "_buckets",
-        "_days",
-        "_bucket_total",
-        "_cur",
-        "_idx",
-        "_cur_day",
-        "_adv",
-        "_adv_events",
-    )
-
-    #: Default bucket width in simulated seconds — sized for the
-    #: microsecond-scale frame/CPU event density of contention sweeps.
-    DEFAULT_WIDTH = 32e-6
-    #: Width multiplication factor on a sparse-adaptation trigger.
-    _GROW = 16.0
-    #: Bucket advances per adaptation-sampling window.
-    _WINDOW = 512
-    #: Mean events per advanced bucket at which a grown width shrinks
-    #: back: well above what one ``_GROW`` step of re-concentration
-    #: produces, so grow/shrink cannot oscillate on a steady workload.
-    _SHRINK_DENSITY = 4 * _GROW
-
-    def __init__(self, width: float = DEFAULT_WIDTH) -> None:
-        if width <= 0:
-            raise ValueError(f"bucket width must be > 0, got {width}")
-        super().__init__()
-        self._width = width
-        self._width0 = width
-        self._inv = 1.0 / width
-        #: day index -> unsorted list of records due that day.
-        self._buckets: dict[int, list[EventHandle]] = {}
-        #: Min-heap of day indices with (possibly stale) buckets.
-        self._days: list[int] = []
-        #: Records stored across ``_buckets`` (not ``_cur``).
-        self._bucket_total = 0
-        #: The day being drained: ascending records + consume index.
-        self._cur: list[EventHandle] = []
-        self._idx = 0
-        self._cur_day = -1
-        # Sparse-adaptation sampling state.
-        self._adv = 0
-        self._adv_events = 0
-
-    def push(
-        self, time: float, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> EventHandle:
-        self.seq = seq = self.seq + 1
-        record = _new_handle(EventHandle)
-        record.time = time
-        record.seq = seq
-        record.fn = fn
-        record.args = args
-        record.state = 0
-        record._queue = self
-        day = int(time * self._inv)
-        if day <= self._cur_day:
-            # Due within (or before the end of) the day being drained:
-            # ordered-insert into the live bucket.  Fired entries form
-            # a strictly smaller (time, seq) prefix, so the insertion
-            # point always lands at or beyond the consume index.
-            insort(self._cur, record, key=_time_seq)
-        else:
-            buckets = self._buckets
-            try:
-                buckets[day].append(record)
-            except KeyError:
-                buckets[day] = [record]
-                heappush(self._days, day)
-            self._bucket_total += 1
-        self.pending += 1
-        observer = self.observer
-        if observer is not None:
-            observer.on_push(record)
-        return record
-
-    def snapshot(self) -> list[tuple[float, int, EventHandle]]:
-        # Buckets hold bare records; synthesize the interchange tuples.
-        # ``_idx`` may lag the drain loop's local index mid-callback,
-        # so filter already-fired records out of the prefix.
-        records = [r for r in self._cur[self._idx:] if r.state != 2]
-        for bucket in self._buckets.values():
-            records.extend(bucket)
-        return [(r.time, r.seq, r) for r in records]
-
-    def _stored(self) -> int:
-        return self._bucket_total + len(self._cur) - self._idx
-
-    def _compact(self) -> None:
-        # Only the future buckets are filtered: the current bucket may
-        # be mid-drain (its list and index are loop locals), so its
-        # tombstones are left for the drain loop's lazy skip — they are
-        # bounded by one bucket.  Emptied buckets leave a stale day in
-        # the day heap; the advance loop skips those.
-        total = 0
-        for day, bucket in list(self._buckets.items()):
-            bucket[:] = [r for r in bucket if not r.state]
-            if bucket:
-                total += len(bucket)
-            else:
-                del self._buckets[day]
-        self._bucket_total = total
-        self._cancelled = sum(1 for r in self._cur if r.state == 1)
-
-    def _adopt(self, entries: list[tuple[float, int, EventHandle]]) -> None:
-        self._fill([e[2] for e in entries])
-
-    def _fill(self, records: list[EventHandle]) -> None:
-        buckets = self._buckets
-        inv = self._inv
-        for record in records:
-            day = int(record.time * inv)
-            bucket = buckets.get(day)
-            if bucket is None:
-                buckets[day] = [record]
-            else:
-                bucket.append(record)
-        self._days = list(buckets)
-        heapify(self._days)
-        self._bucket_total = len(records)
-
-    def _rebuild(self, width: float) -> None:
-        """Re-bucket every future entry under a new ``width``.
-
-        Only called at an advance point (current bucket exhausted, no
-        callback mid-flight), so the live bucket holds nothing unfired
-        and the whole future set can be re-hashed safely.
-        """
-        self._width = width
-        self._inv = 1.0 / width
-        records = []
-        for bucket in self._buckets.values():
-            records.extend(bucket)
-        self._buckets = {}
-        self._days = []
-        self._bucket_total = 0
-        self._cur = []
-        self._idx = 0
-        self._cur_day = -1
-        self._fill(records)
-
-    def _advance(self) -> list[EventHandle] | None:
-        """Swap the next non-empty day in as the current bucket.
-
-        Only called with the current bucket exhausted (every entry
-        fired or reaped), so this is also the one safe point for width
-        adaptation: no callback is mid-flight and every unfired entry
-        sits in ``_buckets``.
-        """
-        if self._adv >= self._WINDOW:
-            # Sparse-stretch adaptation: mostly-singleton buckets mean
-            # the width is far below the prevailing inter-event gap and
-            # every event pays a day-heap operation — grow the width.
-            # The opposite signal — dense buckets on a previously-grown
-            # width — shrinks it back toward the constructed width (a
-            # re-hash is an opportunistic compaction of the future set:
-            # same records, tighter buckets).
-            if self._adv_events < 2 * self._adv:
-                self._rebuild(self._width * self._GROW)
-            elif (
-                self._width > self._width0
-                and self._adv_events >= self._SHRINK_DENSITY * self._adv
-            ):
-                self._rebuild(max(self._width / self._GROW, self._width0))
-            self._adv = 0
-            self._adv_events = 0
-        days = self._days
-        buckets = self._buckets
-        while days:
-            day = days[0]
-            bucket = buckets.get(day)
-            if bucket is None:
-                heappop(days)  # stale: drained or compacted away
-                continue
-            heappop(days)
-            del buckets[day]
-            bucket.sort(key=_time_seq)
-            self._bucket_total -= len(bucket)
-            self._cur = bucket
-            self._idx = 0
-            self._cur_day = day
-            self._adv += 1
-            self._adv_events += len(bucket)
-            return bucket
-        return None
-
-    def drain(
-        self,
-        engine: "Engine",
-        until: float | None,
-        max_events: int | None,
-        stop_when: Callable[[], bool] | None,
-    ) -> float:
-        until_f = _INF if until is None else until
-        budget = _UNBOUNDED if max_events is None else max_events
-        executed = 0
-        events_before = engine.events_executed
-        pending = self.pending
-        cur = self._cur
-        idx = self._idx
-        try:
-            while True:
-                try:
-                    record = cur[idx]
-                except IndexError:
-                    # Bucket exhausted (the common exit: idx lands one
-                    # past the end, never further — cheaper than a
-                    # bounds check per event).
-                    nxt = self._advance()
-                    if nxt is None:
-                        if until is not None and until > engine._now:
-                            engine._now = until
-                        break
-                    cur = nxt
-                    idx = 0
-                    continue
-                if record.state:
-                    idx += 1
-                    self._cancelled -= 1
-                    continue
-                time = record.time
-                if time > until_f:
-                    engine._now = until
-                    break
-                idx += 1
-                if idx >= _TRIM:
-                    # Release fired entries of a long same-bucket
-                    # stretch; positions shift uniformly, so the
-                    # sorted invariant (and any insort from a
-                    # callback) is unaffected.
-                    del cur[:idx]
-                    idx = 0
-                    self._idx = 0
-                engine._now = time
-                record.state = 2
-                pending -= 1
-                self.pending = pending
-                executed += 1
-                # ``self._idx`` is NOT synced per event — it may lag
-                # the local ``idx`` during the callback (stale-low is
-                # conservative: ``_stored`` overestimates, deferring
-                # compaction; ``snapshot`` filters fired entries).
-                record.fn(*record.args)
-                # The callback may have scheduled or cancelled.  It
-                # cannot rebind ``_cur`` (only ``_advance``/``_rebuild``
-                # do, and neither runs mid-callback), so ``cur`` stays
-                # valid without a reload.
-                pending = self.pending
-                if executed >= budget:
-                    raise EventBudgetExceeded(
-                        f"simulation exceeded max_events={max_events} "
-                        f"at t={engine._now:.6f}s "
-                        f"(likely a protocol livelock)"
-                    )
-                if stop_when is not None and stop_when():
-                    break
-        finally:
-            self._idx = idx
-            engine.events_executed = events_before + executed
-        return engine._now
-
-
-class ColumnarQueue(EventQueue):
-    """Struct-of-arrays calendar storage — the scheduler-free default.
-
-    The calendar's bucket structure (day dict + day-index heap +
-    sorted current bucket) over **columnar** event storage: the hot
-    per-event fields live in parallel columns indexed by a recycled
-    integer *slot* id —
-
-    * ``_time`` (``array('d')``) — due time,
-    * ``_seqs`` (``array('q')``) — the ``(time, seq)`` tie-break,
-    * ``_state`` (``bytearray``) — lifecycle (0/1/2, as on the handle),
-    * ``_fn`` / ``_args`` (lists) — callback and payload,
-    * ``_views`` (list) — the materialized :class:`EventHandle` view,
-      or ``None`` (the steady-state case),
-
-    and buckets hold bare slot ids.  A free-list recycles slots (freed
-    in bulk when a drained bucket is swapped out, so a mid-drain
-    ``snapshot`` can never observe a recycled id), which makes a
-    ``push_slot``/pop cycle allocate **no per-event queue objects**:
-    no record, no handle, no wrapper tuple — the remaining per-event
-    allocations (the caller's args tuple, the boxed time float) are
-    the caller's own.  ``push`` (the cancelable public path) adds one
-    :class:`EventHandle` view carrying standalone field copies; the
-    queue keeps the view's ``state`` in sync with the state column, so
-    views survive a queue migration and late ``cancel()``/``finished``
-    reads stay correct.
-
-    Two deliberate amortisations keep the per-event constant low:
-    columns grow by :data:`_CHUNK`-slot blocks (so every allocation is
-    a C-level indexed store into existing storage, never six
-    ``append`` calls), and releasing a drained bucket is one
-    ``free.extend`` — a freed slot's callback/payload/view cells are
-    *not* cleared eagerly but overwritten on reuse, so a dead event's
-    references live at most until its slot is recycled (bounded by the
-    peak pending count, not by run length).
-
-    Ordering is the heap's, bit for bit.  Within a bucket the sort key
-    is ``time`` alone but the sort is *stable* and slot ids only ever
-    enter a bucket in push (= ``seq``) order, so equal times keep
-    ``seq`` order; ``insort`` into the live bucket is right-biased, and
-    a fresh push always carries the largest ``seq`` — same argument.
-    Width adaptation (grow on sparse windows, shrink on re-concentrated
-    ones) matches :class:`CalendarQueue`.
-    """
-
-    kind = "columnar"
-
-    __slots__ = (
-        "_time",
-        "_seqs",
-        "_state",
-        "_fn",
-        "_args",
-        "_views",
-        "_free",
-        "_tget",
-        "_width",
-        "_width0",
-        "_inv",
-        "_buckets",
-        "_days",
-        "_bucket_total",
-        "_cur",
-        "_idx",
-        "_cur_day",
-        "_adv",
-        "_adv_events",
-    )
-
-    DEFAULT_WIDTH = CalendarQueue.DEFAULT_WIDTH
-    _GROW = CalendarQueue._GROW
-    _WINDOW = CalendarQueue._WINDOW
-    _SHRINK_DENSITY = CalendarQueue._SHRINK_DENSITY
-    #: Slots added per column growth (see the class docstring).
-    _CHUNK = 256
-
-    def __init__(self, width: float = DEFAULT_WIDTH) -> None:
-        if width <= 0:
-            raise ValueError(f"bucket width must be > 0, got {width}")
-        super().__init__()
-        # -- columns (parallel, indexed by slot id) -------------------
-        self._time = array("d")
-        self._seqs = array("q")
-        self._state = bytearray()
-        self._fn: list[Callable[..., None] | None] = []
-        self._args: list[tuple[Any, ...] | None] = []
-        self._views: list[EventHandle | None] = []
-        #: Recycled + never-used slot ids (never a slot still stored).
-        self._free: list[int] = []
-        #: The time column's C-level ``__getitem__``, bound once: the
-        #: bucket sort key and the live-bucket insort key (the column
-        #: array object is append-only, never replaced).
-        self._tget = self._time.__getitem__
-        # -- calendar structure over slot ids -------------------------
-        self._width = width
-        self._width0 = width
-        self._inv = 1.0 / width
-        self._buckets: dict[int, list[int]] = {}
-        self._days: list[int] = []
-        self._bucket_total = 0
-        self._cur: list[int] = []
-        self._idx = 0
-        self._cur_day = -1
-        self._adv = 0
-        self._adv_events = 0
-
-    def _grow(self) -> None:
-        """Extend every column by a :data:`_CHUNK`-slot block.
-
-        Fresh slots join the free-list with state 1 (never 0: a stale
-        token must always read as not-pending) and ``None`` cells, so
-        allocation is uniformly ``free.pop()`` + indexed stores.
-        """
-        chunk = self._CHUNK
-        base = len(self._state)
-        self._time.extend(_CHUNK_D)
-        self._seqs.extend(_CHUNK_Q)
-        self._state.extend(b"\x01" * chunk)
-        none_block = [None] * chunk
-        self._fn.extend(none_block)
-        self._args.extend(none_block)
-        self._views.extend(none_block)
-        self._free.extend(range(base, base + chunk))
-
-    # -- push paths ---------------------------------------------------
-
-    def push_slot(
-        self, time: float, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> int:
-        self.seq = seq = self.seq + 1
-        free = self._free
-        if not free:
-            self._grow()
-        slot = free.pop()
-        self._time[slot] = time
-        self._seqs[slot] = seq
-        self._state[slot] = 0
-        self._fn[slot] = fn
-        self._args[slot] = args
-        views = self._views
-        if views[slot] is not None:
-            # A recycled slot may still carry its previous event's
-            # registered view; detach lazily, here, instead of paying a
-            # per-slot clearing loop at release time.
-            views[slot] = None
-        # Bucket key as a float floor (== int() truncation for the
-        # engine's non-negative times): one specialized binary op
-        # instead of a builtin call on the hottest line of the push.
-        day = time * self._inv // 1.0
-        if day <= self._cur_day:
-            # Due within the day being drained: ordered-insert into the
-            # live bucket (lands at or beyond the consume index; fired
-            # entries form a strictly smaller (time, seq) prefix).
-            insort(self._cur, slot, key=self._tget)
-        else:
-            buckets = self._buckets
-            try:
-                buckets[day].append(slot)
-            except KeyError:
-                buckets[day] = [slot]
-                heappush(self._days, day)
-            self._bucket_total += 1
-        self.pending += 1
-        observer = self.observer
-        if observer is not None:
-            observer.on_push(self._materialize(slot))
-        return slot
-
-    def push(
-        self, time: float, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> EventHandle:
-        # A full inline of ``push_slot`` + view construction: callers
-        # holding a cancelable handle pay one call, not two, and the
-        # view is built from the locals already in hand rather than
-        # re-read through ``_materialize``.
-        self.seq = seq = self.seq + 1
-        free = self._free
-        if not free:
-            self._grow()
-        slot = free.pop()
-        self._time[slot] = time
-        self._seqs[slot] = seq
-        self._state[slot] = 0
-        self._fn[slot] = fn
-        self._args[slot] = args
-        view = _new_handle(EventHandle)
-        view.time = time
-        view.seq = seq
-        view.fn = fn
-        view.args = args
-        view.state = 0
-        view._queue = self
-        view._slot = slot
-        self._views[slot] = view
-        day = time * self._inv // 1.0
-        if day <= self._cur_day:
-            insort(self._cur, slot, key=self._tget)
-        else:
-            buckets = self._buckets
-            try:
-                buckets[day].append(slot)
-            except KeyError:
-                buckets[day] = [slot]
-                heappush(self._days, day)
-            self._bucket_total += 1
-        self.pending += 1
-        observer = self.observer
-        if observer is not None:
-            observer.on_push(view)
-        return view
-
-    def _materialize(self, slot: int) -> EventHandle:
-        """Build (and register) the handle view for a stored slot."""
-        record = _new_handle(EventHandle)
-        record.time = self._time[slot]
-        record.seq = self._seqs[slot]
-        record.fn = self._fn[slot]
-        record.args = self._args[slot]
-        record.state = self._state[slot]
-        record._queue = self
-        record._slot = slot
-        self._views[slot] = record
-        return record
-
-    # -- token interface ----------------------------------------------
-
-    def token_pending(self, token: int) -> bool:
-        # Sound only under the caller's seq-adjacency guard: no push
-        # since the token was issued means no recycling, and freed
-        # slots always hold a non-zero state (set before release).
-        return self._state[token] == 0
-
-    def token_arg0(self, token: int) -> Any:
-        return self._args[token][0]
-
-    def retarget(
-        self, token: int, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> None:
-        self._fn[token] = fn
-        self._args[token] = args
-        view = self._views[token]
-        if view is not None:
-            view.fn = fn
-            view.args = args
-
-    # -- cancellation -------------------------------------------------
-
-    def note_cancel(self, record: EventHandle) -> None:
-        # The view flagged itself (record.state = 1); mirror that into
-        # the state column so the drain and compaction see it.  Foreign
-        # records (a controlled run's deferred-and-blocked list,
-        # repointed here by a migration) have no slot — or a stale one
-        # from a previous owner — and are bookkeeping-only.
-        slot = getattr(record, "_slot", -1)
-        if slot >= 0 and self._views[slot] is record:
-            self._state[slot] = 1
-        super().note_cancel(record)
-
-    # -- storage interface --------------------------------------------
-
-    def snapshot(self) -> list[tuple[float, int, EventHandle]]:
-        # ``_idx`` may lag the drain loop's local index mid-callback,
-        # so filter fired entries out of the prefix (fired slots stay
-        # allocated until their bucket is swapped out, so no id here is
-        # ever stale).  Materialized views are handed out — and
-        # registered — so repeated snapshots and cancel() through a
-        # snapshot entry stay coherent with the columns.
-        state = self._state
-        views = self._views
-        entries = []
-        for slot in self._cur[self._idx:]:
-            if state[slot] != 2:
-                view = views[slot]
-                if view is None:
-                    view = self._materialize(slot)
-                entries.append((view.time, view.seq, view))
-        for bucket in self._buckets.values():
-            for slot in bucket:
-                view = views[slot]
-                if view is None:
-                    view = self._materialize(slot)
-                entries.append((view.time, view.seq, view))
-        return entries
-
-    def _stored(self) -> int:
-        return self._bucket_total + len(self._cur) - self._idx
-
-    def _release(self, slot: int) -> None:
-        """Return one slot to the free-list.
-
-        Dead cells (callback, payload, view) are left in place and
-        overwritten when the slot is reused — see the class docstring;
-        a freed slot's state is always non-zero (set at fire/cancel),
-        which is what keeps stale token reads sound.
-        """
-        self._free.append(slot)
-
-    def _compact(self) -> None:
-        # Future buckets only: the current bucket may be mid-drain (its
-        # list and index are loop locals), so its tombstones are left
-        # for the drain loop's lazy reap — bounded by one bucket.
-        state = self._state
-        total = 0
-        for day, bucket in list(self._buckets.items()):
-            live = [s for s in bucket if not state[s]]
-            if len(live) != len(bucket):
-                for slot in bucket:
-                    if state[slot]:
-                        self._release(slot)
-                bucket[:] = live
-            if live:
-                total += len(live)
-            else:
-                del self._buckets[day]
-        self._bucket_total = total
-        idx = self._idx
-        self._cancelled = sum(
-            1 for slot in self._cur[idx:] if state[slot] == 1
-        )
-
-    def _adopt(self, entries: list[tuple[float, int, EventHandle]]) -> None:
-        # Slot ids must enter buckets in seq order (the stable-sort
-        # ordering argument); migrated entries arrive unordered.
-        entries.sort(key=lambda e: e[1])
-        buckets = self._buckets
-        inv = self._inv
-        free = self._free
-        for time, seq, record in entries:
-            if not free:
-                self._grow()
-            slot = free.pop()
-            self._time[slot] = time
-            self._seqs[slot] = seq
-            self._state[slot] = record.state
-            self._fn[slot] = record.fn
-            self._args[slot] = record.args
-            record._slot = slot
-            self._views[slot] = record
-            day = time * inv // 1.0
-            bucket = buckets.get(day)
-            if bucket is None:
-                buckets[day] = [slot]
-            else:
-                bucket.append(slot)
-        self._days = list(buckets)
-        heapify(self._days)
-        self._bucket_total = len(entries)
-
-    def _rebuild(self, width: float) -> None:
-        """Re-bucket every future entry under a new ``width``.
-
-        Only called at an advance point (current bucket released, no
-        callback mid-flight); tombstones are reaped while we hold the
-        whole future set anyway.
-        """
-        self._width = width
-        self._inv = 1.0 / width
-        state = self._state
-        live: list[int] = []
-        reaped = 0
-        for bucket in self._buckets.values():
-            for slot in bucket:
-                if state[slot]:
-                    self._release(slot)
-                    reaped += 1
-                else:
-                    live.append(slot)
-        self._cancelled -= reaped
-        live.sort(key=self._seqs.__getitem__)
-        buckets: dict[int, list[int]] = {}
-        inv = self._inv
-        tcol = self._time
-        for slot in live:
-            day = tcol[slot] * inv // 1.0
-            bucket = buckets.get(day)
-            if bucket is None:
-                buckets[day] = [slot]
-            else:
-                bucket.append(slot)
-        self._buckets = buckets
-        self._days = list(buckets)
-        heapify(self._days)
-        self._bucket_total = len(live)
-        self._cur = []
-        self._idx = 0
-        self._cur_day = -1
-
-    def _advance(self) -> list[int] | None:
-        """Release the exhausted current bucket, swap the next one in."""
-        cur = self._cur
-        if cur:
-            # Everything in an exhausted bucket is fired or reaped:
-            # this is where slots return to the free-list (never
-            # mid-bucket, so snapshots cannot meet a recycled id).
-            self._free.extend(cur)
-            self._cur = []
-            self._idx = 0
-        if self._adv >= self._WINDOW:
-            if self._adv_events < 2 * self._adv:
-                self._rebuild(self._width * self._GROW)
-            elif (
-                self._width > self._width0
-                and self._adv_events >= self._SHRINK_DENSITY * self._adv
-            ):
-                self._rebuild(max(self._width / self._GROW, self._width0))
-            self._adv = 0
-            self._adv_events = 0
-        days = self._days
-        buckets = self._buckets
-        while days:
-            day = days[0]
-            bucket = buckets.get(day)
-            if bucket is None:
-                heappop(days)  # stale: drained or compacted away
-                continue
-            heappop(days)
-            del buckets[day]
-            # Stable by-time sort == (time, seq) sort: ids entered the
-            # bucket in seq order.
-            bucket.sort(key=self._tget)
-            self._bucket_total -= len(bucket)
-            self._cur = bucket
-            self._idx = 0
-            self._cur_day = day
-            self._adv += 1
-            self._adv_events += len(bucket)
-            return bucket
-        return None
-
-    def drain(
-        self,
-        engine: "Engine",
-        until: float | None,
-        max_events: int | None,
-        stop_when: Callable[[], bool] | None,
-    ) -> float:
-        """The fused columnar drain (see ``Engine.drain_until``).
-
-        One iteration touches exactly: a list index (the slot id), a
-        ``bytearray`` index (state), an ``array('d')`` index (time),
-        two list indexes (callback, args) and the dispatch itself —
-        every column pre-bound to a local, no per-event attribute
-        chasing, no record object.  The view column is consulted once
-        per event only to keep a materialized handle's ``state`` in
-        sync (``None`` in the steady state).
-        """
-        until_f = _INF if until is None else until
-        budget = _UNBOUNDED if max_events is None else max_events
-        executed = 0
-        events_before = engine.events_executed
-        # The dispatch table: every hot column bound to a local once.
-        time_col = self._time
-        state_col = self._state
-        fn_col = self._fn
-        args_col = self._args
-        views = self._views
-        cur = self._cur
-        idx = self._idx
-        try:
-            while True:
-                try:
-                    slot = cur[idx]
-                except IndexError:
-                    # Bucket exhausted (the common exit: idx lands one
-                    # past the end, never further).
-                    nxt = self._advance()
-                    if nxt is None:
-                        if until is not None and until > engine._now:
-                            engine._now = until
-                        break
-                    cur = nxt
-                    idx = 0
-                    continue
-                if state_col[slot]:
-                    # Tombstone: reap lazily (freed at bucket swap).
-                    idx += 1
-                    self._cancelled -= 1
-                    continue
-                time = time_col[slot]
-                if time > until_f:
-                    engine._now = until
-                    break
-                idx += 1
-                if idx >= _TRIM:
-                    # Free and drop the fired prefix of a long
-                    # same-bucket stretch; positions shift uniformly,
-                    # so the sorted invariant (and any insort from a
-                    # callback) is unaffected.
-                    self._free.extend(cur[:idx])
-                    del cur[:idx]
-                    idx = 0
-                    self._idx = 0
-                engine._now = time
-                state_col[slot] = 2
-                fn = fn_col[slot]
-                args = args_col[slot]
-                view = views[slot]
-                if view is not None:
-                    view.state = 2
-                self.pending -= 1
-                executed += 1
-                fn(*args)
-                # The callback may have scheduled or cancelled
-                # (``self.pending`` stays exact: pushes and cancels
-                # update it in place); it cannot rebind ``_cur`` (only
-                # ``_advance``/``_rebuild`` do, and neither runs
-                # mid-callback), so ``cur`` stays valid without a
-                # reload.
-                if executed >= budget:
-                    raise EventBudgetExceeded(
-                        f"simulation exceeded max_events={max_events} "
-                        f"at t={engine._now:.6f}s "
-                        f"(likely a protocol livelock)"
-                    )
-                if stop_when is not None and stop_when():
-                    break
-        finally:
-            self._idx = idx
-            engine.events_executed = events_before + executed
-        return engine._now
-
-
-#: Selectable event-queue kinds (``Engine(equeue=...)``).
-EQUEUES: dict[str, type[EventQueue]] = {
-    BinaryHeapQueue.kind: BinaryHeapQueue,
-    CalendarQueue.kind: CalendarQueue,
-    ColumnarQueue.kind: ColumnarQueue,
-}
-
-
-def make_equeue(spec: "str | EventQueue") -> EventQueue:
-    """Resolve an ``Engine(equeue=...)`` argument to a queue instance."""
-    if isinstance(spec, EventQueue):
-        return spec
-    try:
-        return EQUEUES[spec]()
-    except KeyError:
-        raise ValueError(
-            f"unknown event queue {spec!r}; available: {sorted(EQUEUES)}"
-        ) from None

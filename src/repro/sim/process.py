@@ -30,10 +30,9 @@ class SimProcess:
 
     Timers deliberately stay on the *handle* path
     (``engine.schedule`` → :class:`EventHandle`): protocol layers hold
-    the returned handle to cancel or inspect it, so materializing the
-    view is the contract, not overhead — the zero-allocation slot API
-    is for fire-and-forget events (resource completions, batched frame
-    deliveries).
+    the returned handle to cancel or inspect it, so the handle is the
+    contract, not overhead — bare heap entries are for fire-and-forget
+    events (resource completions, batched frame deliveries).
     """
 
     __slots__ = (

@@ -14,30 +14,40 @@ climbs steeply as a resource approaches saturation.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable
 
 from repro.sim.engine import Engine
+from repro.sim.equeue import PENDING
 
 
 class FifoResource:
     """A single-server FIFO queue over simulated time.
 
-    Jobs are submitted with :meth:`occupy`; each job holds the resource
-    for its ``duration`` and the completion callback fires when the job
-    finishes.  Because the server is non-preemptive and FIFO, the finish
-    time of a job is ``max(now, free_at) + duration``.
+    Jobs are submitted with :meth:`occupy` (or :meth:`stage`, the
+    one-call form the network's frame path uses); each job holds the
+    resource for its ``duration`` and the completion callback fires when
+    the job finishes.  Because the server is non-preemptive and FIFO,
+    the finish time of a job is ``max(now, free_at) + duration``.
 
     The class keeps utilisation statistics so experiments can report
     which resource saturated first.
     """
 
     __slots__ = (
-        "engine", "name", "_free_at", "busy_time", "jobs_served", "_note"
+        "engine",
+        "name",
+        "_queue",
+        "_free_at",
+        "busy_time",
+        "jobs_served",
+        "_note",
     )
 
     def __init__(self, engine: Engine, name: str) -> None:
         self.engine = engine
         self.name = name
+        self._queue = engine.equeue
         self._free_at = 0.0
         #: Total simulated seconds the server has been busy.
         self.busy_time = 0.0
@@ -62,26 +72,50 @@ class FifoResource:
         """
         if duration < 0:
             raise ValueError(f"job duration must be >= 0, got {duration}")
+        if then is not None:
+            return self.stage(duration, then, args)
+        start = self._free_at
+        now = self.engine._now
+        if now > start:
+            start = now
+        finish = self._free_at = start + duration
+        self.busy_time += duration
+        self.jobs_served += 1
+        return finish
+
+    def stage(
+        self,
+        duration: float,
+        then: Callable[..., None],
+        args: tuple[Any, ...],
+    ) -> float:
+        """:meth:`occupy` in one call: charge the job, push ``then(*args)``.
+
+        The frame path's sender CPU, medium and receiver CPU stages each
+        come through here: the finish time, the utilisation counters and
+        the heap push (a bare fire-and-forget entry, or an annotated
+        handle while the engine annotates) without a second Python-level
+        call.  ``duration`` is trusted to be ``>= 0``.
+        """
         engine = self.engine
         start = self._free_at
         now = engine._now
         if now > start:
             start = now
-        finish = start + duration
-        self._free_at = finish
+        finish = self._free_at = start + duration
         self.busy_time += duration
         self.jobs_served += 1
-        if then is not None:
-            if engine.annotating:
-                handle = engine.schedule_at(finish, then, *args)
-                handle.info = self._note
-            else:
-                # Completion events are fire-and-forget (nobody holds a
-                # cancelable reference): the slot API skips the handle
-                # materialization — zero queue-object allocations on
-                # the columnar store.  ``finish >= now`` by
-                # construction, so no schedule_at validation needed.
-                engine._queue.push_slot(finish, then, args)
+        queue = self._queue
+        if engine.annotating:
+            queue.push(finish, then, args).info = self._note
+            return finish
+        queue.seq = seq = queue.seq + 1
+        entry = [finish, seq, then, args, PENDING]
+        heappush(queue.entries, entry)
+        queue.pending += 1
+        observer = queue.observer
+        if observer is not None:
+            observer.on_push(entry)
         return finish
 
     @property

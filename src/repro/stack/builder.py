@@ -251,7 +251,8 @@ def build_system(
             seam the sharded service uses to compose k independent
             groups into one simulation (one clock, k disjoint stacks).
             Each group still gets its own network, trace and processes;
-            only time is shared.
+            only time is shared.  The explorer passes an
+            ``Engine(annotating=True)`` here.
         rngs: Share (or substitute) the RNG registry.  The sharded
             service passes per-group forks of one root registry so the
             groups' random streams are mutually independent but all
@@ -273,24 +274,12 @@ def build_system(
 
     if trace is None:
         trace = Trace()
-    # A full Trace implies someone will inspect events (checkers,
-    # scenario queries, the explorer — which installs its Scheduler
-    # only after building): keep scheduler-visible event annotations
-    # on from the first wiring-time schedule.  Metrics-only observers
-    # skip annotation work entirely (see Engine.annotating).
-    #
-    # Storage: the columnar struct-of-arrays store in both modes — the
-    # engine's default.  Annotated runs materialize a handle view per
-    # scheduled event (the explorer's Scheduler then migrates to the
-    # heap on install); pure measurement runs push through the
-    # zero-allocation slot API.  Ordering is identical across stores,
-    # so this is never a semantics choice (three-way equivalence suite
-    # + golden traces).
+    # The engine has one event store, whatever the trace.  Scheduler-
+    # visible annotations are the caller's choice (see
+    # Engine.annotating): the explorer passes an annotating engine so
+    # wiring-time events carry them; every other run leaves them off.
     if engine is None:
-        engine = Engine(equeue="columnar", annotating=isinstance(trace, Trace))
-    elif isinstance(trace, Trace) and not engine.annotating:
-        # A shared engine must annotate if *any* group on it does.
-        engine.annotating = True
+        engine = Engine()
     if rngs is None:
         rngs = RngRegistry(seed=spec.seed)
 

@@ -9,6 +9,10 @@ machine):
 * Python-level calls made inside ``repro.net`` — at most half of what
   the per-frame send path this routine replaced made on the very same
   drive (``PARENT_NET_CALLS``, measured at commit f28252a);
+* Python-level calls made inside ``repro.sim`` — exactly one per FIFO
+  stage (``FifoResource.stage`` charges the resource and pushes the
+  heap entry in one call), so three per remote frame and one per
+  self-addressed frame, plus the run's four entry frames;
 * events pushed on the engine queue — unchanged: three per remote
   frame (sender CPU, medium, receiver CPU + delivery) and one per
   self-addressed frame.  The saving is interpreted work, never events;
@@ -33,6 +37,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 
 _NET_DIR = os.sep + os.path.join("repro", "net") + os.sep
+_SIM_DIR = os.sep + os.path.join("repro", "sim") + os.sep
 
 N = 3
 ROUNDS = 8
@@ -46,8 +51,19 @@ FRAMES = REMOTE_FRAMES + SELF_FRAMES
 #: whose ``send_all`` built a frame and called ``Network.send`` per
 #: destination: 22.2 per remote frame.
 PARENT_NET_CALLS = 1065
-#: ...and now: 10.2 per remote frame.
-NET_CALLS = 489
+#: ...and now: 9.2 per remote frame (the receiver stage no longer
+#: detours through the delivery-coalescing routine when its cost is
+#: positive: a positive cost can never coalesce).
+NET_CALLS = 441
+#: ``repro.sim`` calls this drive made at commit a9e089a, where each
+#: stage was ``FifoResource.occupy`` plus a queue push (399 in all:
+#: 156 + 156, 82 calendar-bucket advances, 1 column growth, 4 run
+#: frames)...
+PARENT_SIM_CALLS = 399
+#: ...and now: one ``FifoResource.stage`` per stage, three per remote
+#: frame and one per self-addressed frame, plus ``run_until_idle`` →
+#: ``run`` → ``drain_until`` → ``drain``.
+SIM_CALLS = 3 * REMOTE_FRAMES + SELF_FRAMES + 4
 #: (src, dst, body) lost to ``LossRule(probability=0.2)`` under
 #: ``RngRegistry(seed=7)`` at the parent commit.
 PARENT_LOST_TO_RULE = [
@@ -83,15 +99,20 @@ def drive(faults=(), arm=None):
         transports[pid] = transport
     if arm is not None:
         arm(network)
-    counts = {"net": 0, "admit": 0}
+    counts = {"net": 0, "admit": 0, "sim": 0}
 
     def hook(frame, event, _arg):
-        if event == "call" and _NET_DIR in frame.f_code.co_filename:
+        if event != "call":
+            return
+        filename = frame.f_code.co_filename
+        if _NET_DIR in filename:
             counts["net"] += 1
             if frame.f_code.co_name == "admit":
                 counts["admit"] += 1
+        elif _SIM_DIR in filename:
+            counts["sim"] += 1
 
-    pushed_before = engine._queue.seq
+    pushed_before = engine.equeue.seq
     sys.setprofile(hook)
     try:
         for round_no in range(ROUNDS):
@@ -110,7 +131,8 @@ def drive(faults=(), arm=None):
         "delivered": delivered,
         "net_calls": counts["net"],
         "admit_calls": counts["admit"],
-        "pushes": engine._queue.seq - pushed_before,
+        "sim_calls": counts["sim"],
+        "pushes": engine.equeue.seq - pushed_before,
     }
 
 
@@ -137,6 +159,11 @@ class TestUnarmedBudget:
         assert len(run["delivered"]) == FRAMES
         assert run["net_calls"] == NET_CALLS
         assert 2 * NET_CALLS <= PARENT_NET_CALLS
+
+    def test_sim_calls_one_per_stage(self):
+        run = drive()
+        assert run["sim_calls"] == SIM_CALLS == 160
+        assert 2 * SIM_CALLS < PARENT_SIM_CALLS
 
     def test_queue_pushes_per_frame_unchanged(self):
         run = drive()

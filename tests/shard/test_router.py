@@ -137,6 +137,40 @@ class TestAdmission:
         assert router.shed[0] == 2
         assert router.pending() == 0
 
+    def test_pending_count_equals_the_in_flight_and_parked_sum(self):
+        """``pending()`` is a running count; after every event of a
+        delay-policy run it must equal the sum it replaced — through
+        parks, retries, completions, deadline sheds and forwards that
+        find every replica of their shard crashed."""
+        service = _service(
+            shards=3, router_capacity=2, admission="delay", retry_delay=1e-3
+        )
+        router = service.router
+        router.deadline = 6e-3  # the last burst's retries run past it
+        for replica in service.groups[2].processes.values():
+            replica.crash()
+        seen = []
+
+        def agrees():
+            expected = sum(len(s) for s in router._inflight) + sum(
+                router._parked
+            )
+            assert router.pending() == expected
+            seen.append(expected)
+            return False
+
+        for i in range(60):  # bursts of ten arrivals, 2 ms apart
+            service.engine.schedule_at(
+                (i // 10) * 2e-3,
+                lambda i=i: router.submit_shard(i % 3, make_payload(8)),
+            )
+        service.engine.run(until=1.0, stop_when=agrees)
+        assert len(seen) > 100 and max(seen) >= 6
+        assert sum(router.delayed) > 0
+        assert router.shed[0] > 0  # deadline sheds
+        assert router.shed[2] == 20 and router.admitted[2] == 0  # no replica
+        assert sum(router._parked) == 0 and router.pending() == 0
+
     def test_completion_measures_sojourn(self):
         service = _service()
         router = service.router

@@ -1,263 +1,305 @@
-"""Equivalence and stress tests for the pluggable event queues.
+"""The event store against a reference model of its contract.
 
-The calendar and columnar queues are only admissible as defaults
-because they are bit-identical to the reference binary heap: same pop
-order, same clock advancement, same ``pending`` accounting, same
-observer notification sequence.  These tests drive all three
-implementations through adversarial schedules — bucket-boundary ties,
-same-tick bursts, far-future timers, mid-run cancellations,
-cancel/re-arm churn, pushes from inside callbacks — and assert the
-sequences match exactly, plus ``from_queue`` migration in every
-direction.  The random cases are seeded (deterministic), not
-property-framework based.
+The contract is one sentence: events fire in ``(time, seq)`` order,
+``seq`` being scheduling order, and a cancelled event never fires.  The
+reference model below states exactly that — a sorted list of
+``(time, seq)`` keys — and every test drives the real store (the
+binary heap of ``repro.sim.equeue``) and the model through the same
+seeded adversarial workload: same-tick bursts, exact ties, dense and
+far-future times, cancellation and re-arming from inside callbacks,
+fire-and-forget entries mixed with cancelable handles, and runs cut at
+several horizons.  Any ordering bug desynchronises the shared RNG and
+shows up as a diverging log.
 """
 
 import random
+from bisect import insort
 
 import pytest
 
 from repro.sim.engine import Engine, Scheduler
 from repro.sim.equeue import (
-    EQUEUES,
-    BinaryHeapQueue,
-    CalendarQueue,
-    ColumnarQueue,
+    CANCELLED,
+    FINISHED,
+    PENDING,
+    EventHandle,
     EventQueue,
-    make_equeue,
 )
 
-WIDTH = CalendarQueue.DEFAULT_WIDTH
-KINDS = ("heap", "calendar", "columnar")
+TICK = 32e-6
+HORIZONS = (0.7, 2.5, 5.0)
 
 
-def drive(engine: Engine, seed: int, initial: int = 60) -> list[tuple]:
-    """Run a seeded adversarial workload; return the firing log.
+class Reference:
+    """The contract and nothing else: a sorted list of (time, seq)."""
 
-    Callbacks re-schedule with deltas drawn to stress every queue edge:
-    zero delays (same-tick bursts), exact bucket-width multiples
-    (boundary ties), sub-width dense gaps, and far-future jumps.  Some
-    callbacks cancel a random pending handle.  Both engines replay the
-    same seed; identical logs mean identical execution order (any
-    ordering bug desynchronises the RNG draws and shows up loudly).
-    """
+    def __init__(self):
+        self.keys: list[tuple[float, int]] = []
+        self.events: dict[tuple[float, int], tuple] = {}
+        self.seq = 0
+        self.now = 0.0
+        self.pushed: list[tuple[float, int]] = []
+        self.cancelled: list[tuple[float, int]] = []
+
+    def schedule_at(self, time, fn, *args):
+        self.seq += 1
+        key = (time, self.seq)
+        insort(self.keys, key)
+        self.events[key] = (fn, args)
+        self.pushed.append(key)
+        return key
+
+    push_entry = schedule_at
+
+    def cancel(self, key):
+        if key in self.events:
+            self.keys.remove(key)
+            del self.events[key]
+            self.cancelled.append(key)
+
+    def run(self, until):
+        while self.keys and self.keys[0][0] <= until:
+            key = self.keys.pop(0)
+            fn, args = self.events.pop(key)
+            self.now = key[0]
+            fn(*args)
+        self.now = max(self.now, until)
+
+    def pending(self):
+        return len(self.keys)
+
+
+class Real:
+    """The same surface over an :class:`Engine`."""
+
+    def __init__(self):
+        self.engine = Engine()
+
+    @property
+    def now(self):
+        return self.engine.now
+
+    def schedule_at(self, time, fn, *args):
+        return self.engine.schedule_at(time, fn, *args)
+
+    def push_entry(self, time, fn, *args):
+        return self.engine.equeue.push_entry(time, fn, args)
+
+    def cancel(self, handle):
+        handle.cancel()
+
+    def run(self, until):
+        self.engine.run(until=until, max_events=200_000)
+
+    def pending(self):
+        return self.engine.pending()
+
+
+def adversarial(api, seed, initial=60, plain_share=0.4, midway=None):
+    """Seeded workload; returns the firing log and the pending trail.
+
+    ``plain_share`` of the callbacks' pushes are fire-and-forget
+    entries; ``midway`` runs between the first two horizons."""
     rng = random.Random(seed)
     log: list[tuple] = []
     handles: list = []
     counter = [0]
 
-    def deltas():
+    def delta():
         roll = rng.random()
         if roll < 0.25:
-            return 0.0                                  # same-tick burst
+            return 0.0                            # same-tick burst
         if roll < 0.45:
-            return WIDTH * rng.randint(1, 4)            # boundary ties
+            return TICK * rng.randint(1, 4)       # exact ties across pushes
         if roll < 0.65:
-            return rng.uniform(0.0, WIDTH)              # dense, sub-bucket
+            return rng.uniform(0.0, TICK)         # dense
         if roll < 0.85:
-            return rng.uniform(0.0, 50 * WIDTH)
-        return rng.uniform(0.5, 2.0)                    # far-future timer
+            return rng.uniform(0.0, 50 * TICK)
+        return rng.uniform(0.5, 2.0)              # far-future timer
 
     def fire(label):
-        log.append((round(engine.now, 12), label))
+        log.append((round(api.now, 12), label, api.pending()))
         for _ in range(rng.randint(0, 2)):
             counter[0] += 1
-            handles.append(
-                engine.schedule(deltas(), fire, counter[0])
-            )
+            if rng.random() < plain_share:
+                # Fire-and-forget: never cancelled, no handle kept.
+                api.push_entry(api.now + delta(), fire, counter[0])
+            else:
+                handles.append(
+                    api.schedule_at(api.now + delta(), fire, counter[0])
+                )
         if handles and rng.random() < 0.2:
-            victim = handles.pop(rng.randrange(len(handles)))
-            victim.cancel()
+            api.cancel(handles.pop(rng.randrange(len(handles))))
 
-    for i in range(initial):
+    for _ in range(initial):
         counter[0] += 1
-        handles.append(engine.schedule_at(deltas(), fire, counter[0]))
-    engine.run(until=5.0, max_events=200_000)
-    return log
+        handles.append(api.schedule_at(delta(), fire, counter[0]))
+    trail = []
+    for until in HORIZONS:
+        api.run(until)
+        trail.append((api.now, api.pending()))
+        if midway is not None and until == HORIZONS[0]:
+            midway(api)
+    return log, trail
 
 
-class TestThreeWayEquivalence:
+class TestAgainstReference:
+    @pytest.mark.parametrize("plain_share", [0.0, 0.4, 0.9])
     @pytest.mark.parametrize("seed", range(10))
-    def test_adversarial_schedules_fire_identically(self, seed):
-        log_heap = drive(Engine(equeue="heap"), seed)
-        log_cal = drive(Engine(equeue="calendar"), seed)
-        log_col = drive(Engine(equeue="columnar"), seed)
-        assert log_heap == log_cal == log_col
-        assert len(log_heap) > 100  # the workload actually ran
-
-    @pytest.mark.parametrize("width", [1e-7, WIDTH, 1e-3, 10.0])
-    def test_equivalence_is_width_independent(self, width):
-        log_heap = drive(Engine(equeue="heap"), seed=99)
-        log_cal = drive(Engine(equeue=CalendarQueue(width=width)), seed=99)
-        log_col = drive(Engine(equeue=ColumnarQueue(width=width)), seed=99)
-        assert log_heap == log_cal == log_col
+    def test_adversarial_schedules_fire_in_reference_order(
+        self, seed, plain_share
+    ):
+        """All-handle, mixed and mostly-bare heaps."""
+        log, trail = adversarial(Real(), seed, plain_share=plain_share)
+        ref_log, ref_trail = adversarial(
+            Reference(), seed, plain_share=plain_share
+        )
+        assert log == ref_log
+        assert trail == ref_trail
+        assert len(log) > 100  # the workload actually ran
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_cancel_rearm_churn_fires_identically(self, seed):
-        """Failure-detector-style churn: callbacks keep cancelling live
-        timers and re-arming them, so storage constantly holds a large
-        tombstone fraction and recycled slots get reused mid-run."""
+    def test_scheduler_installed_mid_run_keeps_reference_order(self, seed):
+        """Promotion of the pending bare entries, then the controlled
+        loop (consulted at every step) over the rest of the workload."""
 
-        def churn(kind: str) -> list[tuple]:
+        def install(api):
+            api.engine.install_scheduler(_Consulted())
+
+        log, trail = adversarial(Real(), seed, midway=install)
+        assert (log, trail) == adversarial(Reference(), seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cancel_rearm_churn_fires_in_reference_order(self, seed):
+        """Failure-detector-style churn: callbacks keep cancelling live
+        timers and re-arming them, so the heap constantly carries a
+        large tombstone fraction and compacts mid-drain."""
+
+        def churn(api):
             rng = random.Random(seed)
-            engine = Engine(equeue=kind)
             log: list[tuple] = []
             pool: list = []
 
             def tick(n):
-                log.append((round(engine.now, 12), n))
-                replace = n < 3000
+                log.append((round(api.now, 12), n))
                 for _ in range(min(3, len(pool))):
-                    victim = pool.pop(rng.randrange(len(pool)))
-                    if victim.state == 0:
-                        victim.cancel()
-                    if replace:
-                        pool.append(
-                            engine.schedule(
-                                rng.uniform(0.0, 4 * WIDTH), tick, n + 7
-                            )
-                        )
+                    api.cancel(pool.pop(rng.randrange(len(pool))))
+                    if n < 3000:
+                        pool.append(api.schedule_at(
+                            api.now + rng.uniform(0.0, 4 * TICK), tick, n + 7
+                        ))
 
             for i in range(30):
-                pool.append(
-                    engine.schedule_at(rng.uniform(0.0, WIDTH), tick, i)
-                )
-            engine.run(until=1.0, max_events=100_000)
-            return log
+                pool.append(api.schedule_at(rng.uniform(0.0, TICK), tick, i))
+            api.run(1.0)
+            return log, api.pending()
 
-        logs = [churn(kind) for kind in KINDS]
-        assert logs[0] == logs[1] == logs[2]
-        assert len(logs[0]) > 200
+        assert churn(Real()) == churn(Reference())
+        assert len(churn(Reference())[0]) > 200
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_observer_seam_sequence_identical(self, seed):
-        """The ``on_push``/``on_cancel`` notification sequence — what
-        the explorer's incremental fingerprint tracker consumes — must
-        be the same events in the same order on every storage."""
+    def test_observer_sees_pushes_and_cancels_in_reference_order(self, seed):
+        """The ``on_push``/``on_cancel`` stream — what the explorer's
+        fingerprint tracker and the queue telemetry consume."""
 
         class Recorder:
             def __init__(self):
-                self.events: list[tuple] = []
+                self.pushed: list[tuple[float, int]] = []
+                self.cancelled: list[tuple[float, int]] = []
 
-            def on_push(self, record):
-                self.events.append(
-                    ("push", round(record.time, 12), record.seq)
-                )
+            def on_push(self, entry):
+                self.pushed.append((entry[0], entry[1]))
 
-            def on_cancel(self, record):
-                self.events.append(
-                    ("cancel", round(record.time, 12), record.seq)
-                )
+            def on_cancel(self, entry):
+                self.cancelled.append((entry[0], entry[1]))
 
-        def observed(kind: str) -> list[tuple]:
-            engine = Engine(equeue=kind)
-            recorder = Recorder()
-            engine.equeue.observer = recorder
-            drive(engine, seed, initial=40)
-            return recorder.events
-
-        seqs = [observed(kind) for kind in KINDS]
-        assert seqs[0] == seqs[1] == seqs[2]
-        assert any(kind == "cancel" for kind, *_ in seqs[0])
+        real = Real()
+        recorder = real.engine.equeue.observer = Recorder()
+        adversarial(real, seed, initial=40)
+        reference = Reference()
+        adversarial(reference, seed, initial=40)
+        assert recorder.pushed == reference.pushed
+        assert recorder.cancelled == reference.cancelled
+        assert recorder.cancelled
 
     def test_exact_tie_fifo_order(self):
-        """Ties — including across a bucket boundary value — fire in
-        scheduling order, on both queues."""
-        times = [3 * WIDTH, 0.0, 3 * WIDTH, WIDTH, 3 * WIDTH, 0.0, 7.0, WIDTH]
-        for kind in EQUEUES:
-            engine = Engine(equeue=kind)
-            fired = []
-            for i, t in enumerate(times):
+        times = [3 * TICK, 0.0, 3 * TICK, TICK, 3 * TICK, 0.0, 7.0, TICK]
+        engine = Engine()
+        fired = []
+        for i, t in enumerate(times):
+            if i % 2:
+                engine.equeue.push_entry(t, fired.append, ((t, i),))
+            else:
                 engine.schedule_at(t, fired.append, (t, i))
-            engine.run_until_idle()
-            assert fired == sorted(
-                ((t, i) for i, t in enumerate(times))
-            ), f"wrong tie order on {kind!r}"
-
-    def test_pending_and_now_agree(self):
-        engines = {kind: Engine(equeue=kind) for kind in EQUEUES}
-        for engine in engines.values():
-            for i in range(50):
-                engine.schedule_at(i * 0.37 * WIDTH, lambda: None)
-            engine.run(until=8 * WIDTH)
-        nows = {e.now for e in engines.values()}
-        pendings = {e.pending() for e in engines.values()}
-        counts = {e.events_executed for e in engines.values()}
-        assert len(nows) == len(pendings) == len(counts) == 1
+        engine.run_until_idle()
+        assert fired == sorted((t, i) for i, t in enumerate(times))
 
 
-class TestSparseAdaptation:
-    @pytest.mark.parametrize("kind", ["calendar", "columnar"])
-    def test_long_sparse_timer_chain_loses_nothing(self, kind):
-        """>WINDOW singleton buckets trigger the width rebuild; every
-        event must survive it (regression: the rebuild used to drop the
-        bucket being swapped in)."""
-        engine = Engine(equeue=kind)
+class TestEntries:
+    def test_fire_and_forget_entry_is_one_bare_list(self):
+        engine = Engine()
+        entry = engine.equeue.push_entry(0.5, print, ("x",))
+        assert type(entry) is list
+        assert entry == [0.5, 1, print, ("x",), PENDING]
+
+    def test_handle_is_its_heap_entry(self):
+        engine = Engine()
+        handle = engine.schedule(0.25, print, "x")
+        assert engine.equeue.entries == [handle]
+        assert (handle.time, handle.seq, handle.fn, handle.args) == (
+            0.25, 1, print, ("x",),
+        )
+        assert handle.state == PENDING
+        assert getattr(handle, "info", None) is None
+        assert handle.annotate("note") is handle and handle.info == "note"
+
+    def test_handles_hash_by_identity(self):
+        # The explorer keys dicts and sets on handles.
+        engine = Engine()
+        a = engine.schedule_at(0.1, print)
+        b = engine.schedule_at(0.1, print)
+        assert len({a: 1, b: 2}) == 2 and a != b
+        assert {a} == {a} and b not in {a}
+
+    def test_lifecycle_states(self):
+        engine = Engine()
+        fired = engine.schedule(0.1, lambda: None)
+        dropped = engine.schedule(0.2, lambda: None)
+        dropped.cancel()
+        dropped.cancel()  # idempotent
+        assert engine.pending() == 1
+        engine.run_until_idle()
+        assert fired.state == FINISHED and fired.finished
+        assert dropped.state == CANCELLED and dropped.cancelled
+        fired.cancel()  # nothing left to prevent
+        assert fired.finished and engine.pending() == 0
+
+    def test_pending_entries_lists_every_stored_entry(self):
+        engine = Engine()
+        bare = engine.equeue.push_entry(0.2, print, ())
+        handle = engine.schedule_at(0.1, print)
+        dead = engine.schedule_at(0.3, print)
+        dead.cancel()  # a tombstone, still stored
+        assert sorted(
+            (t, s, id(e)) for t, s, e in engine.pending_entries()
+        ) == [(0.1, 2, id(handle)), (0.2, 1, id(bare)), (0.3, 3, id(dead))]
+
+    def test_entry_not_yet_due_stays_for_the_next_run(self):
+        engine = Engine()
         fired = []
-        n = 3 * CalendarQueue._WINDOW
-        for i in range(n):
-            # ~31 bucket-widths apart: every bucket is a singleton.
-            engine.schedule_at(i * 1e-3, fired.append, i)
+        engine.equeue.push_entry(2.0, fired.append, ("late",))
+        assert engine.run(until=1.0) == 1.0
+        assert fired == [] and engine.pending() == 1
         engine.run_until_idle()
-        assert fired == list(range(n))
-        assert engine.pending() == 0
-        queue = engine.equeue
-        assert queue._width > CalendarQueue.DEFAULT_WIDTH  # it adapted
-
-    def test_mixed_sparse_then_dense(self):
-        logs = []
-        for kind in KINDS:
-            log: list = []
-            engine = Engine(equeue=kind)
-
-            def burst(t, log=log, engine=engine):
-                log.append(round(engine.now, 12))
-                for k in range(5):
-                    engine.schedule(k * (WIDTH / 7), log.append, engine.now)
-
-            for i in range(1200):
-                engine.schedule_at(i * 2e-3, burst, i)
-            engine.run_until_idle()
-            logs.append(log)
-        assert logs[0] == logs[1] == logs[2]
-
-    @pytest.mark.parametrize("kind", ["calendar", "columnar"])
-    def test_width_shrinks_back_when_traffic_reconcentrates(self, kind):
-        """Regression for the width ratchet: a sparse burst used to
-        grow bucket widths permanently ("widths never shrink", PR 6
-        notes), so dense traffic after a sparse phase paid long
-        same-bucket scans forever.  The adaptation must now shrink
-        widths back once the sampled density re-concentrates."""
-        engine = Engine(equeue=kind)
-        queue = engine.equeue
-        width0 = queue._width
-        # Phase 1 — sparse singleton buckets: widths grow.
-        n_sparse = 2 * CalendarQueue._WINDOW
-        for i in range(n_sparse):
-            engine.schedule_at(i * 1e-3, lambda: None)
-        engine.run_until_idle()
-        grown = queue._width
-        assert grown > width0
-        # Phase 2 — dense traffic: ~100 events per *grown* bucket for
-        # more than an adaptation window's worth of buckets.
-        fired = []
-        base = engine.now
-        spacing = grown / 100
-        n_dense = (CalendarQueue._WINDOW + 8) * 100
-        for i in range(n_dense):
-            engine.schedule_at(base + i * spacing, fired.append, i)
-        engine.run_until_idle()
-        assert fired == list(range(n_dense))  # nothing lost in rebuilds
-        assert queue._width < grown  # the ratchet released
-        assert queue._width >= width0  # but never below the floor
+        assert fired == ["late"] and engine.now == 2.0
 
 
 class TestCancellationAndCompaction:
-    @pytest.mark.parametrize("kind", sorted(EQUEUES))
-    def test_mass_cancel_compacts_storage(self, kind):
-        engine = Engine(equeue=kind)
+    def test_mass_cancel_compacts_storage(self):
+        engine = Engine()
         keep = []
         handles = [
-            engine.schedule_at(i * WIDTH / 3, keep.append, i)
+            engine.schedule_at(i * TICK / 3, keep.append, i)
             for i in range(10_000)
         ]
         for h in handles[:9_000]:
@@ -265,14 +307,13 @@ class TestCancellationAndCompaction:
         assert engine.pending() == 1_000
         # Tombstones must not linger once they dominate: storage shrank
         # well below the 10k scheduled.
-        assert engine.equeue._stored() < 2_500
+        assert len(engine.equeue.entries) < 2_500
         engine.run_until_idle()
         assert keep == list(range(9_000, 10_000))
         assert engine.pending() == 0
 
-    @pytest.mark.parametrize("kind", sorted(EQUEUES))
-    def test_cancel_from_inside_callback_mid_drain(self, kind):
-        engine = Engine(equeue=kind)
+    def test_cancel_from_inside_callback_mid_drain(self):
+        engine = Engine()
         fired = []
         handles = []
 
@@ -285,10 +326,10 @@ class TestCancellationAndCompaction:
 
         engine.schedule_at(0.0, killer)
         handles.extend(
-            engine.schedule_at(WIDTH * (1 + i % 5), fired.append, i)
+            engine.schedule_at(TICK * (1 + i % 5), fired.append, i)
             for i in range(500)
         )
-        survivor = engine.schedule_at(WIDTH * 10, fired.append, "survivor")
+        survivor = engine.schedule_at(TICK * 10, fired.append, "survivor")
         engine.run_until_idle()
         assert fired == ["killer", "survivor"]
         assert engine.pending() == 0
@@ -296,8 +337,8 @@ class TestCancellationAndCompaction:
 
     def test_pending_is_o1_counter(self, monkeypatch):
         # Not a timing assertion: just that pending() answers without
-        # touching storage internals (monkeypatch snapshot to explode;
-        # the queue classes carry __slots__, so patch the class).
+        # touching the heap (the store carries __slots__, so patch the
+        # class).
         engine = Engine()
         for i in range(100):
             engine.schedule(i * 1e-3, lambda: None)
@@ -305,142 +346,74 @@ class TestCancellationAndCompaction:
         def boom(self):  # pragma: no cover - must not run
             raise AssertionError("pending() scanned the storage")
 
-        monkeypatch.setattr(type(engine.equeue), "snapshot", boom)
+        monkeypatch.setattr(EventQueue, "snapshot", boom)
         assert engine.pending() == 100
 
 
 class _Consulted(Scheduler):
-    """Overrides ``decide`` (same answers), so it must be consulted —
-    installing it migrates the engine onto the heap."""
+    """Overrides ``decide`` (same answers), so it must be consulted."""
 
     def decide(self, now, ready):
         return super().decide(now, ready)
 
 
-class TestMigration:
-    def test_install_scheduler_migrates_to_heap_and_back(self):
-        engine = Engine()
-        assert engine.equeue.kind == "columnar"
-        fired = []
-        for i in range(20):
-            engine.schedule_at(i * 0.4 * WIDTH, fired.append, i)
-        engine.schedule_at(0.2 * WIDTH, fired.append, "tie-breaker")
-        engine.install_scheduler(_Consulted())
-        assert engine.equeue.kind == "heap"
-        assert engine.pending() == 21
-        engine.install_scheduler(None)
-        assert engine.equeue.kind == "columnar"
-        engine.run_until_idle()
-        assert fired == [0, "tie-breaker"] + list(range(1, 20))
-
-    def test_removal_migrates_back_to_the_constructed_kind(self):
-        # The migrate-back target is the storage the engine was built
-        # with, not a hard-coded kind.
-        engine = Engine(equeue="calendar")
-        engine.install_scheduler(_Consulted())
-        assert engine.equeue.kind == "heap"
-        engine.install_scheduler(None)
-        assert engine.equeue.kind == "calendar"
-
-    def test_pure_default_scheduler_skips_the_migration(self):
-        # A scheduler that overrides neither decide nor wants can only
-        # ever answer (FIRE, 0): run() serves it through the storage's
-        # own drain loop, so there is nothing to migrate for.
+class TestInstallScheduler:
+    def test_plain_entries_become_handles_with_the_same_keys(self):
         engine = Engine()
         fired = []
         for i in range(20):
-            engine.schedule_at(i * 0.4 * WIDTH, fired.append, i)
-        engine.schedule_at(0.2 * WIDTH, fired.append, "tie-breaker")
-        engine.install_scheduler(Scheduler())
-        assert engine.equeue.kind == "columnar"
+            engine.equeue.push_entry(i * 0.4 * TICK, fired.append, (i,))
+        early = engine.schedule_at(0.2 * TICK, fired.append, "tie-breaker")
+        doomed = engine.schedule_at(0.3 * TICK, fired.append, "doomed")
+        keys = sorted((e[0], e[1]) for e in engine.equeue.entries)
+        engine.install_scheduler(_Consulted())
+        entries = engine.equeue.entries
+        assert all(type(e) is EventHandle for e in entries)
+        assert sorted((e.time, e.seq) for e in entries) == keys
+        assert early in entries  # handles are kept, not copied
+        assert engine.annotating and engine.pending() == 22
+        doomed.cancel()  # a pre-install handle still cancels
         engine.run_until_idle()
         assert fired == [0, "tie-breaker"] + list(range(1, 20))
-
-    @pytest.mark.parametrize("src", KINDS)
-    @pytest.mark.parametrize("dst", KINDS)
-    def test_from_queue_every_direction(self, src, dst):
-        """All six cross-kind migrations (plus the three identity
-        ones): pending set, tombstones, seq, FIFO ties and the ability
-        to cancel through pre-migration handles must all survive."""
-        engine = Engine(equeue=src)
-        fired = []
-        handles = [
-            engine.schedule_at((i % 7) * WIDTH, fired.append, i)
-            for i in range(40)
-        ]
-        handles[5].cancel()
-        engine._migrate(EQUEUES[dst])
-        assert engine.equeue.kind == dst
-        assert engine.pending() == 39
-        # A handle issued by the *source* queue must still cancel
-        # cleanly on the destination queue.
-        handles[7].cancel()
-        # And a post-migration same-time push must tie-break after the
-        # migrated entries (seq carried over).
-        engine.schedule_at(0.0, fired.append, "post")
-        engine.run_until_idle()
-        expected = sorted(
-            (i for i in range(40) if i not in (5, 7)),
-            key=lambda i: (i % 7, i),
-        )
-        expected.insert(
-            sum(1 for i in range(40) if i % 7 == 0 and i not in (5, 7)),
-            "post",
-        )
-        assert fired == expected
         assert engine.pending() == 0
 
-    def test_migration_carries_seq_so_later_ties_stay_fifo(self):
+    def test_later_pushes_keep_fifo_ties(self):
         engine = Engine()
         fired = []
-        engine.schedule_at(WIDTH, fired.append, "pre")
+        engine.equeue.push_entry(TICK, fired.append, ("pre",))
         engine.install_scheduler(_Consulted())
-        assert engine.equeue.kind == "heap"
-        engine.schedule_at(WIDTH, fired.append, "post")  # same-time tie
+        engine.schedule_at(TICK, fired.append, "post")  # same-time tie
         engine.run_until_idle()
         assert fired == ["pre", "post"]
 
-    def test_controlled_run_on_calendar_built_engine(self):
-        engine = Engine(equeue="calendar")
+    def test_bounded_defer_rekeys_the_entry_behind_its_new_time(self):
+        class DeferFirst(Scheduler):
+            defer_delay = 0.5
+            done = False
+
+            def decide(self, now, ready):
+                if not self.done:
+                    self.done = True
+                    return ("defer", 0)
+                return ("fire", 0)
+
+        engine = Engine()
+        engine.install_scheduler(DeferFirst())
+        fired = []
+        a = engine.schedule_at(0.1, fired.append, "a")
+        engine.schedule_at(0.1, fired.append, "b")
+        engine.schedule_at(0.6, fired.append, "c")
+        engine.equeue.push_entry(0.6, fired.append, ("d",))
+        engine.run_until_idle()
+        # Re-keyed (0.6, 5): behind everything already due at 0.6.
+        assert fired == ["b", "c", "d", "a"]
+        assert (a.time, a.seq) == (0.6, 5) and a.finished
+
+    def test_passive_scheduler_runs_on_the_drain(self):
+        engine = Engine()
         fired = []
         for i in range(30):
-            engine.schedule_at((i % 6) * WIDTH, fired.append, i)
+            engine.equeue.push_entry((i % 6) * TICK, fired.append, (i,))
         engine.install_scheduler(Scheduler())  # always (FIRE, 0)
         engine.run_until_idle()
-        reference = sorted(range(30), key=lambda i: ((i % 6), i))
-        assert fired == reference
-
-
-class TestRegistry:
-    def test_kinds(self):
-        assert set(EQUEUES) == {"heap", "calendar", "columnar"}
-        assert isinstance(make_equeue("heap"), BinaryHeapQueue)
-        assert isinstance(make_equeue("calendar"), CalendarQueue)
-        assert isinstance(make_equeue("columnar"), ColumnarQueue)
-
-    def test_instance_passthrough(self):
-        queue = CalendarQueue(width=1e-3)
-        assert make_equeue(queue) is queue
-        assert Engine(equeue=queue).equeue is queue
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown event queue"):
-            make_equeue("fibonacci")
-
-    def test_bad_width_raises(self):
-        with pytest.raises(ValueError, match="width"):
-            CalendarQueue(width=0.0)
-        with pytest.raises(ValueError, match="width"):
-            ColumnarQueue(width=-1.0)
-
-    def test_abstract_interface(self):
-        base = EventQueue()
-        for call in (
-            lambda: base.push(0.0, print, ()),
-            lambda: base.drain(None, None, None, None),
-            base.snapshot,
-            base._stored,
-            base._compact,
-        ):
-            with pytest.raises(NotImplementedError):
-                call()
+        assert fired == sorted(range(30), key=lambda i: (i % 6, i))

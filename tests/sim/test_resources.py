@@ -84,3 +84,55 @@ class TestFifoResource:
         engine.run_until_idle()
         assert cpu.jobs_served == 2
         assert cpu.busy_time == pytest.approx(0.3)
+
+
+class TestStage:
+    """``stage`` is ``occupy`` with a callback, in one call."""
+
+    def test_stage_matches_occupy_job_for_job(self):
+        jobs = [(0.3, 0.0), (0.1, 0.05), (0.0, 0.2), (0.25, 1.0)]
+
+        def drive(submit):
+            engine = Engine()
+            cpu = FifoResource(engine, "cpu")
+            done = []
+            for i, (duration, at) in enumerate(jobs):
+                engine.schedule_at(
+                    at, lambda d=duration, i=i: done.append(
+                        (i, submit(cpu, d, lambda i=i: done.append(
+                            ("fired", i, engine.now)
+                        )))
+                    )
+                )
+            engine.run_until_idle()
+            return done, cpu.busy_time, cpu.jobs_served, engine.equeue.seq
+
+        staged = drive(lambda cpu, d, then: cpu.stage(d, then, ()))
+        occupied = drive(lambda cpu, d, then: cpu.occupy(d, then))
+        assert staged == occupied
+
+    def test_completion_is_a_bare_entry_unless_annotating(self):
+        engine = Engine()
+        cpu = FifoResource(engine, "cpu.p1")
+        assert cpu.stage(0.5, print, ("x",)) == 0.5
+        (entry,) = engine.equeue.entries
+        assert type(entry) is list and entry[:4] == [0.5, 1, print, ("x",)]
+
+        engine = Engine(annotating=True)
+        cpu = FifoResource(engine, "cpu.p1")
+        cpu.stage(0.5, print, ("x",))
+        (handle,) = engine.equeue.entries
+        assert handle.info == ("resource", "cpu.p1")
+        assert (handle.time, handle.fn, handle.args) == (0.5, print, ("x",))
+
+    def test_stage_notifies_the_queue_observer(self):
+        class Count:
+            pushes = 0
+
+            def on_push(self, entry):
+                Count.pushes += 1
+
+        engine = Engine()
+        engine.equeue.observer = Count()
+        FifoResource(engine, "cpu").stage(0.1, print, ())
+        assert Count.pushes == 1

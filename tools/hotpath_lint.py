@@ -5,17 +5,18 @@ The event core and the frame path hold their per-event cost down by
 three disciplines that nothing in the type system enforces:
 
 * **no instance dicts** — every class in the hot modules
-  (``sim/equeue.py``, ``sim/engine.py``, ``net/frame.py``) declares
-  ``__slots__`` (directly or via ``@dataclass(slots=True)``), so
-  attribute access compiles to fixed-offset loads and no per-instance
-  ``__dict__`` is allocated;
-* **no reflective dispatch in the fused drain** — the drain loops
-  (``EventQueue.drain`` implementations and ``Engine.drain_until``)
-  bind their columns to locals once and never call ``getattr`` or
-  build a dict literal per event;
+  (``sim/equeue.py``, ``sim/engine.py``, ``sim/resources.py``,
+  ``net/frame.py``) declares ``__slots__`` (directly or via
+  ``@dataclass(slots=True)``), so attribute access compiles to
+  fixed-offset loads and no per-instance ``__dict__`` is allocated;
+* **no reflective dispatch in the fused drain** — the drain loop
+  (``EventQueue.drain``, entered through ``Engine.drain_until``) binds
+  the heap to a local once and never calls ``getattr`` or builds a
+  dict literal per event;
 * **a bare frame path** — the network's one send routine
   (``Network.multicast``) and the contention model's three stage
-  callbacks run once per frame and do arithmetic plus one ``occupy``:
+  callbacks run once per frame and do arithmetic plus one
+  ``FifoResource.stage``:
   no ``getattr``, no dict/list literal, no call on the topology at all
   (segments are a table built on attach) and no call on the fault
   pipeline except under an ``armed`` / ``has_delay`` guard.
@@ -50,12 +51,13 @@ from pathlib import Path
 SLOTTED_MODULES = (
     "repro.sim.equeue",
     "repro.sim.engine",
+    "repro.sim.resources",
     "repro.net.frame",
     "repro.obs.telemetry",
 )
 
 #: (module, method) bodies that must stay free of ``getattr`` calls
-#: and dict-literal allocations: the fused drain loops.
+#: and dict-literal allocations: the fused drain loop.
 DRAIN_METHODS = (
     ("repro.sim.equeue", "drain"),
     ("repro.sim.engine", "drain_until"),
@@ -87,8 +89,9 @@ OBSERVER_HOOKS = frozenset(
 OBSERVER_METHODS = (
     ("repro.sim.equeue", "drain"),
     ("repro.sim.equeue", "push"),
-    ("repro.sim.equeue", "push_slot"),
+    ("repro.sim.equeue", "push_entry"),
     ("repro.sim.equeue", "note_cancel"),
+    ("repro.sim.resources", "stage"),
     ("repro.sim.engine", "drain_until"),
     ("repro.sim.engine", "_run_controlled"),
     ("repro.sim.engine", "_release_blocked"),
