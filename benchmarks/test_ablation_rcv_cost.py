@@ -44,12 +44,16 @@ def test_rcv_cost_sweep(benchmark):
         }
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    benchmark.extra_info["latency_ms"] = {
-        variant: {f"{c * 1e6:.0f}us": round(r.mean_latency_ms, 3) for c, r in by_cost.items()}
+    latency = {
+        variant: {c: r.metric("latency")["mean_ms"] for c, r in by_cost.items()}
         for variant, by_cost in results.items()
     }
-    indirect = {c: r.mean_latency_ms for c, r in results["indirect"].items()}
-    faulty = {c: r.mean_latency_ms for c, r in results["faulty"].items()}
+    benchmark.extra_info["latency_ms"] = {
+        variant: {f"{c * 1e6:.0f}us": round(ms, 3) for c, ms in by_cost.items()}
+        for variant, by_cost in latency.items()
+    }
+    indirect = latency["indirect"]
+    faulty = latency["faulty"]
 
     # The faulty stack never calls rcv: its latency is cost-independent.
     assert abs(faulty[0.0] - faulty[100e-6]) / faulty[0.0] < 0.02

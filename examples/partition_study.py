@@ -67,9 +67,10 @@ def main() -> None:
           f"{'sent':>5} {'undelivered':>11}")
     for spec, result in suite.pairs():
         scenario = spec.name.split("/", 1)[1].split(" n=", 1)[0]
+        latency = result.metric("latency")
         print(
-            f"{scenario:<28} {result.mean_latency_ms:>10.3f} "
-            f"{result.latency.stats.p90 * 1e3:>8.3f} "
+            f"{scenario:<28} {latency['mean_ms']:>10.3f} "
+            f"{latency['p90_ms']:>8.3f} "
             f"{result.sent:>5} {result.undelivered:>11}"
         )
     print(

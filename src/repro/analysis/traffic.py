@@ -6,36 +6,36 @@ payload frames) versus protocol **control** (consensus rounds, acks,
 decisions, heartbeats).  This is where the O(n) vs O(n^2) broadcast
 difference and the messages-vs-identifiers consensus difference become
 countable facts rather than asymptotic claims.
+
+The counters and the data-versus-control rule
+(:func:`~repro.metrics.probes.is_data_kind`) belong to the traffic
+probe; :class:`TrafficBreakdown` is a view over its value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.metrics.probes import MetricValue, TrafficProbe, is_data_kind
 from repro.net.models import Network
-
-#: Frame-kind prefixes considered bulk data diffusion.
-DATA_PREFIXES = ("rb1.", "rb2.", "urb.")
 
 
 @dataclass(frozen=True)
 class TrafficBreakdown:
-    """Frames/bytes split by layer and by data-vs-control.
+    """Frames/bytes split by frame kind and by data-vs-control.
 
-    Constructible from a live :class:`~repro.net.models.Network`
-    (:func:`traffic_breakdown`) or — since the traffic probe records the
-    same counters into every result — from a (possibly cached)
-    :class:`~repro.harness.experiment.ExperimentResult` via
-    :meth:`from_result`, so post-hoc analysis never needs to re-run the
-    simulation.
+    A view over one ``"traffic"`` probe value: read off a (possibly
+    cached) :class:`~repro.harness.experiment.ExperimentResult` via
+    :meth:`from_result`, or computed from a live network by
+    :func:`traffic_breakdown` — so post-hoc analysis never needs to
+    re-run the simulation.
     """
 
-    frames_by_kind: dict[str, int] = field(default_factory=dict)
-    bytes_by_kind: dict[str, int] = field(default_factory=dict)
+    value: MetricValue
 
     @classmethod
     def from_result(cls, result) -> "TrafficBreakdown":
-        """Rebuild the per-kind counters from a result's traffic probe.
+        """The view over a result's traffic probe.
 
         Args:
             result: An :class:`~repro.harness.experiment.ExperimentResult`
@@ -43,21 +43,27 @@ class TrafficBreakdown:
                 default set) — fresh from ``run_experiment`` or loaded
                 from the on-disk sweep cache.
         """
-        value = result.metric("traffic")
-        frames: dict[str, int] = {}
-        sizes: dict[str, int] = {}
-        for name, number in value.fields:
-            if name.startswith("frames."):
-                frames[name[len("frames."):]] = int(number)
-            elif name.startswith("bytes."):
-                sizes[name[len("bytes."):]] = int(number)
-        return cls(frames_by_kind=frames, bytes_by_kind=sizes)
+        return cls(result.metric("traffic"))
+
+    def _by_kind(self, prefix: str) -> dict[str, int]:
+        return {
+            name[len(prefix):]: int(number)
+            for name, number in self.value.fields
+            if name.startswith(prefix)
+        }
+
+    @property
+    def frames_by_kind(self) -> dict[str, int]:
+        return self._by_kind("frames.")
+
+    @property
+    def bytes_by_kind(self) -> dict[str, int]:
+        return self._by_kind("bytes.")
 
     @property
     def data_frames(self) -> int:
         return sum(
-            n for kind, n in self.frames_by_kind.items()
-            if kind.startswith(DATA_PREFIXES)
+            n for kind, n in self.frames_by_kind.items() if is_data_kind(kind)
         )
 
     @property
@@ -66,22 +72,19 @@ class TrafficBreakdown:
 
     @property
     def data_bytes(self) -> int:
-        return sum(
-            n for kind, n in self.bytes_by_kind.items()
-            if kind.startswith(DATA_PREFIXES)
-        )
+        return int(self.value["data_bytes"])
 
     @property
     def control_bytes(self) -> int:
-        return self.total_bytes - self.data_bytes
+        return int(self.value["control_bytes"])
 
     @property
     def total_frames(self) -> int:
-        return sum(self.frames_by_kind.values())
+        return int(self.value["frames_total"])
 
     @property
     def total_bytes(self) -> int:
-        return sum(self.bytes_by_kind.values())
+        return int(self.value["bytes_total"])
 
     def frames_per_broadcast(self, broadcasts: int) -> float:
         """Average data frames shipped per application broadcast —
@@ -99,8 +102,5 @@ class TrafficBreakdown:
 
 
 def traffic_breakdown(network: Network) -> TrafficBreakdown:
-    """Snapshot the per-kind counters of ``network``."""
-    return TrafficBreakdown(
-        frames_by_kind=dict(network.frames_sent),
-        bytes_by_kind=dict(network.bytes_sent),
-    )
+    """The view over ``network``'s counters as they stand."""
+    return TrafficBreakdown(TrafficProbe.measure(network))

@@ -348,7 +348,7 @@ def obs_main(argv: list[str]) -> int:
           f"({', '.join(f'{k}={v}' for k, v in sorted(kinds.items()))}), "
           f"{len(run.telemetry)} telemetry series")
     print(f"  mean delivery latency: "
-          f"{run.result.mean_latency_ms:.3f} ms")
+          f"{run.result.metric('latency')['mean_ms']:.3f} ms")
 
     for fmt, path in args.export:
         if fmt == "chrome":

@@ -6,11 +6,11 @@ state (warmup and cooldown excluded) of a failure-free run.
 
 Measurement is delegated to **metric probes**
 (:mod:`repro.metrics.probes`): the spec's ``metrics=(...)`` axis names
-probes in the :data:`~repro.metrics.probes.PROBES` registry, a
-:class:`~repro.metrics.probes.ProbeTap` feeds every probe the protocol
-event stream — identically in both trace modes — and the result carries
-each probe's :class:`~repro.metrics.probes.MetricValue` under its
-registry name.  Adding a new measurement to the pipeline is a probe
+probes in the :data:`~repro.metrics.probes.PROBES` registry, the run's
+trace calls every subscribed probe from its own ``record`` — one call
+per event per probe, identically in both trace modes — and the result
+carries each probe's :class:`~repro.metrics.probes.MetricValue` under
+its registry name.  Adding a new measurement to the pipeline is a probe
 registration, not an edit to this module.
 
 Saturated configurations (offered load beyond the stack's capacity) are
@@ -28,16 +28,13 @@ from dataclasses import dataclass, field
 from repro.checkers.abcast import check_abcast
 from repro.core.exceptions import ConfigurationError
 from repro.failure.crash import CrashSchedule
-from repro.metrics.latency import LatencyReport
 from repro.metrics.probes import (
     DEFAULT_PROBES,
     MetricValue,
-    ProbeTap,
     build_probes,
     validate_probe_names,
 )
-from repro.metrics.stats import summarize
-from repro.sim.trace import CountingTrace, Trace, TraceObserver
+from repro.sim.trace import CountingTrace, Trace
 from repro.stack.builder import StackSpec, build_system
 from repro.stack.layers import WORKLOADS
 
@@ -71,12 +68,14 @@ class ExperimentSpec:
         safety_checks: Run the (safety-only) abcast checks on the trace;
             on by default — a performance number from an incorrect run
             is worthless.  Requires ``trace_mode="full"``.
-        trace_mode: ``"full"`` retains the complete event trace (needed
-            by the checkers); ``"metrics"`` retains no event list (a
+        trace_mode: ``"full"`` retains the complete event trace (a
+            :class:`~repro.sim.trace.Trace`, needed by the checkers);
+            ``"metrics"`` retains no event list (a
             :class:`~repro.sim.trace.CountingTrace`) — the cheap mode
             for long sweeps whose configuration has already been
-            safety-checked once.  Either way the metric probes observe
-            the same stream and report identical values.
+            safety-checked once.  Either trace calls the subscribed
+            probes from its own ``record``, so the probes observe the
+            same stream and report identical values.
         max_events: Engine runaway guard.
     """
 
@@ -117,12 +116,13 @@ class ExperimentSpec:
 class ExperimentResult:
     """Outcome of one experiment.
 
-    ``metrics`` is the generic payload: one
+    ``metrics`` is the measurement payload: one
     :class:`~repro.metrics.probes.MetricValue` per probe the spec
-    requested, keyed by probe name.  The classic scalar accessors
-    (``latency``, ``frames_total``, ``data_bytes``, ...) are derived
-    views over it, kept so pre-probe consumers (and the ``row()`` table
-    shape) continue to work unchanged.
+    requested, keyed by probe name — read a number as
+    ``result.metric("latency")["mean_ms"]``, or a whole sweep as
+    :class:`~repro.harness.results.ResultSet` columns
+    (``"latency.mean_ms"``).  ``diagnostics["events"]`` is the number
+    of engine events the run executed.
     """
 
     spec: ExperimentSpec
@@ -143,56 +143,6 @@ class ExperimentResult:
                 f"{', '.join(self.metrics) or 'none'}); add it to the "
                 f"spec's metrics=(...) axis"
             ) from None
-
-    # ------------------------------------------------------------------
-    # Compatibility shims over the generic payload
-    # ------------------------------------------------------------------
-
-    @property
-    def latency(self) -> LatencyReport:
-        """The latency probe's output as the classic report object."""
-        value = self.metric("latency")
-        samples = value.sample("samples")
-        return LatencyReport(
-            stats=summarize(samples),
-            messages_measured=int(value["messages_measured"]),
-            messages_fully_delivered=int(value["fully_delivered"]),
-            samples=samples,
-        )
-
-    @property
-    def mean_latency_ms(self) -> float:
-        """The paper's metric for this configuration."""
-        return self.metric("latency")["mean_ms"]
-
-    @property
-    def instances_decided(self) -> int:
-        return int(self.metric("consensus")["instances_decided"])
-
-    @property
-    def frames_total(self) -> int:
-        return int(self.metric("traffic")["frames_total"])
-
-    @property
-    def data_bytes(self) -> int:
-        return int(self.metric("traffic")["data_bytes"])
-
-    @property
-    def control_bytes(self) -> int:
-        return int(self.metric("traffic")["control_bytes"])
-
-    def row(self) -> dict:
-        """Flat summary for tables (the pre-``ResultSet`` shape)."""
-        latency = self.metric("latency")
-        return {
-            "name": self.spec.name,
-            "throughput": self.spec.throughput,
-            "payload": self.spec.payload,
-            "latency_ms": round(latency["mean_ms"], 3),
-            "p90_ms": round(latency["p90_ms"], 3),
-            "sent": self.sent,
-            "undelivered": self.undelivered,
-        }
 
 
 def run_experiment(
@@ -216,9 +166,6 @@ def run_experiment(
             their simulated-time timers.
     """
     started = time.perf_counter()
-    base_trace: TraceObserver = (
-        CountingTrace() if spec.trace_mode == "metrics" else Trace()
-    )
     named_probes = build_probes(spec) + tuple(extra_probes)
     names = [name for name, _ in named_probes]
     if len(set(names)) != len(names):
@@ -226,8 +173,15 @@ def run_experiment(
             f"duplicate probe names across metrics axis and "
             f"extra_probes: {sorted(names)}"
         )
-    tap = ProbeTap(base_trace, (probe for _, probe in named_probes))
-    system = build_system(spec.stack, CrashSchedule.none(), trace=tap)
+    # Probes without an on_event hook only read end-of-run state.
+    sinks = [
+        probe.on_event for _, probe in named_probes
+        if probe.on_event is not None
+    ]
+    trace_cls = CountingTrace if spec.trace_mode == "metrics" else Trace
+    system = build_system(
+        spec.stack, CrashSchedule.none(), trace=trace_cls(sinks)
+    )
     if on_system is not None:
         on_system(system)
     workload = WORKLOADS.get(spec.workload).factory(
@@ -264,7 +218,6 @@ def run_experiment(
         name: probe.finish(system, sent) for name, probe in named_probes
     }
     delivered_min = min(a.delivered_count() for a in system.abcasts.values())
-    media = getattr(system.network, "media", None)
     return ExperimentResult(
         spec=spec,
         metrics=metrics,
@@ -272,15 +225,5 @@ def run_experiment(
         undelivered=max(0, sent - delivered_min),
         simulated_seconds=system.engine.now,
         wall_seconds=time.perf_counter() - started,
-        diagnostics={
-            "events": system.engine.events_executed,
-            # Pre-probe shim; the utilisation probe has the per-segment
-            # figures.  Worst segment, not segment 0 (which is what the
-            # old diagnostic silently reported on split topologies).
-            "medium_utilisation": max(
-                (medium.utilisation() for medium in media), default=0.0
-            )
-            if media
-            else 0.0,
-        },
+        diagnostics={"events": system.engine.events_executed},
     )

@@ -79,7 +79,7 @@ class Series:
     results: list[ExperimentResult] = field(default_factory=list)
 
     def add(self, x: float, result: ExperimentResult) -> None:
-        self.points.append((x, result.mean_latency_ms))
+        self.points.append((x, result.metric("latency")["mean_ms"]))
         self.results.append(result)
 
 

@@ -23,8 +23,7 @@ from repro.harness.runner import SuiteResult
 #: Output formats understood by the exporting renderers (and the CLI).
 FORMATS = ("table", "csv", "json")
 
-#: Compact column selection for suite summaries (the classic ``row()``
-#: table shape, expressed as ResultSet columns).
+#: Compact column selection for suite summaries.
 SUITE_COLUMNS = (
     "name",
     "throughput",

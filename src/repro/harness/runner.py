@@ -255,11 +255,9 @@ class ResultCache:
         try:
             with path.open("rb") as fh:
                 result: ExperimentResult = pickle.load(fh)
-            if not isinstance(result, ExperimentResult) or not isinstance(
-                getattr(result, "metrics", None), dict
-            ):
-                # A pre-probe (v1) or foreign pickle: ignore cleanly,
-                # never hand a mis-shaped object downstream.
+            if not isinstance(result, ExperimentResult):
+                # A foreign pickle: ignore cleanly, never hand a
+                # mis-shaped object downstream.
                 return None
             _lru_remember(path, stat.st_size, stat.st_mtime_ns, result)
             return replace(result, spec=spec)
@@ -522,14 +520,6 @@ class SuiteResult:
     def by_name(self) -> dict[str, ExperimentResult]:
         """Index results by experiment name (names are unique per suite)."""
         return {spec.name: result for spec, result in self.pairs()}
-
-    def rows(self) -> list[dict]:
-        """Flat per-point summaries, ready for ``render_table``.
-
-        The pre-``ResultSet`` table shape, kept for old consumers;
-        :meth:`result_set` is the full queryable surface.
-        """
-        return [result.row() for result in self.results]
 
     def result_set(self):
         """The suite's results as a columnar

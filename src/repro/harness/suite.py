@@ -27,7 +27,7 @@ Example::
     )
     suite = run_suite(sweep)
     for spec, result in zip(sweep.experiments(), suite.results):
-        print(spec.name, result.mean_latency_ms)
+        print(spec.name, result.metric("latency")["mean_ms"])
 """
 
 from __future__ import annotations

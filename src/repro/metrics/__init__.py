@@ -9,24 +9,16 @@ measurement (latency, traffic split, consensus work, FD suspicions,
 medium utilisation — and any custom probe registered in
 :data:`~repro.metrics.probes.PROBES`) is a streaming
 :class:`~repro.metrics.probes.Probe` producing one cache-stable
-:class:`~repro.metrics.probes.MetricValue` per run.
-:mod:`repro.metrics.latency` keeps the classic report object and the
-trace-based computations; :mod:`repro.metrics.stats` provides the
-summary statistics.
+:class:`~repro.metrics.probes.MetricValue` per run; the run's trace
+calls each probe's ``on_event`` from its own ``record``.
+:mod:`repro.metrics.latency` keeps the classic report object and
+:func:`~repro.metrics.latency.measure_latency`, which replays a
+retained trace through the latency probe's fold;
+:mod:`repro.metrics.stats` provides the summary statistics.
 """
 
-from repro.metrics.latency import (
-    LatencyReport,
-    measure_latency,
-    report_from_metrics,
-)
-from repro.metrics.probes import (
-    DEFAULT_PROBES,
-    PROBES,
-    MetricValue,
-    Probe,
-    ProbeTap,
-)
+from repro.metrics.latency import LatencyReport, measure_latency
+from repro.metrics.probes import DEFAULT_PROBES, PROBES, MetricValue, Probe
 from repro.metrics.stats import SummaryStats, summarize
 
 __all__ = [
@@ -35,9 +27,7 @@ __all__ = [
     "MetricValue",
     "PROBES",
     "Probe",
-    "ProbeTap",
     "SummaryStats",
     "measure_latency",
-    "report_from_metrics",
     "summarize",
 ]

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import SystemConfig
-from repro.core.exceptions import ConfigurationError
-from repro.metrics.stats import SummaryStats, summarize
-from repro.sim.trace import MetricsTrace, Trace
+from repro.metrics.stats import SummaryStats
+from repro.sim.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,11 @@ def measure_latency(
 ) -> LatencyReport:
     """Compute the latency report from a finished run's trace.
 
+    Replays the trace's abroadcasts, then each correct process's
+    adeliveries (ascending pid), through the latency probe's fold —
+    the same window, correct-process filter and sample order as the
+    ``"latency"`` probe of a run measured with the same window.
+
     Args:
         trace: The run's protocol-event trace.
         config: Group configuration (to know the correct processes).
@@ -59,73 +63,17 @@ def measure_latency(
             (defaults to no upper cutoff).
 
     Raises:
-        ConfigurationError: If no message falls inside the window.
+        ConfigurationError: If no message falls inside the window, or
+            no measured message was adelivered.
     """
+    # Imported here: the probes module builds on this one.
+    from repro.metrics.probes import LatencyProbe
+
     correct = trace.correct_processes(config.processes)
-    measured = {
-        e.message.mid: e.time
-        for e in trace.abroadcasts()
-        if e.time >= warmup and (cutoff is None or e.time <= cutoff)
-    }
-    if not measured:
-        raise ConfigurationError(
-            f"no messages in the measurement window (warmup={warmup}, "
-            f"cutoff={cutoff}); lengthen the run"
-        )
-    samples: list[float] = []
-    deliveries_per_message: dict = {mid: 0 for mid in measured}
-    for process in correct:
+    fold = LatencyProbe(warmup, cutoff)
+    for event in trace.abroadcasts():
+        fold.on_event(event)
+    for process in sorted(correct):
         for event in trace.adeliveries(process):
-            sent = measured.get(event.message.mid)
-            if sent is not None:
-                samples.append(event.time - sent)
-                deliveries_per_message[event.message.mid] += 1
-    fully = sum(
-        1 for count in deliveries_per_message.values() if count >= len(correct)
-    )
-    if not samples:
-        raise ConfigurationError(
-            "no measured message was adelivered; the run is too short "
-            "or the stack is stuck"
-        )
-    return LatencyReport(
-        stats=summarize(samples),
-        messages_measured=len(measured),
-        messages_fully_delivered=fully,
-        samples=tuple(samples),
-    )
-
-
-def report_from_metrics(
-    trace: MetricsTrace, config: SystemConfig
-) -> LatencyReport:
-    """Build the latency report from a streaming :class:`MetricsTrace`.
-
-    The measurement window (warmup/cutoff) was applied at record time;
-    this only restricts the accumulated samples to correct processes and
-    summarizes.  On the same run it agrees with :func:`measure_latency`
-    over a full trace measured with the same window.
-
-    Raises:
-        ConfigurationError: If no message fell inside the window, or no
-            measured message was delivered — same contract as
-            :func:`measure_latency`.
-    """
-    correct = trace.correct_processes(config.processes)
-    if trace.messages_measured() == 0:
-        raise ConfigurationError(
-            f"no messages in the measurement window (warmup={trace.warmup}, "
-            f"cutoff={trace.cutoff}); lengthen the run"
-        )
-    samples = trace.samples_for(correct)
-    if not samples:
-        raise ConfigurationError(
-            "no measured message was adelivered; the run is too short "
-            "or the stack is stuck"
-        )
-    return LatencyReport(
-        stats=summarize(samples),
-        messages_measured=trace.messages_measured(),
-        messages_fully_delivered=trace.fully_delivered(correct),
-        samples=tuple(samples),
-    )
+            fold.on_event(event)
+    return fold.report(correct)

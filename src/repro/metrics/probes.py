@@ -10,12 +10,12 @@ machinery PR 3 introduced for protocol layers).
 
 A probe sees two things:
 
-* the **protocol-event stream**, forwarded verbatim by the
-  :class:`ProbeTap` that ``run_experiment`` interposes in front of the
-  run's trace — identically in ``trace_mode="full"`` and
-  ``trace_mode="metrics"``, which is what makes every probe's output
-  bit-identical across the two modes (asserted in
-  ``tests/harness/test_probe_agreement.py``);
+* the **protocol-event stream**: ``run_experiment`` subscribes each
+  probe's :attr:`Probe.on_event` to the run's trace, which calls it
+  from its own ``record`` — one call per event per subscribed probe,
+  identically in ``trace_mode="full"`` and ``trace_mode="metrics"``,
+  which is what makes every probe's output bit-identical across the
+  two modes (asserted in ``tests/harness/test_probe_agreement.py``);
 * the **finished system** (network counters, failure detectors,
   consensus services, engine clock) at :meth:`Probe.finish` time.
 
@@ -55,17 +55,22 @@ re-imports the script's module, which re-runs top-level registrations.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.events import DecideEvent, ProposeEvent, ProtocolEvent
+from repro.core.events import (
+    ABroadcastEvent,
+    ADeliverEvent,
+    DecideEvent,
+    ProposeEvent,
+    ProtocolEvent,
+)
 from repro.core.exceptions import ConfigurationError
+from repro.core.identifiers import MessageId, ProcessId
+from repro.metrics.latency import LatencyReport
 from repro.metrics.stats import summarize
-from repro.sim.trace import MetricsTrace
 from repro.stack.registry import LayerRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (import cycles)
-    from repro.sim.trace import TraceObserver
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +169,8 @@ class Probe:
     asked once for its :class:`MetricValue` via :meth:`finish`.
 
     Probes that only read end-of-run state (network counters, detector
-    tallies) leave :attr:`on_event` as ``None`` — the
-    :class:`ProbeTap` skips them on the hot path entirely.
+    tallies) leave :attr:`on_event` as ``None`` — they are never
+    subscribed to the trace, so they cost nothing on the hot path.
     """
 
     #: Per-event hook; ``None`` means "not interested in the stream".
@@ -208,38 +213,6 @@ def build_probes(spec: Any) -> tuple[tuple[str, Probe], ...]:
     )
 
 
-class ProbeTap:
-    """Trace tee: one :meth:`record` feeds the run's trace *and* every
-    subscribed probe.
-
-    This is the piece that kills the full-vs-metrics measurement
-    divergence: whichever retention policy the underlying trace has
-    (full :class:`~repro.sim.trace.Trace` for the checkers, a streaming
-    counter for cheap sweeps), the probes see the identical event
-    stream.  Everything else (accessors the checkers and scenario
-    queries call) delegates to the wrapped trace.
-    """
-
-    def __init__(self, trace: "TraceObserver", probes: Iterable[Probe]) -> None:
-        self.trace = trace
-        self.probes = tuple(probes)
-        # Hot path: pre-resolve the sinks; probes without an on_event
-        # hook never appear here.
-        self._sinks = (trace.record,) + tuple(
-            probe.on_event for probe in self.probes if probe.on_event is not None
-        )
-
-    def record(self, event: ProtocolEvent) -> None:
-        for sink in self._sinks:
-            sink(event)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.trace, name)
-
-    def __len__(self) -> int:
-        return len(self.trace)  # type: ignore[arg-type]
-
-
 # ----------------------------------------------------------------------
 # Built-in probes
 # ----------------------------------------------------------------------
@@ -250,38 +223,82 @@ class LatencyProbe(Probe):
     over every measured message and every correct process, summarised
     as mean/p50/p90/p99 (Section 4.2).
 
-    The accumulator *is* the proven
-    :class:`~repro.sim.trace.MetricsTrace` (window applied at record
-    time, samples restricted to correct processes at finish) — one
-    implementation of the measurement semantics, now fed identically
-    in both trace modes, which is why the values match the pre-probe
-    pipeline bit for bit (golden-regression-tested).
+    The one implementation of the measurement: only messages
+    abroadcast in ``[warmup, cutoff]`` (the spec's ``warmup`` and
+    ``duration``; ``cutoff=None`` is open) are measured, samples are
+    kept per delivering process, and :meth:`report` restricts them to
+    the correct processes.  :func:`~repro.metrics.latency.measure_latency`
+    replays a retained trace through the same fold.
     """
 
-    def __init__(self, spec: Any) -> None:
-        super().__init__(spec)
-        self._acc = MetricsTrace(warmup=spec.warmup, cutoff=spec.duration)
+    def __init__(
+        self, warmup: float = 0.0, cutoff: float | None = None
+    ) -> None:
+        super().__init__(None)
+        self.warmup = warmup
+        self.cutoff = cutoff
+        self._sent: dict[MessageId, float] = {}
+        self._samples: dict[ProcessId, list[float]] = defaultdict(list)
+        self._delivered_by: dict[MessageId, set[ProcessId]] = defaultdict(set)
 
     def on_event(self, event: ProtocolEvent) -> None:  # type: ignore[override]
-        self._acc.record(event)
+        cls = type(event)
+        if cls is ADeliverEvent:
+            mid = event.message.mid
+            sent = self._sent.get(mid)
+            if sent is not None:
+                self._samples[event.process].append(event.time - sent)
+                self._delivered_by[mid].add(event.process)
+        elif cls is ABroadcastEvent:
+            time = event.time
+            if time >= self.warmup and (
+                self.cutoff is None or time <= self.cutoff
+            ):
+                self._sent[event.message.mid] = time
 
-    def finish(self, system: Any, sent: int) -> MetricValue:
-        acc = self._acc
-        correct = acc.correct_processes(system.config.processes)
-        if acc.messages_measured() == 0:
+    def report(self, correct: frozenset[ProcessId]) -> LatencyReport:
+        """Summarise the samples of the ``correct`` processes.
+
+        Samples are ordered by process id, then delivery order.
+
+        Raises:
+            ConfigurationError: If no message fell inside the window, or
+                no measured message was adelivered by a correct process.
+        """
+        if not self._sent:
             raise ConfigurationError(
                 f"no messages in the measurement window "
-                f"(warmup={acc.warmup}, cutoff={acc.cutoff}); "
+                f"(warmup={self.warmup}, cutoff={self.cutoff}); "
                 "lengthen the run"
             )
-        samples = acc.samples_for(correct)
+        samples = [
+            sample
+            for process in sorted(correct)
+            for sample in self._samples.get(process, ())
+        ]
         if not samples:
             raise ConfigurationError(
                 "no measured message was adelivered; the run is too short "
                 "or the stack is stuck"
             )
-        fully = acc.fully_delivered(correct)
-        stats = summarize(samples)
+        empty: frozenset[ProcessId] = frozenset()
+        fully = sum(
+            1
+            for mid in self._sent
+            if correct <= self._delivered_by.get(mid, empty)
+        )
+        return LatencyReport(
+            stats=summarize(samples),
+            messages_measured=len(self._sent),
+            messages_fully_delivered=fully,
+            samples=tuple(samples),
+        )
+
+    def finish(self, system: Any, sent: int) -> MetricValue:
+        report = self.report(
+            system.trace.correct_processes(system.config.processes)
+        )
+        stats = report.stats
         return MetricValue.of(
             fields={
                 "mean_ms": stats.mean * 1e3,
@@ -292,34 +309,43 @@ class LatencyProbe(Probe):
                 "max_ms": stats.maximum * 1e3,
                 "stdev_ms": stats.stdev * 1e3,
                 "count": stats.count,
-                "messages_measured": acc.messages_measured(),
-                "fully_delivered": fully,
+                "messages_measured": report.messages_measured,
+                "fully_delivered": report.messages_fully_delivered,
             },
-            series={"samples": samples},
+            series={"samples": report.samples},
         )
+
+
+def is_data_kind(kind: str) -> bool:
+    """The data-versus-control rule: a ``.data`` frame kind carries bulk
+    payload diffusion (the rb/urb data planes); any other is control."""
+    return kind.endswith(".data")
 
 
 class TrafficProbe(Probe):
     """Wire traffic by frame kind, read from the network's counters.
 
     Fields: one ``frames.<kind>`` / ``bytes.<kind>`` pair per frame
-    kind that hit the wire, totals, the bulk-data vs control split
-    (``*.data`` frame kinds are bulk payload diffusion), and the drop
-    counter.  :class:`~repro.analysis.traffic.TrafficBreakdown` can be
-    reconstructed from this value alone — no live network needed
-    (see :meth:`TrafficBreakdown.from_result`).
+    kind that hit the wire, totals, the bulk-data vs control byte split
+    (by :func:`is_data_kind`), and the drop counter.
+    :class:`~repro.analysis.traffic.TrafficBreakdown` is a view over
+    this value — from a (cached) result or, through :meth:`measure`,
+    from a live network.
     """
 
     def finish(self, system: Any, sent: int) -> MetricValue:
-        network = system.network
+        return self.measure(system.network)
+
+    @staticmethod
+    def measure(network: Any) -> MetricValue:
+        """The probe's value for ``network``'s counters as they stand."""
         fields: dict[str, float] = {}
         for kind, count in network.frames_sent.items():
             fields[f"frames.{kind}"] = count
         for kind, total in network.bytes_sent.items():
             fields[f"bytes.{kind}"] = total
         data_bytes = sum(
-            b for kind, b in network.bytes_sent.items()
-            if kind.endswith(".data")
+            b for kind, b in network.bytes_sent.items() if is_data_kind(kind)
         )
         total_bytes = network.total_bytes()
         fields["frames_total"] = network.total_frames()
@@ -344,10 +370,11 @@ class ConsensusProbe(Probe):
         self._proposals = 0
 
     def on_event(self, event: ProtocolEvent) -> None:  # type: ignore[override]
-        if isinstance(event, DecideEvent):
+        cls = type(event)
+        if cls is DecideEvent:
             self._decided.add(event.instance)
             self._decides += 1
-        elif isinstance(event, ProposeEvent):
+        elif cls is ProposeEvent:
             self._proposals += 1
 
     def finish(self, system: Any, sent: int) -> MetricValue:
@@ -394,12 +421,10 @@ class FdProbe(Probe):
 class UtilisationProbe(Probe):
     """Per-segment medium (and CPU) utilisation of the contention model.
 
-    The old ``medium_utilisation`` diagnostic read ``network.medium`` —
-    segment 0 only — so multi-segment topologies silently reported a
-    number that ignored every other segment.  This probe reports one
-    ``medium.<i>`` figure per contention segment plus the max, and the
-    busiest process CPU, so saturation is attributable.  The constant
-    model has no contended resources and reports no fields.
+    Reports one ``medium.<i>`` figure per contention segment plus the
+    max, and the busiest process CPU, so saturation on a multi-segment
+    topology is attributable.  The constant model has no contended
+    resources and reports no fields.
     """
 
     def finish(self, system: Any, sent: int) -> MetricValue:
@@ -448,7 +473,7 @@ class AdmissionProbe(Probe):
 PROBES.register(
     "latency",
     "delivery latency mean/p50/p90/p99 over the measurement window",
-    factory=LatencyProbe,
+    factory=lambda spec: LatencyProbe(spec.warmup, spec.duration),
 )
 PROBES.register(
     "traffic",

@@ -6,10 +6,10 @@ Three pillars, one package (see the README's "Observability" section):
   derives hierarchical, causally-linked spans from the protocol-event
   stream (abroadcast → per-process adeliver, consensus instances and
   rounds, rb legs, two-group-commit votes, crash markers).  It is a
-  :class:`~repro.metrics.probes.Probe`, fed through the same
-  :class:`~repro.metrics.probes.ProbeTap` seam as every metric probe —
-  which is what makes its output bit-identical across
-  ``trace_mode="full"`` and ``trace_mode="metrics"``.
+  :class:`~repro.metrics.probes.Probe`, subscribed to the run's trace
+  like every metric probe — which is what makes its output
+  bit-identical across ``trace_mode="full"`` and
+  ``trace_mode="metrics"``.
 * :mod:`repro.obs.telemetry` — a counter/gauge registry sampled on a
   simulated-time cadence (queue depth, events executed, per-shard
   admission and goodput).  Nothing installed = the engine's drain loop

@@ -2,8 +2,9 @@
 
 :func:`observe_experiment` wires the three pillars into one
 :func:`~repro.harness.experiment.run_experiment` call: a
-:class:`~repro.obs.spans.SpanRecorder` rides the probe tap (so span
-derivation is bit-identical across trace modes), and — when a sampling
+:class:`~repro.obs.spans.SpanRecorder` is subscribed to the run's
+trace like every probe (so span derivation is bit-identical across
+trace modes), and — when a sampling
 ``period`` is given — a :class:`~repro.obs.telemetry.TelemetrySampler`
 installs its simulated-time timer on the freshly built system before
 the workload runs.  The sampler's timer is part of the deterministic

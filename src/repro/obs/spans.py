@@ -8,8 +8,8 @@ unit Perfetto renders.  Nothing in the simulator emits spans directly;
 sees, which buys two properties for free:
 
 * **bit-identity across trace modes** — the recorder is a
-  :class:`~repro.metrics.probes.Probe` fed through the
-  :class:`~repro.metrics.probes.ProbeTap`, so ``trace_mode="full"``
+  :class:`~repro.metrics.probes.Probe` whose ``on_event`` the run's
+  trace calls from its own ``record``, so ``trace_mode="full"``
   and ``trace_mode="metrics"`` produce the identical span forest
   (asserted by ``tests/obs/test_span_agreement.py``, mirroring the
   PR-4 probe-agreement discipline);
@@ -144,8 +144,9 @@ class SpanRecorder(Probe):
       .run_experiment` (``extra_probes=(("spans", recorder),)``) — the
       harness calls :meth:`finish` with the built system, which
       finalizes the forest into :attr:`spans`;
-    * attached to a per-group :class:`~repro.metrics.probes.ProbeTap`
-      of a sharded service, then :meth:`finalize` called manually;
+    * subscribed to a sharded group's trace (pass its
+      :meth:`on_event` in the trace's ``sinks``), then
+      :meth:`finalize` called manually;
     * after the fact on a retained trace via :meth:`from_trace`.
 
     Args:

@@ -28,14 +28,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.exceptions import ConfigurationError
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sample."""
-    if not ordered:
-        return 0.0
-    rank = max(1, int(round(q * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
+from repro.shard.router import completion_stats
 
 
 class TimeSeries:
@@ -168,7 +161,9 @@ class TelemetrySampler:
       cumulative ``shard<i>.admitted`` / ``shard<i>.shed``, the
       ``shard<i>.inflight`` gauge, and windowed
       ``shard<i>.goodput`` (completions per second over the period)
-      and ``shard<i>.sojourn_p99_ms`` (over the period's completions).
+      and ``shard<i>.sojourn_p99_ms`` (over the period's completions),
+      both from :func:`~repro.shard.router.completion_stats` over the
+      completions logged since the previous tick.
 
     The timer is an ordinary engine event, so sampling is part of the
     deterministic schedule: two runs with the same spec and the same
@@ -247,22 +242,17 @@ class TelemetrySampler:
                     f"{prefix}.shed", now, float(router.shed[shard])
                 )
                 telemetry.record(
-                    f"{prefix}.inflight",
-                    now,
-                    float(len(router._inflight[shard])),
+                    f"{prefix}.inflight", now, float(router.inflight(shard))
                 )
                 completions = router.completions[shard]
                 done = len(completions)
-                fresh = completions[self._last_completed[shard]:done]
-                self._last_completed[shard] = done
-                telemetry.record(
-                    f"{prefix}.goodput", now, len(fresh) / self.period
+                stats = completion_stats(
+                    completions[self._last_completed[shard]:done], self.period
                 )
-                sojourns = sorted(s for _, s in fresh)
+                self._last_completed[shard] = done
+                telemetry.record(f"{prefix}.goodput", now, stats["goodput"])
                 telemetry.record(
-                    f"{prefix}.sojourn_p99_ms",
-                    now,
-                    _percentile(sojourns, 0.99) * 1e3,
+                    f"{prefix}.sojourn_p99_ms", now, stats["sojourn_p99_ms"]
                 )
         if now + self.period <= self.until + 1e-12:
             engine.schedule(self.period, self._tick)

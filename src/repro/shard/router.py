@@ -30,8 +30,9 @@ re-hashing would break per-key total order mid-run.
 from __future__ import annotations
 
 import hashlib
-from math import ceil
-from typing import TYPE_CHECKING, Callable
+from itertools import chain
+from math import ceil, inf
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.exceptions import ConfigurationError
 
@@ -59,6 +60,35 @@ def _percentile(sorted_values: list[float], q: float) -> float:
         return 0.0
     rank = max(0, min(len(sorted_values) - 1, int(q * len(sorted_values))))
     return sorted_values[rank]
+
+
+def completion_stats(
+    completions: Iterable[tuple[float, float]],
+    span: float,
+    lo: float = -inf,
+    hi: float = inf,
+) -> dict[str, float]:
+    """The one window over a router completion log.
+
+    Counts the ``(arrival, sojourn)`` pairs whose arrival lies in
+    ``[lo, hi)``: ``completed``, ``goodput`` per second of ``span``,
+    the nearest-rank ``sojourn_p50_ms`` / ``sojourn_p99_ms`` and
+    ``sojourn_mean_ms`` (0 when empty).  Every router statistic — per
+    shard, aggregate, per fixed window, per telemetry period — is this
+    function of a slice of :attr:`Router.completions`.
+    """
+    sojourns = [
+        sojourn for arrival, sojourn in completions if lo <= arrival < hi
+    ]
+    sojourns.sort()
+    count = len(sojourns)
+    return {
+        "completed": float(count),
+        "goodput": count / max(span, 1e-12),
+        "sojourn_p50_ms": _percentile(sojourns, 0.50) * 1e3,
+        "sojourn_p99_ms": _percentile(sojourns, 0.99) * 1e3,
+        "sojourn_mean_ms": sum(sojourns) / count * 1e3 if count else 0.0,
+    }
 
 
 class Router:
@@ -269,30 +299,28 @@ class Router:
         """
         return self._pending
 
+    def inflight(self, shard: int) -> int:
+        """Operations admitted to ``shard`` and not yet first-adelivered."""
+        return len(self._inflight[shard])
+
+    def _window(self) -> tuple[float, float, float]:
+        """``(span, lo, hi)`` of the measurement window — the trailing
+        arguments of :func:`completion_stats`.  An open end counts
+        every later arrival and takes the span up to the current time.
+        """
+        lo = self.measure_from
+        if self.measure_until is None:
+            return self.engine.now - lo, lo, inf
+        return self.measure_until - lo, lo, self.measure_until
+
     def shard_stats(self, shard: int) -> dict[str, float]:
         """Measurement-window counters for one shard."""
-        lo = self.measure_from
-        hi = self.measure_until
-        window = [
-            sojourn
-            for arrival, sojourn in self.completions[shard]
-            if arrival >= lo and (hi is None or arrival < hi)
-        ]
-        window.sort()
-        span = (hi - lo) if hi is not None else (self.engine.now - lo)
-        span = max(span, 1e-12)
         return {
             "offered": float(self.offered[shard]),
             "admitted": float(self.admitted[shard]),
             "shed": float(self.shed[shard]),
             "delayed": float(self.delayed[shard]),
-            "completed": float(len(window)),
-            "goodput": len(window) / span,
-            "sojourn_p50_ms": _percentile(window, 0.50) * 1e3,
-            "sojourn_p99_ms": _percentile(window, 0.99) * 1e3,
-            "sojourn_mean_ms": (
-                sum(window) / len(window) * 1e3 if window else 0.0
-            ),
+            **completion_stats(self.completions[shard], *self._window()),
         }
 
     def window_count(self, window: float) -> int:
@@ -304,13 +332,7 @@ class Router:
         """
         if window <= 0:
             raise ConfigurationError(f"window must be > 0, got {window}")
-        lo = self.measure_from
-        hi = (
-            self.measure_until
-            if self.measure_until is not None
-            else self.engine.now
-        )
-        span = max(hi - lo, 0.0)
+        span = max(self._window()[0], 0.0)
         return max(1, ceil(span / window - 1e-9))
 
     def windowed_stats(
@@ -320,10 +342,9 @@ class Router:
 
         Completions are bucketed by **arrival** time into
         :meth:`window_count` windows of ``window`` seconds starting at
-        ``measure_from``; each bucket reports its bounds, completion
-        count, goodput, and sojourn p99 — the time series the sweep
-        layer exports as ``window.<i>.*`` columns and the telemetry
-        sampler plots live.
+        ``measure_from``; each bucket reports its bounds plus
+        :func:`completion_stats` over the bucket — the time series the
+        sweep layer exports as ``window.<i>.*`` columns.
 
         Args:
             window: Bucket width, simulated seconds.
@@ -337,54 +358,45 @@ class Router:
             if self.measure_until is not None
             else self.engine.now
         )
-        buckets: list[list[float]] = [[] for _ in range(count)]
+        buckets: list[list] = [[] for _ in range(count)]
         if shard is None:
-            source = [c for per_shard in self.completions for c in per_shard]
+            source: Iterable = chain.from_iterable(self.completions)
         else:
-            source = list(self.completions[shard])
-        for arrival, sojourn in source:
+            source = self.completions[shard]
+        for completion in source:
+            arrival = completion[0]
             if arrival < lo or arrival >= hi:
                 continue
-            index = min(count - 1, int((arrival - lo) / window))
-            buckets[index].append(sojourn)
+            buckets[min(count - 1, int((arrival - lo) / window))].append(
+                completion
+            )
         out = []
         for i, bucket in enumerate(buckets):
-            bucket.sort()
             start = lo + i * window
             end = min(hi, start + window)
-            span = max(end - start, 1e-12)
             out.append(
-                {
-                    "start": start,
-                    "end": end,
-                    "completed": float(len(bucket)),
-                    "goodput": len(bucket) / span,
-                    "sojourn_p99_ms": _percentile(bucket, 0.99) * 1e3,
-                }
+                {"start": start, "end": end,
+                 **completion_stats(bucket, end - start)}
             )
         return out
 
     def window_stats(self) -> dict[str, float]:
-        """Aggregate measurement-window stats across all shards."""
+        """Aggregate measurement-window stats across all shards.
+
+        Counters and goodput are the per-shard sums; the sojourn
+        percentiles pool every shard's window.
+        """
         per_shard = [self.shard_stats(i) for i in range(self.shards)]
         total = {
             name: sum(s[name] for s in per_shard)
             for name in ("offered", "admitted", "shed", "delayed",
                          "completed", "goodput")
         }
-        lo = self.measure_from
-        hi = self.measure_until
-        sojourns = sorted(
-            sojourn
-            for shard in self.completions
-            for arrival, sojourn in shard
-            if arrival >= lo and (hi is None or arrival < hi)
+        pooled = completion_stats(
+            chain.from_iterable(self.completions), *self._window()
         )
-        total["sojourn_p50_ms"] = _percentile(sojourns, 0.50) * 1e3
-        total["sojourn_p99_ms"] = _percentile(sojourns, 0.99) * 1e3
-        total["sojourn_mean_ms"] = (
-            sum(sojourns) / len(sojourns) * 1e3 if sojourns else 0.0
-        )
+        for name in ("sojourn_p50_ms", "sojourn_p99_ms", "sojourn_mean_ms"):
+            total[name] = pooled[name]
         offered = total["offered"]
         total["shed_rate"] = total["shed"] / offered if offered else 0.0
         return total

@@ -160,8 +160,9 @@ def build_sharded_system(
             mapping run failure-free.
         traces: Optional per-group trace observers (length ``shards``);
             defaults to a full :class:`~repro.sim.trace.Trace` per
-            group.  Pass :class:`~repro.sim.trace.MetricsTrace`-style
-            observers (or probe taps) for measurement runs.
+            group.  Pass :class:`~repro.sim.trace.CountingTrace`
+            observers for measurement runs; either kind calls the probe
+            hooks given as its ``sinks``.
     """
     crashes = dict(crashes or {})
     for shard in crashes:

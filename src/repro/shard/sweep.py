@@ -206,60 +206,34 @@ def run_shard_point(point: ShardPoint) -> ResultSet:
     )
 
     sent = sum(w.sent for w in workloads)
-    admission = (
-        PROBES.get("admission").factory(point).finish(service, sent)
-    )
-    columns: dict[str, list[Any]] = {
-        "name": [],
-        "label": [],
-        "shards": [],
-        "shard": [],
-        "workload": [],
-        "offered": [],
-        "payload": [],
-        "seed": [],
-        "admission_policy": [],
-        "capacity": [],
-        "sent": [],
-    }
-    shard_fields = sorted(router.shard_stats(0))
-    for name in shard_fields:
-        columns[f"shard.{name}"] = []
-    for name, _value in admission.fields:
-        columns[f"admission.{name}"] = []
-    windows: list[list[dict[str, float]]] = []
-    if point.window is not None:
-        windows = [
-            router.windowed_stats(point.window, shard=shard)
-            for shard in range(point.shards)
-        ]
-        for index in range(len(windows[0])):
-            columns[f"window.{index}.goodput"] = []
-            columns[f"window.{index}.sojourn_p99_ms"] = []
+    admission = PROBES.get("admission").factory(point).finish(service, sent)
+    rows = []
     for shard in range(point.shards):
+        row: dict[str, Any] = {
+            "name": point.name,
+            "label": point.label,
+            "shards": point.shards,
+            "shard": shard,
+            "workload": point.workload,
+            "offered": point.offered,
+            "payload": point.payload,
+            "seed": point.seed,
+            "admission_policy": point.admission,
+            "capacity": point.router_capacity,
+            "sent": workloads[shard].sent,
+        }
         stats = router.shard_stats(shard)
-        columns["name"].append(point.name)
-        columns["label"].append(point.label)
-        columns["shards"].append(point.shards)
-        columns["shard"].append(shard)
-        columns["workload"].append(point.workload)
-        columns["offered"].append(point.offered)
-        columns["payload"].append(point.payload)
-        columns["seed"].append(point.seed)
-        columns["admission_policy"].append(point.admission)
-        columns["capacity"].append(point.router_capacity)
-        columns["sent"].append(workloads[shard].sent)
-        for name in shard_fields:
-            columns[f"shard.{name}"].append(stats[name])
+        for name in sorted(stats):
+            row[f"shard.{name}"] = stats[name]
         for name, value in admission.fields:
-            columns[f"admission.{name}"].append(value)
+            row[f"admission.{name}"] = value
         if point.window is not None:
-            for index, bucket in enumerate(windows[shard]):
-                columns[f"window.{index}.goodput"].append(bucket["goodput"])
-                columns[f"window.{index}.sojourn_p99_ms"].append(
-                    bucket["sojourn_p99_ms"]
-                )
-    return ResultSet(columns)
+            buckets = router.windowed_stats(point.window, shard=shard)
+            for index, bucket in enumerate(buckets):
+                for name in ("goodput", "sojourn_p99_ms"):
+                    row[f"window.{index}.{name}"] = bucket[name]
+        rows.append(row)
+    return ResultSet({name: [row[name] for row in rows] for name in rows[0]})
 
 
 def run_shard_sweep(

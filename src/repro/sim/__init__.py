@@ -14,11 +14,11 @@ Components:
   queues used to model CPUs and the shared network medium.
 * :class:`~repro.sim.process.SimProcess` — the per-process shell: crash
   state, timers, and the mount point for protocol layers.
-* :class:`~repro.sim.trace.TraceObserver` — the event-sink interface,
+* :class:`~repro.sim.trace.TraceObserver` — the event-sink interface
+  (one ``record`` per event, fanned out to subscribed probe hooks),
   with the full :class:`~repro.sim.trace.Trace` consumed by the
-  checkers, the minimal :class:`~repro.sim.trace.CountingTrace` used by
-  probe-measured performance runs, and the streaming
-  :class:`~repro.sim.trace.MetricsTrace` latency accumulator.
+  checkers and the minimal :class:`~repro.sim.trace.CountingTrace`
+  used by probe-measured performance runs.
 
 Determinism is a hard guarantee: two runs with identical configuration and
 seeds produce identical traces (asserted in ``tests/sim/test_determinism.py``).
@@ -28,14 +28,13 @@ from repro.sim.engine import Engine, EventHandle
 from repro.sim.process import SimProcess
 from repro.sim.resources import FifoResource
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import CountingTrace, MetricsTrace, Trace, TraceObserver
+from repro.sim.trace import CountingTrace, Trace, TraceObserver
 
 __all__ = [
     "CountingTrace",
     "Engine",
     "EventHandle",
     "FifoResource",
-    "MetricsTrace",
     "RngRegistry",
     "SimProcess",
     "Trace",

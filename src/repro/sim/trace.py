@@ -1,8 +1,12 @@
-"""Protocol-event observers: full traces and streaming metrics.
+"""Protocol-event observers: the run's one event intake.
 
 Every layer of every process emits
 :class:`~repro.core.events.ProtocolEvent` records into a single
-:class:`TraceObserver`.  Two implementations exist:
+:class:`TraceObserver`, one :meth:`~TraceObserver.record` call per
+event.  The observer keeps what its retention policy says and then
+hands the event to each subscribed **sink** — the per-event hooks of
+the run's metric probes (:mod:`repro.metrics.probes`) — so measurement
+rides the same call in both retention policies:
 
 * :class:`Trace` — the full, append-only event list plus per-kind
   indexes.  It is the single source of truth for correctness checking
@@ -10,27 +14,20 @@ Every layer of every process emits
   post-hoc analysis; checkers and scenario tests require it.
 
 * :class:`CountingTrace` — the cheap observer for pure performance
-  runs: it counts events and remembers crashes, nothing else.
-  Measurement belongs to the metric probes
-  (:mod:`repro.metrics.probes`), which observe the same event stream
-  through the :class:`~repro.metrics.probes.ProbeTap` in *both* trace
-  modes — so a long high-throughput sweep costs O(messages) memory
-  instead of O(events) (each message generates O(n²) protocol events
-  below it) without a second measurement code path.
+  runs: it counts events and remembers crashes, nothing else, so a
+  long high-throughput sweep costs O(messages) memory instead of
+  O(events) (each message generates O(n²) protocol events below it)
+  without a second measurement code path.
 
-* :class:`MetricsTrace` — the streaming latency accumulator; the
-  latency probe wraps one per run, and scripts may still use it
-  directly.
-
-``build_system`` accepts any of them; ``run_experiment`` picks the
-retention policy from the experiment's ``trace_mode``.
+``build_system`` accepts either; ``run_experiment`` picks the retention
+policy from the experiment's ``trace_mode`` and subscribes the probes.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from math import inf
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.core.events import (
     ABroadcastEvent,
@@ -50,25 +47,36 @@ class TraceObserver:
 
     The engine-facing contract is a single method: :meth:`record` is
     called once per event, in simulated-time order (the engine is
-    single-threaded).  Implementations decide what to retain.
+    single-threaded).  Implementations decide what to retain, then call
+    every subscribed sink with the same event, in subscription order.
+
+    Args:
+        sinks: Per-event callables (``Probe.on_event`` hooks), fixed at
+            construction.
     """
 
-    def record(self, event: ProtocolEvent) -> None:
-        raise NotImplementedError
+    def __init__(
+        self, sinks: Iterable[Callable[[ProtocolEvent], None]] = ()
+    ) -> None:
+        self.sinks = tuple(sinks)
+        self._crashes: dict[ProcessId, CrashEvent] = {}
 
-    def crashes(self) -> dict[ProcessId, CrashEvent]:
-        """Map of crashed process -> crash event."""
+    def record(self, event: ProtocolEvent) -> None:
         raise NotImplementedError
 
     def instances(self) -> list[int]:
         """All consensus instance numbers that reached a decision."""
         raise NotImplementedError
 
+    def crashes(self) -> dict[ProcessId, CrashEvent]:
+        """Map of crashed process -> crash event."""
+        return dict(self._crashes)
+
     def correct_processes(
         self, all_processes: Iterator[ProcessId] | tuple
     ) -> frozenset[ProcessId]:
         """Processes that never crashed during the run."""
-        return frozenset(p for p in all_processes if p not in self.crashes())
+        return frozenset(p for p in all_processes if p not in self._crashes)
 
 
 class Trace(TraceObserver):
@@ -79,7 +87,10 @@ class Trace(TraceObserver):
     views so checkers never need isinstance ladders.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, sinks: Iterable[Callable[[ProtocolEvent], None]] = ()
+    ) -> None:
+        super().__init__(sinks)
         self.events: list[ProtocolEvent] = []
         self._adeliveries: dict[ProcessId, list[ADeliverEvent]] = defaultdict(list)
         self._abroadcasts: list[ABroadcastEvent] = []
@@ -87,7 +98,6 @@ class Trace(TraceObserver):
         self._rbroadcasts: list[RBroadcastEvent] = []
         self._decides: dict[int, list[DecideEvent]] = defaultdict(list)
         self._proposals: dict[int, list[ProposeEvent]] = defaultdict(list)
-        self._crashes: dict[ProcessId, CrashEvent] = {}
         #: process -> (deliveries indexed so far, {mid: earliest
         #: r-delivery time among them}); :meth:`holders_at` extends it
         #: on demand, so recording pays nothing for it.
@@ -96,22 +106,27 @@ class Trace(TraceObserver):
         ] = {}
 
     def record(self, event: ProtocolEvent) -> None:
-        """Append ``event`` and update the per-kind indexes."""
+        """Append ``event``, update the per-kind indexes, feed the sinks."""
         self.events.append(event)
-        if isinstance(event, ADeliverEvent):
+        # Event classes are final (slotted dataclasses, never
+        # subclassed), so identity tests replace isinstance calls.
+        cls = type(event)
+        if cls is ADeliverEvent:
             self._adeliveries[event.process].append(event)
-        elif isinstance(event, ABroadcastEvent):
+        elif cls is ABroadcastEvent:
             self._abroadcasts.append(event)
-        elif isinstance(event, RDeliverEvent):
+        elif cls is RDeliverEvent:
             self._rdeliveries[event.process].append(event)
-        elif isinstance(event, RBroadcastEvent):
+        elif cls is RBroadcastEvent:
             self._rbroadcasts.append(event)
-        elif isinstance(event, DecideEvent):
+        elif cls is DecideEvent:
             self._decides[event.instance].append(event)
-        elif isinstance(event, ProposeEvent):
+        elif cls is ProposeEvent:
             self._proposals[event.instance].append(event)
-        elif isinstance(event, CrashEvent):
+        elif cls is CrashEvent:
             self._crashes[event.process] = event
+        for sink in self.sinks:
+            sink(event)
 
     # ------------------------------------------------------------------
     # Typed accessors
@@ -153,17 +168,9 @@ class Trace(TraceObserver):
         """All consensus instance numbers that reached a decision."""
         return sorted(self._decides)
 
-    def crashes(self) -> dict[ProcessId, CrashEvent]:
-        """Map of crashed process -> crash event."""
-        return dict(self._crashes)
-
     def crash_time(self, process: ProcessId) -> float | None:
         event = self._crashes.get(process)
         return None if event is None else event.time
-
-    def correct_processes(self, all_processes: Iterator[ProcessId] | tuple) -> frozenset[ProcessId]:
-        """Processes that never crashed during the run."""
-        return frozenset(p for p in all_processes if p not in self._crashes)
 
     # ------------------------------------------------------------------
     # Derived queries used by the checkers
@@ -232,24 +239,25 @@ class CountingTrace(TraceObserver):
     """Retains nothing but an event count and the crash record.
 
     The trace for probe-measured performance runs
-    (``trace_mode="metrics"``): all measurement happens in the metric
-    probes fed by the same :class:`~repro.metrics.probes.ProbeTap`, so
-    the trace itself only has to answer the introspection queries that
-    survive a run (who crashed, how many events flowed).
+    (``trace_mode="metrics"``): all measurement happens in the sinks
+    (the metric probes), so the trace itself only has to answer the
+    introspection queries that survive a run (who crashed, how many
+    events flowed).
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, sinks: Iterable[Callable[[ProtocolEvent], None]] = ()
+    ) -> None:
+        super().__init__(sinks)
         #: Total events observed (diagnostics; nothing is retained).
         self.events_seen = 0
-        self._crashes: dict[ProcessId, CrashEvent] = {}
 
     def record(self, event: ProtocolEvent) -> None:
         self.events_seen += 1
-        if isinstance(event, CrashEvent):
+        if type(event) is CrashEvent:
             self._crashes[event.process] = event
-
-    def crashes(self) -> dict[ProcessId, CrashEvent]:
-        return dict(self._crashes)
+        for sink in self.sinks:
+            sink(event)
 
     def instances(self) -> list[int]:
         """Decided instances are not retained here; ask the consensus
@@ -259,85 +267,3 @@ class CountingTrace(TraceObserver):
     def __len__(self) -> int:
         return self.events_seen
 
-
-class MetricsTrace(TraceObserver):
-    """Streaming latency accumulator — the trace for performance runs.
-
-    Instead of retaining events, it keeps only what the latency report
-    needs: the send time of each message abroadcast inside the
-    measurement window, per-process latency samples, which processes
-    delivered which measured message, decided instance numbers, and
-    crashes.  Everything else (r-broadcast/r-deliver/propose traffic,
-    which dominates event volume) is counted and dropped.
-
-    The window is fixed at construction because filtering must happen
-    at record time: ``warmup``/``cutoff`` have the same meaning as in
-    :func:`repro.metrics.latency.measure_latency`.  The resulting
-    numbers match a full :class:`Trace` measured with the same window.
-    ``run_experiment`` measures through the latency probe — which wraps
-    one of these accumulators — in both trace modes; the
-    full-vs-streaming agreement is asserted per probe in
-    ``tests/harness/test_probe_agreement.py``.
-    """
-
-    def __init__(self, warmup: float = 0.0, cutoff: float | None = None) -> None:
-        self.warmup = warmup
-        self.cutoff = cutoff
-        #: Total events observed (diagnostics; nothing is retained).
-        self.events_seen = 0
-        self._sent: dict[MessageId, float] = {}
-        self._samples: dict[ProcessId, list[float]] = defaultdict(list)
-        self._delivered_by: dict[MessageId, set[ProcessId]] = defaultdict(set)
-        self._decided: set[int] = set()
-        self._crashes: dict[ProcessId, CrashEvent] = {}
-
-    def record(self, event: ProtocolEvent) -> None:
-        self.events_seen += 1
-        if isinstance(event, ADeliverEvent):
-            sent = self._sent.get(event.message.mid)
-            if sent is not None:
-                self._samples[event.process].append(event.time - sent)
-                self._delivered_by[event.message.mid].add(event.process)
-        elif isinstance(event, ABroadcastEvent):
-            if event.time >= self.warmup and (
-                self.cutoff is None or event.time <= self.cutoff
-            ):
-                self._sent[event.message.mid] = event.time
-        elif isinstance(event, DecideEvent):
-            self._decided.add(event.instance)
-        elif isinstance(event, CrashEvent):
-            self._crashes[event.process] = event
-
-    # ------------------------------------------------------------------
-    # Accessors mirroring the Trace queries that performance runs use
-    # ------------------------------------------------------------------
-
-    def instances(self) -> list[int]:
-        return sorted(self._decided)
-
-    def crashes(self) -> dict[ProcessId, CrashEvent]:
-        return dict(self._crashes)
-
-    def messages_measured(self) -> int:
-        """Messages abroadcast inside the measurement window."""
-        return len(self._sent)
-
-    def samples_for(self, processes: frozenset[ProcessId]) -> list[float]:
-        """Latency samples of ``processes``, grouped by process id."""
-        return [
-            sample
-            for process in sorted(processes)
-            for sample in self._samples[process]
-        ]
-
-    def fully_delivered(self, correct: frozenset[ProcessId]) -> int:
-        """Measured messages adelivered by every process in ``correct``."""
-        empty: frozenset[ProcessId] = frozenset()
-        return sum(
-            1
-            for mid in self._sent
-            if correct <= self._delivered_by.get(mid, empty)
-        )
-
-    def __len__(self) -> int:
-        return self.events_seen

@@ -241,9 +241,10 @@ def build_system(
         crashes: Crash schedule to arm (default: failure-free).
         trace: Event sink for the run.  Defaults to a full
             :class:`~repro.sim.trace.Trace`; pass a
-            :class:`~repro.sim.trace.MetricsTrace` for long performance
-            runs that only need latency numbers (checkers and scenario
-            queries require the full trace).
+            :class:`~repro.sim.trace.CountingTrace` for long performance
+            runs whose numbers come from probes subscribed as the
+            trace's ``sinks`` (checkers and scenario queries require the
+            full trace).
         partitions: Partition schedule armed alongside ``crashes``;
             its windows join any ``PartitionWindow`` rules already in
             ``spec.faults``.

@@ -198,7 +198,7 @@ BROADCASTS.register(
     factory=lambda ctx, pid: UniformReliableBroadcast(
         ctx.transports[pid], ctx.config
     ),
-    frame_kinds=("urb.data", "urb.ack"),
+    frame_kinds=("urb.data",),
     meta={"selectable": False, "uniform": True},
 )
 

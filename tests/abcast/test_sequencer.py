@@ -228,11 +228,13 @@ class TestThroughTheSweepPipeline:
         for result in (seq, ind):
             assert result.sent > 0
             assert result.undelivered == 0
-            assert result.mean_latency_ms > 0
+            assert result.metric("latency")["mean_ms"] > 0
         # Failure-free, the sequencer orders in one hop + fan-out: it
         # must beat the consensus stack's multi-round latency.
-        assert seq.mean_latency_ms < ind.mean_latency_ms
+        assert (
+            seq.metric("latency")["mean_ms"] < ind.metric("latency")["mean_ms"]
+        )
         # Identical grid re-run: served from cache, identical numbers.
         again = run_suite(sweep, cache_dir=tmp_path, processes=2)
         assert (again.cache_hits, again.cache_misses) == (2, 0)
-        assert again.results[0].latency == suite.results[0].latency
+        assert again.results[0].metrics == suite.results[0].metrics

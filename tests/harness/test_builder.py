@@ -89,8 +89,8 @@ class TestBuilderWiring:
         assert system.correct_processes() == {1, 3}
 
     def test_custom_trace_observer_is_used(self):
-        from repro.sim.trace import MetricsTrace
-        observer = MetricsTrace()
+        from repro.sim.trace import CountingTrace
+        observer = CountingTrace()
         system = build_system(StackSpec(n=3, network="constant"),
                               trace=observer)
         assert system.trace is observer

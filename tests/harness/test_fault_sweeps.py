@@ -72,9 +72,9 @@ class TestGoldenRegression:
         spec, golden = self.CASES[label]
         result = run_experiment(spec)
         got = (
-            result.latency.mean_ms,
+            result.metric("latency")["mean_ms"],
             result.sent,
-            result.frames_total,
+            result.metric("traffic")["frames_total"],
             result.diagnostics["events"],
             result.simulated_seconds,
         )
@@ -156,7 +156,7 @@ class TestFaultSweepsThroughRunner:
         # Identical sweep: all hits.
         second = run_suite(sweep, cache_dir=tmp_path, processes=2)
         assert (second.cache_hits, second.cache_misses) == (2, 0)
-        assert second.results[0].latency == first.results[0].latency
+        assert second.results[0].metrics == first.results[0].metrics
         # Changed loss rate: the shared baseline hits, the new rate misses.
         third = run_suite(
             self.loss_sweep((0.0, 0.05)), cache_dir=tmp_path, processes=2
@@ -205,4 +205,6 @@ class TestFaultSweepsThroughRunner:
         by_name = suite.by_name()
         lan = by_name["topo/indirect@lan n=3 200msg/s 64B seed=0"]
         wan = by_name["topo/indirect@2seg n=3 200msg/s 64B seed=0"]
-        assert wan.mean_latency_ms > lan.mean_latency_ms
+        assert (
+            wan.metric("latency")["mean_ms"] > lan.metric("latency")["mean_ms"]
+        )

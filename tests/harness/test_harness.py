@@ -28,30 +28,26 @@ class TestRunExperiment:
         result = run_experiment(quick_spec())
         assert result.sent > 30
         assert result.undelivered == 0
-        assert result.mean_latency_ms > 0.5  # network floor
-        assert result.instances_decided > 0
-        assert result.latency.messages_fully_delivered > 0
-        assert result.frames_total > result.sent
+        assert result.metric("latency")["mean_ms"] > 0.5  # network floor
+        assert result.metric("consensus")["instances_decided"] > 0
+        assert result.metric("latency")["fully_delivered"] > 0
+        assert result.metric("traffic")["frames_total"] > result.sent
 
     def test_repeatable(self):
         a = run_experiment(quick_spec())
         b = run_experiment(quick_spec())
-        assert a.mean_latency_ms == b.mean_latency_ms
+        assert a.metric("latency")["mean_ms"] == b.metric("latency")["mean_ms"]
         assert a.sent == b.sent
-
-    def test_row_summary(self):
-        row = run_experiment(quick_spec()).row()
-        assert set(row) == {
-            "name", "throughput", "payload", "latency_ms", "p90_ms",
-            "sent", "undelivered",
-        }
 
     def test_data_vs_control_byte_split(self):
         big = run_experiment(quick_spec(payload=2000))
         small = run_experiment(quick_spec(payload=1))
-        assert big.data_bytes > small.data_bytes * 5
+        big_traffic, small_traffic = big.metric("traffic"), small.metric("traffic")
+        assert big_traffic["data_bytes"] > small_traffic["data_bytes"] * 5
         # Control traffic (consensus on ids) is payload-independent.
-        assert big.control_bytes == pytest.approx(small.control_bytes, rel=0.3)
+        assert big_traffic["control_bytes"] == pytest.approx(
+            small_traffic["control_bytes"], rel=0.3
+        )
 
     def test_safety_checks_run_by_default(self):
         assert quick_spec().safety_checks is True

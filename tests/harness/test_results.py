@@ -197,7 +197,7 @@ class TestSeriesFrom:
         for series in series_from(gapped, x="payload"):
             assert len(series.points) == len(series.results)
             for (_, y), result in zip(series.points, series.results):
-                assert y == result.mean_latency_ms
+                assert y == result.metric("latency")["mean_ms"]
 
 
 class TestRenderSuiteFormats:
@@ -240,7 +240,6 @@ class TestCacheRoundTrip:
         result = run_experiment(spec)
         restored = pickle.loads(pickle.dumps(result))
         assert restored.metrics == result.metrics
-        assert restored.latency == result.latency
 
     def test_pre_probe_cache_entries_are_cleanly_ignored(self, tmp_path):
         # A v1-era pickle (no generic metrics payload) sitting at the

@@ -3,8 +3,8 @@
 These are the acceptance tests of the sweep subsystem: a ≥ 8-point grid
 executes through the multiprocessing pool, a second invocation serves
 every point from the on-disk cache, parallel results are bit-for-bit
-equal to serial ones, and a ``MetricsTrace`` run agrees with the
-full-``Trace`` run while retaining no event list.
+equal to serial ones, and a ``trace_mode="metrics"`` run agrees with
+the full-``Trace`` run while retaining no event list.
 """
 
 import dataclasses
@@ -123,7 +123,7 @@ class TestResultCache:
         assert cache.store(spec, result)
         loaded = cache.load(spec)
         assert loaded is not None
-        assert loaded.latency == result.latency
+        assert loaded.metric("latency") == result.metric("latency")
         assert loaded.sent == result.sent
 
     def test_load_rebinds_the_callers_spec_name(self, tmp_path):
@@ -156,9 +156,8 @@ class TestRunSuite:
         assert second.cache_hits == 8
         assert second.cache_misses == 0
         for a, b in zip(first.results, second.results):
-            assert a.latency == b.latency
+            assert a.metrics == b.metrics
             assert a.sent == b.sent
-            assert a.frames_total == b.frames_total
 
     def test_parallel_equals_serial_bit_for_bit(self, tmp_path):
         sweep = small_sweep()
@@ -166,11 +165,8 @@ class TestRunSuite:
         serial = run_suite(sweep, cache_dir=tmp_path / "b", processes=1)
         for a, b in zip(parallel.results, serial.results):
             # Everything but the wall-clock diagnostic is identical.
-            assert a.latency == b.latency
+            assert a.metrics == b.metrics
             assert a.sent == b.sent
-            assert a.frames_total == b.frames_total
-            assert a.data_bytes == b.data_bytes
-            assert a.control_bytes == b.control_bytes
             assert a.simulated_seconds == b.simulated_seconds
             assert a.diagnostics["events"] == b.diagnostics["events"]
 
@@ -228,7 +224,7 @@ class TestRunSuite:
         assert suite.cache_hits == 1
         a, b = suite.results
         assert a.spec.name == "panel-a" and b.spec.name == "panel-b"
-        assert a.latency == b.latency
+        assert a.metric("latency") == b.metric("latency")
 
     def test_failing_point_preserves_completed_siblings(self, tmp_path):
         good = exp_spec(name="good")
@@ -262,14 +258,19 @@ class TestMetricsTraceMode:
         metrics = run_experiment(ExperimentSpec(
             name="metrics", trace_mode="metrics", safety_checks=False, **base
         ))
-        assert metrics.mean_latency_ms == pytest.approx(
-            full.mean_latency_ms, abs=1e-12
+        assert metrics.metric("latency")["mean_ms"] == pytest.approx(
+            full.metric("latency")["mean_ms"], abs=1e-12
         )
-        assert sorted(metrics.latency.samples) == sorted(full.latency.samples)
-        assert metrics.latency.messages_measured == full.latency.messages_measured
-        assert (metrics.latency.messages_fully_delivered
-                == full.latency.messages_fully_delivered)
-        assert metrics.instances_decided == full.instances_decided
+        latency, full_latency = metrics.metric("latency"), full.metric("latency")
+        assert sorted(latency.sample("samples")) == sorted(
+            full_latency.sample("samples")
+        )
+        for field in ("messages_measured", "fully_delivered"):
+            assert latency[field] == full_latency[field]
+        assert (
+            metrics.metric("consensus")["instances_decided"]
+            == full.metric("consensus")["instances_decided"]
+        )
         assert metrics.sent == full.sent
 
     def test_metrics_mode_with_safety_checks_rejected(self):
@@ -283,7 +284,7 @@ class TestMetricsTraceMode:
     def test_metrics_sweep_runs_through_suite(self, tmp_path):
         sweep = small_sweep(trace_mode="metrics", payloads=(1,))
         suite = run_suite(sweep, cache_dir=tmp_path)
-        assert all(r.mean_latency_ms > 0 for r in suite.results)
+        assert all(r.metric("latency")["mean_ms"] > 0 for r in suite.results)
 
 
 class TestParallelMap:
@@ -309,7 +310,7 @@ class TestParallelMap:
         pickle.loads(pickle.dumps(spec))
         result = run_experiment(spec)
         restored = pickle.loads(pickle.dumps(result))
-        assert restored.latency == result.latency
+        assert restored.metric("latency") == result.metric("latency")
 
 
 def _square(x):

@@ -5,11 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
-from repro.core.events import ABroadcastEvent, ADeliverEvent, CrashEvent
+from repro.core.events import (
+    ABroadcastEvent,
+    ADeliverEvent,
+    CrashEvent,
+    ProposeEvent,
+    RDeliverEvent,
+)
 from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import MessageId
 from repro.core.message import AppMessage, make_payload
 from repro.metrics.latency import measure_latency
+from repro.metrics.probes import LatencyProbe
 from repro.metrics.stats import percentile, summarize
 from repro.sim.trace import Trace
 
@@ -132,3 +139,53 @@ class TestLatencyMetric:
         trace = trace_with([ABroadcastEvent(time=0.5, process=1, message=m)])
         with pytest.raises(ConfigurationError):
             measure_latency(trace, SystemConfig(n=3))
+
+
+class TestLatencyFold:
+    """The latency probe's streaming fold, fed event by event."""
+
+    def test_streams_latency_pairs(self):
+        fold = LatencyProbe()
+        fold.on_event(ABroadcastEvent(time=0.1, process=1, message=msg(1, 1)))
+        fold.on_event(ADeliverEvent(time=0.25, process=1, message=msg(1, 1)))
+        fold.on_event(ADeliverEvent(time=0.30, process=2, message=msg(1, 1)))
+        report = fold.report(frozenset({1, 2}))
+        assert report.samples == pytest.approx((0.15, 0.2))
+        assert report.messages_measured == 1
+        assert report.messages_fully_delivered == 1
+
+    def test_window_filters_as_abroadcasts_arrive(self):
+        fold = LatencyProbe(warmup=0.1, cutoff=0.5)
+        for seq, sent in ((1, 0.05), (2, 0.2), (3, 0.6)):
+            fold.on_event(
+                ABroadcastEvent(time=sent, process=1, message=msg(1, seq))
+            )
+        for seq in (1, 2, 3):
+            fold.on_event(
+                ADeliverEvent(time=0.7, process=1, message=msg(1, seq))
+            )
+        report = fold.report(frozenset({1}))
+        assert report.messages_measured == 1
+        assert report.stats.count == 1
+
+    def test_unmeasured_events_leave_no_state(self):
+        fold = LatencyProbe()
+        for i in range(1000):
+            fold.on_event(
+                RDeliverEvent(time=i * 1e-3, process=1, message=msg(1, i))
+            )
+            fold.on_event(ProposeEvent(time=i * 1e-3, process=1, instance=i,
+                                       value=frozenset({MessageId(1, i)})))
+        with pytest.raises(ConfigurationError, match="measurement window"):
+            fold.report(frozenset({1}))
+        assert not fold._samples and not fold._delivered_by
+
+    def test_report_keeps_only_correct_processes(self):
+        fold = LatencyProbe()
+        fold.on_event(ABroadcastEvent(time=0.0, process=1, message=msg(1, 1)))
+        fold.on_event(ADeliverEvent(time=0.1, process=1, message=msg(1, 1)))
+        fold.on_event(ADeliverEvent(time=0.1, process=2, message=msg(1, 1)))
+        report = fold.report(frozenset({1}))
+        assert report.stats.count == 1
+        # p2 crashed, so "fully delivered" only requires the survivors.
+        assert report.messages_fully_delivered == 1

@@ -1,11 +1,10 @@
 """Full-trace vs metrics-mode span agreement (the obs acceptance test).
 
-The :class:`~repro.obs.spans.SpanRecorder` rides the same
-:class:`~repro.metrics.probes.ProbeTap` seam as every built-in probe,
-so the derived span forest must be **bit-identical** whether the run
-retained a checkable event trace (``trace_mode="full"``) or nothing at
-all (``trace_mode="metrics"``).  Asserted on the four golden stacks of
-the paper's evaluation, mirroring
+The :class:`~repro.obs.spans.SpanRecorder` is subscribed to the run's
+trace like every built-in probe, so the derived span forest must be
+**bit-identical** whether the run retained a checkable event trace
+(``trace_mode="full"``) or nothing at all (``trace_mode="metrics"``).
+Asserted on the four golden stacks of the paper's evaluation, mirroring
 ``tests/harness/test_probe_agreement.py``.
 """
 

@@ -7,29 +7,21 @@ a sampled run is deterministic — two identical specs produce
 bit-identical series.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.core.message import make_payload
 from repro.obs.telemetry import (
     QueueTelemetry,
     Telemetry,
     TelemetrySampler,
     TimeSeries,
-    _percentile,
     attach_queue_telemetry,
 )
+from repro.shard.router import Router, completion_stats
 from repro.sim.engine import Engine
-
-
-class TestPercentile:
-    def test_empty_is_zero(self):
-        assert _percentile([], 0.99) == 0.0
-
-    def test_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert _percentile(values, 0.5) == 2.0
-        assert _percentile(values, 0.99) == 4.0
-        assert _percentile([7.5], 0.99) == 7.5
 
 
 class TestRegistry:
@@ -129,6 +121,33 @@ class TestSampler:
         engine.run_until_idle()
         times = telemetry.get("queue.depth").times
         assert times == pytest.approx([0.02, 0.04, 0.06, 0.08, 0.1])
+
+    def test_router_series_read_public_state_and_the_window_function(self):
+        engine = Engine()
+        groups = [SimpleNamespace(config=SimpleNamespace(processes=()),
+                                  abcasts={})]
+        # A slow forwarding hop keeps the 15 ms arrival in flight at
+        # the 20 ms tick.
+        router = Router(engine, groups, forward_latency=0.01)
+        telemetry = Telemetry()
+        TelemetrySampler(engine, telemetry, router=router).install(
+            period=0.01, until=0.02
+        )
+        batches = [[(0.001, 0.002), (0.004, 0.001)], [(0.012, 0.003)]]
+        for i, batch in enumerate(batches):
+            engine.schedule_at(
+                0.005 + 0.01 * i, router.completions[0].extend, batch
+            )
+        engine.schedule_at(0.015, router.submit_shard, 0, make_payload(8))
+        engine.run_until_idle()
+        per_period = [completion_stats(batch, 0.01) for batch in batches]
+        assert telemetry.get("shard0.goodput").values == [
+            stats["goodput"] for stats in per_period
+        ] == [200.0, 100.0]
+        assert telemetry.get("shard0.sojourn_p99_ms").values == [
+            stats["sojourn_p99_ms"] for stats in per_period
+        ]
+        assert telemetry.get("shard0.inflight").values == [0.0, 1.0]
 
     def test_sampled_run_is_deterministic(self):
         from repro.harness.experiment import ExperimentSpec

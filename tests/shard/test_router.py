@@ -11,7 +11,7 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.core.message import make_payload
 from repro.harness.runner import parallel_map
-from repro.shard.router import Router, shard_for
+from repro.shard.router import Router, completion_stats, shard_for
 from repro.shard.service import ShardSpec, build_sharded_system
 from repro.stack.builder import StackSpec
 
@@ -183,6 +183,14 @@ class TestAdmission:
         assert stats["completed"] == 1.0
         assert stats["sojourn_p99_ms"] == pytest.approx(sojourn * 1e3)
 
+    def test_inflight_counts_admitted_until_first_adelivery(self):
+        service = _service()
+        router = service.router
+        router.submit_shard(1, make_payload(8))
+        assert [router.inflight(0), router.inflight(1)] == [0, 1]
+        assert service.run_until_quiescent(timeout=1.0)
+        assert router.inflight(1) == 0
+
     def test_routed_submit_lands_on_owner_shard(self):
         service = _service()
         router = service.router
@@ -192,3 +200,33 @@ class TestAdmission:
         assert [router.offered[0], router.offered[1]] == [1, 1]
         assert len(router.completions[0]) == 1
         assert len(router.completions[1]) == 1
+
+
+class TestCompletionStats:
+    """The one window over the completion log."""
+
+    def test_empty_window_is_zero(self):
+        assert completion_stats([], 1.0) == {
+            "completed": 0.0,
+            "goodput": 0.0,
+            "sojourn_p50_ms": 0.0,
+            "sojourn_p99_ms": 0.0,
+            "sojourn_mean_ms": 0.0,
+        }
+
+    def test_nearest_rank_percentiles(self):
+        log = [(0.0, s) for s in (0.004, 0.001, 0.003, 0.002)]
+        stats = completion_stats(log, 2.0)
+        assert stats["completed"] == 4.0
+        assert stats["goodput"] == 2.0
+        assert stats["sojourn_p50_ms"] == 3.0
+        assert stats["sojourn_p99_ms"] == 4.0
+        assert stats["sojourn_mean_ms"] == pytest.approx(2.5)
+        assert completion_stats([(0.0, 0.0075)], 1.0)["sojourn_p99_ms"] == 7.5
+
+    def test_window_is_half_open_on_arrival(self):
+        log = [(0.1, 0.001), (0.2, 0.002), (0.3, 0.003)]
+        stats = completion_stats(log, 0.2, lo=0.1, hi=0.3)
+        assert stats["completed"] == 2.0
+        assert stats["goodput"] == pytest.approx(10.0)
+        assert stats["sojourn_p99_ms"] == 2.0

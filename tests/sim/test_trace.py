@@ -10,7 +10,7 @@ from repro.core.events import (
 )
 from repro.core.identifiers import MessageId
 from repro.core.message import AppMessage, make_payload
-from repro.sim.trace import CountingTrace, MetricsTrace, Trace, TraceObserver
+from repro.sim.trace import CountingTrace, Trace, TraceObserver
 
 
 def msg(origin, seq):
@@ -132,70 +132,32 @@ class TestCountingTrace:
         assert trace.instances() == []
 
 
-class TestMetricsTrace:
-    """The streaming observer: accumulators without an event list."""
+class TestSinks:
+    """One ``record`` per event, fanned out to the subscribed sinks."""
 
-    def test_is_a_trace_observer(self):
-        assert isinstance(MetricsTrace(), TraceObserver)
-        assert isinstance(Trace(), TraceObserver)
+    def events(self):
+        return [
+            ABroadcastEvent(time=0.0, process=1, message=msg(1, 1)),
+            RDeliverEvent(time=0.1, process=2, message=msg(1, 1)),
+            CrashEvent(time=0.2, process=3),
+        ]
 
-    def test_streams_latency_pairs(self):
-        trace = MetricsTrace()
-        trace.record(ABroadcastEvent(time=0.1, process=1, message=msg(1, 1)))
-        trace.record(ADeliverEvent(time=0.25, process=1, message=msg(1, 1)))
-        trace.record(ADeliverEvent(time=0.30, process=2, message=msg(1, 1)))
-        correct = frozenset({1, 2})
-        samples = trace.samples_for(correct)
-        assert len(samples) == 2
-        assert abs(samples[0] - 0.15) < 1e-12 or abs(samples[0] - 0.2) < 1e-12
-        assert trace.messages_measured() == 1
-        assert trace.fully_delivered(correct) == 1
+    def test_every_sink_sees_every_event_in_order(self):
+        for trace_cls in (Trace, CountingTrace):
+            seen = []
+            trace = trace_cls((
+                lambda e: seen.append(("a", e)),
+                lambda e: seen.append(("b", e)),
+            ))
+            for event in self.events():
+                trace.record(event)
+            assert seen == [
+                (sink, event) for event in self.events() for sink in "ab"
+            ]
+            assert len(trace) == 3
+            assert trace.correct_processes((1, 2, 3)) == {1, 2}
 
-    def test_window_filters_at_record_time(self):
-        trace = MetricsTrace(warmup=0.1, cutoff=0.5)
-        trace.record(ABroadcastEvent(time=0.05, process=1, message=msg(1, 1)))
-        trace.record(ABroadcastEvent(time=0.2, process=1, message=msg(1, 2)))
-        trace.record(ABroadcastEvent(time=0.6, process=1, message=msg(1, 3)))
-        for seq in (1, 2, 3):
-            trace.record(
-                ADeliverEvent(time=0.7, process=1, message=msg(1, seq))
-            )
-        assert trace.messages_measured() == 1
-        assert len(trace.samples_for(frozenset({1}))) == 1
-
-    def test_retains_no_event_list(self):
-        """The whole point: r-layer chatter is counted, never stored."""
-        trace = MetricsTrace()
-        for i in range(1000):
-            trace.record(RDeliverEvent(time=i * 1e-3, process=1, message=msg(1, i)))
-            trace.record(ProposeEvent(time=i * 1e-3, process=1, instance=i,
-                                      value=frozenset({MessageId(1, i)})))
-        assert len(trace) == 2000
-        # No attribute of the observer grew with the event count: the
-        # only per-item state is keyed by *measured messages*, of which
-        # there are none here.
-        assert trace.messages_measured() == 0
-        assert trace.samples_for(frozenset({1})) == []
-        assert not hasattr(trace, "events")
-
-    def test_crash_and_instance_tracking(self):
-        trace = MetricsTrace()
-        trace.record(DecideEvent(time=0.1, process=1, instance=3,
-                                 value=frozenset({MessageId(1, 1)})))
-        trace.record(DecideEvent(time=0.2, process=2, instance=1,
-                                 value=frozenset({MessageId(1, 1)})))
-        trace.record(CrashEvent(time=0.5, process=2))
-        assert trace.instances() == [1, 3]
-        assert trace.correct_processes((1, 2, 3)) == {1, 3}
-
-    def test_samples_exclude_crashed_processes_at_report_time(self):
-        trace = MetricsTrace()
-        trace.record(ABroadcastEvent(time=0.0, process=1, message=msg(1, 1)))
-        trace.record(ADeliverEvent(time=0.1, process=1, message=msg(1, 1)))
-        trace.record(ADeliverEvent(time=0.1, process=2, message=msg(1, 1)))
-        trace.record(CrashEvent(time=0.2, process=2))
-        correct = trace.correct_processes((1, 2))
-        assert correct == {1}
-        assert len(trace.samples_for(correct)) == 1
-        # p2 crashed, so "fully delivered" only requires the survivors.
-        assert trace.fully_delivered(correct) == 1
+    def test_no_sinks_by_default(self):
+        for trace in (Trace(), CountingTrace()):
+            assert isinstance(trace, TraceObserver)
+            assert trace.sinks == ()

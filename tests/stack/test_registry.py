@@ -62,6 +62,28 @@ class TestLayerRegistryMachinery:
         ]
         assert frame_kind_conflicts(entries) == {}
 
+    def test_declared_frame_kinds_are_the_registered_ones(self):
+        """Every kind the catalog declares (and ``--list-variants``
+        prints) is registered on a transport by some combination, and no
+        transport registers an undeclared kind."""
+        assert {combo[3] for combo in ALL_COMBINATIONS} == {
+            "oracle", "heartbeat",
+        }
+        registered = set()
+        for abcast, consensus, rb, fd in ALL_COMBINATIONS:
+            system = build_system(StackSpec(
+                n=4, abcast=abcast, consensus=consensus, rb=rb, fd=fd,
+            ))
+            for transport in system.transports.values():
+                registered.update(transport._handlers)
+        declared = {
+            kind
+            for registry in layers.FAMILIES
+            for entry in registry
+            for kind in entry.frame_kinds
+        }
+        assert registered == declared
+
 
 class TestSpecValidationThroughRegistry:
     def test_unknown_abcast_suggests(self):
