@@ -13,9 +13,9 @@ Admission control bounds the number of *in-flight* operations per shard
 
 * ``"shed"`` — drop the arrival and count it (open-loop overload turns
   into lost goodput, latency of admitted traffic stays bounded), or
-* ``"delay"`` — park the arrival and retry after ``retry_delay``
-  (overload turns into queueing delay; p99 sojourn explodes — the
-  contrast the saturation probes are built to show).
+* ``"delay"`` — park the arrival in a per-shard FIFO queue, served as
+  slots free (overload turns into queueing delay; p99 sojourn explodes
+  — the contrast the saturation probes are built to show).
 
 Hashing is **stable**: :func:`shard_for` is a pure function of the key
 bytes (SHA-256), so assignment is identical across runs, worker
@@ -30,6 +30,8 @@ re-hashing would break per-key total order mid-run.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
+from functools import partial
 from itertools import chain
 from math import ceil, inf
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -101,12 +103,12 @@ class Router:
             admission policy engages.
         policy: ``"shed"`` or ``"delay"`` (see module docstring).
         forward_latency: Simulated client→entry-replica hop, seconds.
-        retry_delay: Re-attempt interval for the ``"delay"`` policy.
 
     Attributes:
-        deadline: Optional absolute time after which parked retries are
-            shed instead of re-armed (set to the workload's end so a
-            saturated ``"delay"`` run still quiesces).
+        deadline: Optional absolute time at which ``"delay"`` stops
+            parking: later over-capacity arrivals, and every op still
+            parked then (one event, armed at the first park), are shed.
+            Set it to the run's end so a saturated run still quiesces.
         measure_from / measure_until: The measurement window for
             :meth:`window_stats`; arrivals outside it are warmup /
             cooldown and excluded from rates and percentiles.
@@ -119,7 +121,6 @@ class Router:
         capacity: int = 64,
         policy: str = "shed",
         forward_latency: float = 50e-6,
-        retry_delay: float = 2e-3,
     ) -> None:
         if not groups:
             raise ConfigurationError("router needs at least one group")
@@ -132,7 +133,6 @@ class Router:
         self.capacity = capacity
         self.policy = policy
         self.forward_latency = forward_latency
-        self.retry_delay = retry_delay
         self.deadline: float | None = None
         self.measure_from = 0.0
         self.measure_until: float | None = None
@@ -141,11 +141,18 @@ class Router:
         self._assignments: dict[str, int] = {}
         #: mid -> arrival time, per shard (the in-flight set).
         self._inflight: list[dict[object, float]] = [{} for _ in range(k)]
-        #: Parked arrivals awaiting re-admission (``"delay"`` only).
-        self._parked: list[int] = [0] * k
+        #: ``(payload, arrival)`` per shard, oldest first; non-empty
+        #: only while the shard is full, as a freed slot takes the head.
+        self._parked: list[deque] = [deque() for _ in range(k)]
+        self._expiry_armed = False
         #: In-flight plus parked operations over all shards, kept
         #: current at every change (``pending`` is read per event).
         self._pending = 0
+        #: Entry replicas per shard, in round-robin order.
+        self._entries = [
+            tuple(group.abcasts[pid] for pid in group.config.processes)
+            for group in groups
+        ]
         self._rr: list[int] = [0] * k
         self.offered = [0] * k
         self.admitted = [0] * k
@@ -155,11 +162,9 @@ class Router:
         self.completions: list[list[tuple[float, float]]] = [
             [] for _ in range(k)
         ]
-        for i, group in enumerate(groups):
-            for pid in group.config.processes:
-                group.abcasts[pid].on_adeliver(
-                    lambda message, _i=i: self._on_adeliver(_i, message)
-                )
+        for i, entries in enumerate(self._entries):
+            for abcast in entries:
+                abcast.on_adeliver(partial(self._on_adeliver, i))
 
     # ------------------------------------------------------------------
     # key assignment
@@ -206,48 +211,44 @@ class Router:
 
     def sink(self, shard: int) -> Callable[["Payload"], bool]:
         """A per-shard submit callable (an open-loop workload ``sink``)."""
-        return lambda payload: self.submit_shard(shard, payload)
+        return partial(self.submit_shard, shard)
 
     def submit_shard(self, shard: int, payload: "Payload") -> bool:
         """Offer ``payload`` to ``shard`` through admission control."""
         self.offered[shard] += 1
-        return self._admit(shard, payload, self.engine.now, first=True)
-
-    def _admit(
-        self, shard: int, payload: "Payload", arrival: float, first: bool
-    ) -> bool:
-        if len(self._inflight[shard]) >= self.capacity:
-            if self.policy == "shed":
-                self.shed[shard] += 1
-                return False
-            if first:
-                self.delayed[shard] += 1
-            now = self.engine.now
-            if self.deadline is not None and now + self.retry_delay >= self.deadline:
-                self.shed[shard] += 1  # window over: parked op is lost
-                return False
-            self._parked[shard] += 1
+        now = self.engine.now
+        if len(self._inflight[shard]) < self.capacity:
             self._pending += 1
-            self.engine.schedule(
-                self.retry_delay, self._retry, shard, payload, arrival
-            )
+            self._admit(shard, payload, now)
+            return True
+        deadline = self.deadline
+        if self.policy == "shed" or (deadline is not None and now >= deadline):
+            self.shed[shard] += 1
             return False
+        self.delayed[shard] += 1
+        self._pending += 1
+        self._parked[shard].append((payload, now))
+        if deadline is not None and not self._expiry_armed:
+            self._expiry_armed = True
+            self.engine.schedule_at(deadline, self._expire)
+        return False
+
+    def _admit(self, shard: int, payload: "Payload", arrival: float) -> None:
         self.admitted[shard] += 1
         # Reserve capacity at admission time; the mid exists only after
-        # the forwarding hop, so park a placeholder keyed by a fresh
-        # token and swap it for the mid when the abroadcast happens.
+        # the forwarding hop, so hold the slot with a fresh token and
+        # swap it for the mid when the abroadcast happens.
         token = object()
         self._inflight[shard][token] = arrival
-        self._pending += 1
         self.engine.schedule(
             self.forward_latency, self._forward, shard, payload, token
         )
-        return True
 
-    def _retry(self, shard: int, payload: "Payload", arrival: float) -> None:
-        self._parked[shard] -= 1
-        self._pending -= 1
-        self._admit(shard, payload, arrival, first=False)
+    def _expire(self) -> None:
+        for shard, parked in enumerate(self._parked):
+            self.shed[shard] += len(parked)
+            self._pending -= len(parked)
+            parked.clear()
 
     def _forward(self, shard: int, payload: "Payload", token: object) -> None:
         arrival = self._inflight[shard].pop(token)
@@ -257,6 +258,8 @@ class Router:
             self.shed[shard] += 1
             self.admitted[shard] -= 1
             self._pending -= 1
+            if self._parked[shard]:
+                self._admit(shard, *self._parked[shard].popleft())
             return
         self._inflight[shard][message.mid] = arrival
 
@@ -272,12 +275,11 @@ class Router:
 
     def _abroadcast(self, shard: int, payload: "Payload") -> "AppMessage | None":
         """Abroadcast at the next live replica (round-robin entry)."""
-        group = self.groups[shard]
-        pids = tuple(group.config.processes)
-        for _ in range(len(pids)):
-            pid = pids[self._rr[shard] % len(pids)]
+        entries = self._entries[shard]
+        for _ in range(len(entries)):
+            abcast = entries[self._rr[shard] % len(entries)]
             self._rr[shard] += 1
-            message = group.abcasts[pid].abroadcast(payload)
+            message = abcast.abroadcast(payload)
             if message is not None:
                 return message
         return None
@@ -288,6 +290,8 @@ class Router:
             return  # later replica of an already-completed op
         self._pending -= 1
         self.completions[shard].append((arrival, self.engine.now - arrival))
+        if self._parked[shard]:
+            self._admit(shard, *self._parked[shard].popleft())
 
     # ------------------------------------------------------------------
     # introspection

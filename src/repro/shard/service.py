@@ -40,9 +40,8 @@ class ShardSpec:
             indirect, faulty-ids, sequencer, ...).
         shards: Number of independent abcast groups.
         router_capacity: Max in-flight operations per shard.
-        admission: ``"shed"`` or ``"delay"`` (overload policy).
+        admission: Overload policy: ``"shed"`` or ``"delay"`` (FIFO park).
         router_latency: Client→entry-replica forwarding hop, seconds.
-        retry_delay: Re-admission interval for the ``"delay"`` policy.
         commit_payload: Wire size of prepare/outcome messages.
     """
 
@@ -51,7 +50,6 @@ class ShardSpec:
     router_capacity: int = 64
     admission: str = "shed"
     router_latency: float = 50e-6
-    retry_delay: float = 2e-3
     commit_payload: int = 64
 
     def __post_init__(self) -> None:
@@ -61,7 +59,8 @@ class ShardSpec:
             )
         if self.admission not in ("shed", "delay"):
             raise ConfigurationError(
-                f"unknown admission policy {self.admission!r}"
+                f"unknown admission policy {self.admission!r}; "
+                "valid: 'shed', 'delay'"
             )
         if self.router_capacity < 1:
             raise ConfigurationError(
@@ -195,7 +194,6 @@ def build_sharded_system(
         capacity=spec.router_capacity,
         policy=spec.admission,
         forward_latency=spec.router_latency,
-        retry_delay=spec.retry_delay,
     )
     commit = TwoGroupCommit(router, payload_size=spec.commit_payload)
     return ShardedSystem(

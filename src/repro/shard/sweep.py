@@ -54,7 +54,6 @@ class ShardPoint:
     router_capacity: int
     admission: str
     router_latency: float
-    retry_delay: float
     max_events: int | None
     window: float | None = None
 
@@ -76,9 +75,10 @@ class ShardSweepSpec:
         duration: Sending window per point, simulated seconds.
         warmup: Measurement-window start (arrivals before it are
             excluded from goodput/percentiles).
-        drain: Extra simulated time after the window for completions.
-        router_capacity / admission / router_latency / retry_delay:
-            Router knobs (see :class:`~repro.shard.router.Router`).
+        drain: Extra simulated time after the window for completions;
+            the router's ``deadline`` is ``duration + drain``.
+        router_capacity / admission / router_latency: Router knobs
+            (see :class:`~repro.shard.service.ShardSpec`).
         max_events: Safety valve per point.
         window: Optional fixed window width (simulated seconds); when
             set, every row additionally carries ``window.<i>.goodput``
@@ -103,7 +103,6 @@ class ShardSweepSpec:
     router_capacity: int = 64
     admission: str = "shed"
     router_latency: float = 50e-6
-    retry_delay: float = 2e-3
     max_events: int | None = None
     window: float | None = None
 
@@ -128,6 +127,11 @@ class ShardSweepSpec:
             raise ConfigurationError(
                 f"warmup must be in [0, duration), got {self.warmup}"
             )
+        if self.drain < 0:
+            raise ConfigurationError(f"drain must be >= 0, got {self.drain}")
+        for shards in self.shards:  # the spec run_shard_point builds
+            ShardSpec(self.stack, shards, self.router_capacity,
+                      self.admission, self.router_latency)
 
     def points(self) -> tuple[ShardPoint, ...]:
         """Expand the grid: shards → workload → seed → load → payload."""
@@ -157,7 +161,6 @@ class ShardSweepSpec:
                                     router_capacity=self.router_capacity,
                                     admission=self.admission,
                                     router_latency=self.router_latency,
-                                    retry_delay=self.retry_delay,
                                     max_events=self.max_events,
                                     window=self.window,
                                 )
@@ -167,21 +170,15 @@ class ShardSweepSpec:
 
 def run_shard_point(point: ShardPoint) -> ResultSet:
     """Run one point; returns one row per shard (strict-concat schema)."""
-    spec = ShardSpec(
-        stack=point.stack,
-        shards=point.shards,
-        router_capacity=point.router_capacity,
-        admission=point.admission,
-        router_latency=point.router_latency,
-        retry_delay=point.retry_delay,
-    )
+    spec = ShardSpec(point.stack, point.shards, point.router_capacity,
+                     point.admission, point.router_latency)
     service = build_sharded_system(
         spec, traces=[CountingTrace() for _ in range(point.shards)]
     )
     router = service.router
     router.measure_from = point.warmup
     router.measure_until = point.duration
-    router.deadline = point.duration
+    router.deadline = point.duration + point.drain
 
     per_shard_rate = point.offered / point.shards
     workloads = []

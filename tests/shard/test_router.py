@@ -13,6 +13,7 @@ from repro.core.message import make_payload
 from repro.harness.runner import parallel_map
 from repro.shard.router import Router, completion_stats, shard_for
 from repro.shard.service import ShardSpec, build_sharded_system
+from repro.shard.sweep import ShardSweepSpec, run_shard_point
 from repro.stack.builder import StackSpec
 
 
@@ -66,6 +67,34 @@ def _service(shards=2, **knobs):
     )
 
 
+#: Inside the third burst of :func:`_bursty_delay_run`.
+BURSTY_DEADLINE = 4.5e-3
+
+
+def _bursty_delay_run(check):
+    """Sixty arrivals over three delay-policy shards of capacity 2, in
+    bursts of ten 2 ms apart, the deadline inside the third burst and
+    every replica of shard 2 crashed; ``check(router, now)`` runs after
+    every event.  Returns the drained router."""
+    service = _service(shards=3, router_capacity=2, admission="delay")
+    router = service.router
+    router.deadline = BURSTY_DEADLINE
+    for replica in service.groups[2].processes.values():
+        replica.crash()
+    for i in range(60):
+        service.engine.schedule_at(
+            (i // 10) * 2e-3,
+            lambda i=i: router.submit_shard(i % 3, make_payload(8)),
+        )
+
+    def checked():
+        check(router, service.engine.now)
+        return False
+
+    service.engine.run(until=1.0, stop_when=checked)
+    return router
+
+
 class TestAssignmentMemoAndRebalance:
     def test_shard_of_matches_hash_and_memoizes(self):
         service = _service()
@@ -112,7 +141,7 @@ class TestAdmission:
         service.run_until_quiescent(timeout=1.0)
         assert len(router.completions[0]) == 2
 
-    def test_delay_policy_retries_until_capacity_frees(self):
+    def test_delay_policy_parks_until_capacity_frees(self):
         service = _service(router_capacity=1, admission="delay")
         router = service.router
         router.deadline = 1.0
@@ -126,50 +155,99 @@ class TestAdmission:
         assert len(router.completions[0]) == 4
 
     def test_delay_policy_sheds_parked_ops_past_deadline(self):
-        service = _service(router_capacity=1, admission="delay",
-                           retry_delay=0.5)
+        """Ops still parked when the deadline passes are shed by it, and
+        from then on an over-capacity arrival is shed, not parked."""
+        service = _service(router_capacity=1, admission="delay")
         router = service.router
-        router.deadline = 0.2  # shorter than one retry interval
+        router.deadline = 1e-4  # before the first op can complete
         for _ in range(3):
             router.submit_shard(0, make_payload(8))
-        service.run_until_quiescent(timeout=2.0)
-        assert router.admitted[0] == 1
-        assert router.shed[0] == 2
+        assert router.delayed[0] == 2 and router.pending() == 3
+        service.engine.run(until=2e-4)
+        assert router.shed[0] == 2 and router.pending() == 1
+        assert router.inflight(0) == 1  # the admitted op, still in flight
+        assert router.submit_shard(0, make_payload(8)) is False
+        assert router.shed[0] == 3 and router.delayed[0] == 2
+        assert service.run_until_quiescent(timeout=2.0)
+        assert router.admitted[0] == 1 and len(router.completions[0]) == 1
         assert router.pending() == 0
 
     def test_pending_count_equals_the_in_flight_and_parked_sum(self):
         """``pending()`` is a running count; after every event of a
-        delay-policy run it must equal the sum it replaced — through
-        parks, retries, completions, deadline sheds and forwards that
-        find every replica of their shard crashed."""
-        service = _service(
-            shards=3, router_capacity=2, admission="delay", retry_delay=1e-3
-        )
-        router = service.router
-        router.deadline = 6e-3  # the last burst's retries run past it
-        for replica in service.groups[2].processes.values():
-            replica.crash()
+        delay-policy run it must equal the in-flight plus the queue
+        lengths — through parks, completions that admit the queue head,
+        deadline sheds and forwards that find every replica of their
+        shard crashed."""
         seen = []
 
-        def agrees():
-            expected = sum(len(s) for s in router._inflight) + sum(
-                router._parked
-            )
+        def agrees(router, now):
+            parked = sum(len(queue) for queue in router._parked)
+            expected = sum(len(s) for s in router._inflight) + parked
             assert router.pending() == expected
-            seen.append(expected)
-            return False
+            seen.append((now, expected, parked))
 
-        for i in range(60):  # bursts of ten arrivals, 2 ms apart
-            service.engine.schedule_at(
-                (i // 10) * 2e-3,
-                lambda i=i: router.submit_shard(i % 3, make_payload(8)),
-            )
-        service.engine.run(until=1.0, stop_when=agrees)
-        assert len(seen) > 100 and max(seen) >= 6
+        router = _bursty_delay_run(agrees)
+        assert len(seen) > 100 and max(p for _, p, _ in seen) >= 6
         assert sum(router.delayed) > 0
-        assert router.shed[0] > 0  # deadline sheds
+        # Ops were still parked when the deadline passed; it shed them.
+        assert [q for t, _, q in seen if t < BURSTY_DEADLINE][-1] > 0
+        assert all(q == 0 for t, _, q in seen if t >= BURSTY_DEADLINE)
+        assert router.shed[0] > 0
         assert router.shed[2] == 20 and router.admitted[2] == 0  # no replica
-        assert sum(router._parked) == 0 and router.pending() == 0
+        assert router.pending() == 0
+
+    def test_parked_ops_are_admitted_in_arrival_order(self):
+        """A freed slot goes to the oldest parked op, and an arrival
+        never overtakes a parked one."""
+        service = _service(router_capacity=1, admission="delay")
+        router = service.router
+        router.deadline = 1.0
+        for at in (0.0, 1e-4, 2e-4, 3e-4, 1e-3, 1.1e-3, 1.5e-3, 3e-3):
+            service.engine.schedule_at(
+                at, lambda: router.submit_shard(0, make_payload(8))
+            )
+        service.engine.run(until=3e-3)
+        assert service.run_until_quiescent(timeout=2.0)
+        arrivals = [arrival for arrival, _ in router.completions[0]]
+        assert len(arrivals) == 8 and router.delayed[0] > 3
+        assert arrivals == sorted(arrivals)
+
+    def test_every_offered_op_is_admitted_shed_or_parked(self):
+        """``admitted + shed + parked == offered`` per shard after every
+        event of the same run."""
+        events = []
+
+        def balanced(router, now):
+            for shard in range(3):
+                assert (
+                    router.admitted[shard] + router.shed[shard]
+                    + len(router._parked[shard])
+                ) == router.offered[shard]
+            events.append(now)
+
+        router = _bursty_delay_run(balanced)
+        assert len(events) > 100 and sum(router.offered) == 60
+
+    def test_short_drain_delay_point_accounts_for_every_offer(self):
+        """A delay point whose drain is too short for its backlog sheds
+        what is still parked at the end of the run, so every row still
+        has ``admitted + shed == offered``."""
+        spec = ShardSweepSpec(
+            name="short-drain",
+            stack=StackSpec(n=2, abcast="indirect", consensus="ct-indirect",
+                            network="constant", seed=3),
+            shards=(2,), offered_loads=(8000.0,),
+            duration=0.05, warmup=0.01, drain=1e-3,
+            router_capacity=1, admission="delay",
+        )
+        (point,) = spec.points()
+        rows = run_shard_point(point).to_rows()
+        assert all(row["shard.shed"] > 0 for row in rows)
+        for row in rows:
+            assert (
+                row["shard.admitted"] + row["shard.shed"]
+                == row["shard.offered"]
+            )
 
     def test_completion_measures_sojourn(self):
         service = _service()

@@ -119,6 +119,18 @@ class TestSweepWiring:
         with pytest.raises(ConfigurationError, match="window"):
             _sweep_spec(window=-0.1)
 
+    def test_unknown_admission_policy_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="'shed', 'delay'"):
+            _sweep_spec(admission="dely")
+
+    def test_zero_router_capacity_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="router_capacity"):
+            _sweep_spec(router_capacity=0)
+
+    def test_negative_drain_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="drain"):
+            _sweep_spec(drain=-0.1)
+
     def test_points_carry_the_window(self):
         spec = _sweep_spec()
         assert all(p.window == 0.05 for p in spec.points())
