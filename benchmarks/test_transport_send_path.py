@@ -12,8 +12,9 @@ tuple walk.
 To measure the changed path and not the downstream delivery
 simulation, the benchmark pair drives ``send_all`` against a
 frame-counting network stub (same ``attach``/``pids``/``multicast``
-surface: the transport hands the network one ``(src, dsts, ...)``
-fan-out per call and the network builds the frames); the equality test
+surface: the transport attaches with its kind -> handler table and
+hands the network one ``(src, dsts, ...)`` fan-out per call, and the
+network builds the frames); the equality test
 then pins, on a *real* fabric, that the cached path produces frames
 identical to the rebuild-and-sort reference.
 """
@@ -31,14 +32,15 @@ ROUNDS = 20_000
 
 
 class _CountingNetwork:
-    """Minimal Network stand-in: accepts fan-outs, counts their frames."""
+    """Minimal Network stand-in: accepts fan-outs, counts their frames
+    (nothing is delivered, so the attached handler table goes unused)."""
 
     def __init__(self) -> None:
         self._processes: dict[int, SimProcess] = {}
         self._pids_sorted: tuple[int, ...] = ()
         self.frames = 0
 
-    def attach(self, process: SimProcess, handler) -> None:
+    def attach(self, process: SimProcess, handlers) -> None:
         self._processes[process.pid] = process
         self._pids_sorted = tuple(sorted(self._processes))
 

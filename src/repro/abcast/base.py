@@ -73,6 +73,8 @@ class AtomicBroadcast:
         self.batch_cap = batch_cap
         self.transport = transport
         self.process = transport.process
+        self.engine = transport.process.engine
+        self.pid = transport.pid
         self.broadcast = broadcast
         self.consensus = consensus
         self.config = config
@@ -94,10 +96,6 @@ class AtomicBroadcast:
         broadcast.on_deliver(self._on_rdeliver)
         consensus.on_decide(self._on_decide)
 
-    @property
-    def pid(self) -> int:
-        return self.transport.pid
-
     def on_adeliver(self, callback: ADeliverCallback) -> None:
         """Register an ``adeliver`` callback (called in delivery order)."""
         self._callbacks.append(callback)
@@ -115,17 +113,9 @@ class AtomicBroadcast:
         if self.process.crashed:
             return None
         self._seq += 1
-        message = AppMessage(
-            mid=MessageId(origin=self.pid, seq=self._seq),
-            sender=self.pid,
-            payload=payload,
-            sent_at=self.process.engine.now,
-        )
-        self.process.trace.record(
-            ABroadcastEvent(
-                time=self.process.engine.now, process=self.pid, message=message
-            )
-        )
+        now = self.engine.now
+        message = AppMessage(MessageId(self.pid, self._seq), self.pid, payload, now)
+        self.process.trace.record(ABroadcastEvent(now, self.pid, message))
         self.broadcast.broadcast(message)
         return message
 
@@ -135,17 +125,18 @@ class AtomicBroadcast:
 
     def _on_rdeliver(self, message: AppMessage) -> None:
         self.store.add(message)
-        if (
-            message.mid not in self._ordered_set
-            and message.mid not in self.adelivered
-        ):
-            self.unordered.add(message.mid)
+        mid = message.mid
+        if mid not in self._ordered_set and mid not in self.adelivered:
+            self.unordered.add(mid)
         # The rcv predicate's truth value may just have flipped for some
         # pending consensus wait (the wait-for-messages ablation of the
         # CT-indirect algorithm re-evaluates Phase 3 on this signal).
         self.consensus.notify_rcv_update()
-        self._try_adeliver()
-        self._maybe_propose()
+        # Each step below is a no-op on an empty queue: skip its call.
+        if self.ordered:
+            self._try_adeliver()
+        if self.unordered:
+            self._maybe_propose()
 
     # ------------------------------------------------------------------
     # Consensus plumbing (lines 15-21)
@@ -156,7 +147,7 @@ class AtomicBroadcast:
         if self.process.crashed or not self.unordered:
             return
         k = self.next_instance
-        if self._proposed_through >= k or self.consensus.has_decided(k):
+        if self._proposed_through >= k or k in self.consensus.decided:
             return
         self._proposed_through = k
         self.consensus.propose(k, self._proposal_value(), self._rcv_function())
@@ -228,11 +219,7 @@ class AtomicBroadcast:
             self._ordered_set.discard(head)
             self.adelivered.add(head)
             self.process.trace.record(
-                ADeliverEvent(
-                    time=self.process.engine.now,
-                    process=self.pid,
-                    message=message,
-                )
+                ADeliverEvent(self.engine.now, self.pid, message)
             )
             for callback in self._callbacks:
                 callback(message)

@@ -22,7 +22,7 @@ from repro.abcast.base import AtomicBroadcast
 from repro.broadcast.base import BroadcastService
 from repro.consensus.base import ConsensusService
 from repro.core.config import SystemConfig
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, ProtocolViolationError
 from repro.core.identifiers import MessageId
 from repro.core.message import AppMessage
 from repro.net.transport import Transport
@@ -59,7 +59,12 @@ class OnMessagesAtomicBroadcast(AtomicBroadcast):
         messages = []
         for mid in self._batch():
             message = self.store.get(mid)
-            assert message is not None, "unordered id without received message"
+            if message is None:
+                # unordered_p only ever holds ids of r-delivered messages.
+                raise ProtocolViolationError(
+                    "Abcast Validity",
+                    f"p{self.pid}: unordered id {mid} without received message",
+                )
             messages.append(message)
         return frozenset(messages)
 

@@ -99,6 +99,8 @@ class SequencerAtomicBroadcast:
             raise ConfigurationError("resend_interval must be > 0")
         self.transport = transport
         self.process = transport.process
+        self.engine = transport.process.engine
+        self.pid = transport.pid
         self.detector = detector
         self.config = config
         self.resend_interval = resend_interval
@@ -142,10 +144,6 @@ class SequencerAtomicBroadcast:
     # Roles
     # ------------------------------------------------------------------
 
-    @property
-    def pid(self) -> int:
-        return self.transport.pid
-
     def sequencer_of(self, epoch: int) -> ProcessId:
         """The sequencer of ``epoch``: round-robin over the group."""
         return self.peers[epoch % len(self.peers)]
@@ -170,17 +168,9 @@ class SequencerAtomicBroadcast:
         if self.process.crashed:
             return None
         self._seq += 1
-        message = AppMessage(
-            mid=MessageId(origin=self.pid, seq=self._seq),
-            sender=self.pid,
-            payload=payload,
-            sent_at=self.process.engine.now,
-        )
-        self.process.trace.record(
-            ABroadcastEvent(
-                time=self.process.engine.now, process=self.pid, message=message
-            )
-        )
+        now = self.engine.now
+        message = AppMessage(MessageId(self.pid, self._seq), self.pid, payload, now)
+        self.process.trace.record(ABroadcastEvent(now, self.pid, message))
         self.pending[message.mid] = message
         self._forward(message)
         return message
@@ -300,11 +290,7 @@ class SequencerAtomicBroadcast:
                 continue  # renumbered duplicate
             self.adelivered.add(message.mid)
             self.process.trace.record(
-                ADeliverEvent(
-                    time=self.process.engine.now,
-                    process=self.pid,
-                    message=message,
-                )
+                ADeliverEvent(self.engine.now, self.pid, message)
             )
             for callback in self._callbacks:
                 callback(message)

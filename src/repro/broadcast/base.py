@@ -41,14 +41,12 @@ class BroadcastService:
     def __init__(self, transport: Transport) -> None:
         self.transport = transport
         self.process = transport.process
+        self.engine = transport.process.engine
+        self.pid = transport.pid
         self._delivered: set[MessageId] = set()
         self._callbacks: list[DeliverCallback] = []
         #: Number of messages this process has broadcast (diagnostics).
         self.broadcast_count = 0
-
-    @property
-    def pid(self) -> int:
-        return self.transport.pid
 
     def on_deliver(self, callback: DeliverCallback) -> None:
         """Register a delivery callback (called in registration order)."""
@@ -61,12 +59,7 @@ class BroadcastService:
             return
         self.broadcast_count += 1
         self.process.trace.record(
-            RBroadcastEvent(
-                time=self.process.engine.now,
-                process=self.pid,
-                message=message,
-                uniform=self.uniform,
-            )
+            RBroadcastEvent(self.engine.now, self.pid, message, self.uniform)
         )
         self._diffuse(message)
 
@@ -83,16 +76,12 @@ class BroadcastService:
         Returns True on first delivery, False on duplicates (Uniform
         integrity: at most once).
         """
-        if self.process.crashed or message.mid in self._delivered:
+        mid = message.mid
+        if self.process.crashed or mid in self._delivered:
             return False
-        self._delivered.add(message.mid)
+        self._delivered.add(mid)
         self.process.trace.record(
-            RDeliverEvent(
-                time=self.process.engine.now,
-                process=self.pid,
-                message=message,
-                uniform=self.uniform,
-            )
+            RDeliverEvent(self.engine.now, self.pid, message, self.uniform)
         )
         for callback in self._callbacks:
             callback(message)

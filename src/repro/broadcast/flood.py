@@ -46,7 +46,7 @@ class FloodReliableBroadcast(BroadcastService):
 
     def _on_data(self, frame: Frame) -> None:
         message: AppMessage = frame.body
-        if self.has_delivered(message.mid):
+        if message.mid in self._delivered:
             return
         # Relay before delivering: by the time the upper layer reacts,
         # the copies that make Agreement hold are already on their way.

@@ -37,6 +37,8 @@ class UniformReliableBroadcast(BroadcastService):
     def __init__(self, transport: Transport, config: SystemConfig) -> None:
         super().__init__(transport)
         self.config = config
+        #: Distinct holders that make a copy deliverable: ``⌈(n+1)/2⌉``.
+        self.majority = config.majority_quorum
         self._pending: dict[MessageId, AppMessage] = {}
         self._seen_from: dict[MessageId, set[int]] = {}
         transport.register(self.KIND, self._on_data)
@@ -58,7 +60,7 @@ class UniformReliableBroadcast(BroadcastService):
 
     def _on_data(self, frame: Frame) -> None:
         message: AppMessage = frame.body
-        if self.has_delivered(message.mid):
+        if message.mid in self._delivered:
             return
         first_copy = message.mid not in self._seen_from
         self._note_copy(message, holder=frame.src)
@@ -78,11 +80,11 @@ class UniformReliableBroadcast(BroadcastService):
         """Record that ``holder`` provably has ``message``; deliver once a
         majority of *distinct senders* (never this process itself) has
         been witnessed."""
-        if self.has_delivered(message.mid):
+        if message.mid in self._delivered:
             return
         self._pending[message.mid] = message
         holders = self._seen_from.setdefault(message.mid, set())
         holders.add(holder)
-        if len(holders) >= self.config.majority_quorum:
+        if len(holders) >= self.majority:
             self._pending.pop(message.mid, None)
             self._deliver(message)

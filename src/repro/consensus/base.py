@@ -123,10 +123,15 @@ class ConsensusService:
             )
         self.transport = transport
         self.process = transport.process
+        self.engine = transport.process.engine
         self.config = config
         self.detector = detector
         self.codec = codec
         self.charge_rcv = charge_rcv
+        # Per-step constants as plain attributes, not read via ``config``.
+        self.pid = transport.pid
+        self.n = config.n
+        self.majority = config.majority_quorum  # ⌈(n+1)/2⌉: CT Phases 2, 4
         #: Every instance ever created, decided or not — the archive
         #: ``obs/spans.py`` and ``analysis/rounds.py`` read after a run.
         self._instances: dict[int, Any] = {}
@@ -160,10 +165,6 @@ class ConsensusService:
     # Public API
     # ------------------------------------------------------------------
 
-    @property
-    def pid(self) -> int:
-        return self.transport.pid
-
     def on_decide(self, callback: DecideCallback) -> None:
         """Register a ``decide(k, v)`` callback."""
         self._callbacks.append(callback)
@@ -187,12 +188,7 @@ class ConsensusService:
         if instance.proposed:
             raise ConfigurationError(f"p{self.pid}: instance {k} already proposed")
         self.process.trace.record(
-            ProposeEvent(
-                time=self.process.engine.now,
-                process=self.pid,
-                instance=k,
-                value=self.codec.to_ids(value),
-            )
+            ProposeEvent(self.engine.now, self.pid, k, self.codec.to_ids(value))
         )
         instance.start(value, rcv)
 
@@ -225,9 +221,9 @@ class ConsensusService:
         predicate may have flipped to true is re-evaluated.
 
         A no-op for the original algorithms (they never consult rcv)
-        and whenever nothing is parked on ``rcv``, which is always under
-        the default nack-on-missing policy; the parked instances re-run
-        their pending phase check, oldest first.
+        and whenever nothing is parked on ``rcv``: only CT's "wait"
+        policy parks, never its default nack-on-missing nor MR; the
+        parked instances re-run their Phase 3 check, oldest first.
         """
         if not self._parked or self.process.crashed:
             return
@@ -272,17 +268,20 @@ class ConsensusService:
 
     def _on_decide_frame(self, frame: Frame) -> None:
         k, value = frame.body
-        if k not in self._decide_forwarded:
-            # First receipt: forward to everybody else before deciding,
-            # which is what makes the decide diffusion a *reliable*
-            # broadcast (any correct receiver re-diffuses).
-            self._decide_forwarded.add(k)
-            self.transport.send_all(
-                f"{self.PREFIX}.decide",
-                body=(k, value),
-                size=self.codec.wire_size(value) + CONSENSUS_HEADER_SIZE,
-                include_self=False,
-            )
+        if k in self._decide_forwarded:
+            # A repeat: the first receipt decided ``k`` or found the
+            # process crashed (permanent), so there is nothing to do.
+            return
+        # First receipt: forward to everybody else before deciding,
+        # which is what makes the decide diffusion a *reliable*
+        # broadcast (any correct receiver re-diffuses).
+        self._decide_forwarded.add(k)
+        self.transport.send_all(
+            f"{self.PREFIX}.decide",
+            body=(k, value),
+            size=self.codec.wire_size(value) + CONSENSUS_HEADER_SIZE,
+            include_self=False,
+        )
         self._decide_local(k, value)
 
     def _decide_local(self, k: int, value: Any) -> None:
@@ -295,12 +294,7 @@ class ConsensusService:
             self._parked.discard(k)
             instance.stop()
         self.process.trace.record(
-            DecideEvent(
-                time=self.process.engine.now,
-                process=self.pid,
-                instance=k,
-                value=self.codec.to_ids(value),
-            )
+            DecideEvent(self.engine.now, self.pid, k, self.codec.to_ids(value))
         )
         for callback in self._callbacks:
             callback(k, value)

@@ -31,6 +31,7 @@ from typing import Any
 
 from repro.consensus.base import CONSENSUS_HEADER_SIZE, ConsensusService
 from repro.core.config import SystemConfig
+from repro.core.exceptions import ConfigurationError
 from repro.core.rcv import RcvFunction
 from repro.net.frame import Frame
 
@@ -57,6 +58,7 @@ class CtInstance:
         "rcv",
         "ts",
         "r",
+        "c",
         "estimates",
         "proposals",
         "acks",
@@ -78,6 +80,8 @@ class CtInstance:
         self.rcv: RcvFunction | None = None
         self.ts = 0
         self.r = 0
+        #: Coordinator of round ``r``, fixed when the round is entered.
+        self.c = 0
         # Per-round buffers (populated by frames, consulted by phases).
         self.estimates: dict[int, dict[int, tuple[Any, int]]] = {}
         self.proposals: dict[int, Any] = {}
@@ -116,21 +120,17 @@ class CtInstance:
         self.proposal_sent = self.proposed_value = None
         self.phase3_done = self.phase4_done = None
 
-    @property
-    def _active(self) -> bool:
-        return self.proposed and not self.stopped and not self.service.process.crashed
-
     # ------------------------------------------------------------------
     # Round progression
     # ------------------------------------------------------------------
 
     def _enter_round(self) -> None:
         svc = self.service
-        self.r += 1
+        self.r = r = self.r + 1
         self.rounds_executed += 1
-        self.round_entries.append(svc.process.engine.now)
-        r = self.r
-        c = svc.config.coordinator(r)
+        self.round_entries.append(svc.engine.now)
+        # The rotating coordinator (r mod n) + 1 of SystemConfig.coordinator.
+        self.c = c = r % svc.n + 1
         if r > 1:
             # Phase 1: send the current estimate to the coordinator
             # (the coordinator sends to itself through the loopback so
@@ -178,16 +178,14 @@ class CtInstance:
     # ------------------------------------------------------------------
 
     def _try_phase2(self) -> None:
-        if not self._active:
-            return
         svc = self.service
-        r = self.r
-        if svc.pid != svc.config.coordinator(r) or r in self.proposal_sent:
+        if not self.proposed or self.stopped or svc.process.crashed:
             return
-        if r == 1:
-            return  # handled in _enter_round
-        received = self.estimates.get(r, {})
-        if len(received) < svc.config.majority_quorum:
+        r = self.r
+        if r == 1 or svc.pid != self.c or r in self.proposal_sent:
+            return  # round 1 proposes in _enter_round
+        received = self.estimates.get(r)
+        if received is None or len(received) < svc.majority:
             return
         # Select one estimate with the largest timestamp; ties broken by
         # the smallest sender id for determinism (the algorithm allows
@@ -214,13 +212,13 @@ class CtInstance:
     # ------------------------------------------------------------------
 
     def _try_phase3(self) -> None:
-        if not self._active:
-            return
         svc = self.service
+        if not self.proposed or self.stopped or svc.process.crashed:
+            return
         r = self.r
         if r in self.phase3_done:
             return
-        c = svc.config.coordinator(r)
+        c = self.c
         if r in self.proposals:
             value = self.proposals[r]
             if svc._accept(self, value):
@@ -268,12 +266,12 @@ class CtInstance:
     # ------------------------------------------------------------------
 
     def _try_phase4(self) -> None:
-        if not self._active:
-            return
         svc = self.service
+        if not self.proposed or self.stopped or svc.process.crashed:
+            return
         r = self.r
         if (
-            svc.pid != svc.config.coordinator(r)
+            svc.pid != self.c
             or r not in self.proposal_sent
             or r in self.phase4_done
         ):
@@ -282,7 +280,7 @@ class CtInstance:
             self.phase4_done.add(r)
             self._enter_round()
             return
-        if len(self.acks.get(r, ())) >= svc.config.majority_quorum:
+        if len(self.acks.get(r, ())) >= svc.majority:
             self.phase4_done.add(r)
             svc._broadcast_decision(self.k, self.proposed_value[r])
 
@@ -303,8 +301,6 @@ class ChandraTouegConsensus(ConsensusService):
     ) -> None:
         super().__init__(*args, **kwargs)
         if missing_policy not in ("nack", "wait"):
-            from repro.core.exceptions import ConfigurationError
-
             raise ConfigurationError(
                 f"missing_policy must be 'nack' or 'wait', got {missing_policy!r}"
             )
@@ -330,23 +326,32 @@ class ChandraTouegConsensus(ConsensusService):
         return True
 
     # ------------------------------------------------------------------
-    # Frame dispatchers
+    # Frame dispatchers (not live: decided, so dropped, or not created)
     # ------------------------------------------------------------------
 
     def _on_est(self, frame: Frame) -> None:
         k, r, sender, estimate, ts = frame.body
-        if k in self.decided:
-            return
-        self._instance(k).on_estimate(r, sender, estimate, ts)
+        instance = self._live.get(k)
+        if instance is None:
+            if k in self.decided:
+                return
+            instance = self._instance(k)
+        instance.on_estimate(r, sender, estimate, ts)
 
     def _on_prop(self, frame: Frame) -> None:
         k, r, value = frame.body
-        if k in self.decided:
-            return
-        self._instance(k).on_proposal(r, value)
+        instance = self._live.get(k)
+        if instance is None:
+            if k in self.decided:
+                return
+            instance = self._instance(k)
+        instance.on_proposal(r, value)
 
     def _on_ack(self, frame: Frame) -> None:
         k, r, sender, positive = frame.body
-        if k in self.decided:
-            return
-        self._instance(k).on_ack(r, sender, positive)
+        instance = self._live.get(k)
+        if instance is None:
+            if k in self.decided:
+                return
+            instance = self._instance(k)
+        instance.on_ack(r, sender, positive)

@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.consensus.chandra_toueg import ChandraTouegConsensus, CtInstance
-from repro.core.config import SystemConfig
 
 
 class CTIndirectConsensus(ChandraTouegConsensus):
@@ -45,11 +44,7 @@ class CTIndirectConsensus(ChandraTouegConsensus):
     NAME = "ct-indirect"
     PREFIX = "cti"
     REQUIRES_RCV = True
-
-    @classmethod
-    def resilience_bound(cls, config: SystemConfig) -> int:
-        """The adaptation does not cost resilience: still ``f < n/2``."""
-        return (config.n - 1) // 2
+    # resilience_bound is inherited: the adaptation keeps ``f < n/2``.
 
     def _accept(self, instance: CtInstance, value: Any) -> bool:
         """Phase-3 gate (Algorithm 2 line 25): adopt only if ``rcv(v)``.

@@ -29,6 +29,7 @@ from typing import Any
 
 from repro.consensus.base import CONSENSUS_HEADER_SIZE, ConsensusService
 from repro.core.config import SystemConfig
+from repro.core.exceptions import ProtocolViolationError
 from repro.core.rcv import RcvFunction
 from repro.net.frame import Frame
 
@@ -65,6 +66,7 @@ class MrInstance:
         "estimate",
         "rcv",
         "r",
+        "c",
         "echoes",
         "echoed",
         "evaluated",
@@ -80,6 +82,8 @@ class MrInstance:
         self.estimate: Any = None
         self.rcv: RcvFunction | None = None
         self.r = 0
+        #: Coordinator of round ``r``, fixed when the round is entered.
+        self.c = 0
         #: round -> {sender: value-or-BOTTOM}
         self.echoes: dict[int, dict[int, Any]] = {}
         self.echoed: set[int] = set()
@@ -105,17 +109,14 @@ class MrInstance:
         self.stopped = True
         self.echoes = self.echoed = self.evaluated = None
 
-    @property
-    def _active(self) -> bool:
-        return self.proposed and not self.stopped and not self.service.process.crashed
-
     def _enter_round(self) -> None:
         svc = self.service
-        self.r += 1
+        self.r = r = self.r + 1
         self.rounds_executed += 1
-        self.round_entries.append(svc.process.engine.now)
-        r = self.r
-        if svc.pid == svc.config.coordinator(r):
+        self.round_entries.append(svc.engine.now)
+        # The rotating coordinator (r mod n) + 1 of SystemConfig.coordinator.
+        self.c = r % svc.n + 1
+        if svc.pid == self.c:
             # Phase 1, coordinator: est_from_c <- estimate_p, send to all
             # (Algorithm 3 lines 10-12); this send is also its echo.
             self._send_echo(r, self.estimate)
@@ -135,26 +136,21 @@ class MrInstance:
     def on_detector_change(self) -> None:
         self._try_phase1()
 
-    def on_rcv_update(self) -> None:
-        """New message upstairs.  The MR adaptation echoes ⊥ immediately
-        rather than waiting (Algorithm 3 line 19), so nothing pends on
-        rcv here; the hook exists for interface uniformity."""
-
     # ------------------------------------------------------------------
     # Phase 1 (non-coordinator): echo the coordinator's value or ⊥
     # ------------------------------------------------------------------
 
     def _try_phase1(self) -> None:
-        if not self._active:
-            return
         svc = self.service
+        if not self.proposed or self.stopped or svc.process.crashed:
+            return
         r = self.r
         if r in self.echoed:
             return
-        c = svc.config.coordinator(r)
+        c = self.c
         if svc.pid == c:
             return  # echoed on round entry
-        round_echoes = self.echoes.get(r, {})
+        round_echoes = self.echoes.get(r, ())
         if c in round_echoes:
             value = round_echoes[c]
             # The filtering hook: the original algorithm forwards the
@@ -183,14 +179,14 @@ class MrInstance:
     # ------------------------------------------------------------------
 
     def _try_phase2(self) -> None:
-        if not self._active:
-            return
         svc = self.service
+        if not self.proposed or self.stopped or svc.process.crashed:
+            return
         r = self.r
         if r not in self.echoed or r in self.evaluated:
             return
-        received = self.echoes.get(r, {})
-        if len(received) < svc._phase2_quorum():
+        received = self.echoes.get(r)
+        if received is None or len(received) < svc.echo_quorum:
             return
         self.evaluated.add(r)
         values = list(received.values())
@@ -199,7 +195,12 @@ class MrInstance:
             # All valid echoes of a round carry the coordinator's single
             # value (crash faults only — no equivocation).
             v = valid[0]
-            assert all(x == v for x in valid), "distinct valid echoes in a round"
+            if valid.count(v) != len(valid):
+                raise ProtocolViolationError(
+                    "Consensus Uniform agreement",
+                    f"p{svc.pid}: distinct valid echoes in round {r} of "
+                    f"instance {self.k}",
+                )
             if len(valid) == len(values):
                 # rec_p = {v}: decide (Algorithm 3 lines 24-26).
                 self.estimate = v
@@ -220,6 +221,7 @@ class MostefaouiRaynalConsensus(ConsensusService):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
+        self.echo_quorum = self._phase2_quorum()
         self.transport.register(f"{self.PREFIX}.echo", self._on_echo)
 
     @classmethod
@@ -249,6 +251,9 @@ class MostefaouiRaynalConsensus(ConsensusService):
 
     def _on_echo(self, frame: Frame) -> None:
         k, r, sender, value = frame.body
-        if k in self.decided:
-            return
-        self._instance(k).on_echo(r, sender, value)
+        instance = self._live.get(k)
+        if instance is None:
+            if k in self.decided:
+                return
+            instance = self._instance(k)
+        instance.on_echo(r, sender, value)

@@ -10,16 +10,51 @@ the property checkers in :mod:`repro.checkers`: the formal properties of
 the paper (Validity, Uniform integrity, Uniform agreement, Uniform total
 order, No loss, ...) are all predicates over event traces, and that is
 literally how the checkers evaluate them.
+
+A run builds one event per protocol action (hundreds of thousands on a
+loaded run), so construction is on the hot path: the emit sites pass
+fields positionally, and :func:`_fast_init` gives every class an
+``__init__`` that stores each field through its slot descriptor instead
+of the frozen dataclass's ``object.__setattr__`` per field.  The classes
+stay frozen, hashable and equal by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from repro.core.identifiers import MessageId, ProcessId
 from repro.core.message import AppMessage
 
 
+def _fast_init(cls: type) -> type:
+    """Install an ``__init__`` on the frozen slotted dataclass ``cls``.
+
+    Same signature as the generated one (fields in order, defaults
+    kept), but each field is written with its slot's member descriptor
+    (``cls.<field>.__set__``), which bypasses the frozen
+    ``__setattr__`` guard exactly as the generated ``__init__`` does
+    with ``object.__setattr__``, at about half the cost.
+    """
+    namespace: dict = {}
+    params = ["self"]
+    body = []
+    for f in fields(cls):
+        namespace[f"set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"default_{f.name}"] = f.default
+            params.append(f"{f.name}=default_{f.name}")
+        body.append(f"    set_{f.name}(self, {f.name})")
+    exec(f"def __init__({', '.join(params)}):\n" + "\n".join(body), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class ProtocolEvent:
     """Base class: something observable happened at ``process`` at ``time``."""
@@ -28,6 +63,7 @@ class ProtocolEvent:
     process: ProcessId
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class ABroadcastEvent(ProtocolEvent):
     """``abroadcast(m)`` was invoked (Algorithm 1 line 7)."""
@@ -35,6 +71,7 @@ class ABroadcastEvent(ProtocolEvent):
     message: AppMessage
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class ADeliverEvent(ProtocolEvent):
     """``adeliver(m)`` occurred (Algorithm 1 line 24)."""
@@ -42,6 +79,7 @@ class ADeliverEvent(ProtocolEvent):
     message: AppMessage
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class RBroadcastEvent(ProtocolEvent):
     """A reliable (or uniform reliable) broadcast was initiated."""
@@ -50,6 +88,7 @@ class RBroadcastEvent(ProtocolEvent):
     uniform: bool = False
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class RDeliverEvent(ProtocolEvent):
     """A reliable (or uniform reliable) delivery occurred."""
@@ -58,6 +97,7 @@ class RDeliverEvent(ProtocolEvent):
     uniform: bool = False
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class ProposeEvent(ProtocolEvent):
     """``propose(k, v, rcv)`` for consensus instance ``k``."""
@@ -66,6 +106,7 @@ class ProposeEvent(ProtocolEvent):
     value: frozenset[MessageId]
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class DecideEvent(ProtocolEvent):
     """``decide(k, v)`` for consensus instance ``k``.
@@ -81,6 +122,7 @@ class DecideEvent(ProtocolEvent):
     holders_at_decision: frozenset[ProcessId] = frozenset()
 
 
+@_fast_init
 @dataclass(frozen=True, slots=True)
 class CrashEvent(ProtocolEvent):
     """``process`` crashed at ``time`` and takes no further steps."""

@@ -14,7 +14,7 @@ identifiers into a delivery *sequence*.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 #: Processes are identified by 1-based integers, matching the paper's
 #: ``p1 .. pn`` convention (the round-robin coordinator of round ``r`` is
@@ -67,6 +67,12 @@ def order_id_set(ids: Iterable[MessageId]) -> tuple[MessageId, ...]:
     return tuple(sorted(ids))
 
 
-def id_set_wire_size(ids: Iterable[MessageId]) -> int:
-    """Total serialized size of a set of identifiers, in bytes."""
-    return sum(identifier.wire_size() for identifier in ids)
+def id_set_wire_size(ids: Collection[MessageId]) -> int:
+    """Total serialized size of a set of identifiers, in bytes.
+
+    Takes a sized collection (a set, frozenset, list or tuple), not a
+    one-shot iterator: every identifier costs the same
+    :data:`MESSAGE_ID_WIRE_SIZE`, so the size is ``len(ids)`` times that
+    constant, computed without visiting the elements.
+    """
+    return len(ids) * MESSAGE_ID_WIRE_SIZE

@@ -23,6 +23,8 @@ from repro.core.identifiers import ProcessId
 #: (UDP/IP-style framing).
 FRAME_HEADER_SIZE = 28
 
+#: The one frame numbering.  ``Network.multicast`` uses it and
+#: ``_tuple_new`` too, to build a frame's tuple inline.
 _next_seq = itertools.count(1).__next__
 _tuple_new = tuple.__new__
 

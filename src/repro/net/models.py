@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import ProcessId
 from repro.net.faults import DelayRule, FaultPipeline
-from repro.net.frame import FRAME_HEADER_SIZE, Frame
+from repro.net.frame import FRAME_HEADER_SIZE, Frame, _next_seq, _tuple_new
 from repro.net.topology import Topology
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.equeue import ARGS, FN, PENDING, STATE
@@ -54,6 +54,9 @@ from repro.sim.resources import FifoResource
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.process import SimProcess
     from repro.sim.rng import RngRegistry
+
+#: One inbound frame handler, looked up by ``frame.kind``.
+FrameHandler = Callable[[Frame], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +118,8 @@ class Network:
         self.engine = engine
         self._processes: dict[ProcessId, "SimProcess"] = {}
         self._pids_sorted: tuple[ProcessId, ...] = ()
-        self._handlers: dict[ProcessId, Callable[[Frame], None]] = {}
+        #: pid -> that process's kind -> handler table (see attach).
+        self._handlers: dict[ProcessId, Mapping[str, FrameHandler]] = {}
         self.drop_in_flight_of_crashed_sender = drop_in_flight_of_crashed_sender
         self._in_flight: dict[ProcessId, list[EventHandle]] = {}
         #: pid -> ``_in_flight`` length at which the next prune runs.
@@ -149,14 +153,20 @@ class Network:
     # ------------------------------------------------------------------
 
     def attach(
-        self, process: "SimProcess", handler: Callable[[Frame], None]
+        self, process: "SimProcess", handlers: Mapping[str, FrameHandler]
     ) -> None:
-        """Register ``process`` and its inbound frame ``handler``."""
+        """Register ``process`` and its inbound ``handlers`` by frame kind.
+
+        The network dispatches every frame delivered to ``process`` on
+        ``frame.kind`` through ``handlers`` itself (a transport passes
+        its live registration table, so kinds registered later count);
+        a kind with no handler is a :class:`ConfigurationError`.
+        """
         # Raises ConfigurationError for a pid the topology does not place.
         self._segment[process.pid] = self.topology.segment_of(process.pid)
         self._processes[process.pid] = process
         self._pids_sorted = tuple(sorted(self._processes))
-        self._handlers[process.pid] = handler
+        self._handlers[process.pid] = handlers
         self._in_flight[process.pid] = []
         self._in_flight_prune[process.pid] = 64
         if self.drop_in_flight_of_crashed_sender:
@@ -205,9 +215,12 @@ class Network:
         per-kind counters bumped and the model's stage costs computed
         once for the whole fan-out; then one frame per destination is
         built (in ``dsts`` order; ``frame`` is :meth:`send`'s own) and
-        transmitted.  While the fault pipeline is armed each frame
-        first passes it, which may drop it (loss rules, partition
-        windows) or fan it out into duplicate copies.
+        transmitted.  Each frame is the tuple ``Frame(...)`` would build,
+        allocated inline: the same fields and the same ``seq`` counter,
+        without a Python-level ``__new__`` call per destination.  While
+        the fault pipeline is armed each frame first passes it, which may
+        drop it (loss rules, partition windows) or fan it out into
+        duplicate copies.
         """
         processes = self._processes
         sender = processes.get(src)
@@ -230,7 +243,9 @@ class Network:
         armed = self.pipeline.armed
         for dst in dsts:
             out = (
-                Frame(src, dst, kind, body, size, control)
+                _tuple_new(
+                    Frame, (src, dst, kind, body, size, control, _next_seq())
+                )
                 if frame is None
                 else frame
             )
@@ -341,12 +356,18 @@ class Network:
             deliver(frame)
 
     def _deliver(self, frame: Frame) -> None:
-        """Hand ``frame`` to the destination (dropped if it crashed)."""
-        dst = self._processes[frame.dst]
-        if dst.crashed:
+        """Hand ``frame`` to the destination's handler for its kind
+        (dropped if the destination crashed)."""
+        dst = frame.dst
+        if self._processes[dst].crashed:
             self.frames_dropped += 1
             return
-        self._handlers[frame.dst](frame)
+        handler = self._handlers[dst].get(frame.kind)
+        if handler is None:
+            raise ConfigurationError(
+                f"p{dst}: no handler for frame kind {frame.kind!r}"
+            )
+        handler(frame)
 
     # ------------------------------------------------------------------
     # Statistics
@@ -416,7 +437,7 @@ class ConstantLatencyNetwork(Network):
             delay += rule.extra
         if self._routed and self._segment[frame.src] != self._segment[frame.dst]:
             delay += self.topology.router_latency
-        handle = self._schedule_delivery_at(self.engine._now + delay, frame)
+        handle = self._schedule_delivery_at(self.engine.now + delay, frame)
         if self.drop_in_flight_of_crashed_sender:
             # Remembered so the sender's crash can void it.
             flight = self._in_flight[frame.src]

@@ -5,8 +5,10 @@ their process's :class:`Transport`, which stamps frames with the local
 process id, and they receive by registering a handler for each frame
 kind they own (``"rb.data"``, ``"cons.ack"``, ...).
 
-The transport is also where the crash-stop model is enforced on the
-receive path: a crashed process's handlers are never invoked.
+The transport hands its kind -> handler table to the network at attach,
+and the network dispatches each delivered frame on ``frame.kind``
+itself.  The network also enforces the crash-stop model on the receive
+path: a crashed process's handlers are never invoked.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ class Transport:
 
     Handlers are registered per frame kind; registering the same kind
     twice is a configuration error (it would silently shadow a protocol).
+    The table is the one the network dispatches from, so a handler
+    registered after attach is seen by the next delivered frame.
     """
 
     def __init__(self, process: SimProcess, network: Network) -> None:
@@ -42,7 +46,7 @@ class Transport:
         # reading ``transport.pid`` nor the send path pay a descriptor.
         self.pid: ProcessId = process.pid
         self._net_multicast = network.multicast
-        network.attach(process, self._dispatch)
+        network.attach(process, self._handlers)
 
     @property
     def peers(self) -> tuple[ProcessId, ...]:
@@ -56,16 +60,6 @@ class Transport:
                 f"p{self.pid}: handler for frame kind {kind!r} already registered"
             )
         self._handlers[kind] = handler
-
-    def _dispatch(self, frame: Frame) -> None:
-        if self.process.crashed:
-            return
-        handler = self._handlers.get(frame.kind)
-        if handler is None:
-            raise ConfigurationError(
-                f"p{self.pid}: no handler for frame kind {frame.kind!r}"
-            )
-        handler(frame)
 
     # ------------------------------------------------------------------
     # Send primitives

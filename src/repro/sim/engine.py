@@ -228,7 +228,7 @@ class Engine:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_qpush",
         "_running",
@@ -239,7 +239,9 @@ class Engine:
     )
 
     def __init__(self, annotating: bool = False) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain slot: every
+        #: layer reads it per step, and the run loops write it.
+        self.now = 0.0
         self._queue = EventQueue()
         self._qpush = self._queue.push
         self._running = False
@@ -250,11 +252,6 @@ class Engine:
         self.annotating = annotating
         #: Number of callbacks executed so far (diagnostics / runaway guard).
         self.events_executed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def scheduler(self) -> Scheduler | None:
@@ -290,15 +287,15 @@ class Engine:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ConfigurationError(f"cannot schedule in the past: delay={delay}")
-        return self._qpush(self._now + delay, fn, args)
+        return self._qpush(self.now + delay, fn, args)
 
     def schedule_at(
         self, time: float, fn: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise ConfigurationError(
-                f"cannot schedule at {time}, current time is {self._now}"
+                f"cannot schedule at {time}, current time is {self.now}"
             )
         return self._qpush(time, fn, args)
 
@@ -434,7 +431,7 @@ class Engine:
                             stop_when,
                         )
                     except EventBudgetExceeded:
-                        raise _budget_exceeded(max_events, self._now) from None
+                        raise _budget_exceeded(max_events, self.now) from None
                     break
                 while heap and heap[0][4] == CANCELLED:
                     heappop(heap)
@@ -444,7 +441,7 @@ class Engine:
                         self._release_blocked()
                         continue
                     if until is not None:
-                        self._now = max(self._now, until)
+                        self.now = max(self.now, until)
                     break
                 head = heap[0]
                 time = head[0]
@@ -455,7 +452,7 @@ class Engine:
                         # within the run, not silently lost.
                         self._release_blocked()
                         continue
-                    self._now = until
+                    self.now = until
                     break
                 # Singleton fast path: the head's only possible tie
                 # sits at heap[1] or heap[2] (its children); when
@@ -468,7 +465,7 @@ class Engine:
                 ):
                     if not wants((head,)):
                         heappop(heap)
-                        self._now = time
+                        self.now = time
                         head[4] = FINISHED
                         queue.pending -= 1
                         executed += 1
@@ -477,7 +474,7 @@ class Engine:
                             observer.on_fire(head)
                         head[2](*head[3])
                         if max_events is not None and executed >= max_events:
-                            raise _budget_exceeded(max_events, self._now)
+                            raise _budget_exceeded(max_events, self.now)
                         if stop_when is not None and stop_when():
                             break
                         continue
@@ -522,7 +519,7 @@ class Engine:
                         if observer is not None:
                             observer.on_defer(chosen)
                     continue
-                self._now = time
+                self.now = time
                 chosen[4] = FINISHED
                 queue.pending -= 1
                 executed += 1
@@ -531,13 +528,13 @@ class Engine:
                     observer.on_fire(chosen)
                 chosen[2](*chosen[3])
                 if max_events is not None and executed >= max_events:
-                    raise _budget_exceeded(max_events, self._now)
+                    raise _budget_exceeded(max_events, self.now)
                 if stop_when is not None and stop_when():
                     break
         finally:
             self._running = False
             scheduler.end_run(self)
-        return self._now
+        return self.now
 
     def _release_blocked(self) -> None:
         """Re-enqueue every deferred event at the current time.
@@ -555,7 +552,7 @@ class Engine:
                 # cancellation accounting here instead.
                 queue._cancelled -= 1
                 continue
-            record[0] = max(self._now, record[0])
+            record[0] = max(self.now, record[0])
             queue.seq += 1
             record[1] = queue.seq
             heappush(queue.entries, record)
@@ -591,7 +588,7 @@ class Engine:
             )
         except EventBudgetExceeded:
             # Name the caller's budget, not what was left of it.
-            raise _budget_exceeded(max_events, self._now) from None
+            raise _budget_exceeded(max_events, self.now) from None
 
     def run_until_idle(self, max_events: int | None = None) -> float:
         """Run until no events remain (convenience for tests)."""

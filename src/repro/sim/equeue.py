@@ -264,9 +264,9 @@ class EventQueue:
                 if time > until_f:
                     # Not due in this run: back where it was.
                     heappush(entries, entry)
-                    engine._now = until
+                    engine.now = until
                     break
-                engine._now = time
+                engine.now = time
                 entry[4] = 2  # FINISHED
                 self.pending -= 1
                 executed += 1
@@ -275,13 +275,13 @@ class EventQueue:
                 if executed >= budget:
                     raise EventBudgetExceeded(
                         f"simulation exceeded max_events={max_events} "
-                        f"at t={engine._now:.6f}s (likely a protocol livelock)"
+                        f"at t={engine.now:.6f}s (likely a protocol livelock)"
                     )
                 if stop_when is not None and stop_when():
                     break
             else:
-                if until is not None and until > engine._now:
-                    engine._now = until
+                if until is not None and until > engine.now:
+                    engine.now = until
         finally:
             engine.events_executed = events_before + executed
-        return engine._now
+        return engine.now

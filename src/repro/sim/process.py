@@ -101,7 +101,7 @@ class SimProcess:
         if self.crashed:
             return
         self.crashed = True
-        self.trace.record(CrashEvent(time=self.engine.now, process=self.pid))
+        self.trace.record(CrashEvent(self.engine.now, self.pid))
         for listener in self._crash_listeners:
             listener()
 

@@ -75,7 +75,7 @@ class FifoResource:
         if then is not None:
             return self.stage(duration, then, args)
         start = self._free_at
-        now = self.engine._now
+        now = self.engine.now
         if now > start:
             start = now
         finish = self._free_at = start + duration
@@ -99,7 +99,7 @@ class FifoResource:
         """
         engine = self.engine
         start = self._free_at
-        now = engine._now
+        now = engine.now
         if now > start:
             start = now
         finish = self._free_at = start + duration

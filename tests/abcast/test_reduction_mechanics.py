@@ -8,7 +8,7 @@ Uniform-integrity guard protects.
 import pytest
 
 from repro import StackSpec, build_system, make_payload
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, ProtocolViolationError
 from repro.core.identifiers import MessageId, order_id_set
 
 
@@ -44,7 +44,6 @@ class TestDecisionApplication:
         assert mid in abcast._ordered_set
 
     def test_duplicate_ordering_raises_protocol_violation(self):
-        from repro.core.exceptions import ProtocolViolationError
         system = fresh_system()
         abcast = system.abcasts[1]
         mid = MessageId(1, 1)
@@ -127,6 +126,20 @@ class TestOnMessagesShortCircuit:
         system.run_until_delivered(count=1, timeout=1.0)
         assert m.mid in a3.adelivered
         assert a3.store.get(m.mid).payload.content == "bulk"
+
+    def test_unordered_id_without_message_raises_even_under_O(self):
+        """unordered_p only holds r-delivered ids; proposing full messages
+        for one that has none is reported as a violation (not an
+        ``assert``, which ``python -O`` would strip)."""
+        system = build_system(
+            StackSpec(n=3, abcast="on-messages", consensus="ct", seed=1)
+        )
+        a1 = system.abcasts[1]
+        a1.unordered.add(MessageId(2, 7))
+        with pytest.raises(
+            ProtocolViolationError, match="unordered id m2.7 without received"
+        ):
+            a1._maybe_propose()
 
     def test_message_set_codec_enforced(self):
         # The builder always pairs on-messages with MESSAGE_SET_CODEC;

@@ -6,6 +6,7 @@ from repro.consensus.base import ID_SET_CODEC
 from repro.consensus.mostefaoui_raynal import BOTTOM, MostefaouiRaynalConsensus
 from repro.consensus.mr_indirect import MRIndirectConsensus
 from repro.core.events import RDeliverEvent
+from repro.core.exceptions import ProtocolViolationError
 from repro.core.identifiers import MessageId
 from repro.net.faults import DelayRule
 from repro.core.rcv import ReceivedStore
@@ -109,6 +110,22 @@ class TestEchoMechanics:
             assert inst.rounds_executed == 1  # only round 1 was needed
         # ... and in it every process echoed to all exactly once.
         assert fabric.network.frames_sent.get("mr.echo", 0) == 16
+
+    def test_distinct_valid_echoes_in_a_round_raise_even_under_O(self):
+        """Crash faults cannot make two valid echoes of one round differ;
+        if they do, Phase 2 reports it as a violation (not an ``assert``,
+        which ``python -O`` would strip)."""
+        fabric = make_fabric(3)
+        services, stores, decisions = mount(fabric, MostefaouiRaynalConsensus)
+        services[1].propose(1, frozenset({MessageId(1, 1)}))
+        instance = services[1]._instances[1]
+        # p2 coordinates round 1; p1 echoes its value, then a second
+        # valid echo with another value completes the n - f = 2 quorum.
+        instance.on_echo(1, 2, frozenset({MessageId(2, 1)}))
+        with pytest.raises(
+            ProtocolViolationError, match="distinct valid echoes in round 1"
+        ):
+            instance.on_echo(1, 3, frozenset({MessageId(3, 1)}))
 
 
 class TestIndirectFilter:

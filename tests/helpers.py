@@ -7,6 +7,8 @@ and mount only the layer under test, instead of a full stack.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.config import SystemConfig
@@ -133,6 +135,34 @@ def trace_fingerprint(trace: Trace) -> str:
             pass
         lines.append(" ".join(parts))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def count_calls(fn, predicate):
+    """Run ``fn()`` under a ``sys.setprofile`` hook and count its calls.
+
+    The exact call-count budgets (frame path, record path, per-instance
+    protocol cost) all measure the same thing: how many Python-level
+    function calls a fixed drive makes, which repeats on any machine.
+    ``predicate(code)`` sees the code object of every Python function
+    entered while ``fn`` runs and returns the key to count that call
+    under, or a falsy value to ignore it (C builtins are never seen).
+
+    Returns ``(result of fn(), Counter of key -> calls)``.
+    """
+    counts: Counter = Counter()
+
+    def hook(frame, event, _arg):
+        if event == "call":
+            key = predicate(frame.f_code)
+            if key:
+                counts[key] += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, counts
 
 
 _mid_counter = [0]

@@ -18,7 +18,6 @@ both trace modes:
 from __future__ import annotations
 
 import os
-import sys
 
 import pytest
 
@@ -26,6 +25,7 @@ from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.metrics.probes import DEFAULT_PROBES
 from repro.net.setups import SETUP_1
 from repro.stack.builder import StackSpec
+from tests.helpers import count_calls
 
 _REPRO_DIR = os.sep + "repro" + os.sep
 
@@ -37,6 +37,12 @@ PARENT_CALLS_PER_EVENT = 5
 CALLS_PER_EVENT = 3
 #: Protocol events the drive emits (the same in both trace modes).
 EVENTS = 504
+
+
+def _record_path(code) -> str | None:
+    if code.co_name in ("record", "on_event") and _REPRO_DIR in code.co_filename:
+        return code.co_name
+    return None
 
 
 def drive(trace_mode: str) -> dict:
@@ -54,20 +60,9 @@ def drive(trace_mode: str) -> dict:
         safety_checks=trace_mode == "full",
     )
     systems = []
-    calls = {"record": 0, "on_event": 0}
-
-    def hook(frame, event, _arg):
-        if event != "call":
-            return
-        code = frame.f_code
-        if code.co_name in calls and _REPRO_DIR in code.co_filename:
-            calls[code.co_name] += 1
-
-    sys.setprofile(hook)
-    try:
-        result = run_experiment(spec, on_system=systems.append)
-    finally:
-        sys.setprofile(None)
+    result, calls = count_calls(
+        lambda: run_experiment(spec, on_system=systems.append), _record_path
+    )
     return {
         "result": result,
         "events": len(systems[0].trace),

@@ -40,7 +40,9 @@ def make_net(n=3, kind="constant", annotating=False, **kwargs):
         process = SimProcess(pid, engine, trace)
         network.attach(
             process,
-            lambda f, _pid=pid, _e=engine: inboxes[_pid].append((_e.now, f)),
+            {"test.data": lambda f, _pid=pid: inboxes[_pid].append(
+                (engine.now, f)
+            )},
         )
     return engine, network, inboxes
 
@@ -108,7 +110,7 @@ class TestConstantModelBatching:
             if f.body == 0:
                 network.send(frame(src=2, dst=2, seq=50))
 
-        network._handlers[2] = relay
+        network._handlers[2] = {"test.data": relay}
         burst(network, count=2)
         engine.run(until=1e-3)  # exactly the batch's due time
         assert relayed == [0, 1]
@@ -142,7 +144,7 @@ class TestConstantModelBatching:
             inboxes[2].append((engine.now, f))
             network.process(2).crash()
 
-        network._handlers[2] = crash_then_receive
+        network._handlers[2] = {"test.data": crash_then_receive}
         burst(network, count=3)
         engine.run_until_idle()
         # First frame lands, handler crashes p2, rest of the batch drops.
@@ -190,7 +192,9 @@ class TestContentionModelBatching:
         network = ContentionNetwork(engine, params)
         trace = Trace()
         for pid in (1, 2):
-            network.attach(SimProcess(pid, engine, trace), lambda f: None)
+            network.attach(
+                SimProcess(pid, engine, trace), {"test.data": lambda f: None}
+            )
         burst(network, count=5)
         engine.run_until_idle()
         cpu = network.process(2).cpu

@@ -29,8 +29,7 @@ def make_net(n=2, faults=(), seed=0, **kwargs):
     inboxes = {pid: [] for pid in range(1, n + 1)}
     for pid in range(1, n + 1):
         network.attach(
-            SimProcess(pid, engine, trace),
-            lambda frame, _pid=pid: inboxes[_pid].append(frame),
+            SimProcess(pid, engine, trace), {"test.data": inboxes[pid].append}
         )
     return engine, network, inboxes
 

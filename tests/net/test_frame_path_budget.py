@@ -8,7 +8,10 @@ machine):
 
 * Python-level calls made inside ``repro.net`` — at most half of what
   the per-frame send path this routine replaced made on the very same
-  drive (``PARENT_NET_CALLS``, measured at commit f28252a);
+  drive (``PARENT_NET_CALLS``, measured at commit f28252a), and exactly
+  120 fewer than before the network built each frame's tuple inline and
+  dispatched deliveries on ``frame.kind`` itself (one ``Frame.__new__``
+  and one ``Transport._dispatch`` per frame, ``BEFORE_INLINE_NET_CALLS``);
 * Python-level calls made inside ``repro.sim`` — exactly one per FIFO
   stage (``FifoResource.stage`` charges the resource and pushes the
   heap entry in one call), so three per remote frame and one per
@@ -25,7 +28,6 @@ machine):
 from __future__ import annotations
 
 import os
-import sys
 
 from repro.net.faults import LossRule, PartitionWindow
 from repro.net.models import ContentionNetwork
@@ -35,6 +37,7 @@ from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
+from tests.helpers import count_calls
 
 _NET_DIR = os.sep + os.path.join("repro", "net") + os.sep
 _SIM_DIR = os.sep + os.path.join("repro", "sim") + os.sep
@@ -51,10 +54,14 @@ FRAMES = REMOTE_FRAMES + SELF_FRAMES
 #: whose ``send_all`` built a frame and called ``Network.send`` per
 #: destination: 22.2 per remote frame.
 PARENT_NET_CALLS = 1065
-#: ...and now: 9.2 per remote frame (the receiver stage no longer
-#: detours through the delivery-coalescing routine when its cost is
-#: positive: a positive cost can never coalesce).
-NET_CALLS = 441
+#: ``repro.net`` calls at commit 6b97489: 9.2 per remote frame, with a
+#: ``Frame.__new__`` per frame built and a ``Transport._dispatch`` hop
+#: per frame delivered.
+BEFORE_INLINE_NET_CALLS = 441
+#: ...and now: 6.7 per remote frame (the network allocates each frame's
+#: tuple inline and looks the handler up by kind in the table the
+#: transport registered at attach).
+NET_CALLS = 321
 #: ``repro.sim`` calls this drive made at commit a9e089a, where each
 #: stage was ``FifoResource.occupy`` plus a queue push (399 in all:
 #: 156 + 156, 82 calendar-bucket advances, 1 column growth, 4 run
@@ -99,22 +106,8 @@ def drive(faults=(), arm=None):
         transports[pid] = transport
     if arm is not None:
         arm(network)
-    counts = {"net": 0, "admit": 0, "sim": 0}
 
-    def hook(frame, event, _arg):
-        if event != "call":
-            return
-        filename = frame.f_code.co_filename
-        if _NET_DIR in filename:
-            counts["net"] += 1
-            if frame.f_code.co_name == "admit":
-                counts["admit"] += 1
-        elif _SIM_DIR in filename:
-            counts["sim"] += 1
-
-    pushed_before = engine.equeue.seq
-    sys.setprofile(hook)
-    try:
+    def run():
         for round_no in range(ROUNDS):
             for pid, transport in transports.items():
                 transport.send_all(
@@ -124,16 +117,27 @@ def drive(faults=(), arm=None):
                     include_self=round_no % 2 == 0,
                 )
         engine.run_until_idle()
-    finally:
-        sys.setprofile(None)
+
+    pushed_before = engine.equeue.seq
+    _, counts = count_calls(run, _layer)
     return {
         "network": network,
         "delivered": delivered,
-        "net_calls": counts["net"],
+        "net_calls": counts["net"] + counts["admit"],
         "admit_calls": counts["admit"],
         "sim_calls": counts["sim"],
         "pushes": engine.equeue.seq - pushed_before,
     }
+
+
+def _layer(code) -> str | None:
+    """``admit`` (a ``repro.net`` call counted apart), ``net`` or ``sim``."""
+    filename = code.co_filename
+    if _NET_DIR in filename:
+        return "admit" if code.co_name == "admit" else "net"
+    if _SIM_DIR in filename:
+        return "sim"
+    return None
 
 
 def sent_frames():
@@ -159,6 +163,7 @@ class TestUnarmedBudget:
         assert len(run["delivered"]) == FRAMES
         assert run["net_calls"] == NET_CALLS
         assert 2 * NET_CALLS <= PARENT_NET_CALLS
+        assert BEFORE_INLINE_NET_CALLS - NET_CALLS == 2 * FRAMES
 
     def test_sim_calls_one_per_stage(self):
         run = drive()

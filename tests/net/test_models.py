@@ -32,9 +32,8 @@ def make_net(n=2, kind="constant", **kwargs):
     for pid in range(1, n + 1):
         process = SimProcess(pid, engine, trace)
         processes[pid] = process
-        network.attach(
-            process, lambda frame, _pid=pid: inboxes[_pid].append(frame)
-        )
+        append = inboxes[pid].append
+        network.attach(process, {"test.data": append, "test.ctl": append})
     return engine, network, processes, inboxes
 
 

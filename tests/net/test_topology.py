@@ -35,9 +35,7 @@ def make_net(n=4, kind="contention", topology=None, **kwargs):
     for pid in range(1, n + 1):
         process = SimProcess(pid, engine, trace)
         processes[pid] = process
-        network.attach(
-            process, lambda frame, _pid=pid: inboxes[_pid].append(frame)
-        )
+        network.attach(process, {"t.data": inboxes[pid].append})
     return engine, network, processes, inboxes
 
 

@@ -25,7 +25,9 @@ class TestRegistration:
     def test_unhandled_kind_raises(self):
         fabric = make_fabric(2)
         fabric.transports[1].send(2, "nobody.home", body=None, size=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(
+            ConfigurationError, match="p2: no handler for frame kind 'nobody.home'"
+        ):
             fabric.run()
 
     def test_crashed_receiver_ignores_frames(self):
@@ -36,6 +38,7 @@ class TestRegistration:
         fabric.processes[2].crash()
         fabric.run()
         assert got == []
+        assert fabric.network.frames_dropped == 1
 
 
 class TestSendPrimitives:

@@ -2,7 +2,8 @@
 
 ``tools/hotpath_lint.py`` is CI's guard on the event-core hot path
 (``__slots__`` everywhere, no ``getattr``/dict literals in the fused
-drain loops, a bare per-frame send path); running it under pytest too
+drain loops, a bare per-frame send path, consensus phase bodies that
+read constants instead of ``config``); running it under pytest too
 means a regression fails the ordinary test suite as well, with the
 lint's own diagnostics attached.
 """
@@ -61,4 +62,77 @@ def test_frame_path_lint_names_each_way_of_giving_the_budget_back():
         "fault-pipeline call outside an armed/has_delay guard",
         "dict/list literal on the frame path",
         "getattr() on the frame path",
+    ]
+
+
+_CONFIG_PER_STEP = """
+class MrInstance:
+    def _try_phase1(self):
+        if not self._active:
+            return
+        c = self.service.config.coordinator(self.r)
+
+class MrService:
+    def _on_echo(self, frame):
+        if self.has_decided(frame.body[0]):
+            return
+
+    def _phase2_quorum(self):
+        return self.config.n - self.config.f
+"""
+
+#: ``CtInstance._try_phase4`` as it read while pid, coordinator and
+#: quorum were re-derived per step through ``config``.
+_CT_PHASE4_BEFORE = """
+class CtInstance:
+    @property
+    def _active(self) -> bool:
+        return self.proposed and not self.stopped and not self.service.process.crashed
+
+    def _try_phase4(self) -> None:
+        if not self._active:
+            return
+        svc = self.service
+        r = self.r
+        if (
+            svc.pid != svc.config.coordinator(r)
+            or r not in self.proposal_sent
+            or r in self.phase4_done
+        ):
+            return
+        if self.nacks.get(r):
+            self.phase4_done.add(r)
+            self._enter_round()
+            return
+        if len(self.acks.get(r, ())) >= svc.config.majority_quorum:
+            self.phase4_done.add(r)
+            svc._broadcast_decision(self.k, self.proposed_value[r])
+"""
+
+
+def _protocol_findings(source):
+    problems = _lint_module().protocol_path_problems(
+        ast.parse(source), "snippet"
+    )
+    findings = []
+    for problem in problems:
+        where, what = problem.split(": ", 1)
+        findings.append((where.split(" ")[1], what.split(" (")[0]))
+    return findings
+
+
+def test_protocol_path_lint_names_config_reads_active_and_has_decided():
+    # _phase2_quorum is not a per-step body: it runs once per service.
+    assert _protocol_findings(_CONFIG_PER_STEP) == [
+        ("MrInstance._try_phase1", "_active property per step"),
+        ("MrInstance._try_phase1", "reads config per step"),
+        ("MrService._on_echo", "has_decided() per frame"),
+    ]
+
+
+def test_protocol_path_lint_reports_the_config_reading_ct_phase():
+    assert _protocol_findings(_CT_PHASE4_BEFORE) == [
+        ("CtInstance._try_phase4", "_active property per step"),
+        ("CtInstance._try_phase4", "reads config per step"),
+        ("CtInstance._try_phase4", "reads config per step"),
     ]

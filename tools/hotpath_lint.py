@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Allocation-discipline lint for the event-core hot path.
 
-The event core and the frame path hold their per-event cost down by
-three disciplines that nothing in the type system enforces:
+The event core, the frame path and the consensus phases hold their
+per-event cost down by four disciplines that nothing in the type system
+enforces:
 
 * **no instance dicts** — every class in the hot modules
   (``sim/equeue.py``, ``sim/engine.py``, ``sim/resources.py``,
@@ -19,9 +20,16 @@ three disciplines that nothing in the type system enforces:
   ``FifoResource.stage``:
   no ``getattr``, no dict/list literal, no call on the topology at all
   (segments are a table built on attach) and no call on the fault
-  pipeline except under an ``armed`` / ``has_delay`` guard.
+  pipeline except under an ``armed`` / ``has_delay`` guard;
+* **constant protocol steps** — the consensus phase bodies
+  (``_try_phase*``, ``_enter_round``) and frame dispatchers (``_on_*``,
+  ``_on_decide_frame`` included) run per frame and read pid, ``n``,
+  quorums and the round's coordinator as plain attributes computed
+  once: no read of ``config`` at all, no ``_active`` property and no
+  ``has_decided(`` call (``tests/consensus/test_instance_budget.py``
+  pins the resulting call counts).
 
-All three are trivially easy to regress with an innocent-looking edit,
+All four are trivially easy to regress with an innocent-looking edit,
 and no such regression fails a functional test — they just quietly
 give back the ledger's ns/event (``tests/net/test_frame_path_budget.py``
 pins the resulting call counts).  CI runs this script so the
@@ -42,7 +50,9 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import pkgutil
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 #: Modules whose classes must all declare ``__slots__``.  Exception
@@ -72,6 +82,12 @@ FRAME_PATH_METHODS = (
     ("repro.net.models", "_enter_medium"),
     ("repro.net.models", "_enter_receiver"),
 )
+
+#: Method-name patterns (``fnmatch``) of the per-frame protocol bodies,
+#: checked in every class of every ``repro.consensus`` module: the
+#: phase re-evaluations and the frame dispatchers (``_on_*`` covers
+#: ``_on_decide_frame``).
+PROTOCOL_PATH_METHODS = ("_try_phase*", "_enter_round", "_on_*")
 
 #: A pipeline call is allowed only under an ``if`` testing one of these.
 PIPELINE_GUARDS = frozenset({"armed", "has_delay"})
@@ -231,6 +247,57 @@ def frame_path_problems(
     return problems
 
 
+def _protocol_modules() -> list[str]:
+    package = importlib.import_module("repro.consensus")
+    return [
+        f"repro.consensus.{info.name}"
+        for info in pkgutil.iter_modules(package.__path__)
+    ]
+
+
+def check_protocol_path(module_name: str) -> list[str]:
+    """The consensus phase bodies read constants, not ``config``."""
+    source_path = Path(
+        importlib.import_module(module_name).__file__  # type: ignore[arg-type]
+    )
+    tree = ast.parse(source_path.read_text(), filename=str(source_path))
+    return protocol_path_problems(tree, module_name)
+
+
+def protocol_path_problems(tree: ast.Module, module_name: str) -> list[str]:
+    """:func:`check_protocol_path` on an already-parsed module."""
+    problems: list[str] = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef) or not any(
+                fnmatch(item.name, pattern) for pattern in PROTOCOL_PATH_METHODS
+            ):
+                continue
+            for inner in ast.walk(item):
+                if isinstance(inner, ast.Attribute) and inner.attr == "config":
+                    what = ("reads config per step (use the service's "
+                            "pid / n / quorum attributes)")
+                elif isinstance(inner, ast.Attribute) and inner.attr == "_active":
+                    what = ("_active property per step (inline the "
+                            "proposed/stopped/crashed guard)")
+                elif (
+                    isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Attribute)
+                    and inner.func.attr == "has_decided"
+                ):
+                    what = ("has_decided() per frame (test the decided "
+                            "dict directly)")
+                else:
+                    continue
+                problems.append(
+                    f"{module_name}:{inner.lineno} {node.name}.{item.name}: "
+                    f"{what}"
+                )
+    return problems
+
+
 def _is_not_none_guard(test: ast.expr) -> bool:
     """True for ``<expr> is not None`` (the sanctioned observer guard)."""
     return (
@@ -289,6 +356,9 @@ def main() -> int:
         problems += check_observer_guards(module_name, method)
     for module_name, method in FRAME_PATH_METHODS:
         problems += check_frame_path(module_name, method)
+    protocol_modules = _protocol_modules()
+    for module_name in protocol_modules:
+        problems += check_protocol_path(module_name)
     if problems:
         print("hotpath-lint: allocation discipline regressed:")
         for problem in problems:
@@ -306,7 +376,8 @@ def main() -> int:
         f"hotpath-lint: OK ({len(SLOTTED_MODULES)} modules slotted, "
         f"{drains} drain loops clean, "
         f"{len(OBSERVER_METHODS)} observer sites guarded, "
-        f"{len(FRAME_PATH_METHODS)} frame-path methods bare)"
+        f"{len(FRAME_PATH_METHODS)} frame-path methods bare, "
+        f"{len(protocol_modules)} consensus modules read constants)"
     )
     return 0
 
