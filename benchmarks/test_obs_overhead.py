@@ -36,11 +36,11 @@ queue/engine sits under an ``is not None`` guard — is enforced by
 
 from __future__ import annotations
 
-import sys
 import time
 
 from repro.obs.telemetry import QueueTelemetry, Telemetry, TelemetrySampler
 from repro.sim.engine import Engine
+from tests.helpers import count_calls
 
 EVENTS = 50_000
 ROUNDS = 12
@@ -93,20 +93,12 @@ def _seconds(engine: Engine) -> float:
 
 def _python_calls(engine: Engine) -> int:
     """Python-level calls made while draining ``engine`` (exact)."""
-    calls = 0
-
-    def hook(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(hook)
-    try:
-        engine.run_until_idle(max_events=EVENTS + 1)
-    finally:
-        sys.setprofile(None)
+    _, calls = count_calls(
+        lambda: engine.run_until_idle(max_events=EVENTS + 1),
+        lambda _code: "call",
+    )
     assert engine.events_executed == EVENTS
-    return calls
+    return calls["call"]
 
 
 def test_obs_off_drain_within_budget(benchmark):

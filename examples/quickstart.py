@@ -20,35 +20,37 @@ def main() -> None:
     #    names resolve through the layer registry, so a typo fails
     #    right here with a did-you-mean suggestion (run
     #    `python -m repro.harness --list-variants` for the catalog).
+    #    The `with` block closes the system when it ends, so the
+    #    finished run is freed at once (see System.close).
     spec = StackSpec(n=3, abcast="indirect", consensus="ct-indirect", rb="sender")
-    system = build_system(spec)
-
-    # 2. Subscribe to deliveries on one process, like an application would.
-    log = []
-    system.abcasts[1].on_adeliver(
-        lambda m: log.append((m.mid, m.payload.content))
-    )
-
-    # 3. Broadcast from several processes at slightly different times.
-    sends = [
-        (1, 0.000, "transfer $10 A->B"),
-        (2, 0.001, "transfer $7  B->C"),
-        (3, 0.0012, "transfer $3  C->A"),
-        (1, 0.004, "audit log entry"),
-    ]
-    for pid, at, text in sends:
-        system.processes[pid].schedule_at(
-            at,
-            lambda _pid=pid, _text=text: system.abcasts[_pid].abroadcast(
-                make_payload(len(_text), content=_text)
-            ),
+    with build_system(spec) as system:
+        # 2. Subscribe to deliveries on one process, like an application would.
+        log = []
+        system.abcasts[1].on_adeliver(
+            lambda m: log.append((m.mid, m.payload.content))
         )
 
-    # 4. Run the simulation until everyone delivered everything.
-    ok = system.run_until_delivered(count=len(sends), timeout=2.0)
-    assert ok, "delivery should complete well within 2 simulated seconds"
+        # 3. Broadcast from several processes at slightly different times.
+        sends = [
+            (1, 0.000, "transfer $10 A->B"),
+            (2, 0.001, "transfer $7  B->C"),
+            (3, 0.0012, "transfer $3  C->A"),
+            (1, 0.004, "audit log entry"),
+        ]
+        for pid, at, text in sends:
+            system.processes[pid].schedule_at(
+                at,
+                lambda _pid=pid, _text=text: system.abcasts[_pid].abroadcast(
+                    make_payload(len(_text), content=_text)
+                ),
+            )
 
-    # 5. Every process delivered the same sequence (checked formally too).
+        # 4. Run the simulation until everyone delivered everything.
+        ok = system.run_until_delivered(count=len(sends), timeout=2.0)
+        assert ok, "delivery should complete well within 2 simulated seconds"
+
+    # 5. Every process delivered the same sequence (checked formally
+    #    too).  The trace, the config and the clock outlive the close.
     check_abcast(system.trace, system.config)
     print(f"All {spec.n} processes delivered, in this order:")
     for mid, content in log:

@@ -23,9 +23,9 @@ Quickstart::
     from repro import StackSpec, build_system, make_payload
 
     spec = StackSpec(n=3, abcast="indirect", consensus="ct-indirect")
-    system = build_system(spec)
-    system.abcasts[1].abroadcast(make_payload(100, content="hello"))
-    system.run_until_delivered(count=1, timeout=1.0)
+    with build_system(spec) as system:
+        system.abcasts[1].abroadcast(make_payload(100, content="hello"))
+        system.run_until_delivered(count=1, timeout=1.0)
 
 See ``examples/quickstart.py`` for the guided version.
 """

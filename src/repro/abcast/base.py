@@ -100,6 +100,11 @@ class AtomicBroadcast:
         """Register an ``adeliver`` callback (called in delivery order)."""
         self._callbacks.append(callback)
 
+    def close(self) -> None:
+        """Drop the adeliver callbacks; part of
+        :meth:`~repro.stack.builder.System.close`."""
+        self._callbacks.clear()
+
     # ------------------------------------------------------------------
     # abroadcast (lines 7-8)
     # ------------------------------------------------------------------

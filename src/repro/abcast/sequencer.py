@@ -163,6 +163,11 @@ class SequencerAtomicBroadcast:
         """Register an ``adeliver`` callback (called in delivery order)."""
         self._callbacks.append(callback)
 
+    def close(self) -> None:
+        """Drop the adeliver callbacks; part of
+        :meth:`~repro.stack.builder.System.close`."""
+        self._callbacks.clear()
+
     def abroadcast(self, payload: Payload) -> AppMessage | None:
         """Atomically broadcast a message with ``payload``."""
         if self.process.crashed:

@@ -14,7 +14,8 @@ Two per-instance numbers:
   and decision rounds measures that harmless overshoot.
 
 Rounds are per-process state (not trace events), so this analysis reads
-the consensus services of a finished :class:`~repro.stack.builder.System`.
+the consensus services of a finished :class:`~repro.stack.builder.System`
+— before :meth:`~repro.stack.builder.System.close`, which drops them.
 """
 
 from __future__ import annotations

@@ -52,6 +52,11 @@ class BroadcastService:
         """Register a delivery callback (called in registration order)."""
         self._callbacks.append(callback)
 
+    def close(self) -> None:
+        """Drop the delivery callbacks; part of
+        :meth:`~repro.stack.builder.System.close`."""
+        self._callbacks.clear()
+
     def broadcast(self, message: AppMessage) -> None:
         """Broadcast ``message`` to the group (Validity: a correct sender
         eventually delivers its own message)."""

@@ -169,6 +169,14 @@ class ConsensusService:
         """Register a ``decide(k, v)`` callback."""
         self._callbacks.append(callback)
 
+    def close(self) -> None:
+        """Drop the decide callbacks and the instances (each points back
+        at this service); part of
+        :meth:`~repro.stack.builder.System.close`.  ``decided`` stays."""
+        self._callbacks.clear()
+        self._instances.clear()
+        self._live.clear()
+
     def propose(self, k: int, value: Any, rcv: RcvFunction | None = None) -> None:
         """Start instance ``k`` with initial ``value`` (and ``rcv`` for the
         indirect algorithms).

@@ -235,7 +235,9 @@ class ScheduleExecutor:
         passes ``False`` to skip the hashing cost.  ``window`` — the
         ``(record_from, covered)`` pair of
         :class:`~repro.explore.scheduler.ExploreScheduler` — restricts
-        recording to the steps a tree search can expand.
+        recording to the steps a tree search can expand.  The run
+        closes its system (see :meth:`~repro.stack.builder.System.close`)
+        unless ``keep_system`` hands it to the caller, who then owns it.
         """
         spec = self.spec
         deviations = tuple(sorted(deviations))
@@ -315,6 +317,7 @@ class ScheduleExecutor:
         )
         if keep_system:
             return record, system
+        system.close()
         return record
 
 
@@ -327,7 +330,10 @@ def replay(
     :class:`~repro.stack.builder.System` carries the complete
     :class:`~repro.sim.trace.Trace` of the counterexample, so every
     checker in :mod:`repro.checkers` and every tool in
-    :mod:`repro.analysis` works on it unchanged.
+    :mod:`repro.analysis` works on it unchanged.  The caller owns the
+    system: it is left open, so close it (or use it in a ``with``
+    block) when done — a sweep of replays otherwise piles up cyclic
+    garbage.
     """
     if isinstance(deviations, str):
         deviations = parse_deviations(deviations)

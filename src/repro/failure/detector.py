@@ -49,6 +49,11 @@ class FailureDetector:
         """Invoke ``listener`` whenever the suspect set changes."""
         self._listeners.append(listener)
 
+    def close(self) -> None:
+        """Drop the change listeners; part of
+        :meth:`~repro.stack.builder.System.close`."""
+        self._listeners.clear()
+
     def _suspect(self, q: ProcessId) -> None:
         if q in self._suspected or self.process.crashed:
             return

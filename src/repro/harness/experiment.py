@@ -163,7 +163,11 @@ def run_experiment(
         on_system: Optional ``callback(system)`` invoked right after
             :func:`~repro.stack.builder.build_system`, before the
             workload runs — the hook telemetry samplers use to install
-            their simulated-time timers.
+            their simulated-time timers.  The run owns the system and
+            closes it before returning (or raising), so a callback that
+            keeps it can read ``trace``, ``config``, the network's frame
+            counters and ``engine.now`` afterwards, but cannot run it on
+            (see :meth:`~repro.stack.builder.System.close`).
     """
     started = time.perf_counter()
     named_probes = build_probes(spec) + tuple(extra_probes)
@@ -179,51 +183,54 @@ def run_experiment(
         if probe.on_event is not None
     ]
     trace_cls = CountingTrace if spec.trace_mode == "metrics" else Trace
-    system = build_system(
+    with build_system(
         spec.stack, CrashSchedule.none(), trace=trace_cls(sinks)
-    )
-    if on_system is not None:
-        on_system(system)
-    workload = WORKLOADS.get(spec.workload).factory(
-        system,
-        throughput=spec.throughput,
-        payload_size=spec.payload,
-        duration=spec.duration,
-        arrivals=spec.arrivals,
-    )
-    workload.install()
-
-    horizon = spec.duration + spec.drain
-
-    def drained() -> bool:
-        # Consulted only once now > duration: the chained generators
-        # have fired their last send, so workload.sent is the run's
-        # final offered load.
-        return all(
-            abcast.delivered_count() >= workload.sent
-            for abcast in system.abcasts.values()
+    ) as system:
+        if on_system is not None:
+            on_system(system)
+        workload = WORKLOADS.get(spec.workload).factory(
+            system,
+            throughput=spec.throughput,
+            payload_size=spec.payload,
+            duration=spec.duration,
+            arrivals=spec.arrivals,
         )
+        workload.install()
 
-    system.engine.run_loaded(
-        spec.duration, horizon, max_events=spec.max_events, stop_when=drained
-    )
-    sent = workload.sent
+        horizon = spec.duration + spec.drain
 
-    if spec.safety_checks:
-        # Liveness is not asserted here (a saturated run legitimately has
-        # undelivered backlog); safety must hold regardless.
-        check_abcast(system.trace, system.config, expect_quiescent=False)
+        def drained() -> bool:
+            # Consulted only once now > duration: the chained generators
+            # have fired their last send, so workload.sent is the run's
+            # final offered load.
+            return all(
+                abcast.delivered_count() >= workload.sent
+                for abcast in system.abcasts.values()
+            )
 
-    metrics = {
-        name: probe.finish(system, sent) for name, probe in named_probes
-    }
-    delivered_min = min(a.delivered_count() for a in system.abcasts.values())
-    return ExperimentResult(
-        spec=spec,
-        metrics=metrics,
-        sent=sent,
-        undelivered=max(0, sent - delivered_min),
-        simulated_seconds=system.engine.now,
-        wall_seconds=time.perf_counter() - started,
-        diagnostics={"events": system.engine.events_executed},
-    )
+        system.engine.run_loaded(
+            spec.duration, horizon, max_events=spec.max_events,
+            stop_when=drained,
+        )
+        sent = workload.sent
+
+        if spec.safety_checks:
+            # Liveness is not asserted here (a saturated run legitimately
+            # has undelivered backlog); safety must hold regardless.
+            check_abcast(system.trace, system.config, expect_quiescent=False)
+
+        metrics = {
+            name: probe.finish(system, sent) for name, probe in named_probes
+        }
+        delivered_min = min(
+            a.delivered_count() for a in system.abcasts.values()
+        )
+        return ExperimentResult(
+            spec=spec,
+            metrics=metrics,
+            sent=sent,
+            undelivered=max(0, sent - delivered_min),
+            simulated_seconds=system.engine.now,
+            wall_seconds=time.perf_counter() - started,
+            diagnostics={"events": system.engine.events_executed},
+        )

@@ -187,6 +187,18 @@ class Network:
         """
         return self._pids_sorted
 
+    def close(self) -> None:
+        """Forget the attached processes, their handler tables and the
+        in-flight frames; part of :meth:`~repro.stack.builder.System.close`.
+
+        The frame counters (``frames_sent``, ``bytes_sent``,
+        ``frames_dropped``) stay readable.
+        """
+        self._processes.clear()
+        self._handlers.clear()
+        self._in_flight.clear()
+        self._batch_entry = self._batch_frames = None
+
     # ------------------------------------------------------------------
     # Send path
     # ------------------------------------------------------------------
@@ -511,6 +523,10 @@ class ContentionNetwork(Network):
             if self.pipeline.has_delay
             else self._enter_receiver
         )
+
+    def close(self) -> None:
+        super().close()
+        self._after_wire = None  # a bound method: this network, again
 
     @property
     def medium(self) -> FifoResource:

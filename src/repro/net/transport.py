@@ -61,6 +61,11 @@ class Transport:
             )
         self._handlers[kind] = handler
 
+    def close(self) -> None:
+        """Drop the registered handlers (bound methods of the layers
+        above); part of :meth:`~repro.stack.builder.System.close`."""
+        self._handlers.clear()
+
     # ------------------------------------------------------------------
     # Send primitives
     # ------------------------------------------------------------------

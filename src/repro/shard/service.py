@@ -124,6 +124,22 @@ class ShardedSystem:
         )
         return quiet()
 
+    def close(self) -> None:
+        """End the run: close every group (and with them the shared
+        engine); see :meth:`~repro.stack.builder.System.close`.
+
+        The router's counters and completion log stay readable.
+        Idempotent.
+        """
+        for group in self.groups:
+            group.close()
+
+    def __enter__(self) -> "ShardedSystem":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def traces(self) -> list[TraceObserver]:
         """Per-group traces, shard order."""
         return [group.trace for group in self.groups]

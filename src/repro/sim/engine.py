@@ -234,6 +234,7 @@ class Engine:
         "_running",
         "_scheduler",
         "_blocked",
+        "_closed",
         "annotating",
         "events_executed",
     )
@@ -247,6 +248,7 @@ class Engine:
         self._running = False
         self._scheduler: Scheduler | None = None
         self._blocked: list[EventHandle] = []
+        self._closed = False
         #: Whether hot scheduling sites should attach ``info``
         #: annotations (see the module docstring).
         self.annotating = annotating
@@ -318,6 +320,25 @@ class Engine:
         """
         return self._queue.snapshot()
 
+    def close(self) -> None:
+        """Drop every pending event and the scheduler: the run is over.
+
+        The heap's entries hold the layers' bound methods (and each
+        handle points back at the store), so a finished engine keeps its
+        whole system alive in reference cycles.  Closing cuts them;
+        ``now`` and ``events_executed`` stay readable.  Idempotent; a
+        closed engine refuses to :meth:`run`.
+        """
+        if self._running:
+            raise ConfigurationError("cannot close the engine while it runs")
+        self._closed = True
+        queue = self._queue
+        queue.entries.clear()
+        queue.pending = queue._cancelled = 0
+        queue.observer = None
+        self._blocked.clear()
+        self._scheduler = None
+
     def run(
         self,
         until: float | None = None,
@@ -339,6 +360,11 @@ class Engine:
         """
         if self._running:
             raise RuntimeError("Engine.run is not reentrant")
+        if self._closed:
+            raise ConfigurationError(
+                "cannot run a closed engine: its system was closed, which "
+                "dropped every pending event"
+            )
         scheduler = self._scheduler
         if scheduler is not None:
             if (

@@ -90,6 +90,11 @@ class SimProcess:
         """Register a callback invoked once when this process crashes."""
         self._crash_listeners.append(listener)
 
+    def close(self) -> None:
+        """Drop the crash listeners (closures over the layers and the
+        network); part of :meth:`~repro.stack.builder.System.close`."""
+        self._crash_listeners.clear()
+
     def crash(self) -> None:
         """Crash the process (idempotent).
 

@@ -15,10 +15,10 @@ fingerprint at each of the 2103 decision steps).
 from __future__ import annotations
 
 import os
-import sys
 
 from repro.explore import explore_spec
 from repro.explore.strategies import run_strategy
+from tests.helpers import count_calls
 
 _FINGERPRINT_PY = os.sep + os.path.join("repro", "explore", "fingerprint.py")
 
@@ -32,27 +32,19 @@ BUDGET = {"fingerprint": 537, "describe_record": 689,
           "_hash_description": 740}
 
 
+def _fingerprint_call(code) -> str | None:
+    if code.co_name in BUDGET and code.co_filename.endswith(_FINGERPRINT_PY):
+        return code.co_name
+    return None
+
+
 def counted_search() -> dict[str, int]:
-    counts = dict.fromkeys(BUDGET, 0)
-
-    def hook(frame, event, _arg):
-        if event == "call":
-            code = frame.f_code
-            if code.co_name in counts and code.co_filename.endswith(
-                _FINGERPRINT_PY
-            ):
-                counts[code.co_name] += 1
-
     spec = explore_spec("faulty", n=3, budget=50, stop_after=0)
-    sys.setprofile(hook)
-    try:
-        result = run_strategy(spec)
-    finally:
-        sys.setprofile(None)
+    result, calls = count_calls(lambda: run_strategy(spec), _fingerprint_call)
     assert (result.schedules, result.pruned, len(result.violations)) == (
         50, 34, 3,
     )
-    return counts
+    return {name: calls[name] for name in BUDGET}
 
 
 def test_describe_and_hash_calls_of_the_pinned_search(monkeypatch):
