@@ -103,7 +103,7 @@ class AtomicBroadcast:
     def close(self) -> None:
         """Drop the adeliver callbacks; part of
         :meth:`~repro.stack.builder.System.close`."""
-        self._callbacks.clear()
+        self._callbacks = []
 
     # ------------------------------------------------------------------
     # abroadcast (lines 7-8)

@@ -166,7 +166,7 @@ class SequencerAtomicBroadcast:
     def close(self) -> None:
         """Drop the adeliver callbacks; part of
         :meth:`~repro.stack.builder.System.close`."""
-        self._callbacks.clear()
+        self._callbacks = []
 
     def abroadcast(self, payload: Payload) -> AppMessage | None:
         """Atomically broadcast a message with ``payload``."""

@@ -55,7 +55,7 @@ class BroadcastService:
     def close(self) -> None:
         """Drop the delivery callbacks; part of
         :meth:`~repro.stack.builder.System.close`."""
-        self._callbacks.clear()
+        self._callbacks = []
 
     def broadcast(self, message: AppMessage) -> None:
         """Broadcast ``message`` to the group (Validity: a correct sender

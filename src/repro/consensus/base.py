@@ -173,9 +173,9 @@ class ConsensusService:
         """Drop the decide callbacks and the instances (each points back
         at this service); part of
         :meth:`~repro.stack.builder.System.close`.  ``decided`` stays."""
-        self._callbacks.clear()
-        self._instances.clear()
-        self._live.clear()
+        self._callbacks = []
+        self._instances = {}
+        self._live = {}
 
     def propose(self, k: int, value: Any, rcv: RcvFunction | None = None) -> None:
         """Start instance ``k`` with initial ``value`` (and ``rcv`` for the

@@ -52,7 +52,7 @@ class FailureDetector:
     def close(self) -> None:
         """Drop the change listeners; part of
         :meth:`~repro.stack.builder.System.close`."""
-        self._listeners.clear()
+        self._listeners = []
 
     def _suspect(self, q: ProcessId) -> None:
         if q in self._suspected or self.process.crashed:

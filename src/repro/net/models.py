@@ -194,9 +194,9 @@ class Network:
         The frame counters (``frames_sent``, ``bytes_sent``,
         ``frames_dropped``) stay readable.
         """
-        self._processes.clear()
-        self._handlers.clear()
-        self._in_flight.clear()
+        self._processes = {}
+        self._handlers = {}
+        self._in_flight = {}
         self._batch_entry = self._batch_frames = None
 
     # ------------------------------------------------------------------

@@ -64,7 +64,7 @@ class Transport:
     def close(self) -> None:
         """Drop the registered handlers (bound methods of the layers
         above); part of :meth:`~repro.stack.builder.System.close`."""
-        self._handlers.clear()
+        self._handlers = {}
 
     # ------------------------------------------------------------------
     # Send primitives

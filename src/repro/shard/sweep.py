@@ -172,41 +172,40 @@ def run_shard_point(point: ShardPoint) -> ResultSet:
     """Run one point; returns one row per shard (strict-concat schema)."""
     spec = ShardSpec(point.stack, point.shards, point.router_capacity,
                      point.admission, point.router_latency)
-    with build_sharded_system(
+    service = build_sharded_system(
         spec, traces=[CountingTrace() for _ in range(point.shards)]
-    ) as service:
-        router = service.router
-        router.measure_from = point.warmup
-        router.measure_until = point.duration
-        router.deadline = point.duration + point.drain
+    )
+    router = service.router
+    router.measure_from = point.warmup
+    router.measure_until = point.duration
+    router.deadline = point.duration + point.drain
 
-        per_shard_rate = point.offered / point.shards
-        workloads = []
-        for shard, group in enumerate(service.groups):
-            workload = WORKLOADS.get(point.workload).factory(
-                group,
-                throughput=per_shard_rate,
-                payload_size=point.payload,
-                duration=point.duration,
-                sink=router.sink(shard),
-            )
-            workload.install()
-            workloads.append(workload)
-
-        # Sources keep offering load until ``duration``; only after that
-        # can an empty router mean the point is over.
-        service.engine.run_loaded(
-            point.duration,
-            point.duration + point.drain,
-            max_events=point.max_events,
-            stop_when=lambda: router.pending() == 0,
+    per_shard_rate = point.offered / point.shards
+    workloads = []
+    for shard, group in enumerate(service.groups):
+        workload = WORKLOADS.get(point.workload).factory(
+            group,
+            throughput=per_shard_rate,
+            payload_size=point.payload,
+            duration=point.duration,
+            sink=router.sink(shard),
         )
+        workload.install()
+        workloads.append(workload)
 
-        sent = sum(w.sent for w in workloads)
-        admission = PROBES.get("admission").factory(point).finish(
-            service, sent
-        )
-    # Closed: the router's counters and completion log stay readable.
+    # Sources keep offering load until ``duration``; only after that can
+    # an empty router mean the point is over.
+    service.engine.run_loaded(
+        point.duration,
+        point.duration + point.drain,
+        max_events=point.max_events,
+        stop_when=lambda: router.pending() == 0,
+    )
+
+    sent = sum(w.sent for w in workloads)
+    admission = PROBES.get("admission").factory(point).finish(service, sent)
+    # Extracted: the router's counters and completion log outlive this.
+    service.close()
     rows = []
     for shard in range(point.shards):
         row: dict[str, Any] = {

@@ -332,11 +332,13 @@ class Engine:
         if self._running:
             raise ConfigurationError("cannot close the engine while it runs")
         self._closed = True
+        # Fresh containers rather than ``clear()`` calls: the old ones
+        # go with their last reference, and closing costs no C calls.
         queue = self._queue
-        queue.entries.clear()
+        queue.entries = []
         queue.pending = queue._cancelled = 0
         queue.observer = None
-        self._blocked.clear()
+        self._blocked = []
         self._scheduler = None
 
     def run(

@@ -93,7 +93,7 @@ class SimProcess:
     def close(self) -> None:
         """Drop the crash listeners (closures over the layers and the
         network); part of :meth:`~repro.stack.builder.System.close`."""
-        self._crash_listeners.clear()
+        self._crash_listeners = []
 
     def crash(self) -> None:
         """Crash the process (idempotent).
