@@ -364,8 +364,8 @@ class Engine:
             raise RuntimeError("Engine.run is not reentrant")
         if self._closed:
             raise ConfigurationError(
-                "cannot run a closed engine: its system was closed, which "
-                "dropped every pending event"
+                "cannot run a closed engine: close() dropped every "
+                "pending event"
             )
         scheduler = self._scheduler
         if scheduler is not None:

@@ -239,12 +239,12 @@ class System:
         refuses to run again.  Idempotent, and O(components).
         """
         self.engine.close()
-        for layers_ in (
+        for components in (
             self.abcasts, self.consensuses, self.broadcasts,
             self.detectors, self.transports, self.processes,
         ):
-            for layer in layers_.values():
-                layer.close()
+            for component in components.values():
+                component.close()
         self.network.close()
 
     def __enter__(self) -> "System":
