@@ -36,7 +36,7 @@ from repro.consensus.base import ConsensusService
 from repro.core.config import SystemConfig
 from repro.core.events import ABroadcastEvent, ADeliverEvent
 from repro.core.exceptions import ConfigurationError, ProtocolViolationError
-from repro.core.identifiers import MessageId, order_id_set
+from repro.core.identifiers import IdWatermark, MessageId, order_id_set
 from repro.core.message import AppMessage, Payload
 from repro.core.rcv import ReceivedStore
 from repro.net.transport import Transport
@@ -78,14 +78,17 @@ class AtomicBroadcast:
         self.broadcast = broadcast
         self.consensus = consensus
         self.config = config
+        #: Ids adelivered here, as per-origin watermarks; shared with
+        #: the store, which drops a payload once its id lands here.
+        self.adelivered = IdWatermark(config.n)
+        self._adelivered_count = 0
         #: ``received_p`` — messages r-delivered so far (line 2).
-        self.store = ReceivedStore()
+        self.store = ReceivedStore(self.adelivered)
         #: ``unordered_p`` — received but not yet ordered ids (line 3).
         self.unordered: set[MessageId] = set()
         #: ``ordered_p`` — ordered but not yet adelivered ids (line 5).
         self.ordered: deque[MessageId] = deque()
         self._ordered_set: set[MessageId] = set()
-        self.adelivered: set[MessageId] = set()
         #: Out-of-order decision buffer: instance -> decided value.
         self._pending_decisions: dict[int, Any] = {}
         #: Next instance whose decision should be applied (``k`` + 1).
@@ -131,7 +134,13 @@ class AtomicBroadcast:
     def _on_rdeliver(self, message: AppMessage) -> None:
         self.store.add(message)
         mid = message.mid
-        if mid not in self._ordered_set and mid not in self.adelivered:
+        origin, seq = mid
+        adelivered = self.adelivered
+        if (
+            mid not in self._ordered_set
+            and seq > adelivered.through[origin]
+            and mid not in adelivered.above
+        ):
             self.unordered.add(mid)
         # The rcv predicate's truth value may just have flipped for some
         # pending consensus wait (the wait-for-messages ablation of the
@@ -192,8 +201,15 @@ class AtomicBroadcast:
             # Line 19: unordered_p <- unordered_p \ idSet_k
             self.unordered -= ids
             # Lines 20-21: append idSeq_k in the deterministic order.
+            through = self.adelivered.through
+            above = self.adelivered.above
             for mid in order_id_set(ids):
-                if mid in self._ordered_set or mid in self.adelivered:
+                origin, seq = mid
+                if (
+                    mid in self._ordered_set
+                    or seq <= through[origin]
+                    or mid in above
+                ):
                     raise ProtocolViolationError(
                         "Uniform integrity",
                         f"p{self.pid}: {mid} ordered twice "
@@ -215,14 +231,26 @@ class AtomicBroadcast:
         """Deliver ordered messages whose payload has been received."""
         if self.process.crashed:
             return
+        through = self.adelivered.through
+        above = self.adelivered.above
         while self.ordered:
             head = self.ordered[0]
-            message = self.store.get(head)
+            message = self.store.take(head)
             if message is None:
                 return  # head of line not received yet (line 23 gate)
             self.ordered.popleft()
             self._ordered_set.discard(head)
-            self.adelivered.add(head)
+            # Insert ``head`` into the watermark inline (see
+            # BroadcastService._deliver).
+            origin, seq = head
+            if seq == through[origin] + 1:
+                while above and (origin, seq + 1) in above:
+                    seq += 1
+                    above.remove((origin, seq))
+                through[origin] = seq
+            else:
+                above.add(head)
+            self._adelivered_count += 1
             self.process.trace.record(
                 ADeliverEvent(self.engine.now, self.pid, message)
             )
@@ -235,7 +263,7 @@ class AtomicBroadcast:
 
     def delivered_count(self) -> int:
         """Number of messages this process has adelivered."""
-        return len(self.adelivered)
+        return self._adelivered_count
 
     def backlog(self) -> dict[str, int]:
         """Sizes of the internal queues (diagnostics)."""

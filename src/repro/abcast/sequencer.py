@@ -61,7 +61,7 @@ from typing import Any, Callable
 from repro.core.config import SystemConfig
 from repro.core.events import ABroadcastEvent, ADeliverEvent
 from repro.core.exceptions import ConfigurationError
-from repro.core.identifiers import MessageId, ProcessId
+from repro.core.identifiers import IdWatermark, MessageId, ProcessId
 from repro.core.message import AppMessage, Payload
 from repro.failure.detector import FailureDetector
 from repro.net.frame import Frame
@@ -112,6 +112,8 @@ class SequencerAtomicBroadcast:
         self.wedged_for = 0
         #: The ordered log: seqno -> (epoch that assigned it, message).
         self.log: dict[int, tuple[int, AppMessage]] = {}
+        #: Ids in the log and not adelivered yet.  Adelivery removes an
+        #: id: the one lookup (``_assign``) also checks ``adelivered``.
         self._ordered_mids: set[MessageId] = set()
         #: Own assignments not yet echoed by any other process: the
         #: sequencer must not adeliver them yet (see :meth:`_assign`).
@@ -119,7 +121,9 @@ class SequencerAtomicBroadcast:
         #: Seqnos <= sealed_through are final: absent ones are skipped.
         self.sealed_through = 0
         self.next_deliver = 1
-        self.adelivered: set[MessageId] = set()
+        #: Ids adelivered here, as per-origin watermarks.
+        self.adelivered = IdWatermark(config.n)
+        self._adelivered_count = 0
         #: Sequencer duty: next seqno to assign (meaningful when active).
         self.next_seq = 1
         #: Own messages awaiting an ordering (retransmitted on a timer).
@@ -182,7 +186,7 @@ class SequencerAtomicBroadcast:
 
     def delivered_count(self) -> int:
         """Number of messages this process has adelivered."""
-        return len(self.adelivered)
+        return self._adelivered_count
 
     def backlog(self) -> dict[str, int]:
         """Sizes of the internal queues (diagnostics)."""
@@ -217,7 +221,14 @@ class SequencerAtomicBroadcast:
             self._assign(frame.body)
 
     def _assign(self, message: AppMessage) -> None:
-        if message.mid in self._ordered_mids or message.mid in self.adelivered:
+        mid = message.mid
+        origin, seq = mid
+        adelivered = self.adelivered
+        if (
+            mid in self._ordered_mids
+            or seq <= adelivered.through[origin]
+            or mid in adelivered.above
+        ):
             return
         seqno = self.next_seq
         self.next_seq += 1
@@ -279,6 +290,8 @@ class SequencerAtomicBroadcast:
     def _try_deliver(self) -> None:
         if self.process.crashed:
             return
+        through = self.adelivered.through
+        above = self.adelivered.above
         while True:
             seqno = self.next_deliver
             entry = self.log.get(seqno)
@@ -291,9 +304,20 @@ class SequencerAtomicBroadcast:
                 return  # own assignment awaiting its first echo
             self.next_deliver += 1
             _, message = entry
-            if message.mid in self.adelivered:
+            mid = message.mid
+            origin, seq = mid
+            if seq <= through[origin] or mid in above:
                 continue  # renumbered duplicate
-            self.adelivered.add(message.mid)
+            self._ordered_mids.discard(mid)
+            # Insert inline (see BroadcastService._deliver).
+            if seq == through[origin] + 1:
+                while above and (origin, seq + 1) in above:
+                    seq += 1
+                    above.remove((origin, seq))
+                through[origin] = seq
+            else:
+                above.add(mid)
+            self._adelivered_count += 1
             self.process.trace.record(
                 ADeliverEvent(self.engine.now, self.pid, message)
             )

@@ -14,8 +14,9 @@ Two per-instance numbers:
   and decision rounds measures that harmless overshoot.
 
 Rounds are per-process state (not trace events), so this analysis reads
-the consensus services of a finished :class:`~repro.stack.builder.System`
-— before :meth:`~repro.stack.builder.System.close`, which drops them.
+the round logs of the consensus services of a finished
+:class:`~repro.stack.builder.System`, before or after
+:meth:`~repro.stack.builder.System.close`.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ def round_statistics(system: System) -> RoundStatistics:
     decision: dict[int, int] = {}
     churn: dict[int, int] = {}
     for consensus in system.consensuses.values():
-        for k, instance in getattr(consensus, "_instances", {}).items():
-            if not consensus.has_decided(k) or not instance.proposed:
-                continue
-            rounds = max(1, instance.rounds_executed)
+        for k, entries in consensus.round_log.items():
+            rounds = len(entries)
             decision[k] = min(decision.get(k, rounds), rounds)
             churn[k] = max(churn.get(k, 0), rounds)
     if not decision:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.events import RBroadcastEvent, RDeliverEvent
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import IdWatermark, MessageId
 from repro.core.message import AppMessage
 from repro.net.transport import Transport
 
@@ -43,7 +43,8 @@ class BroadcastService:
         self.process = transport.process
         self.engine = transport.process.engine
         self.pid = transport.pid
-        self._delivered: set[MessageId] = set()
+        #: Ids delivered here (at-most-once), as per-origin watermarks.
+        self._delivered = IdWatermark(len(transport.peers))
         self._callbacks: list[DeliverCallback] = []
         #: Number of messages this process has broadcast (diagnostics).
         self.broadcast_count = 0
@@ -82,9 +83,21 @@ class BroadcastService:
         integrity: at most once).
         """
         mid = message.mid
-        if self.process.crashed or mid in self._delivered:
+        origin, seq = mid
+        delivered = self._delivered
+        through = delivered.through
+        above = delivered.above
+        if self.process.crashed or seq <= through[origin] or mid in above:
             return False
-        self._delivered.add(mid)
+        # Insert inline (no call per delivery): extend the origin's
+        # watermark, absorbing any ids parked just above it.
+        if seq == through[origin] + 1:
+            while above and (origin, seq + 1) in above:
+                seq += 1
+                above.remove((origin, seq))
+            through[origin] = seq
+        else:
+            above.add(mid)
         self.process.trace.record(
             RDeliverEvent(self.engine.now, self.pid, message, self.uniform)
         )

@@ -46,7 +46,10 @@ class FloodReliableBroadcast(BroadcastService):
 
     def _on_data(self, frame: Frame) -> None:
         message: AppMessage = frame.body
-        if message.mid in self._delivered:
+        mid = message.mid
+        origin, seq = mid
+        delivered = self._delivered
+        if seq <= delivered.through[origin] or mid in delivered.above:
             return
         # Relay before delivering: by the time the upper layer reacts,
         # the copies that make Agreement hold are already on their way.

@@ -60,9 +60,12 @@ class UniformReliableBroadcast(BroadcastService):
 
     def _on_data(self, frame: Frame) -> None:
         message: AppMessage = frame.body
-        if message.mid in self._delivered:
+        mid = message.mid
+        origin, seq = mid
+        delivered = self._delivered
+        if seq <= delivered.through[origin] or mid in delivered.above:
             return
-        first_copy = message.mid not in self._seen_from
+        first_copy = mid not in self._seen_from
         self._note_copy(message, holder=frame.src)
         if first_copy:
             # First receipt: count ourselves and relay the full message
@@ -80,11 +83,14 @@ class UniformReliableBroadcast(BroadcastService):
         """Record that ``holder`` provably has ``message``; deliver once a
         majority of *distinct senders* (never this process itself) has
         been witnessed."""
-        if message.mid in self._delivered:
+        mid = message.mid
+        origin, seq = mid
+        delivered = self._delivered
+        if seq <= delivered.through[origin] or mid in delivered.above:
             return
-        self._pending[message.mid] = message
-        holders = self._seen_from.setdefault(message.mid, set())
+        self._pending[mid] = message
+        holders = self._seen_from.setdefault(mid, set())
         holders.add(holder)
         if len(holders) >= self.majority:
-            self._pending.pop(message.mid, None)
+            self._pending.pop(mid, None)
             self._deliver(message)

@@ -19,8 +19,9 @@ per-instance state machine; the base class owns:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Hashable, TypeVar
+from typing import Any, Callable, Generic, Hashable, Iterator, TypeVar
 
 from repro.core.config import SystemConfig
 from repro.core.events import DecideEvent, ProposeEvent
@@ -75,6 +76,39 @@ MESSAGE_SET_CODEC: ValueCodec = ValueCodec(
     wire_size=lambda value: sum(m.wire_size() for m in value),
     to_ids=_ids_of_messages,
 )
+
+
+class RoundLog:
+    """Round-entry times of the decided instances a process proposed in.
+
+    A decided instance is never consulted again, so the service drops
+    it and keeps only what post-run analysis reads: the simulated time
+    at which it entered each round.  Packed into three arrays — the
+    instance numbers, each instance's end offset into ``times``, and
+    ``times`` — so the log costs no Python object per instance and holds
+    no reference back into the wiring (it stays readable after
+    :meth:`~repro.stack.builder.System.close`).  The service appends
+    inline in ``_decide_local``, in decision order, so a decision costs
+    no extra Python call.
+    """
+
+    __slots__ = ("instances", "ends", "times")
+
+    def __init__(self) -> None:
+        self.instances = array("q")
+        self.ends = array("q")
+        self.times = array("d")
+
+    def __len__(self) -> int:
+        return len(self.instances)
+
+    def items(self) -> Iterator[tuple[int, tuple[float, ...]]]:
+        """``(k, round-entry times)`` per logged instance, in decision order."""
+        times = self.times
+        start = 0
+        for k, end in zip(self.instances, self.ends):
+            yield k, tuple(times[start:end])
+            start = end
 
 
 class ConsensusService:
@@ -132,18 +166,21 @@ class ConsensusService:
         self.pid = transport.pid
         self.n = config.n
         self.majority = config.majority_quorum  # ⌈(n+1)/2⌉: CT Phases 2, 4
-        #: Every instance ever created, decided or not — the archive
-        #: ``obs/spans.py`` and ``analysis/rounds.py`` read after a run.
+        #: The undecided instances, in creation order: a decision
+        #: retires its instance (later frames for it are dropped).
         self._instances: dict[int, Any] = {}
-        #: The undecided instances, in the same relative order as
-        #: ``_instances``; the only ones a detector flip can move.
-        self._live: dict[int, Any] = {}
+        #: Round-entry times of the decided instances proposed here.
+        self.round_log = RoundLog()
         #: Instance numbers stalled on a failed ``rcv`` (the "wait"
         #: policy's Phase 3) — the only ones a new message can move.
         self._parked: set[int] = set()
         self._callbacks: list[DecideCallback] = []
         self.decided: dict[int, Any] = {}
-        self._decide_forwarded: set[int] = set()
+        #: Instances whose decide frame was forwarded: all of ``1 ..
+        #: _forwarded_through`` plus the instance numbers in
+        #: ``_forwarded_above`` (decisions that overtook a predecessor).
+        self._forwarded_through = 0
+        self._forwarded_above: set[int] = set()
         transport.register(f"{self.PREFIX}.decide", self._on_decide_frame)
         detector.on_change(self._on_detector_change)
 
@@ -170,12 +207,12 @@ class ConsensusService:
         self._callbacks.append(callback)
 
     def close(self) -> None:
-        """Drop the decide callbacks and the instances (each points back
-        at this service); part of
-        :meth:`~repro.stack.builder.System.close`.  ``decided`` stays."""
+        """Drop the decide callbacks and the undecided instances (each
+        points back at this service); part of
+        :meth:`~repro.stack.builder.System.close`.  ``decided`` and
+        ``round_log`` stay."""
         self._callbacks = []
         self._instances = {}
-        self._live = {}
 
     def propose(self, k: int, value: Any, rcv: RcvFunction | None = None) -> None:
         """Start instance ``k`` with initial ``value`` (and ``rcv`` for the
@@ -212,7 +249,6 @@ class ConsensusService:
         if instance is None:
             instance = self._make_instance(k)
             self._instances[k] = instance
-            self._live[k] = instance
         return instance
 
     def _make_instance(self, k: int) -> Any:
@@ -221,7 +257,7 @@ class ConsensusService:
     def _on_detector_change(self) -> None:
         if self.process.crashed:
             return
-        for instance in list(self._live.values()):
+        for instance in list(self._instances.values()):
             instance.on_detector_change()
 
     def notify_rcv_update(self) -> None:
@@ -236,7 +272,7 @@ class ConsensusService:
         if not self._parked or self.process.crashed:
             return
         for instance in [
-            i for k, i in self._live.items() if k in self._parked
+            i for k, i in self._instances.items() if k in self._parked
         ]:
             instance.on_rcv_update()
 
@@ -276,14 +312,23 @@ class ConsensusService:
 
     def _on_decide_frame(self, frame: Frame) -> None:
         k, value = frame.body
-        if k in self._decide_forwarded:
+        through = self._forwarded_through
+        above = self._forwarded_above
+        if k <= through or k in above:
             # A repeat: the first receipt decided ``k`` or found the
             # process crashed (permanent), so there is nothing to do.
             return
         # First receipt: forward to everybody else before deciding,
         # which is what makes the decide diffusion a *reliable*
         # broadcast (any correct receiver re-diffuses).
-        self._decide_forwarded.add(k)
+        if k == through + 1:
+            through = k
+            while above and through + 1 in above:
+                through += 1
+                above.remove(through)
+            self._forwarded_through = through
+        else:
+            above.add(k)
         self.transport.send_all(
             f"{self.PREFIX}.decide",
             body=(k, value),
@@ -297,10 +342,15 @@ class ConsensusService:
         if k in self.decided or self.process.crashed:
             return
         self.decided[k] = value
-        instance = self._live.pop(k, None)
+        instance = self._instances.pop(k, None)
         if instance is not None:
             self._parked.discard(k)
             instance.stop()
+            if instance.proposed:
+                log = self.round_log
+                log.instances.append(k)
+                log.times.extend(instance.round_entries)
+                log.ends.append(len(log.times))
         self.process.trace.record(
             DecideEvent(self.engine.now, self.pid, k, self.codec.to_ids(value))
         )

@@ -67,7 +67,6 @@ class CtInstance:
         "proposed_value",
         "phase3_done",
         "phase4_done",
-        "rounds_executed",
         "round_entries",
     )
 
@@ -92,8 +91,6 @@ class CtInstance:
         self.proposed_value: dict[int, Any] = {}
         self.phase3_done: set[int] = set()
         self.phase4_done: set[int] = set()
-        #: Number of rounds this process started (diagnostics/tests).
-        self.rounds_executed = 0
         #: Simulated time at which each round was entered (obs spans).
         self.round_entries: list[float] = []
 
@@ -110,15 +107,11 @@ class CtInstance:
     def stop(self) -> None:
         """Instance decided; ignore all further events.
 
-        The service drops every later frame of a decided instance, so
-        the per-round buffers are dead weight from here on: release
-        them and keep only what post-run analysis reads
-        (``rounds_executed``, ``round_entries``, the final estimate).
+        The service retires the instance (its round entries go to the
+        service's round log); this flag only stops a phase call already
+        on the stack.
         """
         self.stopped = True
-        self.estimates = self.proposals = self.acks = self.nacks = None
-        self.proposal_sent = self.proposed_value = None
-        self.phase3_done = self.phase4_done = None
 
     # ------------------------------------------------------------------
     # Round progression
@@ -127,7 +120,6 @@ class CtInstance:
     def _enter_round(self) -> None:
         svc = self.service
         self.r = r = self.r + 1
-        self.rounds_executed += 1
         self.round_entries.append(svc.engine.now)
         # The rotating coordinator (r mod n) + 1 of SystemConfig.coordinator.
         self.c = c = r % svc.n + 1
@@ -326,12 +318,12 @@ class ChandraTouegConsensus(ConsensusService):
         return True
 
     # ------------------------------------------------------------------
-    # Frame dispatchers (not live: decided, so dropped, or not created)
+    # Frame dispatchers (no instance: decided, so dropped, or not created)
     # ------------------------------------------------------------------
 
     def _on_est(self, frame: Frame) -> None:
         k, r, sender, estimate, ts = frame.body
-        instance = self._live.get(k)
+        instance = self._instances.get(k)
         if instance is None:
             if k in self.decided:
                 return
@@ -340,7 +332,7 @@ class ChandraTouegConsensus(ConsensusService):
 
     def _on_prop(self, frame: Frame) -> None:
         k, r, value = frame.body
-        instance = self._live.get(k)
+        instance = self._instances.get(k)
         if instance is None:
             if k in self.decided:
                 return
@@ -349,7 +341,7 @@ class ChandraTouegConsensus(ConsensusService):
 
     def _on_ack(self, frame: Frame) -> None:
         k, r, sender, positive = frame.body
-        instance = self._live.get(k)
+        instance = self._instances.get(k)
         if instance is None:
             if k in self.decided:
                 return

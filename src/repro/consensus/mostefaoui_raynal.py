@@ -70,7 +70,6 @@ class MrInstance:
         "echoes",
         "echoed",
         "evaluated",
-        "rounds_executed",
         "round_entries",
     )
 
@@ -88,7 +87,6 @@ class MrInstance:
         self.echoes: dict[int, dict[int, Any]] = {}
         self.echoed: set[int] = set()
         self.evaluated: set[int] = set()
-        self.rounds_executed = 0
         #: Simulated time at which each round was entered (obs spans).
         self.round_entries: list[float] = []
 
@@ -103,16 +101,14 @@ class MrInstance:
         self._enter_round()
 
     def stop(self) -> None:
-        """Instance decided; the service drops its later frames, so the
-        per-round buffers are released (``rounds_executed`` and
-        ``round_entries`` stay for post-run analysis)."""
+        """Instance decided; the service retires it (its round entries
+        go to the service's round log).  The flag only stops a phase
+        call already on the stack."""
         self.stopped = True
-        self.echoes = self.echoed = self.evaluated = None
 
     def _enter_round(self) -> None:
         svc = self.service
         self.r = r = self.r + 1
-        self.rounds_executed += 1
         self.round_entries.append(svc.engine.now)
         # The rotating coordinator (r mod n) + 1 of SystemConfig.coordinator.
         self.c = r % svc.n + 1
@@ -251,7 +247,7 @@ class MostefaouiRaynalConsensus(ConsensusService):
 
     def _on_echo(self, frame: Frame) -> None:
         k, r, sender, value = frame.body
-        instance = self._live.get(k)
+        instance = self._instances.get(k)
         if instance is None:
             if k in self.decided:
                 return

@@ -76,3 +76,41 @@ def id_set_wire_size(ids: Collection[MessageId]) -> int:
     constant, computed without visiting the elements.
     """
     return len(ids) * MESSAGE_ID_WIRE_SIZE
+
+
+class IdWatermark:
+    """A grow-only set of :class:`MessageId`, in memory that does not
+    grow with run length.
+
+    Every origin numbers its messages ``1, 2, ...``, and the delivered-id
+    sets of the protocol layers end up holding almost every prefix of
+    those sequences.  So the set is stored as ``through[origin]`` — the
+    largest ``s`` such that ``(origin, 1) .. (origin, s)`` are all
+    members — plus ``above``, the members past their origin's
+    watermark (ids delivered out of origin order, and those of a
+    crashed origin whose predecessor never arrived).  An origin past the
+    end of ``through`` has watermark 0.
+
+    The per-frame paths of the protocol layers test and insert inline
+    on ``through`` and ``above`` (see ``BroadcastService._deliver``);
+    ``in`` and ``len`` are for everything else.
+
+    Args:
+        n: Group size: the origins are the process ids ``1 .. n``.
+    """
+
+    __slots__ = ("through", "above")
+
+    def __init__(self, n: int = 0) -> None:
+        self.through: list[int] = [0] * (n + 1)
+        self.above: set[MessageId] = set()
+
+    def __contains__(self, mid: object) -> bool:
+        origin, seq = mid  # type: ignore[misc]
+        through = self.through
+        return (
+            origin < len(through) and seq <= through[origin]
+        ) or mid in self.above
+
+    def __len__(self) -> int:
+        return sum(self.through) + len(self.above)

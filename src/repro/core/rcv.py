@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Protocol
 
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import IdWatermark, MessageId
 from repro.core.message import AppMessage
 
 #: Type of the ``rcv`` predicate handed to ``propose(v, rcv)``.
@@ -42,34 +42,63 @@ class ReceivedStore:
     ... take more and more time" as throughput grows), so the simulation
     charges CPU time per lookup; the counter is how the protocol layer
     learns the bill.
+
+    ``received_p`` only grows, but a payload is needed only until its
+    message is adelivered: :meth:`take` hands it to the delivery and
+    drops it, and the id stays received through ``adelivered``, the
+    atomic broadcast layer's watermark of delivered ids.  Membership
+    (``has``, ``in``, ``rcv``, ``add``) answers exactly as if every
+    payload were still held, with the same lookup counts.
+
+    Args:
+        adelivered: The ids whose payloads have been taken; a
+            stand-alone store (nothing ever taken) gets an empty one.
     """
 
-    __slots__ = ("_messages", "lookup_count", "rcv_call_count")
+    __slots__ = ("_messages", "adelivered", "lookup_count", "rcv_call_count")
 
-    def __init__(self) -> None:
+    def __init__(self, adelivered: IdWatermark | None = None) -> None:
+        #: Payloads received and not yet adelivered.
         self._messages: dict[MessageId, AppMessage] = {}
+        self.adelivered = IdWatermark() if adelivered is None else adelivered
         #: Total individual identifier membership checks performed by rcv().
         self.lookup_count = 0
         #: Total invocations of the rcv() predicate.
         self.rcv_call_count = 0
 
     def add(self, message: AppMessage) -> bool:
-        """Record an R-delivered message; return False if already present."""
-        if message.mid in self._messages:
+        """Record an R-delivered message; return False if already received
+        (a late copy of an adelivered message is not stored again)."""
+        mid = message.mid
+        if mid in self._messages:
             return False
-        self._messages[message.mid] = message
+        origin, seq = mid
+        through = self.adelivered.through
+        if (
+            origin < len(through) and seq <= through[origin]
+        ) or mid in self.adelivered.above:
+            return False
+        self._messages[mid] = message
         return True
 
     def has(self, mid: MessageId) -> bool:
         """Membership test that does *not* count as an rcv() lookup."""
-        return mid in self._messages
+        return mid in self._messages or mid in self.adelivered
 
     def get(self, mid: MessageId) -> AppMessage | None:
-        """Return the stored message for ``mid``, or None."""
+        """Return the held payload for ``mid``: None if it was never
+        received or has been taken by its adelivery."""
         return self._messages.get(mid)
 
+    def take(self, mid: MessageId) -> AppMessage | None:
+        """Remove and return the held payload for ``mid`` (or None).
+
+        The caller adelivers it and records ``mid`` in ``adelivered``
+        before anything else can query the store."""
+        return self._messages.pop(mid, None)
+
     def __len__(self) -> int:
-        return len(self._messages)
+        return len(self._messages) + len(self.adelivered)
 
     def __contains__(self, mid: MessageId) -> bool:
         return self.has(mid)
@@ -82,12 +111,20 @@ class ReceivedStore:
         counted so the simulation can charge CPU time for it.
         """
         self.rcv_call_count += 1
+        messages = self._messages
+        through = self.adelivered.through
+        above = self.adelivered.above
         result = True
         for mid in ids:
             self.lookup_count += 1
-            if mid not in self._messages:
-                result = False
-                break
+            if mid not in messages:
+                # Inline IdWatermark membership: no call per lookup.
+                origin, seq = mid
+                if (
+                    origin >= len(through) or seq > through[origin]
+                ) and mid not in above:
+                    result = False
+                    break
         return result
 
     def missing(self, ids: Iterable[MessageId]) -> frozenset[MessageId]:
@@ -96,8 +133,15 @@ class ReceivedStore:
         Used by diagnostics and by the wait-instead-of-nack ablation of
         the CT-indirect algorithm.
         """
-        return frozenset(mid for mid in ids if mid not in self._messages)
+        return frozenset(mid for mid in ids if not self.has(mid))
 
     def snapshot_ids(self) -> frozenset[MessageId]:
-        """All identifiers currently held (for checkers and tests)."""
-        return frozenset(self._messages)
+        """All identifiers received so far (for checkers and tests)."""
+        adelivered = self.adelivered
+        return frozenset(
+            [
+                MessageId(origin, seq)
+                for origin, through in enumerate(adelivered.through)
+                for seq in range(1, through + 1)
+            ]
+        ).union(adelivered.above, self._messages)

@@ -55,8 +55,10 @@ re-imports the script's module, which re-runs top-level registrations.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.events import (
@@ -229,17 +231,31 @@ class LatencyProbe(Probe):
     kept per delivering process, and :meth:`report` restricts them to
     the correct processes.  :func:`~repro.metrics.latency.measure_latency`
     replays a retained trace through the same fold.
+
+    Memory is per message in flight, not per message sent: samples sit
+    in ``array('d')`` columns, and once all ``processes`` of the group
+    have delivered a message its entries are retired and only counted
+    (every correct set is a subset of the group, so a retired message
+    is fully delivered whatever :meth:`report` is asked).
+    ``processes=None`` never retires.
     """
 
     def __init__(
-        self, warmup: float = 0.0, cutoff: float | None = None
+        self,
+        warmup: float = 0.0,
+        cutoff: float | None = None,
+        processes: int | None = None,
     ) -> None:
         super().__init__(None)
         self.warmup = warmup
         self.cutoff = cutoff
+        self._processes = processes
+        #: Send time of every measured message not yet retired.
         self._sent: dict[MessageId, float] = {}
-        self._samples: dict[ProcessId, list[float]] = defaultdict(list)
+        self._samples: dict[ProcessId, array] = defaultdict(partial(array, "d"))
         self._delivered_by: dict[MessageId, set[ProcessId]] = defaultdict(set)
+        self._measured = 0
+        self._retired = 0
 
     def on_event(self, event: ProtocolEvent) -> None:  # type: ignore[override]
         cls = type(event)
@@ -248,13 +264,19 @@ class LatencyProbe(Probe):
             sent = self._sent.get(mid)
             if sent is not None:
                 self._samples[event.process].append(event.time - sent)
-                self._delivered_by[mid].add(event.process)
+                delivered_by = self._delivered_by[mid]
+                delivered_by.add(event.process)
+                if len(delivered_by) == self._processes:
+                    del self._sent[mid]
+                    del self._delivered_by[mid]
+                    self._retired += 1
         elif cls is ABroadcastEvent:
             time = event.time
             if time >= self.warmup and (
                 self.cutoff is None or time <= self.cutoff
             ):
                 self._sent[event.message.mid] = time
+                self._measured += 1
 
     def report(self, correct: frozenset[ProcessId]) -> LatencyReport:
         """Summarise the samples of the ``correct`` processes.
@@ -265,7 +287,7 @@ class LatencyProbe(Probe):
             ConfigurationError: If no message fell inside the window, or
                 no measured message was adelivered by a correct process.
         """
-        if not self._sent:
+        if not self._measured:
             raise ConfigurationError(
                 f"no messages in the measurement window "
                 f"(warmup={self.warmup}, cutoff={self.cutoff}); "
@@ -282,14 +304,14 @@ class LatencyProbe(Probe):
                 "or the stack is stuck"
             )
         empty: frozenset[ProcessId] = frozenset()
-        fully = sum(
+        fully = self._retired + sum(
             1
             for mid in self._sent
             if correct <= self._delivered_by.get(mid, empty)
         )
         return LatencyReport(
             stats=summarize(samples),
-            messages_measured=len(self._sent),
+            messages_measured=self._measured,
             messages_fully_delivered=fully,
             samples=tuple(samples),
         )
@@ -357,22 +379,21 @@ class TrafficProbe(Probe):
 
 
 class ConsensusProbe(Probe):
-    """Consensus work: decided instances (streamed off the event
-    trace) plus round statistics read from the consensus services.
+    """Consensus work: decide and propose counts (streamed off the
+    event trace) plus the decided instances and round statistics read
+    from the consensus services.
 
     Stacks without a consensus layer (the sequencer) report zeros.
     """
 
     def __init__(self, spec: Any) -> None:
         super().__init__(spec)
-        self._decided: set[int] = set()
         self._decides = 0
         self._proposals = 0
 
     def on_event(self, event: ProtocolEvent) -> None:  # type: ignore[override]
         cls = type(event)
         if cls is DecideEvent:
-            self._decided.add(event.instance)
             self._decides += 1
         elif cls is ProposeEvent:
             self._proposals += 1
@@ -381,9 +402,13 @@ class ConsensusProbe(Probe):
         from repro.analysis.rounds import round_statistics
 
         rounds = round_statistics(system)
+        # Every DecideEvent records a ``decided`` entry of its process.
+        decided: set[int] = set()
+        for service in system.consensuses.values():
+            decided.update(service.decided)
         return MetricValue.of(
             fields={
-                "instances_decided": len(self._decided),
+                "instances_decided": len(decided),
                 "decides_total": self._decides,
                 "proposals_total": self._proposals,
                 "first_round_decisions": rounds.first_round_decisions,
@@ -473,7 +498,7 @@ class AdmissionProbe(Probe):
 PROBES.register(
     "latency",
     "delivery latency mean/p50/p90/p99 over the measurement window",
-    factory=lambda spec: LatencyProbe(spec.warmup, spec.duration),
+    factory=lambda spec: LatencyProbe(spec.warmup, spec.duration, spec.stack.n),
 )
 PROBES.register(
     "traffic",

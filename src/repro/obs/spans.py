@@ -245,7 +245,8 @@ class SpanRecorder(Probe):
         Args:
             system: Optional built :class:`~repro.stack.builder.System`
                 (or a sharded group); when given, consensus spans gain
-                per-round children read from the instances'
+                per-round children read from the services' round logs
+                (decided instances) and undecided instances'
                 ``round_entries`` timestamps.
         """
         out: list[Span] = []
@@ -335,7 +336,12 @@ class SpanRecorder(Probe):
                 )
 
         # Consensus instance + round spans.
-        consensuses = getattr(system, "consensuses", None) or {}
+        rounds: dict[tuple[int, int], Any] = {}
+        for pid, service in (getattr(system, "consensuses", None) or {}).items():
+            for k, entries in service.round_log.items():
+                rounds[pid, k] = entries
+            for k, instance in service._instances.items():
+                rounds[pid, k] = instance.round_entries
         for (pid, k), (propose_t, decide_t) in sorted(
             self._cons.items(),
             key=lambda item: (
@@ -343,11 +349,7 @@ class SpanRecorder(Probe):
                 item[0],
             ),
         ):
-            entries: list[float] = []
-            service = consensuses.get(pid)
-            if service is not None:
-                instance = service._instances.get(k)
-                entries = list(getattr(instance, "round_entries", ()) or ())
+            entries = rounds.get((pid, k), ())
             start_candidates = [t for t in (propose_t, decide_t) if t is not None]
             if entries:
                 start_candidates.append(entries[0])

@@ -122,10 +122,14 @@ class TestOnMessagesShortCircuit:
             StackSpec(n=3, abcast="on-messages", consensus="ct", seed=1)
         )
         a3 = system.abcasts[3]
+        delivered = []
+        a3.on_adeliver(delivered.append)
         m = system.abcasts[1].abroadcast(make_payload(500, content="bulk"))
         system.run_until_delivered(count=1, timeout=1.0)
         assert m.mid in a3.adelivered
-        assert a3.store.get(m.mid).payload.content == "bulk"
+        assert delivered[0].payload.content == "bulk"
+        # Adelivery drops the payload; the id stays received.
+        assert a3.store.get(m.mid) is None and a3.store.has(m.mid)
 
     def test_unordered_id_without_message_raises_even_under_O(self):
         """unordered_p only holds r-delivered ids; proposing full messages

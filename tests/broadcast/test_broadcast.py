@@ -1,11 +1,14 @@
 """Tests for the three broadcast algorithms (flood RB, sender RB, URB)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broadcast.flood import FloodReliableBroadcast
 from repro.broadcast.sender import SenderReliableBroadcast
 from repro.broadcast.uniform import UniformReliableBroadcast
 from repro.checkers.broadcast import BroadcastChecker
+from repro.core.identifiers import MessageId
 from repro.net.faults import DelayRule
 from tests.helpers import Fabric, app_message, make_fabric
 
@@ -216,3 +219,27 @@ class TestUrbUniformity:
         fabric.run(until=1.0)
         assert m.mid in delivered_ids(fabric, 1)
         assert m.mid in delivered_ids(fabric, 3)
+
+
+@given(order=st.permutations([(o, s) for o in (1, 2, 3) for s in (1, 2, 3, 4)]),
+       repeats=st.lists(st.integers(0, 11), max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_delivered_watermark_matches_a_plain_set(order, repeats):
+    """Delivery in any per-origin order, with duplicates, keeps the
+    ``IdWatermark`` equal to the set of delivered ids: each id delivered
+    once, membership and size exact, ``above`` empty once every prefix
+    is complete."""
+    fabric = make_fabric(3)
+    service = mount(fabric, "flood")[1]
+    seen = set()
+    for i, (origin, seq) in enumerate(order):
+        message = app_message(origin=origin, seq=seq)
+        assert service._deliver(message) == (message.mid not in seen)
+        seen.add(message.mid)
+        for j in repeats:
+            assert not service._deliver(app_message(*order[min(j, i)]))
+        ids = {MessageId(o, s) for o, s in order}
+        assert {mid for mid in ids if service.has_delivered(mid)} == seen
+        assert len(service._delivered) == len(seen)
+    assert service._delivered.through == [0, 4, 4, 4]
+    assert not service._delivered.above

@@ -59,7 +59,7 @@ class TestOriginalMR:
             services[pid].propose(1, value)
         fabric.run()
         assert all(decisions[pid][1] == value for pid in (1, 2, 3))
-        assert services[1]._instances[1].rounds_executed == 1
+        assert len(dict(services[1].round_log.items())[1]) == 1
         ConsensusChecker(fabric.trace, fabric.config).check_all()
 
     def test_two_step_decision_in_good_round(self):

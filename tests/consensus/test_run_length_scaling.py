@@ -2,11 +2,12 @@
 
 Algorithm 1 runs consensus executions one after another, so only a
 handful of instances are undecided at any instant.  A detector flip or
-a new r-delivery may only visit those — never the archive of decided
-instances, which grows with the run.  The guard counts instance visits
-exactly (a counting patch on the instance hooks, no timing) on a short
-and a four times longer run; the unit tests pin the bookkeeping of the
-live and parked indexes that makes it hold.
+a new r-delivery may only visit those — a decision retires its
+instance, leaving only its round entries in the service's round log.
+The guard counts instance visits exactly (a counting patch on the
+instance hooks, no timing) on a short and a four times longer run; the
+unit tests pin the bookkeeping of the instance table and the parked
+index that makes it hold.
 """
 
 import pytest
@@ -92,7 +93,7 @@ class TestVisitsDoNotGrowWithRunLength:
         # detector flips, several times the instances.
         assert long.calls["rcv"] > 3 * short.calls["rcv"] > 0
         assert long.calls["detector"] > short.calls["detector"] > 0
-        assert len(system.consensuses[2]._instances) > 500
+        assert len(system.consensuses[2].decided) > 500
         # Nothing ever parks on rcv under nack-on-missing: an
         # r-delivery visits no instance, however long the run.
         assert short.visits["rcv"] == 0
@@ -116,11 +117,11 @@ class TestVisitsDoNotGrowWithRunLength:
         _, system = loaded_run(monkeypatch, 1.0)
         for pid in (2, 3):
             service = system.consensuses[pid]
-            assert service._live == {} and service._parked == set()
-            assert len(service._instances) == len(service.decided) > 100
+            assert service._instances == {} and service._parked == set()
+            assert len(service.round_log) == len(service.decided) > 100
         # The crashed process keeps what it had not decided; nothing
         # walks it any more.
-        assert len(system.consensuses[1]._live) <= LIVE_BOUND
+        assert len(system.consensuses[1]._instances) <= LIVE_BOUND
 
 
 # ----------------------------------------------------------------------
@@ -139,12 +140,13 @@ def test_live_index_is_empty_at_quiescence(cls, n, f):
         for pid in fabric.config.processes:
             give(fabric, stores, pid, message)
             services[pid].propose(k, ids(message), stores[pid].rcv)
-        assert all(k in s._live for s in services.values())
+        assert all(k in s._instances for s in services.values())
     fabric.run()
     for service in services.values():
         assert sorted(service.decided) == [1, 2, 3]
-        assert list(service._instances) == [1, 2, 3]  # the archive stays
-        assert service._live == {} and service._parked == set()
+        # Decided instances are retired; only their rounds are logged.
+        assert sorted(service.round_log.instances) == [1, 2, 3]
+        assert service._instances == {} and service._parked == set()
 
 
 def test_decide_frame_for_an_instance_never_created_locally():
@@ -156,7 +158,7 @@ def test_decide_frame_for_an_instance_never_created_locally():
         Frame(src=1, dst=3, kind="cti.decide", body=(7, value), size=0)
     )
     assert services[3].decided == {7: value}
-    assert services[3]._live == {} and 7 not in services[3]._instances
+    assert services[3]._instances == {} and len(services[3].round_log) == 0
     # Neither a late local propose nor the instance's late round frames
     # resurrect it.
     give(fabric, stores, 3, message)
@@ -164,7 +166,7 @@ def test_decide_frame_for_an_instance_never_created_locally():
     services[3]._on_prop(
         Frame(src=2, dst=3, kind="cti.prop", body=(7, 1, value), size=0)
     )
-    assert services[3]._live == {} and 7 not in services[3]._instances
+    assert services[3]._instances == {} and len(services[3].round_log) == 0
     services[3]._on_detector_change()
     services[3].notify_rcv_update()
 
@@ -178,13 +180,13 @@ def test_crashed_process_is_not_walked_and_does_not_block_the_others():
         services[pid].propose(1, ids(message), stores[pid].rcv)
     fabric.processes[2].crash()  # the round-1 coordinator, before any frame
     fabric.run()
-    assert list(services[2]._live) == [1] and not services[2].decided
+    assert list(services[2]._instances) == [1] and not services[2].decided
     services[2]._on_detector_change()  # crashed: returns without visiting
     services[2].notify_rcv_update()
-    assert services[2]._instances[1].rounds_executed == 1
+    assert len(services[2]._instances[1].round_entries) == 1
     for pid in (1, 3):
         assert services[pid].decided == {1: ids(message)}
-        assert services[pid]._live == {}
+        assert services[pid]._instances == {}
 
 
 def test_wait_policy_wakes_a_parked_phase3_with_the_same_rcv_lookups():
@@ -192,8 +194,8 @@ def test_wait_policy_wakes_a_parked_phase3_with_the_same_rcv_lookups():
     services, stores, _ = mount(
         fabric, CTIndirectConsensus, missing_policy="wait"
     )
-    # Instances 1-3 decide first, so the archive is not just the parked
-    # instance: only instance 4 may be charged for below.
+    # Instances 1-3 decide first, so the service has seen more than the
+    # parked instance: only instance 4 may be charged for below.
     for k in (1, 2, 3):
         done = app_message(1)
         for pid in fabric.config.processes:
@@ -218,7 +220,7 @@ def test_wait_policy_wakes_a_parked_phase3_with_the_same_rcv_lookups():
     fabric.run(until=20.0)
     parked = services[waiter]
     assert not services[coordinator].has_decided(4)
-    assert parked._parked == {4} and list(parked._live) == [4]
+    assert parked._parked == {4} and list(parked._instances) == [4]
     # rcv({a, b}) was refused twice: when the proposal arrived, and when
     # the detector flipped on p1 (a flip re-runs Phase 3 as well).
     assert lookups == [2, 2]
@@ -236,4 +238,4 @@ def test_wait_policy_wakes_a_parked_phase3_with_the_same_rcv_lookups():
     fabric.run(until=30.0)
     for pid in (coordinator, waiter):
         assert services[pid].decided[4] == ids(a, b)
-        assert services[pid]._live == {}
+        assert services[pid]._instances == {}

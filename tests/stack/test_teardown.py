@@ -25,8 +25,10 @@ import tracemalloc
 import pytest
 
 from repro.analysis import traffic_breakdown
+from repro.analysis.rounds import round_statistics
 from repro.core.exceptions import ConfigurationError
 from repro.core.message import make_payload
+from repro.failure.crash import CrashSchedule
 from repro.explore import explore_spec
 from repro.explore.executor import ScheduleExecutor
 from repro.explore.scheduler import parse_deviations
@@ -194,6 +196,21 @@ class TestClosedSystem:
             now, executed,
         )
         assert system.config.n == 3
+
+    def test_round_statistics_read_the_same_after_close(self):
+        """The round logs hold no reference into the wiring, so close()
+        leaves them (and the decided instances' numbers) readable."""
+        system = build_system(
+            StackSpec(n=3, fd="heartbeat", seed=4), CrashSchedule.single(2, 0.1)
+        )
+        SymmetricWorkload(
+            system, throughput=300.0, payload_size=64, duration=0.3,
+        ).install()
+        system.run(until=1.0)
+        before = round_statistics(system)
+        assert before.instances > 0 and before.decision_rounds.maximum > 1
+        system.close()
+        assert round_statistics(system) == before
 
     def test_a_closed_engine_refuses_to_run(self):
         system = finished_system()
