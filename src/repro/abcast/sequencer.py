@@ -112,8 +112,10 @@ class SequencerAtomicBroadcast:
         self.wedged_for = 0
         #: The ordered log: seqno -> (epoch that assigned it, message).
         self.log: dict[int, tuple[int, AppMessage]] = {}
-        #: Ids in the log and not adelivered yet.  Adelivery removes an
-        #: id: the one lookup (``_assign``) also checks ``adelivered``.
+        #: Ids in the log whose slot delivery has not reached:
+        #: :meth:`_try_deliver` removes an id at its slot, also a
+        #: renumbered duplicate's, and a seal adds no adelivered id.
+        #: The one lookup (``_assign``) also checks ``adelivered``.
         self._ordered_mids: set[MessageId] = set()
         #: Own assignments not yet echoed by any other process: the
         #: sequencer must not adeliver them yet (see :meth:`_assign`).
@@ -305,10 +307,10 @@ class SequencerAtomicBroadcast:
             self.next_deliver += 1
             _, message = entry
             mid = message.mid
+            self._ordered_mids.discard(mid)
             origin, seq = mid
             if seq <= through[origin] or mid in above:
                 continue  # renumbered duplicate
-            self._ordered_mids.discard(mid)
             # Insert inline (see BroadcastService._deliver).
             if seq == through[origin] + 1:
                 while above and (origin, seq + 1) in above:
@@ -430,7 +432,10 @@ class SequencerAtomicBroadcast:
             held = self.log.get(seqno)
             if held is None or held[0] < entry_epoch:
                 self.log[seqno] = (entry_epoch, message)
-                self._ordered_mids.add(message.mid)
+                if message.mid not in self.adelivered:
+                    # The slot may lie behind next_deliver, which
+                    # would never reach it to remove the id.
+                    self._ordered_mids.add(message.mid)
                 self.pending.pop(message.mid, None)
         self.sealed_through = max(self.sealed_through, sealed_through)
         self.next_seq = self.sealed_through + 1

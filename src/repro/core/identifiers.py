@@ -88,8 +88,7 @@ class IdWatermark:
     largest ``s`` such that ``(origin, 1) .. (origin, s)`` are all
     members — plus ``above``, the members past their origin's
     watermark (ids delivered out of origin order, and those of a
-    crashed origin whose predecessor never arrived).  An origin past the
-    end of ``through`` has watermark 0.
+    crashed origin whose predecessor never arrived).
 
     The per-frame paths of the protocol layers test and insert inline
     on ``through`` and ``above`` (see ``BroadcastService._deliver``);
@@ -101,16 +100,13 @@ class IdWatermark:
 
     __slots__ = ("through", "above")
 
-    def __init__(self, n: int = 0) -> None:
+    def __init__(self, n: int) -> None:
         self.through: list[int] = [0] * (n + 1)
         self.above: set[MessageId] = set()
 
     def __contains__(self, mid: object) -> bool:
         origin, seq = mid  # type: ignore[misc]
-        through = self.through
-        return (
-            origin < len(through) and seq <= through[origin]
-        ) or mid in self.above
+        return seq <= self.through[origin] or mid in self.above
 
     def __len__(self) -> int:
         return sum(self.through) + len(self.above)

@@ -51,16 +51,15 @@ class ReceivedStore:
     payload were still held, with the same lookup counts.
 
     Args:
-        adelivered: The ids whose payloads have been taken; a
-            stand-alone store (nothing ever taken) gets an empty one.
+        adelivered: The ids whose payloads have been taken.
     """
 
     __slots__ = ("_messages", "adelivered", "lookup_count", "rcv_call_count")
 
-    def __init__(self, adelivered: IdWatermark | None = None) -> None:
+    def __init__(self, adelivered: IdWatermark) -> None:
         #: Payloads received and not yet adelivered.
         self._messages: dict[MessageId, AppMessage] = {}
-        self.adelivered = IdWatermark() if adelivered is None else adelivered
+        self.adelivered = adelivered
         #: Total individual identifier membership checks performed by rcv().
         self.lookup_count = 0
         #: Total invocations of the rcv() predicate.
@@ -73,10 +72,8 @@ class ReceivedStore:
         if mid in self._messages:
             return False
         origin, seq = mid
-        through = self.adelivered.through
-        if (
-            origin < len(through) and seq <= through[origin]
-        ) or mid in self.adelivered.above:
+        adelivered = self.adelivered
+        if seq <= adelivered.through[origin] or mid in adelivered.above:
             return False
         self._messages[mid] = message
         return True
@@ -120,9 +117,7 @@ class ReceivedStore:
             if mid not in messages:
                 # Inline IdWatermark membership: no call per lookup.
                 origin, seq = mid
-                if (
-                    origin >= len(through) or seq > through[origin]
-                ) and mid not in above:
+                if seq > through[origin] and mid not in above:
                     result = False
                     break
         return result

@@ -70,7 +70,7 @@ def measure_latency(
     from repro.metrics.probes import LatencyProbe
 
     correct = trace.correct_processes(config.processes)
-    fold = LatencyProbe(warmup, cutoff, config.n)
+    fold = LatencyProbe(config.n, warmup, cutoff)
     for event in trace.abroadcasts():
         fold.on_event(event)
     for process in sorted(correct):

@@ -237,14 +237,13 @@ class LatencyProbe(Probe):
     have delivered a message its entries are retired and only counted
     (every correct set is a subset of the group, so a retired message
     is fully delivered whatever :meth:`report` is asked).
-    ``processes=None`` never retires.
     """
 
     def __init__(
         self,
+        processes: int,
         warmup: float = 0.0,
         cutoff: float | None = None,
-        processes: int | None = None,
     ) -> None:
         super().__init__(None)
         self.warmup = warmup
@@ -498,7 +497,7 @@ class AdmissionProbe(Probe):
 PROBES.register(
     "latency",
     "delivery latency mean/p50/p90/p99 over the measurement window",
-    factory=lambda spec: LatencyProbe(spec.warmup, spec.duration, spec.stack.n),
+    factory=lambda spec: LatencyProbe(spec.stack.n, spec.warmup, spec.duration),
 )
 PROBES.register(
     "traffic",

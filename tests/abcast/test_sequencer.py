@@ -97,6 +97,30 @@ class TestSequencerCrashHandover:
         }
         assert survivors_sent <= set(seq2)
 
+    def test_renumbered_copy_after_adelivery_leaves_no_ordered_id(self):
+        """After a handover, a renumbered copy of an adelivered message
+        arrives in an order frame at a fresh slot and in a later seal at
+        a slot delivery has passed.  Neither is adelivered again, and no
+        id is left in the ordered-id set."""
+        system = build_system(spec(), CrashSchedule.single(1, 0.010))
+        send_burst(system, [(2, 0.001), (3, 0.002), (2, 0.020), (3, 0.025)])
+        system.run(until=3.0, max_events=2_000_000)
+        abcast = system.abcasts[2]
+        assert abcast.epoch >= 1
+        delivered = abcast.delivered_count()
+        assert delivered == 4
+        assert not abcast._ordered_mids
+        _, first = abcast.log[1]
+        fresh = max(abcast.log) + 1
+        assert abcast.next_deliver == fresh
+        abcast._accept(abcast.epoch, fresh, first, relay=False)
+        later = abcast.epoch + 1
+        abcast._apply_seal(later, {1: (later, first)}, fresh)
+        assert abcast.next_deliver == fresh + 1
+        assert abcast.delivered_count() == delivered
+        assert len(system.trace.adelivery_sequence(2)) == delivered
+        assert not abcast._ordered_mids
+
     def test_sequencer_crash_with_lost_socket_buffers(self):
         """Orderings queued at the crashing sequencer die with it; the
         senders' retry timers re-forward to the new sequencer."""

@@ -8,7 +8,7 @@ from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.consensus.ct_indirect import CTIndirectConsensus
 from repro.core.events import RDeliverEvent
 from repro.core.exceptions import ResilienceExceededError
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import IdWatermark, MessageId
 from repro.core.rcv import ReceivedStore
 from repro.failure.detector import FalseSuspicion
 from tests.helpers import Fabric, app_message, make_fabric
@@ -25,7 +25,7 @@ def mount(fabric: Fabric, cls, enforce=True):
             ID_SET_CODEC,
             enforce_resilience=enforce,
         )
-        stores[pid] = ReceivedStore()
+        stores[pid] = ReceivedStore(IdWatermark(fabric.config.n))
         decisions[pid] = {}
         services[pid].on_decide(
             lambda k, v, _pid=pid: decisions[_pid].setdefault(k, v)

@@ -9,7 +9,7 @@ from repro.consensus.mr_indirect import MRIndirectConsensus
 from repro.core.config import SystemConfig
 from repro.core.events import RDeliverEvent
 from repro.core.exceptions import ProtocolViolationError, ResilienceExceededError
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import IdWatermark, MessageId
 from repro.core.rcv import ReceivedStore
 from tests.helpers import Fabric, app_message, make_fabric
 
@@ -24,7 +24,7 @@ def mount(fabric: Fabric, cls, enforce=True):
             ID_SET_CODEC,
             enforce_resilience=enforce,
         )
-        stores[pid] = ReceivedStore()
+        stores[pid] = ReceivedStore(IdWatermark(fabric.config.n))
         decisions[pid] = {}
         services[pid].on_decide(
             lambda k, v, _pid=pid: decisions[_pid].setdefault(k, v)

@@ -7,7 +7,7 @@ from repro.consensus.mostefaoui_raynal import BOTTOM, MostefaouiRaynalConsensus
 from repro.consensus.mr_indirect import MRIndirectConsensus
 from repro.core.events import RDeliverEvent
 from repro.core.exceptions import ProtocolViolationError
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import IdWatermark, MessageId
 from repro.net.faults import DelayRule
 from repro.core.rcv import ReceivedStore
 from tests.helpers import Fabric, app_message, make_fabric
@@ -22,7 +22,7 @@ def mount(fabric: Fabric, cls):
             fabric.detectors[pid],
             ID_SET_CODEC,
         )
-        stores[pid] = ReceivedStore()
+        stores[pid] = ReceivedStore(IdWatermark(fabric.config.n))
         decisions[pid] = {}
         services[pid].on_decide(
             lambda k, v, _pid=pid: decisions[_pid].setdefault(k, v)

@@ -16,7 +16,7 @@ from repro.consensus.ct_indirect import CTIndirectConsensus
 from repro.consensus.mostefaoui_raynal import MostefaouiRaynalConsensus
 from repro.consensus.mr_indirect import MRIndirectConsensus
 from repro.core.events import RDeliverEvent
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import IdWatermark, MessageId
 from repro.core.message import AppMessage, make_payload
 from repro.core.rcv import ReceivedStore
 from repro.failure.detector import FalseSuspicion
@@ -48,7 +48,7 @@ def run_consensus(cls, n, holders_map, crash_pids, crash_times, suspicions):
             fabric.detectors[pid],
             ID_SET_CODEC,
         )
-        stores[pid] = ReceivedStore()
+        stores[pid] = ReceivedStore(IdWatermark(fabric.config.n))
         decisions[pid] = {}
         services[pid].on_decide(
             lambda k, v, _pid=pid: decisions[_pid].setdefault(k, v)

@@ -12,7 +12,7 @@ from repro.consensus.base import ID_SET_CODEC
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.consensus.ct_indirect import CTIndirectConsensus
 from repro.core.events import RDeliverEvent
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import IdWatermark, MessageId
 from repro.net.faults import DelayRule
 from repro.core.rcv import ReceivedStore
 from tests.helpers import Fabric, app_message, make_fabric
@@ -28,7 +28,7 @@ def mount(fabric: Fabric, cls, **kwargs):
             ID_SET_CODEC,
             **kwargs,
         )
-        stores[pid] = ReceivedStore()
+        stores[pid] = ReceivedStore(IdWatermark(fabric.config.n))
         decisions[pid] = {}
         services[pid].on_decide(
             lambda k, v, _pid=pid: decisions[_pid].setdefault(k, v)

@@ -38,7 +38,7 @@ from repro.checkers.consensus import ConsensusChecker
 from repro.consensus.base import ID_SET_CODEC
 from repro.consensus.ct_indirect import CTIndirectConsensus
 from repro.core.events import RDeliverEvent
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import IdWatermark, MessageId
 from repro.core.message import AppMessage, make_payload
 from repro.core.rcv import ReceivedStore
 from tests.helpers import make_fabric
@@ -57,7 +57,7 @@ def run_pinned_scenario():
             fabric.detectors[pid],
             ID_SET_CODEC,
         )
-        stores[pid] = ReceivedStore()
+        stores[pid] = ReceivedStore(IdWatermark(fabric.config.n))
         decisions[pid] = {}
         services[pid].on_decide(
             lambda k, v, _pid=pid: decisions[_pid].setdefault(k, v)

@@ -3,9 +3,17 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.identifiers import MessageId
+from repro.core.identifiers import IdWatermark, MessageId
 from repro.core.message import AppMessage, make_payload
 from repro.core.rcv import ReceivedStore
+
+
+#: Origins in these tests run up to 9.
+N = 9
+
+
+def empty_store() -> ReceivedStore:
+    return ReceivedStore(IdWatermark(N))
 
 
 def msg(origin: int, seq: int) -> AppMessage:
@@ -16,7 +24,7 @@ def msg(origin: int, seq: int) -> AppMessage:
 
 class TestReceivedStore:
     def test_add_and_lookup(self):
-        store = ReceivedStore()
+        store = empty_store()
         m = msg(1, 1)
         assert store.add(m)
         assert store.has(m.mid)
@@ -25,17 +33,17 @@ class TestReceivedStore:
         assert len(store) == 1
 
     def test_add_is_idempotent(self):
-        store = ReceivedStore()
+        store = empty_store()
         m = msg(1, 1)
         assert store.add(m)
         assert not store.add(m)
         assert len(store) == 1
 
     def test_get_missing_returns_none(self):
-        assert ReceivedStore().get(MessageId(1, 1)) is None
+        assert empty_store().get(MessageId(1, 1)) is None
 
     def test_snapshot_ids(self):
-        store = ReceivedStore()
+        store = empty_store()
         store.add(msg(1, 1))
         store.add(msg(2, 3))
         assert store.snapshot_ids() == {MessageId(1, 1), MessageId(2, 3)}
@@ -43,21 +51,21 @@ class TestReceivedStore:
 
 class TestRcvPredicate:
     def test_rcv_true_when_all_present(self):
-        store = ReceivedStore()
+        store = empty_store()
         store.add(msg(1, 1))
         store.add(msg(2, 1))
         assert store.rcv([MessageId(1, 1), MessageId(2, 1)])
 
     def test_rcv_false_on_any_missing(self):
-        store = ReceivedStore()
+        store = empty_store()
         store.add(msg(1, 1))
         assert not store.rcv([MessageId(1, 1), MessageId(9, 9)])
 
     def test_rcv_true_on_empty_set(self):
-        assert ReceivedStore().rcv([])
+        assert empty_store().rcv([])
 
     def test_missing_reports_the_gap(self):
-        store = ReceivedStore()
+        store = empty_store()
         store.add(msg(1, 1))
         want = [MessageId(1, 1), MessageId(3, 1), MessageId(4, 2)]
         assert store.missing(want) == {MessageId(3, 1), MessageId(4, 2)}
@@ -65,7 +73,7 @@ class TestRcvPredicate:
     def test_lookup_accounting_counts_probes(self):
         """The simulation charges CPU per probe; the counter must reflect
         exactly the probes performed (short-circuiting on a miss)."""
-        store = ReceivedStore()
+        store = empty_store()
         store.add(msg(1, 1))
         store.add(msg(1, 2))
         assert store.lookup_count == 0
@@ -78,7 +86,7 @@ class TestRcvPredicate:
         assert store.rcv_call_count == 2
 
     def test_plain_has_does_not_count(self):
-        store = ReceivedStore()
+        store = empty_store()
         store.add(msg(1, 1))
         store.has(MessageId(1, 1))
         assert store.lookup_count == 0
@@ -89,7 +97,7 @@ class TestRcvPredicate:
     )
     def test_rcv_equals_subset_check(self, have, want):
         """rcv(v) <=> v ⊆ received — the definitional property."""
-        store = ReceivedStore()
+        store = empty_store()
         for origin, seq in have:
             store.add(msg(origin, seq))
         want_ids = [MessageId(o, s) for o, s in want]

@@ -63,12 +63,11 @@ def test_golden_stack_probe_equals_trace_measurement(stack_name):
     assert_equivalent(result.metric("latency"), report)
 
 
-@pytest.mark.parametrize("processes", [None, 3])
-def test_crashed_process_is_filtered_identically(processes):
-    """With ``processes=3`` the probe retires every message all three
-    processes delivered; the report still equals the batch fold, whose
-    correct set excludes the crashed p3."""
-    probe = LatencyProbe(warmup=WARMUP, cutoff=DURATION, processes=processes)
+def test_crashed_process_is_filtered_identically():
+    """The probe retires every message all three processes delivered;
+    the report still equals the batch fold, whose correct set excludes
+    the crashed p3."""
+    probe = LatencyProbe(3, warmup=WARMUP, cutoff=DURATION)
     system = build_system(
         StackSpec(n=3, seed=5, abcast="indirect", consensus="ct-indirect",
                   rb="sender", fd="heartbeat", params=SETUP_1),
@@ -92,8 +91,7 @@ def test_crashed_process_is_filtered_identically(processes):
     )
     assert_equivalent(value, report)
     assert report.messages_fully_delivered <= report.messages_measured
-    if processes is not None:
-        # Only what the crashed p3 never delivered is still held.
-        assert probe._retired > 0
-        assert len(probe._sent) == report.messages_measured - probe._retired
-        assert all(3 not in by for by in probe._delivered_by.values())
+    # Only what the crashed p3 never delivered is still held.
+    assert probe._retired > 0
+    assert len(probe._sent) == report.messages_measured - probe._retired
+    assert all(3 not in by for by in probe._delivered_by.values())

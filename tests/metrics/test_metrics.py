@@ -145,7 +145,7 @@ class TestLatencyFold:
     """The latency probe's streaming fold, fed event by event."""
 
     def test_streams_latency_pairs(self):
-        fold = LatencyProbe()
+        fold = LatencyProbe(2)
         fold.on_event(ABroadcastEvent(time=0.1, process=1, message=msg(1, 1)))
         fold.on_event(ADeliverEvent(time=0.25, process=1, message=msg(1, 1)))
         fold.on_event(ADeliverEvent(time=0.30, process=2, message=msg(1, 1)))
@@ -155,7 +155,7 @@ class TestLatencyFold:
         assert report.messages_fully_delivered == 1
 
     def test_window_filters_as_abroadcasts_arrive(self):
-        fold = LatencyProbe(warmup=0.1, cutoff=0.5)
+        fold = LatencyProbe(3, warmup=0.1, cutoff=0.5)
         for seq, sent in ((1, 0.05), (2, 0.2), (3, 0.6)):
             fold.on_event(
                 ABroadcastEvent(time=sent, process=1, message=msg(1, seq))
@@ -169,7 +169,7 @@ class TestLatencyFold:
         assert report.stats.count == 1
 
     def test_unmeasured_events_leave_no_state(self):
-        fold = LatencyProbe()
+        fold = LatencyProbe(3)
         for i in range(1000):
             fold.on_event(
                 RDeliverEvent(time=i * 1e-3, process=1, message=msg(1, i))
@@ -181,7 +181,7 @@ class TestLatencyFold:
         assert not fold._samples and not fold._delivered_by
 
     def test_report_keeps_only_correct_processes(self):
-        fold = LatencyProbe()
+        fold = LatencyProbe(3)
         fold.on_event(ABroadcastEvent(time=0.0, process=1, message=msg(1, 1)))
         fold.on_event(ADeliverEvent(time=0.1, process=1, message=msg(1, 1)))
         fold.on_event(ADeliverEvent(time=0.1, process=2, message=msg(1, 1)))

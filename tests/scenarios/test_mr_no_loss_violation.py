@@ -22,6 +22,7 @@ from repro.consensus.mostefaoui_raynal import MostefaouiRaynalConsensus
 from repro.consensus.mr_indirect import MRIndirectConsensus
 from repro.core.events import RDeliverEvent
 from repro.core.exceptions import ProtocolViolationError
+from repro.core.identifiers import IdWatermark
 from repro.core.rcv import ReceivedStore
 from tests.helpers import Fabric, app_message, make_fabric
 
@@ -35,7 +36,7 @@ def mount(fabric: Fabric, cls):
             fabric.detectors[pid],
             ID_SET_CODEC,
         )
-        stores[pid] = ReceivedStore()
+        stores[pid] = ReceivedStore(IdWatermark(fabric.config.n))
         decisions[pid] = {}
         services[pid].on_decide(
             lambda k, v, _pid=pid: decisions[_pid].setdefault(k, v)
