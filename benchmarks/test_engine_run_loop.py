@@ -58,14 +58,14 @@ def _prefill_handles(engine: Engine) -> None:
 def _drain_default() -> int:
     engine = Engine()
     _prefill(engine)
-    engine.run_until_idle(max_events=EVENTS + 1)
+    engine.run(max_events=EVENTS + 1)
     return engine.events_executed
 
 
 def _drain_handles() -> int:
     engine = Engine()
     _prefill_handles(engine)
-    engine.run_until_idle(max_events=EVENTS + 1)
+    engine.run(max_events=EVENTS + 1)
     return engine.events_executed
 
 
@@ -73,7 +73,7 @@ def _drain_controlled() -> int:
     engine = Engine()
     engine.install_scheduler(Scheduler())  # pure default: fused drain
     _prefill(engine)
-    engine.run_until_idle(max_events=EVENTS + 1)
+    engine.run(max_events=EVENTS + 1)
     return engine.events_executed
 
 
@@ -91,7 +91,7 @@ def _drain_controlled_singleton() -> int:
     engine = Engine()
     engine.install_scheduler(_SingletonFastPath())
     _prefill_handles(engine)
-    engine.run_until_idle(max_events=EVENTS + 1)
+    engine.run(max_events=EVENTS + 1)
     return engine.events_executed
 
 
@@ -115,7 +115,7 @@ def _schedule_run() -> int:
     ]
     for handle in handles[::7]:
         handle.cancel()
-    engine.run_until_idle(max_events=THROUGHPUT_EVENTS * 2)
+    engine.run(max_events=THROUGHPUT_EVENTS * 2)
     return fired
 
 
@@ -149,7 +149,7 @@ def _churn() -> tuple[int, int]:
 
     for pid in range(PROCESSES):
         engine.schedule(INTERVAL * (pid / PROCESSES), heartbeat, pid, ROUNDS)
-    engine.run_until_idle(max_events=PROCESSES * ROUNDS * 3)
+    engine.run(max_events=PROCESSES * ROUNDS * 3)
     return fired, expired
 
 
@@ -169,7 +169,7 @@ def test_run_loop_drain_ns_per_event(benchmark):
         return (engine,), {}
 
     def drain(engine: Engine) -> int:
-        engine.run_until_idle(max_events=EVENTS + 1)
+        engine.run(max_events=EVENTS + 1)
         return engine.events_executed
 
     benchmark.pedantic(drain, setup=setup, rounds=10, iterations=1)
@@ -233,7 +233,7 @@ def test_default_scheduler_preserves_order_and_results():
         engine.schedule(0.1, sink.append, 2)
         cancelled = engine.schedule(0.15, sink.append, 99)
         cancelled.cancel()
-        engine.run_until_idle()
+        engine.run()
 
     drive(order_default, controlled=False)
     drive(order_controlled, controlled=True)

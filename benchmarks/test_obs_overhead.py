@@ -85,7 +85,7 @@ def _drain_obs_off(measure):
 
 def _seconds(engine: Engine) -> float:
     start = time.perf_counter()
-    engine.run_until_idle(max_events=EVENTS + 1)
+    engine.run(max_events=EVENTS + 1)
     elapsed = time.perf_counter() - start
     assert engine.events_executed == EVENTS
     return elapsed
@@ -94,7 +94,7 @@ def _seconds(engine: Engine) -> float:
 def _python_calls(engine: Engine) -> int:
     """Python-level calls made while draining ``engine`` (exact)."""
     _, calls = count_calls(
-        lambda: engine.run_until_idle(max_events=EVENTS + 1),
+        lambda: engine.run(max_events=EVENTS + 1),
         lambda _code: "call",
     )
     assert engine.events_executed == EVENTS
@@ -151,7 +151,7 @@ def test_obs_off_ns_per_event(benchmark):
         return (engine,), {}
 
     def drain(engine: Engine) -> int:
-        engine.run_until_idle(max_events=EVENTS + 1)
+        engine.run(max_events=EVENTS + 1)
         return engine.events_executed
 
     benchmark.pedantic(drain, setup=setup, rounds=10, iterations=1)
@@ -174,7 +174,7 @@ def test_obs_on_sampler_ns_per_event(benchmark):
         return (engine, telemetry), {}
 
     def drain(engine: Engine, telemetry: Telemetry) -> int:
-        engine.run_until_idle(max_events=2 * EVENTS)
+        engine.run(max_events=2 * EVENTS)
         assert len(telemetry.series("queue.depth")) > 0
         return engine.events_executed
 

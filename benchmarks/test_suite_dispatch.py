@@ -17,7 +17,7 @@ Two figures, both on the quick fig-3 grid (12 points, 2 panels):
 * **cached re-run** — the same sweep served entirely from the result
   cache: the stat/read path a warm re-run pays per point (bounded by
   the in-process LRU of :class:`~repro.harness.runner.ResultCache`,
-  sized by ``REPRO_CACHE_LRU``).  The LRU's lifetime hit/miss counters
+  512 results).  The LRU's lifetime hit/miss counters
   (:func:`repro.harness.runner.cache_stats`) are recorded in
   ``extra_info`` so a warm-path memoisation regression (e.g. entries
   stat-invalidating spuriously) shows in the ledger as a hit-rate

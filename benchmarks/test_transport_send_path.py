@@ -109,7 +109,7 @@ def test_precomputed_and_naive_send_identical_frames():
             transport = fabric.transports[(i % 4) + 1]
             send_all(transport, "bench.data", body=i, size=8,
                      include_self=(i % 3 == 0))
-        fabric.engine.run_until_idle()
+        fabric.engine.run()
 
     run("fast", lambda t, *a, **kw: t.send_all(*a, **kw))
     run("naive", _naive_send_all)

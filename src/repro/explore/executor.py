@@ -91,8 +91,7 @@ class ExploreSpec:
             each step of a search's expansion windows, each step of an
             eager ``ScheduleExecutor.run`` (see
             :class:`~repro.explore.fingerprint.FingerprintTracker`).
-            A debug harness — orders of magnitude slower; also
-            switchable globally via ``REPRO_FP_CHECK=1``.
+            A debug harness — orders of magnitude slower.
         label: Presentation-only label (defaults to ``name``).
     """
 

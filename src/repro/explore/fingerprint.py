@@ -46,16 +46,15 @@ state.  An ``exhausted`` search result is therefore "exhausted modulo
 fingerprint equivalence", not a proof; disable ``ExploreSpec.prune``
 for the strictly-complete (and much slower) enumeration.
 
-``FingerprintTracker(check=True)`` — or the ``REPRO_FP_CHECK=1``
-environment variable — verifies the maintained state against a
-from-scratch recompute at every read and raises on any divergence;
+``FingerprintTracker(check=True)`` (``ExploreSpec.fingerprint_check``)
+verifies the maintained state against a from-scratch recompute at
+every read and raises on any divergence;
 ``tests/explore/test_fast_path.py`` runs full searches under the flag.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.identifiers import MessageId
@@ -173,10 +172,10 @@ class FingerprintTracker:
     described at push time — only at the next read, by which point its
     annotation is settled.
 
-    ``check=True`` (or ``REPRO_FP_CHECK=1``) recomputes the whole state
-    from scratch at every read and raises ``AssertionError`` on any
-    divergence from the maintained values — the debug harness that
-    validates the incremental bookkeeping against the ground truth.
+    ``check=True`` recomputes the whole state from scratch at every
+    read and raises ``AssertionError`` on any divergence from the
+    maintained values — the debug harness that validates the
+    incremental bookkeeping against the ground truth.
     """
 
     __slots__ = (
@@ -195,9 +194,7 @@ class FingerprintTracker:
 
     def __init__(self, system: "System", check: bool = False) -> None:
         self._system = system
-        self._check = check or os.environ.get("REPRO_FP_CHECK", "") not in (
-            "", "0",
-        )
+        self._check = check
         self._sum = 0
         self._count = 0
         #: live pending record -> its 128-bit description hash.  Keyed

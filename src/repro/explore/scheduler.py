@@ -184,8 +184,7 @@ class ExploreScheduler(Scheduler):
             :class:`~repro.explore.fingerprint.FingerprintTracker`,
             installed as the queue observer until the window closes.
         fingerprint_check: Validate the incremental fingerprint state
-            against a from-scratch recompute at every read (also
-            enabled globally by ``REPRO_FP_CHECK=1``) — the debug
+            against a from-scratch recompute at every read — the debug
             harness, far too slow for real searches.
         record_from: First step whose menu is recorded (the module
             docstring's *window*); ``None`` records nothing.

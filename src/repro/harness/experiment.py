@@ -208,10 +208,11 @@ def run_experiment(
                 for abcast in system.abcasts.values()
             )
 
-        system.engine.run_loaded(
-            spec.duration, horizon, max_events=spec.max_events,
-            stop_when=drained,
-        )
+        # Predicate-free while load is offered; one lifetime cap over both.
+        engine = system.engine
+        engine.run(until=spec.duration, max_events=spec.max_events)
+        engine.run(until=horizon, max_events=spec.max_events,
+                   stop_when=drained)
         sent = workload.sent
 
         if spec.safety_checks:

@@ -150,25 +150,9 @@ def spec_key(spec: ExperimentSpec) -> str | None:
 #: hit, so an entry rewritten — or corrupted — on disk behind our back
 #: is a miss, exactly as if it had never been memoised.  Results are
 #: treated as immutable throughout the harness, so handing the same
-#: object out repeatedly is safe.
-#:
-#: Capacity comes from the ``REPRO_CACHE_LRU`` environment variable
-#: (default 512, read at import; ``0`` disables memoisation entirely).
-#: Dashboards replaying big grids can raise it; memory-constrained CI
-#: shards can shrink it.
-
-
-def _lru_capacity() -> int:
-    raw = os.environ.get("REPRO_CACHE_LRU", "")
-    if not raw:
-        return 512
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 512
-
-
-_LOAD_LRU_MAX = _lru_capacity()
+#: object out repeatedly is safe.  It holds at most ``_LOAD_LRU_MAX``
+#: results (``cache_stats()["capacity"]``).
+_LOAD_LRU_MAX = 512
 _load_lru: OrderedDict[Path, tuple[int, int, ExperimentResult]] = (
     OrderedDict()
 )

@@ -148,6 +148,8 @@ class SweepSpec:
                 )
         if any(t <= 0 for t in self.throughputs):
             raise ConfigurationError("throughputs must be > 0")
+        if any(p < 0 for p in self.payloads):
+            raise ConfigurationError("payloads must be >= 0")
         if self.target_messages <= 0:
             raise ConfigurationError("target_messages must be > 0")
         if self.trace_mode not in ("full", "metrics"):

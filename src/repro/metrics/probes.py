@@ -473,27 +473,6 @@ class UtilisationProbe(Probe):
         return MetricValue.of(fields=fields)
 
 
-class AdmissionProbe(Probe):
-    """Router admission control & goodput of a sharded open-loop run.
-
-    Reads the :class:`~repro.shard.router.Router` counters off the
-    finished system (duck-typed as ``system.router`` so this module
-    never imports the shard package): offered/admitted/shed/delayed/
-    completed totals, goodput over the router's measurement window,
-    shed rate, and client-observed sojourn percentiles (arrival →
-    first adelivery, i.e. queueing + forwarding + ordering latency —
-    the overload-facing p99 the saturation probes plot).  On a system
-    without a router it reports no fields, so the probe can sit in a
-    shared ``metrics=(...)`` axis.
-    """
-
-    def finish(self, system: Any, sent: int) -> MetricValue:
-        router = getattr(system, "router", None)
-        if router is None:
-            return MetricValue.of()
-        return MetricValue.of(fields=router.window_stats())
-
-
 PROBES.register(
     "latency",
     "delivery latency mean/p50/p90/p99 over the measurement window",
@@ -518,9 +497,4 @@ PROBES.register(
     "utilisation",
     "per-segment medium and per-process CPU utilisation",
     factory=UtilisationProbe,
-)
-PROBES.register(
-    "admission",
-    "router admission control: offered/shed/goodput, sojourn p50/p99",
-    factory=AdmissionProbe,
 )

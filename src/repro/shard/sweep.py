@@ -15,10 +15,10 @@ Workload names resolve through the workload registry and must be
 cannot be interposed behind the router's admission control.
 
 Each point's row set carries the per-shard router counters
-(``shard.*`` columns) and the aggregate ``admission.*`` fields from the
-registered :class:`~repro.metrics.probes.AdmissionProbe`, repeated on
-every row of the point (constant within a point, so ``group_by``
-over point axes reads them directly).
+(``shard.*`` columns) and the aggregate ``admission.*`` fields of
+:meth:`~repro.shard.router.Router.window_stats`, repeated on every row
+of the point (constant within a point, so ``group_by`` over point axes
+reads them directly).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Any
 from repro.core.exceptions import ConfigurationError
 from repro.harness.results import ResultSet, concat
 from repro.harness.runner import parallel_map
-from repro.metrics.probes import PROBES
 from repro.shard.service import ShardSpec, build_sharded_system
 from repro.sim.trace import CountingTrace
 from repro.stack.builder import StackSpec
@@ -38,24 +37,16 @@ from repro.stack.layers import WORKLOADS
 
 @dataclass(frozen=True)
 class ShardPoint:
-    """One fully resolved point of a :class:`ShardSweepSpec` grid."""
+    """One point of a :class:`ShardSweepSpec` grid: the sweep plus the
+    five axis values that pick the point out of it."""
 
-    name: str
+    spec: ShardSweepSpec
     label: str
-    stack: StackSpec
     shards: int
     workload: str
     offered: float
     payload: int
     seed: int
-    duration: float
-    warmup: float
-    drain: float
-    router_capacity: int
-    admission: str
-    router_latency: float
-    max_events: int | None
-    window: float | None = None
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,8 @@ class ShardSweepSpec:
             the router's ``deadline`` is ``duration + drain``.
         router_capacity / admission / router_latency: Router knobs
             (see :class:`~repro.shard.service.ShardSpec`).
-        max_events: Safety valve per point.
+        max_events: Runaway guard per point: caps the point's engine
+            events over its whole run (see ``Engine.run``).
         window: Optional fixed window width (simulated seconds); when
             set, every row additionally carries ``window.<i>.goodput``
             and ``window.<i>.sojourn_p99_ms`` time-series columns from
@@ -107,6 +99,16 @@ class ShardSweepSpec:
     window: float | None = None
 
     def __post_init__(self) -> None:
+        for axis in ("shards", "workloads", "offered_loads", "payloads",
+                     "seeds"):
+            if not getattr(self, axis):
+                raise ConfigurationError(
+                    f"ShardSweepSpec.{axis} must be non-empty"
+                )
+        if any(offered <= 0 for offered in self.offered_loads):
+            raise ConfigurationError("offered_loads must be > 0")
+        if any(payload < 0 for payload in self.payloads):
+            raise ConfigurationError("payloads must be >= 0")
         if self.window is not None and not (
             0 < self.window <= self.duration - self.warmup
         ):
@@ -145,40 +147,26 @@ class ShardSweepSpec:
                                 f"k{shards}-{workload}-"
                                 f"{offered:g}mps-{payload}B-s{seed}"
                             )
-                            out.append(
-                                ShardPoint(
-                                    name=self.name,
-                                    label=label,
-                                    stack=replace(self.stack, seed=seed),
-                                    shards=shards,
-                                    workload=workload,
-                                    offered=offered,
-                                    payload=payload,
-                                    seed=seed,
-                                    duration=self.duration,
-                                    warmup=self.warmup,
-                                    drain=self.drain,
-                                    router_capacity=self.router_capacity,
-                                    admission=self.admission,
-                                    router_latency=self.router_latency,
-                                    max_events=self.max_events,
-                                    window=self.window,
-                                )
-                            )
+                            out.append(ShardPoint(
+                                self, label, shards, workload, offered,
+                                payload, seed,
+                            ))
         return tuple(out)
 
 
 def run_shard_point(point: ShardPoint) -> ResultSet:
     """Run one point; returns one row per shard (strict-concat schema)."""
-    spec = ShardSpec(point.stack, point.shards, point.router_capacity,
-                     point.admission, point.router_latency)
+    sweep = point.spec
+    spec = ShardSpec(replace(sweep.stack, seed=point.seed), point.shards,
+                     sweep.router_capacity, sweep.admission,
+                     sweep.router_latency)
     service = build_sharded_system(
         spec, traces=[CountingTrace() for _ in range(point.shards)]
     )
     router = service.router
-    router.measure_from = point.warmup
-    router.measure_until = point.duration
-    router.deadline = point.duration + point.drain
+    router.measure_from = sweep.warmup
+    router.measure_until = sweep.duration
+    router.deadline = sweep.duration + sweep.drain
 
     per_shard_rate = point.offered / point.shards
     workloads = []
@@ -187,29 +175,26 @@ def run_shard_point(point: ShardPoint) -> ResultSet:
             group,
             throughput=per_shard_rate,
             payload_size=point.payload,
-            duration=point.duration,
+            duration=sweep.duration,
             sink=router.sink(shard),
         )
         workload.install()
         workloads.append(workload)
 
     # Sources keep offering load until ``duration``; only after that can
-    # an empty router mean the point is over.
-    service.engine.run_loaded(
-        point.duration,
-        point.duration + point.drain,
-        max_events=point.max_events,
-        stop_when=lambda: router.pending() == 0,
-    )
+    # an empty router mean the point is over.  One lifetime cap.
+    engine = service.engine
+    engine.run(until=sweep.duration, max_events=sweep.max_events)
+    engine.run(until=router.deadline, max_events=sweep.max_events,
+               stop_when=lambda: router.pending() == 0)
 
-    sent = sum(w.sent for w in workloads)
-    admission = PROBES.get("admission").factory(point).finish(service, sent)
+    admission = router.window_stats()
     # Extracted: the router's counters and completion log outlive this.
     service.close()
     rows = []
     for shard in range(point.shards):
         row: dict[str, Any] = {
-            "name": point.name,
+            "name": sweep.name,
             "label": point.label,
             "shards": point.shards,
             "shard": shard,
@@ -217,17 +202,17 @@ def run_shard_point(point: ShardPoint) -> ResultSet:
             "offered": point.offered,
             "payload": point.payload,
             "seed": point.seed,
-            "admission_policy": point.admission,
-            "capacity": point.router_capacity,
+            "admission_policy": sweep.admission,
+            "capacity": sweep.router_capacity,
             "sent": workloads[shard].sent,
         }
         stats = router.shard_stats(shard)
         for name in sorted(stats):
             row[f"shard.{name}"] = stats[name]
-        for name, value in admission.fields:
-            row[f"admission.{name}"] = value
-        if point.window is not None:
-            buckets = router.windowed_stats(point.window, shard=shard)
+        for name in sorted(admission):
+            row[f"admission.{name}"] = admission[name]
+        if sweep.window is not None:
+            buckets = router.windowed_stats(sweep.window, shard=shard)
             for index, bucket in enumerate(buckets):
                 for name in ("goodput", "sojourn_p99_ms"):
                     row[f"window.{index}.{name}"] = bucket[name]

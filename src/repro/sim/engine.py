@@ -1,13 +1,13 @@
 """The discrete-event engine: a simulated clock and an event heap.
 
 The engine is deliberately minimal: one pending-event store (the binary
-heap of :mod:`repro.sim.equeue`) and a ``run`` loop.  Protocol logic
-lives in layers; the engine only guarantees that callbacks fire in
-non-decreasing time order and that ties are broken by scheduling order,
-which — together with the named RNG streams of :mod:`repro.sim.rng` —
-makes whole simulations bit-for-bit reproducible.
+heap of :mod:`repro.sim.equeue`) and one way in, :meth:`Engine.run`.
+Protocol logic lives in layers; the engine only guarantees that
+callbacks fire in non-decreasing time order and that ties are broken by
+scheduling order, which — together with the named RNG streams of
+:mod:`repro.sim.rng` — makes whole simulations bit-for-bit reproducible.
 
-Two run loops exist, both over that one heap:
+``run`` serves a call from one of two loops, both over that one heap:
 
 * the **default loop** — the hot path, owned by the store itself
   (:meth:`EventQueue.drain`), so it runs on locals
@@ -27,14 +27,19 @@ Two run loops exist, both over that one heap:
   are bit-identical to the pre-seam engine (golden-guarded by
   ``tests/stack/test_golden_traces.py``).
 
+Both loops keep one budget rule: ``max_events`` caps
+:attr:`Engine.events_executed`, the engine's lifetime count, and both
+raise the overrun from one place (``Engine._overrun``), which names the
+pending events by callback and the oldest due time.
+
 Two fast paths keep the controlled loop's overhead proportional to the
 decisions actually taken (toggle: :data:`CONTROLLED_FAST_PATH`; the
 equivalence is pinned by ``tests/explore/test_fast_path.py``):
 
 * a **passive scheduler** (:attr:`Scheduler.passive`) can never again
-  answer anything but ``(FIRE, 0)``, so the rest of the run is handed
-  to the store's own drain loop — no per-event consultation — and
-  the scheduler is told how many events that fired
+  answer anything but ``(FIRE, 0)``, so the controlled loop hands the
+  rest of the run to the store's own drain loop — no per-event
+  consultation — and tells the scheduler how many events that fired
   (:meth:`Scheduler.on_passive_drain`).  The base scheduler — neither
   ``decide`` nor ``wants`` overridden — is passive from the start; the
   only observable difference from an uncontrolled run is that
@@ -61,6 +66,7 @@ metadata nobody will read.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heappop, heappush
 from typing import Any, Callable
 
@@ -68,6 +74,8 @@ from repro.core.exceptions import ConfigurationError
 from repro.sim.equeue import (
     CANCELLED,
     FINISHED,
+    PENDING,
+    _UNBOUNDED,
     EventBudgetExceeded,
     EventHandle,
     EventQueue,
@@ -98,6 +106,9 @@ AGAIN = "again"    #: scheduler mutated the simulation; re-collect and re-ask
 #: docstring).  Module-level so the equivalence tests can flip it and
 #: assert bit-identical schedules either way; leave it ``True``.
 CONTROLLED_FAST_PATH = True
+
+#: Callbacks an overrun's diagnosis names (most frequent first).
+_OVERRUN_TOP = 5
 
 
 class Scheduler:
@@ -200,13 +211,6 @@ class Scheduler:
         """Called once when a controlled ``run`` exits (even on error)."""
 
 
-def _budget_exceeded(max_events: int, now: float) -> EventBudgetExceeded:
-    return EventBudgetExceeded(
-        f"simulation exceeded max_events={max_events} "
-        f"at t={now:.6f}s (likely a protocol livelock)"
-    )
-
-
 class Engine:
     """Single-threaded deterministic discrete-event loop.
 
@@ -228,15 +232,8 @@ class Engine:
     """
 
     __slots__ = (
-        "now",
-        "_queue",
-        "_qpush",
-        "_running",
-        "_scheduler",
-        "_blocked",
-        "_closed",
-        "annotating",
-        "events_executed",
+        "now", "_queue", "_qpush", "_running", "_scheduler", "_blocked",
+        "_closed", "annotating", "events_executed",
     )
 
     def __init__(self, annotating: bool = False) -> None:
@@ -252,7 +249,8 @@ class Engine:
         #: Whether hot scheduling sites should attach ``info``
         #: annotations (see the module docstring).
         self.annotating = annotating
-        #: Number of callbacks executed so far (diagnostics / runaway guard).
+        #: Callbacks executed over the engine's lifetime; ``max_events``
+        #: caps this count (see :meth:`run`).
         self.events_executed = 0
 
     @property
@@ -347,15 +345,21 @@ class Engine:
         max_events: int | None = None,
         stop_when: Callable[[], bool] | None = None,
     ) -> float:
-        """Drain the event queue.
+        """Advance simulated time: the one way to run the engine.
 
         Args:
             until: Stop once the next event would fire strictly after this
-                time (the clock is advanced to ``until``).
-            max_events: Safety valve against runaway protocols; raises
-                ``RuntimeError`` when exceeded.
+                time (the clock is advanced to ``until``).  ``None`` runs
+                until no event remains.
+            max_events: Runaway guard on :attr:`events_executed`, the
+                engine's *lifetime* count: :class:`EventBudgetExceeded`
+                is raised once that many callbacks have run in all, over
+                however many calls; a phased run passes one cap to each.
             stop_when: Optional predicate evaluated after every callback;
-                the loop exits as soon as it returns true.
+                the loop exits as soon as it returns true.  One that
+                cannot hold while load is offered belongs on a second
+                call only: ``run(until=loaded, max_events=cap)``, then
+                ``run(until=horizon, max_events=cap, stop_when=done)``.
 
         Returns:
             The simulated time at which the run stopped.
@@ -367,60 +371,13 @@ class Engine:
                 "cannot run a closed engine: close() dropped every "
                 "pending event"
             )
-        scheduler = self._scheduler
-        if scheduler is not None:
-            if (
-                CONTROLLED_FAST_PATH
-                and scheduler.passive
-                and not self._blocked
-            ):
-                # A passive scheduler makes every decision the default
-                # loop would: serve the run through the store's drain,
-                # hooks still firing.
-                self._running = True
-                scheduler.begin_run(self)
-                try:
-                    return self._drain_passive(
-                        scheduler, until, max_events, stop_when
-                    )
-                finally:
-                    self._running = False
-                    scheduler.end_run(self)
-            return self._run_controlled(until, max_events, stop_when)
         self._running = True
         try:
-            return self.drain_until(until, max_events, stop_when)
+            if self._scheduler is None:
+                return self._queue.drain(self, until, max_events, stop_when)
+            return self._run_controlled(until, max_events, stop_when)
         finally:
             self._running = False
-
-    def drain_until(
-        self,
-        until: float | None = None,
-        max_events: int | None = None,
-        stop_when: Callable[[], bool] | None = None,
-    ) -> float:
-        """The fused inner loop: hand the run to the store's drain.
-
-        :meth:`EventQueue.drain` owns the loop so it runs on locals
-        bound to the heap.  Called by :meth:`run`; callers wanting the
-        engine's re-entrancy guard and scheduler hooks should go
-        through ``run``.
-        """
-        return self._queue.drain(self, until, max_events, stop_when)
-
-    def _drain_passive(
-        self,
-        scheduler: Scheduler,
-        until: float | None,
-        max_events: int | None,
-        stop_when: Callable[[], bool] | None,
-    ) -> float:
-        """Drain in a passive scheduler's name and tell it the count."""
-        before = self.events_executed
-        try:
-            return self.drain_until(until, max_events, stop_when)
-        finally:
-            scheduler.on_passive_drain(self.events_executed - before)
 
     def _run_controlled(
         self,
@@ -436,11 +393,9 @@ class Engine:
         (``entry[TIME]`` …), like the drain.
         """
         scheduler = self._scheduler
-        assert scheduler is not None
-        self._running = True
         queue = self._queue
         heap = queue.entries
-        executed = 0
+        budget = _UNBOUNDED if max_events is None else max_events
         scheduler.begin_run(self)
         wants = scheduler.wants
         fast = CONTROLLED_FAST_PATH
@@ -449,17 +404,13 @@ class Engine:
             while True:
                 if fast and scheduler.passive and not self._blocked:
                     # Nothing left to decide: the store's own drain
-                    # finishes the run on what remains of the budget.
+                    # finishes the run, under the same lifetime budget.
+                    before = self.events_executed
                     try:
-                        self._drain_passive(
-                            scheduler,
-                            until,
-                            None if max_events is None
-                            else max_events - executed,
-                            stop_when,
-                        )
-                    except EventBudgetExceeded:
-                        raise _budget_exceeded(max_events, self.now) from None
+                        queue.drain(self, until, max_events, stop_when)
+                    finally:
+                        fired = self.events_executed - before
+                        scheduler.on_passive_drain(fired)
                     break
                 while heap and heap[0][4] == CANCELLED:
                     heappop(heap)
@@ -490,77 +441,63 @@ class Engine:
                     fast
                     and (len(heap) < 2 or heap[1][0] != time)
                     and (len(heap) < 3 or heap[2][0] != time)
+                    and not wants((head,))
                 ):
-                    if not wants((head,)):
-                        heappop(heap)
-                        self.now = time
-                        head[4] = FINISHED
-                        queue.pending -= 1
-                        executed += 1
-                        self.events_executed += 1
-                        if observer is not None:
-                            observer.on_fire(head)
-                        head[2](*head[3])
-                        if max_events is not None and executed >= max_events:
-                            raise _budget_exceeded(max_events, self.now)
-                        if stop_when is not None and stop_when():
-                            break
+                    chosen = heappop(heap)
+                else:
+                    # Ready set: every enabled event tied at the minimum
+                    # time, in (time, seq) order; ``tied`` keeps the
+                    # tombstones too, to go back on the heap.
+                    ready: list[EventHandle] = []
+                    tied: list[EventHandle] = []
+                    while heap and heap[0][0] == time:
+                        entry = heappop(heap)
+                        tied.append(entry)
+                        if entry[4] != CANCELLED:
+                            ready.append(entry)
+                    if not ready:
+                        queue._cancelled -= len(tied)
                         continue
-                # Ready set: every enabled event tied at the minimum
-                # time, in (time, seq) order; ``tied`` keeps the
-                # tombstones too, to go back on the heap.
-                ready: list[EventHandle] = []
-                tied: list[EventHandle] = []
-                while heap and heap[0][0] == time:
-                    entry = heappop(heap)
-                    tied.append(entry)
-                    if entry[4] != CANCELLED:
-                        ready.append(entry)
-                if not ready:
-                    queue._cancelled -= len(tied)
-                    continue
-                op, index = scheduler.decide(time, ready)
-                if op == AGAIN:
+                    op, index = scheduler.decide(time, ready)
+                    if op == AGAIN:
+                        for entry in tied:
+                            heappush(heap, entry)
+                        continue
+                    if op not in (FIRE, DEFER):  # pragma: no cover - defensive
+                        raise ConfigurationError(
+                            f"scheduler returned unknown op {op!r}"
+                        )
+                    chosen = ready[index]
                     for entry in tied:
-                        heappush(heap, entry)
-                    continue
-                if op not in (FIRE, DEFER):  # pragma: no cover - defensive
-                    raise ConfigurationError(
-                        f"scheduler returned unknown op {op!r}"
-                    )
-                chosen = ready[index]
-                for entry in tied:
-                    if entry is not chosen:
-                        heappush(heap, entry)
-                if op == DEFER:
-                    delay = scheduler.defer_delay
-                    if delay is None:
-                        self._blocked.append(chosen)
-                        if observer is not None:
-                            observer.on_block(chosen)
-                    else:
-                        # Re-keyed behind everything already due then.
-                        chosen[0] = time + delay
-                        queue.seq += 1
-                        chosen[1] = queue.seq
-                        heappush(heap, chosen)
-                        if observer is not None:
-                            observer.on_defer(chosen)
-                    continue
+                        if entry is not chosen:
+                            heappush(heap, entry)
+                    if op == DEFER:
+                        delay = scheduler.defer_delay
+                        if delay is None:
+                            self._blocked.append(chosen)
+                            if observer is not None:
+                                observer.on_block(chosen)
+                        else:
+                            # Re-keyed behind everything already due then.
+                            chosen[0] = time + delay
+                            queue.seq += 1
+                            chosen[1] = queue.seq
+                            heappush(heap, chosen)
+                            if observer is not None:
+                                observer.on_defer(chosen)
+                        continue
                 self.now = time
                 chosen[4] = FINISHED
                 queue.pending -= 1
-                executed += 1
                 self.events_executed += 1
                 if observer is not None:
                     observer.on_fire(chosen)
                 chosen[2](*chosen[3])
-                if max_events is not None and executed >= max_events:
-                    raise _budget_exceeded(max_events, self.now)
+                if self.events_executed >= budget:
+                    raise self._overrun(max_events)
                 if stop_when is not None and stop_when():
                     break
         finally:
-            self._running = False
             scheduler.end_run(self)
         return self.now
 
@@ -587,37 +524,27 @@ class Engine:
             if observer is not None:
                 observer.on_release(record)
 
-    def run_loaded(
-        self,
-        loaded_until: float,
-        until: float,
-        max_events: int | None = None,
-        stop_when: Callable[[], bool] | None = None,
-    ) -> float:
-        """Run to ``until``, consulting ``stop_when`` only past ``loaded_until``.
-
-        For completion predicates ("everything sent was delivered")
-        that cannot hold while load is still being offered: the loaded
-        phase runs predicate-free, then the drain phase runs under
-        ``stop_when``.  It stops at the same event as
-        ``run(until, max_events, lambda: now > loaded_until and
-        stop_when())`` without paying for the predicate on every event
-        of the loaded phase; ``max_events`` bounds the two phases
-        together.
-        """
-        before = self.events_executed
-        self.run(until=loaded_until, max_events=max_events)
-        remaining = max_events
-        if max_events is not None:
-            remaining -= self.events_executed - before
-        try:
-            return self.run(
-                until=until, max_events=remaining, stop_when=stop_when
-            )
-        except EventBudgetExceeded:
-            # Name the caller's budget, not what was left of it.
-            raise _budget_exceeded(max_events, self.now) from None
-
-    def run_until_idle(self, max_events: int | None = None) -> float:
-        """Run until no events remain (convenience for tests)."""
-        return self.run(until=None, max_events=max_events)
+    def _overrun(self, max_events: int) -> EventBudgetExceeded:
+        """The runaway guard's error, raised by both run loops: the live
+        pending events (heap and deferred) by callback, most frequent
+        first, and the oldest due time — a livelock reschedules itself."""
+        live = [e for e in self._queue.entries if e[4] == PENDING]
+        live += [e for e in self._blocked if e[4] == PENDING]
+        message = (
+            f"simulation exceeded max_events={max_events} "
+            f"at t={self.now:.6f}s (likely a protocol livelock)"
+        )
+        if not live:
+            return EventBudgetExceeded(f"{message}; no event pending")
+        counts = Counter(
+            getattr(e[2], "__qualname__", None) or type(e[2]).__qualname__
+            for e in live
+        )
+        top = ", ".join(
+            f"{name} x{count}"
+            for name, count in counts.most_common(_OVERRUN_TOP)
+        )
+        return EventBudgetExceeded(
+            f"{message}; {len(live)} pending, oldest due at "
+            f"t={min(e[0] for e in live):.6f}s; by callback: {top}"
+        )

@@ -6,8 +6,9 @@ non-decreasing ``time`` order, ties broken by scheduling order
 :class:`EventQueue` keeps that contract with a single ``heapq`` min-heap
 and owns what goes with it: the monotonically increasing sequence
 counter, the O(1) ``pending`` count, and the run loop itself
-(``Engine.run`` delegates to :meth:`EventQueue.drain`, so the hot loop
-runs on locals instead of paying a method call per event).
+(``Engine.run`` delegates to :meth:`EventQueue.drain` whenever no
+scheduler decides, so the hot loop runs on locals instead of paying a
+method call per event).
 
 **One entry per event.**  A heap entry is one mutable list
 ``[time, seq, fn, args, state]`` (positions :data:`TIME` …
@@ -56,8 +57,8 @@ TIME, SEQ, FN, ARGS, STATE = range(5)
 PENDING, CANCELLED, FINISHED = range(3)
 
 _INF = float("inf")
-#: Never execute more events than this in one ``drain`` call without an
-#: explicit ``max_events`` (a plain "unbounded" sentinel).
+#: The lifetime event cap when ``max_events`` is ``None`` (a plain
+#: "unbounded" sentinel).
 _UNBOUNDED = 1 << 62
 #: Tombstones must number at least this many — and outnumber live
 #: entries — before a compaction pass is worth its O(n).
@@ -69,7 +70,8 @@ class EventBudgetExceeded(RuntimeError):
 
     A dedicated type so callers (the schedule explorer's executor)
     can treat the guard specifically without masking unrelated
-    ``RuntimeError``\\ s raised by protocol callbacks.
+    ``RuntimeError``\\ s raised by protocol callbacks.  The message
+    names the pending events by callback and the oldest due time.
     """
 
 
@@ -245,13 +247,17 @@ class EventQueue:
         max_events: int | None,
         stop_when: Callable[[], bool] | None,
     ) -> float:
-        """The scheduler-free run loop (see ``Engine.drain_until``)."""
+        """The scheduler-free run loop (see ``Engine.run``).
+
+        ``max_events`` caps ``engine.events_executed``, the engine's
+        lifetime count, which the loop keeps in a local and writes back
+        on exit; an overrun raises what ``Engine._overrun`` builds.
+        """
         entries = self.entries
         pop = heappop
         until_f = _INF if until is None else until
         budget = _UNBOUNDED if max_events is None else max_events
-        executed = 0
-        events_before = engine.events_executed
+        executed = engine.events_executed
         # Field positions are literals here (see TIME … STATE): the
         # per-event path skips four global loads.
         try:
@@ -273,15 +279,12 @@ class EventQueue:
                 entry[2](*entry[3])
                 # The callback may have scheduled or cancelled events.
                 if executed >= budget:
-                    raise EventBudgetExceeded(
-                        f"simulation exceeded max_events={max_events} "
-                        f"at t={engine.now:.6f}s (likely a protocol livelock)"
-                    )
+                    raise engine._overrun(max_events)
                 if stop_when is not None and stop_when():
                     break
             else:
                 if until is not None and until > engine.now:
                     engine.now = until
         finally:
-            engine.events_executed = events_before + executed
+            engine.events_executed = executed
         return engine.now

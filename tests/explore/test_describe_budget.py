@@ -47,9 +47,7 @@ def counted_search() -> dict[str, int]:
     return {name: calls[name] for name in BUDGET}
 
 
-def test_describe_and_hash_calls_of_the_pinned_search(monkeypatch):
-    # The check harness re-describes everything at every read.
-    monkeypatch.delenv("REPRO_FP_CHECK", raising=False)
+def test_describe_and_hash_calls_of_the_pinned_search():
     counts = counted_search()
     assert counts == BUDGET
     assert all(3 * counts[name] < PARENT[name] for name in counts)

@@ -67,7 +67,7 @@ class TestDefaultSchedulerFidelity:
         engine = Engine()
         engine.schedule(0.0, engine.install_scheduler, Scheduler())
         with pytest.raises(ConfigurationError):
-            engine.run_until_idle()
+            engine.run()
 
 
 class TestEngineDeferMechanics:
@@ -88,7 +88,7 @@ class TestEngineDeferMechanics:
         engine.schedule(0.1, order.append, "a")
         engine.schedule(0.1, order.append, "b")
         engine.schedule(0.2, order.append, "c")
-        engine.run_until_idle()
+        engine.run()
         assert order == ["b", "c", "a"]
 
     def test_deferred_event_released_at_horizon(self):
@@ -134,7 +134,7 @@ class TestEngineDeferMechanics:
         victim = engine.schedule(0.1, order.append, "victim")
         engine.schedule(0.1, order.append, "b")
         engine.schedule(0.2, victim.cancel)
-        engine.run_until_idle()
+        engine.run()
         assert order == ["b"]
         assert victim.cancelled and not victim.finished
 
@@ -153,7 +153,7 @@ class TestEngineDeferMechanics:
         engine.schedule(0.1, lambda: None)
         engine.schedule(0.1, lambda: None)
         assert engine.pending() == 2
-        engine.run_until_idle()
+        engine.run()
         assert engine.pending() == 0
 
 

@@ -61,7 +61,7 @@ class TestConstantModelBatching:
         engine, network, inboxes = make_net()
         burst(network)
         assert engine.pending() == 1  # four frames, one delivery event
-        engine.run_until_idle()
+        engine.run()
         assert [f.body for _, f in inboxes[2]] == [0, 1, 2, 3]
         assert engine.events_executed == 1
 
@@ -72,7 +72,7 @@ class TestConstantModelBatching:
             burst(network, dst=2)
             burst(network, dst=3, count=2)
             network.send(frame(src=3, dst=2, seq=99))
-            engine.run_until_idle()
+            engine.run()
             outcomes.append({
                 pid: [(t, f.src, f.body) for t, f in inbox]
                 for pid, inbox in inboxes.items()
@@ -85,7 +85,7 @@ class TestConstantModelBatching:
         engine.schedule(1e-3, lambda: None)  # anything breaks seq-adjacency
         network.send(frame(seq=1))
         assert engine.pending() == 3
-        engine.run_until_idle()
+        engine.run()
         assert [f.body for _, f in inboxes[2]] == [0, 1]
 
     def test_different_destination_or_time_never_coalesces(self):
@@ -96,7 +96,7 @@ class TestConstantModelBatching:
         engine.run(until=0.5)
         network.send(frame(dst=2, seq=2))  # later time, same dst
         assert engine.pending() == 1
-        engine.run_until_idle()
+        engine.run()
         assert [f.body for _, f in inboxes[2]] == [0, 2]
 
     def test_send_from_within_batch_drain_is_not_appended(self):
@@ -115,7 +115,7 @@ class TestConstantModelBatching:
         engine.run(until=1e-3)  # exactly the batch's due time
         assert relayed == [0, 1]
         assert engine.pending() == 1  # the relayed frame waits its delay
-        engine.run_until_idle()
+        engine.run()
         assert relayed == [0, 1, 50]
 
     def test_crash_drop_policy_disables_batching(self):
@@ -126,7 +126,7 @@ class TestConstantModelBatching:
         # One event per frame: in-flight tracking cancels individually.
         assert engine.pending() == 4
         network.process(1).crash()
-        engine.run_until_idle()
+        engine.run()
         assert inboxes[2] == []
         assert network.frames_dropped == 4
 
@@ -146,7 +146,7 @@ class TestConstantModelBatching:
 
         network._handlers[2] = {"test.data": crash_then_receive}
         burst(network, count=3)
-        engine.run_until_idle()
+        engine.run()
         # First frame lands, handler crashes p2, rest of the batch drops.
         assert len(inboxes[2]) == 1
         assert network.frames_dropped == 2
@@ -156,7 +156,7 @@ class TestContentionModelBatching:
     def test_zero_recv_cost_completions_coalesce(self):
         engine, network, inboxes = make_net(kind="contention")
         burst(network, count=3)
-        engine.run_until_idle()
+        engine.run()
         assert [f.body for _, f in inboxes[2]] == [0, 1, 2]
         times = [t for t, _ in inboxes[2]]
         # Wire costs are zero too, so the three deliveries tie exactly.
@@ -170,7 +170,7 @@ class TestContentionModelBatching:
             )
             burst(network, count=3)
             burst(network, dst=3, count=2)
-            engine.run_until_idle()
+            engine.run()
             results.append((
                 {
                     pid: [(t, f.src, f.body) for t, f in inbox]
@@ -196,7 +196,7 @@ class TestContentionModelBatching:
                 SimProcess(pid, engine, trace), {"test.data": lambda f: None}
             )
         burst(network, count=5)
-        engine.run_until_idle()
+        engine.run()
         cpu = network.process(2).cpu
         assert cpu.jobs_served == 5
         assert abs(cpu.busy_time - 5 * 7e-6) < 1e-12

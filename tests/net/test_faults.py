@@ -63,7 +63,7 @@ class TestLoss:
             )
             for _ in range(40):
                 network.send(frame())
-            engine.run_until_idle()
+            engine.run()
             return len(inboxes[2]), network.pipeline.lost
 
         got, lost = delivered(1)
@@ -78,7 +78,7 @@ class TestLoss:
         )
         for i in range(1, 6):
             network.send(frame(size=i))
-        engine.run_until_idle()
+        engine.run()
         assert [f.size for f in inboxes[2]] == [1, 3, 5]
         assert network.pipeline.lost == 2
         assert network.frames_dropped == 2
@@ -91,7 +91,7 @@ class TestLoss:
         )
         for _ in range(5):
             network.send(frame())
-        engine.run_until_idle()
+        engine.run()
         assert len(inboxes[2]) == 5
         assert network.pipeline.lost == 0
 
@@ -118,7 +118,7 @@ class TestDuplication:
             faults=(DuplicationRule(kind_prefix="test.", copies=2),)
         )
         network.send(frame())
-        engine.run_until_idle()
+        engine.run()
         assert len(inboxes[2]) == 3  # original + 2 copies
         assert network.pipeline.duplicated == 2
         assert network.frames_sent == {"test.data": 1}  # one protocol send
@@ -130,7 +130,7 @@ class TestDuplication:
             )
             for _ in range(30):
                 network.send(frame())
-            engine.run_until_idle()
+            engine.run()
             return len(inboxes[2])
 
         got = copies(5)
@@ -150,7 +150,7 @@ class TestDelayRules:
             faults=(DelayRule(src=1, delay=5e-3), DelayRule(delay=50e-3))
         )
         network.send(frame(src=1))
-        engine.run_until_idle()
+        engine.run()
         assert engine.now == pytest.approx(5e-3)
 
     def test_extra_stretches_the_model_delay(self):
@@ -158,7 +158,7 @@ class TestDelayRules:
             faults=(DelayRule(extra=2e-3),)
         )
         network.send(frame())
-        engine.run_until_idle()
+        engine.run()
         assert engine.now == pytest.approx(1e-3 + 2e-3)
 
     def test_validation(self):
@@ -206,7 +206,7 @@ class TestPartitionWindow:
         engine.schedule(1.5, network.send, frame(src=1, dst=3, size=2))
         engine.schedule(1.5, network.send, frame(src=1, dst=2, size=3))
         engine.schedule(2.5, network.send, frame(src=1, dst=3, size=4))
-        engine.run_until_idle()
+        engine.run()
         assert [f.size for f in inboxes[3]] == [1, 4]
         assert [f.size for f in inboxes[2]] == [3]
         assert network.pipeline.partitioned == 1
@@ -217,7 +217,7 @@ class TestPartitionWindow:
                     PartitionWindow(start=1.0, end=3.0, groups=((1,), (2,)))),
         )
         network.send(frame())  # sent at t=0, lands at t=2 mid-window
-        engine.run_until_idle()
+        engine.run()
         assert len(inboxes[2]) == 1
 
     def test_validation(self):

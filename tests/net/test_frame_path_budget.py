@@ -68,9 +68,8 @@ NET_CALLS = 321
 #: frames)...
 PARENT_SIM_CALLS = 399
 #: ...and now: one ``FifoResource.stage`` per stage, three per remote
-#: frame and one per self-addressed frame, plus ``run_until_idle`` →
-#: ``run`` → ``drain_until`` → ``drain``.
-SIM_CALLS = 3 * REMOTE_FRAMES + SELF_FRAMES + 4
+#: frame and one per self-addressed frame, plus ``run`` → ``drain``.
+SIM_CALLS = 3 * REMOTE_FRAMES + SELF_FRAMES + 2
 #: (src, dst, body) lost to ``LossRule(probability=0.2)`` under
 #: ``RngRegistry(seed=7)`` at the parent commit.
 PARENT_LOST_TO_RULE = [
@@ -116,7 +115,7 @@ def drive(faults=(), arm=None):
                     size=100 + round_no,
                     include_self=round_no % 2 == 0,
                 )
-        engine.run_until_idle()
+        engine.run()
 
     pushed_before = engine.equeue.seq
     _, counts = count_calls(run, _layer)
@@ -167,7 +166,7 @@ class TestUnarmedBudget:
 
     def test_sim_calls_one_per_stage(self):
         run = drive()
-        assert run["sim_calls"] == SIM_CALLS == 160
+        assert run["sim_calls"] == SIM_CALLS == 158
         assert 2 * SIM_CALLS < PARENT_SIM_CALLS
 
     def test_queue_pushes_per_frame_unchanged(self):

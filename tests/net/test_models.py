@@ -59,7 +59,7 @@ class TestConstantLatency:
     def test_delivers_after_base_delay(self):
         engine, network, _, inboxes = make_net()
         network.send(frame())
-        engine.run_until_idle()
+        engine.run()
         assert len(inboxes[2]) == 1
         assert engine.now == pytest.approx(1e-3)
 
@@ -68,7 +68,7 @@ class TestConstantLatency:
         network.per_byte = 1e-6
         f = frame(size=1000)
         network.send(f)
-        engine.run_until_idle()
+        engine.run()
         assert engine.now == pytest.approx(1e-3 + 1e-6 * f.wire_size())
 
     def test_delay_rule_overrides(self):
@@ -104,7 +104,7 @@ class TestCrashSemantics:
         engine, network, processes, inboxes = make_net()
         processes[1].crash()
         network.send(frame())
-        engine.run_until_idle()
+        engine.run()
         assert inboxes[2] == []
         assert network.frames_dropped == 1
 
@@ -112,14 +112,14 @@ class TestCrashSemantics:
         engine, network, processes, inboxes = make_net()
         network.send(frame())
         engine.schedule(0.5e-3, processes[2].crash)
-        engine.run_until_idle()
+        engine.run()
         assert inboxes[2] == []
 
     def test_in_flight_survives_sender_crash_by_default(self):
         engine, network, processes, inboxes = make_net()
         network.send(frame())
         engine.schedule(0.5e-3, processes[1].crash)
-        engine.run_until_idle()
+        engine.run()
         assert len(inboxes[2]) == 1
 
     def test_in_flight_lost_with_drop_policy(self):
@@ -130,7 +130,7 @@ class TestCrashSemantics:
         )
         network.send(frame())
         engine.schedule(0.5e-3, processes[1].crash)
-        engine.run_until_idle()
+        engine.run()
         assert inboxes[2] == []
 
     def test_in_flight_tracking_forgets_delivered_frames(self):
@@ -165,7 +165,7 @@ class TestCrashSemantics:
         for i in range(200):
             engine.schedule(i * 1e-3, network.send, frame())
         engine.schedule(199.5e-3, processes[1].crash)
-        engine.run_until_idle()
+        engine.run()
         assert len(network._in_flight[1]) == 0
         assert len(inboxes[2]) == 199  # the last frame died in flight
         assert network.frames_dropped == 1
@@ -176,7 +176,7 @@ class TestContention:
         engine, network, _, inboxes = make_net(kind="contention")
         f = frame(size=100)
         network.send(f)
-        engine.run_until_idle()
+        engine.run()
         expected = (
             PARAMS.send_overhead
             + PARAMS.wire_overhead
@@ -189,7 +189,7 @@ class TestContention:
         engine, network, _, inboxes = make_net(n=3, kind="contention")
         network.send(frame(src=1, dst=3, size=1000))
         network.send(frame(src=2, dst=3, size=1000))
-        engine.run_until_idle()
+        engine.run()
         wire_each = PARAMS.wire_overhead + PARAMS.wire_per_byte * (
             1000 + FRAME_HEADER_SIZE
         )
@@ -202,13 +202,13 @@ class TestContention:
         engine, network, processes, inboxes = make_net(n=3, kind="contention")
         network.send(frame(src=1, dst=2))
         network.send(frame(src=1, dst=3))
-        engine.run_until_idle()
+        engine.run()
         assert processes[1].cpu.busy_time == pytest.approx(2 * PARAMS.send_overhead)
 
     def test_loopback_skips_medium(self):
         engine, network, _, inboxes = make_net(kind="contention")
         network.send(frame(src=1, dst=1))
-        engine.run_until_idle()
+        engine.run()
         assert len(inboxes[1]) == 1
         assert network.medium.jobs_served == 0
 
@@ -235,7 +235,7 @@ class TestContention:
         for _ in range(5):
             network.send(frame(src=1, dst=2, size=10_000))
         engine.schedule(1.5e-3, processes[1].crash)
-        engine.run_until_idle()
+        engine.run()
         assert len(inboxes[2]) == 1
         assert network.frames_dropped == 4
 
@@ -246,5 +246,5 @@ class TestContention:
         for _ in range(5):
             network.send(frame(src=1, dst=2, size=10_000))
         engine.schedule(1.5e-3, processes[1].crash)
-        engine.run_until_idle()
+        engine.run()
         assert len(inboxes[2]) == 5

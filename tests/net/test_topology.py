@@ -81,10 +81,10 @@ class TestConstantModel:
             topology=Topology.split((1, 2), (3, 4), router_latency=2e-3),
         )
         network.send(frame(1, 2))
-        engine.run_until_idle()
+        engine.run()
         assert engine.now == pytest.approx(1e-3)  # intra-segment
         network.send(frame(1, 3))
-        engine.run_until_idle()
+        engine.run()
         assert engine.now == pytest.approx(1e-3 + 1e-3 + 2e-3)
 
 
@@ -103,7 +103,7 @@ class TestContentionModel:
         # both complete in one wire time, not two.
         network.send(frame(1, 2, size=1000))
         network.send(frame(3, 4, size=1000))
-        engine.run_until_idle()
+        engine.run()
         wire = PARAMS.wire_overhead + PARAMS.wire_per_byte * (
             1000 + FRAME_HEADER_SIZE
         )
@@ -118,7 +118,7 @@ class TestContentionModel:
         )
         f = frame(1, 3, size=1000)
         network.send(f)
-        engine.run_until_idle()
+        engine.run()
         wire = PARAMS.wire_overhead + PARAMS.wire_per_byte * f.wire_size()
         assert network.media[0].busy_time == pytest.approx(wire)
         assert network.media[1].busy_time == pytest.approx(wire)
@@ -133,7 +133,7 @@ class TestContentionModel:
             topology=Topology.split((1, 2), (3, 4), router_latency=0.0)
         )
         network.send(frame(1, 3, size=1000))
-        engine.run_until_idle()
+        engine.run()
         assert len(inboxes[3]) == 1
         assert network.media[1].jobs_served == 1
 
@@ -146,7 +146,7 @@ class TestContentionModel:
         for _ in range(20):
             network.send(frame(3, 4, size=1400))
         network.send(frame(1, 2, size=100))
-        engine.run_until_idle()
+        engine.run()
         wire = PARAMS.wire_overhead + PARAMS.wire_per_byte * (
             100 + FRAME_HEADER_SIZE
         )

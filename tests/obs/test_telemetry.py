@@ -58,7 +58,7 @@ class TestQueueObserver:
         assert counters.pushes == 2
         assert counters.cancels == 1
         # The fused drain never consults the observer — by design.
-        engine.run_until_idle()
+        engine.run()
         assert counters.fires == 0
 
     def test_occupied_slot_is_refused(self):
@@ -74,7 +74,7 @@ class TestSampler:
         telemetry = Telemetry()
         TelemetrySampler(engine, telemetry)
         engine.schedule(0.5, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         assert len(telemetry) == 0
 
     def test_install_validates(self):
@@ -101,7 +101,7 @@ class TestSampler:
                 engine.schedule(0.001, churn)
 
         churn()
-        engine.run_until_idle()
+        engine.run()
         scheduled = telemetry.get("queue.scheduled")
         assert scheduled is not None and len(scheduled) >= 9
         values = scheduled.values
@@ -118,7 +118,7 @@ class TestSampler:
         sampler = TelemetrySampler(engine, telemetry)
         sampler.install(period=0.02, until=0.1)
         engine.schedule(1.0, lambda: None)  # keep the run alive past it
-        engine.run_until_idle()
+        engine.run()
         times = telemetry.get("queue.depth").times
         assert times == pytest.approx([0.02, 0.04, 0.06, 0.08, 0.1])
 
@@ -139,7 +139,7 @@ class TestSampler:
                 0.005 + 0.01 * i, router.completions[0].extend, batch
             )
         engine.schedule_at(0.015, router.submit_shard, 0, make_payload(8))
-        engine.run_until_idle()
+        engine.run()
         per_period = [completion_stats(batch, 0.01) for batch in batches]
         assert telemetry.get("shard0.goodput").values == [
             stats["goodput"] for stats in per_period

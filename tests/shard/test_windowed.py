@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.harness.suite import SweepSpec
 from repro.net.setups import SETUP_1
 from repro.shard.router import Router
 from repro.shard.sweep import ShardSweepSpec, run_shard_point
@@ -112,6 +113,13 @@ def _sweep_spec(**overrides):
     return ShardSweepSpec(**base)
 
 
+def _suite_spec(**overrides):
+    return SweepSpec(
+        name="axes", variants=(("indirect", StackSpec(n=2)),),
+        throughputs=(100.0,), **overrides
+    )
+
+
 class TestSweepWiring:
     def test_window_must_fit_the_measurement_span(self):
         with pytest.raises(ConfigurationError, match="window"):
@@ -131,10 +139,27 @@ class TestSweepWiring:
         with pytest.raises(ConfigurationError, match="drain"):
             _sweep_spec(drain=-0.1)
 
+    @pytest.mark.parametrize("build, overrides, match", [
+        (_sweep_spec, {"shards": ()}, "shards must be non-empty"),
+        (_sweep_spec, {"workloads": ()}, "workloads must be non-empty"),
+        (_sweep_spec, {"offered_loads": ()}, "loads must be non-empty"),
+        (_sweep_spec, {"payloads": ()}, "payloads must be non-empty"),
+        (_sweep_spec, {"seeds": ()}, "seeds must be non-empty"),
+        (_sweep_spec, {"offered_loads": (0.0,)}, "offered_loads must be > 0"),
+        (_sweep_spec, {"offered_loads": (9.0, -1.0)}, "loads must be > 0"),
+        (_sweep_spec, {"payloads": (64, -1)}, "payloads must be >= 0"),
+        (_suite_spec, {"payloads": (-1,)}, "payloads must be >= 0"),
+    ])
+    def test_bad_axes_rejected_at_construction(self, build, overrides, match):
+        with pytest.raises(ConfigurationError, match=match):
+            build(**overrides)
+
     def test_points_carry_the_window(self):
         spec = _sweep_spec()
-        assert all(p.window == 0.05 for p in spec.points())
-        assert all(p.window is None for p in _sweep_spec(window=None).points())
+        assert all(p.spec.window == 0.05 for p in spec.points())
+        assert all(
+            p.spec.window is None for p in _sweep_spec(window=None).points()
+        )
 
     def test_point_rows_gain_schema_stable_window_columns(self):
         spec = _sweep_spec()

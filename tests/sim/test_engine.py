@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core.exceptions import ConfigurationError
-from repro.sim.engine import Engine
+from repro.sim.engine import (
+    DEFER,
+    FIRE,
+    Engine,
+    EventBudgetExceeded,
+    Scheduler,
+)
 
 
 class TestScheduling:
@@ -13,7 +19,7 @@ class TestScheduling:
         engine.schedule(0.3, fired.append, "c")
         engine.schedule(0.1, fired.append, "a")
         engine.schedule(0.2, fired.append, "b")
-        engine.run_until_idle()
+        engine.run()
         assert fired == ["a", "b", "c"]
 
     def test_ties_break_by_scheduling_order(self):
@@ -21,21 +27,21 @@ class TestScheduling:
         fired = []
         for tag in ("first", "second", "third"):
             engine.schedule(0.5, fired.append, tag)
-        engine.run_until_idle()
+        engine.run()
         assert fired == ["first", "second", "third"]
 
     def test_clock_advances_to_event_time(self):
         engine = Engine()
         seen = []
         engine.schedule(1.5, lambda: seen.append(engine.now))
-        engine.run_until_idle()
+        engine.run()
         assert seen == [1.5]
 
     def test_schedule_at_absolute_time(self):
         engine = Engine()
         seen = []
         engine.schedule_at(2.0, lambda: seen.append(engine.now))
-        engine.run_until_idle()
+        engine.run()
         assert seen == [2.0]
 
     def test_nested_scheduling_from_callbacks(self):
@@ -50,7 +56,7 @@ class TestScheduling:
             fired.append(("inner", engine.now))
 
         engine.schedule(1.0, outer)
-        engine.run_until_idle()
+        engine.run()
         assert fired == [("outer", 1.0), ("inner", 1.5)]
 
     def test_rejects_negative_delay(self):
@@ -60,7 +66,7 @@ class TestScheduling:
     def test_rejects_scheduling_in_the_past(self):
         engine = Engine()
         engine.schedule(1.0, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         with pytest.raises(ConfigurationError):
             engine.schedule_at(0.5, lambda: None)
 
@@ -71,7 +77,7 @@ class TestCancellation:
         fired = []
         handle = engine.schedule(0.1, fired.append, "x")
         handle.cancel()
-        engine.run_until_idle()
+        engine.run()
         assert fired == []
         assert handle.cancelled
 
@@ -150,10 +156,10 @@ class TestRunControl:
         engine.run(stop_when=lambda: len(fired) >= 3)
         assert fired == [0, 1, 2]
 
-    def test_run_loaded_stops_where_the_guarded_predicate_would(self):
-        """Predicate-free to ``loaded_until``, then under the predicate:
-        the same stop event, clock and event count as one run whose
-        predicate starts with ``now > loaded_until``."""
+    def test_phased_run_stops_where_the_guarded_predicate_would(self):
+        """Predicate-free to ``loaded``, then a second call under the
+        predicate: the same stop event, clock and event count as one run
+        whose predicate starts with ``now > loaded``."""
 
         def drive(run):
             engine = Engine()
@@ -169,7 +175,11 @@ class TestRunControl:
             end = run(engine, done)
             return end, engine.now, engine.events_executed, fired, calls
 
-        loaded = drive(lambda e, done: e.run_loaded(0.55, 2.0, 100, done))
+        def phased(engine, done):
+            engine.run(until=0.55, max_events=100)
+            return engine.run(until=2.0, max_events=100, stop_when=done)
+
+        loaded = drive(phased)
         guarded = drive(
             lambda e, done: e.run(
                 until=2.0, max_events=100,
@@ -180,11 +190,12 @@ class TestRunControl:
         assert loaded[3] == [0, 1, 2, 3, 4, 5]  # first event past 0.55
         assert len(loaded[4]) == 1  # the loaded phase never asked
 
-    def test_run_loaded_on_an_empty_queue_advances_to_the_horizon(self):
+    def test_phased_run_on_an_empty_queue_advances_to_the_horizon(self):
         engine = Engine()
-        assert engine.run_loaded(1.0, 3.0, stop_when=lambda: True) == 3.0
+        assert engine.run(until=1.0) == 1.0
+        assert engine.run(until=3.0, stop_when=lambda: True) == 3.0
 
-    def test_run_loaded_shares_one_event_budget(self):
+    def test_phased_run_shares_one_event_budget(self):
         def loop(engine):
             engine.schedule(0.001, loop, engine)
 
@@ -192,7 +203,9 @@ class TestRunControl:
             engine = Engine()
             engine.schedule(0.0, loop, engine)
             with pytest.raises(RuntimeError, match="max_events=100 "):
-                engine.run_loaded(loaded_until, 20.0, 100, lambda: False)
+                engine.run(until=loaded_until, max_events=100)
+                engine.run(until=20.0, max_events=100,
+                           stop_when=lambda: False)
             assert engine.events_executed == 100
 
     def test_max_events_guards_runaway(self):
@@ -209,15 +222,157 @@ class TestRunControl:
         engine = Engine()
 
         def recurse():
-            engine.run_until_idle()
+            engine.run()
 
         engine.schedule(0.1, recurse)
         with pytest.raises(RuntimeError, match="reentrant"):
-            engine.run_until_idle()
+            engine.run()
 
     def test_events_executed_counter(self):
         engine = Engine()
         for _ in range(5):
             engine.schedule(0.1, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         assert engine.events_executed == 5
+
+
+class Decides(Scheduler):
+    """Consulted at every step through ``decide``."""
+
+    def decide(self, now, ready):
+        return (FIRE, 0)
+
+
+class WavesOff(Scheduler):
+    """Consulted at every step; singletons fire through ``wants``."""
+
+    def wants(self, ready):
+        return False
+
+    def decide(self, now, ready):
+        return (FIRE, 0)
+
+
+class PassiveAfter(Decides):
+    """Consulted for ``steps`` decisions, then hands the run to the
+    drain (a passive handoff mid-run, as the explorer's scheduler)."""
+
+    def __init__(self, steps):
+        self.left = steps
+        self.drained = 0
+
+    @property
+    def passive(self):
+        return self.left <= 0
+
+    def decide(self, now, ready):
+        self.left -= 1
+        return (FIRE, 0)
+
+    def on_passive_drain(self, fired):
+        self.drained += fired
+
+
+#: One scheduler factory per run path ``Engine.run`` can take.
+RUN_PATHS = {
+    "drain": lambda: None,
+    "decided": Decides,
+    "singleton": WavesOff,
+    "passive-handoff": lambda: PassiveAfter(30),
+}
+
+
+def spin(engine):
+    """A livelock: forever one more event, 1 ms later."""
+    engine.schedule(0.001, spin, engine)
+
+
+def livelocked(path):
+    engine = Engine()
+    engine.install_scheduler(RUN_PATHS[path]())
+    engine.schedule(0.0, spin, engine)
+    engine.schedule(5.0, lambda: None)
+    return engine
+
+
+class TestLifetimeBudget:
+    """``max_events`` caps ``events_executed``, however the run is cut."""
+
+    @pytest.mark.parametrize("path", sorted(RUN_PATHS))
+    def test_one_call_and_phases_raise_at_the_same_event(self, path):
+        def outcome(phases):
+            engine = livelocked(path)
+            with pytest.raises(EventBudgetExceeded) as caught:
+                for until in phases:
+                    engine.run(until=until, max_events=100)
+            return engine.events_executed, engine.now, str(caught.value)
+
+        once = outcome([None])
+        assert once[0] == 100
+        assert outcome([0.0105, 0.05, 0.0505, None]) == once
+
+    def test_the_passive_handoff_spends_what_is_left(self):
+        engine = livelocked("passive-handoff")
+        scheduler = engine.scheduler
+        with pytest.raises(EventBudgetExceeded):
+            engine.run(max_events=100)
+        assert scheduler.drained == 100 - 30
+
+    def test_an_overspent_engine_raises_after_one_more_event(self):
+        engine = livelocked("drain")
+        engine.run(until=0.0495)
+        assert engine.events_executed == 50
+        with pytest.raises(EventBudgetExceeded, match="max_events=10 "):
+            engine.run(max_events=10)
+        assert engine.events_executed == 51
+
+
+class TestOverrunDiagnosis:
+    @pytest.mark.parametrize("path", sorted(RUN_PATHS))
+    def test_names_the_looping_callback_and_the_oldest_due_time(self, path):
+        engine = livelocked(path)
+        with pytest.raises(EventBudgetExceeded) as caught:
+            engine.run(max_events=100)
+        message = str(caught.value)
+        assert message.startswith(
+            "simulation exceeded max_events=100 at t=0.099000s"
+        )
+        # Pending: the spinner's next step and the far event.
+        assert "2 pending, oldest due at t=0.100000s" in message
+        assert "by callback: spin x1, " in message
+        assert "<lambda> x1" in message
+
+    def test_groups_by_callback_most_frequent_first(self):
+        engine = Engine()
+        engine.schedule(0.0, spin, engine)
+        for _ in range(3):
+            engine.schedule(7.0, print)
+        with pytest.raises(EventBudgetExceeded) as caught:
+            engine.run(max_events=10)
+        assert "by callback: print x3, spin x1" in str(caught.value)
+
+    def test_names_deferred_events_and_their_due_time(self):
+        class HoldFirst(Decides):
+            held = False
+
+            def decide(self, now, ready):
+                if not self.held:
+                    self.held = True
+                    return (DEFER, 0)
+                return (FIRE, 0)
+
+        engine = Engine()
+        engine.install_scheduler(HoldFirst())
+        engine.schedule(0.0, print)  # held until the run drains: never
+        engine.schedule(0.002, spin, engine)
+        with pytest.raises(EventBudgetExceeded) as caught:
+            engine.run(max_events=10)
+        message = str(caught.value)
+        assert "2 pending, oldest due at t=0.000000s" in message
+        assert "print x1" in message and "spin x1" in message
+
+    def test_an_empty_queue_says_so(self):
+        engine = Engine()
+        engine.schedule(0.0, lambda: None)
+        with pytest.raises(EventBudgetExceeded, match="no event pending"):
+            engine.run(max_events=1)

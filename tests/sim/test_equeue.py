@@ -231,7 +231,7 @@ class TestAgainstReference:
                 engine.equeue.push_entry(t, fired.append, ((t, i),))
             else:
                 engine.schedule_at(t, fired.append, (t, i))
-        engine.run_until_idle()
+        engine.run()
         assert fired == sorted((t, i) for i, t in enumerate(times))
 
 
@@ -268,7 +268,7 @@ class TestEntries:
         dropped.cancel()
         dropped.cancel()  # idempotent
         assert engine.pending() == 1
-        engine.run_until_idle()
+        engine.run()
         assert fired.state == FINISHED and fired.finished
         assert dropped.state == CANCELLED and dropped.cancelled
         fired.cancel()  # nothing left to prevent
@@ -290,7 +290,7 @@ class TestEntries:
         engine.equeue.push_entry(2.0, fired.append, ("late",))
         assert engine.run(until=1.0) == 1.0
         assert fired == [] and engine.pending() == 1
-        engine.run_until_idle()
+        engine.run()
         assert fired == ["late"] and engine.now == 2.0
 
 
@@ -308,7 +308,7 @@ class TestCancellationAndCompaction:
         # Tombstones must not linger once they dominate: storage shrank
         # well below the 10k scheduled.
         assert len(engine.equeue.entries) < 2_500
-        engine.run_until_idle()
+        engine.run()
         assert keep == list(range(9_000, 10_000))
         assert engine.pending() == 0
 
@@ -330,7 +330,7 @@ class TestCancellationAndCompaction:
             for i in range(500)
         )
         survivor = engine.schedule_at(TICK * 10, fired.append, "survivor")
-        engine.run_until_idle()
+        engine.run()
         assert fired == ["killer", "survivor"]
         assert engine.pending() == 0
         assert not survivor.cancelled and survivor.finished
@@ -373,7 +373,7 @@ class TestInstallScheduler:
         assert early in entries  # handles are kept, not copied
         assert engine.annotating and engine.pending() == 22
         doomed.cancel()  # a pre-install handle still cancels
-        engine.run_until_idle()
+        engine.run()
         assert fired == [0, "tie-breaker"] + list(range(1, 20))
         assert engine.pending() == 0
 
@@ -383,7 +383,7 @@ class TestInstallScheduler:
         engine.equeue.push_entry(TICK, fired.append, ("pre",))
         engine.install_scheduler(_Consulted())
         engine.schedule_at(TICK, fired.append, "post")  # same-time tie
-        engine.run_until_idle()
+        engine.run()
         assert fired == ["pre", "post"]
 
     def test_bounded_defer_rekeys_the_entry_behind_its_new_time(self):
@@ -404,7 +404,7 @@ class TestInstallScheduler:
         engine.schedule_at(0.1, fired.append, "b")
         engine.schedule_at(0.6, fired.append, "c")
         engine.equeue.push_entry(0.6, fired.append, ("d",))
-        engine.run_until_idle()
+        engine.run()
         # Re-keyed (0.6, 5): behind everything already due at 0.6.
         assert fired == ["b", "c", "d", "a"]
         assert (a.time, a.seq) == (0.6, 5) and a.finished
@@ -415,5 +415,5 @@ class TestInstallScheduler:
         for i in range(30):
             engine.equeue.push_entry((i % 6) * TICK, fired.append, (i,))
         engine.install_scheduler(Scheduler())  # always (FIRE, 0)
-        engine.run_until_idle()
+        engine.run()
         assert fired == sorted(range(30), key=lambda i: (i % 6, i))

@@ -18,7 +18,7 @@ class TestSimProcess:
         process, engine, _ = make_process()
         fired = []
         process.schedule(0.1, fired.append, "tick")
-        engine.run_until_idle()
+        engine.run()
         assert fired == ["tick"]
 
     def test_crash_suppresses_pending_timers(self):
@@ -26,13 +26,13 @@ class TestSimProcess:
         fired = []
         process.schedule(1.0, fired.append, "tick")
         engine.schedule(0.5, process.crash)
-        engine.run_until_idle()
+        engine.run()
         assert fired == []
 
     def test_crash_records_trace_event(self):
         process, engine, trace = make_process(pid=3)
         engine.schedule(0.25, process.crash)
-        engine.run_until_idle()
+        engine.run()
         crash = trace.crashes()[3]
         assert isinstance(crash, CrashEvent)
         assert crash.time == 0.25
@@ -55,7 +55,7 @@ class TestSimProcess:
         process, engine, _ = make_process()
         fired = []
         process.schedule_at(0.7, lambda: fired.append(engine.now))
-        engine.run_until_idle()
+        engine.run()
         assert fired == [0.7]
 
 

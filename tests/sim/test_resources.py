@@ -12,7 +12,7 @@ class TestFifoResource:
         cpu = FifoResource(engine, "cpu")
         done = []
         cpu.occupy(0.5, lambda: done.append(engine.now))
-        engine.run_until_idle()
+        engine.run()
         assert done == [0.5]
 
     def test_jobs_queue_fifo(self):
@@ -21,7 +21,7 @@ class TestFifoResource:
         done = []
         cpu.occupy(0.5, lambda: done.append(("a", engine.now)))
         cpu.occupy(0.25, lambda: done.append(("b", engine.now)))
-        engine.run_until_idle()
+        engine.run()
         # b waits for a even though it is shorter: non-preemptive FIFO.
         assert done == [("a", 0.5), ("b", 0.75)]
 
@@ -30,9 +30,9 @@ class TestFifoResource:
         cpu = FifoResource(engine, "cpu")
         done = []
         cpu.occupy(0.1, lambda: done.append(engine.now))
-        engine.run_until_idle()  # now = 0.1
+        engine.run()  # now = 0.1
         engine.schedule(0.9, lambda: cpu.occupy(0.2, lambda: done.append(engine.now)))
-        engine.run_until_idle()
+        engine.run()
         # Second job starts fresh at t=1.0 (no phantom backlog).
         assert done == [0.1, pytest.approx(1.2)]
 
@@ -42,7 +42,7 @@ class TestFifoResource:
         done = []
         cpu.occupy(0.5, lambda: done.append("long"))
         cpu.occupy(0.0, lambda: done.append("instant"))
-        engine.run_until_idle()
+        engine.run()
         assert done == ["long", "instant"]
 
     def test_occupy_returns_completion_time(self):
@@ -68,7 +68,7 @@ class TestFifoResource:
         cpu = FifoResource(engine, "cpu")
         cpu.occupy(0.5, lambda: None)
         engine.schedule(2.0, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         assert cpu.utilisation() == pytest.approx(0.25)
         assert cpu.utilisation(elapsed=1.0) == pytest.approx(0.5)
 
@@ -81,7 +81,7 @@ class TestFifoResource:
         cpu = FifoResource(engine, "cpu")
         cpu.occupy(0.1)
         cpu.occupy(0.2)
-        engine.run_until_idle()
+        engine.run()
         assert cpu.jobs_served == 2
         assert cpu.busy_time == pytest.approx(0.3)
 
@@ -104,7 +104,7 @@ class TestStage:
                         )))
                     )
                 )
-            engine.run_until_idle()
+            engine.run()
             return done, cpu.busy_time, cpu.jobs_served, engine.equeue.seq
 
         staged = drive(lambda cpu, d, then: cpu.stage(d, then, ()))

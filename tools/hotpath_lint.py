@@ -11,7 +11,7 @@ enforces:
   ``@dataclass(slots=True)``), so attribute access compiles to
   fixed-offset loads and no per-instance ``__dict__`` is allocated;
 * **no reflective dispatch in the fused drain** — the drain loop
-  (``EventQueue.drain``, entered through ``Engine.drain_until``) binds
+  (``EventQueue.drain``, entered through ``Engine.run``) binds
   the heap to a local once and never calls ``getattr`` or builds a
   dict literal per event;
 * **a bare frame path** — the network's one send routine
@@ -70,7 +70,6 @@ SLOTTED_MODULES = (
 #: and dict-literal allocations: the fused drain loop.
 DRAIN_METHODS = (
     ("repro.sim.equeue", "drain"),
-    ("repro.sim.engine", "drain_until"),
 )
 
 #: (module, method) bodies on the per-frame send path (every class's
@@ -108,7 +107,6 @@ OBSERVER_METHODS = (
     ("repro.sim.equeue", "push_entry"),
     ("repro.sim.equeue", "note_cancel"),
     ("repro.sim.resources", "stage"),
-    ("repro.sim.engine", "drain_until"),
     ("repro.sim.engine", "_run_controlled"),
     ("repro.sim.engine", "_release_blocked"),
 )
