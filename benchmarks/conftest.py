@@ -1,22 +1,4 @@
-"""Shared benchmark utilities.
-
-Each benchmark regenerates one panel of one figure of the paper at
-*quick* resolution (pytest-benchmark measures the wall time of the
-regeneration; the asserted content is the *shape* of the curves — who
-wins, where, by roughly how much).  ``python -m repro.harness --full``
-produces the full-resolution numbers recorded in EXPERIMENTS.md.
-
-Figure grids are declared as :class:`repro.harness.suite.SweepSpec`
-panels and executed through :func:`repro.harness.runner.run_suite`;
-:func:`regenerate` pins the execution options so the benchmarks stay
-honest: cache reads are disabled (a benchmark must measure
-regeneration, not a disk read), writes land in a throwaway directory
-(never the user's shared cache), and execution is serial so wall
-times are comparable across machines with different core counts.
-Note that ``run_suite``'s *within-call* dedup still applies — panels
-sharing a physical configuration (figure 7's URB variant) simulate it
-once, because that is the pipeline's real regeneration cost.
-"""
+"""Shared benchmark configuration: the ``--bench-json`` perf ledger."""
 
 from __future__ import annotations
 
@@ -24,41 +6,7 @@ import json
 import platform
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
-from typing import Callable
-
-from repro.harness.figures import FigureData, Series, SuiteOptions
-
-# Keep a reference so the directory lives for the whole session and is
-# removed by the TemporaryDirectory finalizer on interpreter exit.
-_BENCH_CACHE = tempfile.TemporaryDirectory(prefix="repro-bench-cache-")
-
-BENCH_OPTIONS = SuiteOptions(
-    use_cache=False,
-    processes=1,
-    cache_dir=_BENCH_CACHE.name,
-)
-
-
-def regenerate(figure_fn: Callable[..., FigureData]) -> FigureData:
-    """Run one ``figureN`` builder at quick resolution, uncached."""
-    return figure_fn(True, BENCH_OPTIONS)
-
-
-def series_by_label(series_list: list[Series]) -> dict[str, dict[float, float]]:
-    """Index a panel's series as {label: {x: latency_ms}}."""
-    return {s.label: dict(s.points) for s in series_list}
-
-
-def record_panel(benchmark, figure, panel: str) -> dict[str, dict[float, float]]:
-    """Stash a panel's points in the benchmark record and return them."""
-    data = series_by_label(figure.panels[panel])
-    benchmark.extra_info[panel] = {
-        label: {str(x): round(y, 3) for x, y in points.items()}
-        for label, points in data.items()
-    }
-    return data
 
 
 # ----------------------------------------------------------------------
@@ -136,15 +84,3 @@ def pytest_sessionfinish(session, exitstatus):
     if terminal is not None:  # pragma: no branch
         terminal.write_line(f"bench-json: wrote {len(results)} entries to {path}")
 
-
-def assert_dominates(
-    slower: dict[float, float],
-    faster: dict[float, float],
-    at: list[float],
-    margin: float = 1.0,
-) -> None:
-    """Assert ``slower`` has higher latency than ``faster`` at each x."""
-    for x in at:
-        assert slower[x] > faster[x] * margin, (
-            f"expected {slower[x]:.3f} > {faster[x]:.3f} (margin {margin}) at x={x}"
-        )

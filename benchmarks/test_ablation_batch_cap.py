@@ -38,20 +38,15 @@ SWEEP = SweepSpec(
 )
 
 
-def measure_all():
-    from benchmarks.conftest import BENCH_OPTIONS
-
-    suite = run_suite(
-        SWEEP,
-        use_cache=False,
-        processes=BENCH_OPTIONS.processes,
-        cache_dir=BENCH_OPTIONS.cache_dir,
-    )
+def measure_all(cache_dir):
+    suite = run_suite(SWEEP, use_cache=False, processes=1, cache_dir=cache_dir)
     return dict(zip(CAPS, suite.results))
 
 
-def test_batch_cap_sweep(benchmark):
-    results = benchmark.pedantic(measure_all, rounds=1, iterations=1)
+def test_batch_cap_sweep(benchmark, tmp_path):
+    results = benchmark.pedantic(
+        measure_all, args=(tmp_path,), rounds=1, iterations=1
+    )
     latency = {
         cap: r.metric("latency")["mean_ms"] for cap, r in results.items()
     }

@@ -12,8 +12,8 @@ Two figures, both on the quick fig-3 grid (12 points, 2 panels):
 
 * **uncached dispatch** — every point computed, through the pool: the
   cost of a cold sweep.  Multiple benchmark rounds share the persistent
-  pool, so the recorded mean is the *amortised* figure a figure-set
-  regeneration (seven ``run_suite`` calls back-to-back) actually pays.
+  pool, so the recorded mean is the *amortised* figure that
+  back-to-back regenerations actually pay.
 * **cached re-run** — the same sweep served entirely from the result
   cache: the stat/read path a warm re-run pays per point (bounded by
   the in-process LRU of :class:`~repro.harness.runner.ResultCache`,
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro.harness.figures import SuiteOptions, figure3
+from repro.harness.figures import run_figures
 
 try:  # PR 7's persistent pool; absent when benchmarking older code
     from repro.harness.runner import shutdown_pool
@@ -49,20 +49,17 @@ WORKERS = 4
 _CACHE = tempfile.TemporaryDirectory(prefix="repro-dispatch-bench-")
 
 
-def _options(use_cache: bool) -> SuiteOptions:
-    return SuiteOptions(
-        processes=WORKERS,
-        cache_dir=_CACHE.name,
-        use_cache=use_cache,
-    )
+def _figure3(use_cache: bool) -> None:
+    run_figures(["3"], processes=WORKERS, cache_dir=_CACHE.name,
+                use_cache=use_cache)
 
 
 def _uncached() -> None:
-    figure3(True, _options(use_cache=False))
+    _figure3(use_cache=False)
 
 
 def _cached() -> None:
-    figure3(True, _options(use_cache=True))
+    _figure3(use_cache=True)
 
 
 def test_fig3_uncached_pool_dispatch(benchmark):
@@ -72,7 +69,7 @@ def test_fig3_uncached_pool_dispatch(benchmark):
 
 def test_fig3_cached_rerun(benchmark):
     before = cache_stats()
-    figure3(True, _options(use_cache=True))  # prime the cache once
+    _cached()  # prime the cache once
     benchmark.pedantic(_cached, rounds=5, iterations=1)
     after = cache_stats()
     if after:

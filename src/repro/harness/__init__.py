@@ -9,18 +9,18 @@
 * :mod:`repro.harness.runner` — parallel execution:
   :func:`~repro.harness.runner.run_suite` fans a sweep out over a
   process pool with a content-addressed on-disk result cache.
-* :mod:`repro.harness.figures` — the per-figure experiment definitions:
-  ``figure1()`` .. ``figure7()`` declare the paper's grids as sweeps
-  and return the same series the paper plots, in *quick* or *full*
-  resolution.
+* :mod:`repro.harness.figures` — the paper's figures as data:
+  :data:`~repro.harness.figures.FIGURES` declares each figure's panels
+  and grids, and :func:`~repro.harness.figures.run_figures` runs the
+  selected figures in one suite call, returning one ``ResultSet`` per
+  panel, in *quick* or *full* resolution.
 * :mod:`repro.harness.results` — the columnar
   :class:`~repro.harness.results.ResultSet` query surface over suite
   output (``select``/``where``/``group_by``/``mean``,
   ``to_rows``/``to_csv``/``to_json``); every metric-probe field is a
   column.
 * :mod:`repro.harness.report` — ASCII/CSV/JSON rendering of figure
-  data, result sets, suite results, and the shape assertions that
-  EXPERIMENTS.md records.
+  panels and result sets.
 
 Command line::
 
@@ -45,54 +45,29 @@ from repro.harness.runner import (
 )
 from repro.harness.results import ResultSet, concat
 from repro.harness.suite import SweepSpec, expand
-from repro.harness.figures import (
-    FigureData,
-    Series,
-    SuiteOptions,
-    all_figures,
-    figure1,
-    figure2_table,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-)
-from repro.harness.report import (
-    render_figure,
-    render_resultset,
-    render_suite,
-    render_table,
-)
+from repro.harness.figures import FIGURES, curves, figure2_table, run_figures
+from repro.harness.report import render_figure, render_resultset, render_table
 
 __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
-    "FigureData",
+    "FIGURES",
     "ResultCache",
     "ResultSet",
-    "Series",
     "SuiteError",
-    "SuiteOptions",
     "SuiteResult",
     "SweepSpec",
-    "all_figures",
     "cache_stats",
     "concat",
+    "curves",
     "expand",
-    "figure1",
     "figure2_table",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
     "parallel_map",
     "render_figure",
     "render_resultset",
-    "render_suite",
     "render_table",
     "run_experiment",
+    "run_figures",
     "run_suite",
     "spec_key",
 ]

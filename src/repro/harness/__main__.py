@@ -28,10 +28,12 @@ Chrome trace or as ResultSet CSV/JSON tables::
     python -m repro.harness obs --stack sequencer --period 0.002 \
         --export chrome out.json --export csv telemetry.csv
 
-Figure grids execute through :func:`repro.harness.runner.run_suite`:
-points fan out over a process pool (``--jobs``) and completed points
-are cached on disk (``--cache-dir``, ``--no-cache``), so re-running a
-figure only computes what is missing.  ``--metrics`` picks the probe
+The selected figures execute through one
+:func:`repro.harness.runner.run_suite` call
+(:func:`repro.harness.figures.run_figures`): points fan out over a
+process pool (``--jobs``) and completed points are cached on disk
+(``--cache-dir``, ``--no-cache``), so re-running a figure only
+computes what is missing.  ``--metrics`` picks the probe
 set measured at every point (any registered probe name), and
 ``--format csv|json`` exports the full per-point
 :class:`~repro.harness.results.ResultSet` — every spec axis and every
@@ -44,27 +46,13 @@ import argparse
 import sys
 import time
 
-from repro.harness import figures as figmod
-from repro.harness.figures import SuiteOptions
-from repro.harness.report import (
-    FORMATS,
-    render_figure,
-    render_resultset,
-    render_rows,
-    render_table,
-)
+from repro.core.exceptions import ConfigurationError
+from repro.harness.charts import render_chart
+from repro.harness.figures import FIGURES, figure2_table, run_figures
+from repro.harness.report import FORMATS, render_figure, render_resultset
 from repro.harness.results import concat
-from repro.metrics.probes import PROBES
+from repro.metrics.probes import DEFAULT_PROBES, PROBES
 from repro.stack import layers
-
-_FIGURES = {
-    "1": figmod.figure1,
-    "3": figmod.figure3,
-    "4": figmod.figure4,
-    "5": figmod.figure5,
-    "6": figmod.figure6,
-    "7": figmod.figure7,
-}
 
 
 def render_variants() -> str:
@@ -173,8 +161,6 @@ def explore_main(argv: list[str]) -> int:
         stop_after=0 if args.all_violations else 1,
         seed=args.seed,
     )
-    from repro.core.exceptions import ConfigurationError
-
     specs = []
     try:
         for name in stacks:
@@ -322,8 +308,6 @@ def obs_main(argv: list[str]) -> int:
                 f"{', '.join(formats)}"
             )
 
-    from repro.core.exceptions import ConfigurationError
-
     try:
         spec = ExperimentSpec(
             name=f"obs-{args.stack.replace('/', '-')}",
@@ -386,6 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--figure",
         default="all",
+        choices=("all", "2", *FIGURES),
         help="figure number (1,2,3,4,5,6,7) or 'all'",
     )
     parser.add_argument(
@@ -453,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         print(render_variants())
         return 0
 
-    metrics = None
+    metrics = DEFAULT_PROBES
     if args.metrics is not None:
         metrics = tuple(
             name.strip() for name in args.metrics.split(",") if name.strip()
@@ -463,69 +448,56 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(PROBES.unknown_message(name))
         if not metrics:
             parser.error("--metrics needs at least one probe name")
-        if "latency" not in metrics:
-            parser.error(
-                "--metrics must include 'latency': every figure plots "
-                "delivery latency (add probes next to it, e.g. "
-                "--metrics latency,traffic)"
-            )
 
-    options = SuiteOptions(
-        processes=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        trace_mode=args.trace_mode,
-        metrics=metrics,
-    )
-    quick = not args.full
-    exporting = args.format != "table"
     started = time.perf_counter()
     if args.figure == "2":
-        out = render_rows(
-            figmod.figure2_table(),
-            format=args.format,
-            title="Figure 2 arithmetic",
-        )
-        sys.stdout.write(out if out.endswith("\n") else out + "\n")
-        return 0
-
-    def show(figure_data) -> None:
-        print(render_figure(figure_data))
-        if args.chart:
-            from repro.harness.charts import render_figure_charts
-
-            print()
-            print(render_figure_charts(figure_data))
-
-    if args.figure == "all":
-        builds = list(_FIGURES.values())
-    else:
-        build = _FIGURES.get(args.figure)
-        if build is None:
-            parser.error(f"unknown figure {args.figure!r}")
-        builds = [build]
-
-    if exporting:
-        # One columnar export of every point of every selected figure;
-        # nothing else on stdout, so the output pipes cleanly.
-        figures_data = [build(quick, options) for build in builds]
-        # Different figures measure different probe sets, so this is
-        # the intended-heterogeneous case: union-pad, don't reject.
         out = render_resultset(
-            concat([f.resultset for f in figures_data], strict=False),
+            figure2_table(), format=args.format, title="Figure 2 arithmetic"
+        )
+        sys.stdout.write(out if out.endswith("\n") else out + "\n")
+        return 0
+
+    try:
+        figures = run_figures(
+            list(FIGURES) if args.figure == "all" else [args.figure],
+            quick=not args.full,
+            trace_mode=args.trace_mode,
+            metrics=metrics,
+            processes=args.jobs,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+        )
+    except ConfigurationError as error:
+        parser.error(str(error))
+
+    if args.format != "table":
+        # One columnar export of every point of every selected figure;
+        # nothing else on stdout, so the output pipes cleanly.  Figures
+        # may measure different probe fields, so union-pad.
+        out = render_resultset(
+            concat(
+                [rs for panels in figures.values() for rs in panels.values()],
+                strict=False,
+            ),
             format=args.format,
         )
         sys.stdout.write(out if out.endswith("\n") else out + "\n")
         return 0
 
     if args.figure == "all":
-        print(render_table(figmod.figure2_table(), title="Figure 2 arithmetic"))
+        print(render_resultset(figure2_table(), title="Figure 2 arithmetic"))
         print()
-        for build in builds:
-            show(build(quick, options))
+    for fig_id, panels in figures.items():
+        print(render_figure(fig_id, panels))
+        if args.chart:
             print()
-    else:
-        show(builds[0](quick, options))
+            print(f"== fig{fig_id}: {FIGURES[fig_id].title} ==")
+            for name, panel in panels.items():
+                print()
+                print(render_chart(panel, FIGURES[fig_id].x,
+                                   title=f"-- {name} --"))
+        if args.figure == "all":
+            print()
     print(f"[done in {time.perf_counter() - started:.1f}s wall]")
     return 0
 

@@ -2,19 +2,16 @@
 
 Terminal-friendly scatter/line charts so `python -m repro.harness` can
 show curve *shapes* directly, next to the numeric tables — the closest
-offline equivalent of the paper's gnuplot figures.  Charts draw
-:class:`~repro.harness.figures.Series`; :func:`series_from` lifts any
-two columns of a :class:`~repro.harness.results.ResultSet` into series
-(one per ``by``-column value), so ad-hoc sweeps chart without figure
-scaffolding.
+offline equivalent of the paper's gnuplot figures.  A chart plots two
+columns of a :class:`~repro.harness.results.ResultSet`, one curve per
+``label``, so ad-hoc sweeps chart the same way figure panels do.
 """
 
 from __future__ import annotations
 
-from repro.harness.figures import FigureData, Series
 from repro.harness.results import ResultSet
 
-#: Glyphs assigned to series in order (paper figures have <= 3 lines).
+#: Glyphs assigned to curves in order (paper figures have <= 3 lines).
 GLYPHS = "*o+x#@"
 
 
@@ -26,17 +23,30 @@ def _scale(value: float, lo: float, hi: float, cells: int) -> int:
 
 
 def render_chart(
-    series_list: list[Series],
+    rs: ResultSet,
+    x: str,
+    y: str = "latency.mean_ms",
     width: int = 64,
     height: int = 16,
     title: str | None = None,
 ) -> str:
-    """Render series as an ASCII chart (x: parameter, y: latency ms).
+    """Render ``rs`` as an ASCII chart of ``y`` against ``x`` [ms].
 
-    Points from different series that land on the same cell are drawn
-    with the glyph of the *first* series (they are that close anyway).
+    One curve per ``label`` value.  Rows whose ``y`` is ``None`` are
+    skipped — a probe measured on only some variants charts what it
+    measured.  Points from different curves that land on the same cell
+    are drawn with the glyph of the *first* curve (they are that close
+    anyway).
     """
-    points = [(x, y) for s in series_list for x, y in s.points]
+    curves = [
+        (label, [
+            (px, py)
+            for px, py in zip(curve.column(x), curve.column(y))
+            if py is not None
+        ])
+        for (label,), curve in rs.group_by("label").items()
+    ]
+    points = [point for _, curve in curves for point in curve]
     if not points:
         return "(no data)"
     xs = [p[0] for p in points]
@@ -45,11 +55,11 @@ def render_chart(
     y_lo, y_hi = 0.0, max(ys)
 
     grid = [[" "] * width for _ in range(height)]
-    for index, series in enumerate(series_list):
+    for index, (_, curve) in enumerate(curves):
         glyph = GLYPHS[index % len(GLYPHS)]
-        for x, y in series.points:
-            col = _scale(x, x_lo, x_hi, width)
-            row = height - 1 - _scale(y, y_lo, y_hi, height)
+        for px, py in curve:
+            col = _scale(px, x_lo, x_hi, width)
+            row = height - 1 - _scale(py, y_lo, y_hi, height)
             if grid[row][col] == " ":
                 grid[row][col] = glyph
 
@@ -62,41 +72,7 @@ def render_chart(
         lines.append("|" + "".join(row))
     lines.append("+" + "-" * width)
     lines.append(f" {x_lo:g}" + f"{x_hi:g}".rjust(width - len(f"{x_lo:g}")))
-    for index, series in enumerate(series_list):
+    for index, (label, _) in enumerate(curves):
         glyph = GLYPHS[index % len(GLYPHS)]
-        lines.append(f"  {glyph} = {series.label}")
+        lines.append(f"  {glyph} = {label}")
     return "\n".join(lines)
-
-
-def series_from(
-    rs: ResultSet,
-    x: str,
-    y: str = "latency.mean_ms",
-    by: str = "label",
-) -> list[Series]:
-    """One :class:`Series` per distinct ``by`` value: ``(x, y)`` points.
-
-    Rows whose ``y`` column is absent (``None``) are skipped — a probe
-    measured on only some variants charts what it measured.
-    """
-    series = []
-    for (group_label,), group in rs.group_by(by).items():
-        # Keep points and results aligned 1:1 (the Series.add invariant):
-        # a row skipped for a missing y drops its result too.
-        measured = group.where(lambda row: row[y] is not None)
-        s = Series(label=str(group_label))
-        s.points = list(zip(measured.column(x), measured.column(y)))
-        s.results = list(measured.results)
-        series.append(s)
-    return series
-
-
-def render_figure_charts(figure: FigureData, width: int = 64, height: int = 16) -> str:
-    """Render every panel of ``figure`` as an ASCII chart."""
-    blocks = [f"== {figure.fig_id}: {figure.title} =="]
-    for panel, series in figure.panels.items():
-        blocks.append("")
-        blocks.append(
-            render_chart(series, width=width, height=height, title=f"-- {panel} --")
-        )
-    return "\n".join(blocks)

@@ -110,6 +110,26 @@ class ExperimentSpec:
                 "safety checkers cannot run; set safety_checks=False "
                 "(after safety-checking the configuration with a full run)"
             )
+        if self.throughput <= 0:
+            raise ConfigurationError(
+                f"throughput must be > 0, got {self.throughput}"
+            )
+        if self.payload < 0:
+            raise ConfigurationError(f"payload must be >= 0, got {self.payload}")
+        if self.duration <= 0:
+            raise ConfigurationError(f"duration must be > 0, got {self.duration}")
+        if not 0 <= self.warmup < self.duration:
+            raise ConfigurationError(
+                f"warmup must be in [0, duration) so the measurement window "
+                f"is non-empty, got warmup={self.warmup}, "
+                f"duration={self.duration}"
+            )
+        if self.drain < 0:
+            raise ConfigurationError(f"drain must be >= 0, got {self.drain}")
+        if self.max_events < 1:
+            raise ConfigurationError(
+                f"max_events must be >= 1, got {self.max_events}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,38 +1,21 @@
-"""Rendering of reproduced figures, tables, result sets and suites.
+"""Rendering of reproduced figures, tables and result sets.
 
-``render_table`` is the fixed-width ASCII primitive; everything else is
-a view over it (or over CSV/JSON for machine consumption).  The
-queryable surface behind these renderers is the columnar
-:class:`~repro.harness.results.ResultSet` — ``render_resultset`` turns
-one into any of the three output formats, which is also what the CLI's
-``--format`` flag calls.
+``render_table`` is the fixed-width ASCII primitive; ``render_resultset``
+turns a :class:`~repro.harness.results.ResultSet` into any of the
+:data:`FORMATS` (the CLI's ``--format``); ``render_figure`` pivots a
+figure's panels into latency tables.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from typing import Iterable, Mapping
 
 from repro.core.exceptions import ConfigurationError
-from repro.harness.figures import FigureData, Series
+from repro.harness.figures import FIGURES, curves
 from repro.harness.results import ResultSet
-from repro.harness.runner import SuiteResult
 
 #: Output formats understood by the exporting renderers (and the CLI).
 FORMATS = ("table", "csv", "json")
-
-#: Compact column selection for suite summaries.
-SUITE_COLUMNS = (
-    "name",
-    "throughput",
-    "payload",
-    "latency.mean_ms",
-    "latency.p90_ms",
-    "sent",
-    "undelivered",
-)
 
 
 def render_table(rows: Iterable[Mapping], title: str | None = None) -> str:
@@ -53,35 +36,6 @@ def render_table(rows: Iterable[Mapping], title: str | None = None) -> str:
     for row in rows:
         lines.append(" | ".join(str(row[c]).ljust(widths[c]) for c in columns))
     return "\n".join(lines)
-
-
-def render_rows(
-    rows: Iterable[Mapping],
-    format: str = "table",
-    title: str | None = None,
-) -> str:
-    """Render plain dict rows in any supported format.
-
-    The CSV/JSON siblings of :func:`render_table` for row lists that do
-    not come from a :class:`ResultSet` (e.g. the Figure-2 arithmetic
-    table); the title only applies to the table format.
-    """
-    if format not in FORMATS:
-        raise ConfigurationError(
-            f"unknown format {format!r}; choose one of {', '.join(FORMATS)}"
-        )
-    rows = list(rows)
-    if format == "json":
-        return json.dumps(rows, indent=2)
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        if rows:
-            writer.writerow(list(rows[0].keys()))
-            for row in rows:
-                writer.writerow(list(row.values()))
-        return out.getvalue()
-    return render_table(rows, title=title)
 
 
 def _display(value) -> object:
@@ -122,67 +76,22 @@ def render_resultset(
     )
 
 
-def _series_rows(series: list[Series]) -> list[dict]:
-    xs = sorted({x for s in series for x, _ in s.points})
-    rows = []
-    for x in xs:
-        row: dict = {"x": x}
-        for s in series:
-            value = next((lat for px, lat in s.points if px == x), None)
-            row[s.label] = "-" if value is None else f"{value:.3f}"
-        rows.append(row)
-    return rows
-
-
-def render_figure(figure: FigureData) -> str:
-    """Render a reproduced figure as per-panel latency tables (ms)."""
-    blocks = [f"== {figure.fig_id}: {figure.title} ==",
+def render_figure(fig_id: str, panels: dict[str, ResultSet]) -> str:
+    """Render a figure's panels as latency tables: one row per x value,
+    one column per curve, cells = mean latency [ms]."""
+    figure = FIGURES[fig_id]
+    blocks = [f"== fig{fig_id}: {figure.title} ==",
               f"   x = {figure.xlabel}; cells = mean latency [ms]"]
-    for panel, series in figure.panels.items():
+    for name, panel in panels.items():
+        lines = curves(panel, figure.x)
+        xs = sorted({x for points in lines.values() for x in points})
+        rows = [
+            {"x": x} | {
+                label: f"{points[x]:.3f}" if x in points else "-"
+                for label, points in lines.items()
+            }
+            for x in xs
+        ]
         blocks.append("")
-        blocks.append(render_table(_series_rows(series), title=f"-- {panel} --"))
+        blocks.append(render_table(rows, title=f"-- {name} --"))
     return "\n".join(blocks)
-
-
-def render_suite(
-    suite: SuiteResult, title: str | None = None, format: str = "table"
-) -> str:
-    """Render a :func:`~repro.harness.runner.run_suite` outcome.
-
-    One row per experiment — the compact :data:`SUITE_COLUMNS` slice of
-    the suite's :class:`ResultSet` — followed by the cache/wall
-    accounting line (as a JSON field in ``format="json"``, omitted from
-    CSV so the output stays machine-parseable).
-    """
-    if format not in FORMATS:
-        raise ConfigurationError(
-            f"unknown format {format!r}; choose one of {', '.join(FORMATS)}"
-        )
-    rs = suite.result_set()
-    available = tuple(c for c in SUITE_COLUMNS if c in rs.columns)
-    if format == "csv":
-        return render_resultset(rs, format="csv", columns=available)
-    if format == "json":
-        return json.dumps(
-            {
-                "summary": suite.summary(),
-                "rows": rs.select(*available).to_rows(),
-            },
-            indent=2,
-        )
-    table = render_resultset(rs, columns=available, title=title)
-    return f"{table}\n[{suite.summary()}]"
-
-
-def crossover_summary(series_a: Series, series_b: Series) -> str:
-    """One-line comparison: who wins at each shared x (for EXPERIMENTS.md)."""
-    xs = sorted(
-        {x for x, _ in series_a.points} & {x for x, _ in series_b.points}
-    )
-    parts = []
-    for x in xs:
-        a = next(lat for px, lat in series_a.points if px == x)
-        b = next(lat for px, lat in series_b.points if px == x)
-        winner = series_a.label if a < b else series_b.label
-        parts.append(f"x={x:g}: {winner} ({a:.2f} vs {b:.2f} ms)")
-    return "; ".join(parts)

@@ -152,6 +152,14 @@ class SweepSpec:
             raise ConfigurationError("payloads must be >= 0")
         if self.target_messages <= 0:
             raise ConfigurationError("target_messages must be > 0")
+        if self.warmup < 0:
+            raise ConfigurationError(f"warmup must be >= 0, got {self.warmup}")
+        if self.drain < 0:
+            raise ConfigurationError(f"drain must be >= 0, got {self.drain}")
+        if self.max_events < 1:
+            raise ConfigurationError(
+                f"max_events must be >= 1, got {self.max_events}"
+            )
         if self.trace_mode not in ("full", "metrics"):
             raise ConfigurationError(
                 f"unknown trace_mode {self.trace_mode!r}"
@@ -165,8 +173,8 @@ class SweepSpec:
     def point_label(variant: str, fault: str = "", topology: str = "") -> str:
         """Display label of one (variant, fault set, topology) combo.
 
-        Shared by :meth:`experiments` and the figure assembly so curve
-        labels and experiment names always agree.
+        :meth:`experiments` stamps it on each point's ``label`` and
+        name, so curve labels and experiment names always agree.
         """
         label = variant
         if fault:

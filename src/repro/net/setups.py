@@ -2,8 +2,8 @@
 
 The absolute constants below were calibrated so that the *baseline*
 latencies and the *saturation knees* land in the same regime as the
-paper's measurements; EXPERIMENTS.md records paper-vs-measured values
-for every figure.  The shapes of the curves do not depend on the exact
+paper's measurements; ``benchmarks/test_figures.py`` asserts each
+figure's curve shapes against the paper's claims.  The shapes of the curves do not depend on the exact
 constants — they follow from the structure of the model (per-byte wire
 time, per-message CPU time, FIFO queueing).
 
@@ -32,8 +32,8 @@ SETUP_1 = NetworkParams(
     wire_overhead=18e-6,
     wire_per_byte=0.08e-6,
     # Per-identifier rcv() probe cost.  Calibrated so the indirect-vs-
-    # faulty gap grows with throughput as in Figure 3; the paper's JVM
-    # implementation paid even more per probe (see EXPERIMENTS.md).
+    # faulty gap grows with throughput as in Figure 3 (asserted by the
+    # Figure 3 test in benchmarks/test_figures.py).
     rcv_lookup_cost=25e-6,
 )
 

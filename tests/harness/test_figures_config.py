@@ -5,9 +5,13 @@ the right stacks, group sizes, network setups and sweep axes; the heavy
 measured assertions live in benchmarks/.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.harness import figures
+from repro.harness.experiment import ExperimentResult
+from repro.harness.runner import spec_key
 from repro.net.setups import SETUP_1, SETUP_2
 
 
@@ -49,35 +53,64 @@ class TestVariantTable:
 class TestSweepAxes:
     """The full grids must match the paper's axis ranges."""
 
+    def test_the_six_measured_figures(self):
+        assert list(figures.FIGURES) == ["1", "3", "4", "5", "6", "7"]
+
     def test_fig1_sweeps_to_5000_bytes_at_both_rates(self):
-        # Inspect without running: the payload lists are defined inline.
-        import inspect
-        src = inspect.getsource(figures.figure1)
-        assert "5000" in src and "800.0" in src and "100.0" in src
+        panels = figures.FIGURES["1"].panels
+        assert [p.throughputs.full for p in panels] == [(100.0,), (800.0,)]
+        for panel in panels:
+            assert max(panel.payloads.quick) == max(panel.payloads.full) == 5000
 
     def test_fig3_covers_both_group_sizes(self):
-        import inspect
-        src = inspect.getsource(figures.figure3)
-        assert "for n in (3, 5)" in src
+        assert [p.n for p in figures.FIGURES["3"].panels] == [3, 5]
 
     def test_fig4_has_four_throughput_panels(self):
-        import inspect
-        src = inspect.getsource(figures.figure4)
-        assert "(10.0, 100.0, 400.0, 800.0)" in src
+        panels = figures.FIGURES["4"].panels
+        assert [p.throughputs.full for p in panels] == [
+            (10.0,), (100.0,), (400.0,), (800.0,)
+        ]
 
-    def test_figs567_use_setup2(self):
-        import inspect
-        for fn in (figures.figure5, figures.figure6, figures.figure7):
-            assert "SETUP_2" in inspect.getsource(fn)
+    def test_figure_setups(self):
+        for fig_id, setup in (("1", SETUP_1), ("3", SETUP_1), ("4", SETUP_1),
+                              ("5", SETUP_2), ("6", SETUP_2), ("7", SETUP_2)):
+            for panel in figures.FIGURES[fig_id].panels:
+                assert panel.params is setup, (fig_id, panel.name)
 
     def test_fig7_has_both_rb_panels(self):
-        import inspect
-        src = inspect.getsource(figures.figure7)
-        assert "RB in O(n^2) messages" in src
-        assert "RB in O(n) messages" in src
+        panels = figures.FIGURES["7"].panels
+        assert [p.name for p in panels] == [
+            "RB in O(n^2) messages", "RB in O(n) messages"
+        ]
+        assert [figures._LEGEND[p.variants[0]][2] for p in panels] == [
+            "flood", "sender"
+        ]
 
-    def test_all_figures_lists_the_six_measured_figures(self):
-        import inspect
-        src = inspect.getsource(figures.all_figures)
-        for name in ("figure1", "figure3", "figure4", "figure5", "figure6", "figure7"):
-            assert name in src
+
+class TestRunFigures:
+    def test_one_suite_call_in_declaration_order(self, monkeypatch):
+        calls = []
+
+        def fake_run_suite(sweeps, **kwargs):
+            specs = [spec for sweep in sweeps for spec in sweep.experiments()]
+            calls.append(specs)
+            return SimpleNamespace(results=[
+                ExperimentResult(spec, {}, 0, 0, 0.0, 0.0) for spec in specs
+            ])
+
+        monkeypatch.setattr(figures, "run_suite", fake_run_suite)
+        out = figures.run_figures(list(figures.FIGURES))
+        [specs] = calls
+        assert len(specs) == 96
+        assert len({spec_key(spec) for spec in specs}) == 70
+        # Sliced back by position: each panel holds its own sweep's
+        # points, and the panels concatenate to the submitted order.
+        names = []
+        for fig_id, figure in figures.FIGURES.items():
+            assert list(out[fig_id]) == [p.name for p in figure.panels]
+            for panel in figure.panels:
+                column = out[fig_id][panel.name].column("name")
+                assert all(name.startswith(panel.sweep + "/")
+                           for name in column)
+                names.extend(column)
+        assert names == [spec.name for spec in specs]

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.harness.experiment import ExperimentSpec, run_experiment
-from repro.harness.figures import Series, figure2_table
-from repro.harness.report import crossover_summary, render_figure, render_table
+from repro.harness.figures import figure2_table
+from repro.harness.report import render_figure, render_table
+from repro.harness.results import ResultSet
 from repro.net.setups import SETUP_1
 from repro.stack.builder import StackSpec
 
@@ -55,7 +56,7 @@ class TestRunExperiment:
 
 class TestFigure2Table:
     def test_contains_paper_example_row(self):
-        rows = {r["n"]: r for r in figure2_table()}
+        rows = {r["n"]: r for r in figure2_table().to_rows()}
         seven = rows[7]
         assert seven["f_max (indirect MR)"] == 2
         assert seven["phase2 quorum ⌈(2n+1)/3⌉"] == 5
@@ -63,7 +64,7 @@ class TestFigure2Table:
         assert seven["f_max (original MR)"] == 3
 
     def test_indirect_never_beats_original(self):
-        for row in figure2_table():
+        for row in figure2_table().to_rows():
             assert row["f_max (indirect MR)"] <= row["f_max (original MR)"]
 
 
@@ -78,19 +79,16 @@ class TestReportRendering:
         assert render_table([]) == "(empty table)"
 
     def test_render_figure_layout(self):
-        from repro.harness.figures import FigureData
-        fig = FigureData(fig_id="figX", title="demo", xlabel="bytes")
-        s = Series(label="A")
-        s.points = [(1, 1.5), (100, 2.5)]
-        fig.panels["panel-1"] = [s]
-        out = render_figure(fig)
-        assert "figX" in out and "panel-1" in out and "2.5" in out
-
-    def test_crossover_summary(self):
-        a = Series(label="fast")
-        a.points = [(1, 1.0), (2, 3.0)]
-        b = Series(label="slow")
-        b.points = [(1, 2.0), (2, 2.5)]
-        out = crossover_summary(a, b)
-        assert "x=1: fast" in out
-        assert "x=2: slow" in out
+        panel = ResultSet({
+            "label": ["A", "A", "B"],
+            "payload": [1, 100, 1],
+            "latency.mean_ms": [1.5, 2.5, 4.0],
+        })
+        out = render_figure("1", {"panel-1": panel})
+        assert "fig1" in out and "panel-1" in out and "2.500" in out
+        # One row per x, one column per curve; a curve without a point
+        # at some x shows "-" there.
+        rows = out.splitlines()
+        assert [cell.strip() for cell in rows[-1].split(" | ")] == [
+            "100", "2.500", "-"
+        ]

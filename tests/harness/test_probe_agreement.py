@@ -63,19 +63,15 @@ class TestProbeAgreement:
         assert full.simulated_seconds == metrics.simulated_seconds
         assert full.diagnostics["events"] == metrics.diagnostics["events"]
 
-    def test_figure_assembly_rejects_latency_less_probe_sets(self):
+    def test_figure_assembly_rejects_latency_less_probe_sets(
+        self, monkeypatch
+    ):
         from repro.core.exceptions import ConfigurationError
-        from repro.harness.figures import FigureData, _run_panels, _panel_sweep, SuiteOptions
-        from repro.net.setups import SETUP_1
+        from repro.harness import figures
 
-        sweep = _panel_sweep(
-            "p", ["Indirect consensus"], 3, SETUP_1, [200.0], [1],
-            quick=True, options=SuiteOptions(metrics=("traffic",)),
-        )
-        fig = FigureData(fig_id="x", title="t", xlabel="b")
+        monkeypatch.setattr(figures, "run_suite", None)  # never reached
         with pytest.raises(ConfigurationError, match="latency"):
-            _run_panels(fig, [("p", sweep, "payload")],
-                        SuiteOptions(metrics=("traffic",)))
+            figures.run_figures(["1"], metrics=("traffic",))
 
     def test_headline_fields_agree_across_modes(self):
         full, metrics = run_pair(GOLDEN_STACKS["indirect"])

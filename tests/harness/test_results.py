@@ -182,43 +182,6 @@ class TestStrictConcat:
         assert len(concat([])) == 0
 
 
-class TestSeriesFrom:
-    def test_points_and_results_stay_aligned_when_rows_are_skipped(
-        self, suite
-    ):
-        from repro.harness.charts import series_from
-
-        rs = suite.result_set()
-        # Blank one row's y value to simulate a probe measured on only
-        # some points; the skipped row must drop from results too.
-        columns = {name: list(rs.column(name)) for name in rs.columns}
-        columns["latency.mean_ms"][0] = None
-        gapped = ResultSet(columns, results=rs.results)
-        for series in series_from(gapped, x="payload"):
-            assert len(series.points) == len(series.results)
-            for (_, y), result in zip(series.points, series.results):
-                assert y == result.metric("latency")["mean_ms"]
-
-
-class TestRenderSuiteFormats:
-    def test_unknown_format_rejected(self, suite):
-        from repro.core.exceptions import ConfigurationError
-        from repro.harness.report import render_suite
-
-        with pytest.raises(ConfigurationError, match="unknown format"):
-            render_suite(suite, format="cvs")
-
-    def test_csv_and_json_formats(self, suite):
-        import json as jsonlib
-
-        from repro.harness.report import render_suite
-
-        csv_out = render_suite(suite, format="csv")
-        assert csv_out.splitlines()[0].startswith("name,")
-        payload = jsonlib.loads(render_suite(suite, format="json"))
-        assert "summary" in payload and len(payload["rows"]) == len(suite)
-
-
 class TestCacheRoundTrip:
     def test_resultset_survives_the_on_disk_cache(self, tmp_path):
         sweep = small_sweep(payloads=(1,))

@@ -228,9 +228,9 @@ class TestRunSuite:
 
     def test_failing_point_preserves_completed_siblings(self, tmp_path):
         good = exp_spec(name="good")
-        # Degenerate window: the workload never sends inside it, so
-        # measurement raises — but only for this point.
-        bad = exp_spec(name="bad", duration=0.01, warmup=0.05)
+        # A tiny event budget: the run overruns it mid-simulation, so
+        # this point raises — but only this point.
+        bad = exp_spec(name="bad", max_events=100)
         with pytest.raises(SuiteError) as excinfo:
             run_suite([good, bad], cache_dir=tmp_path, processes=2)
         assert "bad" in str(excinfo.value)

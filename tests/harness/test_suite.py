@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.harness.experiment import ExperimentSpec
 from repro.harness.suite import SweepSpec, expand
 from repro.net.setups import SETUP_1
 from repro.stack.builder import StackSpec
@@ -26,6 +27,13 @@ def sweep(**overrides):
     )
     defaults.update(overrides)
     return SweepSpec(**defaults)
+
+
+def experiment(**overrides):
+    defaults = dict(name="unit", stack=stack(), throughput=200.0, payload=64,
+                    duration=0.3, warmup=0.05, drain=0.5)
+    defaults.update(overrides)
+    return ExperimentSpec(**defaults)
 
 
 class TestExpansion:
@@ -108,3 +116,23 @@ class TestValidation:
     def test_nonpositive_target_messages_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep(target_messages=0)
+
+    @pytest.mark.parametrize("build, overrides, message", [
+        (experiment, dict(throughput=0.0), "throughput must be > 0"),
+        (experiment, dict(throughput=-5.0), "throughput must be > 0"),
+        (experiment, dict(payload=-1), "payload must be >= 0"),
+        (experiment, dict(duration=0.0), "duration must be > 0"),
+        (experiment, dict(warmup=-0.1), "measurement window"),
+        (experiment, dict(warmup=0.3), "measurement window"),
+        (experiment, dict(drain=-0.5), "drain must be >= 0"),
+        (experiment, dict(max_events=0), "max_events must be >= 1"),
+        (sweep, dict(warmup=-0.1), "warmup must be >= 0"),
+        (sweep, dict(drain=-0.5), "drain must be >= 0"),
+        (sweep, dict(max_events=0), "max_events must be >= 1"),
+    ])
+    def test_nonsense_numbers_rejected_at_construction(
+        self, build, overrides, message
+    ):
+        build()  # the defaults are valid
+        with pytest.raises(ConfigurationError, match=message):
+            build(**overrides)
