@@ -1,12 +1,11 @@
 """Macro-benchmark: ``run_suite`` dispatch overhead on the fig-3 sweep.
 
 ``parallel_map`` is the spine of every sweep and of the explorer's
-frontier fan-out.  Before PR 7 each call span up a fresh
-``multiprocessing`` pool (workers re-import the package per call),
-pickled every item twice (a poolability probe plus the pool's own
-dispatch) and shipped work at ``chunksize=1``; the persistent
+frontier fan-out.  The persistent
 :class:`~repro.harness.runner.WorkerPool` amortises the spawn across
-calls, pickles once, and chunks adaptively.
+calls, pickles each item once, and chunks adaptively.  The e2e
+``fig3_sweep`` workload runs serially, so the pool and the warm cache
+path are measured only here.
 
 Two figures, both on the quick fig-3 grid (12 points, 2 panels):
 
@@ -18,10 +17,10 @@ Two figures, both on the quick fig-3 grid (12 points, 2 panels):
   cache: the stat/read path a warm re-run pays per point (bounded by
   the in-process LRU of :class:`~repro.harness.runner.ResultCache`,
   512 results).  The LRU's lifetime hit/miss counters
-  (:func:`repro.harness.runner.cache_stats`) are recorded in
-  ``extra_info`` so a warm-path memoisation regression (e.g. entries
-  stat-invalidating spuriously) shows in the ledger as a hit-rate
-  collapse rather than an unexplained wall-clock drift.
+  (:func:`repro.harness.runner.cache_stats`) must show more hits than
+  misses, so a warm-path memoisation regression (e.g. entries
+  stat-invalidating spuriously) fails as a hit-rate collapse rather
+  than an unexplained wall-clock drift.
 """
 
 from __future__ import annotations
@@ -29,18 +28,7 @@ from __future__ import annotations
 import tempfile
 
 from repro.harness.figures import run_figures
-
-try:  # PR 7's persistent pool; absent when benchmarking older code
-    from repro.harness.runner import shutdown_pool
-except ImportError:  # pragma: no cover - pre-PR-7 ledger runs only
-    def shutdown_pool() -> None:
-        pass
-
-try:  # PR 8's LRU counters; absent when benchmarking older code
-    from repro.harness.runner import cache_stats
-except ImportError:  # pragma: no cover - pre-PR-8 ledger runs only
-    def cache_stats() -> dict:
-        return {}
+from repro.harness.runner import cache_stats, shutdown_pool
 
 #: Pool width for the dispatch benchmark: enough to fan the 12-point
 #: grid out, small enough to exist on any CI runner.
@@ -72,13 +60,12 @@ def test_fig3_cached_rerun(benchmark):
     _cached()  # prime the cache once
     benchmark.pedantic(_cached, rounds=5, iterations=1)
     after = cache_stats()
-    if after:
-        # 5 timed rounds + the priming pass over a 12-point grid should
-        # be served from memory; the priming round's disk loads are the
-        # only expected misses.
-        hits = after["hits"] - before["hits"]
-        misses = after["misses"] - before["misses"]
-        benchmark.extra_info["lru_hits"] = hits
-        benchmark.extra_info["lru_misses"] = misses
-        benchmark.extra_info["lru_capacity"] = after["capacity"]
-        assert hits > misses, (hits, misses)
+    # 5 timed rounds + the priming pass over a 12-point grid should be
+    # served from memory; the priming round's disk loads are the only
+    # expected misses.
+    hits = after["hits"] - before["hits"]
+    misses = after["misses"] - before["misses"]
+    benchmark.extra_info["lru_hits"] = hits
+    benchmark.extra_info["lru_misses"] = misses
+    benchmark.extra_info["lru_capacity"] = after["capacity"]
+    assert hits > misses, (hits, misses)

@@ -1,8 +1,10 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Minimal setuptools entry point for an editable install.
 
-The project is fully described by ``pyproject.toml``; this file only
-enables the legacy ``pip install -e . --no-use-pep517`` path on offline
-machines whose setuptools cannot build wheels.
+There is no ``pyproject.toml`` and no package metadata here: setuptools
+finds the ``repro`` package through its ``src/`` layout discovery, so
+``pip install -e .`` works (the distribution name is ``UNKNOWN``).  The
+tests and tools run without installing anything, with
+``PYTHONPATH=src``.
 """
 
 from setuptools import setup

@@ -37,8 +37,8 @@ search tells the executor that window up front
 (:func:`expansion_window`) so the run records and fingerprints those
 steps only (see :mod:`repro.explore.scheduler`); a leaf schedule — no
 deviation budget left — records nothing.  That is most of the pruned
-search's schedules/sec figure (``benchmarks/test_explore_throughput.py``),
-and it changes no result: executing every schedule eagerly and
+search's schedules/sec figure (``explore.faulty_schedules_per_s`` of the
+e2e ``explore_hunt`` workload), and it changes no result: executing every schedule eagerly and
 expanding it with :func:`children_of` is the same search
 (``tests/explore/test_demand_driven.py``).  Children are generated
 defers first, then crashes, then tie reorders — message loss through

@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from repro.core.exceptions import ConfigurationError
 from repro.harness.experiment import (
     ExperimentResult,
     ExperimentSpec,
@@ -113,8 +114,8 @@ def _code_fingerprint() -> str:
     return _code_fingerprint_cache
 
 
-def spec_key(spec: ExperimentSpec) -> str | None:
-    """Stable content hash of a spec, or ``None`` if uncacheable.
+def spec_key(spec: ExperimentSpec) -> str:
+    """Stable content hash of a spec.
 
     The hash covers every field that influences the simulation —
     ``name`` and ``label`` are excluded, they are presentation only —
@@ -123,8 +124,11 @@ def spec_key(spec: ExperimentSpec) -> str | None:
     installed ``repro`` sources.  Declarative fault rules and
     topologies are dataclasses of primitives, so fault scenarios hash
     (and cache) like any other spec; changing a single rule changes
-    the key.  A spec carrying a non-serialisable field has no stable
-    content hash and is reported uncacheable.
+    the key.
+
+    Raises:
+        ConfigurationError: If a field does not serialise to JSON, so
+            the spec has no stable content hash.
     """
     data = dataclasses.asdict(spec)
     data.pop("name")
@@ -138,8 +142,10 @@ def spec_key(spec: ExperimentSpec) -> str | None:
             },
             sort_keys=True,
         )
-    except TypeError:
-        return None
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"spec {spec.name!r} has no content hash: {exc}"
+        ) from None
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -169,9 +175,9 @@ def cache_stats() -> dict[str, int]:
     ``hits`` are loads served from memory (after stat validation);
     ``misses`` are loads that went to disk — whether the entry was
     cold, invalidated by a changed ``stat``, or unreadable.  The
-    bench-suite dispatch benchmark records these so a regression in
-    warm-path memoisation shows up in the perf ledger, not just as a
-    mysterious wall-clock drift.
+    cached-rerun benchmark (``benchmarks/test_suite_dispatch.py``)
+    asserts hits outnumber misses, so a warm-path memoisation
+    regression fails there instead of showing as wall-clock drift.
     """
     return {
         "hits": _lru_hits,
@@ -200,14 +206,12 @@ class ResultCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def path_for(
-        self, spec: ExperimentSpec, key: str | None = None
-    ) -> Path | None:
+    def path_for(self, spec: ExperimentSpec, key: str | None = None) -> Path:
         """Cache path for ``spec`` (pass a precomputed ``key`` to avoid
         re-hashing the spec)."""
         if key is None:
             key = spec_key(spec)
-        return None if key is None else self.root / f"{key}.pkl"
+        return self.root / f"{key}.pkl"
 
     def load(
         self, spec: ExperimentSpec, key: str | None = None
@@ -220,8 +224,6 @@ class ResultCache:
         """
         global _lru_hits, _lru_misses
         path = self.path_for(spec, key)
-        if path is None:
-            return None
         try:
             stat = path.stat()
         except OSError:
@@ -256,11 +258,9 @@ class ResultCache:
         spec: ExperimentSpec,
         result: ExperimentResult,
         key: str | None = None,
-    ) -> bool:
-        """Persist ``result`` under ``spec``'s key (atomic). False if uncacheable."""
+    ) -> None:
+        """Persist ``result`` under ``spec``'s key (atomic)."""
         path = self.path_for(spec, key)
-        if path is None:
-            return False
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with tmp.open("wb") as fh:
             pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
@@ -268,9 +268,8 @@ class ResultCache:
         try:
             stat = path.stat()
         except OSError:
-            return True
+            return
         _lru_remember(path, stat.st_size, stat.st_mtime_ns, result)
-        return True
 
 
 # ----------------------------------------------------------------------
@@ -482,17 +481,14 @@ class SuiteResult:
     Accounting: ``cache_hits`` counts points served without a fresh
     simulation — from disk, or from another point of the *same call*
     with an identical content hash; ``cache_misses`` counts unique
-    points actually computed (and stored when possible);
-    ``uncacheable`` counts computed points with no content hash
-    (a spec carrying a non-serialisable field).  The three always sum
-    to ``len(self)``.
+    points actually computed (and stored when possible).  The two
+    always sum to ``len(self)``.
     """
 
     specs: list[ExperimentSpec]
     results: list[ExperimentResult]
     cache_hits: int
     cache_misses: int
-    uncacheable: int
     wall_seconds: float
 
     def __len__(self) -> int:
@@ -517,8 +513,6 @@ class SuiteResult:
         parts = [f"{len(self)} points", f"{self.cache_hits} cached"]
         computed = len(self) - self.cache_hits
         parts.append(f"{computed} computed")
-        if self.uncacheable:
-            parts.append(f"{self.uncacheable} uncacheable")
         return f"{', '.join(parts)} in {self.wall_seconds:.1f}s"
 
 
@@ -541,9 +535,8 @@ def run_suite(
             unwritable location degrades gracefully: everything runs
             live and nothing is stored.
         use_cache: Disable to force recomputation (results are still
-            stored unless the spec is uncacheable).  Points that are
-            physically identical within one call are computed once
-            either way.
+            stored).  Points that are physically identical within one
+            call are computed once either way.
 
     Returns:
         A :class:`SuiteResult` with results in input order plus cache
@@ -553,7 +546,7 @@ def run_suite(
         SuiteError: If any point fails.  Completed sibling points are
             stored first whenever the cache is usable (see the error's
             ``stored`` count), so a re-run after fixing the cause
-            recomputes only the failed and uncacheable points.
+            recomputes only the failed points.
     """
     started = time.perf_counter()
     if isinstance(suite, SweepSpec):
@@ -575,20 +568,18 @@ def run_suite(
     results: list[ExperimentResult | None] = [None] * len(specs)
     # Points sharing a content hash are computed once per call;
     # repeats of an already-grouped key count as cache hits below.
-    pending: dict[object, list[tuple[int, ExperimentSpec]]] = {}
+    pending: dict[str, list[tuple[int, ExperimentSpec]]] = {}
     hits = 0
     for index, spec in enumerate(specs):
         # Hash once per point; the same key serves lookup, in-call
         # dedup grouping, and the store after computation.
-        key: object = spec_key(spec)
-        if use_cache and cache and key is not None:
+        key = spec_key(spec)
+        if use_cache and cache:
             cached = cache.load(spec, key=key)
             if cached is not None:
                 results[index] = cached
                 hits += 1
                 continue
-        if key is None:
-            key = ("uncacheable", index)  # no content hash: never dedupe
         pending.setdefault(key, []).append((index, spec))
 
     groups = list(pending.items())
@@ -599,7 +590,6 @@ def run_suite(
     )
 
     misses = 0
-    uncacheable = 0
     stored_count = 0
     failures: list[str] = []
     for (key, group), outcome in zip(groups, computed):
@@ -609,18 +599,13 @@ def run_suite(
             # cache entries), so a re-run recomputes only this point.
             failures.append(outcome)
             continue
-        # Uncacheable groups carry a sentinel tuple key (built above);
-        # cacheable ones carry their content hash.
-        if isinstance(key, tuple):
-            uncacheable += 1
-        else:
-            misses += 1
-            if cache is not None:
-                try:
-                    if cache.store(first_spec, outcome, key=key):
-                        stored_count += 1
-                except OSError:
-                    cache = None  # went unwritable mid-run: keep results
+        misses += 1
+        if cache is not None:
+            try:
+                cache.store(first_spec, outcome, key=key)
+                stored_count += 1
+            except OSError:
+                cache = None  # went unwritable mid-run: keep results
         for position, (index, spec) in enumerate(group):
             if position == 0:
                 results[index] = outcome
@@ -638,6 +623,5 @@ def run_suite(
         results=results,  # type: ignore[arg-type]
         cache_hits=hits,
         cache_misses=misses,
-        uncacheable=uncacheable,
         wall_seconds=time.perf_counter() - started,
     )

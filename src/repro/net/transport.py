@@ -114,7 +114,8 @@ class Transport:
         The destination tuples are derived from the network's peer set
         once per attach epoch (the peer set is fixed after wiring), and
         the network validates, counts and costs the whole fan-out once
-        (see ``benchmarks/test_transport_send_path.py``).
+        (``tests/net/test_transport.py`` pins the frames against a
+        rebuild-and-sort reference).
         """
         peers = self.network.pids()
         if peers is not self._peers_snapshot:

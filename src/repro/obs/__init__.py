@@ -14,7 +14,7 @@ Three pillars, one package (see the README's "Observability" section):
   simulated-time cadence (queue depth, events executed, per-shard
   admission and goodput).  Nothing installed = the engine's drain loop
   is byte-for-byte untouched (guarded by
-  ``benchmarks/test_obs_overhead.py``).
+  ``tests/obs/test_telemetry.py::TestDisabledPath``).
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) plus CSV/JSON time-series export
   through the :class:`~repro.harness.results.ResultSet` machinery.

@@ -14,10 +14,9 @@ Two data sources, both existing seams — no hot-path edits:
 and no sampler scheduled, the engine's drain loop executes byte-for-
 byte the same code as before this module existed — the observer slot
 was already there and the fused drain never consults it.  That is
-pinned by ``benchmarks/test_obs_overhead.py`` (identical Python-level
-call counts with and without the obs objects; the 2% timing ratio is
-recorded, not asserted) and the guard style by
-``tools/hotpath_lint.py``.
+pinned by ``tests/obs/test_telemetry.py::TestDisabledPath`` (identical
+Python-level call counts with and without the obs objects) and the
+guard style by ``tools/hotpath_lint.py``.
 
 Every class here is ``__slots__``-ed (the hotpath lint asserts it):
 an *enabled* sampler still runs inside the simulation loop.

@@ -22,7 +22,7 @@ Entry points:
   rows.
 * :class:`~repro.shard.bank.BankMachine` /
   :class:`~repro.shard.bank.ShardedBank` — the worked replicated-state
-  application (``examples/replicated_bank.py``, CI ``shard-smoke``).
+  application (``examples/replicated_bank.py``).
 
 Safety lives in :mod:`repro.checkers.shard`: per-key total order across
 groups and two-group-commit atomicity, checked from the per-group

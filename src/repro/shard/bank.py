@@ -1,7 +1,7 @@
 """The sharded replicated bank — the worked application.
 
-``examples/replicated_bank.py`` (and the CI ``shard-smoke`` job) drive
-this module: every replica of every shard runs a :class:`BankMachine`
+``examples/replicated_bank.py`` (run by
+``tests/examples/test_examples_smoke.py``) drives this module: every replica of every shard runs a :class:`BankMachine`
 over its group's adelivery stream, so all replicas of a shard hold
 identical balances; :class:`ShardedBank` is the client facade that
 routes same-shard transfers as single totally-ordered operations and

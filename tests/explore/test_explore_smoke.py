@@ -7,9 +7,11 @@
 * the multiprocessing fan-out and the ResultSet/report integration
   produce the same verdicts as the serial path.
 
-The full registry matrix runs in CI's ``exploration-smoke`` job; here a
+The full registry matrix runs in CI's ``smoke`` job; here a
 representative subset keeps the tier-1 suite fast.
 """
+
+import json
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.explore import (
     replay,
 )
 from repro.harness.__main__ import main
+from repro.obs.export import validate_chrome_trace
 
 
 class TestFaultyStackRediscovery:
@@ -119,11 +122,22 @@ class TestExploreCli:
         assert "Abcast" in out
         assert "--replay" in out
 
-    def test_replay_verb_reports_the_verdict_and_exits_nonzero(self, capsys):
-        assert main(["explore", "--stack", "faulty", "--replay", "5:c2"]) == 1
+    @pytest.mark.parametrize("export", [False, True])
+    def test_replay_verb_reports_the_verdict_and_exits_nonzero(
+        self, export, tmp_path, capsys
+    ):
+        trace = tmp_path / "replay.json"
+        argv = ["explore", "--stack", "faulty", "--replay", "5:c2"]
+        if export:
+            argv += ["--export-trace", str(trace)]
+        assert main(argv) == 1
         out = capsys.readouterr().out
         assert "violated" in out
         assert "adelivered" in out
+        if export:
+            doc = json.loads(trace.read_text(encoding="utf-8"))
+            validate_chrome_trace(doc)
+            assert {"B", "E"} <= {e["ph"] for e in doc["traceEvents"]}
 
     def test_replay_of_the_default_schedule_is_clean(self, capsys):
         assert main(["explore", "--stack", "faulty", "--replay", ""]) == 0

@@ -120,7 +120,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         spec = exp_spec()
         result = run_experiment(spec)
-        assert cache.store(spec, result)
+        cache.store(spec, result)
         loaded = cache.load(spec)
         assert loaded is not None
         assert loaded.metric("latency") == result.metric("latency")
@@ -139,8 +139,17 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         spec = exp_spec()
         cache.store(spec, run_experiment(spec))
-        cache.path_for(spec).write_bytes(b"not a pickle")
-        assert cache.load(spec) is None
+        # An unreadable file, and a readable pickle that is not a
+        # result (a pre-probe entry): neither reaches the caller.
+        for blob in (b"not a pickle",
+                     pickle.dumps({"latency_ms": 1.0, "sent": 9})):
+            cache.path_for(spec).write_bytes(blob)
+            assert cache.load(spec) is None
+
+    def test_spec_without_a_content_hash_is_refused(self):
+        spec = exp_spec(name="opaque", stack=stack(params=object()))
+        with pytest.raises(ConfigurationError, match="'opaque'"):
+            spec_key(spec)
 
 
 class TestRunSuite:
@@ -187,21 +196,6 @@ class TestRunSuite:
         full = run_suite(small_sweep(), cache_dir=tmp_path)
         assert full.cache_hits == 4
         assert full.cache_misses == 4
-
-    def test_uncacheable_specs_still_run(self, tmp_path, monkeypatch):
-        # No stock spec is uncacheable any more (fault rules hash), so
-        # simulate a spec without a content key to pin the degrade path.
-        monkeypatch.setattr(
-            "repro.harness.runner.spec_key", lambda spec: None
-        )
-        spec = exp_spec()
-        suite = run_suite([spec], cache_dir=tmp_path)
-        assert suite.uncacheable == 1
-        assert suite.cache_misses == 0
-        assert suite.results[0].sent > 0
-        # And they miss again: nothing was stored.
-        again = run_suite([spec], cache_dir=tmp_path)
-        assert again.cache_hits == 0
 
     def test_use_cache_false_recomputes(self, tmp_path):
         sweep = small_sweep(payloads=(1,))

@@ -88,3 +88,38 @@ class TestSendPrimitives:
     def test_peers_lists_everyone(self):
         fabric = make_fabric(3)
         assert fabric.transports[2].peers == (1, 2, 3)
+
+
+def _naive_send_all(transport, kind, body, size, include_self=True,
+                    control=True) -> None:
+    """Reference fan-out: rebuild and re-sort the destinations per call."""
+    peers = tuple(sorted(transport.network._processes))
+    dsts = [p for p in peers if include_self or p != transport.pid]
+    transport.network.multicast(
+        transport.pid, sorted(dsts), kind, body, size, control
+    )
+
+
+def test_precomputed_and_naive_send_identical_frames():
+    """``send_all``'s cached destination tuples deliver exactly the
+    frames the rebuild-and-sort reference does, in the same order."""
+    recorded: dict[str, list[tuple]] = {"fast": [], "naive": []}
+
+    def run(label, send_all):
+        fabric = make_fabric(4, latency=1e-6)
+        for pid, transport in fabric.transports.items():
+            transport.register(
+                "t.data",
+                lambda frame, _pid=pid: recorded[label].append(
+                    (frame.src, _pid, frame.body)
+                ),
+            )
+        for i in range(50):
+            transport = fabric.transports[(i % 4) + 1]
+            send_all(transport, "t.data", body=i, size=8,
+                     include_self=(i % 3 == 0))
+        fabric.engine.run()
+
+    run("fast", lambda t, *a, **kw: t.send_all(*a, **kw))
+    run("naive", _naive_send_all)
+    assert recorded["fast"] == recorded["naive"]

@@ -189,3 +189,24 @@ class TestResultSets:
         assert table.column("series") == ("a", "a", "b")
         assert table.column("value") == (2.0, 3.0, 1.0)
         assert json.loads(table.to_json())
+
+
+class TestObsCli:
+    def test_obs_verb_exports_a_valid_timeline(self, tmp_path, capsys):
+        from repro.harness.__main__ import main
+
+        chrome = tmp_path / "trace.json"
+        telemetry = tmp_path / "telemetry.csv"
+        spans = tmp_path / "spans.csv"
+        assert main([
+            "obs", "--stack", "indirect", "--period", "0.005",
+            "--export", "chrome", str(chrome),
+            "--export", "csv", str(telemetry),
+            "--export", "spans-csv", str(spans),
+        ]) == 0
+        assert "exported spans-csv" in capsys.readouterr().out
+        doc = json.loads(chrome.read_text(encoding="utf-8"))
+        validate_chrome_trace(doc)
+        assert {"B", "E"} <= {event["ph"] for event in doc["traceEvents"]}
+        for table in (telemetry, spans):
+            assert len(table.read_text(encoding="utf-8").splitlines()) > 1

@@ -22,6 +22,7 @@ from repro.obs.telemetry import (
 )
 from repro.shard.router import Router, completion_stats
 from repro.sim.engine import Engine
+from tests.helpers import count_calls
 
 
 class TestRegistry:
@@ -175,3 +176,51 @@ class TestSampler:
             assert series.values == other.values, name
         assert first.spans == second.spans
         assert len(first.telemetry) > 0 and len(first.spans) > 0
+
+
+def _noop() -> None:
+    pass
+
+
+class TestDisabledPath:
+    """Obs available but not enabled costs the drain nothing.
+
+    Telemetry, a queue observer and an un-installed sampler are built
+    beside the engine, and the drain must make exactly the Python-level
+    calls of a plain engine: a hook that fired, or a wrapper left on
+    the path, shows as a count difference on every machine.  The
+    structural half (every observer call under an ``is not None``
+    guard) is ``tools/hotpath_lint.py``.
+    """
+
+    EVENTS = 50_000
+
+    def _drain_calls(self, with_obs: bool) -> int:
+        engine = Engine()
+        if with_obs:
+            telemetry = Telemetry()
+            queue_telemetry = QueueTelemetry()
+            sampler = TelemetrySampler(engine, telemetry, queue=queue_telemetry)
+            assert not sampler.installed and engine.equeue.observer is None
+        push = engine.equeue.push_entry
+        for i in range(self.EVENTS):
+            push(i * 1e-6, _noop, ())
+        _, calls = count_calls(
+            lambda: engine.run(max_events=self.EVENTS + 1),
+            lambda _code: "call",
+        )
+        assert engine.events_executed == self.EVENTS
+        if with_obs:
+            assert len(telemetry) == 0 and queue_telemetry.pushes == 0
+        return calls["call"]
+
+    def test_obs_off_drain_within_budget(self):
+        plain_calls = self._drain_calls(with_obs=False)
+        obs_off_calls = self._drain_calls(with_obs=True)
+        # One call per event (the no-op payload) plus the run's entry
+        # frames; a second per-event call would push this past 2x.
+        assert self.EVENTS <= plain_calls < 2 * self.EVENTS
+        assert obs_off_calls == plain_calls, (
+            f"obs-off drain made {obs_off_calls} Python-level calls for "
+            f"{self.EVENTS} events, the plain drain {plain_calls}"
+        )

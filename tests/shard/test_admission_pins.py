@@ -67,4 +67,6 @@ def test_delay_run_schedules_one_forward_per_admission_and_one_expiry(
     assert service.run_until_quiescent(timeout=1.0)
     assert sum(router.delayed) > 150  # most arrivals waited in the queue
     assert sum(router.shed) == 0
+    assert router.admitted == router.offered  # every parked op admitted
     assert scheduled == {"_forward": sum(router.admitted), "_expire": 1}
+    service.check()

@@ -1,7 +1,7 @@
 """Whole-system determinism: identical specs + seeds => identical traces.
 
 This is the regression guarantee every reproduced figure and every
-perf-ledger number rests on, so it is asserted at full-stack granularity for
+benchmark number rests on, so it is asserted at full-stack granularity for
 several stack variants, including runs with crashes.
 """
 

@@ -129,6 +129,27 @@ class TestCancellation:
         handle.cancel()
         assert engine.pending() == 1
 
+    def test_default_scheduler_preserves_order_and_results(self):
+        """The controlled loop with the base Scheduler replays the
+        default loop's (time, seq) order exactly."""
+        order_default: list[int] = []
+        order_controlled: list[int] = []
+
+        def drive(sink: list[int], controlled: bool) -> None:
+            engine = Engine()
+            if controlled:
+                engine.install_scheduler(Scheduler())
+            engine.schedule(0.2, sink.append, 3)
+            engine.schedule(0.1, sink.append, 1)
+            engine.schedule(0.1, sink.append, 2)
+            cancelled = engine.schedule(0.15, sink.append, 99)
+            cancelled.cancel()
+            engine.run()
+
+        drive(order_default, controlled=False)
+        drive(order_controlled, controlled=True)
+        assert order_default == order_controlled == [1, 2, 3]
+
 
 class TestRunControl:
     def test_until_stops_and_advances_clock(self):

@@ -31,7 +31,7 @@ enforces:
 
 All four are trivially easy to regress with an innocent-looking edit,
 and no such regression fails a functional test — they just quietly
-give back the ledger's ns/event (``tests/net/test_frame_path_budget.py``
+give back ns/event (``tests/net/test_frame_path_budget.py``
 pins the resulting call counts).  CI runs this script so the
 regression is loud instead.
 
@@ -94,8 +94,8 @@ PIPELINE_GUARDS = frozenset({"armed", "has_delay"})
 #: Observer lifecycle hooks the obs layer may subscribe to.  Any call
 #: of one of these inside an observer-bearing method must sit under an
 #: ``if <name> is not None:`` guard, so the obs-off path stays a
-#: single local-is-None test — the discipline the ≤2% overhead budget
-#: of ``benchmarks/test_obs_overhead.py`` depends on.
+#: single local-is-None test — the discipline the obs-off call-count
+#: pin of ``tests/obs/test_telemetry.py::TestDisabledPath`` depends on.
 OBSERVER_HOOKS = frozenset(
     {"on_push", "on_cancel", "on_fire", "on_defer", "on_block", "on_release"}
 )
