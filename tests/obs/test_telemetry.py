@@ -123,6 +123,26 @@ class TestSampler:
         times = telemetry.get("queue.depth").times
         assert times == pytest.approx([0.02, 0.04, 0.06, 0.08, 0.1])
 
+    def test_installed_sampler_rides_a_prefilled_drain(self):
+        # The enabled path: ticks interleave with bare queue entries,
+        # each tick one event of its own, and the sampled depth falls
+        # as the drain consumes the prefill.
+        events, ticks = 2_000, 20
+        engine = Engine()
+        telemetry = Telemetry()
+        TelemetrySampler(engine, telemetry).install(
+            period=events * 1e-6 / ticks, until=events * 1e-6
+        )
+        push = engine.equeue.push_entry
+        for i in range(events):
+            push(i * 1e-6, _noop, ())
+        engine.run()
+        assert engine.events_executed == events + ticks
+        depth = telemetry.get("queue.depth").values
+        assert len(depth) == ticks
+        assert all(later < earlier for earlier, later in zip(depth, depth[1:]))
+        assert depth[-1] == 0.0
+
     def test_router_series_read_public_state_and_the_window_function(self):
         engine = Engine()
         groups = [SimpleNamespace(config=SimpleNamespace(processes=()),
@@ -200,7 +220,9 @@ class TestDisabledPath:
         if with_obs:
             telemetry = Telemetry()
             queue_telemetry = QueueTelemetry()
-            sampler = TelemetrySampler(engine, telemetry, queue=queue_telemetry)
+            sampler = TelemetrySampler(
+                engine, telemetry, queue=queue_telemetry
+            )
             assert not sampler.installed and engine.equeue.observer is None
         push = engine.equeue.push_entry
         for i in range(self.EVENTS):

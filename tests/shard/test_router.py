@@ -13,7 +13,11 @@ from repro.core.message import make_payload
 from repro.harness.runner import parallel_map
 from repro.shard.router import Router, completion_stats, shard_for
 from repro.shard.service import ShardSpec, build_sharded_system
-from repro.shard.sweep import ShardSweepSpec, run_shard_point
+from repro.shard.sweep import (
+    ShardSweepSpec,
+    run_shard_point,
+    run_shard_sweep,
+)
 from repro.stack.builder import StackSpec
 
 
@@ -278,6 +282,50 @@ class TestAdmission:
         assert [router.offered[0], router.offered[1]] == [1, 1]
         assert len(router.completions[0]) == 1
         assert len(router.completions[1]) == 1
+
+
+def _ramp(admission):
+    """(offered, goodput, shed, sojourn p99 ms) per point of a
+    two-shard offered-load ramp that crosses the service's capacity."""
+    spec = ShardSweepSpec(
+        name=f"ramp-{admission}",
+        stack=StackSpec(n=3, abcast="indirect", consensus="ct-indirect",
+                        seed=7),
+        shards=(2,), offered_loads=(500.0, 1500.0, 3000.0, 5000.0),
+        duration=0.25, warmup=0.05, drain=0.25,
+        router_capacity=32, admission=admission,
+    )
+    curve = []
+    rows = run_shard_sweep(spec, processes=1)
+    for (offered,), point in rows.group_by("offered").items():
+        curve.append((
+            offered,
+            sum(point.column("shard.goodput")),
+            sum(point.column("shard.shed")),
+            point.column("admission.sojourn_p99_ms")[0],
+        ))
+    return sorted(curve)
+
+
+class TestSaturation:
+    def test_shed_ramp_brackets_the_saturation_knee(self):
+        curve = _ramp("shed")
+        served = [offered for offered, goodput, _, _ in curve
+                  if goodput >= 0.9 * offered]
+        # The lowest load is served and the highest is not, so the
+        # ramp brackets capacity; past it the policy sheds.
+        assert served and served[0] == curve[0][0], curve
+        assert max(served) < curve[-1][0], curve
+        assert curve[0][2] == 0 and curve[-1][2] > 0, curve
+
+    def test_delay_parks_the_overload_that_shed_drops(self):
+        shed_top = _ramp("shed")[-1]
+        delay_top = _ramp("delay")[-1]
+        # At 2.5x the shed knee the delay policy admits what shed
+        # drops and pays for it in sojourn time.
+        assert delay_top[2] < shed_top[2], (delay_top, shed_top)
+        assert delay_top[1] > shed_top[1], (delay_top, shed_top)
+        assert delay_top[3] > shed_top[3], (delay_top, shed_top)
 
 
 class TestCompletionStats:

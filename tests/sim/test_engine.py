@@ -297,6 +297,7 @@ class PassiveAfter(Decides):
 #: One scheduler factory per run path ``Engine.run`` can take.
 RUN_PATHS = {
     "drain": lambda: None,
+    "pure-default": Scheduler,
     "decided": Decides,
     "singleton": WavesOff,
     "passive-handoff": lambda: PassiveAfter(30),
@@ -314,6 +315,83 @@ def livelocked(path):
     engine.schedule(0.0, spin, engine)
     engine.schedule(5.0, lambda: None)
     return engine
+
+
+class TestEveryPathFiresEveryEvent:
+    """Each run path fires each live event exactly once, in key order."""
+
+    EVENTS = 600
+
+    @pytest.mark.parametrize("path", sorted(RUN_PATHS))
+    def test_entries_and_handles_fire_once_in_time_then_seq_order(self, path):
+        engine = Engine()
+        fired = []
+        expected = []
+        for i in range(self.EVENTS):
+            # Fifty distinct times, so every time carries ties.
+            when = (i % 50) * 1e-3
+            if i % 2:
+                engine.equeue.push_entry(when, fired.append, (i,))
+                expected.append((when, i))
+            else:
+                handle = engine.schedule_at(when, fired.append, i)
+                if i % 7 == 0:
+                    handle.cancel()
+                else:
+                    expected.append((when, i))
+        engine.install_scheduler(RUN_PATHS[path]())
+        engine.run()
+        assert fired == [i for _, i in sorted(expected)]
+        assert engine.events_executed == len(expected)
+        assert engine.pending() == 0
+
+    def test_chains_rescheduled_from_callbacks_fire_exact_counts(self):
+        engine = Engine()
+        fired = 0
+
+        def tick(depth: int) -> None:
+            nonlocal fired
+            fired += 1
+            if depth > 0:
+                engine.schedule(0.001, tick, depth - 1)
+
+        roots = [engine.schedule(0.0005 * (i % 97), tick, 9)
+                 for i in range(200)]
+        for root in roots[::7]:
+            root.cancel()
+        engine.run()
+        # 29 of the 200 roots are cancelled; every other one fires a
+        # chain of ten.
+        assert fired == engine.events_executed == (200 - 29) * 10
+        assert engine.now == pytest.approx(0.0005 * 96 + 9 * 0.001)
+
+    def test_rearmed_watchdogs_expire_only_after_the_last_heartbeat(self):
+        processes, rounds = 32, 40
+        timeout, interval = 0.060, 0.020
+        engine = Engine()
+        beats = [0] * processes
+        expired = []
+        watchdogs = [None] * processes
+
+        def heartbeat(pid: int, remaining: int) -> None:
+            beats[pid] += 1
+            if watchdogs[pid] is not None:
+                watchdogs[pid].cancel()
+            watchdogs[pid] = engine.schedule(timeout, expire, pid)
+            if remaining > 0:
+                engine.schedule(interval, heartbeat, pid, remaining - 1)
+
+        def expire(pid: int) -> None:
+            expired.append(pid)
+
+        for pid in range(processes):
+            engine.schedule(interval * pid / processes, heartbeat, pid, rounds)
+        engine.run()
+        assert beats == [rounds + 1] * processes
+        # Each re-arm cancelled the previous watchdog in time, so only
+        # the final one per process fires, in heartbeat order.
+        assert expired == list(range(processes))
+        assert engine.pending() == 0
 
 
 class TestLifetimeBudget:
