@@ -56,7 +56,6 @@ SWEEP = SweepSpec(
     target_messages=60,
     warmup=0.05,
     drain=0.5,
-    safety_checks=False,  # lossy/partitioned traces are not quiescent
 )
 
 

@@ -136,8 +136,8 @@ class SequencerAtomicBroadcast:
         self._seq = 0
         self._callbacks: list[ADeliverCallback] = []
 
-        transport.register("seq.fwd", self._on_fwd)
-        transport.register("seq.order", self._on_order)
+        transport.register("seq.fwd.data", self._on_fwd)
+        transport.register("seq.order.data", self._on_order)
         transport.register("seq.wedge", self._on_wedge)
         transport.register("seq.state", self._on_state)
         transport.register("seq.seal", self._on_seal)
@@ -210,7 +210,7 @@ class SequencerAtomicBroadcast:
             return
         self.transport.send(
             self.sequencer_of(self.epoch),
-            "seq.fwd",
+            "seq.fwd.data",
             body=message,
             size=message.wire_size(),
             control=False,
@@ -235,7 +235,7 @@ class SequencerAtomicBroadcast:
         seqno = self.next_seq
         self.next_seq += 1
         self.transport.send_all(
-            "seq.order",
+            "seq.order.data",
             body=(self.epoch, seqno, message),
             size=message.wire_size() + SEQUENCER_HEADER_SIZE,
             include_self=False,
@@ -278,7 +278,7 @@ class SequencerAtomicBroadcast:
             # adelivers has already pushed the ordering to everybody,
             # which is what Uniform agreement rests on.
             self.transport.send_all(
-                "seq.order",
+                "seq.order.data",
                 body=(epoch, seqno, message),
                 size=message.wire_size() + SEQUENCER_HEADER_SIZE,
                 include_self=False,
@@ -529,7 +529,7 @@ class SequencerAtomicBroadcast:
             epoch, message = entry
             self.transport.send(
                 frame.src,
-                "seq.order",
+                "seq.order.data",
                 body=(epoch, seqno, message),
                 size=message.wire_size() + SEQUENCER_HEADER_SIZE,
                 control=False,

@@ -85,22 +85,24 @@ class AbcastChecker:
                 )
 
     def check_uniform_total_order(self) -> None:
-        """Pairwise delivery orders never contradict, at any process pair.
+        """If some process adelivers ``m`` before ``m'``, every process
+        adelivers ``m'`` only after ``m`` — at any process pair.
 
-        Implementation: for each pair of processes, restrict both
-        sequences to their common messages; the restrictions must be
-        identical lists.  (O(L log L) per pair via position maps.)
+        Implementation: for each pair of processes, with ``k`` the number
+        of messages both adelivered, the first ``k`` entries of both
+        sequences must be equal.  That is the property itself, not just
+        agreement on the relative order of the common messages: a
+        process that adelivered ``m'`` without ``m`` before it, where
+        another adelivered ``m`` then ``m'``, has broken it even if it
+        crashed before ``m`` could reach it.  (O(L) per pair.)
         """
-        positions: dict[ProcessId, dict[MessageId, int]] = {
-            p: {mid: i for i, mid in enumerate(seq)}
-            for p, seq in self._sequences.items()
-        }
+        delivered = {p: set(seq) for p, seq in self._sequences.items()}
         processes = [p for p, seq in self._sequences.items() if seq]
         for i, p in enumerate(processes):
             for q in processes[i + 1 :]:
-                common = positions[p].keys() & positions[q].keys()
-                by_p = sorted(common, key=lambda mid: positions[p][mid])
-                by_q = sorted(common, key=lambda mid: positions[q][mid])
+                k = len(delivered[p] & delivered[q])
+                by_p = self._sequences[p][:k]
+                by_q = self._sequences[q][:k]
                 if by_p != by_q:
                     divergence = next(
                         (a, b) for a, b in zip(by_p, by_q) if a != b

@@ -15,21 +15,13 @@ populates the store.  The trace checkers verify this end to end.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
 from repro.core.identifiers import IdWatermark, MessageId
 from repro.core.message import AppMessage
 
 #: Type of the ``rcv`` predicate handed to ``propose(v, rcv)``.
 RcvFunction = Callable[[Iterable[MessageId]], bool]
-
-
-class ReceivedStoreProbe(Protocol):
-    """Read-only view of a process's received-message store."""
-
-    def has(self, mid: MessageId) -> bool: ...  # pragma: no cover
-
-    def get(self, mid: MessageId) -> AppMessage | None: ...  # pragma: no cover
 
 
 class ReceivedStore:

@@ -17,6 +17,7 @@ on to push the algorithms into higher rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.core.exceptions import ConfigurationError
@@ -139,11 +140,10 @@ class OracleFailureDetector(FailureDetector):
 
     def observe_crash_of(self, target: SimProcess) -> None:
         """Arrange to suspect ``target`` ``detection_delay`` after it crashes."""
-        target.on_crash(
-            lambda: self.process.schedule(
-                self.detection_delay, self._suspect, target.pid
-            )
-        )
+        target.on_crash(partial(self._suspect_later, target.pid))
+
+    def _suspect_later(self, target: ProcessId) -> None:
+        self.process.schedule(self.detection_delay, self._suspect, target)
 
 
 def wire_oracle_detectors(

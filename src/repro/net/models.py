@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.core.exceptions import ConfigurationError
@@ -48,7 +49,7 @@ from repro.net.faults import DelayRule, FaultPipeline
 from repro.net.frame import FRAME_HEADER_SIZE, Frame, _next_seq, _tuple_new
 from repro.net.topology import Topology
 from repro.sim.engine import Engine, EventHandle
-from repro.sim.equeue import ARGS, FN, PENDING, STATE
+from repro.sim.equeue import PENDING, STATE
 from repro.sim.resources import FifoResource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -134,19 +135,6 @@ class Network:
         self.frames_sent: dict[str, int] = {}
         self.bytes_sent: dict[str, int] = {}
         self.frames_dropped = 0
-        # Same-(time, destination) delivery coalescing (see
-        # _schedule_delivery_at).  Disabled under the lost-socket-buffers
-        # policy: in-flight tracking must be able to cancel each frame
-        # individually.
-        self._batching = not drop_in_flight_of_crashed_sender
-        # The open batch's heap entry (see EventQueue.push_entry),
-        # only touched while ``_batch_seq == queue.seq`` proves nothing
-        # was scheduled since it was pushed.
-        self._batch_entry: list | None = None
-        self._batch_frames: list[Frame] | None = None
-        self._batch_time = -1.0
-        self._batch_dst = -1
-        self._batch_seq = -1
 
     # ------------------------------------------------------------------
     # Wiring
@@ -170,7 +158,7 @@ class Network:
         self._in_flight[process.pid] = []
         self._in_flight_prune[process.pid] = 64
         if self.drop_in_flight_of_crashed_sender:
-            process.on_crash(lambda pid=process.pid: self._drop_in_flight(pid))
+            process.on_crash(partial(self._drop_in_flight, process.pid))
 
     def process(self, pid: ProcessId) -> "SimProcess":
         return self._processes[pid]
@@ -197,7 +185,6 @@ class Network:
         self._processes = {}
         self._handlers = {}
         self._in_flight = {}
-        self._batch_entry = self._batch_frames = None
 
     # ------------------------------------------------------------------
     # Send path
@@ -301,72 +288,6 @@ class Network:
         flight[:] = [h for h in flight if h[STATE] == PENDING]
         self._in_flight_prune[src] = max(64, 2 * len(flight))
 
-    def _schedule_delivery_at(self, time: float, frame: Frame) -> list:
-        """Schedule ``frame``'s delivery at absolute ``time``, coalescing
-        back-to-back frames due at the same (time, destination) into one
-        event draining a batch list.
-
-        The coalescing condition is *seq-adjacency*: the previous
-        delivery must be the queue's most recent schedule
-        (``queue.seq`` unchanged since).  That is what keeps batching
-        bit-identical — no other event's ``(time, seq)`` key can sit
-        between the coalesced frames, so draining them consecutively
-        from one callback is exactly the order the unbatched engine
-        would have produced.  The batch is closed the moment anything
-        else is scheduled, the time or destination differs, or the
-        event has started executing (its entry no longer
-        :data:`~repro.sim.equeue.PENDING`), which also covers a
-        same-time send issued *from within* the batch's own drain.
-
-        This is the one-allocation path: deliveries are bare heap
-        entries (:meth:`~repro.sim.equeue.EventQueue.push_entry`), and
-        the batch edits its entry in place.  With the engine annotating
-        (explorer installed) every frame keeps its own annotated event
-        so the scheduler seam can defer frames individually; under the
-        lost-socket-buffers policy batching is off so in-flight
-        tracking can cancel per frame — both of those paths return a
-        real :class:`EventHandle`.
-        """
-        engine = self.engine
-        if engine.annotating:
-            # The annotation is the scheduler seam: an installed
-            # repro.explore Scheduler recognises frame-delivery events
-            # by their Frame info and may reorder or defer them.
-            return engine.schedule_at(time, self._deliver, frame).annotate(frame)
-        if not self._batching:
-            return engine.schedule_at(time, self._deliver, frame)
-        queue = engine.equeue
-        entry = self._batch_entry
-        if (
-            self._batch_seq == queue.seq
-            and self._batch_time == time
-            and self._batch_dst == frame.dst
-            and entry[STATE] == PENDING
-        ):
-            frames = self._batch_frames
-            if frames is None:
-                # Upgrade the pending single delivery in place: the
-                # already-queued event keeps its (time, seq) key and
-                # now drains a batch list instead of one frame.
-                self._batch_frames = frames = [entry[ARGS][0], frame]
-                entry[FN] = self._deliver_batch
-                entry[ARGS] = (frames,)
-            else:
-                frames.append(frame)
-            return entry
-        entry = queue.push_entry(time, self._deliver, (frame,))
-        self._batch_entry = entry
-        self._batch_frames = None
-        self._batch_time = time
-        self._batch_dst = frame.dst
-        self._batch_seq = queue.seq
-        return entry
-
-    def _deliver_batch(self, frames: list) -> None:
-        deliver = self._deliver
-        for frame in frames:
-            deliver(frame)
-
     def _deliver(self, frame: Frame) -> None:
         """Hand ``frame`` to the destination's handler for its kind
         (dropped if the destination crashed)."""
@@ -449,7 +370,13 @@ class ConstantLatencyNetwork(Network):
             delay += rule.extra
         if self._routed and self._segment[frame.src] != self._segment[frame.dst]:
             delay += self.topology.router_latency
-        handle = self._schedule_delivery_at(self.engine.now + delay, frame)
+        engine = self.engine
+        handle = engine.schedule(delay, self._deliver, frame)
+        if engine.annotating:
+            # The annotation is the scheduler seam: an installed
+            # repro.explore Scheduler recognises frame-delivery events
+            # by their Frame info and may reorder or defer them.
+            handle.info = frame
         if self.drop_in_flight_of_crashed_sender:
             # Remembered so the sender's crash can void it.
             flight = self._in_flight[frame.src]
@@ -609,18 +536,7 @@ class ContentionNetwork(Network):
         if dst.crashed:
             self.frames_dropped += 1
             return
-        if recv or self.engine.annotating or not self._batching:
-            # A positive receive cost finishes every job on this CPU
-            # strictly after the one before, so no delivery to this
-            # destination can share the time of the last one: the
-            # coalescing path could never engage.
-            dst.cpu.stage(recv, self._deliver, (frame,))
-            return
-        # Zero-cost receive: charge the CPU, then schedule the delivery
-        # through the coalescing path — back-to-back completions at the
-        # same instant (and destination) drain as one event.  Same
-        # (time, seq) as the staged callback would have had.
-        self._schedule_delivery_at(dst.cpu.occupy(recv), frame)
+        dst.cpu.stage(recv, self._deliver, (frame,))
 
     def charge_rcv_lookups(self, pid: ProcessId, lookups: int) -> None:
         """Charge CPU time for ``lookups`` rcv() identifier lookups at ``pid``.

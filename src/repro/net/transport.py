@@ -13,7 +13,7 @@ path: a crashed process's handlers are never invoked.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import ProcessId
@@ -81,26 +81,6 @@ class Transport:
         """Send one frame to ``dst`` (which may be this process itself)."""
         self._net_multicast(self.pid, (dst,), kind, body, size, control)
 
-    def multicast(
-        self,
-        dsts: Iterable[ProcessId],
-        kind: str,
-        body: Any,
-        size: int,
-        control: bool = True,
-    ) -> None:
-        """Send one frame per destination, in ascending pid order.
-
-        Multicast on a LAN without IP multicast is n unicasts; each copy
-        is charged separately by the network model, which is what makes
-        O(n) vs O(n**2) broadcast algorithms measurably different.
-
-        Arbitrary destination sets pay a ``sorted`` per call; the
-        broadcast hot path is :meth:`send_all`, which hands over
-        precomputed sorted tuples instead.
-        """
-        self._net_multicast(self.pid, sorted(dsts), kind, body, size, control)
-
     def send_all(
         self,
         kind: str,
@@ -111,7 +91,9 @@ class Transport:
     ) -> None:
         """Send to every attached process (optionally skipping self).
 
-        The destination tuples are derived from the network's peer set
+        A LAN without IP multicast sends n unicasts, each charged
+        separately by the network model, which is what makes O(n) vs
+        O(n**2) broadcast algorithms measurably different.  The destination tuples are derived from the network's peer set
         once per attach epoch (the peer set is fixed after wiring), and
         the network validates, counts and costs the whole fan-out once
         (``tests/net/test_transport.py`` pins the frames against a

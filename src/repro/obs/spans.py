@@ -227,14 +227,6 @@ class SpanRecorder(Probe):
         """Record one accepted two-group-commit vote instant."""
         self._votes.append((time, shard, txid, vote))
 
-    def vote_hook(self, engine: Any):
-        """A ``TwoGroupCommit.on_vote`` callback stamping ``engine.now``."""
-
-        def callback(shard: int, txid: str, vote: bool) -> None:
-            self.note_vote(engine.now, shard, txid, vote)
-
-        return callback
-
     # ------------------------------------------------------------------
     # Finalization
     # ------------------------------------------------------------------

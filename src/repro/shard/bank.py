@@ -16,6 +16,7 @@ first vote it hears per leg.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.exceptions import ConfigurationError
@@ -26,6 +27,7 @@ from repro.shard.router import shard_for
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.message import AppMessage
     from repro.shard.service import ShardedSystem
+    from repro.sim.process import SimProcess
 
 
 class BankMachine:
@@ -144,27 +146,28 @@ def attach_machines(
         initial = balances_for(shard)
         for pid in group.config.processes:
             machine = machines[(shard, pid)] = BankMachine(initial)
-
-            def handler(
-                message: "AppMessage",
-                _shard: int = shard,
-                _pid: object = pid,
-                _machine: BankMachine = machine,
-                _group=group,
-            ) -> None:
-                content = message.payload.content
-                vote = _machine.on_deliver(content)
-                if vote is not None:
-                    _group.processes[_pid].schedule(
-                        vote_latency,
-                        service.commit.report_vote,
-                        _shard,
-                        content.txid,
-                        vote,
-                    )
-
-            group.abcasts[pid].on_adeliver(handler)
+            group.abcasts[pid].on_adeliver(partial(
+                _apply_and_vote, machine, group.processes[pid],
+                service.commit.report_vote, shard, vote_latency,
+            ))
     return machines
+
+
+def _apply_and_vote(
+    machine: BankMachine,
+    process: "SimProcess",
+    report_vote: Callable[..., None],
+    shard: int,
+    vote_latency: float,
+    message: "AppMessage",
+) -> None:
+    """One replica's adelivery: apply it to ``machine``; a prepare's
+    vote reaches ``report_vote`` after ``vote_latency`` through
+    ``process``'s crash-guarded timer."""
+    content = message.payload.content
+    vote = machine.on_deliver(content)
+    if vote is not None:
+        process.schedule(vote_latency, report_vote, shard, content.txid, vote)
 
 
 class ShardedBank:

@@ -14,12 +14,11 @@ method call per event).
 ``[time, seq, fn, args, state]`` (positions :data:`TIME` …
 :data:`STATE`).  ``heapq`` compares the leading ``(time, seq)`` pair in
 C; ``seq`` is unique per queue, so the comparison never reaches ``fn``.
-The entry is the only allocation a fire-and-forget event makes — resource
-completions and frame deliveries push through :meth:`EventQueue.push_entry`
-and the network's delivery batching edits a still-pending entry in place
-(``entry[FN]`` / ``entry[ARGS]``; same key, so same order).  ``state``
-is the lifecycle: :data:`PENDING`, :data:`CANCELLED` or
-:data:`FINISHED`.
+The entry is the only allocation a fire-and-forget event makes
+(:meth:`EventQueue.push_entry`, or the same push inlined in
+:meth:`~repro.sim.resources.FifoResource.stage` for resource
+completions).  ``state`` is the lifecycle: :data:`PENDING`,
+:data:`CANCELLED` or :data:`FINISHED`.
 
 **Handles are entries too.**  :meth:`EventQueue.push` — the cancelable
 ``Engine.schedule`` / ``schedule_at`` path — stores an
@@ -180,9 +179,7 @@ class EventQueue:
         """Schedule a fire-and-forget ``fn(*args)``; returns the bare entry.
 
         The entry cannot be cancelled; its holder may read
-        ``entry[STATE]`` and, while it is still :data:`PENDING`, swap
-        ``entry[FN]`` / ``entry[ARGS]`` (the network's delivery
-        batching does both).
+        ``entry[STATE]``.
         """
         self.seq = seq = self.seq + 1
         entry = [time, seq, fn, args, PENDING]

@@ -28,6 +28,7 @@ Factory calling conventions (enforced by the composer):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Iterator
 
 from repro.abcast.faulty_ids import FaultyIdsAtomicBroadcast
@@ -267,10 +268,7 @@ def _build_reduction_stack(ctx: "BuildContext", pid, abcast_cls):
     transport = ctx.transports[pid]
     charge_rcv = None
     if isinstance(ctx.network, ContentionNetwork):
-        network = ctx.network
-        charge_rcv = (
-            lambda lookups, _pid=pid: network.charge_rcv_lookups(_pid, lookups)
-        )
+        charge_rcv = partial(ctx.network.charge_rcv_lookups, pid)
     consensus_entry = CONSENSUS.get(spec.consensus)
     consensus = consensus_entry["cls"](
         transport,
@@ -349,8 +347,8 @@ ABCASTS.register(
     "fixed-sequencer ordering with FD-driven epoch handover (no consensus)",
     factory=_build_sequencer_stack,
     frame_kinds=(
-        "seq.fwd", "seq.order", "seq.wedge", "seq.state", "seq.seal",
-        "seq.sync", "seq.repair",
+        "seq.fwd.data", "seq.order.data", "seq.wedge", "seq.state",
+        "seq.seal", "seq.sync", "seq.repair",
     ),
     meta={
         "compatible_consensus": ("none",),

@@ -46,7 +46,7 @@ class LayerEntry:
             the calling convention per family; see
             :mod:`repro.stack.layers`).
         frame_kinds: Wire frame kinds this layer owns when mounted
-            (``"rb1.data"``, ``"seq.order"``, ...).  Declarative: the
+            (``"rb1.data"``, ``"seq.order.data"``, ...).  Declarative: the
             transport still enforces uniqueness at runtime, but the
             registry can report ownership without building anything.
         validate_spec: Optional hook run at ``StackSpec`` construction;

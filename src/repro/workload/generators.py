@@ -13,6 +13,7 @@ Both generators are registered in the ``workload`` layer registry
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.exceptions import ConfigurationError
@@ -200,7 +201,7 @@ class ClosedLoopWorkload:
         armed = 0
         for pid in self.system.config.processes:
             self.system.abcasts[pid].on_adeliver(
-                lambda message, _pid=pid: self._on_adeliver(_pid, message)
+                partial(self._on_adeliver, pid)
             )
             think = self._think_time(pid)
             first = self.start + think

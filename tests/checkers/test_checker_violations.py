@@ -373,6 +373,33 @@ def test_v_stability_counts_holders_that_crashed_after_receiving():
     assert trace.holders_at(IDS1, 0.1, include_crashed=True) == frozenset({1, 2})
 
 
+def test_uniform_total_order_forbids_skipping_a_message_before_a_crash():
+    """p1 adelivers a then b and crashes; p2 and p3 adeliver a, c, b.
+    Each pair agrees on the relative order of what both delivered, but
+    p1 adelivered b without c before it, which the property forbids."""
+    a, b, c = msg(1), msg(2), msg(3)
+    events = [ABroadcastEvent(time=0.0, process=m.sender, message=m)
+              for m in (a, b, c)]
+    events += [
+        ADeliverEvent(time=0.1, process=1, message=a),
+        ADeliverEvent(time=0.2, process=1, message=b),
+        CrashEvent(time=0.3, process=1),
+    ]
+    for process in (2, 3):
+        events += [
+            ADeliverEvent(time=0.1, process=process, message=a),
+            ADeliverEvent(time=0.2, process=process, message=c),
+            ADeliverEvent(time=0.3, process=process, message=b),
+        ]
+    checker = AbcastChecker(trace_of(*events), CFG3)
+    with pytest.raises(
+        ProtocolViolationError,
+        match=r"Uniform total order.*p1 and p2 .* contradictory orders "
+        r"around \(MessageId\(origin=2",
+    ):
+        checker.check_all(expect_quiescent=True)
+
+
 # ----------------------------------------------------------------------
 # The linearised checks against their definitions.
 #

@@ -11,11 +11,12 @@ import pickle
 import pytest
 
 from repro.analysis.traffic import TrafficBreakdown, traffic_breakdown
+from repro import CrashSchedule, SymmetricWorkload, build_system
 from repro.core.exceptions import ConfigurationError
 from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.report import render_resultset
 from repro.harness.runner import run_suite, spec_key
-from repro.harness.suite import SweepSpec
+from repro.harness.suite import SweepSpec, registry_variants
 from repro.metrics.probes import (
     DEFAULT_PROBES,
     PROBES,
@@ -23,6 +24,7 @@ from repro.metrics.probes import (
     Probe,
     is_data_kind,
 )
+from repro.net.models import Network
 from repro.net.setups import SETUP_1
 from repro.net.topology import Topology
 from repro.stack.builder import StackSpec
@@ -232,3 +234,35 @@ class TestCustomProbeEndToEnd:
         assert full.metrics["test-data-frames"] == (
             light.metrics["test-data-frames"]
         )
+
+
+@pytest.mark.parametrize("variant", [
+    pytest.param(variant, id=label)
+    for label, variant in registry_variants(
+        4, fds=("oracle", "heartbeat"), network="contention",
+        params=SETUP_1, seed=4,
+    )
+])
+def test_traffic_class_of_every_kind_is_its_frames_control_flag(
+    variant, monkeypatch
+):
+    """One rule for data versus control: the class ``TrafficProbe``
+    gives a frame kind (:func:`is_data_kind`) is the ``control`` flag
+    of every frame of that kind, which the explorer's data-only defers
+    and ``LinkRule(control=...)`` read."""
+    flags: dict[str, set[bool]] = {}
+    multicast = Network.multicast
+
+    def recording(self, src, dsts, kind, body, size, control=True,
+                  frame=None):
+        flags.setdefault(kind, set()).add(control)
+        multicast(self, src, dsts, kind, body, size, control, frame)
+
+    monkeypatch.setattr(Network, "multicast", recording)
+    # p1 coordinates, sequences and crashes: the handover kinds fly too.
+    system = build_system(variant, CrashSchedule.single(1, 0.05))
+    SymmetricWorkload(system, throughput=300.0, payload_size=64,
+                      duration=0.2).install()
+    system.run(until=0.6)
+    assert any(is_data_kind(kind) for kind in flags)
+    assert {kind: {not is_data_kind(kind)} for kind in flags} == flags

@@ -37,8 +37,8 @@ def make_net(n=2, kind="constant", **kwargs):
     return engine, network, processes, inboxes
 
 
-def frame(src=1, dst=2, size=100, kind="test.data", control=False):
-    return Frame(src=src, dst=dst, kind=kind, body="x", size=size, control=control)
+def frame(src=1, dst=2, size=100, kind="test.data", control=False, body="x"):
+    return Frame(src=src, dst=dst, kind=kind, body=body, size=size, control=control)
 
 
 class TestParamsValidation:
@@ -248,3 +248,186 @@ class TestContention:
         engine.schedule(1.5e-3, processes[1].crash)
         engine.run()
         assert len(inboxes[2]) == 5
+
+
+# ----------------------------------------------------------------------
+# One route per frame: every delivery is its own engine event
+# ----------------------------------------------------------------------
+
+#: All-zero costs: every contention stage completes instantly, so a
+#: burst's receiver-side completions tie exactly.
+ZERO_COST = NetworkParams(
+    send_overhead=0.0,
+    recv_overhead=0.0,
+    cpu_per_byte=0.0,
+    wire_overhead=0.0,
+    wire_per_byte=0.0,
+)
+
+
+def make_timed_net(n=3, kind="constant", annotating=False, **kwargs):
+    """A network whose inboxes record ``(delivery time, frame)``."""
+    engine = Engine(annotating=annotating)
+    trace = Trace()
+    if kind == "constant":
+        network = ConstantLatencyNetwork(engine, base=1e-3, **kwargs)
+    else:
+        network = ContentionNetwork(engine, ZERO_COST, **kwargs)
+    inboxes = {pid: [] for pid in range(1, n + 1)}
+    for pid in range(1, n + 1):
+        process = SimProcess(pid, engine, trace)
+        network.attach(
+            process,
+            {"test.data": lambda f, _pid=pid: inboxes[_pid].append(
+                (engine.now, f)
+            )},
+        )
+    return engine, network, inboxes
+
+
+def burst(network, dst=2, count=4):
+    for i in range(count):
+        network.send(frame(dst=dst, body=i))
+
+
+def delivered(inboxes):
+    return {
+        pid: [(t, f.src, f.body) for t, f in inbox]
+        for pid, inbox in inboxes.items()
+    }
+
+
+class TestConstantModelDeliveryEvents:
+    def test_same_instant_burst_is_one_event_per_frame(self):
+        engine, network, inboxes = make_timed_net()
+        burst(network)
+        assert engine.pending() == 4
+        engine.run()
+        assert [f.body for _, f in inboxes[2]] == [0, 1, 2, 3]
+        assert len({t for t, _ in inboxes[2]}) == 1
+        assert engine.events_executed == 4
+
+    def test_annotated_and_plain_runs_deliver_identically(self):
+        outcomes = []
+        for annotating in (False, True):
+            engine, network, inboxes = make_timed_net(annotating=annotating)
+            burst(network, dst=2)
+            burst(network, dst=3, count=2)
+            network.send(frame(src=3, dst=2, body=99))
+            engine.run()
+            outcomes.append(delivered(inboxes))
+        assert outcomes[0] == outcomes[1]
+
+    def test_interleaved_event_keeps_schedule_order(self):
+        engine, network, inboxes = make_timed_net()
+        network.send(frame(body=0))
+        engine.schedule(1e-3, lambda: None)
+        network.send(frame(body=1))
+        assert engine.pending() == 3
+        engine.run()
+        assert [f.body for _, f in inboxes[2]] == [0, 1]
+
+    def test_each_destination_and_time_is_its_own_event(self):
+        engine, network, inboxes = make_timed_net()
+        network.send(frame(dst=2, body=0))
+        network.send(frame(dst=3, body=1))
+        assert engine.pending() == 2
+        engine.run(until=0.5)
+        network.send(frame(dst=2, body=2))  # later time, same dst
+        assert engine.pending() == 1
+        engine.run()
+        assert [f.body for _, f in inboxes[2]] == [0, 2]
+
+    def test_same_time_send_from_a_handler_waits_its_delay(self):
+        engine, network, _ = make_timed_net()
+        relayed = []
+
+        def relay(f):
+            relayed.append(f.body)
+            if f.body == 0:
+                network.send(frame(src=2, dst=2, body=50))
+
+        network._handlers[2] = {"test.data": relay}
+        burst(network, count=2)
+        engine.run(until=1e-3)  # exactly the burst's due time
+        assert relayed == [0, 1]
+        assert engine.pending() == 1  # the relayed frame waits its delay
+        engine.run()
+        assert relayed == [0, 1, 50]
+
+    def test_crash_drop_policy_cancels_every_frame(self):
+        engine, network, inboxes = make_timed_net(
+            drop_in_flight_of_crashed_sender=True
+        )
+        burst(network)
+        assert engine.pending() == 4
+        network.process(1).crash()
+        engine.run()
+        assert inboxes[2] == []
+        assert network.frames_dropped == 4
+
+    def test_annotating_engine_tags_each_delivery_with_its_frame(self):
+        engine, network, _ = make_timed_net(annotating=True)
+        burst(network)
+        assert engine.pending() == 4
+        infos = [rec.info for _, _, rec in engine.pending_entries()]
+        assert all(isinstance(i, Frame) for i in infos)
+
+    def test_dst_crash_mid_burst_drops_the_rest(self):
+        engine, network, inboxes = make_timed_net()
+
+        def crash_then_receive(f):
+            inboxes[2].append((engine.now, f))
+            network.process(2).crash()
+
+        network._handlers[2] = {"test.data": crash_then_receive}
+        burst(network, count=3)
+        engine.run()
+        # First frame lands, handler crashes p2, the rest drop.
+        assert len(inboxes[2]) == 1
+        assert network.frames_dropped == 2
+
+
+class TestContentionModelZeroCost:
+    def test_zero_recv_cost_deliveries_tie(self):
+        engine, network, inboxes = make_timed_net(kind="contention")
+        burst(network, count=3)
+        engine.run()
+        assert [f.body for _, f in inboxes[2]] == [0, 1, 2]
+        # Wire costs are zero too, so the three deliveries tie exactly.
+        assert len({t for t, _ in inboxes[2]}) == 1
+        # Sender CPU, medium and receiver CPU: three events per frame.
+        assert engine.events_executed == 9
+
+    def test_matches_annotated_run_exactly(self):
+        results = []
+        for annotating in (False, True):
+            engine, network, inboxes = make_timed_net(
+                kind="contention", annotating=annotating
+            )
+            burst(network, count=3)
+            burst(network, dst=3, count=2)
+            engine.run()
+            results.append((delivered(inboxes), engine.now))
+        assert results[0] == results[1]
+
+    def test_receiver_cpu_charged_per_frame(self):
+        params = NetworkParams(
+            send_overhead=0.0,
+            recv_overhead=7e-6,
+            cpu_per_byte=0.0,
+            wire_overhead=0.0,
+            wire_per_byte=0.0,
+        )
+        engine = Engine()
+        network = ContentionNetwork(engine, params)
+        trace = Trace()
+        for pid in (1, 2):
+            network.attach(
+                SimProcess(pid, engine, trace), {"test.data": lambda f: None}
+            )
+        burst(network, count=5)
+        engine.run()
+        cpu = network.process(2).cpu
+        assert cpu.jobs_served == 5
+        assert abs(cpu.busy_time - 5 * 7e-6) < 1e-12

@@ -72,19 +72,6 @@ class TestSendPrimitives:
         fabric.run()
         assert got == {1: [2], 2: [], 3: [2]}
 
-    def test_multicast_targets_subset(self):
-        fabric = make_fabric(4)
-        got = {pid: 0 for pid in (1, 2, 3, 4)}
-
-        def bump(f):
-            got[f.dst] += 1
-
-        for pid in (1, 2, 3, 4):
-            fabric.transports[pid].register("k", bump)
-        fabric.transports[1].multicast([3, 4], "k", body=None, size=1)
-        fabric.run()
-        assert got == {1: 0, 2: 0, 3: 1, 4: 1}
-
     def test_peers_lists_everyone(self):
         fabric = make_fabric(3)
         assert fabric.transports[2].peers == (1, 2, 3)

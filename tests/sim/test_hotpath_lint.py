@@ -3,7 +3,7 @@
 ``tools/hotpath_lint.py`` is CI's guard on the event-core hot path
 (``__slots__`` everywhere, no ``getattr``/dict literals in the fused
 drain loops, a bare per-frame send path, consensus phase bodies that
-read constants instead of ``config``); running it under pytest too
+read constants instead of ``config``, closure-free wiring); running it under pytest too
 means a regression fails the ordinary test suite as well, with the
 lint's own diagnostics attached.
 """
@@ -135,4 +135,35 @@ def test_protocol_path_lint_reports_the_config_reading_ct_phase():
         ("CtInstance._try_phase4", "_active property per step"),
         ("CtInstance._try_phase4", "reads config per step"),
         ("CtInstance._try_phase4", "reads config per step"),
+    ]
+
+
+#: The wiring closures as they read before the system could be copied.
+_CLOSURE_WIRING = """
+class Network:
+    def attach(self, process, handlers):
+        process.on_crash(lambda pid=process.pid: self._drop_in_flight(pid))
+        process.on_crash(partial(self._drop_in_flight, process.pid))
+
+def attach_machines(service):
+    for pid in service.pids:
+        def handler(message, _pid=pid):
+            service.vote(_pid, message)
+
+        service.abcasts[pid].on_adeliver(handler)
+        service.abcasts[pid].on_adeliver(partial(handler, pid))
+        service.abcasts[pid].on_adeliver(partial(_apply, pid))
+    service.detector.on_change(functools.partial(lambda: None))
+"""
+
+
+def test_closure_lint_names_each_closure_handed_to_a_kept_registration():
+    problems = _lint_module().closure_registration_problems(
+        ast.parse(_CLOSURE_WIRING), "snippet"
+    )
+    assert [p.split(": ", 1)[1].split(" (")[0] for p in problems] == [
+        "a lambda passed to .on_crash()",
+        "nested function 'handler' passed to .on_adeliver()",
+        "nested function 'handler' passed to .on_adeliver()",
+        "a lambda passed to .on_change()",
     ]

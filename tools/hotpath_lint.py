@@ -2,8 +2,8 @@
 """Allocation-discipline lint for the event-core hot path.
 
 The event core, the frame path and the consensus phases hold their
-per-event cost down by four disciplines that nothing in the type system
-enforces:
+per-event cost down by four disciplines, and a built system stays
+copyable by a fifth; nothing in the type system enforces them:
 
 * **no instance dicts** — every class in the hot modules
   (``sim/equeue.py``, ``sim/engine.py``, ``sim/resources.py``,
@@ -15,9 +15,10 @@ enforces:
   the heap to a local once and never calls ``getattr`` or builds a
   dict literal per event;
 * **a bare frame path** — the network's one send routine
-  (``Network.multicast``) and the contention model's three stage
-  callbacks run once per frame and do arithmetic plus one
-  ``FifoResource.stage``:
+  (``Network.multicast``), each model's ``_transmit`` (the constant
+  model schedules its one delivery event there), the contention
+  model's stage callbacks and ``Network._deliver`` run once per frame
+  and do arithmetic plus one ``FifoResource.stage`` or engine push:
   no ``getattr``, no dict/list literal, no call on the topology at all
   (segments are a table built on attach) and no call on the fault
   pipeline except under an ``armed`` / ``has_delay`` guard;
@@ -27,9 +28,16 @@ enforces:
   quorums and the round's coordinator as plain attributes computed
   once: no read of ``config`` at all, no ``_active`` property and no
   ``has_decided(`` call (``tests/consensus/test_instance_budget.py``
-  pins the resulting call counts).
+  pins the resulting call counts);
+* **closure-free wiring** — no ``lambda`` or nested function is handed
+  to a registration a running system keeps (``on_crash``,
+  ``on_adeliver``, ``on_decide``, ``on_vote``, detector ``on_change``)
+  anywhere in ``repro``: bound methods and ``functools.partial`` only.
+  ``copy.deepcopy`` copies those with the system but shares a closure,
+  which then keeps calling into the original
+  (``tests/stack/test_system_copy.py`` is the behavioural guard).
 
-All four are trivially easy to regress with an innocent-looking edit,
+The first four are trivially easy to regress with an innocent-looking edit,
 and no such regression fails a functional test — they just quietly
 give back ns/event (``tests/net/test_frame_path_budget.py``
 pins the resulting call counts).  CI runs this script so the
@@ -49,6 +57,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import sys
@@ -74,12 +83,13 @@ DRAIN_METHODS = (
 
 #: (module, method) bodies on the per-frame send path (every class's
 #: definition of the method is checked): the send routine and the
-#: model stage callbacks.
+#: model stage callbacks, and the one delivery route.
 FRAME_PATH_METHODS = (
     ("repro.net.models", "multicast"),
     ("repro.net.models", "_transmit"),
     ("repro.net.models", "_enter_medium"),
     ("repro.net.models", "_enter_receiver"),
+    ("repro.net.models", "_deliver"),
 )
 
 #: Method-name patterns (``fnmatch``) of the per-frame protocol bodies,
@@ -90,6 +100,12 @@ PROTOCOL_PATH_METHODS = ("_try_phase*", "_enter_round", "_on_*")
 
 #: A pipeline call is allowed only under an ``if`` testing one of these.
 PIPELINE_GUARDS = frozenset({"armed", "has_delay"})
+
+#: Registrations whose callback a running system keeps: each may be
+#: handed a bound method or a ``functools.partial``, never a closure.
+KEPT_REGISTRATIONS = frozenset(
+    {"on_crash", "on_adeliver", "on_decide", "on_vote", "on_change"}
+)
 
 #: Observer lifecycle hooks the obs layer may subscribe to.  Any call
 #: of one of these inside an observer-bearing method must sit under an
@@ -296,6 +312,68 @@ def protocol_path_problems(tree: ast.Module, module_name: str) -> list[str]:
     return problems
 
 
+def _closure_arg(arg: ast.expr, nested: set[str]) -> str | None:
+    """What makes ``arg`` a closure (a lambda, a nested function, or a
+    partial over one), or None."""
+    if isinstance(arg, ast.Lambda):
+        return "a lambda"
+    if isinstance(arg, ast.Name) and arg.id in nested:
+        return f"nested function {arg.id!r}"
+    if isinstance(arg, ast.Call) and arg.args and (
+        (isinstance(arg.func, ast.Name) and arg.func.id == "partial")
+        or (isinstance(arg.func, ast.Attribute) and arg.func.attr == "partial")
+    ):
+        return _closure_arg(arg.args[0], nested)
+    return None
+
+
+def closure_registration_problems(
+    tree: ast.Module, module_name: str
+) -> list[str]:
+    """Closures handed to a :data:`KEPT_REGISTRATIONS` call."""
+    problems: dict[tuple[int, int], str] = {}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, functions):
+            continue
+        nested = {
+            node.name
+            for node in ast.walk(fn)
+            if isinstance(node, functions) and node is not fn
+        }
+        for call in ast.walk(fn):
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in KEPT_REGISTRATIONS
+            ):
+                continue
+            for arg in call.args:
+                what = _closure_arg(arg, nested)
+                if what is not None:
+                    problems[(call.lineno, call.col_offset)] = (
+                        f"{module_name}:{call.lineno} {fn.name}: {what} "
+                        f"passed to .{call.func.attr}() (a copied system "
+                        f"would share it; use a bound method or partial)"
+                    )
+    return [problems[key] for key in sorted(problems)]
+
+
+def _repro_modules() -> list[str]:
+    package = importlib.import_module("repro")
+    return [
+        info.name
+        for info in pkgutil.walk_packages(package.__path__, "repro.")
+    ]
+
+
+def check_closure_registrations(module_name: str) -> list[str]:
+    spec = importlib.util.find_spec(module_name)
+    source_path = Path(spec.origin)  # type: ignore[union-attr, arg-type]
+    tree = ast.parse(source_path.read_text(), filename=str(source_path))
+    return closure_registration_problems(tree, module_name)
+
+
 def _is_not_none_guard(test: ast.expr) -> bool:
     """True for ``<expr> is not None`` (the sanctioned observer guard)."""
     return (
@@ -357,6 +435,9 @@ def main() -> int:
     protocol_modules = _protocol_modules()
     for module_name in protocol_modules:
         problems += check_protocol_path(module_name)
+    wired_modules = _repro_modules()
+    for module_name in wired_modules:
+        problems += check_closure_registrations(module_name)
     if problems:
         print("hotpath-lint: allocation discipline regressed:")
         for problem in problems:
@@ -375,7 +456,8 @@ def main() -> int:
         f"{drains} drain loops clean, "
         f"{len(OBSERVER_METHODS)} observer sites guarded, "
         f"{len(FRAME_PATH_METHODS)} frame-path methods bare, "
-        f"{len(protocol_modules)} consensus modules read constants)"
+        f"{len(protocol_modules)} consensus modules read constants, "
+        f"{len(wired_modules)} modules wire without closures)"
     )
     return 0
 
