@@ -77,7 +77,8 @@ class ExploreSpec:
             such schedule costs tens of thousands of events.
         prune: Skip decision prefixes whose state fingerprint an
             earlier schedule already covered with an equal-or-larger
-            remaining budget.
+            remaining budget (a fingerprint is computed when read; see
+            :mod:`repro.explore.fingerprint`).
         stop_after: Stop once this many violating schedules were found
             (``0`` = exhaust the budget and report everything).
         consensus_checks: Also run the indirect-consensus checkers
@@ -86,12 +87,6 @@ class ExploreSpec:
         seed: Seed of the ``explore.random-walk`` stream (random-walk
             strategy only).
         max_events: Per-schedule engine runaway guard.
-        fingerprint_check: Validate the incremental fingerprint
-            tracker against a from-scratch recompute at every read:
-            each step of a search's expansion windows, each step of an
-            eager ``ScheduleExecutor.run`` (see
-            :class:`~repro.explore.fingerprint.FingerprintTracker`).
-            A debug harness — orders of magnitude slower.
         label: Presentation-only label (defaults to ``name``).
     """
 
@@ -110,7 +105,6 @@ class ExploreSpec:
     consensus_checks: bool | None = None
     seed: int = 0
     max_events: int = 500_000
-    fingerprint_check: bool = False
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -251,7 +245,6 @@ class ScheduleExecutor:
             fingerprints=(
                 menus and spec.prune if fingerprints is None else fingerprints
             ),
-            fingerprint_check=spec.fingerprint_check,
             record_from=record_from if menus else None,
             covered=covered,
         )

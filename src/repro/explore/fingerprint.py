@@ -1,5 +1,5 @@
-"""State fingerprints for the explorer: canonical descriptions and the
-incremental rolling-hash tracker.
+"""State fingerprints for the explorer: canonical descriptions, and
+the fingerprint computed from them when it is read.
 
 Fingerprints partition decision prefixes into equivalence classes the
 search strategies prune on: two prefixes with equal fingerprints left
@@ -8,36 +8,21 @@ exploring both is redundant — symmetric interleavings of independent
 deliveries being the common case.  What matters for search results is
 therefore the *partition*, not the literal hash strings.
 
-The partition is implemented by :class:`FingerprintTracker` — an
-order-independent rolling hash over canonical per-record descriptions,
-maintained from event-lifecycle notifications (push / fire / cancel /
-defer / release; see ``EventQueue.observer`` and the controlled loop's
-notification sites in :mod:`repro.sim.engine`).  A record is described
-and hashed **at most once per lifetime state, and only if a read finds
-it still pending**: notifications merely file the record under a dict
-key, so everything pushed and fired between two reads — the whole
-replayed prefix of a windowed search run (see
-:mod:`repro.explore.scheduler`) — is dropped in O(1) without ever being
-described.  The pending multiset folds with modular *sum* (not XOR: XOR
-would cancel duplicate pairs of identical descriptions, and duplicated
-frames are exactly what retransmission schedules create) plus an
-explicit count; the order-*sensitive* components (blocked events in
-deferral order, adelivery sequences) fold with a multiply-accumulate.
-Hashes come from SHA-256 of the description's ``repr`` — never Python's
-randomized ``hash()`` — so values are stable across worker processes, a
+A fingerprint is computed when it is read (:class:`Fingerprinter`),
+from the state it describes: the pending records (heap plus the in-hand
+ready set), the deferred-and-blocked records, the crash record and
+every process's adelivery sequence.  The pending multiset folds with a
+modular *sum* of description hashes (not XOR: XOR would cancel
+duplicate pairs of identical descriptions, and duplicated frames are
+exactly what retransmission schedules create) plus an explicit count;
+the order-*sensitive* parts (blocked events in deferral order,
+adelivery sequences) fold with a multiply-accumulate.  Hashes come from
+SHA-256 of the description's ``repr`` — never Python's randomized
+``hash()`` — so values are stable across worker processes, a
 requirement for the sharded parallel search.
 
-Events are read through the *record* interface (``time``/``seq``/
-``fn``/``args``/``state``) of :class:`~repro.sim.equeue.EventHandle`
-— in a controlled run every pending heap entry is one, and handles hash
-by identity, so the tracker keys its dictionaries on them.  The
-observer-sequence test in ``tests/sim/test_equeue.py`` pins the
-notification stream against a reference model of the store.
-
-A fingerprint covers the live pending-event set (heap, the in-hand
-ready set, deferred events), the crash record and every process's
-adelivery sequence.  Protocol layers hold internal state (round
-numbers, ack counters, received stores) it cannot see, so matching
+Protocol layers hold internal state (round numbers, ack counters,
+received stores) a fingerprint cannot see, so matching
 fingerprints do **not** guarantee identical futures: pruning on them is
 a *symmetry heuristic* aimed at reorderings of independent events —
 which do converge to genuinely identical global states — and may in
@@ -45,27 +30,23 @@ principle also collapse prefixes that differ only in hidden layer
 state.  An ``exhausted`` search result is therefore "exhausted modulo
 fingerprint equivalence", not a proof; disable ``ExploreSpec.prune``
 for the strictly-complete (and much slower) enumeration.
-
-``FingerprintTracker(check=True)`` (``ExploreSpec.fingerprint_check``)
-verifies the maintained state against a from-scratch recompute at
-every read and raises on any divergence;
-``tests/explore/test_fast_path.py`` runs full searches under the flag.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.identifiers import MessageId
 from repro.net.frame import Frame
-from repro.sim.engine import Engine, _EventRecord
+from repro.sim.engine import _EventRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stack.builder import System
 
 __all__ = [
-    "FingerprintTracker",
+    "Fingerprinter",
     "describe_record",
 ]
 
@@ -74,6 +55,9 @@ _MASK = (1 << 128) - 1
 #: prime — any odd constant with good bit dispersion works, it only
 #: needs to be fixed forever (fingerprints cross process boundaries).
 _PRIME = 1099511628211
+#: What a blocked record's description (and memo key) has instead of
+#: its due time: a blocked event has none until it is released.
+_BLOCKED = "blocked"
 
 
 def _describe_value(value: Any) -> Any:
@@ -144,7 +128,7 @@ def describe_record(record: _EventRecord, blocked: bool = False) -> tuple:
     if name.startswith("SimProcess._guarded") and len(args) == 2:
         name, args = _describe_callable(args[0]), args[1]
     return (
-        "blocked" if blocked else repr(record.time),
+        _BLOCKED if blocked else repr(record.time),
         name,
         _describe_value(tuple(args)),
         _describe_value(getattr(record, "info", None)),
@@ -158,134 +142,42 @@ def _hash_description(description: Any) -> int:
     )
 
 
-class FingerprintTracker:
-    """Incrementally maintained state fingerprint of one controlled run.
+class Fingerprinter:
+    """Reads the state fingerprint of one controlled run.
 
-    Attach with :meth:`attach` after the system is built and sends are
-    scheduled (``ExploreScheduler.begin_run`` does); the tracker scans
-    the already-pending set once, then stays current purely from the
-    engine's lifecycle notifications.  :meth:`fingerprint` is the
-    per-decision-step read.
-
-    Descriptions are lazy for a second reason besides cost:
-    ``annotate()`` runs *after* ``push`` returns, so a record cannot be
-    described at push time — only at the next read, by which point its
-    annotation is settled.
-
-    ``check=True`` recomputes the whole state from scratch at every
-    read and raises ``AssertionError`` on any divergence from the
-    maintained values — the debug harness that validates the
-    incremental bookkeeping against the ground truth.
+    :meth:`fingerprint` is the per-decision-step read.  Each record's
+    description hash is memoised under its due time (``"blocked"`` for
+    a blocked record), for the records the last read found pending: a
+    record is described at most once per lifetime state, and only if a
+    read finds it pending — everything pushed and fired between two
+    reads (the whole replayed prefix of a windowed search run, see
+    :mod:`repro.explore.scheduler`) is never described.  Descriptions
+    wait for a read for a second reason: ``annotate()`` runs *after*
+    ``push`` returns.  Adelivery sequences are append-only, so each
+    process's ordered fold extends by the new entries only.
     """
 
     __slots__ = (
-        "_system",
-        "_check",
-        "_sum",
-        "_count",
-        "_hashes",
-        "_fresh",
-        "_blocked",
-        "_procs",
-        "_adeliv",
-        "_consumed",
+        "_engine", "_queue", "_memo", "_procs", "_adeliv", "_consumed",
         "_folds",
     )
 
-    def __init__(self, system: "System", check: bool = False) -> None:
-        self._system = system
-        self._check = check
-        self._sum = 0
-        self._count = 0
-        #: live pending record -> its 128-bit description hash.  Keyed
-        #: by the record object itself (identity): in-hand ready
-        #: records the controlled loop holds off-heap intentionally
-        #: stay tracked — they are still pending.
-        self._hashes: dict[_EventRecord, int] = {}
-        #: pushed since the last read; described lazily (see above).
-        self._fresh: dict[_EventRecord, None] = {}
-        #: mirror of the engine's deferred-and-blocked list, in order:
-        #: record -> description hash (``None`` until first read).
-        self._blocked: dict[_EventRecord, int | None] = {}
+    def __init__(self, system: "System") -> None:
+        self._engine = system.engine
+        self._queue = system.engine.equeue
+        #: record -> (due time or ``_BLOCKED``, description hash), for
+        #: the records pending at the last read.  Keyed by the record
+        #: itself: handles hash by identity.
+        self._memo: dict[_EventRecord, tuple[Any, int]] = {}
         # Per-process state, hoisted once: the process set is fixed for
         # the lifetime of a run (crashed processes stay registered).
         processes = system.processes
         pids = sorted(processes)
         self._procs = [(pid, processes[pid]) for pid in pids]
-        # Adelivery sequences are append-only; track the consumed
-        # prefix length and its running ordered fold per process.
         sequences = system.trace._adeliveries
         self._adeliv = [(pid, sequences[pid]) for pid in pids]
         self._consumed = [0] * len(pids)
         self._folds = [0] * len(pids)
-
-    # -- attachment ----------------------------------------------------
-
-    def attach(self, engine: Engine) -> None:
-        """Install as the queue observer; adopt the already-pending set."""
-        engine.equeue.observer = self
-        for _, _, record in engine.pending_entries():
-            if record.state == 0:
-                self._fresh[record] = None
-        for record in engine._blocked:
-            if record.state == 0:
-                self._blocked[record] = None
-
-    def detach(self, engine: Engine) -> None:
-        engine.equeue.observer = None
-
-    # -- lifecycle notifications ---------------------------------------
-
-    def on_push(self, record: _EventRecord) -> None:
-        self._fresh[record] = None
-
-    def on_defer(self, record: _EventRecord) -> None:
-        # Bounded defer: the record's time changed, so its pending
-        # description is stale — re-describe at the next read.
-        self._forget(record)
-        self._fresh[record] = None
-
-    def on_block(self, record: _EventRecord) -> None:
-        # Unbounded defer: moves from the pending multiset to the
-        # ordered blocked sequence; blocked descriptions are
-        # time-independent ("blocked" replaces the due time).
-        self._forget(record)
-        self._blocked[record] = None
-
-    def on_release(self, record: _EventRecord) -> None:
-        self._blocked.pop(record, None)
-        self._fresh[record] = None
-
-    def _forget(self, record: _EventRecord) -> None:
-        h = self._hashes.pop(record, None)
-        if h is not None:
-            self._sum = (self._sum - h) & _MASK
-            self._count -= 1
-        else:  # not described yet (or blocked): nothing to subtract
-            self._fresh.pop(record, None)
-            self._blocked.pop(record, None)
-
-    # A fired or cancelled record simply leaves whichever store holds it.
-    on_fire = on_cancel = _forget
-
-    # -- the read ------------------------------------------------------
-
-    def _reconcile(self) -> None:
-        fresh = self._fresh
-        if not fresh:
-            return
-        hashes = self._hashes
-        total = self._sum
-        count = self._count
-        for record in fresh:
-            if record.state == 0:
-                h = _hash_description(describe_record(record))
-                hashes[record] = h
-                total += h
-                count += 1
-        self._sum = total & _MASK
-        self._count = count
-        fresh.clear()
 
     def _delivery_fold(self) -> int:
         consumed = self._consumed
@@ -306,74 +198,40 @@ class FingerprintTracker:
         return total
 
     def fingerprint(self, ready: Iterable[_EventRecord] = ()) -> str:
-        """The current state fingerprint (``ready`` feeds only the
-        ``check`` recompute — the maintained state already covers
-        in-hand ready records whether on- or off-heap)."""
-        self._reconcile()
-        value = (self._sum * _PRIME + self._count) & _MASK
-        blocked = self._blocked
-        for record, h in blocked.items():
-            if h is None:
-                h = blocked[record] = _hash_description(
-                    describe_record(record, blocked=True)
-                )
+        """The current state fingerprint.
+
+        ``ready`` is the ready set the engine holds in hand: off-heap
+        during ``decide``, still on the heap during ``wants`` (a record
+        counts once either way).
+        """
+        memo = self._memo
+        live: dict[_EventRecord, tuple[Any, int]] = {}
+        total = 0
+        # Positions as in the engine's loops: [0] is the due time, [4]
+        # the state (non-zero once fired or cancelled).
+        for record in chain(self._queue.entries, ready):
+            if record[4] or record in live:
+                continue
+            time = record[0]
+            if record in memo and memo[record][0] == time:
+                h = memo[record][1]
+            else:
+                h = _hash_description(describe_record(record))
+            live[record] = (time, h)
+            total += h
+        value = ((total & _MASK) * _PRIME + len(live)) & _MASK
+        for record in self._engine._blocked:
+            if record[4]:
+                continue
+            if record in memo and memo[record][0] == _BLOCKED:
+                h = memo[record][1]
+            else:
+                h = _hash_description(describe_record(record, blocked=True))
+            live[record] = (_BLOCKED, h)
             value = (value * _PRIME + h) & _MASK
+        self._memo = live
         for pid, process in self._procs:
             if process.crashed:
                 value = (value * _PRIME + pid + 0x9E3779B9) & _MASK
         value = (value * _PRIME + self._delivery_fold()) & _MASK
-        if self._check:
-            self._verify(ready)
         return format(value, "032x")
-
-    # -- debug validation ----------------------------------------------
-
-    def _verify(self, ready: Iterable[_EventRecord]) -> None:
-        """Assert the maintained state equals a from-scratch recompute."""
-        engine = self._system.engine
-        live: dict[int, _EventRecord] = {}
-        for _, _, record in engine.pending_entries():
-            if record.state == 0:
-                live[id(record)] = record
-        for record in ready:
-            # In-hand ready records sit off-heap during decide(); the
-            # union (deduplicated — during wants() they are still
-            # on-heap) is the ground-truth pending multiset.
-            if record.state == 0:
-                live.setdefault(id(record), record)
-        tracked = {id(r) for r in self._hashes}
-        if tracked != set(live):
-            raise AssertionError(
-                f"fingerprint tracker pending-set drift: tracking "
-                f"{len(tracked)} records, engine holds {len(live)}"
-            )
-        expected_sum = 0
-        for record in live.values():
-            h = _hash_description(describe_record(record))
-            if self._hashes[record] != h:
-                raise AssertionError(
-                    f"fingerprint tracker stale description for "
-                    f"{record!r}"
-                )
-            expected_sum = (expected_sum + h) & _MASK
-        if expected_sum != self._sum or len(live) != self._count:
-            raise AssertionError(
-                "fingerprint tracker sum/count drift "
-                f"(sum {self._sum:#x} vs {expected_sum:#x}, "
-                f"count {self._count} vs {len(live)})"
-            )
-        engine_blocked = [r for r in engine._blocked if r.state == 0]
-        tracker_blocked = list(self._blocked)
-        if engine_blocked != tracker_blocked:
-            raise AssertionError(
-                "fingerprint tracker blocked-mirror drift "
-                f"({len(tracker_blocked)} tracked vs "
-                f"{len(engine_blocked)} engine)"
-            )
-        for record in tracker_blocked:
-            h = _hash_description(describe_record(record, blocked=True))
-            if self._blocked[record] != h:
-                raise AssertionError(
-                    f"fingerprint tracker stale blocked description "
-                    f"for {record!r}"
-                )

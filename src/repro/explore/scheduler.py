@@ -66,9 +66,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.core.exceptions import ConfigurationError
-from repro.explore.fingerprint import FingerprintTracker
+from repro.explore.fingerprint import Fingerprinter
 from repro.net.frame import Frame
-from repro.sim.engine import AGAIN, DEFER, FIRE, Engine, Scheduler, _EventRecord
+from repro.sim.engine import AGAIN, DEFER, FIRE, Scheduler, _EventRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stack.builder import System
@@ -179,13 +179,8 @@ class ExploreScheduler(Scheduler):
             :class:`repro.sim.engine.Scheduler.defer_delay`): how long
             a deferred frame is held back.
         fingerprints: Put a state fingerprint on each recorded menu
-            (tree strategies need them for pruning).  Served by the
-            incremental
-            :class:`~repro.explore.fingerprint.FingerprintTracker`,
-            installed as the queue observer until the window closes.
-        fingerprint_check: Validate the incremental fingerprint state
-            against a from-scratch recompute at every read — the debug
-            harness, far too slow for real searches.
+            (tree strategies need them for pruning), read by a
+            :class:`~repro.explore.fingerprint.Fingerprinter`.
         record_from: First step whose menu is recorded (the module
             docstring's *window*); ``None`` records nothing.
         covered: Closes the window: called with each recorded
@@ -208,7 +203,6 @@ class ExploreScheduler(Scheduler):
         defer_data_only: bool = True,
         defer_delay: float | None = 5e-3,
         fingerprints: bool = True,
-        fingerprint_check: bool = False,
         record_from: int | None = 0,
         covered: Callable[[str], bool] | None = None,
     ) -> None:
@@ -224,16 +218,17 @@ class ExploreScheduler(Scheduler):
         self.max_crashes = max_crashes
         self.defer_data_only = defer_data_only
         self.defer_delay = defer_delay
-        self.fingerprints = fingerprints and record_from is not None
-        self.fingerprint_check = fingerprint_check
         self._record_from = record_from
         self._covered = covered
         #: No menu will be recorded from here on.
         self._closed = record_from is None
         self._last_deviation = max(self.deviations, default=-1)
-        #: The incremental fingerprint tracker of the current run
-        #: (created in ``begin_run`` when fingerprints are on).
-        self._tracker: FingerprintTracker | None = None
+        #: Reads the menus' fingerprints; dropped when the window closes.
+        self._fingerprinter = (
+            Fingerprinter(system)
+            if fingerprints and record_from is not None
+            else None
+        )
         #: Recorded menus, in step order.
         self.menus: list[Menu] = []
         #: Deviations actually applied (same objects as scheduled).
@@ -315,13 +310,12 @@ class ExploreScheduler(Scheduler):
     def _record(self, step: int, ready: Sequence[_EventRecord]) -> Menu:
         """Append this step's menu; close the window if it is covered."""
         fingerprint = None
-        tracker = self._tracker
-        if tracker is not None:
-            fingerprint = tracker.fingerprint(ready)
+        fingerprinter = self._fingerprinter
+        if fingerprinter is not None:
+            fingerprint = fingerprinter.fingerprint(ready)
             if self._covered is not None and self._covered(fingerprint):
                 self._closed = True
-                tracker.detach(self.system.engine)
-                self._tracker = None
+                self._fingerprinter = None
         menu = Menu(
             step=step,
             ready=len(ready),
@@ -333,18 +327,6 @@ class ExploreScheduler(Scheduler):
         return menu
 
     # -- the seam ------------------------------------------------------
-
-    def begin_run(self, engine: Engine) -> None:
-        if self.fingerprints:
-            self._tracker = FingerprintTracker(
-                self.system, check=self.fingerprint_check
-            )
-            self._tracker.attach(engine)
-
-    def end_run(self, engine: Engine) -> None:
-        if self._tracker is not None:
-            self._tracker.detach(engine)
-            self._tracker = None
 
     def wants(self, ready: tuple[_EventRecord, ...]) -> bool:
         """Singleton fast path: take the default decision without

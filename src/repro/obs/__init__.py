@@ -11,7 +11,7 @@ Three pillars, one package (see the README's "Observability" section):
   bit-identical across ``trace_mode="full"`` and
   ``trace_mode="metrics"``.
 * :mod:`repro.obs.telemetry` — a counter/gauge registry sampled on a
-  simulated-time cadence (queue depth, events executed, per-shard
+  simulated-time cadence (queue depth, events scheduled, per-shard
   admission and goodput).  Nothing installed = the engine's drain loop
   is byte-for-byte untouched (guarded by
   ``tests/obs/test_telemetry.py::TestDisabledPath``).
@@ -33,22 +33,18 @@ from repro.obs.export import (
 from repro.obs.session import ObsRun, observe_experiment
 from repro.obs.spans import Span, SpanRecorder
 from repro.obs.telemetry import (
-    QueueTelemetry,
     Telemetry,
     TelemetrySampler,
     TimeSeries,
-    attach_queue_telemetry,
 )
 
 __all__ = [
     "ObsRun",
-    "QueueTelemetry",
     "Span",
     "SpanRecorder",
     "Telemetry",
     "TelemetrySampler",
     "TimeSeries",
-    "attach_queue_telemetry",
     "chrome_trace",
     "observe_experiment",
     "spans_result_set",

@@ -1,22 +1,15 @@
 """Runtime telemetry: counters and gauges on a simulated-time cadence.
 
-Two data sources, both existing seams — no hot-path edits:
+One data source, polled — no hot-path edits: engine and router state,
+sampled by :class:`TelemetrySampler` on a chained simulated-time timer
+(queue depth, events scheduled, per-shard admitted/shed/in-flight,
+windowed goodput and sojourn percentiles).
 
-* the :class:`~repro.sim.equeue.EventQueue` **observer** slot
-  (:class:`QueueTelemetry` counts pushes/cancels always and
-  fire/defer/block/release when a controlled run consults observers);
-* polled engine/router state, sampled by :class:`TelemetrySampler` on
-  a chained simulated-time timer (queue depth, events executed,
-  per-shard admitted/shed/in-flight, windowed goodput and sojourn
-  percentiles).
-
-**The disabled path is a strict no-op**: with no observer installed
-and no sampler scheduled, the engine's drain loop executes byte-for-
-byte the same code as before this module existed — the observer slot
-was already there and the fused drain never consults it.  That is
-pinned by ``tests/obs/test_telemetry.py::TestDisabledPath`` (identical
-Python-level call counts with and without the obs objects) and the
-guard style by ``tools/hotpath_lint.py``.
+**The disabled path is a strict no-op**: with no sampler scheduled, the
+engine's drain loop executes byte-for-byte the same code as before this
+module existed.  That is pinned by
+``tests/obs/test_telemetry.py::TestDisabledPath`` (identical
+Python-level call counts with and without the obs objects).
 
 Every class here is ``__slots__``-ed (the hotpath lint asserts it):
 an *enabled* sampler still runs inside the simulation loop.
@@ -86,61 +79,6 @@ class Telemetry:
         return len(self._series)
 
 
-class QueueTelemetry:
-    """Event-queue observer counting scheduler-visible transitions.
-
-    Install with :func:`attach_queue_telemetry`.  ``on_push`` /
-    ``on_cancel`` fire on every schedule/cancel; ``on_fire`` /
-    ``on_defer`` / ``on_block`` / ``on_release`` only when the engine
-    runs its controlled (scheduler-consulted) loop — the fused drain
-    never consults the observer, by design.
-    """
-
-    __slots__ = ("pushes", "cancels", "fires", "defers", "blocks", "releases")
-
-    def __init__(self) -> None:
-        self.pushes = 0
-        self.cancels = 0
-        self.fires = 0
-        self.defers = 0
-        self.blocks = 0
-        self.releases = 0
-
-    def on_push(self, record: Any) -> None:
-        self.pushes += 1
-
-    def on_cancel(self, record: Any) -> None:
-        self.cancels += 1
-
-    def on_fire(self, record: Any) -> None:
-        self.fires += 1
-
-    def on_defer(self, record: Any) -> None:
-        self.defers += 1
-
-    def on_block(self, record: Any) -> None:
-        self.blocks += 1
-
-    def on_release(self, record: Any) -> None:
-        self.releases += 1
-
-
-def attach_queue_telemetry(engine: Any, telemetry: QueueTelemetry) -> None:
-    """Install ``telemetry`` as the engine queue's observer.
-
-    The observer slot is single-occupancy (the explorer uses it during
-    controlled runs); occupying an occupied slot is refused rather than
-    silently chained.
-    """
-    queue = engine.equeue
-    if queue.observer is not None:
-        raise ConfigurationError(
-            "the event queue already has an observer installed; "
-            "queue telemetry cannot be attached to this run"
-        )
-    queue.observer = telemetry
-
-
 class TelemetrySampler:
     """Chained simulated-time timer polling engine/router gauges.
 
@@ -154,8 +92,6 @@ class TelemetrySampler:
       the period); the engine's ``events_executed`` counter is *not*
       sampled because the fused drain flushes it only on exit —
       mid-run reads would be stale zeros;
-    * with :class:`QueueTelemetry` attached: cumulative
-      ``queue.pushes`` / ``queue.cancels``;
     * with a :class:`~repro.shard.router.Router`: per shard ``i``,
       cumulative ``shard<i>.admitted`` / ``shard<i>.shed``, the
       ``shard<i>.inflight`` gauge, and windowed
@@ -174,7 +110,6 @@ class TelemetrySampler:
         "telemetry",
         "engine",
         "router",
-        "queue",
         "period",
         "until",
         "installed",
@@ -187,12 +122,10 @@ class TelemetrySampler:
         engine: Any,
         telemetry: Telemetry,
         router: Any = None,
-        queue: QueueTelemetry | None = None,
     ) -> None:
         self.engine = engine
         self.telemetry = telemetry
         self.router = router
-        self.queue = queue
         self.period = 0.0
         self.until = 0.0
         self.installed = False
@@ -226,10 +159,6 @@ class TelemetrySampler:
             float(scheduled - self._last_scheduled),
         )
         self._last_scheduled = scheduled
-        queue = self.queue
-        if queue is not None:
-            telemetry.record("queue.pushes", now, float(queue.pushes))
-            telemetry.record("queue.cancels", now, float(queue.cancels))
         router = self.router
         if router is not None:
             for shard in range(len(router.groups)):

@@ -23,7 +23,10 @@ scheduling order, which — together with the named RNG streams of
   directly and reads them as :class:`EventHandle`\\ s, which is why
   ``install_scheduler`` promotes any bare fire-and-forget entry still
   pending to a handle; nothing else changes, so the schedule is
-  unaffected.  With no scheduler installed none of this runs and traces
+  unaffected.  Nothing is notified as events move: a scheduler that
+  needs the pending state (the explorer's fingerprints) reads the heap
+  and the deferred list when it is consulted.  With no scheduler
+  installed none of this runs and traces
   are bit-identical to the pre-seam engine (golden-guarded by
   ``tests/stack/test_golden_traces.py``).
 
@@ -335,7 +338,6 @@ class Engine:
         queue = self._queue
         queue.entries = []
         queue.pending = queue._cancelled = 0
-        queue.observer = None
         self._blocked = []
         self._scheduler = None
 
@@ -350,7 +352,8 @@ class Engine:
         Args:
             until: Stop once the next event would fire strictly after this
                 time (the clock is advanced to ``until``).  ``None`` runs
-                until no event remains.
+                until no event remains.  The clock never runs backwards:
+                an ``until`` before :attr:`now` is refused.
             max_events: Runaway guard on :attr:`events_executed`, the
                 engine's *lifetime* count: :class:`EventBudgetExceeded`
                 is raised once that many callbacks have run in all, over
@@ -370,6 +373,10 @@ class Engine:
             raise ConfigurationError(
                 "cannot run a closed engine: close() dropped every "
                 "pending event"
+            )
+        if until is not None and until < self.now:
+            raise ConfigurationError(
+                f"cannot run until {until}, current time is {self.now}"
             )
         self._running = True
         try:
@@ -400,7 +407,6 @@ class Engine:
         wants = scheduler.wants
         fast = CONTROLLED_FAST_PATH
         try:
-            observer = queue.observer  # installed by begin_run, if any
             while True:
                 if fast and scheduler.passive and not self._blocked:
                     # Nothing left to decide: the store's own drain
@@ -475,23 +481,17 @@ class Engine:
                         delay = scheduler.defer_delay
                         if delay is None:
                             self._blocked.append(chosen)
-                            if observer is not None:
-                                observer.on_block(chosen)
                         else:
                             # Re-keyed behind everything already due then.
                             chosen[0] = time + delay
                             queue.seq += 1
                             chosen[1] = queue.seq
                             heappush(heap, chosen)
-                            if observer is not None:
-                                observer.on_defer(chosen)
                         continue
                 self.now = time
                 chosen[4] = FINISHED
                 queue.pending -= 1
                 self.events_executed += 1
-                if observer is not None:
-                    observer.on_fire(chosen)
                 chosen[2](*chosen[3])
                 if self.events_executed >= budget:
                     raise self._overrun(max_events)
@@ -509,7 +509,6 @@ class Engine:
         (e.g. in-flight frames of a crashed sender) are dropped.
         """
         queue = self._queue
-        observer = queue.observer
         blocked, self._blocked = self._blocked, []
         for record in blocked:
             if record[4] == CANCELLED:
@@ -521,8 +520,6 @@ class Engine:
             queue.seq += 1
             record[1] = queue.seq
             heappush(queue.entries, record)
-            if observer is not None:
-                observer.on_release(record)
 
     def _overrun(self, max_events: int) -> EventBudgetExceeded:
         """The runaway guard's error, raised by both run loops: the live

@@ -25,11 +25,12 @@ completions).  ``state`` is the lifecycle: :data:`PENDING`,
 :class:`EventHandle`: a ``list`` subclass holding the same five fields
 plus its queue, with read-only ``time``/``seq``/``fn``/``args``/
 ``state`` properties, ``cancel()`` and the scheduler-visible ``info``
-annotation.  The explorer's controlled loop and fingerprint tracker read
-events only through that interface, so :meth:`Engine.install_scheduler`
-first promotes any bare entry still pending to a handle (same key,
-same callback); from then on the engine annotates and every push is a
-handle.
+annotation.  The engine's controlled loop and the explorer read events
+as handles (annotated, hashed by identity), so
+:meth:`Engine.install_scheduler` first promotes any bare entry still
+pending to a handle (same key, same callback); from then on the engine
+annotates and every push is a handle.  The store notifies nobody of a
+push, fire or cancel: whoever needs the pending set reads ``entries``.
 
 Cancellation is lazy — ``cancel`` flags the entry and the drain skips
 tombstones — but bounded: the queue counts live tombstones and compacts
@@ -106,7 +107,7 @@ class EventHandle(list):
         if self[STATE]:
             return
         self[STATE] = CANCELLED
-        self[5].note_cancel(self)
+        self[5].note_cancel()
 
     def annotate(self, info: Any) -> "EventHandle":
         """Attach scheduler-visible metadata to this event (chainable).
@@ -143,14 +144,9 @@ class EventQueue:
       also counts every event ever scheduled.
     * ``pending`` — live (scheduled, not yet fired, not cancelled)
       events; O(1) by maintenance.
-    * ``observer`` — optional lifecycle observer: ``on_push`` /
-      ``on_cancel`` here, fire/defer/block/release from the engine's
-      controlled loop.  The explorer's fingerprint tracker and the
-      queue telemetry install themselves here; ``None`` — the common
-      case — costs one load-and-test per push and nothing in the drain.
     """
 
-    __slots__ = ("entries", "seq", "pending", "_cancelled", "observer")
+    __slots__ = ("entries", "seq", "pending", "_cancelled")
 
     def __init__(self) -> None:
         self.entries: list[list] = []
@@ -158,7 +154,6 @@ class EventQueue:
         self.pending = 0
         #: Tombstones still physically stored; drives compaction.
         self._cancelled = 0
-        self.observer = None
 
     def push(
         self, time: float, fn: Callable[..., None], args: tuple[Any, ...]
@@ -168,9 +163,6 @@ class EventQueue:
         handle = EventHandle((time, seq, fn, args, PENDING, self))
         heappush(self.entries, handle)
         self.pending += 1
-        observer = self.observer
-        if observer is not None:
-            observer.on_push(handle)
         return handle
 
     def push_entry(
@@ -185,9 +177,6 @@ class EventQueue:
         entry = [time, seq, fn, args, PENDING]
         heappush(self.entries, entry)
         self.pending += 1
-        observer = self.observer
-        if observer is not None:
-            observer.on_push(entry)
         return entry
 
     def promote_entries(self) -> None:
@@ -202,7 +191,7 @@ class EventQueue:
             if type(entry) is list:
                 entries[index] = EventHandle((*entry, self))
 
-    def note_cancel(self, handle: EventHandle) -> None:
+    def note_cancel(self) -> None:
         """Account one cancellation; compact if tombstones dominate.
 
         Called by :meth:`EventHandle.cancel`.  Compaction triggers only
@@ -211,9 +200,6 @@ class EventQueue:
         cancel is O(1) and a cancel-heavy run never scans a mostly-live
         heap.
         """
-        observer = self.observer
-        if observer is not None:
-            observer.on_cancel(handle)
         self.pending -= 1
         cancelled = self._cancelled = self._cancelled + 1
         if cancelled >= _COMPACT_MIN and cancelled * 2 >= len(self.entries):

@@ -113,9 +113,6 @@ class FifoResource:
         entry = [finish, seq, then, args, PENDING]
         heappush(queue.entries, entry)
         queue.pending += 1
-        observer = queue.observer
-        if observer is not None:
-            observer.on_push(entry)
         return finish
 
     @property

@@ -356,6 +356,63 @@ def test_check_all_also_reports_it(case):
             checker.check_all(expect_quiescent=True)
 
 
+def tx_delivery(process, seq, content, group=0):
+    """``process`` of ``group`` adelivers transaction leg ``content``."""
+    return ADeliverEvent(
+        time=0.1 * seq, process=process,
+        message=op_msg(group + 1, seq, content),
+    )
+
+
+PREPARE0 = TxPrepare("tx1", K0, "debit", 1)
+UNDECIDED_PARTICIPANT = (
+    r"decided in groups \[0\] but participant group 1 \(with correct "
+    r"processes\) never delivered an outcome"
+)
+
+#: The commit-atomicity raises the table above does not reach, keyed by
+#: the detail each names: violating per-group traces.
+ATOMICITY_BREAKS = {
+    "group 0 delivered both commit and abort": lambda: [
+        trace_of(
+            tx_delivery(1, 1, PREPARE0),
+            tx_delivery(1, 2, TxCommit("tx1")),
+            tx_delivery(2, 1, PREPARE0),
+            tx_delivery(2, 3, TxAbort("tx1")),
+        ),
+        trace_of(),
+    ],
+    "outcome for 'tx1' without ever delivering its prepare": lambda: [
+        trace_of(tx_delivery(1, 1, TxCommit("tx1"))),
+        trace_of(),
+    ],
+    UNDECIDED_PARTICIPANT: lambda: [
+        trace_of(
+            tx_delivery(1, 1, PREPARE0),
+            tx_delivery(1, 2, TxCommit("tx1")),
+        ),
+        trace_of(
+            tx_delivery(1, 1, TxPrepare("tx1", K1, "credit", 1), group=1)
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("detail", sorted(ATOMICITY_BREAKS))
+def test_commit_atomicity_names_each_way_it_breaks(detail):
+    checker = ShardChecker(ATOMICITY_BREAKS[detail](), CFG2)
+    with pytest.raises(
+        ProtocolViolationError,
+        match=f"Two-group atomicity violated: .*{detail}",
+    ):
+        checker.check_commit_atomicity(expect_quiescent=True)
+
+
+def test_an_undecided_participant_counts_only_at_quiescence():
+    checker = ShardChecker(ATOMICITY_BREAKS[UNDECIDED_PARTICIPANT](), CFG2)
+    checker.check_commit_atomicity(expect_quiescent=False)
+
+
 def test_v_stability_counts_holders_that_crashed_after_receiving():
     """The fixed stability semantics: a holder crashing between its ack
     and the decision does not subtract from the holder count (the ≤ f

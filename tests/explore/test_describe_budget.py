@@ -4,8 +4,8 @@ A pending event costs the explorer something only when it is
 *described* (``describe_record``: a recursive walk of its arguments)
 and *hashed* (``_hash_description``: a ``repr`` plus SHA-256).  The
 search reads fingerprints only inside each schedule's expansion window,
-and the tracker describes a record only if a read finds it still
-pending — so the counts below are far below "every event, every step".
+and a read describes a record only if it finds it pending, once per
+lifetime state — so the counts below are far below "every event, every step".
 Exact call counts (``sys.setprofile``, so they repeat on any machine)
 for the same 50-schedule search ``test_fingerprint_pins.py`` pins, next
 to what the eager explorer made at the parent commit (1ba3f0c: a

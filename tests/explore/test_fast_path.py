@@ -10,11 +10,6 @@ deviation fire without consulting the scheduler
 (traces, search verdicts, pruning counts, repro strings) must be
 **bit-identical** with the fast path disabled.  These tests pin that by
 running the same scenarios with ``CONTROLLED_FAST_PATH`` toggled.
-
-The incremental fingerprint tracker (:mod:`repro.explore.fingerprint`)
-rides the same seam; its equivalence is pinned here too via the
-``fingerprint_check`` debug harness, which recomputes every fingerprint
-from scratch and asserts agreement at each read.
 """
 
 from dataclasses import replace
@@ -120,6 +115,17 @@ class TestSearchEquivalence:
         assert fast_record.steps == slow_record.steps
         assert fast_record.events == slow_record.events
 
+    def test_menus_and_fingerprints_identical_fast_on_off(self, monkeypatch):
+        spec = explore_spec("faulty")
+        executor = ScheduleExecutor(spec)
+        monkeypatch.setattr(engine_mod, "CONTROLLED_FAST_PATH", True)
+        on = executor.run((), menus=True)
+        monkeypatch.setattr(engine_mod, "CONTROLLED_FAST_PATH", False)
+        off = executor.run((), menus=True)
+        assert on.steps == off.steps
+        assert on.events == off.events
+        assert on.menus == off.menus
+
 
 #: Schedules with each kind of deviation, alone and chained (the
 #: section 2.2 counterexample with and without a deferred copy among
@@ -187,43 +193,3 @@ class TestPassiveHandOver:
         assert found[True].steps == ScheduleExecutor(spec).run(
             parse_deviations("5:c2")
         ).steps
-
-
-class TestIncrementalFingerprints:
-    def test_tracker_agrees_with_recompute_over_a_full_search(self):
-        """``fingerprint_check`` recomputes every fingerprint from
-        scratch at each read and asserts agreement; a full small search
-        reads at every step of every expansion window, after replayed
-        prefixes in which records were pushed, fired, cancelled and
-        deferred without ever being described."""
-        spec = explore_spec(
-            "faulty", budget=60, stop_after=0, fingerprint_check=True,
-        )
-        result = run_strategy(spec)
-        assert result.schedules == 60
-        assert result.violations  # the check harness still finds the bug
-
-    @pytest.mark.parametrize("defer_delay", [5e-3, None])
-    def test_tracker_agrees_with_recompute_at_every_step(self, defer_delay):
-        """Eager runs read — and so verify — at *every* step: push,
-        fire, cancel (the crash), bounded defer and block/release each
-        land between two consecutive checked reads."""
-        spec = explore_spec(
-            "faulty", defer_delay=defer_delay, fingerprint_check=True,
-        )
-        executor = ScheduleExecutor(spec)
-        for repro in SCHEDULES:
-            record = executor.run(parse_deviations(repro))
-            assert len(record.menus) == record.steps
-            assert all(menu.fingerprint for menu in record.menus)
-
-    def test_menus_and_fingerprints_identical_fast_on_off(self, monkeypatch):
-        spec = explore_spec("faulty")
-        executor = ScheduleExecutor(spec)
-        monkeypatch.setattr(engine_mod, "CONTROLLED_FAST_PATH", True)
-        on = executor.run((), menus=True)
-        monkeypatch.setattr(engine_mod, "CONTROLLED_FAST_PATH", False)
-        off = executor.run((), menus=True)
-        assert on.steps == off.steps
-        assert on.events == off.events
-        assert on.menus == off.menus

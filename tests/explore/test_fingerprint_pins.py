@@ -9,14 +9,20 @@ and every per-step ``Menu.fingerprint`` of one small exploration —
 recorded eagerly, since the search itself fingerprints only the steps
 it can expand (that subsequence is pinned too) — compared with values
 recorded at commit f28252a (when both types were frozen dataclasses).
+
+Two more pins were recorded at commit 8b668fa, where an observer-fed
+tracker still maintained the fingerprints: eager fingerprints under the
+unbounded-delay adversary (deferred frames block, then are released),
+and the outcome of the n = 3 registry matrix that CI explores.
 """
 
 import hashlib
 
 from repro.core.identifiers import MessageId
 from repro.core.message import AppMessage, make_payload
-from repro.explore import explore_spec
+from repro.explore import explore, explore_spec, registry_explore_specs
 from repro.explore.executor import ScheduleExecutor
+from repro.explore.scheduler import parse_deviations
 from repro.explore.fingerprint import _describe_value
 from repro.explore.strategies import STRATEGIES
 from repro.net.frame import Frame
@@ -109,3 +115,65 @@ def test_pinned_exploration_fingerprints():
     assert hashlib.sha256("\n".join(consulted).encode()).hexdigest() == (
         "e220c746f8f36643793a095409b9f9c4749f25609b379197cd72620d7aca0c83"
     )
+
+
+#: Each deviation kind, alone and chained; every ``d`` that applies
+#: blocks its frame until the rest of the run drains.
+BLOCKING_SCHEDULES = (
+    "", "5:c2", "2:d0", "2:d0,3:d0,4:d3", "2:d0,5:c2", "3:f1", "9:c3",
+    "2:d0,3:f2,7:c1", "2:d7", "9:c1",
+)
+
+
+def test_pinned_fingerprints_with_blocked_deferrals():
+    """Faulty-ids stack, ``defer_delay=None``: every step recorded."""
+    executor = ScheduleExecutor(explore_spec("faulty", defer_delay=None))
+    fingerprints = []
+    steps = []
+    for repro in BLOCKING_SCHEDULES:
+        record = executor.run(parse_deviations(repro))
+        assert len(record.menus) == record.steps
+        steps.append(record.steps)
+        fingerprints.extend(menu.fingerprint for menu in record.menus)
+    assert steps == [46, 42, 47, 49, 43, 46, 35, 47, 46, 46]
+    assert len(set(fingerprints)) == 218
+    assert hashlib.sha256("\n".join(fingerprints).encode()).hexdigest() == (
+        "95168a61414f7b7217bcb1a05cb83ac142b0f43eb547d225237b8fcf581f9d0b"
+    )
+
+
+#: label -> (schedules, pruned, exhausted, violations, property, repro).
+REGISTRY_MATRIX = {
+    "indirect/ct-indirect/flood": (300, 252, False, 0, "", ""),
+    "indirect/ct-indirect/sender": (300, 254, False, 0, "", ""),
+    "indirect/mr-indirect/flood": (300, 285, False, 0, "", ""),
+    "indirect/mr-indirect/sender": (300, 294, False, 0, "", ""),
+    "faulty-ids/ct/flood": (32, 20, False, 1, "Abcast Validity", "5:c2"),
+    "faulty-ids/ct/sender": (32, 20, False, 1, "Abcast Validity", "5:c2"),
+    "faulty-ids/mr/flood": (32, 20, False, 1, "Abcast Validity", "5:c2"),
+    "faulty-ids/mr/sender": (32, 20, False, 1, "Abcast Validity", "5:c2"),
+    "urb-ids/ct": (300, 254, False, 0, "", ""),
+    "urb-ids/mr": (300, 262, False, 0, "", ""),
+    "on-messages/ct/flood": (300, 258, False, 0, "", ""),
+    "on-messages/ct/sender": (300, 264, False, 0, "", ""),
+    "on-messages/mr/flood": (300, 267, False, 0, "", ""),
+    "on-messages/mr/sender": (300, 268, False, 0, "", ""),
+    "sequencer/none": (300, 281, False, 0, "", ""),
+}
+
+
+def test_pinned_registry_matrix_outcomes():
+    """CI's matrix (n = 3, budget 300), searched serially in-process."""
+    outcomes = {}
+    for spec in registry_explore_specs(n=3, budget=300):
+        outcome = explore(spec)
+        first = outcome.violations[0] if outcome.violations else None
+        outcomes[spec.label] = (
+            outcome.schedules,
+            outcome.pruned,
+            outcome.exhausted,
+            len(outcome.violations),
+            first.prop if first else "",
+            first.repro if first else "",
+        )
+    assert outcomes == REGISTRY_MATRIX

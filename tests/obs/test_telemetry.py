@@ -1,10 +1,9 @@
-"""Telemetry registry, queue-observer counters, and the sampler.
+"""Telemetry registry and the sampler.
 
 The load-bearing claims: the sampler reads *live* engine state (the
 queue's sequence counter, not the drain-exit-flushed
-``events_executed``), the observer slot refuses double occupancy, and
-a sampled run is deterministic — two identical specs produce
-bit-identical series.
+``events_executed``), and a sampled run is deterministic — two
+identical specs produce bit-identical series.
 """
 
 from types import SimpleNamespace
@@ -13,13 +12,7 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.message import make_payload
-from repro.obs.telemetry import (
-    QueueTelemetry,
-    Telemetry,
-    TelemetrySampler,
-    TimeSeries,
-    attach_queue_telemetry,
-)
+from repro.obs.telemetry import Telemetry, TelemetrySampler, TimeSeries
 from repro.shard.router import Router, completion_stats
 from repro.sim.engine import Engine
 from tests.helpers import count_calls
@@ -46,27 +39,6 @@ class TestRegistry:
 
     def test_get_missing_is_none(self):
         assert Telemetry().get("nope") is None
-
-
-class TestQueueObserver:
-    def test_counts_pushes_and_cancels(self):
-        engine = Engine()
-        counters = QueueTelemetry()
-        attach_queue_telemetry(engine, counters)
-        engine.schedule(0.1, lambda: None)
-        handle = engine.schedule(0.2, lambda: None)
-        handle.cancel()
-        assert counters.pushes == 2
-        assert counters.cancels == 1
-        # The fused drain never consults the observer — by design.
-        engine.run()
-        assert counters.fires == 0
-
-    def test_occupied_slot_is_refused(self):
-        engine = Engine()
-        attach_queue_telemetry(engine, QueueTelemetry())
-        with pytest.raises(ConfigurationError, match="observer"):
-            attach_queue_telemetry(engine, QueueTelemetry())
 
 
 class TestSampler:
@@ -205,12 +177,10 @@ def _noop() -> None:
 class TestDisabledPath:
     """Obs available but not enabled costs the drain nothing.
 
-    Telemetry, a queue observer and an un-installed sampler are built
-    beside the engine, and the drain must make exactly the Python-level
-    calls of a plain engine: a hook that fired, or a wrapper left on
-    the path, shows as a count difference on every machine.  The
-    structural half (every observer call under an ``is not None``
-    guard) is ``tools/hotpath_lint.py``.
+    Telemetry and an un-installed sampler are built beside the engine,
+    and the drain must make exactly the Python-level calls of a plain
+    engine: a hook that fired, or a wrapper left on the path, shows as
+    a count difference on every machine.
     """
 
     EVENTS = 50_000
@@ -219,11 +189,8 @@ class TestDisabledPath:
         engine = Engine()
         if with_obs:
             telemetry = Telemetry()
-            queue_telemetry = QueueTelemetry()
-            sampler = TelemetrySampler(
-                engine, telemetry, queue=queue_telemetry
-            )
-            assert not sampler.installed and engine.equeue.observer is None
+            sampler = TelemetrySampler(engine, telemetry)
+            assert not sampler.installed
         push = engine.equeue.push_entry
         for i in range(self.EVENTS):
             push(i * 1e-6, _noop, ())
@@ -233,7 +200,7 @@ class TestDisabledPath:
         )
         assert engine.events_executed == self.EVENTS
         if with_obs:
-            assert len(telemetry) == 0 and queue_telemetry.pushes == 0
+            assert len(telemetry) == 0
         return calls["call"]
 
     def test_obs_off_drain_within_budget(self):

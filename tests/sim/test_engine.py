@@ -317,6 +317,24 @@ def livelocked(path):
     return engine
 
 
+class TestHorizon:
+    @pytest.mark.parametrize("path", sorted(RUN_PATHS))
+    def test_an_earlier_horizon_is_refused_not_rewound_to(self, path):
+        engine = Engine()
+        engine.install_scheduler(RUN_PATHS[path]())
+        fired = []
+        engine.schedule(6.0, fired.append, "late")
+        assert engine.run(until=5.0) == 5.0
+        with pytest.raises(ConfigurationError, match="current time is 5.0"):
+            engine.run(until=3.0)
+        assert engine.now == 5.0
+        with pytest.raises(ConfigurationError, match="current time is 5.0"):
+            engine.schedule_at(4.0, fired.append, "past")
+        assert engine.run(until=5.0) == 5.0  # until == now stays legal
+        engine.run()
+        assert fired == ["late"] and engine.now == 6.0
+
+
 class TestEveryPathFiresEveryEvent:
     """Each run path fires each live event exactly once, in key order."""
 

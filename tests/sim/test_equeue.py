@@ -38,15 +38,12 @@ class Reference:
         self.events: dict[tuple[float, int], tuple] = {}
         self.seq = 0
         self.now = 0.0
-        self.pushed: list[tuple[float, int]] = []
-        self.cancelled: list[tuple[float, int]] = []
 
     def schedule_at(self, time, fn, *args):
         self.seq += 1
         key = (time, self.seq)
         insort(self.keys, key)
         self.events[key] = (fn, args)
-        self.pushed.append(key)
         return key
 
     push_entry = schedule_at
@@ -55,7 +52,6 @@ class Reference:
         if key in self.events:
             self.keys.remove(key)
             del self.events[key]
-            self.cancelled.append(key)
 
     def run(self, until):
         while self.keys and self.keys[0][0] <= until:
@@ -196,31 +192,6 @@ class TestAgainstReference:
 
         assert churn(Real()) == churn(Reference())
         assert len(churn(Reference())[0]) > 200
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_observer_sees_pushes_and_cancels_in_reference_order(self, seed):
-        """The ``on_push``/``on_cancel`` stream — what the explorer's
-        fingerprint tracker and the queue telemetry consume."""
-
-        class Recorder:
-            def __init__(self):
-                self.pushed: list[tuple[float, int]] = []
-                self.cancelled: list[tuple[float, int]] = []
-
-            def on_push(self, entry):
-                self.pushed.append((entry[0], entry[1]))
-
-            def on_cancel(self, entry):
-                self.cancelled.append((entry[0], entry[1]))
-
-        real = Real()
-        recorder = real.engine.equeue.observer = Recorder()
-        adversarial(real, seed, initial=40)
-        reference = Reference()
-        adversarial(reference, seed, initial=40)
-        assert recorder.pushed == reference.pushed
-        assert recorder.cancelled == reference.cancelled
-        assert recorder.cancelled
 
     def test_exact_tie_fifo_order(self):
         times = [3 * TICK, 0.0, 3 * TICK, TICK, 3 * TICK, 0.0, 7.0, TICK]

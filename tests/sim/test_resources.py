@@ -124,15 +124,3 @@ class TestStage:
         (handle,) = engine.equeue.entries
         assert handle.info == ("resource", "cpu.p1")
         assert (handle.time, handle.fn, handle.args) == (0.5, print, ("x",))
-
-    def test_stage_notifies_the_queue_observer(self):
-        class Count:
-            pushes = 0
-
-            def on_push(self, entry):
-                Count.pushes += 1
-
-        engine = Engine()
-        engine.equeue.observer = Count()
-        FifoResource(engine, "cpu").stage(0.1, print, ())
-        assert Count.pushes == 1

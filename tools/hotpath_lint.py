@@ -107,27 +107,6 @@ KEPT_REGISTRATIONS = frozenset(
     {"on_crash", "on_adeliver", "on_decide", "on_vote", "on_change"}
 )
 
-#: Observer lifecycle hooks the obs layer may subscribe to.  Any call
-#: of one of these inside an observer-bearing method must sit under an
-#: ``if <name> is not None:`` guard, so the obs-off path stays a
-#: single local-is-None test — the discipline the obs-off call-count
-#: pin of ``tests/obs/test_telemetry.py::TestDisabledPath`` depends on.
-OBSERVER_HOOKS = frozenset(
-    {"on_push", "on_cancel", "on_fire", "on_defer", "on_block", "on_release"}
-)
-
-#: (module, method) bodies whose observer-hook calls must be guarded.
-OBSERVER_METHODS = (
-    ("repro.sim.equeue", "drain"),
-    ("repro.sim.equeue", "push"),
-    ("repro.sim.equeue", "push_entry"),
-    ("repro.sim.equeue", "note_cancel"),
-    ("repro.sim.resources", "stage"),
-    ("repro.sim.engine", "_run_controlled"),
-    ("repro.sim.engine", "_release_blocked"),
-)
-
-
 def check_slots(module_name: str) -> list[str]:
     module = importlib.import_module(module_name)
     problems = []
@@ -374,62 +353,12 @@ def check_closure_registrations(module_name: str) -> list[str]:
     return closure_registration_problems(tree, module_name)
 
 
-def _is_not_none_guard(test: ast.expr) -> bool:
-    """True for ``<expr> is not None`` (the sanctioned observer guard)."""
-    return (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], ast.IsNot)
-        and len(test.comparators) == 1
-        and isinstance(test.comparators[0], ast.Constant)
-        and test.comparators[0].value is None
-    )
-
-
-def check_observer_guards(module_name: str, method: str) -> list[str]:
-    """Every observer-hook call must sit under an is-not-None guard."""
-    source_path = Path(
-        importlib.import_module(module_name).__file__  # type: ignore[arg-type]
-    )
-    tree = ast.parse(source_path.read_text(), filename=str(source_path))
-    problems: list[str] = []
-
-    def visit(node: ast.AST, guarded: bool) -> None:
-        if isinstance(node, ast.If):
-            inner = guarded or _is_not_none_guard(node.test)
-            for child in node.body:
-                visit(child, inner)
-            for child in node.orelse:
-                visit(child, guarded)
-            return
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in OBSERVER_HOOKS
-            and not guarded
-        ):
-            problems.append(
-                f"{module_name}:{node.lineno} {method}: unguarded "
-                f"observer hook .{node.func.attr}() (the obs-off path "
-                f"must stay one is-None test)"
-            )
-        for child in ast.iter_child_nodes(node):
-            visit(child, guarded)
-
-    for _qualname, fn in _drain_defs(tree, method):
-        for statement in fn.body:
-            visit(statement, False)
-    return problems
-
-
 def main() -> int:
     problems: list[str] = []
     for module_name in SLOTTED_MODULES:
         problems += check_slots(module_name)
     for module_name, method in DRAIN_METHODS:
         problems += check_drain(module_name, method)
-    for module_name, method in OBSERVER_METHODS:
-        problems += check_observer_guards(module_name, method)
     for module_name, method in FRAME_PATH_METHODS:
         problems += check_frame_path(module_name, method)
     protocol_modules = _protocol_modules()
@@ -454,7 +383,6 @@ def main() -> int:
     print(
         f"hotpath-lint: OK ({len(SLOTTED_MODULES)} modules slotted, "
         f"{drains} drain loops clean, "
-        f"{len(OBSERVER_METHODS)} observer sites guarded, "
         f"{len(FRAME_PATH_METHODS)} frame-path methods bare, "
         f"{len(protocol_modules)} consensus modules read constants, "
         f"{len(wired_modules)} modules wire without closures)"
