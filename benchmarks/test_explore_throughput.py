@@ -5,8 +5,8 @@ simulation.  The search itself is measured end to end by the e2e
 ``explore_hunt`` workload (``explore.faulty_schedules_per_s``); what it
 does not isolate is the shape shrinking and ``--replay`` pay per
 schedule: a fresh ``build_system``, then the run with nothing recorded
-(no menus, no fingerprints) and passive as soon as the last deviation
-is behind.  This module times that shape on the Section 2.2 hunt
+(no menus, no fingerprints) and drained on the plain loop wherever no
+deviation is due.  This module times that shape on the Section 2.2 hunt
 (faulty-ids at n=3, constant latency, drop-in-flight).
 """
 

@@ -54,8 +54,9 @@ class ExploreSpec:
             processes each abroadcast one 16-byte message at t=0 — the
             Section 2.2 shape: one message that can be lost, one from a
             survivor that can block behind it).
-        horizon: Simulated seconds per schedule; also the backstop at
-            which deferred frames are released.
+        horizon: Simulated seconds per schedule.  A deferred frame due
+            past it is still pending when the run stops, so the run
+            does not count as drained.
         strategy: Search strategy name in
             :data:`repro.explore.strategies.STRATEGIES`.
         budget: Maximum schedules (full re-executions) to explore.
@@ -71,10 +72,7 @@ class ExploreSpec:
             per-hop latency, far below the horizon: plenty of room for
             a crash to make the delay permanent, while protocols that
             legitimately spin awaiting the frame (rcv-gated consensus
-            rotating rounds) stay cheap to execute.  ``None`` holds
-            deferred frames until the rest of the run drains — the
-            strongest adversary, but against a spinning protocol each
-            such schedule costs tens of thousands of events.
+            rotating rounds) stay cheap to execute.
         prune: Skip decision prefixes whose state fingerprint an
             earlier schedule already covered with an equal-or-larger
             remaining budget (a fingerprint is computed when read; see
@@ -99,7 +97,7 @@ class ExploreSpec:
     max_deviations: int = 3
     max_crashes: int | None = None
     defer_data_only: bool = True
-    defer_delay: float | None = 5e-3
+    defer_delay: float = 5e-3
     prune: bool = True
     stop_after: int = 1
     consensus_checks: bool | None = None
@@ -129,13 +127,16 @@ class ExploreSpec:
             raise ConfigurationError("ExploreSpec.budget must be >= 1")
         if self.max_deviations < 0:
             raise ConfigurationError("ExploreSpec.max_deviations must be >= 0")
+        if self.max_crashes is not None and self.max_crashes < 0:
+            raise ConfigurationError("ExploreSpec.max_crashes must be >= 0")
+        if self.stop_after < 0:
+            raise ConfigurationError("ExploreSpec.stop_after must be >= 0")
+        if self.max_events < 1:
+            raise ConfigurationError("ExploreSpec.max_events must be >= 1")
         if self.horizon <= 0:
             raise ConfigurationError("ExploreSpec.horizon must be > 0")
-        if self.defer_delay is not None and self.defer_delay <= 0:
-            raise ConfigurationError(
-                "ExploreSpec.defer_delay must be > 0 (or None for "
-                "defer-until-drain)"
-            )
+        if self.defer_delay is None or self.defer_delay <= 0:
+            raise ConfigurationError("ExploreSpec.defer_delay must be > 0")
         if not self.label:
             object.__setattr__(self, "label", self.name)
 
@@ -269,10 +270,10 @@ class ScheduleExecutor:
             )
         except EventBudgetExceeded:
             # This one schedule drove the protocol past the event
-            # budget (e.g. an unbounded defer against a legitimately
-            # spinning protocol).  Inconclusive, not fatal — the search
-            # records it and moves on.  Any other exception (including
-            # a plain RuntimeError from a protocol bug) propagates.
+            # budget (e.g. a livelock its deviations provoked).
+            # Inconclusive, not fatal — the search records it and
+            # moves on.  Any other exception (including a plain
+            # RuntimeError from a protocol bug) propagates.
             diverged = True
 
         drained = not diverged and system.engine.pending() == 0

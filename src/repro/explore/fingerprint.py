@@ -10,13 +10,12 @@ therefore the *partition*, not the literal hash strings.
 
 A fingerprint is computed when it is read (:class:`Fingerprinter`),
 from the state it describes: the pending records (heap plus the in-hand
-ready set), the deferred-and-blocked records, the crash record and
-every process's adelivery sequence.  The pending multiset folds with a
-modular *sum* of description hashes (not XOR: XOR would cancel
-duplicate pairs of identical descriptions, and duplicated frames are
-exactly what retransmission schedules create) plus an explicit count;
-the order-*sensitive* parts (blocked events in deferral order,
-adelivery sequences) fold with a multiply-accumulate.  Hashes come from
+ready set), the crash record and every process's adelivery sequence.
+The pending multiset folds with a modular *sum* of description hashes
+(not XOR: XOR would cancel duplicate pairs of identical descriptions,
+and duplicated frames are exactly what retransmission schedules create)
+plus an explicit count; the order-*sensitive* adelivery sequences fold
+with a multiply-accumulate.  Hashes come from
 SHA-256 of the description's ``repr`` — never Python's randomized
 ``hash()`` — so values are stable across worker processes, a
 requirement for the sharded parallel search.
@@ -55,9 +54,6 @@ _MASK = (1 << 128) - 1
 #: prime — any odd constant with good bit dispersion works, it only
 #: needs to be fixed forever (fingerprints cross process boundaries).
 _PRIME = 1099511628211
-#: What a blocked record's description (and memo key) has instead of
-#: its due time: a blocked event has none until it is released.
-_BLOCKED = "blocked"
 
 
 def _describe_value(value: Any) -> Any:
@@ -119,7 +115,7 @@ def _describe_callable(fn: Any) -> str:
     return f"{name}@p{pid}" if pid is not None else name
 
 
-def describe_record(record: _EventRecord, blocked: bool = False) -> tuple:
+def describe_record(record: _EventRecord) -> tuple:
     """Canonical description of one pending event (for fingerprints)."""
     args = record.args
     name = _describe_callable(record.fn)
@@ -128,7 +124,7 @@ def describe_record(record: _EventRecord, blocked: bool = False) -> tuple:
     if name.startswith("SimProcess._guarded") and len(args) == 2:
         name, args = _describe_callable(args[0]), args[1]
     return (
-        _BLOCKED if blocked else repr(record.time),
+        repr(record.time),
         name,
         _describe_value(tuple(args)),
         _describe_value(getattr(record, "info", None)),
@@ -146,8 +142,8 @@ class Fingerprinter:
     """Reads the state fingerprint of one controlled run.
 
     :meth:`fingerprint` is the per-decision-step read.  Each record's
-    description hash is memoised under its due time (``"blocked"`` for
-    a blocked record), for the records the last read found pending: a
+    description hash is memoised under its due time, for the records
+    the last read found pending: a
     record is described at most once per lifetime state, and only if a
     read finds it pending — everything pushed and fired between two
     reads (the whole replayed prefix of a windowed search run, see
@@ -158,15 +154,14 @@ class Fingerprinter:
     """
 
     __slots__ = (
-        "_engine", "_queue", "_memo", "_procs", "_adeliv", "_consumed",
+        "_queue", "_memo", "_procs", "_adeliv", "_consumed",
         "_folds",
     )
 
     def __init__(self, system: "System") -> None:
-        self._engine = system.engine
         self._queue = system.engine.equeue
-        #: record -> (due time or ``_BLOCKED``, description hash), for
-        #: the records pending at the last read.  Keyed by the record
+        #: record -> (due time, description hash), for the records
+        #: pending at the last read.  Keyed by the record
         #: itself: handles hash by identity.
         self._memo: dict[_EventRecord, tuple[Any, int]] = {}
         # Per-process state, hoisted once: the process set is fixed for
@@ -200,9 +195,8 @@ class Fingerprinter:
     def fingerprint(self, ready: Iterable[_EventRecord] = ()) -> str:
         """The current state fingerprint.
 
-        ``ready`` is the ready set the engine holds in hand: off-heap
-        during ``decide``, still on the heap during ``wants`` (a record
-        counts once either way).
+        ``ready`` is the ready set the engine holds in hand, off the
+        heap while the scheduler decides.
         """
         memo = self._memo
         live: dict[_EventRecord, tuple[Any, int]] = {}
@@ -210,7 +204,7 @@ class Fingerprinter:
         # Positions as in the engine's loops: [0] is the due time, [4]
         # the state (non-zero once fired or cancelled).
         for record in chain(self._queue.entries, ready):
-            if record[4] or record in live:
+            if record[4]:
                 continue
             time = record[0]
             if record in memo and memo[record][0] == time:
@@ -219,17 +213,8 @@ class Fingerprinter:
                 h = _hash_description(describe_record(record))
             live[record] = (time, h)
             total += h
-        value = ((total & _MASK) * _PRIME + len(live)) & _MASK
-        for record in self._engine._blocked:
-            if record[4]:
-                continue
-            if record in memo and memo[record][0] == _BLOCKED:
-                h = memo[record][1]
-            else:
-                h = _hash_description(describe_record(record, blocked=True))
-            live[record] = (_BLOCKED, h)
-            value = (value * _PRIME + h) & _MASK
         self._memo = live
+        value = ((total & _MASK) * _PRIME + len(live)) & _MASK
         for pid, process in self._procs:
             if process.crashed:
                 value = (value * _PRIME + pid + 0x9E3779B9) & _MASK

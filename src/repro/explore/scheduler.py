@@ -21,37 +21,36 @@ independent deliveries are the common case).
 Recording is demand-driven.  A tree search only ever expands a schedule
 at steps *after* its last deviation and only *up to* the first
 already-covered fingerprint, so it hands the scheduler exactly that
-*window* (``record_from`` and a ``covered`` test).  A run then has up to
-three stretches:
+*window* (``record_from`` and a ``covered`` test).  The scheduler looks
+only where it has something to do:
 
-* the **replayed prefix** keeps only what later steps depend on — the
-  step counter, which frames have lost their deferrability, which event
-  fired last (the crash-placement gate) — and evaluates
-  deferrable/crashable sets solely to validate a deviation scheduled at
-  that step.  No menu, no fingerprint;
-* the **window** records a menu (and fingerprint) per step and closes
-  on the first ``covered`` fingerprint — that menu is still recorded,
-  it is the search's cut-off marker;
-* after that the scheduler is :attr:`~ExploreScheduler.passive`: every
-  remaining answer is ``(FIRE, 0)``, so the engine finishes the run on
-  the storage's plain drain loop and reports the event count, which
-  keeps ``steps`` exact.
+* at each step of the window it records a menu (and fingerprint); the
+  window closes on the first ``covered`` fingerprint — that menu is
+  still recorded, it is the search's cut-off marker;
+* at each deviation step it evaluates the deferrable/crashable sets,
+  solely to validate the deviation;
+* at the step just before either, it notes the event that fires: the
+  last fired event is the crash-placement gate, and its key says which
+  frames have lost their deferrability.
 
-The default (``record_from=0``, no ``covered`` test) records every
-step; ``record_from=None`` records nothing and is passive from its last
-deviation on (replay, shrinking, leaf schedules of a search).
+Every other step is free (:meth:`~ExploreScheduler.free_steps`): the
+engine drains it on the store's plain loop and reports the event count,
+which keeps ``steps`` exact.  The default (``record_from=0``, no
+``covered`` test) records every step; ``record_from=None`` records
+nothing and looks at its deviations only (replay, shrinking, leaf
+schedules of a search).
 
 Deviation vocabulary and canonical form:
 
 * ``f<i>`` — fire ``ready[i]`` instead of ``ready[0]``: reorders
   same-time ties, the delivery interleaving nondeterminism.
-* ``d<i>`` — defer ``ready[i]`` (hold it back ``defer_delay`` seconds,
-  or until the run drains); only **frame deliveries** are deferrable
-  (by default only data frames — control traffic is small and fast on
-  a real LAN, bulk data is what crawls), and only at the step where
-  the frame *first* appears in a ready set.  Deferring later would
-  reach the same states through a longer prefix, so the canonical
-  form keeps the search space free of that redundancy.
+* ``d<i>`` — defer ``ready[i]`` (hold it back ``defer_delay``
+  seconds); only **frame deliveries** are deferrable (by default only
+  data frames — control traffic is small and fast on a real LAN, bulk
+  data is what crawls), and only until an event has fired while the
+  frame was ready.  Deferring later would reach the same states
+  through a longer prefix, so the canonical form keeps the search
+  space free of that redundancy.
 * ``c<pid>`` — crash ``pid`` before anything at this step fires.  A
   crash is allowed while the crash budget lasts, and only at step 0 or
   right after an event *involving* ``pid`` (its own timer or resource
@@ -69,6 +68,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.explore.fingerprint import Fingerprinter
 from repro.net.frame import Frame
 from repro.sim.engine import AGAIN, DEFER, FIRE, Scheduler, _EventRecord
+from repro.sim.equeue import SEQ, TIME
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stack.builder import System
@@ -176,8 +176,8 @@ class ExploreScheduler(Scheduler):
             frames (the Section 2.2 style of adversity).  ``False``
             widens deferral to every frame delivery.
         defer_delay: Passed through to the engine (see
-            :class:`repro.sim.engine.Scheduler.defer_delay`): how long
-            a deferred frame is held back.
+            :attr:`repro.sim.engine.Scheduler.defer_delay`): how many
+            seconds a deferred frame is held back.
         fingerprints: Put a state fingerprint on each recorded menu
             (tree strategies need them for pruning), read by a
             :class:`~repro.explore.fingerprint.Fingerprinter`.
@@ -201,7 +201,7 @@ class ExploreScheduler(Scheduler):
         *,
         max_crashes: int = 0,
         defer_data_only: bool = True,
-        defer_delay: float | None = 5e-3,
+        defer_delay: float = 5e-3,
         fingerprints: bool = True,
         record_from: int | None = 0,
         covered: Callable[[str], bool] | None = None,
@@ -222,7 +222,6 @@ class ExploreScheduler(Scheduler):
         self._covered = covered
         #: No menu will be recorded from here on.
         self._closed = record_from is None
-        self._last_deviation = max(self.deviations, default=-1)
         #: Reads the menus' fingerprints; dropped when the window closes.
         self._fingerprinter = (
             Fingerprinter(system)
@@ -239,22 +238,29 @@ class ExploreScheduler(Scheduler):
         self.crashes_done = 0
         # The process set is fixed for a run (crashed ones stay listed).
         self._processes = sorted(system.processes.items())
-        # Strong references, not id()s: a fired record could be freed
-        # and its address reused by a later frame's record, which would
-        # silently (and non-deterministically across processes) eat
-        # that frame's deferrability.
-        self._seen_frames: set[_EventRecord] = set()
+        self._queue = system.engine.equeue
         # The previously fired event: only processes it involved may
         # crash now (crash placement gate); before the first one every
         # alive process qualifies.
         self._last_fired: _EventRecord | None = None
+        # Its due time, and the queue's seq counter just before it
+        # fired: a record due then with a seq at most that was ready
+        # when it fired (see ``_deferrable``).
+        self._last_fire_key: tuple[float | None, int] = (None, 0)
 
-    @property
-    def passive(self) -> bool:
-        """Nothing left to record and no deviation left to play."""
-        return self._closed and self.steps > self._last_deviation
+    def free_steps(self) -> int | None:
+        """Steps up to the one before the next step this scheduler
+        looks at (the module docstring's list); ``None`` past the last.
+        """
+        step = self.steps
+        upcoming = [s for s in self.deviations if s >= step]
+        if not self._closed:
+            upcoming.append(self._record_from)
+        if not upcoming:
+            return None
+        return max(min(upcoming) - step - 1, 0)
 
-    def on_passive_drain(self, fired: int) -> None:
+    def on_stretch(self, fired: int) -> None:
         self.steps += fired
 
     # -- involvement ---------------------------------------------------
@@ -278,6 +284,16 @@ class ExploreScheduler(Scheduler):
         return frozenset()
 
     def _deferrable(self, ready: Sequence[_EventRecord]) -> tuple[int, ...]:
+        # Canonical form: a frame stops being deferrable once a protocol
+        # event has *fired* while it was ready — deferring it later
+        # reaches the same states through a longer prefix.  Once a
+        # frame is ready, every fire until its own is at its due time,
+        # so it has fired beside one iff the last fire was at its due
+        # time and after it got its current key.  Defers and crashes
+        # at the same tie group do not consume deferrability, so
+        # chained defers ("hold back both copies of m") stay
+        # expressible.
+        fire_time, fire_seq = self._last_fire_key
         indices = []
         for i, record in enumerate(ready):
             frame = getattr(record, "info", None)
@@ -285,13 +301,7 @@ class ExploreScheduler(Scheduler):
                 continue
             if self.defer_data_only and frame.control:
                 continue
-            if record in self._seen_frames:
-                # Canonical form: a frame stops being deferrable once a
-                # protocol event has *fired* while it was ready —
-                # deferring it later reaches the same states through a
-                # longer prefix.  Defers and crashes at the same tie
-                # group do not consume deferrability, so chained defers
-                # ("hold back both copies of m") stay expressible.
+            if record[TIME] == fire_time and record[SEQ] <= fire_seq:
                 continue
             indices.append(i)
         return tuple(indices)
@@ -328,38 +338,13 @@ class ExploreScheduler(Scheduler):
 
     # -- the seam ------------------------------------------------------
 
-    def wants(self, ready: tuple[_EventRecord, ...]) -> bool:
-        """Singleton fast path: take the default decision without
-        ``decide``'s ready-list machinery — but with *equivalent*
-        bookkeeping, so step numbers, menus, fingerprints and the
-        crash-placement context all match a consultation that answered
-        ``(FIRE, 0)`` bit for bit (replayed repro strings must mean the
-        same schedule either way; pinned by
-        ``tests/explore/test_fast_path.py``).  The deferrability set
-        needs nothing: the only ready record is the one that fires.
-        """
-        step = self.steps
-        if step in self.deviations:
-            return True  # a deviation may apply here: consult decide()
-        self.steps = step + 1
-        if not self._closed:
-            if step >= self._record_from:
-                self._record(step, ready)
-        elif step > self._last_deviation:
-            return False  # passive: nothing reads the bookkeeping again
-        self._last_fired = ready[0]
-        return False
-
     def decide(self, now: float, ready: list[_EventRecord]) -> tuple[str, int]:
         step = self.steps
         self.steps = step + 1
         deviation = self.deviations.get(step)
         menu = None
-        if not self._closed:
-            if step >= self._record_from:
-                menu = self._record(step, ready)
-        elif step > self._last_deviation:
-            return (FIRE, 0)  # passive (see wants)
+        if not self._closed and step >= self._record_from:
+            menu = self._record(step, ready)
 
         decision: tuple[str, int] = (FIRE, 0)
         if deviation is not None:
@@ -386,11 +371,9 @@ class ExploreScheduler(Scheduler):
 
         if decision[0] == FIRE:
             # Only a fired event advances protocol state: it both
-            # consumes the ready frames' deferrability (canonical
-            # first-appearance form) and resets the crash-placement
-            # context.  Defers and crashes leave the tie group open.
-            for record in ready:
-                if isinstance(getattr(record, "info", None), Frame):
-                    self._seen_frames.add(record)
+            # consumes the ready frames' deferrability and resets the
+            # crash-placement context.  Defers and crashes leave the
+            # tie group open.
             self._last_fired = ready[decision[1]]
+            self._last_fire_key = (now, self._queue.seq)
         return decision

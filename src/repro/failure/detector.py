@@ -78,7 +78,7 @@ class StaticFailureDetector(FailureDetector):
     """A detector whose suspect set is fixed up front.
 
     Only useful in unit tests of the consensus state machines, where the
-    test wants full manual control (it can also mutate the set through
+    test needs full manual control (it can also mutate the set through
     :meth:`force_suspect` / :meth:`force_trust`).
     """
 

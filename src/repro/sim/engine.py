@@ -14,10 +14,13 @@ scheduling order, which — together with the named RNG streams of
   (``benchmarks/test_engine_run_loop.py`` tracks the ns/event figure).
 
 * the **controlled loop**, entered only when a :class:`Scheduler` is
-  installed.  At every step it collects the *ready set* — all events
-  tied at the minimum time — and lets the scheduler pick which fires,
-  defer one until the rest of the run has drained, or mutate the
-  simulation (inject a crash) and be asked again.  This is the
+  installed.  Before each step it asks the scheduler how many upcoming
+  steps it leaves free (:meth:`Scheduler.free_steps`) and drains that
+  stretch through the default loop, reporting the events it fired
+  (:meth:`Scheduler.on_stretch`).  At every other step it collects the
+  *ready set* — all events tied at the minimum time — and lets the
+  scheduler pick which fires, delay one by ``defer_delay``, or mutate
+  the simulation (inject a crash) and be asked again.  This is the
   decision-point seam the systematic schedule exploration of
   :mod:`repro.explore` drives.  It pops and pushes heap entries
   directly and reads them as :class:`EventHandle`\\ s, which is why
@@ -25,38 +28,14 @@ scheduling order, which — together with the named RNG streams of
   pending to a handle; nothing else changes, so the schedule is
   unaffected.  Nothing is notified as events move: a scheduler that
   needs the pending state (the explorer's fingerprints) reads the heap
-  and the deferred list when it is consulted.  With no scheduler
-  installed none of this runs and traces
-  are bit-identical to the pre-seam engine (golden-guarded by
-  ``tests/stack/test_golden_traces.py``).
+  when it is consulted.  With no scheduler installed none of this runs
+  and traces are bit-identical to the pre-seam engine
+  (golden-guarded by ``tests/stack/test_golden_traces.py``).
 
 Both loops keep one budget rule: ``max_events`` caps
 :attr:`Engine.events_executed`, the engine's lifetime count, and both
 raise the overrun from one place (``Engine._overrun``), which names the
 pending events by callback and the oldest due time.
-
-Two fast paths keep the controlled loop's overhead proportional to the
-decisions actually taken (toggle: :data:`CONTROLLED_FAST_PATH`; the
-equivalence is pinned by ``tests/explore/test_fast_path.py``):
-
-* a **passive scheduler** (:attr:`Scheduler.passive`) can never again
-  answer anything but ``(FIRE, 0)``, so the controlled loop hands the
-  rest of the run to the store's own drain loop — no per-event
-  consultation — and tells the scheduler how many events that fired
-  (:meth:`Scheduler.on_passive_drain`).  The base scheduler — neither
-  ``decide`` nor ``wants`` overridden — is passive from the start; the
-  only observable difference from an uncontrolled run is that
-  annotations are on and the ``begin_run``/``end_run`` hooks fire.  The
-  explorer's scheduler turns passive mid-run, once it is past its last
-  deviation and has nothing left to record.
-* for consultable schedulers, a **singleton ready set** (nothing tied
-  with the head event) is first offered to :meth:`Scheduler.wants`; a
-  ``False`` answer lets the engine fire the head without building the
-  ready list or calling ``decide``, batching consecutive
-  singleton steps between real decision points.  The scheduler is
-  responsible for keeping its own step bookkeeping consistent when it
-  waves a step off (see :class:`repro.explore.scheduler
-  .ExploreScheduler.wants`).
 
 Annotations (:meth:`EventHandle.annotate`) are **lazy**: the engine
 carries an ``annotating`` flag, off by default, and the hot scheduling
@@ -86,7 +65,6 @@ from repro.sim.equeue import (
 
 __all__ = [
     "AGAIN",
-    "CONTROLLED_FAST_PATH",
     "DEFER",
     "FIRE",
     "Engine",
@@ -101,14 +79,8 @@ _EventRecord = EventHandle
 
 #: Scheduler decision opcodes (the first element of a ``decide`` result).
 FIRE = "fire"      #: execute ready[index] now
-DEFER = "defer"    #: block ready[index] until the rest of the run drains
+DEFER = "defer"    #: re-key ready[index] ``defer_delay`` seconds later
 AGAIN = "again"    #: scheduler mutated the simulation; re-collect and re-ask
-
-#: Kill switch for the controlled loop's fast paths (the passive
-#: drain delegation and the singleton ``wants`` skip — see the module
-#: docstring).  Module-level so the equivalence tests can flip it and
-#: assert bit-identical schedules either way; leave it ``True``.
-CONTROLLED_FAST_PATH = True
 
 #: Callbacks an overrun's diagnosis names (most frequent first).
 _OVERRUN_TOP = 5
@@ -120,26 +92,25 @@ class Scheduler:
     Carries no per-instance state itself (``__slots__ = ()``);
     subclasses add their own attributes freely.
 
-    At every step the engine hands ``decide`` the current ready set —
-    the :class:`EventHandle` records of every enabled event tied at the
+    Before each step the engine asks :meth:`free_steps` how many
+    upcoming steps the scheduler leaves free: it fires those without
+    consulting anybody, in the default ``(time, seq)`` order, then
+    reports how many events that stretch fired (:meth:`on_stretch`).
+    At every other step it hands ``decide`` the current ready set — the
+    :class:`EventHandle` records of every enabled event tied at the
     minimum pending time, in ``(time, seq)`` order (read-only: inspect
-    ``time``/``fn``/``args``/``info``, do not mutate).  The return value
-    is ``(op, index)``:
+    ``time``/``fn``/``args``/``info``, do not mutate).  The return
+    value is ``(op, index)``:
 
     * ``(FIRE, i)`` — execute ``ready[i]``.  The base implementation
       always answers ``(FIRE, 0)``, which reproduces the uncontrolled
       engine's ``(time, seq)`` order decision for decision.
-    * ``(DEFER, i)`` — hold ``ready[i]`` back.  With ``defer_delay``
-      set (a float, seconds), the event is re-enqueued ``defer_delay``
-      after now — a bounded-delay adversary, the engine stays finite
-      even against protocols that legitimately spin while a message is
-      missing (rcv-gated consensus does).  With ``defer_delay = None``
-      the event is held until no other runnable event remains (or the
-      run's ``until`` horizon is reached), when every deferred event
-      re-enters at the then-current time in deferral order — the
-      unbounded-delay adversary.  Either way the event is delayed, not
-      cancelled: it stays pending, though a bounded-delay defer landing
-      past ``until`` (or a ``None``-mode release racing the horizon)
+    * ``(DEFER, i)`` — hold ``ready[i]`` back: it is re-enqueued
+      :attr:`defer_delay` after now, behind everything already due
+      then — a bounded-delay adversary, so the engine stays finite even
+      against protocols that legitimately spin while a message is
+      missing (rcv-gated consensus does).  The event is delayed, not
+      cancelled: it stays pending, though one landing past ``until``
       executes only in a later ``run`` call — callers asserting
       delivery should gate on ``pending() == 0``, as the explorer's
       executor does.  A deferred frame *is* lost if its sender crashes
@@ -150,68 +121,34 @@ class Scheduler:
 
     Installing a scheduler switches :meth:`Engine.run` onto the
     controlled loop; ``install_scheduler(None)`` restores the hot path.
-    A scheduler that reports itself :attr:`passive` gives the rest of
-    the run back to the store's drain loop.
     """
 
     __slots__ = ()
 
-    #: Seconds a deferred event is delayed; ``None`` = held until the
-    #: rest of the run drains (see the ``DEFER`` entry above).
-    defer_delay: float | None = None
+    #: Seconds a deferred event is delayed (the explorer's default).
+    defer_delay: float = 5e-3
 
-    @property
-    def passive(self) -> bool:
-        """True once every remaining answer is ``(FIRE, 0)``.
+    def free_steps(self) -> int | None:
+        """How many upcoming steps would ``decide`` answer ``(FIRE, 0)``
+        without looking?  ``None`` means the rest of the run.
 
-        The engine reads this before each step; when it holds (and the
-        fast path is on, and no deferred event is blocked) the rest of
-        the run goes to the store's drain loop, ``wants``/``decide``
-        are not called again, and :meth:`on_passive_drain` reports the
-        events fired.  The answer must not revert to ``False`` later in
-        the same run.  The base implementation is the type test "neither
-        ``decide`` nor ``wants`` overridden"; a subclass that overrides
-        either is consulted at every step unless it also overrides this.
+        The engine drains that stretch on the default loop, under the
+        same budget, horizon and ``stop_when``, and asks again once it
+        is over.  The base implementation answers ``0``: ``decide`` is
+        consulted at every step unless a subclass knows better.
         """
-        cls = type(self)
-        return cls.decide is Scheduler.decide and cls.wants is Scheduler.wants
+        return 0
 
-    def begin_run(self, engine: "Engine") -> None:  # pragma: no cover - hook
-        """Called once when a controlled ``run`` starts."""
-
-    def wants(self, ready: tuple[EventHandle, ...]) -> bool:
-        """Singleton fast-path predicate: must ``decide`` see this step?
-
-        Consulted only when the ready set is a singleton (nothing tied
-        with the head event).  Returning ``False`` lets the engine fire
-        ``ready[0]`` immediately — no ready-list construction, no
-        ``decide`` call — which is where the controlled loop spends
-        most of its steps.  A scheduler that overrides this **takes
-        over the step's bookkeeping**: whatever per-consultation state
-        it keeps (step counters, menus, fingerprints) must be updated
-        exactly as if ``decide`` had been called and answered
-        ``(FIRE, 0)``, or replayed deviation step numbers drift.
-
-        The base implementation returns ``True`` exactly when
-        ``decide`` is overridden, so a subclass that only customises
-        ``decide`` keeps being consulted at every step — the fast path
-        is strictly opt-in.
-        """
-        return type(self).decide is not Scheduler.decide
+    def on_stretch(self, fired: int) -> None:
+        """Called after each free stretch (even on error) with the
+        number of events it fired: one per step, since every step of a
+        stretch fires the head event."""
 
     def decide(
         self, now: float, ready: list[EventHandle]
     ) -> tuple[str, int]:
         """Pick the next action for the current ready set."""
         return (FIRE, 0)
-
-    def on_passive_drain(self, fired: int) -> None:  # pragma: no cover - hook
-        """Called after a passive hand-over (even on error) with the
-        number of events the drain fired — each one a step this
-        scheduler would have answered ``(FIRE, 0)``."""
-
-    def end_run(self, engine: "Engine") -> None:  # pragma: no cover - hook
-        """Called once when a controlled ``run`` exits (even on error)."""
 
 
 class Engine:
@@ -235,8 +172,8 @@ class Engine:
     """
 
     __slots__ = (
-        "now", "_queue", "_qpush", "_running", "_scheduler", "_blocked",
-        "_closed", "annotating", "events_executed",
+        "now", "_queue", "_qpush", "_running", "_scheduler", "_closed",
+        "annotating", "events_executed",
     )
 
     def __init__(self, annotating: bool = False) -> None:
@@ -247,7 +184,6 @@ class Engine:
         self._qpush = self._queue.push
         self._running = False
         self._scheduler: Scheduler | None = None
-        self._blocked: list[EventHandle] = []
         self._closed = False
         #: Whether hot scheduling sites should attach ``info``
         #: annotations (see the module docstring).
@@ -311,16 +247,6 @@ class Engine:
         """
         return self._queue.pending
 
-    def pending_entries(self) -> list[tuple[float, int, list]]:
-        """Snapshot of the stored ``(time, seq, entry)`` triples.
-
-        Unordered, and may include cancelled tombstones; see
-        :meth:`EventQueue.snapshot` for what an entry is.  The
-        explorer's state fingerprint and debugging tools read this
-        instead of reaching into the store.
-        """
-        return self._queue.snapshot()
-
     def close(self) -> None:
         """Drop every pending event and the scheduler: the run is over.
 
@@ -338,7 +264,6 @@ class Engine:
         queue = self._queue
         queue.entries = []
         queue.pending = queue._cancelled = 0
-        self._blocked = []
         self._scheduler = None
 
     def run(
@@ -381,17 +306,19 @@ class Engine:
         self._running = True
         try:
             if self._scheduler is None:
-                return self._queue.drain(self, until, max_events, stop_when)
-            return self._run_controlled(until, max_events, stop_when)
+                self._queue.drain(self, until, max_events, stop_when)
+            else:
+                self._run_controlled(until, max_events, stop_when)
         finally:
             self._running = False
+        return self.now
 
     def _run_controlled(
         self,
         until: float | None,
         max_events: int | None,
         stop_when: Callable[[], bool] | None,
-    ) -> float:
+    ) -> None:
         """The scheduler-consulted loop (see :class:`Scheduler`).
 
         Identical semantics to the default loop when the scheduler
@@ -403,130 +330,78 @@ class Engine:
         queue = self._queue
         heap = queue.entries
         budget = _UNBOUNDED if max_events is None else max_events
-        scheduler.begin_run(self)
-        wants = scheduler.wants
-        fast = CONTROLLED_FAST_PATH
-        try:
-            while True:
-                if fast and scheduler.passive and not self._blocked:
-                    # Nothing left to decide: the store's own drain
-                    # finishes the run, under the same lifetime budget.
-                    before = self.events_executed
-                    try:
-                        queue.drain(self, until, max_events, stop_when)
-                    finally:
-                        fired = self.events_executed - before
-                        scheduler.on_passive_drain(fired)
-                    break
-                while heap and heap[0][4] == CANCELLED:
-                    heappop(heap)
-                    queue._cancelled -= 1
-                if not heap:
-                    if self._blocked:
-                        self._release_blocked()
-                        continue
-                    if until is not None:
-                        self.now = max(self.now, until)
-                    break
-                head = heap[0]
-                time = head[0]
-                if until is not None and time > until:
-                    if self._blocked:
-                        # The horizon is the deferred events' backstop:
-                        # "arbitrarily slow" still means delivered
-                        # within the run, not silently lost.
-                        self._release_blocked()
-                        continue
-                    self.now = until
-                    break
-                # Singleton fast path: the head's only possible tie
-                # sits at heap[1] or heap[2] (its children); when
-                # neither matches its time the ready set is {head} and
-                # the scheduler may wave the consultation off.
-                if (
-                    fast
-                    and (len(heap) < 2 or heap[1][0] != time)
-                    and (len(heap) < 3 or heap[2][0] != time)
-                    and not wants((head,))
-                ):
-                    chosen = heappop(heap)
-                else:
-                    # Ready set: every enabled event tied at the minimum
-                    # time, in (time, seq) order; ``tied`` keeps the
-                    # tombstones too, to go back on the heap.
-                    ready: list[EventHandle] = []
-                    tied: list[EventHandle] = []
-                    while heap and heap[0][0] == time:
-                        entry = heappop(heap)
-                        tied.append(entry)
-                        if entry[4] != CANCELLED:
-                            ready.append(entry)
-                    if not ready:
-                        queue._cancelled -= len(tied)
-                        continue
-                    op, index = scheduler.decide(time, ready)
-                    if op == AGAIN:
-                        for entry in tied:
-                            heappush(heap, entry)
-                        continue
-                    if op not in (FIRE, DEFER):  # pragma: no cover - defensive
-                        raise ConfigurationError(
-                            f"scheduler returned unknown op {op!r}"
-                        )
-                    chosen = ready[index]
-                    for entry in tied:
-                        if entry is not chosen:
-                            heappush(heap, entry)
-                    if op == DEFER:
-                        delay = scheduler.defer_delay
-                        if delay is None:
-                            self._blocked.append(chosen)
-                        else:
-                            # Re-keyed behind everything already due then.
-                            chosen[0] = time + delay
-                            queue.seq += 1
-                            chosen[1] = queue.seq
-                            heappush(heap, chosen)
-                        continue
-                self.now = time
-                chosen[4] = FINISHED
-                queue.pending -= 1
-                self.events_executed += 1
-                chosen[2](*chosen[3])
-                if self.events_executed >= budget:
-                    raise self._overrun(max_events)
-                if stop_when is not None and stop_when():
-                    break
-        finally:
-            scheduler.end_run(self)
-        return self.now
-
-    def _release_blocked(self) -> None:
-        """Re-enqueue every deferred event at the current time.
-
-        Called when nothing else is runnable (or the horizon passed):
-        deferred events fire last, in deferral order.  Cancelled ones
-        (e.g. in-flight frames of a crashed sender) are dropped.
-        """
-        queue = self._queue
-        blocked, self._blocked = self._blocked, []
-        for record in blocked:
-            if record[4] == CANCELLED:
-                # Never entered the heap as a tombstone: settle the
-                # cancellation accounting here instead.
-                queue._cancelled -= 1
+        while True:
+            free = scheduler.free_steps()
+            if free != 0:
+                before = self.events_executed
+                try:
+                    paused = queue.drain(
+                        self, until, max_events, stop_when, free
+                    )
+                finally:
+                    scheduler.on_stretch(self.events_executed - before)
+                if not paused:
+                    return
                 continue
-            record[0] = max(self.now, record[0])
-            queue.seq += 1
-            record[1] = queue.seq
-            heappush(queue.entries, record)
+            while heap and heap[0][4] == CANCELLED:
+                heappop(heap)
+                queue._cancelled -= 1
+            if not heap:
+                if until is not None:
+                    self.now = max(self.now, until)
+                return
+            time = heap[0][0]
+            if until is not None and time > until:
+                self.now = until
+                return
+            # Ready set: every enabled event tied at the minimum time,
+            # in (time, seq) order; ``tied`` keeps the tombstones too,
+            # to go back on the heap.
+            ready: list[EventHandle] = []
+            tied: list[EventHandle] = []
+            while heap and heap[0][0] == time:
+                entry = heappop(heap)
+                tied.append(entry)
+                if entry[4] != CANCELLED:
+                    ready.append(entry)
+            if not ready:
+                queue._cancelled -= len(tied)
+                continue
+            op, index = scheduler.decide(time, ready)
+            if op == AGAIN:
+                for entry in tied:
+                    heappush(heap, entry)
+                continue
+            if op not in (FIRE, DEFER):  # pragma: no cover - defensive
+                raise ConfigurationError(
+                    f"scheduler returned unknown op {op!r}"
+                )
+            chosen = ready[index]
+            for entry in tied:
+                if entry is not chosen:
+                    heappush(heap, entry)
+            if op == DEFER:
+                # Re-keyed behind everything already due then.
+                chosen[0] = time + scheduler.defer_delay
+                queue.seq += 1
+                chosen[1] = queue.seq
+                heappush(heap, chosen)
+                continue
+            self.now = time
+            chosen[4] = FINISHED
+            queue.pending -= 1
+            self.events_executed += 1
+            chosen[2](*chosen[3])
+            if self.events_executed >= budget:
+                raise self._overrun(max_events)
+            if stop_when is not None and stop_when():
+                return
 
     def _overrun(self, max_events: int) -> EventBudgetExceeded:
         """The runaway guard's error, raised by both run loops: the live
-        pending events (heap and deferred) by callback, most frequent
-        first, and the oldest due time — a livelock reschedules itself."""
+        pending events by callback, most frequent first, and the oldest
+        due time — a livelock reschedules itself."""
         live = [e for e in self._queue.entries if e[4] == PENDING]
-        live += [e for e in self._blocked if e[4] == PENDING]
         message = (
             f"simulation exceeded max_events={max_events} "
             f"at t={self.now:.6f}s (likely a protocol livelock)"

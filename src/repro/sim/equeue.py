@@ -209,19 +209,14 @@ class EventQueue:
         # In place: the drain loop binds the list object once, so the
         # identity must survive a compaction triggered by a cancel
         # inside a callback.  Decrement by what was removed rather than
-        # resetting: tombstones can also live outside the heap (the
-        # controlled loop's deferred-and-blocked records).
+        # resetting: tombstones can also sit outside the heap (the tie
+        # group the controlled loop holds while its scheduler decides,
+        # where an injected crash may cancel one).
         entries = self.entries
         before = len(entries)
         entries[:] = [e for e in entries if not e[STATE]]
         heapify(entries)
         self._cancelled -= before - len(entries)
-
-    def snapshot(self) -> list[tuple[float, int, list]]:
-        """Every stored ``(time, seq, entry)``, tombstones included, in
-        no particular order.  Entries are handles once a scheduler is
-        installed; before that, fire-and-forget events are bare lists."""
-        return [(e[TIME], e[SEQ], e) for e in self.entries]
 
     def drain(
         self,
@@ -229,18 +224,25 @@ class EventQueue:
         until: float | None,
         max_events: int | None,
         stop_when: Callable[[], bool] | None,
-    ) -> float:
+        steps: int | None = None,
+    ) -> bool:
         """The scheduler-free run loop (see ``Engine.run``).
 
         ``max_events`` caps ``engine.events_executed``, the engine's
         lifetime count, which the loop keeps in a local and writes back
         on exit; an overrun raises what ``Engine._overrun`` builds.
+        ``steps`` (at least 1) pauses the loop once that many events
+        have fired: the controlled loop drains a scheduler's free
+        stretch this way.  Returns whether it paused there — ``False``
+        means the run is over (horizon, empty queue or ``stop_when``).
         """
         entries = self.entries
         pop = heappop
         until_f = _INF if until is None else until
         budget = _UNBOUNDED if max_events is None else max_events
         executed = engine.events_executed
+        # One comparison per event serves both the budget and the pause.
+        limit = budget if steps is None else min(budget, executed + steps)
         # Field positions are literals here (see TIME … STATE): the
         # per-event path skips four global loads.
         try:
@@ -254,20 +256,21 @@ class EventQueue:
                     # Not due in this run: back where it was.
                     heappush(entries, entry)
                     engine.now = until
-                    break
+                    return False
                 engine.now = time
                 entry[4] = 2  # FINISHED
                 self.pending -= 1
                 executed += 1
                 entry[2](*entry[3])
                 # The callback may have scheduled or cancelled events.
-                if executed >= budget:
-                    raise engine._overrun(max_events)
+                if executed >= limit:
+                    if executed >= budget:
+                        raise engine._overrun(max_events)
+                    return stop_when is None or not stop_when()
                 if stop_when is not None and stop_when():
-                    break
-            else:
-                if until is not None and until > engine.now:
-                    engine.now = until
+                    return False
+            if until is not None and until > engine.now:
+                engine.now = until
+            return False
         finally:
             engine.events_executed = executed
-        return engine.now

@@ -153,7 +153,7 @@ class ClosedLoopWorkload:
 
     A client whose message is never delivered (a wedged or partitioned
     stack) simply stops — which is exactly the observable a
-    sequencer-vs-indirect comparison wants.
+    sequencer-vs-indirect comparison looks for.
 
     Args:
         system: The built system to drive.

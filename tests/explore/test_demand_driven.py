@@ -26,13 +26,11 @@ from repro.explore.strategies import (
     expansion_window,
     run_strategy,
 )
-from repro.sim.engine import Scheduler
 
 PRESETS = ("faulty", "indirect")
 STRATEGIES = ("delay-bounded", "dfs")
-#: 5 ms bounded defers, and ``None``: defer-until-drain, the engine's
-#: blocked-record path (no passive hand-over while anything is blocked).
-DEFER_DELAYS = (5e-3, None)
+#: 5 ms bounded defers (the only kind there is).
+DEFER_DELAYS = (5e-3,)
 
 
 def _spec(preset, strategy, defer_delay, budget=80):
@@ -42,8 +40,8 @@ def _spec(preset, strategy, defer_delay, budget=80):
         stop_after=0,
         strategy=strategy,
         defer_delay=defer_delay,
-        # Unbounded defers make rcv-gated consensus spin; a small
-        # runaway guard keeps those (diverged, unexpanded) runs cheap.
+        # A small runaway guard keeps any diverged (unexpanded) run
+        # cheap.
         max_events=20_000,
     )
 
@@ -153,23 +151,6 @@ def test_expansion_window_of_leaves_and_unpruned_searches():
     assert first == 0
     # Covered by an equal-or-larger budget, or seen earlier in this run.
     assert [covered(fp) for fp in "abcc"] == [True, False, False, True]
-
-
-class _DecideOnly(Scheduler):
-    def decide(self, now, ready):
-        return super().decide(now, ready)
-
-
-class _WantsOnly(Scheduler):
-    def wants(self, ready):
-        return True
-
-
-def test_only_the_untouched_base_scheduler_is_passive():
-    assert Scheduler().passive is True
-    # Overriding either hook means "consult me": never handed over.
-    assert _DecideOnly().passive is False
-    assert _WantsOnly().passive is False
 
 
 def test_parallel_budget_shares_sum_to_the_budget(monkeypatch):

@@ -10,10 +10,9 @@ recorded eagerly, since the search itself fingerprints only the steps
 it can expand (that subsequence is pinned too) — compared with values
 recorded at commit f28252a (when both types were frozen dataclasses).
 
-Two more pins were recorded at commit 8b668fa, where an observer-fed
-tracker still maintained the fingerprints: eager fingerprints under the
-unbounded-delay adversary (deferred frames block, then are released),
-and the outcome of the n = 3 registry matrix that CI explores.
+One more pin was recorded at commit 8b668fa, where an observer-fed
+tracker still maintained the fingerprints: the outcome of the n = 3
+registry matrix that CI explores.
 """
 
 import hashlib
@@ -22,7 +21,6 @@ from repro.core.identifiers import MessageId
 from repro.core.message import AppMessage, make_payload
 from repro.explore import explore, explore_spec, registry_explore_specs
 from repro.explore.executor import ScheduleExecutor
-from repro.explore.scheduler import parse_deviations
 from repro.explore.fingerprint import _describe_value
 from repro.explore.strategies import STRATEGIES
 from repro.net.frame import Frame
@@ -114,31 +112,6 @@ def test_pinned_exploration_fingerprints():
     assert _is_subsequence(consulted, fingerprints)
     assert hashlib.sha256("\n".join(consulted).encode()).hexdigest() == (
         "e220c746f8f36643793a095409b9f9c4749f25609b379197cd72620d7aca0c83"
-    )
-
-
-#: Each deviation kind, alone and chained; every ``d`` that applies
-#: blocks its frame until the rest of the run drains.
-BLOCKING_SCHEDULES = (
-    "", "5:c2", "2:d0", "2:d0,3:d0,4:d3", "2:d0,5:c2", "3:f1", "9:c3",
-    "2:d0,3:f2,7:c1", "2:d7", "9:c1",
-)
-
-
-def test_pinned_fingerprints_with_blocked_deferrals():
-    """Faulty-ids stack, ``defer_delay=None``: every step recorded."""
-    executor = ScheduleExecutor(explore_spec("faulty", defer_delay=None))
-    fingerprints = []
-    steps = []
-    for repro in BLOCKING_SCHEDULES:
-        record = executor.run(parse_deviations(repro))
-        assert len(record.menus) == record.steps
-        steps.append(record.steps)
-        fingerprints.extend(menu.fingerprint for menu in record.menus)
-    assert steps == [46, 42, 47, 49, 43, 46, 35, 47, 46, 46]
-    assert len(set(fingerprints)) == 218
-    assert hashlib.sha256("\n".join(fingerprints).encode()).hexdigest() == (
-        "95168a61414f7b7217bcb1a05cb83ac142b0f43eb547d225237b8fcf581f9d0b"
     )
 
 

@@ -70,84 +70,62 @@ class TestDefaultSchedulerFidelity:
             engine.run()
 
 
+class DeferFirst(Scheduler):
+    """Defers the first event of the first tie group, ``defer_delay``
+    (0.1 s) later; fires everything else in the default order."""
+
+    defer_delay = 0.1
+
+    def __init__(self):
+        self.done = False
+
+    def decide(self, now, ready):
+        if not self.done and len(ready) > 1:
+            self.done = True
+            return (DEFER, 0)
+        return ("fire", 0)
+
+
 class TestEngineDeferMechanics:
-    def test_deferred_event_fires_after_everything_else(self):
+    def test_deferred_event_fires_behind_what_is_due_at_its_new_time(self):
         order = []
-
-        class DeferFirst(Scheduler):
-            done = False
-
-            def decide(self, now, ready):
-                if not self.done and len(ready) > 1:
-                    self.done = True
-                    return (DEFER, 0)
-                return ("fire", 0)
-
         engine = Engine()
         engine.install_scheduler(DeferFirst())
-        engine.schedule(0.1, order.append, "a")
+        a = engine.schedule(0.1, order.append, "a")
         engine.schedule(0.1, order.append, "b")
         engine.schedule(0.2, order.append, "c")
         engine.run()
         assert order == ["b", "c", "a"]
+        assert a.time == pytest.approx(0.2)
 
-    def test_deferred_event_released_at_horizon(self):
+    def test_a_defer_past_the_horizon_fires_in_a_later_run(self):
         order = []
-
-        class DeferFirst(Scheduler):
-            done = False
-
-            def decide(self, now, ready):
-                if not self.done and len(ready) > 1:
-                    self.done = True
-                    return (DEFER, 0)
-                return ("fire", 0)
-
+        scheduler = DeferFirst()
+        scheduler.defer_delay = 2.0
         engine = Engine()
-        engine.install_scheduler(DeferFirst())
+        engine.install_scheduler(scheduler)
         engine.schedule(0.1, order.append, "a")
         engine.schedule(0.1, order.append, "b")
-        # Recurring timer past the horizon: without the horizon
-        # backstop the deferred event would wait forever.
         engine.schedule(5.0, order.append, "late")
         final = engine.run(until=1.0)
-        assert order == ["b", "a"]
+        assert order == ["b"]
         assert final == 1.0
-        assert engine.pending() == 1  # "late" still queued
+        assert engine.pending() == 2  # the deferred "a" and "late"
+        engine.run()
+        assert order == ["b", "a", "late"]
 
     def test_cancelled_deferred_event_never_fires(self):
         order = []
-
-        class DeferThenCancel(Scheduler):
-            handle = None
-            done = False
-
-            def decide(self, now, ready):
-                if not self.done and len(ready) > 1:
-                    self.done = True
-                    return (DEFER, 0)
-                return ("fire", 0)
-
-        scheduler = DeferThenCancel()
         engine = Engine()
-        engine.install_scheduler(scheduler)
+        engine.install_scheduler(DeferFirst())
         victim = engine.schedule(0.1, order.append, "victim")
         engine.schedule(0.1, order.append, "b")
-        engine.schedule(0.2, victim.cancel)
+        engine.schedule(0.15, victim.cancel)  # before its new time, 0.2
         engine.run()
         assert order == ["b"]
         assert victim.cancelled and not victim.finished
 
     def test_pending_counts_deferred_events(self):
-        class DeferFirst(Scheduler):
-            done = False
-
-            def decide(self, now, ready):
-                if not self.done and len(ready) > 1:
-                    self.done = True
-                    return (DEFER, 0)
-                return ("fire", 0)
-
         engine = Engine()
         engine.install_scheduler(DeferFirst())
         engine.schedule(0.1, lambda: None)

@@ -150,6 +150,21 @@ class TestExploreSpecValidation:
         )
         assert solo.sends == ((3, 0.001, 8),)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_events", 0), ("max_crashes", -1), ("stop_after", -1)],
+    )
+    def test_nonsense_limits_are_refused(self, field, value):
+        # max_events=0 used to return a clean, exhausted verdict on the
+        # buggy stack after a single schedule.
+        with pytest.raises(ConfigurationError, match=field):
+            ExploreSpec(name="bad", stack=FAULTY.stack, **{field: value})
+
+    def test_a_defer_is_always_a_bounded_delay(self):
+        for delay in (None, 0.0):
+            with pytest.raises(ConfigurationError, match="defer_delay"):
+                ExploreSpec(name="bad", stack=FAULTY.stack, defer_delay=delay)
+
     def test_consensus_checks_default_tracks_indirection(self):
         assert not FAULTY.wants_consensus_checks()
         assert explore_spec("indirect").wants_consensus_checks()

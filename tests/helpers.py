@@ -19,7 +19,7 @@ from repro.net.models import ConstantLatencyNetwork, ContentionNetwork, NetworkP
 from repro.net.setups import SETUP_1
 from repro.net.topology import Topology
 from repro.net.transport import Transport
-from repro.sim.engine import Engine
+from repro.sim.engine import FIRE, Engine, Scheduler
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
@@ -178,3 +178,25 @@ def app_message(origin: int = 1, seq: int | None = None, size: int = 10) -> AppM
     """A small application message for broadcast-layer tests."""
     mid = fresh_mid(origin) if seq is None else MessageId(origin, seq)
     return AppMessage(mid=mid, sender=origin, payload=make_payload(size))
+
+
+class DecidesAt(Scheduler):
+    """Consulted at the given steps only: the engine drains the
+    stretches between them, and the rest of the run after the last."""
+
+    def __init__(self, *steps):
+        self.at = steps
+        self.step = 0
+        self.consulted = []
+
+    def free_steps(self):
+        upcoming = [s for s in self.at if s >= self.step]
+        return min(upcoming) - self.step if upcoming else None
+
+    def on_stretch(self, fired):
+        self.step += fired
+
+    def decide(self, now, ready):
+        self.consulted.append(self.step)
+        self.step += 1
+        return (FIRE, 0)

@@ -370,7 +370,7 @@ class TestConstantModelDeliveryEvents:
         engine, network, _ = make_timed_net(annotating=True)
         burst(network)
         assert engine.pending() == 4
-        infos = [rec.info for _, _, rec in engine.pending_entries()]
+        infos = [rec.info for rec in engine.equeue.entries]
         assert all(isinstance(i, Frame) for i in infos)
 
     def test_dst_crash_mid_burst_drops_the_rest(self):

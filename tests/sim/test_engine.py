@@ -10,6 +10,7 @@ from repro.sim.engine import (
     EventBudgetExceeded,
     Scheduler,
 )
+from tests.helpers import DecidesAt
 
 
 class TestScheduling:
@@ -257,50 +258,11 @@ class TestRunControl:
         assert engine.events_executed == 5
 
 
-class Decides(Scheduler):
-    """Consulted at every step through ``decide``."""
-
-    def decide(self, now, ready):
-        return (FIRE, 0)
-
-
-class WavesOff(Scheduler):
-    """Consulted at every step; singletons fire through ``wants``."""
-
-    def wants(self, ready):
-        return False
-
-    def decide(self, now, ready):
-        return (FIRE, 0)
-
-
-class PassiveAfter(Decides):
-    """Consulted for ``steps`` decisions, then hands the run to the
-    drain (a passive handoff mid-run, as the explorer's scheduler)."""
-
-    def __init__(self, steps):
-        self.left = steps
-        self.drained = 0
-
-    @property
-    def passive(self):
-        return self.left <= 0
-
-    def decide(self, now, ready):
-        self.left -= 1
-        return (FIRE, 0)
-
-    def on_passive_drain(self, fired):
-        self.drained += fired
-
-
 #: One scheduler factory per run path ``Engine.run`` can take.
 RUN_PATHS = {
     "drain": lambda: None,
-    "pure-default": Scheduler,
-    "decided": Decides,
-    "singleton": WavesOff,
-    "passive-handoff": lambda: PassiveAfter(30),
+    "pure-default": Scheduler,  # consulted at every step
+    "stretches": lambda: DecidesAt(2, 3, 40),
 }
 
 
@@ -333,6 +295,26 @@ class TestHorizon:
         assert engine.run(until=5.0) == 5.0  # until == now stays legal
         engine.run()
         assert fired == ["late"] and engine.now == 6.0
+
+
+class TestStopWhen:
+    # For the "stretches" path: the last event of the first stretch, a
+    # decided step, and an event inside the second stretch.
+    @pytest.mark.parametrize("stop_after", [2, 3, 10])
+    @pytest.mark.parametrize("path", sorted(RUN_PATHS))
+    def test_the_run_ends_on_the_first_event_it_holds_after(
+        self, path, stop_after
+    ):
+        engine = Engine()
+        engine.install_scheduler(RUN_PATHS[path]())
+        fired = []
+        for i in range(20):
+            engine.schedule(i * 1e-3, fired.append, i)
+        engine.run(stop_when=lambda: len(fired) == stop_after)
+        assert fired == list(range(stop_after))
+        assert engine.now == (stop_after - 1) * 1e-3
+        engine.run()
+        assert fired == list(range(20))
 
 
 class TestEveryPathFiresEveryEvent:
@@ -428,12 +410,13 @@ class TestLifetimeBudget:
         assert once[0] == 100
         assert outcome([0.0105, 0.05, 0.0505, None]) == once
 
-    def test_the_passive_handoff_spends_what_is_left(self):
-        engine = livelocked("passive-handoff")
+    def test_a_stretch_reports_what_it_fired_up_to_the_overrun(self):
+        engine = livelocked("stretches")
         scheduler = engine.scheduler
         with pytest.raises(EventBudgetExceeded):
             engine.run(max_events=100)
-        assert scheduler.drained == 100 - 30
+        assert scheduler.consulted == [2, 3, 40]
+        assert scheduler.step == engine.events_executed == 100
 
     def test_an_overspent_engine_raises_after_one_more_event(self):
         engine = livelocked("drain")
@@ -468,8 +451,9 @@ class TestOverrunDiagnosis:
             engine.run(max_events=10)
         assert "by callback: print x3, spin x1" in str(caught.value)
 
-    def test_names_deferred_events_and_their_due_time(self):
-        class HoldFirst(Decides):
+    def test_names_a_deferred_event_at_its_new_due_time(self):
+        class HoldFirst(Scheduler):
+            defer_delay = 0.0025
             held = False
 
             def decide(self, now, ready):
@@ -480,12 +464,12 @@ class TestOverrunDiagnosis:
 
         engine = Engine()
         engine.install_scheduler(HoldFirst())
-        engine.schedule(0.0, print)  # held until the run drains: never
+        engine.schedule(0.0, print)  # re-keyed to t=0.0025
         engine.schedule(0.002, spin, engine)
         with pytest.raises(EventBudgetExceeded) as caught:
-            engine.run(max_events=10)
+            engine.run(max_events=1)
         message = str(caught.value)
-        assert "2 pending, oldest due at t=0.000000s" in message
+        assert "2 pending, oldest due at t=0.002500s" in message
         assert "print x1" in message and "spin x1" in message
 
     def test_an_empty_queue_says_so(self):

@@ -22,9 +22,11 @@ from repro.sim.equeue import (
     CANCELLED,
     FINISHED,
     PENDING,
+    SEQ,
+    TIME,
     EventHandle,
-    EventQueue,
 )
+from tests.helpers import DecidesAt
 
 TICK = 32e-6
 HORIZONS = (0.7, 2.5, 5.0)
@@ -160,7 +162,7 @@ class TestAgainstReference:
         loop (consulted at every step) over the rest of the workload."""
 
         def install(api):
-            api.engine.install_scheduler(_Consulted())
+            api.engine.install_scheduler(Scheduler())
 
         log, trail = adversarial(Real(), seed, midway=install)
         assert (log, trail) == adversarial(Reference(), seed)
@@ -245,14 +247,14 @@ class TestEntries:
         fired.cancel()  # nothing left to prevent
         assert fired.finished and engine.pending() == 0
 
-    def test_pending_entries_lists_every_stored_entry(self):
+    def test_entries_hold_every_stored_entry(self):
         engine = Engine()
         bare = engine.equeue.push_entry(0.2, print, ())
         handle = engine.schedule_at(0.1, print)
         dead = engine.schedule_at(0.3, print)
         dead.cancel()  # a tombstone, still stored
         assert sorted(
-            (t, s, id(e)) for t, s, e in engine.pending_entries()
+            (e[TIME], e[SEQ], id(e)) for e in engine.equeue.entries
         ) == [(0.1, 2, id(handle)), (0.2, 1, id(bare)), (0.3, 3, id(dead))]
 
     def test_entry_not_yet_due_stays_for_the_next_run(self):
@@ -306,26 +308,18 @@ class TestCancellationAndCompaction:
         assert engine.pending() == 0
         assert not survivor.cancelled and survivor.finished
 
-    def test_pending_is_o1_counter(self, monkeypatch):
+    def test_pending_is_o1_counter(self):
         # Not a timing assertion: just that pending() answers without
-        # touching the heap (the store carries __slots__, so patch the
-        # class).
+        # touching the heap.
+        class Unreadable:
+            def __getattr__(self, name):  # pragma: no cover - must not run
+                raise AssertionError("pending() read the storage")
+
         engine = Engine()
         for i in range(100):
             engine.schedule(i * 1e-3, lambda: None)
-
-        def boom(self):  # pragma: no cover - must not run
-            raise AssertionError("pending() scanned the storage")
-
-        monkeypatch.setattr(EventQueue, "snapshot", boom)
+        engine.equeue.entries = Unreadable()
         assert engine.pending() == 100
-
-
-class _Consulted(Scheduler):
-    """Overrides ``decide`` (same answers), so it must be consulted."""
-
-    def decide(self, now, ready):
-        return super().decide(now, ready)
 
 
 class TestInstallScheduler:
@@ -337,7 +331,7 @@ class TestInstallScheduler:
         early = engine.schedule_at(0.2 * TICK, fired.append, "tie-breaker")
         doomed = engine.schedule_at(0.3 * TICK, fired.append, "doomed")
         keys = sorted((e[0], e[1]) for e in engine.equeue.entries)
-        engine.install_scheduler(_Consulted())
+        engine.install_scheduler(Scheduler())
         entries = engine.equeue.entries
         assert all(type(e) is EventHandle for e in entries)
         assert sorted((e.time, e.seq) for e in entries) == keys
@@ -352,7 +346,7 @@ class TestInstallScheduler:
         engine = Engine()
         fired = []
         engine.equeue.push_entry(TICK, fired.append, ("pre",))
-        engine.install_scheduler(_Consulted())
+        engine.install_scheduler(Scheduler())
         engine.schedule_at(TICK, fired.append, "post")  # same-time tie
         engine.run()
         assert fired == ["pre", "post"]
@@ -380,11 +374,13 @@ class TestInstallScheduler:
         assert fired == ["b", "c", "d", "a"]
         assert (a.time, a.seq) == (0.6, 5) and a.finished
 
-    def test_passive_scheduler_runs_on_the_drain(self):
+    def test_a_scheduler_free_for_the_whole_run_runs_on_the_drain(self):
         engine = Engine()
         fired = []
         for i in range(30):
             engine.equeue.push_entry((i % 6) * TICK, fired.append, (i,))
-        engine.install_scheduler(Scheduler())  # always (FIRE, 0)
+        scheduler = DecidesAt()  # no step to decide: one stretch
+        engine.install_scheduler(scheduler)
         engine.run()
         assert fired == sorted(range(30), key=lambda i: (i % 6, i))
+        assert scheduler.step == 30 and scheduler.consulted == []

@@ -1,8 +1,8 @@
 """The allocation-discipline lint passes on the checked-in tree.
 
 ``tools/hotpath_lint.py`` is CI's guard on the event-core hot path
-(``__slots__`` everywhere, no ``getattr``/dict literals in the fused
-drain loops, a bare per-frame send path, consensus phase bodies that
+(``__slots__`` everywhere, no ``getattr``/dict literals in the run
+loops, a bare per-frame send path, consensus phase bodies that
 read constants instead of ``config``, closure-free wiring); running it under pytest too
 means a regression fails the ordinary test suite as well, with the
 lint's own diagnostics attached.
@@ -38,6 +38,25 @@ def _lint_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_drain_lint_names_a_getattr_planted_in_the_controlled_loop():
+    source = (_ROOT / "src" / "repro" / "sim" / "engine.py").read_text()
+    consult = "            op, index = scheduler.decide(time, ready)\n"
+    assert consult in source
+    planted = source.replace(
+        consult,
+        '            getattr(scheduler, "decide")\n' + consult,
+    )
+    lint = _lint_module()
+    assert lint.drain_problems(
+        ast.parse(source), "repro.sim.engine", "_run_controlled"
+    ) == []
+    problems = lint.drain_problems(
+        ast.parse(planted), "repro.sim.engine", "_run_controlled"
+    )
+    assert len(problems) == 1
+    assert "Engine._run_controlled: getattr() in a run loop" in problems[0]
 
 
 _GIVEN_BACK = """

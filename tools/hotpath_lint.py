@@ -10,10 +10,11 @@ copyable by a fifth; nothing in the type system enforces them:
   ``net/frame.py``) declares ``__slots__`` (directly or via
   ``@dataclass(slots=True)``), so attribute access compiles to
   fixed-offset loads and no per-instance ``__dict__`` is allocated;
-* **no reflective dispatch in the fused drain** — the drain loop
-  (``EventQueue.drain``, entered through ``Engine.run``) binds
-  the heap to a local once and never calls ``getattr`` or builds a
-  dict literal per event;
+* **no reflective dispatch in the run loops** — the drain loop
+  (``EventQueue.drain``, entered through ``Engine.run``) and the
+  scheduler-consulted loop (``Engine._run_controlled``) bind the heap
+  to a local once and never call ``getattr`` or build a dict literal
+  per event;
 * **a bare frame path** — the network's one send routine
   (``Network.multicast``), each model's ``_transmit`` (the constant
   model schedules its one delivery event there), the contention
@@ -76,9 +77,11 @@ SLOTTED_MODULES = (
 )
 
 #: (module, method) bodies that must stay free of ``getattr`` calls
-#: and dict-literal allocations: the fused drain loop.
+#: and dict-literal allocations: the fused drain loop and the
+#: controlled loop that drains through it.
 DRAIN_METHODS = (
     ("repro.sim.equeue", "drain"),
+    ("repro.sim.engine", "_run_controlled"),
 )
 
 #: (module, method) bodies on the per-frame send path (every class's
@@ -138,6 +141,11 @@ def check_drain(module_name: str, method: str) -> list[str]:
         importlib.import_module(module_name).__file__  # type: ignore[arg-type]
     )
     tree = ast.parse(source_path.read_text(), filename=str(source_path))
+    return drain_problems(tree, module_name, method)
+
+
+def drain_problems(tree: ast.Module, module_name: str, method: str) -> list[str]:
+    """:func:`check_drain` on an already-parsed module."""
     defs = _drain_defs(tree, method)
     if not defs:
         return [f"{module_name}: no {method!r} method found to lint"]
@@ -151,12 +159,12 @@ def check_drain(module_name: str, method: str) -> list[str]:
             ):
                 problems.append(
                     f"{module_name}:{node.lineno} {qualname}: getattr() "
-                    f"in the fused drain (reflective dispatch per event)"
+                    f"in a run loop (reflective dispatch per event)"
                 )
             elif isinstance(node, (ast.Dict, ast.DictComp)):
                 problems.append(
                     f"{module_name}:{node.lineno} {qualname}: dict "
-                    f"literal in the fused drain (allocation per event)"
+                    f"literal in a run loop (allocation per event)"
                 )
     return problems
 
@@ -382,7 +390,7 @@ def main() -> int:
     )
     print(
         f"hotpath-lint: OK ({len(SLOTTED_MODULES)} modules slotted, "
-        f"{drains} drain loops clean, "
+        f"{drains} run loops clean, "
         f"{len(FRAME_PATH_METHODS)} frame-path methods bare, "
         f"{len(protocol_modules)} consensus modules read constants, "
         f"{len(wired_modules)} modules wire without closures)"
