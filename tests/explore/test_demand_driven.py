@@ -29,8 +29,9 @@ from repro.explore.strategies import (
 
 PRESETS = ("faulty", "indirect")
 STRATEGIES = ("delay-bounded", "dfs")
-#: 5 ms bounded defers (the only kind there is).
-DEFER_DELAYS = (5e-3,)
+#: A defer is always a bounded delay: 5 ms (the default), and ten
+#: times that, so a held-back frame lands behind many more events.
+DEFER_DELAYS = (5e-3, 5e-2)
 
 
 def _spec(preset, strategy, defer_delay, budget=80):

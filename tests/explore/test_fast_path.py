@@ -166,11 +166,13 @@ class TestStretches:
     """Between the steps the explorer's scheduler looks at, the engine
     drains; the steps it did not see are reported back."""
 
+    @pytest.mark.parametrize("defer_delay", [5e-3, 5e-2])
     @pytest.mark.parametrize("repro", SCHEDULES)
     def test_steps_events_drained_identical_to_every_step(
-        self, repro, monkeypatch
+        self, repro, defer_delay, monkeypatch
     ):
-        executor = ScheduleExecutor(explore_spec("faulty"))
+        spec = explore_spec("faulty", defer_delay=defer_delay)
+        executor = ScheduleExecutor(spec)
         schedule = parse_deviations(repro)
         window = (schedule[-1].step + 1 if schedule else 0, lambda fp: True)
         shipped = [
