@@ -19,7 +19,7 @@ trace for inspection.
 Run:  python examples/explore_bug_hunt.py
 """
 
-from repro import explore, explore_spec, replay
+from repro.explore import explore, explore_spec, replay
 
 
 def main() -> None:

@@ -38,7 +38,6 @@ from repro.checkers import (
 )
 from repro.explore import (
     ExploreSpec,
-    explore,
     explore_spec,
     registry_explore_specs,
     replay,
@@ -110,7 +109,6 @@ __all__ = [
     "check_broadcast",
     "check_consensus",
     "check_shards",
-    "explore",
     "explore_spec",
     "make_payload",
     "measure_latency",

@@ -33,7 +33,7 @@ from repro.explore.scheduler import (
     parse_deviations,
 )
 from repro.failure.crash import CrashSchedule
-from repro.sim.engine import Engine, EventBudgetExceeded
+from repro.sim.engine import EventBudgetExceeded
 from repro.sim.trace import Trace
 from repro.stack.builder import StackSpec, System, build_system
 
@@ -193,13 +193,8 @@ class ScheduleExecutor:
         self.spec = spec
 
     def _build(self) -> System:
-        # Annotating from the first wiring-time schedule: the scheduler
-        # and the fingerprints read every pending event's metadata.
         return build_system(
-            self.spec.stack,
-            CrashSchedule.none(),
-            trace=Trace(),
-            engine=Engine(annotating=True),
+            self.spec.stack, CrashSchedule.none(), trace=Trace()
         )
 
     def _crash_budget(self, system: System) -> int:

@@ -1,5 +1,6 @@
-"""State fingerprints for the explorer: canonical descriptions, and
-the fingerprint computed from them when it is read.
+"""State fingerprints for the explorer: what a pending event is
+(:func:`event_of`), canonical descriptions, and the fingerprint
+computed from them when it is read.
 
 Fingerprints partition decision prefixes into equivalence classes the
 search strategies prune on: two prefixes with equal fingerprints left
@@ -35,11 +36,15 @@ from __future__ import annotations
 
 import hashlib
 from itertools import chain
+from types import MethodType
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.identifiers import MessageId
 from repro.net.frame import Frame
-from repro.sim.engine import _EventRecord
+from repro.net.models import Network
+from repro.sim.engine import EventHandle, _EventRecord
+from repro.sim.equeue import ARGS, FN, TIME
+from repro.sim.process import SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stack.builder import System
@@ -47,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Fingerprinter",
     "describe_record",
+    "event_of",
 ]
 
 _MASK = (1 << 128) - 1
@@ -115,19 +121,51 @@ def _describe_callable(fn: Any) -> str:
     return f"{name}@p{pid}" if pid is not None else name
 
 
+#: The callbacks :func:`event_of` recognises, by identity.
+_GUARDED = SimProcess._guarded
+_CRASH = SimProcess.crash
+_DELIVER = Network._deliver
+
+
+def event_of(record: _EventRecord) -> tuple[str, int] | Frame | None:
+    """What a pending event is, read from its callback and arguments.
+
+    ``("timer", pid)`` for a process timer (a bound
+    :meth:`SimProcess._guarded`), ``("crash", pid)`` for a scheduled
+    :meth:`SimProcess.crash`, the frame itself for a *link delivery* —
+    a handle a network scheduled on :meth:`Network._deliver` (a
+    delivery queued on a receiver CPU is a bare stage entry, not a link
+    delivery) — and ``None`` for anything else.  Bare entries and
+    handles alike are read by position.
+    """
+    fn = record[FN]
+    if type(fn) is not MethodType:
+        return None
+    func = fn.__func__
+    if func is _GUARDED:
+        return ("timer", fn.__self__.pid)
+    if func is _CRASH:
+        return ("crash", fn.__self__.pid)
+    if func is _DELIVER and type(record) is EventHandle:
+        return record[ARGS][0]
+    return None
+
+
 def describe_record(record: _EventRecord) -> tuple:
     """Canonical description of one pending event (for fingerprints)."""
-    args = record.args
-    name = _describe_callable(record.fn)
-    # Unwrap SimProcess._guarded(fn, args) so timer descriptions name
-    # the protocol callback, not the guard.
-    if name.startswith("SimProcess._guarded") and len(args) == 2:
+    args = record[ARGS]
+    kind = event_of(record)
+    if type(kind) is tuple and kind[0] == "timer":
+        # SimProcess._guarded(fn, args): a timer is described by the
+        # protocol callback it guards, not by the guard.
         name, args = _describe_callable(args[0]), args[1]
+    else:
+        name = _describe_callable(record[FN])
     return (
-        repr(record.time),
+        repr(record[TIME]),
         name,
         _describe_value(tuple(args)),
-        _describe_value(getattr(record, "info", None)),
+        _describe_value(kind),
     )
 
 
@@ -142,15 +180,15 @@ class Fingerprinter:
     """Reads the state fingerprint of one controlled run.
 
     :meth:`fingerprint` is the per-decision-step read.  Each record's
-    description hash is memoised under its due time, for the records
-    the last read found pending: a
-    record is described at most once per lifetime state, and only if a
-    read finds it pending — everything pushed and fired between two
-    reads (the whole replayed prefix of a windowed search run, see
-    :mod:`repro.explore.scheduler`) is never described.  Descriptions
-    wait for a read for a second reason: ``annotate()`` runs *after*
-    ``push`` returns.  Adelivery sequences are append-only, so each
-    process's ordered fold extends by the new entries only.
+    description hash is memoised under its ``seq``, for the records the
+    last read found pending (bare entries cannot be hashed; a defer
+    re-keys both time and ``seq``, so a deferred record is described
+    anew): a record is described at most once per lifetime state, and
+    only if a read finds it pending — everything pushed and fired
+    between two reads (the whole replayed prefix of a windowed search
+    run, see :mod:`repro.explore.scheduler`) is never described.
+    Adelivery sequences are append-only, so each process's ordered fold
+    extends by the new entries only.
     """
 
     __slots__ = (
@@ -160,10 +198,9 @@ class Fingerprinter:
 
     def __init__(self, system: "System") -> None:
         self._queue = system.engine.equeue
-        #: record -> (due time, description hash), for the records
-        #: pending at the last read.  Keyed by the record
-        #: itself: handles hash by identity.
-        self._memo: dict[_EventRecord, tuple[Any, int]] = {}
+        #: seq -> description hash, for the records pending at the
+        #: last read.
+        self._memo: dict[int, int] = {}
         # Per-process state, hoisted once: the process set is fixed for
         # the lifetime of a run (crashed processes stay registered).
         processes = system.processes
@@ -199,19 +236,19 @@ class Fingerprinter:
         heap while the scheduler decides.
         """
         memo = self._memo
-        live: dict[_EventRecord, tuple[Any, int]] = {}
+        live: dict[int, int] = {}
         total = 0
-        # Positions as in the engine's loops: [0] is the due time, [4]
-        # the state (non-zero once fired or cancelled).
+        # Positions as in the engine's loops: [1] is the seq, [4] the
+        # state (non-zero once fired or cancelled).
         for record in chain(self._queue.entries, ready):
             if record[4]:
                 continue
-            time = record[0]
-            if record in memo and memo[record][0] == time:
-                h = memo[record][1]
+            seq = record[1]
+            if seq in memo:
+                h = memo[seq]
             else:
                 h = _hash_description(describe_record(record))
-            live[record] = (time, h)
+            live[seq] = h
             total += h
         self._memo = live
         value = ((total & _MASK) * _PRIME + len(live)) & _MASK

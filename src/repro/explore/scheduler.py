@@ -3,8 +3,8 @@
 One *schedule* is described as a sparse list of :class:`Deviation`\\ s
 from the engine's default ``(time, seq)`` order: at decision step ``N``
 (the ``N``-th time the controlled run loop consults the scheduler),
-fire a non-head ready event (``f``), defer a ready frame delivery until
-the rest of the run drains (``d``), or crash a process (``c``).  Steps
+fire a non-head ready event (``f``), hold a ready link delivery back
+by a bounded delay (``d``), or crash a process (``c``).  Steps
 with no deviation take the default, so the empty schedule replays the
 uncontrolled engine bit for bit and a repro string like
 ``"4:d1,5:d1,23:c2"`` fully determines a run.
@@ -45,7 +45,7 @@ Deviation vocabulary and canonical form:
 * ``f<i>`` — fire ``ready[i]`` instead of ``ready[0]``: reorders
   same-time ties, the delivery interleaving nondeterminism.
 * ``d<i>`` — defer ``ready[i]`` (hold it back ``defer_delay``
-  seconds); only **frame deliveries** are deferrable (by default only
+  seconds); only **link deliveries** are deferrable (by default only
   data frames — control traffic is small and fast on a real LAN, bulk
   data is what crawls), and only until an event has fired while the
   frame was ready.  Deferring later would reach the same states
@@ -53,10 +53,15 @@ Deviation vocabulary and canonical form:
   space free of that redundancy.
 * ``c<pid>`` — crash ``pid`` before anything at this step fires.  A
   crash is allowed while the crash budget lasts, and only at step 0 or
-  right after an event *involving* ``pid`` (its own timer or resource
-  grant, a frame it sent or received): between two events that do not
-  involve ``pid``, crashing it now or earlier is indistinguishable, so
-  those placements are canonicalised away too.
+  right after an event *involving* ``pid`` (its own timer or crash, or
+  any event carrying a frame it sent or received — on the contention
+  model every stage of the frame's path): between two events that do
+  not involve ``pid``, crashing it now or earlier is indistinguishable,
+  so those placements are canonicalised away too.
+
+What an event is — timer, crash, link delivery — is read off its heap
+entry by :func:`~repro.explore.fingerprint.event_of`; nothing is
+attached to events as they are scheduled.
 """
 
 from __future__ import annotations
@@ -65,10 +70,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.core.exceptions import ConfigurationError
-from repro.explore.fingerprint import Fingerprinter
+from repro.explore.fingerprint import Fingerprinter, event_of
 from repro.net.frame import Frame
 from repro.sim.engine import AGAIN, DEFER, FIRE, Scheduler, _EventRecord
-from repro.sim.equeue import SEQ, TIME
+from repro.sim.equeue import ARGS, SEQ, TIME
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stack.builder import System
@@ -174,7 +179,7 @@ class ExploreScheduler(Scheduler):
         max_crashes: Crash budget for ``c`` deviations.
         defer_data_only: Restrict ``d`` deviations to non-control
             frames (the Section 2.2 style of adversity).  ``False``
-            widens deferral to every frame delivery.
+            widens deferral to every link delivery.
         defer_delay: Passed through to the engine (see
             :attr:`repro.sim.engine.Scheduler.defer_delay`): how many
             seconds a deferred frame is held back.
@@ -267,20 +272,15 @@ class ExploreScheduler(Scheduler):
 
     @staticmethod
     def _pids_of(record: _EventRecord) -> frozenset[int]:
-        info = getattr(record, "info", None)
-        if isinstance(info, Frame):
-            return frozenset((info.src, info.dst))
-        if isinstance(info, tuple) and len(info) == 2 and info[0] in (
-            "timer", "crash"
-        ):
-            return frozenset((info[1],))
-        if isinstance(info, tuple) and len(info) == 2 and info[0] == "resource":
-            name = info[1]
-            if name.startswith("cpu.p"):
-                try:
-                    return frozenset((int(name[5:]),))
-                except ValueError:  # pragma: no cover - defensive
-                    return frozenset()
+        """The processes an event involves: the pid of its timer or
+        crash, otherwise both endpoints of the frame it carries,
+        otherwise nobody."""
+        kind = event_of(record)
+        if type(kind) is tuple:
+            return frozenset((kind[1],))
+        args = record[ARGS]
+        if args and type(args[0]) is Frame:
+            return frozenset((args[0].src, args[0].dst))
         return frozenset()
 
     def _deferrable(self, ready: Sequence[_EventRecord]) -> tuple[int, ...]:
@@ -296,8 +296,8 @@ class ExploreScheduler(Scheduler):
         fire_time, fire_seq = self._last_fire_key
         indices = []
         for i, record in enumerate(ready):
-            frame = getattr(record, "info", None)
-            if not isinstance(frame, Frame):
+            frame = event_of(record)
+            if type(frame) is not Frame:
                 continue
             if self.defer_data_only and frame.control:
                 continue

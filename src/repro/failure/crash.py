@@ -73,5 +73,4 @@ class CrashSchedule:
     def apply(self, engine: Engine, processes: dict[ProcessId, SimProcess]) -> None:
         """Arm the schedule on ``engine``."""
         for pid, time in self.crashes:
-            process = processes[pid]
-            engine.schedule_at(time, process.crash).annotate(("crash", pid))
+            engine.schedule_at(time, processes[pid].crash)

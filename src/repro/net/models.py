@@ -370,13 +370,7 @@ class ConstantLatencyNetwork(Network):
             delay += rule.extra
         if self._routed and self._segment[frame.src] != self._segment[frame.dst]:
             delay += self.topology.router_latency
-        engine = self.engine
-        handle = engine.schedule(delay, self._deliver, frame)
-        if engine.annotating:
-            # The annotation is the scheduler seam: an installed
-            # repro.explore Scheduler recognises frame-delivery events
-            # by their Frame info and may reorder or defer them.
-            handle.info = frame
+        handle = self.engine.schedule(delay, self._deliver, frame)
         if self.drop_in_flight_of_crashed_sender:
             # Remembered so the sender's crash can void it.
             flight = self._in_flight[frame.src]

@@ -23,12 +23,13 @@ scheduling order, which — together with the named RNG streams of
   the simulation (inject a crash) and be asked again.  This is the
   decision-point seam the systematic schedule exploration of
   :mod:`repro.explore` drives.  It pops and pushes heap entries
-  directly and reads them as :class:`EventHandle`\\ s, which is why
-  ``install_scheduler`` promotes any bare fire-and-forget entry still
-  pending to a handle; nothing else changes, so the schedule is
-  unaffected.  Nothing is notified as events move: a scheduler that
-  needs the pending state (the explorer's fingerprints) reads the heap
-  when it is consulted.  With no scheduler installed none of this runs
+  directly and hands them to the scheduler as they are — bare
+  fire-and-forget entries and :class:`EventHandle`\\ s alike, read by
+  position.  Nothing is notified as events move, and nothing is
+  attached to them: a scheduler that needs to know what an event is
+  reads its callback and arguments, and one that needs the pending
+  state (the explorer's fingerprints) reads the heap when it is
+  consulted.  With no scheduler installed none of this runs
   and traces are bit-identical to the pre-seam engine
   (golden-guarded by ``tests/stack/test_golden_traces.py``).
 
@@ -36,14 +37,6 @@ Both loops keep one budget rule: ``max_events`` caps
 :attr:`Engine.events_executed`, the engine's lifetime count, and both
 raise the overrun from one place (``Engine._overrun``), which names the
 pending events by callback and the oldest due time.
-
-Annotations (:meth:`EventHandle.annotate`) are **lazy**: the engine
-carries an ``annotating`` flag, off by default, and the hot scheduling
-sites (process timers, resource grants, frame deliveries) only attach
-their metadata when it is set.  Installing a scheduler turns it on, and
-the explorer builds its systems on an ``Engine(annotating=True)`` so
-wiring-time events carry metadata too; every other run pays nothing for
-metadata nobody will read.
 """
 
 from __future__ import annotations
@@ -73,8 +66,9 @@ __all__ = [
     "Scheduler",
 ]
 
-#: The record type a scheduler sees (the stored heap entry itself).
-_EventRecord = EventHandle
+#: The record type a scheduler sees: the stored heap entry itself, a
+#: bare ``[time, seq, fn, args, state]`` list or an :class:`EventHandle`.
+_EventRecord = list
 
 
 #: Scheduler decision opcodes (the first element of a ``decide`` result).
@@ -97,10 +91,11 @@ class Scheduler:
     consulting anybody, in the default ``(time, seq)`` order, then
     reports how many events that stretch fired (:meth:`on_stretch`).
     At every other step it hands ``decide`` the current ready set — the
-    :class:`EventHandle` records of every enabled event tied at the
-    minimum pending time, in ``(time, seq)`` order (read-only: inspect
-    ``time``/``fn``/``args``/``info``, do not mutate).  The return
-    value is ``(op, index)``:
+    heap entries of every enabled event tied at the minimum pending
+    time, in ``(time, seq)`` order.  Entries are read by position
+    (``record[TIME]``, ``record[FN]``, ``record[ARGS]`` …, see
+    :mod:`repro.sim.equeue`), bare and cancelable ones alike, and are
+    read-only.  The return value is ``(op, index)``:
 
     * ``(FIRE, i)`` — execute ``ready[i]``.  The base implementation
       always answers ``(FIRE, 0)``, which reproduces the uncontrolled
@@ -145,7 +140,7 @@ class Scheduler:
         stretch fires the head event."""
 
     def decide(
-        self, now: float, ready: list[EventHandle]
+        self, now: float, ready: list[_EventRecord]
     ) -> tuple[str, int]:
         """Pick the next action for the current ready set."""
         return (FIRE, 0)
@@ -163,20 +158,14 @@ class Engine:
     Simulated time is a float in **seconds**.  The engine never looks at
     wall-clock time; a simulation of hours of traffic completes in however
     long the callbacks take to execute.
-
-    Args:
-        annotating: Start with scheduler-visible event annotations
-            enabled (the explorer builds its systems this way;
-            ``install_scheduler`` turns them on in any case — see the
-            module docstring).
     """
 
     __slots__ = (
         "now", "_queue", "_qpush", "_running", "_scheduler", "_closed",
-        "annotating", "events_executed",
+        "events_executed",
     )
 
-    def __init__(self, annotating: bool = False) -> None:
+    def __init__(self) -> None:
         #: Current simulated time in seconds.  A plain slot: every
         #: layer reads it per step, and the run loops write it.
         self.now = 0.0
@@ -185,9 +174,6 @@ class Engine:
         self._running = False
         self._scheduler: Scheduler | None = None
         self._closed = False
-        #: Whether hot scheduling sites should attach ``info``
-        #: annotations (see the module docstring).
-        self.annotating = annotating
         #: Callbacks executed over the engine's lifetime; ``max_events``
         #: caps this count (see :meth:`run`).
         self.events_executed = 0
@@ -205,10 +191,6 @@ class Engine:
     def install_scheduler(self, scheduler: Scheduler | None) -> None:
         """Install (or with ``None`` remove) the decision-point scheduler.
 
-        Installing one turns annotations on and promotes every bare
-        fire-and-forget entry still pending to a handle (same
-        ``(time, seq)`` key, so nothing is reordered): the controlled
-        loop and the explorer read events through the handle interface.
         Must not be called while the engine is running.
         """
         if self._running:
@@ -216,9 +198,6 @@ class Engine:
                 "cannot install a scheduler while the engine is running"
             )
         self._scheduler = scheduler
-        if scheduler is not None:
-            self.annotating = True
-            self._queue.promote_entries()
 
     def schedule(
         self, delay: float, fn: Callable[..., None], *args: Any
@@ -357,8 +336,8 @@ class Engine:
             # Ready set: every enabled event tied at the minimum time,
             # in (time, seq) order; ``tied`` keeps the tombstones too,
             # to go back on the heap.
-            ready: list[EventHandle] = []
-            tied: list[EventHandle] = []
+            ready: list[_EventRecord] = []
+            tied: list[_EventRecord] = []
             while heap and heap[0][0] == time:
                 entry = heappop(heap)
                 tied.append(entry)

@@ -24,13 +24,10 @@ completions).  ``state`` is the lifecycle: :data:`PENDING`,
 ``Engine.schedule`` / ``schedule_at`` path — stores an
 :class:`EventHandle`: a ``list`` subclass holding the same five fields
 plus its queue, with read-only ``time``/``seq``/``fn``/``args``/
-``state`` properties, ``cancel()`` and the scheduler-visible ``info``
-annotation.  The engine's controlled loop and the explorer read events
-as handles (annotated, hashed by identity), so
-:meth:`Engine.install_scheduler` first promotes any bare entry still
-pending to a handle (same key, same callback); from then on the engine
-annotates and every push is a handle.  The store notifies nobody of a
-push, fire or cancel: whoever needs the pending set reads ``entries``.
+``state`` properties and ``cancel()``.  Whoever reads pending events —
+the engine's controlled loop, the explorer — reads bare entries and
+handles alike, by position.  The store notifies nobody of a push, fire
+or cancel: whoever needs the pending set reads ``entries``.
 
 Cancellation is lazy — ``cancel`` flags the entry and the drain skips
 tombstones — but bounded: the queue counts live tombstones and compacts
@@ -79,15 +76,12 @@ class EventHandle(list):
     """A cancelable heap entry: ``[time, seq, fn, args, state, queue]``.
 
     The object :meth:`Engine.schedule` returns *is* the stored entry,
-    so a cancelable event costs one allocation.  ``info`` is the
-    scheduler-visible annotation and is only assigned when someone
-    annotates — read it with ``getattr(record, "info", None)`` (see
-    ``Engine.annotating``).
+    so a cancelable event costs one allocation.
     """
 
-    __slots__ = ("info",)
+    __slots__ = ()
 
-    # Identity hashing: the explorer keys dicts and sets on handles.
+    # Identity hashing: a holder may key dicts and sets on its handles.
     # Two distinct handles never compare equal (their ``seq`` differs),
     # so this agrees with the inherited list equality.
     __hash__ = object.__hash__
@@ -108,18 +102,6 @@ class EventHandle(list):
             return
         self[STATE] = CANCELLED
         self[5].note_cancel()
-
-    def annotate(self, info: Any) -> "EventHandle":
-        """Attach scheduler-visible metadata to this event (chainable).
-
-        The engine treats ``info`` as opaque; see
-        :mod:`repro.explore.scheduler` for the vocabulary the explorer
-        understands (frames, timer owners, crash injections).  Hot
-        scheduling sites skip the call entirely unless
-        ``Engine.annotating`` is set.
-        """
-        self.info = info
-        return self
 
     @property
     def cancelled(self) -> bool:
@@ -178,18 +160,6 @@ class EventQueue:
         heappush(self.entries, entry)
         self.pending += 1
         return entry
-
-    def promote_entries(self) -> None:
-        """Replace every bare entry in the heap by an equal handle.
-
-        Same key, callback and state, so the order is unaffected; run
-        once when a scheduler is installed (the controlled loop and the
-        explorer read events through the handle interface).
-        """
-        entries = self.entries
-        for index, entry in enumerate(entries):
-            if type(entry) is list:
-                entries[index] = EventHandle((*entry, self))
 
     def note_cancel(self) -> None:
         """Account one cancellation; compact if tombstones dominate.

@@ -42,7 +42,6 @@ class SimProcess:
         "cpu",
         "crashed",
         "_crash_listeners",
-        "_timer_note",
     )
 
     def __init__(self, pid: ProcessId, engine: Engine, trace: Trace) -> None:
@@ -52,10 +51,6 @@ class SimProcess:
         self.cpu = FifoResource(engine, name=f"cpu.p{pid}")
         self.crashed = False
         self._crash_listeners: list[Callable[[], None]] = []
-        # Precomputed annotation, attached only when the engine is
-        # annotating — timers are a hot path and the metadata is only
-        # read by the explorer's scheduler.
-        self._timer_note = ("timer", pid)
 
     def schedule(
         self, delay: float, fn: Callable[..., None], *args: Any
@@ -66,21 +61,13 @@ class SimProcess:
         crash guard is what makes the crash-stop failure model airtight
         without every layer re-checking the flag.
         """
-        engine = self.engine
-        handle = engine.schedule(delay, self._guarded, fn, args)
-        if engine.annotating:
-            handle.info = self._timer_note
-        return handle
+        return self.engine.schedule(delay, self._guarded, fn, args)
 
     def schedule_at(
         self, time: float, fn: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Absolute-time variant of :meth:`schedule`."""
-        engine = self.engine
-        handle = engine.schedule_at(time, self._guarded, fn, args)
-        if engine.annotating:
-            handle.info = self._timer_note
-        return handle
+        return self.engine.schedule_at(time, self._guarded, fn, args)
 
     def _guarded(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
         if not self.crashed:

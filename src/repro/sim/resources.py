@@ -41,7 +41,6 @@ class FifoResource:
         "_free_at",
         "busy_time",
         "jobs_served",
-        "_note",
     )
 
     def __init__(self, engine: Engine, name: str) -> None:
@@ -53,10 +52,6 @@ class FifoResource:
         self.busy_time = 0.0
         #: Number of jobs completed or in progress.
         self.jobs_served = 0
-        # Precomputed annotation for completion events, attached only
-        # when the engine is annotating (resource grants are a hot
-        # path; only the explorer reads the metadata).
-        self._note = ("resource", name)
 
     def occupy(
         self,
@@ -93,22 +88,17 @@ class FifoResource:
 
         The frame path's sender CPU, medium and receiver CPU stages each
         come through here: the finish time, the utilisation counters and
-        the heap push (a bare fire-and-forget entry, or an annotated
-        handle while the engine annotates) without a second Python-level
-        call.  ``duration`` is trusted to be ``>= 0``.
+        the heap push (a bare fire-and-forget entry) without a second
+        Python-level call.  ``duration`` is trusted to be ``>= 0``.
         """
-        engine = self.engine
         start = self._free_at
-        now = engine.now
+        now = self.engine.now
         if now > start:
             start = now
         finish = self._free_at = start + duration
         self.busy_time += duration
         self.jobs_served += 1
         queue = self._queue
-        if engine.annotating:
-            queue.push(finish, then, args).info = self._note
-            return finish
         queue.seq = seq = queue.seq + 1
         entry = [finish, seq, then, args, PENDING]
         heappush(queue.entries, entry)

@@ -281,8 +281,7 @@ def build_system(
             seam the sharded service uses to compose k independent
             groups into one simulation (one clock, k disjoint stacks).
             Each group still gets its own network, trace and processes;
-            only time is shared.  The explorer passes an
-            ``Engine(annotating=True)`` here.
+            only time is shared.
         rngs: Share (or substitute) the RNG registry.  The sharded
             service passes per-group forks of one root registry so the
             groups' random streams are mutually independent but all
@@ -304,10 +303,6 @@ def build_system(
 
     if trace is None:
         trace = Trace()
-    # The engine has one event store, whatever the trace.  Scheduler-
-    # visible annotations are the caller's choice (see
-    # Engine.annotating): the explorer passes an annotating engine so
-    # wiring-time events carry them; every other run leaves them off.
     if engine is None:
         engine = Engine()
     if rngs is None:

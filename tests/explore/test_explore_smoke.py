@@ -157,3 +157,19 @@ class TestExploreCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("stack,")
         assert len(lines) == 2
+
+
+class TestPackageLayout:
+    def test_the_explore_subpackage_is_a_module_not_a_function(self):
+        # The top-level package re-exports names from ``repro.explore``
+        # but not the function ``explore``: under the subpackage's own
+        # name it would shadow the module, and dotted imports through
+        # it would fail.
+        import types
+
+        import repro
+        import repro.explore.executor as executor
+
+        assert isinstance(repro.explore, types.ModuleType)
+        assert repro.explore.executor is executor
+        assert callable(repro.explore.explore)

@@ -12,7 +12,9 @@ that never leaves a step free.
 :class:`EveryStep` also keeps the reference for the derived
 deferrability rule: the set of frames an event has fired beside, kept
 the way ``decide`` once kept it, checked against ``_deferrable`` at
-every step.
+every step.  It learns which events are frame deliveries from the
+network side (an :class:`~tests.helpers.EngineTap` on the network), not
+from the explorer's own reading of the heap entries.
 """
 
 from dataclasses import replace
@@ -25,41 +27,45 @@ from repro.explore import explore_spec, registry_explore_specs, replay
 from repro.explore.executor import ScheduleExecutor
 from repro.explore.scheduler import ExploreScheduler, parse_deviations
 from repro.explore.strategies import run_strategy
-from repro.net.frame import Frame
 from repro.sim.engine import FIRE, Scheduler
 from repro.sim.trace import Trace
-from tests.helpers import DecidesAt, trace_fingerprint
+from tests.helpers import DecidesAt, EngineTap, trace_fingerprint
 
 
 class EveryStep(ExploreScheduler):
     """Consulted at every step, and checks deferrability as it goes.
 
-    ``seen`` holds every frame record that was in a ready set when an
+    ``seen`` holds every frame delivery that was in a ready set when an
     event of it fired (strong references: a freed record's address
     could be reused by a later frame).  A frame is deferrable iff it is
     not in there — at every step, ``_deferrable`` must agree.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, system, *args, **kwargs):
+        super().__init__(system, *args, **kwargs)
+        self.deliveries = EngineTap(system.network)
         self.seen = set()
 
     def free_steps(self):
         return 0
 
     def decide(self, now, ready):
+        frames = [
+            (self.deliveries.args_of(record) or (None,))[0]
+            for record in ready
+        ]
         expected = tuple(
-            i for i, record in enumerate(ready)
-            if isinstance(getattr(record, "info", None), Frame)
-            and not (self.defer_data_only and record.info.control)
+            i for i, (record, frame) in enumerate(zip(ready, frames))
+            if frame is not None
+            and not (self.defer_data_only and frame.control)
             and record not in self.seen
         )
         assert self._deferrable(ready) == expected, (self.steps, expected)
         op, index = super().decide(now, ready)
         if op == FIRE:
             self.seen.update(
-                record for record in ready
-                if isinstance(getattr(record, "info", None), Frame)
+                record for record, frame in zip(ready, frames)
+                if frame is not None
             )
         return op, index
 

@@ -17,9 +17,10 @@ from repro.explore.scheduler import (
     format_deviations,
     parse_deviations,
 )
-from repro.net.frame import Frame
+from repro.explore.fingerprint import event_of
 from repro.sim.engine import DEFER, Engine, Scheduler
-from tests.helpers import trace_fingerprint
+from repro.sim.equeue import FN, SEQ
+from tests.helpers import EngineTap, trace_fingerprint
 
 
 def small_system(**overrides):
@@ -135,30 +136,54 @@ class TestEngineDeferMechanics:
         assert engine.pending() == 0
 
 
-class TestEventAnnotations:
-    def test_frame_deliveries_timers_and_crashes_are_annotated(self):
-        seen: dict[str, int] = {"frame": 0, "timer": 0, "crash": 0}
-
-        class Inspect(Scheduler):
-            def decide(self, now, ready):
-                for record in ready:
-                    info = record.info
-                    if isinstance(info, Frame):
-                        seen["frame"] += 1
-                    elif isinstance(info, tuple) and info and info[0] in seen:
-                        seen[info[0]] += 1
-                return ("fire", 0)
-
+class TestEventKinds:
+    def test_event_of_reads_deliveries_timers_and_crashes(self):
+        """What the explorer reads off each ready entry agrees with what
+        the network and the processes say they scheduled, and with the
+        crash schedule."""
+        seen = {"frame": 0, "timer": 0, "crash": 0}
         system = build_system(
             StackSpec(n=3, abcast="faulty-ids", consensus="ct",
                       network="constant"),
             CrashSchedule.single(3, 0.05),
         )
+        network = EngineTap(system.network)
+        timers = {
+            pid: EngineTap(process)
+            for pid, process in system.processes.items()
+        }
+        crash = system.processes[3].crash
+        tapped_from = system.engine.equeue.seq
+
+        class Inspect(Scheduler):
+            def decide(self, now, ready):
+                for record in ready:
+                    kind = event_of(record)
+                    if record[FN] == crash:
+                        assert kind == ("crash", 3)
+                        seen["crash"] += 1
+                    elif record[SEQ] <= tapped_from:
+                        continue  # wired before the taps: origin unknown
+                    elif network.args_of(record) is not None:
+                        assert kind is network.args_of(record)[0]
+                        seen["frame"] += 1
+                    else:
+                        owners = [
+                            pid for pid, tap in timers.items()
+                            if tap.args_of(record) is not None
+                        ]
+                        if owners:
+                            assert kind == ("timer", owners[0])
+                            seen["timer"] += 1
+                        else:
+                            assert kind is None
+                return ("fire", 0)
+
         system.engine.install_scheduler(Inspect())
         drive(system)
         assert seen["frame"] > 0
         assert seen["timer"] > 0
-        assert seen["crash"] > 0
+        assert seen["crash"] == 1
 
 
 class TestDeviationCodec:

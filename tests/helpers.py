@@ -180,6 +180,44 @@ def app_message(origin: int = 1, seq: int | None = None, size: int = 10) -> AppM
     return AppMessage(mid=mid, sender=origin, payload=make_payload(size))
 
 
+class EngineTap:
+    """Stands in for ``owner.engine`` and keeps every handle the owner
+    schedules through it, with the arguments it passed.
+
+    Tapping a constant-latency network learns its frame deliveries
+    (``_transmit`` schedules one per frame, the frame its one
+    argument); tapping a :class:`SimProcess` learns its timers.  A test
+    oracle for the explorer's reading of heap entries, sharing none of
+    it.  Only what is scheduled after the tap is known.
+    """
+
+    def __init__(self, owner) -> None:
+        self._engine = owner.engine
+        #: id(handle) -> (handle, args); the handle is kept so that
+        #: its id is never reused.
+        self._scheduled: dict[int, tuple[list, tuple]] = {}
+        owner.engine = self
+
+    def schedule(self, delay, fn, *args):
+        return self._keep(self._engine.schedule(delay, fn, *args), args)
+
+    def schedule_at(self, time, fn, *args):
+        return self._keep(self._engine.schedule_at(time, fn, *args), args)
+
+    def _keep(self, handle, args):
+        self._scheduled[id(handle)] = (handle, args)
+        return handle
+
+    def args_of(self, record) -> tuple | None:
+        """The arguments the owner scheduled ``record`` with, or
+        ``None`` if it did not schedule it."""
+        kept = self._scheduled.get(id(record))
+        return None if kept is None else kept[1]
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
 class DecidesAt(Scheduler):
     """Consulted at the given steps only: the engine drains the
     stretches between them, and the rest of the run after the last."""

@@ -6,7 +6,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.net.faults import DelayRule
 from repro.net.frame import FRAME_HEADER_SIZE, Frame
 from repro.net.models import ConstantLatencyNetwork, ContentionNetwork, NetworkParams
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EventHandle
 from repro.sim.process import SimProcess
 from repro.sim.trace import Trace
 
@@ -265,9 +265,9 @@ ZERO_COST = NetworkParams(
 )
 
 
-def make_timed_net(n=3, kind="constant", annotating=False, **kwargs):
+def make_timed_net(n=3, kind="constant", **kwargs):
     """A network whose inboxes record ``(delivery time, frame)``."""
-    engine = Engine(annotating=annotating)
+    engine = Engine()
     trace = Trace()
     if kind == "constant":
         network = ConstantLatencyNetwork(engine, base=1e-3, **kwargs)
@@ -290,13 +290,6 @@ def burst(network, dst=2, count=4):
         network.send(frame(dst=dst, body=i))
 
 
-def delivered(inboxes):
-    return {
-        pid: [(t, f.src, f.body) for t, f in inbox]
-        for pid, inbox in inboxes.items()
-    }
-
-
 class TestConstantModelDeliveryEvents:
     def test_same_instant_burst_is_one_event_per_frame(self):
         engine, network, inboxes = make_timed_net()
@@ -306,17 +299,6 @@ class TestConstantModelDeliveryEvents:
         assert [f.body for _, f in inboxes[2]] == [0, 1, 2, 3]
         assert len({t for t, _ in inboxes[2]}) == 1
         assert engine.events_executed == 4
-
-    def test_annotated_and_plain_runs_deliver_identically(self):
-        outcomes = []
-        for annotating in (False, True):
-            engine, network, inboxes = make_timed_net(annotating=annotating)
-            burst(network, dst=2)
-            burst(network, dst=3, count=2)
-            network.send(frame(src=3, dst=2, body=99))
-            engine.run()
-            outcomes.append(delivered(inboxes))
-        assert outcomes[0] == outcomes[1]
 
     def test_interleaved_event_keeps_schedule_order(self):
         engine, network, inboxes = make_timed_net()
@@ -366,12 +348,16 @@ class TestConstantModelDeliveryEvents:
         assert inboxes[2] == []
         assert network.frames_dropped == 4
 
-    def test_annotating_engine_tags_each_delivery_with_its_frame(self):
-        engine, network, _ = make_timed_net(annotating=True)
+    def test_each_delivery_is_a_handle_on_deliver_carrying_its_frame(self):
+        # What the explorer reads a link delivery by (see
+        # repro.explore.fingerprint.event_of).
+        engine, network, _ = make_timed_net()
         burst(network)
-        assert engine.pending() == 4
-        infos = [rec.info for rec in engine.equeue.entries]
-        assert all(isinstance(i, Frame) for i in infos)
+        entries = sorted(engine.equeue.entries)
+        assert [type(e) for e in entries] == [EventHandle] * 4
+        assert all(e.fn == network._deliver for e in entries)
+        assert [e.args[0].body for e in entries] == [0, 1, 2, 3]
+        assert all(isinstance(e.args[0], Frame) for e in entries)
 
     def test_dst_crash_mid_burst_drops_the_rest(self):
         engine, network, inboxes = make_timed_net()
@@ -398,18 +384,6 @@ class TestContentionModelZeroCost:
         assert len({t for t, _ in inboxes[2]}) == 1
         # Sender CPU, medium and receiver CPU: three events per frame.
         assert engine.events_executed == 9
-
-    def test_matches_annotated_run_exactly(self):
-        results = []
-        for annotating in (False, True):
-            engine, network, inboxes = make_timed_net(
-                kind="contention", annotating=annotating
-            )
-            burst(network, count=3)
-            burst(network, dst=3, count=2)
-            engine.run()
-            results.append((delivered(inboxes), engine.now))
-        assert results[0] == results[1]
 
     def test_receiver_cpu_charged_per_frame(self):
         params = NetworkParams(

@@ -223,11 +223,9 @@ class TestEntries:
             0.25, 1, print, ("x",),
         )
         assert handle.state == PENDING
-        assert getattr(handle, "info", None) is None
-        assert handle.annotate("note") is handle and handle.info == "note"
 
     def test_handles_hash_by_identity(self):
-        # The explorer keys dicts and sets on handles.
+        # A holder may key dicts and sets on its handles.
         engine = Engine()
         a = engine.schedule_at(0.1, print)
         b = engine.schedule_at(0.1, print)
@@ -323,20 +321,21 @@ class TestCancellationAndCompaction:
 
 
 class TestInstallScheduler:
-    def test_plain_entries_become_handles_with_the_same_keys(self):
+    def test_installing_leaves_the_entries_as_they_are(self):
         engine = Engine()
         fired = []
         for i in range(20):
             engine.equeue.push_entry(i * 0.4 * TICK, fired.append, (i,))
-        early = engine.schedule_at(0.2 * TICK, fired.append, "tie-breaker")
+        engine.schedule_at(0.2 * TICK, fired.append, "tie-breaker")
         doomed = engine.schedule_at(0.3 * TICK, fired.append, "doomed")
-        keys = sorted((e[0], e[1]) for e in engine.equeue.entries)
+        before = list(engine.equeue.entries)
         engine.install_scheduler(Scheduler())
         entries = engine.equeue.entries
-        assert all(type(e) is EventHandle for e in entries)
-        assert sorted((e.time, e.seq) for e in entries) == keys
-        assert early in entries  # handles are kept, not copied
-        assert engine.annotating and engine.pending() == 22
+        # The same objects: bare entries stay bare, handles stay handles.
+        assert len(entries) == len(before)
+        assert all(a is b for a, b in zip(entries, before))
+        assert sum(type(e) is EventHandle for e in entries) == 2
+        assert engine.pending() == 22
         doomed.cancel()  # a pre-install handle still cancels
         engine.run()
         assert fired == [0, "tie-breaker"] + list(range(1, 20))

@@ -2,7 +2,7 @@
 
 ``tools/hotpath_lint.py`` is CI's guard on the event-core hot path
 (``__slots__`` everywhere, no ``getattr``/dict literals in the run
-loops, a bare per-frame send path, consensus phase bodies that
+loops and the per-event scheduling sites, a bare per-frame send path, consensus phase bodies that
 read constants instead of ``config``, closure-free wiring); running it under pytest too
 means a regression fails the ordinary test suite as well, with the
 lint's own diagnostics attached.
@@ -58,6 +58,26 @@ def test_drain_lint_names_a_getattr_planted_in_the_controlled_loop():
     assert len(problems) == 1
     assert "Engine._run_controlled: getattr() in a run loop" in problems[0]
 
+
+
+def test_drain_lint_names_a_getattr_planted_in_a_scheduling_site():
+    source = (_ROOT / "src" / "repro" / "sim" / "resources.py").read_text()
+    push = "        queue = self._queue\n"
+    assert push in source
+    planted = source.replace(
+        push, '        getattr(self, "engine")\n' + push, 1
+    )
+    lint = _lint_module()
+    assert lint.drain_problems(
+        ast.parse(source), "repro.sim.resources", "stage",
+        "a scheduling site",
+    ) == []
+    problems = lint.drain_problems(
+        ast.parse(planted), "repro.sim.resources", "stage",
+        "a scheduling site",
+    )
+    assert len(problems) == 1
+    assert "FifoResource.stage: getattr() in a scheduling site" in problems[0]
 
 _GIVEN_BACK = """
 class ContentionNetwork:

@@ -111,16 +111,9 @@ class TestStage:
         occupied = drive(lambda cpu, d, then: cpu.occupy(d, then))
         assert staged == occupied
 
-    def test_completion_is_a_bare_entry_unless_annotating(self):
+    def test_completion_is_a_bare_entry(self):
         engine = Engine()
         cpu = FifoResource(engine, "cpu.p1")
         assert cpu.stage(0.5, print, ("x",)) == 0.5
         (entry,) = engine.equeue.entries
         assert type(entry) is list and entry[:4] == [0.5, 1, print, ("x",)]
-
-        engine = Engine(annotating=True)
-        cpu = FifoResource(engine, "cpu.p1")
-        cpu.stage(0.5, print, ("x",))
-        (handle,) = engine.equeue.entries
-        assert handle.info == ("resource", "cpu.p1")
-        assert (handle.time, handle.fn, handle.args) == (0.5, print, ("x",))

@@ -7,14 +7,17 @@ copyable by a fifth; nothing in the type system enforces them:
 
 * **no instance dicts** — every class in the hot modules
   (``sim/equeue.py``, ``sim/engine.py``, ``sim/resources.py``,
-  ``net/frame.py``) declares ``__slots__`` (directly or via
-  ``@dataclass(slots=True)``), so attribute access compiles to
-  fixed-offset loads and no per-instance ``__dict__`` is allocated;
+  ``sim/process.py``, ``net/frame.py``) declares ``__slots__``
+  (directly or via ``@dataclass(slots=True)``), so attribute access
+  compiles to fixed-offset loads and no per-instance ``__dict__`` is
+  allocated;
 * **no reflective dispatch in the run loops** — the drain loop
   (``EventQueue.drain``, entered through ``Engine.run``) and the
   scheduler-consulted loop (``Engine._run_controlled``) bind the heap
   to a local once and never call ``getattr`` or build a dict literal
-  per event;
+  per event; nor do the per-event scheduling sites
+  (``FifoResource.stage``, ``SimProcess.schedule`` and
+  ``schedule_at``), which push one entry each;
 * **a bare frame path** — the network's one send routine
   (``Network.multicast``), each model's ``_transmit`` (the constant
   model schedules its one delivery event there), the contention
@@ -72,6 +75,7 @@ SLOTTED_MODULES = (
     "repro.sim.equeue",
     "repro.sim.engine",
     "repro.sim.resources",
+    "repro.sim.process",
     "repro.net.frame",
     "repro.obs.telemetry",
 )
@@ -82,6 +86,14 @@ SLOTTED_MODULES = (
 DRAIN_METHODS = (
     ("repro.sim.equeue", "drain"),
     ("repro.sim.engine", "_run_controlled"),
+)
+
+#: (module, method) bodies held to the run loops' rule: the per-event
+#: scheduling sites, one heap push each.
+SCHEDULING_METHODS = (
+    ("repro.sim.resources", "stage"),
+    ("repro.sim.process", "schedule"),
+    ("repro.sim.process", "schedule_at"),
 )
 
 #: (module, method) bodies on the per-frame send path (every class's
@@ -136,16 +148,21 @@ def _drain_defs(tree: ast.Module, method: str) -> list[tuple[str, ast.FunctionDe
     return found
 
 
-def check_drain(module_name: str, method: str) -> list[str]:
+def check_drain(
+    module_name: str, method: str, where: str = "a run loop"
+) -> list[str]:
     source_path = Path(
         importlib.import_module(module_name).__file__  # type: ignore[arg-type]
     )
     tree = ast.parse(source_path.read_text(), filename=str(source_path))
-    return drain_problems(tree, module_name, method)
+    return drain_problems(tree, module_name, method, where)
 
 
-def drain_problems(tree: ast.Module, module_name: str, method: str) -> list[str]:
-    """:func:`check_drain` on an already-parsed module."""
+def drain_problems(
+    tree: ast.Module, module_name: str, method: str, where: str = "a run loop"
+) -> list[str]:
+    """:func:`check_drain` on an already-parsed module; ``where`` names
+    the kind of body in the diagnostics."""
     defs = _drain_defs(tree, method)
     if not defs:
         return [f"{module_name}: no {method!r} method found to lint"]
@@ -159,12 +176,12 @@ def drain_problems(tree: ast.Module, module_name: str, method: str) -> list[str]
             ):
                 problems.append(
                     f"{module_name}:{node.lineno} {qualname}: getattr() "
-                    f"in a run loop (reflective dispatch per event)"
+                    f"in {where} (reflective dispatch per event)"
                 )
             elif isinstance(node, (ast.Dict, ast.DictComp)):
                 problems.append(
                     f"{module_name}:{node.lineno} {qualname}: dict "
-                    f"literal in a run loop (allocation per event)"
+                    f"literal in {where} (allocation per event)"
                 )
     return problems
 
@@ -367,6 +384,8 @@ def main() -> int:
         problems += check_slots(module_name)
     for module_name, method in DRAIN_METHODS:
         problems += check_drain(module_name, method)
+    for module_name, method in SCHEDULING_METHODS:
+        problems += check_drain(module_name, method, "a scheduling site")
     for module_name, method in FRAME_PATH_METHODS:
         problems += check_frame_path(module_name, method)
     protocol_modules = _protocol_modules()
@@ -390,7 +409,8 @@ def main() -> int:
     )
     print(
         f"hotpath-lint: OK ({len(SLOTTED_MODULES)} modules slotted, "
-        f"{drains} run loops clean, "
+        f"{drains} run loops and {len(SCHEDULING_METHODS)} scheduling "
+        f"sites clean, "
         f"{len(FRAME_PATH_METHODS)} frame-path methods bare, "
         f"{len(protocol_modules)} consensus modules read constants, "
         f"{len(wired_modules)} modules wire without closures)"
