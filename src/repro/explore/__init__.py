@@ -15,8 +15,9 @@ unchanged.
 Entry points:
 
 * :func:`~repro.explore.runner.explore` — search one
-  :class:`~repro.explore.executor.ExploreSpec`, optionally fanning the
-  decision-prefix frontier out over a multiprocessing pool;
+  :class:`~repro.explore.executor.ExploreSpec` (one sequential
+  search); :func:`~repro.explore.runner.explore_many` spreads several
+  specs over a multiprocessing pool, one spec per worker;
 * :func:`~repro.explore.runner.explore_spec` /
   :func:`~repro.explore.runner.registry_explore_specs` — stack presets
   (``"faulty"`` is the Section 2.2 stack);

@@ -65,9 +65,7 @@ class ExploreSpec:
             ``min(1, f)`` of the built system (the Section 2.2
             scenario needs exactly one crash, and every crash within
             ``f`` keeps the run inside the algorithms' contract).
-        defer_data_only: Restrict defers to data frames (see
-            :class:`~repro.explore.scheduler.ExploreScheduler`).
-        defer_delay: Simulated seconds a deferred frame is held back
+        defer_delay: Simulated seconds a deferred data frame is held back
             (the bounded-delay adversary).  Far above the stack's
             per-hop latency, far below the horizon: plenty of room for
             a crash to make the delay permanent, while protocols that
@@ -96,7 +94,6 @@ class ExploreSpec:
     budget: int = 4000
     max_deviations: int = 3
     max_crashes: int | None = None
-    defer_data_only: bool = True
     defer_delay: float = 5e-3
     prune: bool = True
     stop_after: int = 1
@@ -236,7 +233,6 @@ class ScheduleExecutor:
             system,
             deviations,
             max_crashes=self._crash_budget(system),
-            defer_data_only=spec.defer_data_only,
             defer_delay=spec.defer_delay,
             fingerprints=(
                 menus and spec.prune if fingerprints is None else fingerprints

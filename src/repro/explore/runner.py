@@ -1,15 +1,12 @@
 """Exploration driver: presets, pool fan-out, result-pipeline glue.
 
 :func:`explore` searches one :class:`~repro.explore.executor.ExploreSpec`
-with its configured strategy, shrinks every violating schedule it finds
-and verifies the shrunk repro replays to the same verdict.  With
-``jobs > 1`` the decision-prefix frontier — the canonical one-deviation
-children of the default schedule — is partitioned round-robin across
-the persistent worker pool (:func:`repro.harness.runner.parallel_map`;
-workers are reused across calls, so back-to-back explorations skip the
-per-call pool spawn) and each worker completes its share of the subtree
-with its share of the budget; the random-walk strategy shards by stream
-name instead.
+with its configured strategy — one sequential search, whose result
+depends on the spec alone — shrinks every violating schedule it finds
+and verifies the shrunk repro replays to the same verdict.
+:func:`explore_many` spreads several specs over the persistent worker
+pool (:func:`repro.harness.runner.parallel_map`), one spec per worker,
+so the pool size changes wall time and never an answer.
 
 Outcomes flow into the existing results pipeline through
 :func:`outcomes_result_set`, so ``render_resultset`` gives the CLI its
@@ -24,12 +21,7 @@ from dataclasses import dataclass
 from repro.core.exceptions import ConfigurationError
 from repro.explore.executor import ExploreSpec, ScheduleExecutor, Violation
 from repro.explore.shrink import shrink
-from repro.explore.strategies import (
-    STRATEGIES,
-    SearchResult,
-    children_of,
-    run_strategy,
-)
+from repro.explore.strategies import STRATEGIES, run_strategy
 from repro.stack import layers
 from repro.stack.builder import StackSpec
 
@@ -88,59 +80,7 @@ class ExploreOutcome:
         )
 
 
-def _explore_shard(args: tuple) -> SearchResult:
-    """Pool worker: finish one shard of the decision-prefix frontier."""
-    spec, shard, budget, index = args
-    initial = None if spec.strategy == "random-walk" else shard
-    return run_strategy(spec, initial=initial, budget=budget, shard=index)
-
-
-def _search_parallel(spec: ExploreSpec, jobs: int) -> SearchResult:
-    from repro.harness.runner import parallel_map
-
-    executor = ScheduleExecutor(spec)
-    # children_of below passes no ``visited``: nobody reads fingerprints.
-    root = executor.run((), fingerprints=False)
-    result = SearchResult(schedules=1)
-    if root.violation is not None or root.diverged:
-        # Mirror the serial search exactly: a violating (or runaway)
-        # run is never expanded — its checkers stopped early, so its
-        # menus are truncated.
-        if root.violation is not None:
-            result.violations.append(root.violation)
-        result.exhausted = True
-        return result
-    frontier = children_of((), root, spec)
-    remaining = spec.budget - result.schedules
-    if not frontier or remaining < 1:
-        result.exhausted = not frontier
-        return result
-    # Shard count never exceeds the remaining budget, so the summed
-    # worker shares respect the spec's hard schedule cap.
-    width = min(jobs, len(frontier), remaining)
-    shards = [frontier[i::width] for i in range(width)]
-    # The first ``remaining % width`` shards take the division's remainder.
-    share, extra = divmod(remaining, width)
-    outcomes = parallel_map(
-        _explore_shard,
-        [
-            (spec, shard, share + (index < extra), index)
-            for index, shard in enumerate(shards)
-        ],
-        processes=len(shards),
-    )
-    result.exhausted = True
-    for outcome in outcomes:
-        result.merge(outcome)
-    return result
-
-
-def explore(
-    spec: ExploreSpec,
-    *,
-    jobs: int | None = None,
-    shrink_violations: bool = True,
-) -> ExploreOutcome:
+def explore(spec: ExploreSpec) -> ExploreOutcome:
     """Search ``spec``'s schedule space; shrink and verify what it finds.
 
     Every reported violation's schedule has been minimised with
@@ -149,22 +89,17 @@ def explore(
     :func:`repro.explore.executor.replay` — to a full trace on which
     the checkers report the same property violation.
     """
-    STRATEGIES.get(spec.strategy)  # unknown names fail here, with a hint
     started = time.perf_counter()
-    if jobs is not None and jobs > 1:
-        result = _search_parallel(spec, jobs)
-    else:
-        result = run_strategy(spec)
+    result = run_strategy(spec)
 
     executor = ScheduleExecutor(spec)
     shrink_runs = 0
     shrunk: list[Violation] = []
     seen: set[tuple[str, str]] = set()
     for violation in result.violations:
-        if shrink_violations:
-            minimised = shrink(executor, violation)
-            shrink_runs += minimised.runs
-            violation = minimised.violation
+        minimised = shrink(executor, violation)
+        shrink_runs += minimised.runs
+        violation = minimised.violation
         key = (violation.prop, violation.repro)
         if key not in seen:
             seen.add(key)
@@ -181,23 +116,19 @@ def explore(
     )
 
 
-def _explore_one(spec: ExploreSpec) -> ExploreOutcome:
-    return explore(spec, jobs=None)
-
-
 def explore_many(
     specs: list[ExploreSpec] | tuple[ExploreSpec, ...],
     *,
     jobs: int | None = None,
 ) -> list[ExploreOutcome]:
-    """Explore several specs, one pool worker per spec.
+    """:func:`explore` each spec, one spec per pool worker.
 
-    The natural shape for registry smoke matrices: with more specs than
-    cores this parallelises better than per-spec frontier splitting.
+    Each outcome equals a serial :func:`explore` of its spec; a single
+    spec runs in-process.
     """
     from repro.harness.runner import parallel_map
 
-    return parallel_map(_explore_one, list(specs), processes=jobs)
+    return parallel_map(explore, list(specs), processes=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +145,33 @@ PRESETS: dict[str, dict] = {
 }
 
 
+def stack_layers(stack: str) -> dict:
+    """The :class:`StackSpec` layer kwargs a stack name stands for.
+
+    ``stack`` is a preset name (``"faulty"``, ``"indirect"``, ...) or
+    an explicit ``abcast/consensus[/rb[/fd]]`` path; a path without an
+    rb part takes ``rb="sender"``, as the presets do, and ``fd`` is in
+    the result only when the path names it.
+    """
+    if "/" not in stack:
+        preset = PRESETS.get(stack)
+        if preset is None:
+            raise ConfigurationError(
+                f"unknown stack {stack!r} (presets: "
+                f"{', '.join(sorted(PRESETS))}; or an "
+                f"abcast/consensus[/rb[/fd]] path)"
+            )
+        return dict(preset)
+    parts = stack.split("/")
+    if len(parts) > 4:
+        raise ConfigurationError(
+            f"stack path {stack!r} must be abcast/consensus[/rb[/fd]]"
+        )
+    layer_kwargs = dict(zip(("abcast", "consensus", "rb", "fd"), parts))
+    layer_kwargs.setdefault("rb", "sender")
+    return layer_kwargs
+
+
 def explore_spec(
     stack: str = "faulty",
     *,
@@ -224,40 +182,19 @@ def explore_spec(
 ) -> ExploreSpec:
     """Build an :class:`ExploreSpec` from a preset or a layer path.
 
-    ``stack`` is a preset name (``"faulty"``, ``"indirect"``, ...) or
-    an explicit ``abcast/consensus[/rb[/fd]]`` path.  The stack runs on
-    the constant-latency network with ``drop_in_flight_on_crash=True``
-    — the Section 2.2 failure model, and the configuration that gives
-    the scheduler ties to reorder and data frames whose loss a crash
-    can make permanent.  ``overrides`` set :class:`ExploreSpec` fields
+    ``stack`` is read by :func:`stack_layers`; an fd the path names
+    overrides ``fd``.  The stack runs on the constant-latency network
+    with ``drop_in_flight_on_crash=True`` — the Section 2.2 failure
+    model, and the configuration that gives the scheduler ties to
+    reorder and data frames whose loss a crash can make permanent.  ``overrides`` set :class:`ExploreSpec` fields
     (``budget``, ``strategy``, ``horizon``, ...).
     """
-    if "/" in stack:
-        parts = stack.split("/")
-        if len(parts) < 2 or len(parts) > 4:
-            raise ConfigurationError(
-                f"stack path {stack!r} must be abcast/consensus[/rb[/fd]]"
-            )
-        layer_kwargs = dict(abcast=parts[0], consensus=parts[1])
-        layer_kwargs["rb"] = parts[2] if len(parts) > 2 else "sender"
-        if len(parts) > 3:
-            fd = parts[3]
-    else:
-        preset = PRESETS.get(stack)
-        if preset is None:
-            raise ConfigurationError(
-                f"unknown explore stack {stack!r} (presets: "
-                f"{', '.join(sorted(PRESETS))}; or an "
-                f"abcast/consensus[/rb[/fd]] path)"
-            )
-        layer_kwargs = dict(preset)
     stack_spec = StackSpec(
         n=n,
         network="constant",
         drop_in_flight_on_crash=True,
-        fd=fd,
         seed=seed,
-        **layer_kwargs,
+        **{"fd": fd, **stack_layers(stack)},
     )
     overrides.setdefault("seed", seed)
     return ExploreSpec(name=stack, stack=stack_spec, **overrides)

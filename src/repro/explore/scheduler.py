@@ -45,12 +45,12 @@ Deviation vocabulary and canonical form:
 * ``f<i>`` — fire ``ready[i]`` instead of ``ready[0]``: reorders
   same-time ties, the delivery interleaving nondeterminism.
 * ``d<i>`` — defer ``ready[i]`` (hold it back ``defer_delay``
-  seconds); only **link deliveries** are deferrable (by default only
-  data frames — control traffic is small and fast on a real LAN, bulk
-  data is what crawls), and only until an event has fired while the
-  frame was ready.  Deferring later would reach the same states
-  through a longer prefix, so the canonical form keeps the search
-  space free of that redundancy.
+  seconds); only **data frame deliveries** are deferrable (control
+  traffic is small and fast on a real LAN, bulk data is what crawls —
+  the Section 2.2 style of adversity), and only until an event has
+  fired while the frame was ready.  Deferring later would reach the
+  same states through a longer prefix, so the canonical form keeps the
+  search space free of that redundancy.
 * ``c<pid>`` — crash ``pid`` before anything at this step fires.  A
   crash is allowed while the crash budget lasts, and only at step 0 or
   right after an event *involving* ``pid`` (its own timer or crash, or
@@ -177,9 +177,6 @@ class ExploreScheduler(Scheduler):
             processes; fingerprints need trace and engine).
         deviations: Sparse schedule, keyed by decision step.
         max_crashes: Crash budget for ``c`` deviations.
-        defer_data_only: Restrict ``d`` deviations to non-control
-            frames (the Section 2.2 style of adversity).  ``False``
-            widens deferral to every link delivery.
         defer_delay: Passed through to the engine (see
             :attr:`repro.sim.engine.Scheduler.defer_delay`): how many
             seconds a deferred frame is held back.
@@ -205,7 +202,6 @@ class ExploreScheduler(Scheduler):
         deviations: Mapping[int, Deviation] | Iterable[Deviation] = (),
         *,
         max_crashes: int = 0,
-        defer_data_only: bool = True,
         defer_delay: float = 5e-3,
         fingerprints: bool = True,
         record_from: int | None = 0,
@@ -221,7 +217,6 @@ class ExploreScheduler(Scheduler):
         self.system = system
         self.deviations = dict(deviations)
         self.max_crashes = max_crashes
-        self.defer_data_only = defer_data_only
         self.defer_delay = defer_delay
         self._record_from = record_from
         self._covered = covered
@@ -297,9 +292,7 @@ class ExploreScheduler(Scheduler):
         indices = []
         for i, record in enumerate(ready):
             frame = event_of(record)
-            if type(frame) is not Frame:
-                continue
-            if self.defer_data_only and frame.control:
+            if type(frame) is not Frame or frame.control:
                 continue
             if record[TIME] == fire_time and record[SEQ] <= fire_seq:
                 continue

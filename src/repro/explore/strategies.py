@@ -9,6 +9,10 @@ taken from the menus the parent's execution recorded — every deviation
 set is therefore enumerated exactly once, in sorted-step canonical
 order.
 
+Every strategy is one sequential search over one spec, so its result
+depends on the spec alone; parallelism lives a level up, in
+:func:`repro.explore.runner.explore_many`, one spec per worker.
+
 Registered strategies (``STRATEGIES``, a
 :class:`~repro.stack.registry.LayerRegistry` like every other pluggable
 family):
@@ -52,7 +56,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.explore.executor import RunRecord, ScheduleExecutor, Violation
 from repro.explore.scheduler import Deviation, Menu
@@ -68,18 +72,12 @@ STRATEGIES = LayerRegistry("strategy")
 
 @dataclass
 class SearchResult:
-    """What one strategy run (or one pool shard of it) produced."""
+    """What one strategy run produced."""
 
     violations: list[Violation] = field(default_factory=list)
     schedules: int = 0
     pruned: int = 0
     exhausted: bool = False
-
-    def merge(self, other: "SearchResult") -> None:
-        self.violations.extend(other.violations)
-        self.schedules += other.schedules
-        self.pruned += other.pruned
-        self.exhausted = self.exhausted and other.exhausted
 
 
 def children_of(
@@ -155,21 +153,14 @@ def expansion_window(
 def _tree_search(
     executor: ScheduleExecutor,
     spec: "ExploreSpec",
-    initial: Iterable[Schedule] | None = None,
-    budget: int | None = None,
-    shard: int = 0,
     *,
     depth_first: bool,
 ) -> SearchResult:
-    """Breadth- or depth-first over the deviation tree (``shard`` is the
-    strategy signature's stream index; only random-walk uses it)."""
+    """Breadth- or depth-first over the deviation tree."""
     result = SearchResult()
-    frontier: deque[Schedule] = deque(
-        [()] if initial is None else list(initial)
-    )
+    frontier: deque[Schedule] = deque([()])
     visited: dict[str, int] | None = {} if spec.prune else None
-    budget = spec.budget if budget is None else budget
-    while frontier and result.schedules < budget:
+    while frontier and result.schedules < spec.budget:
         schedule = frontier.pop() if depth_first else frontier.popleft()
         window = expansion_window(schedule, spec, visited)
         record = executor.run(
@@ -193,20 +184,16 @@ def _tree_search(
 
 
 def _random_walk(
-    executor: ScheduleExecutor,
-    spec: "ExploreSpec",
-    initial: Iterable[Schedule] | None = None,
-    budget: int | None = None,
-    shard: int = 0,
+    executor: ScheduleExecutor, spec: "ExploreSpec"
 ) -> SearchResult:
     """Sample schedules from the previous run's menus (seeded)."""
     from repro.sim.rng import RngRegistry
 
+    # The stream name fixes every random-walk schedule: keep it.
     rng: random.Random = RngRegistry(seed=spec.seed).stream(
-        f"explore.random-walk.{shard}"
+        "explore.random-walk.0"
     )
     result = SearchResult()
-    budget = spec.budget if budget is None else budget
 
     def note(record: RunRecord) -> bool:
         result.schedules += 1
@@ -219,12 +206,15 @@ def _random_walk(
         return False
 
     base = executor.run((), fingerprints=False)
-    if note(base) or spec.max_deviations < 1:
+    if note(base):
+        return result
+    if spec.max_deviations < 1:
         # With a zero depth bound the default schedule is the only
-        # in-bound one; repeating it would burn budget for nothing.
+        # in-bound one: the space is exhausted.
+        result.exhausted = True
         return result
     menus: tuple[Menu, ...] = base.menus
-    while result.schedules < budget:
+    while result.schedules < spec.budget:
         deviations: list[Deviation] = []
         if menus:
             count = rng.randint(1, spec.max_deviations)
@@ -270,14 +260,6 @@ STRATEGIES.register(
 )
 
 
-def run_strategy(
-    spec: "ExploreSpec",
-    initial: Iterable[Schedule] | None = None,
-    budget: int | None = None,
-    shard: int = 0,
-) -> SearchResult:
+def run_strategy(spec: "ExploreSpec") -> SearchResult:
     """Run ``spec.strategy`` (resolved through :data:`STRATEGIES`)."""
-    factory = STRATEGIES.get(spec.strategy).factory
-    return factory(
-        ScheduleExecutor(spec), spec, initial, budget=budget, shard=shard
-    )
+    return STRATEGIES.get(spec.strategy).factory(ScheduleExecutor(spec), spec)

@@ -86,7 +86,6 @@ def explore_main(argv: list[str]) -> int:
     """The ``explore`` verb: bounded schedule exploration."""
     from repro.explore import (
         STRATEGIES,
-        explore,
         explore_many,
         explore_spec,
         outcomes_result_set,
@@ -129,8 +128,7 @@ def explore_main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="random-walk stream seed")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="pool workers (frontier partitioning for one "
-                             "stack, one stack per worker for several)")
+                        help="pool workers, one explored stack per worker")
     parser.add_argument("--all-violations", action="store_true",
                         help="exhaust the budget instead of stopping at the "
                              "first violation")
@@ -202,10 +200,7 @@ def explore_main(argv: list[str]) -> int:
         return 1
 
     started = time.perf_counter()
-    if len(specs) > 1:
-        outcomes = explore_many(specs, jobs=args.jobs)
-    else:
-        outcomes = [explore(specs[0], jobs=args.jobs)]
+    outcomes = explore_many(specs, jobs=args.jobs)
     out = render_resultset(outcomes_result_set(outcomes), format=args.format)
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
     if args.format == "table":
@@ -235,7 +230,7 @@ def explore_main(argv: list[str]) -> int:
 
 def obs_main(argv: list[str]) -> int:
     """The ``obs`` verb: one observed run, exported as a timeline."""
-    from repro.explore.runner import PRESETS
+    from repro.explore.runner import PRESETS, stack_layers
     from repro.harness.experiment import ExperimentSpec
     from repro.obs import (
         chrome_trace,
@@ -254,8 +249,9 @@ def obs_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--stack", default="indirect", metavar="NAME",
-        help="stack preset (%s) or an abcast/consensus[/rb] path "
-             "(default: indirect)" % ", ".join(sorted(PRESETS)),
+        help="stack preset (%s) or an abcast/consensus[/rb[/fd]] path, "
+             "read as by explore (default: indirect)"
+             % ", ".join(sorted(PRESETS)),
     )
     parser.add_argument("--n", type=int, default=3,
                         help="group size (default: 3)")
@@ -286,20 +282,6 @@ def obs_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.stack in PRESETS:
-        layer_kwargs = dict(PRESETS[args.stack])
-    else:
-        parts = args.stack.split("/")
-        if len(parts) not in (2, 3):
-            parser.error(
-                f"unknown stack {args.stack!r}; presets: "
-                f"{', '.join(sorted(PRESETS))}, or an "
-                "abcast/consensus[/rb] path"
-            )
-        layer_kwargs = dict(abcast=parts[0], consensus=parts[1])
-        if len(parts) == 3:
-            layer_kwargs["rb"] = parts[2]
-
     formats = ("chrome", "csv", "json", "spans-csv", "spans-json")
     for fmt, _path in args.export:
         if fmt not in formats:
@@ -311,7 +293,9 @@ def obs_main(argv: list[str]) -> int:
     try:
         spec = ExperimentSpec(
             name=f"obs-{args.stack.replace('/', '-')}",
-            stack=StackSpec(n=args.n, seed=args.seed, **layer_kwargs),
+            stack=StackSpec(
+                n=args.n, seed=args.seed, **stack_layers(args.stack)
+            ),
             throughput=args.throughput,
             payload=args.payload,
             duration=args.duration,

@@ -315,7 +315,7 @@ class WorkerPool:
 
     Spawning a ``multiprocessing.Pool`` costs each worker a full
     interpreter start (or fork) plus a ``repro`` import; per-call pools
-    paid that on *every* sweep and every explorer frontier wave.  One
+    paid that on *every* sweep and every explorer fan-out.  One
     persistent pool amortises it across the process lifetime.
 
     The pool is recycled (workers terminated, fresh ones created) when

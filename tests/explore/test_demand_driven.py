@@ -18,7 +18,6 @@ import pytest
 
 from repro.explore import explore_spec
 from repro.explore.executor import ScheduleExecutor
-from repro.explore.runner import _search_parallel
 from repro.explore.scheduler import Deviation
 from repro.explore.strategies import (
     SearchResult,
@@ -152,21 +151,3 @@ def test_expansion_window_of_leaves_and_unpruned_searches():
     assert first == 0
     # Covered by an equal-or-larger budget, or seen earlier in this run.
     assert [covered(fp) for fp in "abcc"] == [True, False, False, True]
-
-
-def test_parallel_budget_shares_sum_to_the_budget(monkeypatch):
-    import repro.harness.runner as harness_runner
-
-    budgets = []
-
-    def fake_parallel_map(fn, items, processes=None):
-        budgets.extend(item[2] for item in items)
-        return [SearchResult(schedules=item[2], exhausted=False)
-                for item in items]
-
-    monkeypatch.setattr(harness_runner, "parallel_map", fake_parallel_map)
-    spec = explore_spec("faulty", budget=101, stop_after=0)
-    result = _search_parallel(spec, jobs=3)
-    # 100 schedules after the root run over 3 shards: 34 + 33 + 33.
-    assert budgets == [34, 33, 33]
-    assert result.schedules == 101

@@ -4,14 +4,15 @@
   default budget with **no hand-crafted crash schedule or delay rules**,
   shrunk, and its repro replays to the same checker verdict;
 * correct stacks pass the same bounded exploration clean;
-* the multiprocessing fan-out and the ResultSet/report integration
-  produce the same verdicts as the serial path.
+* the multiprocessing fan-out (one spec per worker) and the
+  ResultSet/report integration produce the same rows as the serial path.
 
 The full registry matrix runs in CI's ``smoke`` job; here a
 representative subset keeps the tier-1 suite fast.
 """
 
 import json
+import re
 
 import pytest
 
@@ -83,20 +84,44 @@ class TestCorrectStacksExploreClean:
         assert len(specs) >= 15
 
 
-class TestParallelFanOut:
-    def test_frontier_partitioned_search_finds_the_bug(self):
-        outcome = explore(explore_spec("faulty"), jobs=2)
-        assert not outcome.ok
-        assert outcome.violations[0].prop.startswith("Abcast")
+def _rows(outcomes):
+    rows = outcomes_result_set(outcomes).to_rows()
+    for row in rows:
+        del row["wall_seconds"]
+    return rows
 
+
+def _without_wall_clock(out):
+    """CLI output minus the table's last (wall_seconds) column and the
+    closing wall-time line."""
+    return [
+        re.sub(r"[|+][^|+]*$", "", line)
+        for line in out.splitlines()
+        if not line.startswith("[done in")
+    ]
+
+
+class TestParallelFanOut:
     def test_explore_many_runs_one_spec_per_worker(self):
-        outcomes = explore_many(
-            [explore_spec("faulty", budget=120),
-             explore_spec("urb", budget=30, stop_after=0)],
-            jobs=2,
-        )
+        specs = [
+            explore_spec("faulty", budget=120),
+            explore_spec("urb", budget=30, stop_after=0),
+        ]
+        outcomes = explore_many(specs, jobs=2)
         assert not outcomes[0].ok
         assert outcomes[1].ok
+        # The pool changes wall time, never an answer.
+        assert _rows(outcomes) == _rows([explore(spec) for spec in specs])
+
+    def test_cli_jobs_prints_the_serial_table(self, capsys):
+        argv = ["explore", "--stack", "faulty", "--stack", "urb",
+                "--budget", "60"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert "5:c2" in serial
+        assert _without_wall_clock(pooled) == _without_wall_clock(serial)
 
 
 class TestResultsPipeline:

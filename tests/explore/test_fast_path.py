@@ -37,8 +37,8 @@ class EveryStep(ExploreScheduler):
 
     ``seen`` holds every frame delivery that was in a ready set when an
     event of it fired (strong references: a freed record's address
-    could be reused by a later frame).  A frame is deferrable iff it is
-    not in there — at every step, ``_deferrable`` must agree.
+    could be reused by a later frame).  A data frame is deferrable iff
+    it is not in there — at every step, ``_deferrable`` must agree.
     """
 
     def __init__(self, system, *args, **kwargs):
@@ -57,7 +57,7 @@ class EveryStep(ExploreScheduler):
         expected = tuple(
             i for i, (record, frame) in enumerate(zip(ready, frames))
             if frame is not None
-            and not (self.defer_data_only and frame.control)
+            and not frame.control
             and record not in self.seen
         )
         assert self._deferrable(ready) == expected, (self.steps, expected)

@@ -82,9 +82,7 @@ def test_pinned_exploration_fingerprints():
     """Faulty-ids stack, n=3, the first 50 delay-bounded schedules."""
     spec = explore_spec("faulty", n=3, budget=50, stop_after=0)
     executor = _RecordingExecutor(spec)
-    result = STRATEGIES.get(spec.strategy).factory(
-        executor, spec, None, budget=50
-    )
+    result = STRATEGIES.get(spec.strategy).factory(executor, spec)
     assert (result.schedules, result.pruned, len(result.violations)) == (
         50, 34, 3,
     )

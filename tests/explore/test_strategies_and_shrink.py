@@ -65,6 +65,16 @@ class TestStrategies:
         assert violation.prop.startswith("Abcast")
         assert violation.repro  # a non-default schedule was needed
 
+    @pytest.mark.parametrize("strategy", ["delay-bounded", "dfs", "random-walk"])
+    def test_a_zero_depth_bound_is_exhausted_by_the_default_schedule(
+        self, strategy
+    ):
+        result = run_strategy(explore_spec(
+            "indirect", strategy=strategy, max_deviations=0, budget=50,
+            stop_after=0,
+        ))
+        assert (result.schedules, result.exhausted) == (1, True)
+
     def test_random_walk_is_deterministic_per_seed(self):
         a = explore(explore_spec("faulty", strategy="random-walk",
                                  budget=40, seed=7, stop_after=0))

@@ -210,3 +210,24 @@ class TestObsCli:
         assert {"B", "E"} <= {event["ph"] for event in doc["traceEvents"]}
         for table in (telemetry, spans):
             assert len(table.read_text(encoding="utf-8").splitlines()) > 1
+
+    def test_obs_reads_stack_names_as_explore_does(self, monkeypatch):
+        import repro.obs
+        from repro.harness.__main__ import main
+
+        class Built(Exception):
+            pass
+
+        stacks = []
+
+        def capture(spec, period=None):
+            stacks.append(spec.stack)
+            raise Built
+
+        monkeypatch.setattr(repro.obs, "observe_experiment", capture)
+        for name in ("indirect", "indirect/ct-indirect",
+                     "indirect/ct-indirect/sender"):
+            with pytest.raises(Built):
+                main(["obs", "--stack", name])
+        assert stacks[0] == stacks[1] == stacks[2]
+        assert stacks[0].rb == "sender"
