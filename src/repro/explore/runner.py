@@ -4,8 +4,8 @@
 with its configured strategy — one sequential search, whose result
 depends on the spec alone — shrinks every violating schedule it finds
 and verifies the shrunk repro replays to the same verdict.
-:func:`explore_many` spreads several specs over the persistent worker
-pool (:func:`repro.harness.runner.parallel_map`), one spec per worker,
+:func:`explore_many` spreads several specs over a per-call worker pool
+(:func:`repro.harness.runner.parallel_map`), one spec per worker,
 so the pool size changes wall time and never an answer.
 
 Outcomes flow into the existing results pipeline through

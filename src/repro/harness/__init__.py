@@ -38,7 +38,6 @@ from repro.harness.runner import (
     ResultCache,
     SuiteError,
     SuiteResult,
-    cache_stats,
     parallel_map,
     run_suite,
     spec_key,
@@ -57,7 +56,6 @@ __all__ = [
     "SuiteError",
     "SuiteResult",
     "SweepSpec",
-    "cache_stats",
     "concat",
     "curves",
     "expand",

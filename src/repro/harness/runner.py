@@ -24,7 +24,6 @@ asserted in ``tests/harness/test_runner.py``.  Only the wall-clock
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import hashlib
 import json
@@ -32,7 +31,6 @@ import multiprocessing
 import os
 import pickle
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -44,7 +42,6 @@ from repro.harness.experiment import (
     run_experiment,
 )
 from repro.harness.suite import SweepSpec, expand
-from repro.stack.registry import registry_epoch
 
 
 class SuiteError(RuntimeError):
@@ -149,58 +146,8 @@ def spec_key(spec: ExperimentSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-#: In-process LRU over :meth:`ResultCache.load`, shared by every cache
-#: instance (``run_suite`` builds a fresh ``ResultCache`` per call, so
-#: per-instance memoisation would never get warm).  Entries are keyed
-#: by path and validated against ``os.stat`` (size + mtime_ns) on every
-#: hit, so an entry rewritten — or corrupted — on disk behind our back
-#: is a miss, exactly as if it had never been memoised.  Results are
-#: treated as immutable throughout the harness, so handing the same
-#: object out repeatedly is safe.  It holds at most ``_LOAD_LRU_MAX``
-#: results (``cache_stats()["capacity"]``).
-_LOAD_LRU_MAX = 512
-_load_lru: OrderedDict[Path, tuple[int, int, ExperimentResult]] = (
-    OrderedDict()
-)
-#: Lifetime hit/miss counters of the in-process LRU (a *hit* is a
-#: stat-validated memo; loads that fall through to disk — cold, stale,
-#: or corrupt — count as misses).  Read through :func:`cache_stats`.
-_lru_hits = 0
-_lru_misses = 0
-
-
-def cache_stats() -> dict[str, int]:
-    """Hit/miss/size/capacity counters of the in-process result LRU.
-
-    ``hits`` are loads served from memory (after stat validation);
-    ``misses`` are loads that went to disk — whether the entry was
-    cold, invalidated by a changed ``stat``, or unreadable.  The
-    cached-rerun benchmark (``benchmarks/test_suite_dispatch.py``)
-    asserts hits outnumber misses, so a warm-path memoisation
-    regression fails there instead of showing as wall-clock drift.
-    """
-    return {
-        "hits": _lru_hits,
-        "misses": _lru_misses,
-        "size": len(_load_lru),
-        "capacity": _LOAD_LRU_MAX,
-    }
-
-
-def _lru_remember(path: Path, size: int, mtime_ns: int, result) -> None:
-    _load_lru[path] = (size, mtime_ns, result)
-    _load_lru.move_to_end(path)
-    while len(_load_lru) > _LOAD_LRU_MAX:
-        _load_lru.popitem(last=False)
-
-
 class ResultCache:
-    """Content-addressed pickle store of experiment results.
-
-    ``load`` goes through a small in-process LRU (stat-validated, see
-    :data:`_load_lru`): a warm re-run of a sweep re-reads nothing from
-    disk, it only pays one ``stat`` per point.
-    """
+    """Content-addressed pickle store of experiment results."""
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
@@ -222,33 +169,16 @@ class ResultCache:
         (the hash ignores names); the returned result carries the
         caller's spec so reports label points correctly.
         """
-        global _lru_hits, _lru_misses
-        path = self.path_for(spec, key)
         try:
-            stat = path.stat()
-        except OSError:
-            return None
-        memo = _load_lru.get(path)
-        if (
-            memo is not None
-            and memo[0] == stat.st_size
-            and memo[1] == stat.st_mtime_ns
-        ):
-            _lru_hits += 1
-            _load_lru.move_to_end(path)
-            return replace(memo[2], spec=spec)
-        _lru_misses += 1
-        try:
-            with path.open("rb") as fh:
+            with self.path_for(spec, key).open("rb") as fh:
                 result: ExperimentResult = pickle.load(fh)
             if not isinstance(result, ExperimentResult):
                 # A foreign pickle: ignore cleanly, never hand a
                 # mis-shaped object downstream.
                 return None
-            _lru_remember(path, stat.st_size, stat.st_mtime_ns, result)
             return replace(result, spec=spec)
         except Exception:
-            # Corrupt or stale entry (truncated write, a pickle
+            # Missing, corrupt or stale entry (truncated write, a pickle
             # referencing since-renamed classes, or an old result
             # schema that fails re-validation): recompute and overwrite.
             return None
@@ -265,11 +195,6 @@ class ResultCache:
         with tmp.open("wb") as fh:
             pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
-        try:
-            stat = path.stat()
-        except OSError:
-            return
-        _lru_remember(path, stat.st_size, stat.st_mtime_ns, result)
 
 
 # ----------------------------------------------------------------------
@@ -277,123 +202,13 @@ class ResultCache:
 # ----------------------------------------------------------------------
 
 
-class _PickledTask:
-    """The callable shipped to pool workers: a pre-pickled function
-    applied to pre-pickled items.
-
-    ``parallel_map`` serialises ``fn`` and each item exactly once in
-    the parent (the bytes double as the poolability probe); workers
-    unpickle the function once per dispatched chunk (memoised on the
-    instance) and each item once — the same total deserialisation work
-    the pool's own transport used to do, minus the parent's redundant
-    probe pass.
-    """
-
-    __slots__ = ("_fn_bytes", "_fn")
-
-    def __init__(self, fn_bytes: bytes) -> None:
-        self._fn_bytes = fn_bytes
-        self._fn = None
-
-    def __getstate__(self) -> bytes:
-        return self._fn_bytes
-
-    def __setstate__(self, fn_bytes: bytes) -> None:
-        self._fn_bytes = fn_bytes
-        self._fn = None
-
-    def __call__(self, item_bytes: bytes):
-        fn = self._fn
-        if fn is None:
-            fn = self._fn = pickle.loads(self._fn_bytes)
-        return fn(pickle.loads(item_bytes))
-
-
-class WorkerPool:
-    """A lazily created, process-wide pool reused across ``parallel_map``
-    calls.
-
-    Spawning a ``multiprocessing.Pool`` costs each worker a full
-    interpreter start (or fork) plus a ``repro`` import; per-call pools
-    paid that on *every* sweep and every explorer fan-out.  One
-    persistent pool amortises it across the process lifetime.
-
-    The pool is recycled (workers terminated, fresh ones created) when
-    a call needs more workers than it has, when the layer/probe
-    registries changed since it was created (fork-started workers
-    snapshot registration state — a probe registered after the fork
-    would not exist in the old workers), or when a dispatch raised (a
-    raising ``fn`` or a broken worker leaves pool state unknown; the
-    next call starts clean, exactly like the old per-call pools).
-    After a ``fork`` of the *parent*, the child drops the inherited
-    handle without terminating — the workers belong to the parent.
-
-    Platform-default start method, as before: fork is unsafe on macOS
-    (and from threaded processes generally), and spawn/forkserver work
-    because everything shipped to workers is pickle-clean.  Caveat
-    either way: specs naming *custom* metric probes need those probes
-    registered before the pool exists — at import time of a module
-    workers re-import (spawn), or simply before the first
-    ``parallel_map`` call (fork; the registry epoch check recycles the
-    pool on late registrations automatically).
-    """
-
-    def __init__(self) -> None:
-        self._pool = None
-        self._size = 0
-        self._pid = -1
-        self._epoch = -1
-
-    def acquire(self, workers: int):
-        """A live pool with ≥ ``workers`` workers, or ``None`` when one
-        cannot exist here (daemonic context, failed spawn)."""
-        if multiprocessing.current_process().daemon:
-            return None  # pool workers cannot have children of their own
-        epoch = registry_epoch()
-        pool = self._pool
-        if pool is not None and (
-            self._pid != os.getpid()
-            or self._size < workers
-            or self._epoch != epoch
-        ):
-            self.shutdown(terminate=self._pid == os.getpid())
-            pool = None
-        if pool is None:
-            try:
-                pool = multiprocessing.get_context().Pool(workers)
-            except Exception:
-                return None
-            self._pool = pool
-            self._size = workers
-            self._pid = os.getpid()
-            self._epoch = epoch
-        return pool
-
-    def shutdown(self, terminate: bool = True) -> None:
-        """Dispose the pool (idempotent); next ``acquire`` starts fresh."""
-        pool, self._pool = self._pool, None
-        self._size = 0
-        if pool is not None and terminate:
-            pool.terminate()
-            pool.join()
-
-
-_POOL = WorkerPool()
-
-
-def shutdown_pool() -> None:
-    """Terminate the persistent ``parallel_map`` worker pool, if any.
-
-    Call to reclaim the workers (long-lived driver going quiet) or to
-    force the next ``parallel_map`` onto freshly spawned workers.  The
-    pool recreates itself lazily on the next use either way; an
-    ``atexit`` hook runs this so interpreter shutdown never hangs on
-    live workers.
-    """
-    _POOL.shutdown()
-
-
-atexit.register(shutdown_pool)
+def _pickles(obj: object) -> bool:
+    """Whether ``obj`` can cross a process boundary."""
+    try:
+        pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return False
+    return True
 
 
 def parallel_map(
@@ -403,57 +218,51 @@ def parallel_map(
 ) -> list[_R]:
     """``[fn(x) for x in items]`` across a process pool, order preserved.
 
-    Dispatches over the persistent :class:`WorkerPool` (see its
-    docstring for lifetime and fork-safety notes), pickling ``fn`` and
-    each item exactly once — the bytes double as the poolability probe
-    and the dispatch payload — with chunks sized to a few per worker
-    (``len(items) / (4 · workers)``, floor 1) so dynamic load imbalance
-    stays bounded without paying per-item dispatch.
+    Each call opens its own ``multiprocessing`` pool (platform-default
+    start method) and closes it before returning, so no worker outlives
+    the call, and fork-started workers see every layer and probe
+    registered so far.  Chunks are sized to a few per worker
+    (``len(items) / (4 · workers)``, floor 1), so dynamic load
+    imbalance stays bounded without paying per-item dispatch.  Under
+    spawn, custom metric probes must be registered at import time of a
+    module the workers re-import.
 
     Serial fallback when a pool cannot help (one item, one worker) or
-    cannot work (``fn``/items that do not pickle, daemonic context).
-    Used by :func:`run_suite` and directly by scenario scripts that fan
-    out whole staged runs (``examples/faulty_vs_indirect.py``).
+    cannot work (``fn`` does not pickle, daemonic context, no pool can
+    start); items that do not pickle run in-process while the rest
+    still pool.  Used by :func:`run_suite` and directly by scenario
+    scripts that fan out whole staged runs
+    (``examples/faulty_vs_indirect.py``).
     """
     items = list(items)
-    if not items:
-        return []
     workers = processes if processes is not None else os.cpu_count() or 1
-    workers = max(1, min(workers, len(items)))
-    if workers == 1:
+    workers = min(workers, len(items))
+    if (
+        workers <= 1
+        or multiprocessing.current_process().daemon  # no nested pools
+        or not _pickles(fn)
+    ):
         return [fn(item) for item in items]
-    try:
-        fn_bytes = pickle.dumps(fn, pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return [fn(item) for item in items]
-    poolable: list[int] = []
-    payloads: list[bytes] = []
-    for index, item in enumerate(items):
-        try:
-            payloads.append(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
-        except Exception:
-            continue
-        poolable.append(index)
-    results: list[_R | None] = [None] * len(items)
-    poolable_set: set[int] = set()
+    poolable = [i for i, item in enumerate(items) if _pickles(item)]
+    pool = None
     if len(poolable) > 1:
-        pool = _POOL.acquire(min(workers, len(poolable)))
-        if pool is not None:
-            chunksize = max(1, len(poolable) // (4 * workers))
-            try:
-                mapped = pool.map(
-                    _PickledTask(fn_bytes), payloads, chunksize=chunksize
-                )
-            except Exception:
-                _POOL.shutdown()
-                raise
-            for index, result in zip(poolable, mapped):
-                results[index] = result
-            poolable_set = set(poolable)
-    for index, item in enumerate(items):
-        if index not in poolable_set:
-            results[index] = fn(item)
-    return results  # type: ignore[return-value]
+        try:
+            pool = multiprocessing.Pool(min(workers, len(poolable)))
+        except (OSError, ImportError):
+            pass  # no pool can start here (e.g. no working semaphores)
+    if pool is None:
+        return [fn(item) for item in items]
+    with pool:
+        mapped = pool.map(
+            fn,
+            [items[i] for i in poolable],
+            chunksize=max(1, len(poolable) // (4 * workers)),
+        )
+    pooled = dict(zip(poolable, mapped))
+    return [
+        pooled[index] if index in pooled else fn(item)
+        for index, item in enumerate(items)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -139,9 +139,11 @@ class StackSpec:
     false_suspicions: tuple[FalseSuspicion, ...] = ()
     faults: tuple = ()
     topology: Topology | None = None
-    #: Ablation knobs (see DESIGN.md section 6): cap on identifiers per
-    #: consensus proposal, and the CT-indirect Phase-3 policy when
-    #: rcv(v) fails ("nack" = Algorithm 2, "wait" = stall for messages).
+    #: Ablation knobs: cap on identifiers per consensus proposal, and
+    #: the CT-indirect Phase-3 policy when rcv(v) fails ("nack" =
+    #: Algorithm 2, "wait" = stall for messages).  Measured by
+    #: ``benchmarks/test_ablation_batch_cap.py`` and
+    #: ``benchmarks/test_ablation_nack_vs_wait.py``.
     batch_cap: int | None = None
     ct_missing_policy: str = "nack"
 

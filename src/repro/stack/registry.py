@@ -76,19 +76,6 @@ class LayerEntry:
             ) from None
 
 
-#: Monotonic count of registrations across *every* registry instance.
-#: Consumers that snapshot registry state into another process (the
-#: persistent worker pool of :mod:`repro.harness.runner` forks workers
-#: that inherit whatever was registered at creation time) compare this
-#: to decide whether their snapshot is stale.
-_EPOCH = 0
-
-
-def registry_epoch() -> int:
-    """The current global registration epoch (see :data:`_EPOCH`)."""
-    return _EPOCH
-
-
 class LayerRegistry:
     """Named factories of one layer family, with helpful lookups.
 
@@ -109,14 +96,12 @@ did you mean 'ct'? (registered: ct)
 
     def add(self, entry: LayerEntry) -> LayerEntry:
         """Register ``entry``; re-registering a name is a config error."""
-        global _EPOCH
         if entry.name in self._entries:
             raise ConfigurationError(
                 f"{self.family} registry already has an entry named "
                 f"{entry.name!r}"
             )
         self._entries[entry.name] = entry
-        _EPOCH += 1
         return entry
 
     def register(self, name: str, description: str, **kwargs: Any) -> LayerEntry:

@@ -149,6 +149,37 @@ def test_original_mr_safety_and_termination(s):
     ConsensusChecker(fabric.trace, fabric.config).check_all()
 
 
+#: p1 falsely suspects p2, the coordinator of round 1, and echoes ⊥
+#: while p3 echoes p2's value, so echo quorums mix ``{v, ⊥}``: this
+#: reaches MR's adoption branch (Algorithm 3 lines 27-29), which random
+#: scenarios reach only by chance.
+MIXED_ECHOES = (
+    3, {1: {1}, 2: {2}, 3: {3}}, [], [],
+    (FalseSuspicion(observer=1, target=2, start=0.0, end=0.005),),
+)
+
+
+class _CountingMR(MostefaouiRaynalConsensus):
+    adoptions = 0
+
+    def _may_adopt(self, instance, value, count):
+        type(self).adoptions += 1
+        return super()._may_adopt(instance, value, count)
+
+
+def test_original_mr_adopts_on_mixed_echoes():
+    _CountingMR.adoptions = 0
+    fabric, decisions = run_consensus(_CountingMR, *MIXED_ECHOES)
+    assert _CountingMR.adoptions > 0
+    ConsensusChecker(fabric.trace, fabric.config).check_all()
+    # The adopted value is p2's round-1 proposal, and it is decided; a
+    # process refusing to adopt would carry its own estimate on and
+    # the group would decide p3's proposal instead.
+    assert {pid: d[1] for pid, d in decisions.items()} == {
+        pid: frozenset({MessageId(2, 1)}) for pid in (1, 2, 3)
+    }
+
+
 @SLOW
 @given(scenario(max_f=lambda n: (n - 1) // 3))
 def test_indirect_mr_no_loss_under_adversity(s):

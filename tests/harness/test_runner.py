@@ -8,6 +8,8 @@ the full-``Trace`` run while retaining no event list.
 """
 
 import dataclasses
+import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -23,6 +25,7 @@ from repro.harness.runner import (
     spec_key,
 )
 from repro.harness.suite import SweepSpec
+from repro.metrics.probes import PROBES, MetricValue, Probe
 from repro.net.faults import DuplicationRule, LossRule
 from repro.net.setups import SETUP_1
 from repro.net.topology import Topology
@@ -299,6 +302,13 @@ class TestParallelMap:
     def test_empty_input(self):
         assert parallel_map(_square, [], processes=4) == []
 
+    def test_serial_fallback_when_no_pool_can_start(self, monkeypatch):
+        def no_semaphores(*args, **kwargs):
+            raise OSError("no working semaphores")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_semaphores)
+        assert parallel_map(_square, [3, 1, 2], processes=2) == [9, 1, 4]
+
     def test_results_are_picklable_specs_and_results(self):
         spec = exp_spec()
         pickle.loads(pickle.dumps(spec))
@@ -307,8 +317,70 @@ class TestParallelMap:
         assert restored.metric("latency") == result.metric("latency")
 
 
+class TestPoolLifetime:
+    """One pool per ``parallel_map`` call, closed before it returns."""
+
+    def test_no_worker_outlives_the_call(self):
+        assert parallel_map(_square, [1, 2, 3, 4], processes=2) == [
+            1, 4, 9, 16,
+        ]
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_raising_call(self):
+        with pytest.raises(ValueError, match="odd"):
+            parallel_map(_reject_odd, [2, 3, 4, 5], processes=2)
+        assert multiprocessing.active_children() == []
+
+    def test_nested_call_in_a_worker_runs_serially(self):
+        outer = parallel_map(_nested, [1, 2], processes=2)
+        for x, (worker, inner) in zip([1, 2], outer):
+            assert worker != os.getpid()
+            # The daemonic worker cannot start a pool of its own: every
+            # inner item ran in the worker itself, in order.
+            assert inner == [(worker, x), (worker, x + 1)]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only fork-started workers inherit a late registration",
+    )
+    def test_probe_registered_after_a_pooled_call_reaches_the_pool(
+        self, tmp_path, monkeypatch
+    ):
+        parallel_map(_square, [1, 2], processes=2)
+        # Register into a copy of the registry, restored on teardown.
+        monkeypatch.setattr(PROBES, "_entries", dict(PROBES._entries))
+        PROBES.register("test-late-sent", "abroadcasts sent (test probe)",
+                        factory=_SentProbe)
+        specs = [exp_spec(name=f"late-{i}", payload=64 + i,
+                          metrics=("latency", "test-late-sent"))
+                 for i in range(2)]
+        suite = run_suite(specs, cache_dir=tmp_path, processes=2)
+        assert suite.cache_misses == 2
+        for result in suite.results:
+            assert result.metric("test-late-sent")["sent"] == result.sent
+
+
+class _SentProbe(Probe):
+    def finish(self, system, sent):
+        return MetricValue.of({"sent": sent})
+
+
 def _square(x):
     return x * x
+
+
+def _reject_odd(x):
+    if x % 2:
+        raise ValueError(f"odd item {x}")
+    return x
+
+
+def _pid_and(x):
+    return os.getpid(), x
+
+
+def _nested(x):
+    return os.getpid(), parallel_map(_pid_and, [x, x + 1], processes=2)
 
 
 def _numify(x):
