@@ -18,8 +18,9 @@ and duplicated frames are exactly what retransmission schedules create)
 plus an explicit count; the order-*sensitive* adelivery sequences fold
 with a multiply-accumulate.  Hashes come from
 SHA-256 of the description's ``repr`` — never Python's randomized
-``hash()`` — so values are stable across worker processes, a
-requirement for the sharded parallel search.
+``hash()`` — so fingerprints do not depend on ``PYTHONHASHSEED``: a
+search repeats exactly in any interpreter, and the literal fingerprint
+pins in the tests hold everywhere.
 
 Protocol layers hold internal state (round numbers, ack counters,
 received stores) a fingerprint cannot see, so matching

@@ -40,10 +40,21 @@ schedule's last deviation up to and including the cut-off, and the tree
 search tells the executor that window up front
 (:func:`expansion_window`) so the run records and fingerprints those
 steps only (see :mod:`repro.explore.scheduler`); a leaf schedule — no
-deviation budget left — records nothing.  That is most of the pruned
-search's schedules/sec figure (``explore.faulty_schedules_per_s`` of the
-e2e ``explore_hunt`` workload), and it changes no result: executing every schedule eagerly and
-expanding it with :func:`children_of` is the same search
+deviation budget left — records nothing.
+
+*Reachability rule.*  A schedule runs as a leaf too when none of its
+children can run: the search runs ``ahead`` schedules before any child
+(``len(frontier)`` breadth-first; 0 depth-first, which never triggers
+the rule) and has ``left = budget - schedules - 1`` runs after this
+one, and ``ahead > left``.  Both fall by one per later pop, so the rule
+then holds to the end and the ``visited`` entries it leaves unwritten
+are never read; being strict, it always leaves an unrun schedule
+queued, so ``exhausted`` is unaffected.  Windows and this rule are
+most of the pruned search's schedules/sec figure
+(``explore.faulty_schedules_per_s`` of the e2e ``explore_hunt``
+workload), and they change no result but ``pruned``: executing every
+schedule eagerly and expanding it with :func:`children_of` runs the
+same schedules in the same order
 (``tests/explore/test_demand_driven.py``).  Children are generated
 defers first, then crashes, then tie reorders — message loss through
 crash-with-in-flight-data is the historically productive direction, so
@@ -72,7 +83,11 @@ STRATEGIES = LayerRegistry("strategy")
 
 @dataclass
 class SearchResult:
-    """What one strategy run produced."""
+    """What one strategy run produced.
+
+    ``pruned`` counts fingerprint cut-offs in the runs the search
+    expanded; runs the reachability rule leaves unexpanded add none.
+    """
 
     violations: list[Violation] = field(default_factory=list)
     schedules: int = 0
@@ -124,17 +139,21 @@ def expansion_window(
     schedule: Schedule,
     spec: "ExploreSpec",
     visited: dict[str, int] | None,
+    ahead: int = 0,
+    left: int = 0,
 ) -> tuple[int, Callable[[str], bool] | None] | None:
     """The steps of ``schedule``'s run that :func:`children_of` reads.
 
-    ``None`` for a leaf; otherwise the first expandable step and — when
+    ``None`` when no child can run: no deviation budget left, or more
+    schedules run ``ahead`` of the children than runs are ``left``.
+    Otherwise the first expandable step and — when
     pruning — a read-only test that is true exactly where
     :func:`children_of` breaks: at a fingerprint ``visited`` covers
     with at least this remaining budget, or one this same run already
     showed (``children_of`` will have marked it by then).
     """
     remaining = spec.max_deviations - len(schedule)
-    if remaining <= 0:
+    if remaining <= 0 or ahead > left:
         return None
     start = schedule[-1].step + 1 if schedule else 0
     if visited is None:
@@ -162,7 +181,11 @@ def _tree_search(
     visited: dict[str, int] | None = {} if spec.prune else None
     while frontier and result.schedules < spec.budget:
         schedule = frontier.pop() if depth_first else frontier.popleft()
-        window = expansion_window(schedule, spec, visited)
+        # Breadth-first runs the whole frontier before this schedule's
+        # children; depth-first runs them next.
+        ahead = 0 if depth_first else len(frontier)
+        left = spec.budget - result.schedules - 1
+        window = expansion_window(schedule, spec, visited, ahead, left)
         record = executor.run(
             schedule, menus=window is not None, window=window
         )
@@ -172,8 +195,8 @@ def _tree_search(
             if spec.stop_after and len(result.violations) >= spec.stop_after:
                 return result
             continue  # a violating run's checkers stopped early: don't expand
-        if record.diverged:
-            continue  # runaway schedule: menus are truncated, don't expand
+        if record.diverged or window is None:
+            continue  # runaway schedule (truncated menus), or no child can run
         children = children_of(schedule, record, spec, visited, result)
         if depth_first:
             frontier.extend(reversed(children))

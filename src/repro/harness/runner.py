@@ -7,7 +7,7 @@ flat list of :class:`~repro.harness.experiment.ExperimentSpec`) and:
    the spec's *physical* content (everything except the display name),
    so re-running a figure only computes missing points — and two
    figures that share a configuration share the cached result;
-2. fans the missing points out over a ``multiprocessing`` pool (specs
+2. fans the missing points out over a process pool (specs
    and results are frozen dataclasses of primitives — including the
    declarative fault rules and topologies, which is why crafted fault
    scenarios parallelise), falling back to in-process execution for
@@ -218,20 +218,22 @@ def parallel_map(
 ) -> list[_R]:
     """``[fn(x) for x in items]`` across a process pool, order preserved.
 
-    Each call opens its own ``multiprocessing`` pool (platform-default
-    start method) and closes it before returning, so no worker outlives
-    the call, and fork-started workers see every layer and probe
-    registered so far.  Chunks are sized to a few per worker
-    (``len(items) / (4 · workers)``, floor 1), so dynamic load
-    imbalance stays bounded without paying per-item dispatch.  Under
-    spawn, custom metric probes must be registered at import time of a
-    module the workers re-import.
+    Each call opens its own :class:`~concurrent.futures.ProcessPoolExecutor`
+    (platform-default start method) and shuts it down before returning,
+    so no worker outlives the call, and fork-started workers see every
+    layer and probe registered so far.  Chunks are sized to a few per
+    worker (``len(items) / (4 · workers)``, floor 1), so dynamic load
+    imbalance stays bounded without paying per-item dispatch.  A worker
+    that dies mid-call (killed, ``os._exit``, or a spawn worker that
+    cannot re-import ``__main__``) raises ``BrokenProcessPool`` instead
+    of hanging the call.  Under spawn, custom metric probes must be
+    registered at import time of a module the workers re-import.
 
     Serial fallback when a pool cannot help (one item, one worker) or
-    cannot work (``fn`` does not pickle, daemonic context, no pool can
-    start); items that do not pickle run in-process while the rest
-    still pool.  Used by :func:`run_suite` and directly by scenario
-    scripts that fan out whole staged runs
+    cannot work (``fn`` does not pickle, called inside a worker, no
+    pool can start); items that do not pickle run in-process while the
+    rest still pool.  Used by :func:`run_suite` and directly by
+    scenario scripts that fan out whole staged runs
     (``examples/faulty_vs_indirect.py``).
     """
     items = list(items)
@@ -239,25 +241,28 @@ def parallel_map(
     workers = min(workers, len(items))
     if (
         workers <= 1
-        or multiprocessing.current_process().daemon  # no nested pools
+        or multiprocessing.parent_process() is not None  # no nested pools
         or not _pickles(fn)
     ):
         return [fn(item) for item in items]
+    # Imported here: it pulls in ``logging``, which serial runs skip.
+    from concurrent.futures import ProcessPoolExecutor
+
     poolable = [i for i, item in enumerate(items) if _pickles(item)]
     pool = None
     if len(poolable) > 1:
         try:
-            pool = multiprocessing.Pool(min(workers, len(poolable)))
-        except (OSError, ImportError):
+            pool = ProcessPoolExecutor(min(workers, len(poolable)))
+        except (OSError, ImportError, NotImplementedError):
             pass  # no pool can start here (e.g. no working semaphores)
     if pool is None:
         return [fn(item) for item in items]
     with pool:
-        mapped = pool.map(
+        mapped = list(pool.map(
             fn,
             [items[i] for i in poolable],
             chunksize=max(1, len(poolable) // (4 * workers)),
-        )
+        ))
     pooled = dict(zip(poolable, mapped))
     return [
         pooled[index] if index in pooled else fn(item)

@@ -3,12 +3,16 @@
 The tree search records (and fingerprints) only a schedule's *expansion
 window* — the steps :func:`~repro.explore.strategies.children_of` can
 read — and lets the engine finish the rest of the run without
-consulting the scheduler.  Pure performance: these tests run the search
-as shipped next to a reference that executes every schedule *eagerly*
+consulting the scheduler.  Once more schedules are queued ahead of a
+schedule's children than its budget has runs left, it records nothing
+at all and is not expanded: none of those children could ever run.
+Pure performance: these tests run the search as shipped next to a
+reference that executes every schedule *eagerly*
 (``executor.run(schedule)``: a menu and a fingerprint at every step)
-and expands it with the same ``children_of``, and demand identical
-results; then they compare the windowed records with the eager ones
-step for step.
+and expands every one with the same ``children_of``, and demand the
+same schedules run in the same order with the same results — ``pruned``
+aside, which counts the cut-offs of the runs a search expands; then
+they compare the windowed records with the eager ones step for step.
 """
 
 from collections import deque
@@ -20,14 +24,14 @@ from repro.explore import explore_spec
 from repro.explore.executor import ScheduleExecutor
 from repro.explore.scheduler import Deviation
 from repro.explore.strategies import (
+    STRATEGIES,
     SearchResult,
     children_of,
     expansion_window,
-    run_strategy,
 )
 
 PRESETS = ("faulty", "indirect")
-STRATEGIES = ("delay-bounded", "dfs")
+TREE_STRATEGIES = ("delay-bounded", "dfs")
 #: A defer is always a bounded delay: 5 ms (the default), and ten
 #: times that, so a held-back frame lands behind many more events.
 DEFER_DELAYS = (5e-3, 5e-2)
@@ -49,21 +53,51 @@ def _spec(preset, strategy, defer_delay, budget=80):
 def _summary(result: SearchResult):
     return (
         result.schedules,
-        result.pruned,
         result.exhausted,
         [(v.prop, v.repro, v.steps) for v in result.violations],
     )
 
 
-def _eager_search(spec) -> SearchResult:
-    """The tree search with nothing demand-driven about it."""
-    executor = ScheduleExecutor(spec)
+class _LoggingExecutor(ScheduleExecutor):
+    """Logs every schedule it runs, in order, and whether it was asked
+    to record menus."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.log: list[tuple[Deviation, ...]] = []
+        self.recorded: list[bool] = []
+
+    def run(self, deviations=(), **kwargs):
+        self.log.append(deviations)
+        self.recorded.append(kwargs.get("menus", True))
+        return super().run(deviations, **kwargs)
+
+
+def _shipped_search(spec):
+    executor = _LoggingExecutor(spec)
+    result = STRATEGIES.get(spec.strategy).factory(executor, spec)
+    return result, executor.log, executor.recorded
+
+
+def _eager_search(spec):
+    """The tree search with nothing demand-driven about it: every run
+    recorded in full and expanded, whether or not its budget can reach
+    the children.  Also returns, per run, whether it has deviation
+    budget left and its search has a run left for every schedule
+    queued ahead of its children (none are, depth-first)."""
+    executor = _LoggingExecutor(spec)
     depth_first = spec.strategy == "dfs"
     result = SearchResult()
     frontier = deque([()])
     visited: dict[str, int] = {}
+    expandable: list[bool] = []
     while frontier and result.schedules < spec.budget:
         schedule = frontier.pop() if depth_first else frontier.popleft()
+        runs_left = spec.budget - result.schedules - 1
+        expandable.append(
+            len(schedule) < spec.max_deviations
+            and (depth_first or len(frontier) <= runs_left)
+        )
         record = executor.run(schedule)
         assert len(record.menus) == record.steps  # every step recorded
         result.schedules += 1
@@ -75,19 +109,51 @@ def _eager_search(spec) -> SearchResult:
         children = children_of(schedule, record, spec, visited, result)
         frontier.extend(reversed(children) if depth_first else children)
     result.exhausted = not frontier
-    return result
+    return result, executor.log, expandable
+
+
+def _assert_same_search(spec):
+    shipped, shipped_log, recorded = _shipped_search(spec)
+    reference, reference_log, expandable = _eager_search(spec)
+    assert _summary(shipped) == _summary(reference)
+    assert shipped_log == reference_log
+    # The shipped search records exactly the runs it may expand.
+    assert recorded == expandable
+    if spec.strategy == "dfs":  # its children always run next
+        assert shipped.pruned == reference.pruned
+    else:
+        assert shipped.pruned <= reference.pruned
+    return shipped
 
 
 @pytest.mark.parametrize("defer_delay", DEFER_DELAYS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", TREE_STRATEGIES)
 @pytest.mark.parametrize("preset", PRESETS)
 def test_search_equals_the_eager_reference(preset, strategy, defer_delay):
     spec = _spec(preset, strategy, defer_delay)
-    shipped = run_strategy(spec)
-    assert _summary(shipped) == _summary(_eager_search(spec))
+    shipped = _assert_same_search(spec)
     assert shipped.schedules == spec.budget
+    assert not shipped.exhausted
     if strategy == "delay-bounded":  # dfs digs elsewhere on this budget
         assert bool(shipped.violations) == (preset == "faulty")
+
+
+@pytest.mark.parametrize("budget", (110, 200))
+@pytest.mark.parametrize("strategy", TREE_STRATEGIES)
+def test_a_small_tree_cut_by_its_budget_or_exhausted(strategy, budget):
+    """Two processes, three deviations: 124 schedules cover the tree,
+    so a budget of 200 exhausts it and one of 110 stops breadth-first
+    search part-way, where runs with and without reachable children
+    interleave."""
+    spec = explore_spec(
+        "faulty", n=2, max_deviations=3, budget=budget, stop_after=0,
+        strategy=strategy,
+    )
+    shipped = _assert_same_search(spec)
+    assert (shipped.schedules, shipped.exhausted) == (
+        min(budget, 124), budget > 124,
+    )
+    assert shipped.pruned > 0
 
 
 class _CountingReads(dict):
@@ -146,6 +212,9 @@ def test_expansion_window_of_leaves_and_unpruned_searches():
     spec = explore_spec("faulty")
     leaf = tuple(Deviation(i, "f", 1) for i in range(spec.max_deviations))
     assert expansion_window(leaf, spec, {}) is None
+    # More schedules queued ahead of the children than runs left.
+    assert expansion_window((), spec, {}, ahead=5, left=4) is None
+    assert expansion_window((), spec, None, ahead=4, left=4) == (0, None)
     assert expansion_window(leaf[:-1], spec, None) == (leaf[-2].step + 1, None)
     first, covered = expansion_window((), spec, {"a": 3, "b": 2})
     assert first == 0

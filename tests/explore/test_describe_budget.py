@@ -7,9 +7,12 @@ search reads fingerprints only inside each schedule's expansion window,
 and a read describes a record only if it finds it pending, once per
 lifetime state — so the counts below are far below "every event, every step".
 Exact call counts (``sys.setprofile``, so they repeat on any machine)
-for the same 50-schedule search ``test_fingerprint_pins.py`` pins, next
-to what the eager explorer made at the parent commit (1ba3f0c: a
-fingerprint at each of the 2103 decision steps).
+for the first 50 depth-first schedules of the faulty-ids stack at
+n = 3 — depth-first because every one of its runs can expand, where a
+breadth-first search this small records almost nothing once its
+frontier outgrows its budget — next to what the eager explorer made on
+the same search at commit 1ba3f0c (a fingerprint at each of its 1070
+decision steps).
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ from tests.helpers import count_calls
 
 _FINGERPRINT_PY = os.sep + os.path.join("repro", "explore", "fingerprint.py")
 
-#: Calls made at the parent commit on this very search.
-PARENT = {"fingerprint": 2103, "describe_record": 2120,
-          "_hash_description": 2355}
-#: ...and now: one read per window step (the pinned 537), one
+#: Calls the eager explorer of commit 1ba3f0c made on this very search.
+PARENT = {"fingerprint": 1070, "describe_record": 1021,
+          "_hash_description": 1125}
+#: ...and now: one read per window step, one
 #: description per record a read found pending, one hash per
 #: description or newly adelivered identifier.
-BUDGET = {"fingerprint": 537, "describe_record": 689,
-          "_hash_description": 740}
+BUDGET = {"fingerprint": 104, "describe_record": 121,
+          "_hash_description": 133}
 
 
 def _fingerprint_call(code) -> str | None:
@@ -39,10 +42,12 @@ def _fingerprint_call(code) -> str | None:
 
 
 def counted_search() -> dict[str, int]:
-    spec = explore_spec("faulty", n=3, budget=50, stop_after=0)
+    spec = explore_spec(
+        "faulty", n=3, budget=50, stop_after=0, strategy="dfs"
+    )
     result, calls = count_calls(lambda: run_strategy(spec), _fingerprint_call)
     assert (result.schedules, result.pruned, len(result.violations)) == (
-        50, 34, 3,
+        50, 5, 0,
     )
     return {name: calls[name] for name in BUDGET}
 

@@ -48,7 +48,9 @@ class TestChildrenGeneration:
         assert children_of((), executor.run(()), spec) == []
 
     def test_pruning_cuts_repeat_fingerprints(self):
-        spec = explore_spec("indirect", budget=25, stop_after=0)
+        spec = explore_spec(
+            "indirect", budget=25, stop_after=0, strategy="dfs"
+        )
         result = run_strategy(spec)
         assert result.violations == []
         assert result.pruned > 0, "symmetric interleavings must be pruned"

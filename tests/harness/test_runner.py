@@ -7,10 +7,14 @@ equal to serial ones, and a ``trace_mode="metrics"`` run agrees with
 the full-``Trace`` run while retaining no event list.
 """
 
+import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,9 @@ from repro.net.faults import DuplicationRule, LossRule
 from repro.net.setups import SETUP_1
 from repro.net.topology import Topology
 from repro.stack.builder import StackSpec
+
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def stack(**overrides):
@@ -306,7 +313,9 @@ class TestParallelMap:
         def no_semaphores(*args, **kwargs):
             raise OSError("no working semaphores")
 
-        monkeypatch.setattr(multiprocessing, "Pool", no_semaphores)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", no_semaphores
+        )
         assert parallel_map(_square, [3, 1, 2], processes=2) == [9, 1, 4]
 
     def test_results_are_picklable_specs_and_results(self):
@@ -335,9 +344,30 @@ class TestPoolLifetime:
         outer = parallel_map(_nested, [1, 2], processes=2)
         for x, (worker, inner) in zip([1, 2], outer):
             assert worker != os.getpid()
-            # The daemonic worker cannot start a pool of its own: every
-            # inner item ran in the worker itself, in order.
+            # A worker does not start a pool of its own: every inner
+            # item ran in the worker itself, in order.
             assert inner == [(worker, x), (worker, x + 1)]
+
+    def test_a_dying_worker_fails_the_call_instead_of_hanging_it(self):
+        # In a subprocess, so a regression hangs that child (and times
+        # out) rather than this test session.
+        script = (
+            "from repro.harness.runner import parallel_map\n"
+            "from tests.harness.test_runner import _exit_on_three\n"
+            "parallel_map(_exit_on_three, [1, 2, 3, 4], processes=2)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(ROOT / "src"), str(ROOT)]
+            )},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode != 0
+        assert "BrokenProcessPool" in done.stderr
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -377,6 +407,12 @@ def _reject_odd(x):
 
 def _pid_and(x):
     return os.getpid(), x
+
+
+def _exit_on_three(x):
+    if x == 3:
+        os._exit(3)
+    return x
 
 
 def _nested(x):
