@@ -5,7 +5,7 @@ simulation.  The search itself is measured end to end by the e2e
 ``explore_hunt`` workload (``explore.faulty_schedules_per_s``); what it
 does not isolate is the shape shrinking and ``--replay`` pay per
 schedule: a fresh ``build_system``, then the run with nothing recorded
-(no menus, no fingerprints) and drained on the plain loop wherever no
+(no menus) and drained on the plain loop wherever no
 deviation is due.  This module times that shape on the Section 2.2 hunt
 (faulty-ids at n=3, constant latency, drop-in-flight).
 """
@@ -20,7 +20,7 @@ REPLAYS = 30
 def _replays() -> int:
     executor = ScheduleExecutor(explore_spec("faulty"))
     for _ in range(REPLAYS):
-        record = executor.run((), menus=False, fingerprints=False)
+        record = executor.run((), window=None)
         assert not record.diverged
     return REPLAYS
 

@@ -50,7 +50,6 @@ from repro.core import (
     make_payload,
 )
 from repro.failure.crash import CrashSchedule
-from repro.failure.partition import PartitionSchedule
 from repro.metrics import PROBES, MetricValue, Probe, measure_latency
 from repro.net.faults import (
     DelayRule,
@@ -89,7 +88,6 @@ __all__ = [
     "MessageId",
     "MetricValue",
     "PROBES",
-    "PartitionSchedule",
     "PartitionWindow",
     "PoissonWorkload",
     "Probe",

@@ -5,7 +5,10 @@ scratch under an :class:`~repro.explore.scheduler.ExploreScheduler`
 playing the schedule's deviations; the engine's determinism (seeded
 RNG streams, ``(time, seq)`` default order) guarantees the same
 deviations always produce the same run, which is what makes repro
-strings portable and shrinking meaningful.
+strings portable and shrinking meaningful.  No schedule is skipped as
+equivalent to another: a search that reports ``exhausted`` executed
+every canonical schedule within its bounds (``max_deviations``, the
+crash budget), each one to its verdict.
 
 A run's verdict comes from the existing trace checkers: the
 :class:`~repro.checkers.abcast.AbcastChecker` property set always, the
@@ -19,7 +22,7 @@ a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.checkers.abcast import AbcastChecker
 from repro.checkers.consensus import ConsensusChecker
@@ -71,15 +74,8 @@ class ExploreSpec:
             a crash to make the delay permanent, while protocols that
             legitimately spin awaiting the frame (rcv-gated consensus
             rotating rounds) stay cheap to execute.
-        prune: Skip decision prefixes whose state fingerprint an
-            earlier schedule already covered with an equal-or-larger
-            remaining budget (a fingerprint is computed when read; see
-            :mod:`repro.explore.fingerprint`).
         stop_after: Stop once this many violating schedules were found
             (``0`` = exhaust the budget and report everything).
-        consensus_checks: Also run the indirect-consensus checkers
-            (*No loss*, *v-stability*); ``None`` = exactly when the
-            stack's consensus is an indirect algorithm.
         seed: Seed of the ``explore.random-walk`` stream (random-walk
             strategy only).
         max_events: Per-schedule engine runaway guard.
@@ -95,9 +91,7 @@ class ExploreSpec:
     max_deviations: int = 3
     max_crashes: int | None = None
     defer_delay: float = 5e-3
-    prune: bool = True
     stop_after: int = 1
-    consensus_checks: bool | None = None
     seed: int = 0
     max_events: int = 500_000
     label: str = ""
@@ -138,8 +132,9 @@ class ExploreSpec:
             object.__setattr__(self, "label", self.name)
 
     def wants_consensus_checks(self) -> bool:
-        if self.consensus_checks is not None:
-            return self.consensus_checks
+        """Whether runs also get the indirect-consensus checkers (*No
+        loss*, *v-stability*): exactly when the stack's consensus is an
+        indirect algorithm."""
         return self.stack.consensus.endswith("-indirect")
 
 
@@ -177,9 +172,9 @@ class RunRecord:
     #: run is inconclusive (no checkers ran) and is not expanded.
     diverged: bool = False
     #: The recorded menus, in step order: one per decision step for a
-    #: plain ``run(schedule)``; only the steps of the expansion window
+    #: plain ``run(schedule)``; only the steps from ``window`` on
     #: (``Menu.step`` says which) when the run was given one; empty
-    #: with ``menus=False``.
+    #: with ``window=None``.
     menus: tuple[Menu, ...] = field(default=(), repr=False)
 
 
@@ -207,38 +202,30 @@ class ScheduleExecutor:
         self,
         deviations: Iterable[Deviation] = (),
         *,
-        menus: bool = True,
-        fingerprints: bool | None = None,
-        window: tuple[int, Callable[[str], bool] | None] | None = None,
+        window: int | None = 0,
         keep_system: bool = False,
     ) -> RunRecord | tuple[RunRecord, System]:
         """Execute one schedule; optionally return the full system too.
 
         The returned record's ``violation`` is the *first* property the
         checkers flagged (a violating schedule usually trips several).
-        ``fingerprints`` defaults to ``menus and spec.prune``; a
-        strategy that records menus but never prunes (random-walk)
-        passes ``False`` to skip the hashing cost.  ``window`` — the
-        ``(record_from, covered)`` pair of
-        :class:`~repro.explore.scheduler.ExploreScheduler` — restricts
-        recording to the steps a tree search can expand.  The run
+        ``window`` is the first step whose menu the run records (the
+        ``record_from`` of
+        :class:`~repro.explore.scheduler.ExploreScheduler`): a tree
+        search passes the first step it can expand, and ``None``
+        records no menu at all (replay, shrinking).  The run
         closes its system (see :meth:`~repro.stack.builder.System.close`)
         unless ``keep_system`` hands it to the caller, who then owns it.
         """
         spec = self.spec
         deviations = tuple(sorted(deviations))
         system = self._build()
-        record_from, covered = window or (0, None)
         scheduler = ExploreScheduler(
             system,
             deviations,
             max_crashes=self._crash_budget(system),
             defer_delay=spec.defer_delay,
-            fingerprints=(
-                menus and spec.prune if fingerprints is None else fingerprints
-            ),
-            record_from=record_from if menus else None,
-            covered=covered,
+            record_from=window,
         )
         system.engine.install_scheduler(scheduler)
         for pid, at, size in spec.sends:
@@ -322,6 +309,6 @@ def replay(
     if isinstance(deviations, str):
         deviations = parse_deviations(deviations)
     record, system = ScheduleExecutor(spec).run(
-        deviations, menus=False, keep_system=True
+        deviations, window=None, keep_system=True
     )
     return system, record

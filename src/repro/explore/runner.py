@@ -34,7 +34,6 @@ class ExploreOutcome:
     violations: tuple[Violation, ...]      #: shrunk, replay-verified
     raw_violations: tuple[Violation, ...]  #: as first found by the search
     schedules: int
-    pruned: int
     shrink_runs: int
     exhausted: bool
     wall_seconds: float
@@ -57,7 +56,6 @@ class ExploreOutcome:
             "n": stack.n,
             "strategy": self.spec.strategy,
             "schedules": self.schedules,
-            "pruned": self.pruned,
             "exhausted": self.exhausted,
             "violations": len(self.violations),
             "property": first.prop if first else "",
@@ -74,8 +72,7 @@ class ExploreOutcome:
         )
         return (
             f"{self.spec.label}: {self.schedules} schedules "
-            f"({self.pruned} pruned, "
-            f"{'exhausted' if self.exhausted else 'budget-bounded'}) -> "
+            f"({'exhausted' if self.exhausted else 'budget-bounded'}) -> "
             f"{verdict} [{self.wall_seconds:.1f}s]"
         )
 
@@ -109,7 +106,6 @@ def explore(spec: ExploreSpec) -> ExploreOutcome:
         violations=tuple(shrunk),
         raw_violations=tuple(result.violations),
         schedules=result.schedules,
-        pruned=result.pruned,
         shrink_runs=shrink_runs,
         exhausted=result.exhausted,
         wall_seconds=time.perf_counter() - started,
@@ -250,7 +246,6 @@ RESULT_COLUMNS = (
     "n",
     "strategy",
     "schedules",
-    "pruned",
     "exhausted",
     "violations",
     "property",

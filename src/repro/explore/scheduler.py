@@ -1,4 +1,4 @@
-"""The exploring scheduler: decisions, menus and state fingerprints.
+"""The exploring scheduler: decisions and menus.
 
 One *schedule* is described as a sparse list of :class:`Deviation`\\ s
 from the engine's default ``(time, seq)`` order: at decision step ``N``
@@ -11,22 +11,15 @@ uncontrolled engine bit for bit and a repro string like
 
 While it plays a schedule the scheduler can record, per step, the
 *menu* of alternatives that were available — how many events were
-tied, which were deferrable, who could crash — plus a fingerprint of
-the simulation state.  Search strategies expand new schedules from
-these menus; the fingerprints let them skip decision prefixes that
-converged to a state some earlier schedule already explored with an
-equal or larger remaining budget (symmetric interleavings of
-independent deliveries are the common case).
+tied, which were deferrable, who could crash.  Search strategies
+expand new schedules from these menus.
 
 Recording is demand-driven.  A tree search only ever expands a schedule
-at steps *after* its last deviation and only *up to* the first
-already-covered fingerprint, so it hands the scheduler exactly that
-*window* (``record_from`` and a ``covered`` test).  The scheduler looks
-only where it has something to do:
+at steps *after* its last deviation, so it hands the scheduler exactly
+that *window* (``record_from``).  The scheduler looks only where it has
+something to do:
 
-* at each step of the window it records a menu (and fingerprint); the
-  window closes on the first ``covered`` fingerprint — that menu is
-  still recorded, it is the search's cut-off marker;
+* at each step of the window it records a menu;
 * at each deviation step it evaluates the deferrable/crashable sets,
   solely to validate the deviation;
 * at the step just before either, it notes the event that fires: the
@@ -35,10 +28,9 @@ only where it has something to do:
 
 Every other step is free (:meth:`~ExploreScheduler.free_steps`): the
 engine drains it on the store's plain loop and reports the event count,
-which keeps ``steps`` exact.  The default (``record_from=0``, no
-``covered`` test) records every step; ``record_from=None`` records
-nothing and looks at its deviations only (replay, shrinking, leaf
-schedules of a search).
+which keeps ``steps`` exact.  The default (``record_from=0``) records
+every step; ``record_from=None`` records nothing and looks at its
+deviations only (replay, shrinking, leaf schedules of a search).
 
 Deviation vocabulary and canonical form:
 
@@ -59,24 +51,71 @@ Deviation vocabulary and canonical form:
   not involve ``pid``, crashing it now or earlier is indistinguishable,
   so those placements are canonicalised away too.
 
+The canonical form is what the tree searches enumerate, with no
+further reduction: a search that reports ``exhausted`` ran every
+canonical schedule within its bounds.
+
 What an event is — timer, crash, link delivery — is read off its heap
-entry by :func:`~repro.explore.fingerprint.event_of`; nothing is
-attached to events as they are scheduled.
+entry by :func:`event_of`; nothing is attached to events as they are
+scheduled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from types import MethodType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.exceptions import ConfigurationError
-from repro.explore.fingerprint import Fingerprinter, event_of
 from repro.net.frame import Frame
-from repro.sim.engine import AGAIN, DEFER, FIRE, Scheduler, _EventRecord
-from repro.sim.equeue import ARGS, SEQ, TIME
+from repro.net.models import Network
+from repro.sim.engine import (
+    AGAIN,
+    DEFER,
+    FIRE,
+    EventHandle,
+    Scheduler,
+    _EventRecord,
+)
+from repro.sim.equeue import ARGS, FN, SEQ, TIME
+from repro.sim.process import SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stack.builder import System
+
+
+# ----------------------------------------------------------------------
+# Event kinds
+# ----------------------------------------------------------------------
+
+#: The callbacks :func:`event_of` recognises, by identity.
+_GUARDED = SimProcess._guarded
+_CRASH = SimProcess.crash
+_DELIVER = Network._deliver
+
+
+def event_of(record: _EventRecord) -> tuple[str, int] | Frame | None:
+    """What a pending event is, read from its callback and arguments.
+
+    ``("timer", pid)`` for a process timer (a bound
+    :meth:`SimProcess._guarded`), ``("crash", pid)`` for a scheduled
+    :meth:`SimProcess.crash`, the frame itself for a *link delivery* —
+    a handle a network scheduled on :meth:`Network._deliver` (a
+    delivery queued on a receiver CPU is a bare stage entry, not a link
+    delivery) — and ``None`` for anything else.  Bare entries and
+    handles alike are read by position.
+    """
+    fn = record[FN]
+    if type(fn) is not MethodType:
+        return None
+    func = fn.__func__
+    if func is _GUARDED:
+        return ("timer", fn.__self__.pid)
+    if func is _CRASH:
+        return ("crash", fn.__self__.pid)
+    if func is _DELIVER and type(record) is EventHandle:
+        return record[ARGS][0]
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +196,6 @@ class Menu:
     ready: int
     deferrable: tuple[int, ...]
     crashable: tuple[int, ...]
-    fingerprint: str | None
 
     def alternatives(self) -> int:
         """Number of non-default decisions available here."""
@@ -174,20 +212,14 @@ class ExploreScheduler(Scheduler):
 
     Args:
         system: The system under exploration (crash deviations need the
-            processes; fingerprints need trace and engine).
+            processes).
         deviations: Sparse schedule, keyed by decision step.
         max_crashes: Crash budget for ``c`` deviations.
         defer_delay: Passed through to the engine (see
             :attr:`repro.sim.engine.Scheduler.defer_delay`): how many
             seconds a deferred frame is held back.
-        fingerprints: Put a state fingerprint on each recorded menu
-            (tree strategies need them for pruning), read by a
-            :class:`~repro.explore.fingerprint.Fingerprinter`.
         record_from: First step whose menu is recorded (the module
             docstring's *window*); ``None`` records nothing.
-        covered: Closes the window: called with each recorded
-            fingerprint, a true answer makes that menu the last one.
-            Needs ``fingerprints``.
 
     A deviation that does not apply at its step — index beyond the
     ready set, pid not crashable, defer of a non-deferrable event — is
@@ -203,9 +235,7 @@ class ExploreScheduler(Scheduler):
         *,
         max_crashes: int = 0,
         defer_delay: float = 5e-3,
-        fingerprints: bool = True,
         record_from: int | None = 0,
-        covered: Callable[[str], bool] | None = None,
     ) -> None:
         if not isinstance(deviations, Mapping):
             listed = tuple(deviations)
@@ -219,15 +249,6 @@ class ExploreScheduler(Scheduler):
         self.max_crashes = max_crashes
         self.defer_delay = defer_delay
         self._record_from = record_from
-        self._covered = covered
-        #: No menu will be recorded from here on.
-        self._closed = record_from is None
-        #: Reads the menus' fingerprints; dropped when the window closes.
-        self._fingerprinter = (
-            Fingerprinter(system)
-            if fingerprints and record_from is not None
-            else None
-        )
         #: Recorded menus, in step order.
         self.menus: list[Menu] = []
         #: Deviations actually applied (same objects as scheduled).
@@ -254,7 +275,7 @@ class ExploreScheduler(Scheduler):
         """
         step = self.steps
         upcoming = [s for s in self.deviations if s >= step]
-        if not self._closed:
+        if self._record_from is not None:
             upcoming.append(self._record_from)
         if not upcoming:
             return None
@@ -311,20 +332,12 @@ class ExploreScheduler(Scheduler):
         )
 
     def _record(self, step: int, ready: Sequence[_EventRecord]) -> Menu:
-        """Append this step's menu; close the window if it is covered."""
-        fingerprint = None
-        fingerprinter = self._fingerprinter
-        if fingerprinter is not None:
-            fingerprint = fingerprinter.fingerprint(ready)
-            if self._covered is not None and self._covered(fingerprint):
-                self._closed = True
-                self._fingerprinter = None
+        """Append this step's menu."""
         menu = Menu(
             step=step,
             ready=len(ready),
             deferrable=self._deferrable(ready),
             crashable=self._crashable(),
-            fingerprint=fingerprint,
         )
         self.menus.append(menu)
         return menu
@@ -336,7 +349,8 @@ class ExploreScheduler(Scheduler):
         self.steps = step + 1
         deviation = self.deviations.get(step)
         menu = None
-        if not self._closed and step >= self._record_from:
+        record_from = self._record_from
+        if record_from is not None and step >= record_from:
             menu = self._record(step, ready)
 
         decision: tuple[str, int] = (FIRE, 0)

@@ -64,7 +64,7 @@ def shrink(
     def attempt(candidate: tuple[Deviation, ...]) -> RunRecord | None:
         nonlocal runs
         runs += 1
-        record = executor.run(candidate, menus=False)
+        record = executor.run(candidate, window=None)
         if (
             record.violation is not None
             and record.violation.prop == violation.prop
@@ -83,7 +83,7 @@ def shrink(
             violation=violation,
             original=original,
             runs=runs,
-            record=executor.run(current, menus=False),
+            record=executor.run(current, window=None),
         )
 
     granularity = 2

@@ -30,31 +30,25 @@ family):
   enumerate: each schedule samples deviations uniformly from the menus
   of the previous run.
 
-Tree strategies prune on state fingerprints: a prefix whose fingerprint
-an earlier schedule reached with an equal-or-larger remaining deviation
-budget is not expanded again (symmetric interleavings of independent
-events all converge to the same fingerprint), and expansion of a run
-stops there — the *cut-off*.  :func:`children_of` therefore reads a
-run's menus only inside its *expansion window*, from the step after the
-schedule's last deviation up to and including the cut-off, and the tree
-search tells the executor that window up front
-(:func:`expansion_window`) so the run records and fingerprints those
-steps only (see :mod:`repro.explore.scheduler`); a leaf schedule — no
-deviation budget left — records nothing.
+Tree strategies expand every run their budget can reach and cut
+nothing off: a search that reports ``exhausted`` ran every canonical
+schedule (see :mod:`repro.explore.scheduler`) within ``max_deviations``
+and the crash budget, except below a violating or runaway run, which is
+not expanded.  :func:`children_of` reads a run's menus only
+inside its *expansion window*, from the step after the schedule's last
+deviation on, and the tree search tells the executor that window up
+front (:func:`expansion_window`) so the run records those steps only;
+a leaf schedule — no deviation budget left — records nothing.
 
 *Reachability rule.*  A schedule runs as a leaf too when none of its
 children can run: the search runs ``ahead`` schedules before any child
 (``len(frontier)`` breadth-first; 0 depth-first, which never triggers
 the rule) and has ``left = budget - schedules - 1`` runs after this
 one, and ``ahead > left``.  Both fall by one per later pop, so the rule
-then holds to the end and the ``visited`` entries it leaves unwritten
-are never read; being strict, it always leaves an unrun schedule
-queued, so ``exhausted`` is unaffected.  Windows and this rule are
-most of the pruned search's schedules/sec figure
-(``explore.faulty_schedules_per_s`` of the e2e ``explore_hunt``
-workload), and they change no result but ``pruned``: executing every
-schedule eagerly and expanding it with :func:`children_of` runs the
-same schedules in the same order
+then holds to the end; being strict, it always leaves an unrun
+schedule queued, so ``exhausted`` is unaffected.  Windows and this rule
+change no result: executing every schedule eagerly and expanding it
+with :func:`children_of` runs the same schedules in the same order
 (``tests/explore/test_demand_driven.py``).  Children are generated
 defers first, then crashes, then tie reorders — message loss through
 crash-with-in-flight-data is the historically productive direction, so
@@ -67,7 +61,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.explore.executor import RunRecord, ScheduleExecutor, Violation
 from repro.explore.scheduler import Deviation, Menu
@@ -83,49 +77,30 @@ STRATEGIES = LayerRegistry("strategy")
 
 @dataclass
 class SearchResult:
-    """What one strategy run produced.
-
-    ``pruned`` counts fingerprint cut-offs in the runs the search
-    expanded; runs the reachability rule leaves unexpanded add none.
-    """
+    """What one strategy run produced."""
 
     violations: list[Violation] = field(default_factory=list)
     schedules: int = 0
+    #: Always 0: no search prunes (the e2e ``explore_hunt`` reads it).
     pruned: int = 0
     exhausted: bool = False
 
 
 def children_of(
-    schedule: Schedule,
-    record: RunRecord,
-    spec: "ExploreSpec",
-    visited: dict[str, int] | None = None,
-    result: SearchResult | None = None,
+    schedule: Schedule, record: RunRecord, spec: "ExploreSpec"
 ) -> list[Schedule]:
     """Expand one executed schedule into its canonical children.
 
     New deviations are placed at steps strictly after the schedule's
-    last one.  When ``visited`` is given, expansion stops at the first
-    step whose state fingerprint was already expanded with at least the
-    same remaining budget (the rest of this run's suffix tree is a
-    duplicate); ``result.pruned`` counts the cut-offs.  Menus outside
-    :func:`expansion_window` are never read.
+    last one.  Menus outside :func:`expansion_window` are never read.
     """
-    remaining = spec.max_deviations - len(schedule)
-    if remaining <= 0:
+    if len(schedule) >= spec.max_deviations:
         return []
     start = schedule[-1].step + 1 if schedule else 0
     children: list[Schedule] = []
     for menu in record.menus:
         if menu.step < start:
             continue
-        if visited is not None and menu.fingerprint is not None:
-            seen = visited.get(menu.fingerprint, -1)
-            if seen >= remaining:
-                if result is not None:
-                    result.pruned += 1
-                break
-            visited[menu.fingerprint] = remaining
         for index in menu.deferrable:
             children.append(schedule + (Deviation(menu.step, "d", index),))
         for pid in menu.crashable:
@@ -138,35 +113,17 @@ def children_of(
 def expansion_window(
     schedule: Schedule,
     spec: "ExploreSpec",
-    visited: dict[str, int] | None,
     ahead: int = 0,
     left: int = 0,
-) -> tuple[int, Callable[[str], bool] | None] | None:
-    """The steps of ``schedule``'s run that :func:`children_of` reads.
-
-    ``None`` when no child can run: no deviation budget left, or more
-    schedules run ``ahead`` of the children than runs are ``left``.
-    Otherwise the first expandable step and — when
-    pruning — a read-only test that is true exactly where
-    :func:`children_of` breaks: at a fingerprint ``visited`` covers
-    with at least this remaining budget, or one this same run already
-    showed (``children_of`` will have marked it by then).
+) -> int | None:
+    """The first step of ``schedule``'s run that :func:`children_of`
+    reads, or ``None`` when no child can run: no deviation budget left,
+    or more schedules run ``ahead`` of the children than runs are
+    ``left``.
     """
-    remaining = spec.max_deviations - len(schedule)
-    if remaining <= 0 or ahead > left:
+    if len(schedule) >= spec.max_deviations or ahead > left:
         return None
-    start = schedule[-1].step + 1 if schedule else 0
-    if visited is None:
-        return (start, None)
-    seen: set[str] = set()
-
-    def covered(fingerprint: str) -> bool:
-        if fingerprint in seen or visited.get(fingerprint, -1) >= remaining:
-            return True
-        seen.add(fingerprint)
-        return False
-
-    return (start, covered)
+    return schedule[-1].step + 1 if schedule else 0
 
 
 def _tree_search(
@@ -178,17 +135,14 @@ def _tree_search(
     """Breadth- or depth-first over the deviation tree."""
     result = SearchResult()
     frontier: deque[Schedule] = deque([()])
-    visited: dict[str, int] | None = {} if spec.prune else None
     while frontier and result.schedules < spec.budget:
         schedule = frontier.pop() if depth_first else frontier.popleft()
         # Breadth-first runs the whole frontier before this schedule's
         # children; depth-first runs them next.
         ahead = 0 if depth_first else len(frontier)
         left = spec.budget - result.schedules - 1
-        window = expansion_window(schedule, spec, visited, ahead, left)
-        record = executor.run(
-            schedule, menus=window is not None, window=window
-        )
+        window = expansion_window(schedule, spec, ahead, left)
+        record = executor.run(schedule, window=window)
         result.schedules += 1
         if record.violation is not None:
             result.violations.append(record.violation)
@@ -197,7 +151,7 @@ def _tree_search(
             continue  # a violating run's checkers stopped early: don't expand
         if record.diverged or window is None:
             continue  # runaway schedule (truncated menus), or no child can run
-        children = children_of(schedule, record, spec, visited, result)
+        children = children_of(schedule, record, spec)
         if depth_first:
             frontier.extend(reversed(children))
         else:
@@ -228,7 +182,7 @@ def _random_walk(
             )
         return False
 
-    base = executor.run((), fingerprints=False)
+    base = executor.run(())
     if note(base):
         return result
     if spec.max_deviations < 1:
@@ -258,7 +212,7 @@ def _random_walk(
                 if not options:
                     continue
                 deviations.append(options[rng.randrange(len(options))])
-        record = executor.run(tuple(deviations), fingerprints=False)
+        record = executor.run(tuple(deviations))
         if note(record):
             return result
         if record.menus and not record.diverged:

@@ -14,9 +14,9 @@ detector class ◇S (Chandra & Toueg).  This package provides:
   ones used in the Neko performance studies the paper builds on; in a
   partially synchronous run it exhibits ◇S behaviour (possibly wrong,
   eventually accurate).
-* :class:`~repro.failure.partition.PartitionSchedule` — declarative
-  timed partitions, armed alongside the crash schedule and enforced by
-  the network's fault pipeline.
+
+Timed partitions are link faults, not process faults: they are
+``PartitionWindow`` rules in ``StackSpec.faults`` (:mod:`repro.net.faults`).
 """
 
 from repro.failure.crash import CrashSchedule
@@ -26,13 +26,11 @@ from repro.failure.detector import (
     StaticFailureDetector,
 )
 from repro.failure.heartbeat import HeartbeatFailureDetector
-from repro.failure.partition import PartitionSchedule
 
 __all__ = [
     "CrashSchedule",
     "FailureDetector",
     "HeartbeatFailureDetector",
     "OracleFailureDetector",
-    "PartitionSchedule",
     "StaticFailureDetector",
 ]

@@ -298,11 +298,6 @@ class FaultPipeline:
         #: Frames blocked by partition windows.
         self.partitioned = 0
 
-    def add_partition(self, window: PartitionWindow) -> None:
-        """Arm one more partition window (used by PartitionSchedule)."""
-        self._partitions.append(window)
-        self.armed = True
-
     # ------------------------------------------------------------------
     # Send-path decisions
     # ------------------------------------------------------------------

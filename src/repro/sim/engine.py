@@ -27,11 +27,13 @@ scheduling order, which — together with the named RNG streams of
   fire-and-forget entries and :class:`EventHandle`\\ s alike, read by
   position.  Nothing is notified as events move, and nothing is
   attached to them: a scheduler that needs to know what an event is
-  reads its callback and arguments, and one that needs the pending
-  state (the explorer's fingerprints) reads the heap when it is
-  consulted.  With no scheduler installed none of this runs
-  and traces are bit-identical to the pre-seam engine
-  (golden-guarded by ``tests/stack/test_golden_traces.py``).
+  reads its callback and arguments (the explorer's
+  :func:`~repro.explore.scheduler.event_of`).  Every ready-set choice
+  the explorer's canonical form admits is made here, and its searches
+  skip none of them, so one that reports ``exhausted`` ran every
+  canonical schedule within its bounds.  With no scheduler installed
+  none of this runs and traces are bit-identical to the pre-seam
+  engine (golden-guarded by ``tests/stack/test_golden_traces.py``).
 
 Both loops keep one budget rule: ``max_events`` caps
 :attr:`Engine.events_executed`, the engine's lifetime count, and both

@@ -22,8 +22,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import ProcessId
 from repro.failure.crash import CrashSchedule
 from repro.failure.detector import FalseSuspicion
-from repro.failure.partition import PartitionSchedule
-from repro.net.faults import validate_fault_rules
+from repro.net.faults import PartitionWindow, validate_fault_rules
 from repro.net.models import ConstantLatencyNetwork, ContentionNetwork, NetworkParams
 from repro.net.setups import SETUP_1
 from repro.net.topology import Topology
@@ -150,6 +149,15 @@ class StackSpec:
     def __post_init__(self) -> None:
         layers.validate_stack_spec(self)
         object.__setattr__(self, "faults", validate_fault_rules(self.faults))
+        for rule in self.faults:
+            if isinstance(rule, PartitionWindow):
+                for group in rule.groups:
+                    for pid in group:
+                        if not 1 <= pid <= self.n:
+                            raise ConfigurationError(
+                                f"partition window names unknown p{pid} "
+                                f"(n={self.n})"
+                            )
         if self.topology is not None:
             if not isinstance(self.topology, Topology):
                 raise ConfigurationError(
@@ -260,11 +268,10 @@ def build_system(
     spec: StackSpec,
     crashes: CrashSchedule | None = None,
     trace: TraceObserver | None = None,
-    partitions: PartitionSchedule | None = None,
     engine: Engine | None = None,
     rngs: RngRegistry | None = None,
 ) -> System:
-    """Compose a complete system from ``spec`` (and arm the schedules).
+    """Compose a complete system from ``spec`` (and arm the crashes).
 
     Args:
         spec: The stack to build; every layer name resolves through the
@@ -276,9 +283,6 @@ def build_system(
             runs whose numbers come from probes subscribed as the
             trace's ``sinks`` (checkers and scenario queries require the
             full trace).
-        partitions: Partition schedule armed alongside ``crashes``;
-            its windows join any ``PartitionWindow`` rules already in
-            ``spec.faults``.
         engine: Share an existing engine instead of creating one — the
             seam the sharded service uses to compose k independent
             groups into one simulation (one clock, k disjoint stacks).
@@ -300,8 +304,6 @@ def build_system(
     crashes = crashes or CrashSchedule.none()
     if spec.enforce_resilience:
         crashes.validate_against(config)
-    partitions = partitions or PartitionSchedule.none()
-    partitions.validate_against(config)
 
     if trace is None:
         trace = Trace()
@@ -311,7 +313,6 @@ def build_system(
         rngs = RngRegistry(seed=spec.seed)
 
     network = layers.NETWORKS.get(spec.network).factory(spec, engine, rngs)
-    partitions.apply(network)
 
     processes = {
         pid: SimProcess(pid, engine, trace) for pid in config.processes

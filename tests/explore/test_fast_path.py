@@ -4,7 +4,7 @@ The explorer's scheduler leaves every step it need not look at free
 (:meth:`~repro.explore.scheduler.ExploreScheduler.free_steps`), and the
 engine drains those stretches on the store's plain loop (see
 :mod:`repro.sim.engine`).  Pure performance — every observable (traces,
-search verdicts, pruning counts, repro strings, menus, fingerprints)
+search verdicts, repro strings, menus)
 must be **bit-identical** to a scheduler consulted at every step.
 These tests pin that against :class:`EveryStep`, an explorer scheduler
 that never leaves a step free.
@@ -115,7 +115,6 @@ def _search(strategy: str):
 def _summary(result):
     return (
         result.schedules,
-        result.pruned,
         result.exhausted,
         [(v.prop, v.repro, v.steps) for v in result.violations],
     )
@@ -149,11 +148,11 @@ class TestSearchEquivalence:
         assert fast_record.steps == slow_record.steps
         assert fast_record.events == slow_record.events
 
-    def test_menus_and_fingerprints_identical_to_every_step(self, monkeypatch):
+    def test_menus_identical_to_every_step(self, monkeypatch):
         executor = ScheduleExecutor(explore_spec("faulty"))
-        shipped = executor.run((), menus=True)
+        shipped = executor.run(())
         monkeypatch.setattr(executor_mod, "ExploreScheduler", EveryStep)
-        reference = executor.run((), menus=True)
+        reference = executor.run(())
         assert shipped == reference
 
 
@@ -180,10 +179,10 @@ class TestStretches:
         spec = explore_spec("faulty", defer_delay=defer_delay)
         executor = ScheduleExecutor(spec)
         schedule = parse_deviations(repro)
-        window = (schedule[-1].step + 1 if schedule else 0, lambda fp: True)
+        window = schedule[-1].step + 1 if schedule else 0
         shipped = [
             executor.run(schedule, **kwargs)
-            for kwargs in (dict(), dict(menus=False), dict(window=window))
+            for kwargs in (dict(), dict(window=None), dict(window=window))
         ]
         monkeypatch.setattr(executor_mod, "ExploreScheduler", EveryStep)
         # Every step recorded: one menu per step.
@@ -204,7 +203,7 @@ class TestStretches:
 
         monkeypatch.setattr(ExploreScheduler, "decide", counting_decide)
         executor = ScheduleExecutor(explore_spec("faulty"))
-        record = executor.run(parse_deviations("5:c2"), menus=False)
+        record = executor.run(parse_deviations("5:c2"), window=None)
         # Step 4 notes the event that fires before the crash and step 5
         # crashes p2; the engine drains every other step.
         assert consulted == [4, 5]

@@ -14,10 +14,10 @@ from repro.core.exceptions import ConfigurationError
 from repro.explore.scheduler import (
     Deviation,
     ExploreScheduler,
+    event_of,
     format_deviations,
     parse_deviations,
 )
-from repro.explore.fingerprint import event_of
 from repro.sim.engine import DEFER, Engine, Scheduler
 from repro.sim.equeue import FN, SEQ
 from tests.helpers import EngineTap, trace_fingerprint
@@ -223,7 +223,6 @@ class TestExploreSchedulerMenus:
         deferrable = [m for m in scheduler.menus if m.deferrable]
         assert deferrable, "data frames must be deferrable somewhere"
         assert any(m.crashable for m in scheduler.menus)
-        assert all(m.fingerprint for m in scheduler.menus)
 
     def test_zero_crash_budget_offers_no_crashes(self):
         system = small_system()

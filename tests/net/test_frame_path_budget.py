@@ -20,9 +20,8 @@ machine):
   frame (sender CPU, medium, receiver CPU + delivery) and one per
   self-addressed frame.  The saving is interpreted work, never events;
 * ``FaultPipeline.admit`` — never consulted while the pipeline is
-  unarmed, once per frame while it is (a rule at construction, or a
-  partition window armed later), losing exactly the frames the
-  per-frame path lost.
+  unarmed, once per frame while it is (a loss rule or a partition
+  window), losing exactly the frames the per-frame path lost.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ PARENT_LOST_TO_RULE = [
 ]
 
 
-def drive(faults=(), arm=None):
+def drive(faults=()):
     """Fan ``ROUNDS`` rounds of ``send_all`` out of each process and
     run to quiescence under a call-counting profile hook."""
     engine = Engine()
@@ -103,8 +102,6 @@ def drive(faults=(), arm=None):
             ),
         )
         transports[pid] = transport
-    if arm is not None:
-        arm(network)
 
     def run():
         for round_no in range(ROUNDS):
@@ -199,9 +196,9 @@ class TestArmedPipeline:
         assert network.pipeline.lost == len(lost) == network.frames_dropped
         assert network.frames_sent == {"t.data": FRAMES}
 
-    def test_partition_armed_after_construction_is_consulted(self):
+    def test_partition_window_is_consulted_on_every_frame(self):
         window = PartitionWindow(start=0.0, end=1.0, groups=((1,), (2, 3)))
-        run = drive(arm=lambda network: network.pipeline.add_partition(window))
+        run = drive(faults=(window,))
         network = run["network"]
         assert run["admit_calls"] == FRAMES
         lost = lost_frames(run)

@@ -350,7 +350,7 @@ class TestConstantModelDeliveryEvents:
 
     def test_each_delivery_is_a_handle_on_deliver_carrying_its_frame(self):
         # What the explorer reads a link delivery by (see
-        # repro.explore.fingerprint.event_of).
+        # repro.explore.scheduler.event_of).
         engine, network, _ = make_timed_net()
         burst(network)
         entries = sorted(engine.equeue.entries)

@@ -12,13 +12,13 @@ import pytest
 
 from repro import (
     CrashSchedule,
-    PartitionSchedule,
     PartitionWindow,
     StackSpec,
     SymmetricWorkload,
     build_system,
 )
 from repro.checkers.abcast import AbcastChecker
+from repro.core.exceptions import ConfigurationError
 
 
 def check_safety(system):
@@ -33,7 +33,7 @@ def check_safety(system):
     checker.check_uniform_total_order()
 
 
-def partitioned_system(windows=(), schedule=None, seed=3):
+def partitioned_system(windows=(), seed=3):
     spec = StackSpec(
         n=3,
         abcast="indirect",
@@ -43,7 +43,7 @@ def partitioned_system(windows=(), schedule=None, seed=3):
         faults=tuple(windows),
         seed=seed,
     )
-    system = build_system(spec, partitions=schedule)
+    system = build_system(spec)
     SymmetricWorkload(
         system, throughput=100, payload_size=50, duration=0.6
     ).install()
@@ -84,29 +84,12 @@ class TestPartitionWindowScenario:
         assert len(set(seqs.values())) == 1
         assert len(seqs[1]) > 0
 
-    def test_schedule_arming_is_equivalent_to_spec_faults(self):
-        """PartitionSchedule (armed alongside CrashSchedule) and a
-        PartitionWindow in StackSpec.faults produce identical runs."""
-        via_spec = partitioned_system(windows=(WINDOW,))
-        via_schedule = partitioned_system(
-            schedule=PartitionSchedule(windows=(WINDOW,))
-        )
-        for pid in (1, 2, 3):
-            assert via_spec.trace.adelivery_sequence(
-                pid
-            ) == via_schedule.trace.adelivery_sequence(pid)
-        assert (
-            via_spec.network.pipeline.partitioned
-            == via_schedule.network.pipeline.partitioned
-            > 0
-        )
-
-    def test_schedule_validates_process_ids(self):
-        from repro.core.exceptions import ConfigurationError
-
-        schedule = PartitionSchedule.single(0.1, 0.2, groups=((1, 9),))
+    def test_spec_validates_process_ids(self):
+        window = PartitionWindow(0.1, 0.2, ((1, 9),))
         with pytest.raises(ConfigurationError, match="unknown p9"):
-            build_system(StackSpec(n=3), partitions=schedule)
+            StackSpec(n=3, faults=(window,))
+        with pytest.raises(ConfigurationError, match="unknown p0"):
+            StackSpec(n=3, faults=(PartitionWindow(0.1, 0.2, ((0,),)),))
 
     def test_partition_composes_with_crashes(self):
         """A crash on the majority side *during* the partition: the
