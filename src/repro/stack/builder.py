@@ -95,10 +95,11 @@ class StackSpec:
             * ``PartitionWindow`` — a timed partition between process
               groups.
 
-            All rules are frozen dataclasses of primitives, so specs
-            carrying them stay picklable (parallel ``run_suite()``) and
-            content-hashable (result-cache keys).  A runnable partition
-            scenario::
+            A rule naming a process outside ``1..n`` is refused: it
+            would never match a frame.  All rules are frozen dataclasses
+            of primitives, so specs carrying them stay picklable
+            (parallel ``run_suite()``) and content-hashable (result-cache
+            keys).  A runnable partition scenario::
 
                 from repro.net.faults import PartitionWindow
 
@@ -151,13 +152,16 @@ class StackSpec:
         object.__setattr__(self, "faults", validate_fault_rules(self.faults))
         for rule in self.faults:
             if isinstance(rule, PartitionWindow):
-                for group in rule.groups:
-                    for pid in group:
-                        if not 1 <= pid <= self.n:
-                            raise ConfigurationError(
-                                f"partition window names unknown p{pid} "
-                                f"(n={self.n})"
-                            )
+                named = [pid for group in rule.groups for pid in group]
+                what = "partition window"
+            else:
+                named = [pid for pid in (rule.src, rule.dst) if pid is not None]
+                what = type(rule).__name__
+            for pid in named:
+                if not 1 <= pid <= self.n:
+                    raise ConfigurationError(
+                        f"{what} names unknown p{pid} (n={self.n})"
+                    )
         if self.topology is not None:
             if not isinstance(self.topology, Topology):
                 raise ConfigurationError(

@@ -154,6 +154,30 @@ def test_a_small_tree_cut_by_its_budget_or_exhausted(strategy, budget):
     )
 
 
+#: Schedules in the whole tree of each three-process preset at one
+#: deviation.
+ONE_DEVIATION_TREE = {"faulty": 209, "indirect": 240}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_exhausted_strategies_run_the_same_tree(preset):
+    """An exhausted search ran every schedule within its bounds, so
+    depth-first and breadth-first search exhaust the same tree: the
+    same schedules, each once, and the same violations."""
+    runs = {}
+    for strategy in TREE_STRATEGIES:
+        spec = explore_spec(
+            preset, max_deviations=1, budget=1000, stop_after=0,
+            strategy=strategy,
+        )
+        result, log, _ = _shipped_search(spec)
+        assert result.exhausted
+        assert len(set(log)) == len(log) == ONE_DEVIATION_TREE[preset]
+        runs[strategy] = (set(log), {v.repro for v in result.violations})
+    assert runs["dfs"] == runs["delay-bounded"]
+    assert bool(runs["dfs"][1]) == (preset == "faulty")
+
+
 @pytest.mark.parametrize("defer_delay", DEFER_DELAYS)
 def test_windowed_records_are_exactly_what_children_of_reads(defer_delay):
     """Every schedule of a depth-first search, run windowed and eagerly:

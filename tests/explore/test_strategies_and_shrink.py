@@ -103,6 +103,19 @@ class TestExhaustion:
         assert record.violation.prop == "Abcast Validity"
 
 
+    @pytest.mark.parametrize(
+        "repro", ["0:f1,3:c2", "0:f1,4:c2", "3:f1,4:c2", "3:f3,4:c2"],
+    )
+    def test_repros_fingerprint_pruning_never_ran_lose_a_message(self, repro):
+        """The distinct shrunk counterexamples that the exhausted
+        two-deviation search finds and the fingerprint-pruned one,
+        also reporting itself exhausted, never ran."""
+        system, record = replay(FAULTY, repro)
+        system.close()
+        assert record.violation is not None
+        assert record.violation.prop == "Abcast Validity"
+
+
 class TestShrinkAndReplay:
     def test_shrink_removes_padding_deviations(self):
         executor = ScheduleExecutor(FAULTY)

@@ -18,6 +18,7 @@ from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
+from repro.stack.builder import StackSpec
 
 
 def make_net(n=2, faults=(), seed=0, **kwargs):
@@ -239,6 +240,22 @@ class TestRuleHygiene:
             PartitionWindow(start=0.1, end=0.2, groups=((1, 2), (3,))),
         )
         assert pickle.loads(pickle.dumps(rules)) == rules
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            LossRule(src=9, nth=(1,)),
+            DuplicationRule(dst=9),
+            DelayRule(src=1, dst=9, extra=1e-3),
+        ],
+        ids=["loss", "duplication", "delay"],
+    )
+    def test_stack_spec_refuses_a_rule_naming_an_unknown_process(self, rule):
+        """A rule whose ``src``/``dst`` is outside the group would never
+        match a frame, so it would silently do nothing."""
+        with pytest.raises(ConfigurationError, match="unknown p9"):
+            StackSpec(n=3, faults=(rule,))
+        StackSpec(n=9, faults=(rule,))
 
     def test_unknown_rule_type_rejected_by_pipeline(self):
         with pytest.raises(ConfigurationError):
