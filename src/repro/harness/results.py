@@ -25,7 +25,6 @@ Example::
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
@@ -242,6 +241,8 @@ class ResultSet:
 
     def to_csv(self) -> str:
         """RFC-4180 CSV with a header row (``None`` renders empty)."""
+        import csv  # imported on first use: most processes never export
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.columns)

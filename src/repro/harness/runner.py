@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import time
@@ -239,9 +238,13 @@ def parallel_map(
     items = list(items)
     workers = processes if processes is not None else os.cpu_count() or 1
     workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # Imported here: it pulls in ``socket``, which serial runs skip.
+    import multiprocessing
+
     if (
-        workers <= 1
-        or multiprocessing.parent_process() is not None  # no nested pools
+        multiprocessing.parent_process() is not None  # no nested pools
         or not _pickles(fn)
     ):
         return [fn(item) for item in items]

@@ -28,7 +28,7 @@ class FifoResource:
     one-call form the network's frame path uses); each job holds the
     resource for its ``duration`` and the completion callback fires when
     the job finishes.  Because the server is non-preemptive and FIFO,
-    the finish time of a job is ``max(now, free_at) + duration``.
+    the finish time of a job is ``max(now, previous finish) + duration``.
 
     The class keeps utilisation statistics so experiments can report
     which resource saturated first.
@@ -104,11 +104,6 @@ class FifoResource:
         heappush(queue.entries, entry)
         queue.pending += 1
         return finish
-
-    @property
-    def free_at(self) -> float:
-        """Earliest simulated time at which a new job could start."""
-        return max(self.engine.now, self._free_at)
 
     def backlog(self) -> float:
         """Seconds of queued work ahead of a job submitted right now."""

@@ -25,7 +25,6 @@ baseline (:mod:`repro.abcast.sequencer`) is the worked example.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, TYPE_CHECKING
 
@@ -117,6 +116,8 @@ did you mean 'ct'? (registered: ct)
 
     def unknown_message(self, name: str) -> str:
         """The error text for an unknown ``name`` (with a suggestion)."""
+        import difflib  # imported on first use: only a misspelt name needs it
+
         hint = ""
         close = difflib.get_close_matches(str(name), self._entries, n=1)
         if close:

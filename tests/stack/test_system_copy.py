@@ -1,4 +1,4 @@
-"""A running system is a value: a deep copy continues exactly.
+"""A running system is a value: a copy continues exactly.
 
 Every callback a built system keeps — crash listeners, adelivery and
 decision callbacks, detector listeners, the rcv cost hook — is a bound
@@ -9,12 +9,15 @@ closure as is, so a closure left in the wiring keeps calling into the
 *original* system and the copy diverges from it.  Here a system is
 copied mid-run (before and after the crash, where the case has one),
 the original and the copy each run to the end, and both must record
-the same event sequence.
+the same event sequence.  The same holds for a ``pickle`` round trip,
+which is how a running system is snapshotted: every test runs under
+both copy functions.
 """
 
 from __future__ import annotations
 
 import copy
+import pickle
 
 import pytest
 
@@ -27,6 +30,11 @@ from tests.metamorphic.test_relations import SCALING_CASES, VARIANTS, timeline
 RATE = 300.0
 DURATION = 0.2
 HORIZON = 0.6
+
+COPIES = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
 
 
 def build(case: str, workload: str):
@@ -46,13 +54,16 @@ def copy_points(case: str) -> tuple[float, ...]:
     return (0.05,) if crash_at is None else (crash_at / 2, crash_at + 0.005)
 
 
+@pytest.mark.parametrize("copier", sorted(COPIES))
 @pytest.mark.parametrize("workload", ["symmetric", "closed-loop"])
 @pytest.mark.parametrize("case", sorted(SCALING_CASES))
-def test_deep_copy_of_a_running_system_continues_exactly(case, workload):
+def test_a_copy_of_a_running_system_continues_exactly(
+    case, workload, copier
+):
     for at in copy_points(case):
         original = build(case, workload)
         original.run(until=at)
-        twin = copy.deepcopy(original)
+        twin = COPIES[copier](original)
         copied = len(original.trace.events)
         original.run(until=HORIZON)
         twin.run(until=HORIZON)
@@ -83,11 +94,12 @@ def build_bank():
     return service, machines
 
 
-def test_deep_copy_of_a_running_sharded_service_continues_exactly():
+@pytest.mark.parametrize("copier", sorted(COPIES))
+def test_a_copy_of_a_running_sharded_service_continues_exactly(copier):
     for at in (0.006, 0.018):
         original, machines = build_bank()
         original.run(until=at)
-        twin, twin_machines = copy.deepcopy((original, machines))
+        twin, twin_machines = COPIES[copier]((original, machines))
         original.run(until=1.0)
         twin.run(until=1.0)
         assert original.commit.committed > 0
