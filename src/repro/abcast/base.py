@@ -161,7 +161,7 @@ class AtomicBroadcast:
         if self.process.crashed or not self.unordered:
             return
         k = self.next_instance
-        if self._proposed_through >= k or k in self.consensus.decided:
+        if self._proposed_through >= k or k in self._pending_decisions:
             return
         self._proposed_through = k
         self.consensus.propose(k, self._proposal_value(), self._rcv_function())

@@ -175,12 +175,12 @@ class ConsensusService:
         #: policy's Phase 3) — the only ones a new message can move.
         self._parked: set[int] = set()
         self._callbacks: list[DecideCallback] = []
-        self.decided: dict[int, Any] = {}
-        #: Instances whose decide frame was forwarded: all of ``1 ..
-        #: _forwarded_through`` plus the instance numbers in
-        #: ``_forwarded_above`` (decisions that overtook a predecessor).
-        self._forwarded_through = 0
-        self._forwarded_above: set[int] = set()
+        #: The decided instances: all of ``1 .. decided_through`` plus
+        #: the instance numbers in ``decided_above`` (decisions that
+        #: overtook a predecessor).  A decided value is applied once by
+        #: the callbacks and never kept.
+        self.decided_through = 0
+        self.decided_above: set[int] = set()
         transport.register(f"{self.PREFIX}.decide", self._on_decide_frame)
         detector.on_change(self._on_detector_change)
 
@@ -209,8 +209,8 @@ class ConsensusService:
     def close(self) -> None:
         """Drop the decide callbacks and the undecided instances (each
         points back at this service); part of
-        :meth:`~repro.stack.builder.System.close`.  ``decided`` and
-        ``round_log`` stay."""
+        :meth:`~repro.stack.builder.System.close`.  The decided
+        watermark and ``round_log`` stay."""
         self._callbacks = []
         self._instances = {}
 
@@ -227,7 +227,11 @@ class ConsensusService:
                 f"{self.NAME} is an indirect algorithm: propose(k, v, rcv) "
                 f"needs the rcv predicate (Algorithm 1 lines 9-10)"
             )
-        if self.process.crashed or k in self.decided:
+        if (
+            self.process.crashed
+            or k <= self.decided_through
+            or k in self.decided_above
+        ):
             return
         instance = self._instance(k)
         if instance.proposed:
@@ -238,7 +242,7 @@ class ConsensusService:
         instance.start(value, rcv)
 
     def has_decided(self, k: int) -> bool:
-        return k in self.decided
+        return k <= self.decided_through or k in self.decided_above
 
     # ------------------------------------------------------------------
     # Instance management
@@ -312,21 +316,20 @@ class ConsensusService:
 
     def _on_decide_frame(self, frame: Frame) -> None:
         k, value = frame.body
-        through = self._forwarded_through
-        above = self._forwarded_above
+        through = self.decided_through
+        above = self.decided_above
         if k <= through or k in above:
-            # A repeat: the first receipt decided ``k`` or found the
-            # process crashed (permanent), so there is nothing to do.
-            return
-        # First receipt: forward to everybody else before deciding,
-        # which is what makes the decide diffusion a *reliable*
-        # broadcast (any correct receiver re-diffuses).
+            return  # a repeat: the first receipt decided ``k``
+        # First receipt (handlers never run on a crashed process, so it
+        # decides): record it, then forward to everybody else before
+        # deciding, which is what makes the decide diffusion a
+        # *reliable* broadcast (any correct receiver re-diffuses).
         if k == through + 1:
             through = k
             while above and through + 1 in above:
                 through += 1
                 above.remove(through)
-            self._forwarded_through = through
+            self.decided_through = through
         else:
             above.add(k)
         self.transport.send_all(
@@ -338,10 +341,8 @@ class ConsensusService:
         self._decide_local(k, value)
 
     def _decide_local(self, k: int, value: Any) -> None:
-        """Decide instance ``k`` (at most once per process)."""
-        if k in self.decided or self.process.crashed:
-            return
-        self.decided[k] = value
+        """Decide instance ``k``: reached once per instance, from its
+        first decide frame, which already recorded the decision."""
         instance = self._instances.pop(k, None)
         if instance is not None:
             self._parked.discard(k)

@@ -325,7 +325,7 @@ class ChandraTouegConsensus(ConsensusService):
         k, r, sender, estimate, ts = frame.body
         instance = self._instances.get(k)
         if instance is None:
-            if k in self.decided:
+            if k <= self.decided_through or k in self.decided_above:
                 return
             instance = self._instance(k)
         instance.on_estimate(r, sender, estimate, ts)
@@ -334,7 +334,7 @@ class ChandraTouegConsensus(ConsensusService):
         k, r, value = frame.body
         instance = self._instances.get(k)
         if instance is None:
-            if k in self.decided:
+            if k <= self.decided_through or k in self.decided_above:
                 return
             instance = self._instance(k)
         instance.on_proposal(r, value)
@@ -343,7 +343,7 @@ class ChandraTouegConsensus(ConsensusService):
         k, r, sender, positive = frame.body
         instance = self._instances.get(k)
         if instance is None:
-            if k in self.decided:
+            if k <= self.decided_through or k in self.decided_above:
                 return
             instance = self._instance(k)
         instance.on_ack(r, sender, positive)

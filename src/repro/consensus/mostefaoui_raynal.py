@@ -249,7 +249,7 @@ class MostefaouiRaynalConsensus(ConsensusService):
         k, r, sender, value = frame.body
         instance = self._instances.get(k)
         if instance is None:
-            if k in self.decided:
+            if k <= self.decided_through or k in self.decided_above:
                 return
             instance = self._instance(k)
         instance.on_echo(r, sender, value)

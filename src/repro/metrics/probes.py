@@ -401,13 +401,18 @@ class ConsensusProbe(Probe):
         from repro.analysis.rounds import round_statistics
 
         rounds = round_statistics(system)
-        # Every DecideEvent records a ``decided`` entry of its process.
-        decided: set[int] = set()
+        # Every DecideEvent is in its process's decided watermark: the
+        # union is ``1 .. through`` plus the overtakers above it.
+        through = 0
+        above: set[int] = set()
         for service in system.consensuses.values():
-            decided.update(service.decided)
+            if service.decided_through > through:
+                through = service.decided_through
+            above |= service.decided_above
+        overtakers = [k for k in above if k > through]
         return MetricValue.of(
             fields={
-                "instances_decided": len(decided),
+                "instances_decided": through + len(overtakers),
                 "decides_total": self._decides,
                 "proposals_total": self._proposals,
                 "first_round_decisions": rounds.first_round_decisions,

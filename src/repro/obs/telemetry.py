@@ -172,10 +172,12 @@ class TelemetrySampler:
                 telemetry.record(
                     f"{prefix}.inflight", now, float(router.inflight(shard))
                 )
-                completions = router.completions[shard]
-                done = len(completions)
+                arrivals = router.arrivals[shard]
+                done = len(arrivals)
+                window = slice(self._last_completed[shard], done)
                 stats = completion_stats(
-                    completions[self._last_completed[shard]:done], self.period
+                    zip(arrivals[window], router.sojourns[shard][window]),
+                    self.period,
                 )
                 self._last_completed[shard] = done
                 telemetry.record(f"{prefix}.goodput", now, stats["goodput"])

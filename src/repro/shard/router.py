@@ -30,6 +30,7 @@ re-hashing would break per-key total order mid-run.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import deque
 from functools import partial
 from itertools import chain
@@ -77,7 +78,7 @@ def completion_stats(
     the nearest-rank ``sojourn_p50_ms`` / ``sojourn_p99_ms`` and
     ``sojourn_mean_ms`` (0 when empty).  Every router statistic — per
     shard, aggregate, per fixed window, per telemetry period — is this
-    function of a slice of :attr:`Router.completions`.
+    function of a slice of :meth:`Router.completions`.
     """
     sojourns = [
         sojourn for arrival, sojourn in completions if lo <= arrival < hi
@@ -158,10 +159,10 @@ class Router:
         self.admitted = [0] * k
         self.shed = [0] * k
         self.delayed = [0] * k
-        #: Completed ops per shard: (arrival_time, sojourn_seconds).
-        self.completions: list[list[tuple[float, float]]] = [
-            [] for _ in range(k)
-        ]
+        #: Completed ops per shard, as two parallel arrays of seconds:
+        #: arrival times and sojourns (16 bytes per operation).
+        self.arrivals = [array("d") for _ in range(k)]
+        self.sojourns = [array("d") for _ in range(k)]
         for i, entries in enumerate(self._entries):
             for abcast in entries:
                 abcast.on_adeliver(partial(self._on_adeliver, i))
@@ -285,11 +286,17 @@ class Router:
         return None
 
     def _on_adeliver(self, shard: int, message: "AppMessage") -> None:
-        arrival = self._inflight[shard].pop(message.mid, None)
-        if arrival is None:
+        # Every replica adelivers the op and only the first completes
+        # it, so most calls miss: test membership rather than ``pop``.
+        inflight = self._inflight[shard]
+        mid = message.mid
+        if mid not in inflight:
             return  # later replica of an already-completed op
+        arrival = inflight[mid]
+        del inflight[mid]
         self._pending -= 1
-        self.completions[shard].append((arrival, self.engine.now - arrival))
+        self.arrivals[shard].append(arrival)
+        self.sojourns[shard].append(self.engine.now - arrival)
         if self._parked[shard]:
             self._admit(shard, *self._parked[shard].popleft())
 
@@ -306,6 +313,15 @@ class Router:
     def inflight(self, shard: int) -> int:
         """Operations admitted to ``shard`` and not yet first-adelivered."""
         return len(self._inflight[shard])
+
+    def completions(
+        self, shard: int | None = None
+    ) -> Iterable[tuple[float, float]]:
+        """``(arrival, sojourn)`` per completed op of ``shard``, oldest
+        first, or of every shard (shard order) for ``None``."""
+        if shard is not None:
+            return zip(self.arrivals[shard], self.sojourns[shard])
+        return chain.from_iterable(map(zip, self.arrivals, self.sojourns))
 
     def _window(self) -> tuple[float, float, float]:
         """``(span, lo, hi)`` of the measurement window — the trailing
@@ -324,7 +340,7 @@ class Router:
             "admitted": float(self.admitted[shard]),
             "shed": float(self.shed[shard]),
             "delayed": float(self.delayed[shard]),
-            **completion_stats(self.completions[shard], *self._window()),
+            **completion_stats(self.completions(shard), *self._window()),
         }
 
     def window_count(self, window: float) -> int:
@@ -363,11 +379,7 @@ class Router:
             else self.engine.now
         )
         buckets: list[list] = [[] for _ in range(count)]
-        if shard is None:
-            source: Iterable = chain.from_iterable(self.completions)
-        else:
-            source = self.completions[shard]
-        for completion in source:
+        for completion in self.completions(shard):
             arrival = completion[0]
             if arrival < lo or arrival >= hi:
                 continue
@@ -396,9 +408,7 @@ class Router:
             for name in ("offered", "admitted", "shed", "delayed",
                          "completed", "goodput")
         }
-        pooled = completion_stats(
-            chain.from_iterable(self.completions), *self._window()
-        )
+        pooled = completion_stats(self.completions(), *self._window())
         for name in ("sojourn_p50_ms", "sojourn_p99_ms", "sojourn_mean_ms"):
             total[name] = pooled[name]
         offered = total["offered"]

@@ -95,7 +95,10 @@ def drive(abcast: str, consensus: str, n: int) -> dict:
                 i * PERIOD, service.abroadcast, make_payload(PAYLOAD)
             )
     _, calls = count_calls(lambda: system.engine.run(until=UNTIL), _layer)
-    decided = {len(c.decided) for c in system.consensuses.values()}
+    decided = {
+        sum(1 for e in system.trace.decides() if e.process == pid)
+        for pid in system.consensuses
+    }
     delivered = {a.delivered_count() for a in system.abcasts.values()}
     return {
         "calls": sum(calls.values()),

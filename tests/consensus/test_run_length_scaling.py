@@ -28,6 +28,11 @@ from tests.helpers import app_message, make_fabric
 LIVE_BOUND = 3
 
 
+def decided(trace, pid) -> dict:
+    """``instance -> value`` of the ``DecideEvent``s of ``pid``."""
+    return {e.instance: e.value for e in trace.decides() if e.process == pid}
+
+
 class VisitCounter:
     """Counts, per service call, the instances the call visited."""
 
@@ -93,7 +98,7 @@ class TestVisitsDoNotGrowWithRunLength:
         # detector flips, several times the instances.
         assert long.calls["rcv"] > 3 * short.calls["rcv"] > 0
         assert long.calls["detector"] > short.calls["detector"] > 0
-        assert len(system.consensuses[2].decided) > 500
+        assert len(decided(system.trace, 2)) > 500
         # Nothing ever parks on rcv under nack-on-missing: an
         # r-delivery visits no instance, however long the run.
         assert short.visits["rcv"] == 0
@@ -118,7 +123,9 @@ class TestVisitsDoNotGrowWithRunLength:
         for pid in (2, 3):
             service = system.consensuses[pid]
             assert service._instances == {} and service._parked == set()
-            assert len(service.round_log) == len(service.decided) > 100
+            assert len(service.round_log) == len(
+                decided(system.trace, pid)
+            ) > 100
         # The crashed process keeps what it had not decided; nothing
         # walks it any more.
         assert len(system.consensuses[1]._instances) <= LIVE_BOUND
@@ -142,8 +149,8 @@ def test_live_index_is_empty_at_quiescence(cls, n, f):
             services[pid].propose(k, ids(message), stores[pid].rcv)
         assert all(k in s._instances for s in services.values())
     fabric.run()
-    for service in services.values():
-        assert sorted(service.decided) == [1, 2, 3]
+    for pid, service in services.items():
+        assert sorted(decided(fabric.trace, pid)) == [1, 2, 3]
         # Decided instances are retired; only their rounds are logged.
         assert sorted(service.round_log.instances) == [1, 2, 3]
         assert service._instances == {} and service._parked == set()
@@ -157,7 +164,8 @@ def test_decide_frame_for_an_instance_never_created_locally():
     services[3]._on_decide_frame(
         Frame(src=1, dst=3, kind="cti.decide", body=(7, value), size=0)
     )
-    assert services[3].decided == {7: value}
+    assert decided(fabric.trace, 3) == {7: value}
+    assert services[3].has_decided(7) and not services[3].has_decided(6)
     assert services[3]._instances == {} and len(services[3].round_log) == 0
     # Neither a late local propose nor the instance's late round frames
     # resurrect it.
@@ -180,12 +188,13 @@ def test_crashed_process_is_not_walked_and_does_not_block_the_others():
         services[pid].propose(1, ids(message), stores[pid].rcv)
     fabric.processes[2].crash()  # the round-1 coordinator, before any frame
     fabric.run()
-    assert list(services[2]._instances) == [1] and not services[2].decided
+    assert list(services[2]._instances) == [1]
+    assert not decided(fabric.trace, 2) and not services[2].has_decided(1)
     services[2]._on_detector_change()  # crashed: returns without visiting
     services[2].notify_rcv_update()
     assert len(services[2]._instances[1].round_entries) == 1
     for pid in (1, 3):
-        assert services[pid].decided == {1: ids(message)}
+        assert decided(fabric.trace, pid) == {1: ids(message)}
         assert services[pid]._instances == {}
 
 
@@ -202,7 +211,9 @@ def test_wait_policy_wakes_a_parked_phase3_with_the_same_rcv_lookups():
             give(fabric, stores, pid, done)
             services[pid].propose(k, ids(done), stores[pid].rcv)
     fabric.run()
-    assert all(sorted(s.decided) == [1, 2, 3] for s in services.values())
+    assert all(
+        sorted(decided(fabric.trace, pid)) == [1, 2, 3] for pid in services
+    )
 
     # p1 crashes, so round 1 of instance 4 needs the acks of both
     # survivors: coordinator p2 proposes {a, b}, p3 lacks a and stalls.
@@ -237,5 +248,5 @@ def test_wait_policy_wakes_a_parked_phase3_with_the_same_rcv_lookups():
 
     fabric.run(until=30.0)
     for pid in (coordinator, waiter):
-        assert services[pid].decided[4] == ids(a, b)
+        assert decided(fabric.trace, pid)[4] == ids(a, b)
         assert services[pid]._instances == {}

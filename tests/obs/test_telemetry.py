@@ -127,10 +127,14 @@ class TestSampler:
             period=0.01, until=0.02
         )
         batches = [[(0.001, 0.002), (0.004, 0.001)], [(0.012, 0.003)]]
+
+        def log(batch):
+            for arrival, sojourn in batch:
+                router.arrivals[0].append(arrival)
+                router.sojourns[0].append(sojourn)
+
         for i, batch in enumerate(batches):
-            engine.schedule_at(
-                0.005 + 0.01 * i, router.completions[0].extend, batch
-            )
+            engine.schedule_at(0.005 + 0.01 * i, log, batch)
         engine.schedule_at(0.015, router.submit_shard, 0, make_payload(8))
         engine.run()
         per_period = [completion_stats(batch, 0.01) for batch in batches]

@@ -143,7 +143,7 @@ class TestAdmission:
         assert router.admitted[0] == 2
         assert router.shed[0] == 3
         service.run_until_quiescent(timeout=1.0)
-        assert len(router.completions[0]) == 2
+        assert len(router.arrivals[0]) == 2
 
     def test_delay_policy_parks_until_capacity_frees(self):
         service = _service(router_capacity=1, admission="delay")
@@ -156,7 +156,7 @@ class TestAdmission:
         # Every parked op was eventually admitted and completed.
         assert router.shed[0] == 0
         assert router.admitted[0] == 4
-        assert len(router.completions[0]) == 4
+        assert len(router.arrivals[0]) == 4
 
     def test_delay_policy_sheds_parked_ops_past_deadline(self):
         """Ops still parked when the deadline passes are shed by it, and
@@ -173,7 +173,7 @@ class TestAdmission:
         assert router.submit_shard(0, make_payload(8)) is False
         assert router.shed[0] == 3 and router.delayed[0] == 2
         assert service.run_until_quiescent(timeout=2.0)
-        assert router.admitted[0] == 1 and len(router.completions[0]) == 1
+        assert router.admitted[0] == 1 and len(router.arrivals[0]) == 1
         assert router.pending() == 0
 
     def test_pending_count_equals_the_in_flight_and_parked_sum(self):
@@ -212,7 +212,7 @@ class TestAdmission:
             )
         service.engine.run(until=3e-3)
         assert service.run_until_quiescent(timeout=2.0)
-        arrivals = [arrival for arrival, _ in router.completions[0]]
+        arrivals = list(router.arrivals[0])
         assert len(arrivals) == 8 and router.delayed[0] > 3
         assert arrivals == sorted(arrivals)
 
@@ -258,7 +258,7 @@ class TestAdmission:
         router = service.router
         router.submit_shard(1, make_payload(8))
         assert service.run_until_quiescent(timeout=1.0)
-        ((arrival, sojourn),) = router.completions[1]
+        ((arrival, sojourn),) = router.completions(1)
         assert arrival == 0.0
         assert sojourn > 0.0
         stats = router.shard_stats(1)
@@ -280,8 +280,8 @@ class TestAdmission:
         router.submit("A", make_payload(8))  # owner: shard 1
         assert service.run_until_quiescent(timeout=1.0)
         assert [router.offered[0], router.offered[1]] == [1, 1]
-        assert len(router.completions[0]) == 1
-        assert len(router.completions[1]) == 1
+        assert len(router.arrivals[0]) == 1
+        assert len(router.arrivals[1]) == 1
 
 
 def _ramp(admission):

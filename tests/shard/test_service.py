@@ -209,7 +209,7 @@ class TestDeterminism:
         }
         return (
             balances,
-            [list(c) for c in service.router.completions],
+            [list(service.router.completions(shard)) for shard in range(2)],
             [len(g.trace.adeliveries()) for g in service.groups],
         )
 

@@ -28,6 +28,13 @@ def _bare_router(shards=2):
     return Router(Engine(), groups)
 
 
+def _log(router, shard, *completions):
+    """Append ``(arrival, sojourn)`` pairs to ``shard``'s completion log."""
+    for arrival, sojourn in completions:
+        router.arrivals[shard].append(arrival)
+        router.sojourns[shard].append(sojourn)
+
+
 class TestWindowCount:
     def test_pure_function_of_bounds_and_width(self):
         router = _bare_router()
@@ -37,7 +44,7 @@ class TestWindowCount:
         assert router.window_count(0.25) == 2
         assert router.window_count(1.0) == 1
         # Traffic does not change the schema.
-        router.completions[0].append((0.2, 0.01))
+        _log(router, 0, (0.2, 0.01))
         assert router.window_count(0.1) == 4
 
     def test_ragged_tail_rounds_up(self):
@@ -63,11 +70,11 @@ class TestWindowedStats:
         router.measure_from = 0.1
         router.measure_until = 0.3
         # Shard 0: one completion per window; shard 1: all in window 1.
-        router.completions[0] = [(0.12, 0.010), (0.25, 0.030)]
-        router.completions[1] = [(0.21, 0.020), (0.22, 0.040)]
+        _log(router, 0, (0.12, 0.010), (0.25, 0.030))
+        _log(router, 1, (0.21, 0.020), (0.22, 0.040))
         # Outside the measurement bounds: never counted.
-        router.completions[0].append((0.05, 9.9))
-        router.completions[1].append((0.30, 9.9))
+        _log(router, 0, (0.05, 9.9))
+        _log(router, 1, (0.30, 9.9))
         return router
 
     def test_buckets_by_arrival(self):

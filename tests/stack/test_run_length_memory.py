@@ -1,12 +1,12 @@
 """Retained memory of the protocol layers does not grow with run length.
 
 Algorithm 1 only needs state for what is still in flight: a decided
-consensus instance is never consulted again, an adelivered id only has
-to answer "seen before?", and a payload is dead once adelivered.  This
-guard runs the same metrics-mode drive (``CountingTrace`` feeding the
-default probes, as ``trace_mode="metrics"`` does) for ``T`` and ``4T``
-and sums tracemalloc's retained bytes by the ``repro/<layer>/`` file
-that allocated them, with the system still alive:
+consensus instance is only ever asked "decided?", an adelivered id only
+has to answer "seen before?", and a payload is dead once adelivered.
+This guard runs the same metrics-mode drive (``CountingTrace`` feeding
+the default probes, as ``trace_mode="metrics"`` does) for ``T`` and
+``4T`` and sums tracemalloc's retained bytes by the ``repro/<layer>/``
+file that allocated them, with the system still alive:
 
 * ``broadcast``, ``abcast`` and ``core`` grow at most 1.3× (about 4×
   while decided instances, delivered-id sets and adelivered payloads
@@ -14,16 +14,17 @@ that allocated them, with the system still alive:
 * the consensus layer retains at most half the bytes per decided
   instance it did then (``PARENT_CONSENSUS_BYTES``).
 
-Two linear terms are the protocol's own and are released before the
-snapshot, so the guard sees everything else:
+The 4-shard leg runs a metrics-mode sharded service (a bare
+``CountingTrace`` per group, as the shard sweep builds it) fed through
+the router, and holds the same two bounds plus one on the router's
+completion log: the ``shard`` layer retains at most
+``SHARD_BYTES_PER_OP`` per completed operation (about 110 while each
+completion was a boxed ``(arrival, sojourn)`` tuple).
 
-* ``ConsensusService.decided``, which tests and ``has_decided`` read:
-  its values are the decided id sets allocated by
-  ``AtomicBroadcast._batch`` and its keys the instance numbers counted
-  up by ``AtomicBroadcast._apply_decisions``, so both are charged to
-  ``abcast``;
-* the sequencer's ordered ``log``, which its repair path and seal
-  snapshots replay (a seal frame's size sums the whole log).
+One linear term is the protocol's own and is released before the
+snapshot, so the guard sees everything else: the sequencer's ordered
+``log``, which its repair path and seal snapshots replay (a seal
+frame's size sums the whole log).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import repro
 from repro.harness.experiment import ExperimentSpec
 from repro.metrics.probes import build_probes
 from repro.net.setups import SETUP_1
+from repro.shard import ShardSpec, build_sharded_system
 from repro.sim.trace import CountingTrace
 from repro.stack.builder import StackSpec
 from repro.stack.layers import WORKLOADS
@@ -56,6 +58,8 @@ STACKS = {
     "sequencer": StackSpec(n=3, abcast="sequencer", consensus="none",
                            params=SETUP_1, seed=0),
 }
+#: Four ct-indirect groups behind the router, ``RATE`` per shard.
+SHARDED = ShardSpec(stack=STACKS["ct-indirect"], shards=4)
 
 #: Consensus-layer bytes retained per decided instance by the same
 #: drive at ``4T`` at commit e0ad3a1, when every decided instance stayed
@@ -63,37 +67,71 @@ STACKS = {
 #: bound ``rcv``, next to a grow-only set of forwarded decisions.  Now
 #: about 100 bytes: three round-log array slots per process.
 PARENT_CONSENSUS_BYTES = {"ct-indirect": 1115, "mr-indirect": 973}
+#: Router completion log: two ``array('d')`` slots per operation plus
+#: the arrays' over-allocation.
+SHARD_BYTES_PER_OP = 24
 
 
-def retained_by_layer(stack: StackSpec, duration: float) -> tuple[dict, int]:
-    """Run ``stack`` for ``duration`` and return (bytes by layer, decided
-    instances at p1), measured with the system alive."""
-    spec = ExperimentSpec(
-        name="memory", stack=stack, throughput=RATE, payload=100,
+def _decided(system) -> int:
+    """Instances p1 of ``system`` decided (0 without consensus)."""
+    if not system.consensuses:
+        return 0
+    service = system.consensuses[1]
+    return service.decided_through + len(service.decided_above)
+
+
+def _drive(spec: StackSpec | ShardSpec, duration: float):
+    """Build ``spec`` in metrics mode, load it for ``duration`` and run
+    the drain; returns ``(groups, completed operations, keep-alive)``."""
+    if isinstance(spec, ShardSpec):
+        service = build_sharded_system(
+            spec, traces=[CountingTrace() for _ in range(spec.shards)]
+        )
+        for shard, group in enumerate(service.groups):
+            WORKLOADS.get("poisson").factory(
+                group, throughput=RATE, payload_size=100, duration=duration,
+                sink=service.router.sink(shard),
+            ).install()
+        service.run(until=duration + DRAIN)
+        completed = sum(len(log) for log in service.router.arrivals)
+        return service.groups, completed, service
+    experiment = ExperimentSpec(
+        name="memory", stack=spec, throughput=RATE, payload=100,
         duration=duration, drain=DRAIN, trace_mode="metrics",
         safety_checks=False,
     )
+    sinks = [
+        probe.on_event for _, probe in build_probes(experiment)
+        if probe.on_event is not None
+    ]
+    system = repro.build_system(spec, trace=CountingTrace(sinks))
+    WORKLOADS.get("symmetric").factory(
+        system, throughput=RATE, payload_size=100, duration=duration,
+        arrivals="poisson",
+    ).install()
+    system.run(until=duration + DRAIN)
+    return [system], 0, system
+
+
+def retained_by_layer(
+    spec: StackSpec | ShardSpec, duration: float
+) -> tuple[dict, int, int]:
+    """Run ``spec`` (one group, or a sharded service) for ``duration``
+    and return (bytes by layer, decided instances at p1 summed over the
+    groups, operations the router completed), measured with the system
+    alive."""
     gc.collect()
     tracemalloc.start()
     try:
-        sinks = [
-            probe.on_event for _, probe in build_probes(spec)
-            if probe.on_event is not None
-        ]
-        system = repro.build_system(stack, trace=CountingTrace(sinks))
-        WORKLOADS.get("symmetric").factory(
-            system, throughput=RATE, payload_size=100, duration=duration,
-            arrivals="poisson",
-        ).install()
-        system.engine.run(until=duration + DRAIN)
-        assert min(a.delivered_count() for a in system.abcasts.values()) > 0
-        decided = len(system.consensuses[1].decided) if system.consensuses else 0
-        for service in system.consensuses.values():
-            service.decided.clear()
-        for abcast in system.abcasts.values():
-            log = getattr(abcast, "log", None)
-            if log is not None:
-                log.clear()
+        groups, completed, alive = _drive(spec, duration)
+        for system in groups:
+            abcasts = system.abcasts.values()
+            assert min(abcast.delivered_count() for abcast in abcasts) > 0
+            for abcast in abcasts:
+                log = getattr(abcast, "log", None)
+                if log is not None:
+                    log.clear()
+        decided = sum(_decided(system) for system in groups)
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
@@ -105,20 +143,36 @@ def retained_by_layer(stack: StackSpec, duration: float) -> tuple[dict, int]:
         if at >= 0:
             layer = filename[at + len(_REPRO):].split(os.sep)[0]
             by_layer[layer] = by_layer.get(layer, 0) + stat.size
-    system.close()
-    return by_layer, decided
+    alive.close()
+    return by_layer, decided, completed
 
 
-@pytest.mark.parametrize("name", list(STACKS))
-def test_retained_bytes_do_not_grow_with_run_length(name):
-    short, short_decided = retained_by_layer(STACKS[name], T)
-    long, long_decided = retained_by_layer(STACKS[name], 4 * T)
+def assert_flat(spec: StackSpec | ShardSpec, longer: int = 4) -> None:
+    """The bounds above, on runs of ``spec`` for ``T`` and ``longer × T``."""
+    short, short_decided, short_done = retained_by_layer(spec, T)
+    long, long_decided, long_done = retained_by_layer(spec, longer * T)
     for layer in FLAT:
         assert long.get(layer, 0) <= 1.3 * short.get(layer, 0), (
             layer, short, long,
         )
-    if name in PARENT_CONSENSUS_BYTES:
+    stack = spec.stack if isinstance(spec, ShardSpec) else spec
+    if stack.consensus in PARENT_CONSENSUS_BYTES:
         # The long run really is longer.
         assert long_decided > 3 * short_decided > 0
         per_instance = long["consensus"] / long_decided
-        assert 2 * per_instance <= PARENT_CONSENSUS_BYTES[name], per_instance
+        assert 2 * per_instance <= PARENT_CONSENSUS_BYTES[stack.consensus], (
+            per_instance
+        )
+    if isinstance(spec, ShardSpec):
+        assert long_done > 3 * short_done > 0
+        per_op = long["shard"] / long_done
+        assert per_op <= SHARD_BYTES_PER_OP, per_op
+
+
+@pytest.mark.parametrize("name", list(STACKS))
+def test_retained_bytes_do_not_grow_with_run_length(name):
+    assert_flat(STACKS[name])
+
+
+def test_four_shard_service_retains_no_more_per_operation():
+    assert_flat(SHARDED)

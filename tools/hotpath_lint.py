@@ -306,7 +306,7 @@ def protocol_path_problems(tree: ast.Module, module_name: str) -> list[str]:
                     and inner.func.attr == "has_decided"
                 ):
                     what = ("has_decided() per frame (test the decided "
-                            "dict directly)")
+                            "watermark inline)")
                 else:
                     continue
                 problems.append(
