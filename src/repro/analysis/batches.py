@@ -33,22 +33,11 @@ class BatchStatistics:
 
 def batch_statistics(trace: Trace) -> BatchStatistics:
     """Compute batch statistics from the decided instances of ``trace``."""
-    sizes: list[float] = []
-    total = 0
-    for instance in trace.instances():
-        first = trace.first_decision(instance)
-        if first is None:
-            continue
-        sizes.append(float(len(first.value)))
-        total += len(first.value)
-    if not sizes:
-        return BatchStatistics(
-            instances=0,
-            messages=0,
-            sizes=summarize([0.0]),
-        )
+    sizes = [
+        float(len(first.value)) for first in trace.first_decisions().values()
+    ]
     return BatchStatistics(
         instances=len(sizes),
-        messages=total,
-        sizes=summarize(sizes),
+        messages=int(sum(sizes)),
+        sizes=summarize(sizes or [0.0]),
     )

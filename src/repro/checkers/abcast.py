@@ -134,10 +134,8 @@ class AbcastChecker:
     def check_hypothesis_a(self) -> None:
         """Decided + rdelivered-by-one-correct implies rdelivered-by-all-correct."""
         decided_ids: set[MessageId] = set()
-        for instance in self.trace.instances():
-            first = self.trace.first_decision(instance)
-            if first is not None:
-                decided_ids.update(first.value)
+        for first in self.trace.first_decisions().values():
+            decided_ids.update(first.value)
         rdelivered: dict[ProcessId, set[MessageId]] = {
             p: {e.message.mid for e in self.trace.rdeliveries(p)}
             for p in self.correct

@@ -16,9 +16,10 @@ Properties (Section 2.3 of the paper):
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from repro.core.config import SystemConfig
+from repro.core.events import DecideEvent, ProposeEvent
 from repro.core.exceptions import ProtocolViolationError
 from repro.sim.trace import Trace
 
@@ -30,9 +31,18 @@ class ConsensusChecker:
         self.trace = trace
         self.config = config
         self.correct = trace.correct_processes(config.processes)
+        # Grouped by instance in one pass, not one pass per instance.
+        self._decides: dict[int, list[DecideEvent]] = defaultdict(list)
+        self._proposals: dict[int, list[ProposeEvent]] = defaultdict(list)
+        for event in trace.events:
+            if type(event) is DecideEvent:
+                self._decides[event.instance].append(event)
+            elif type(event) is ProposeEvent:
+                self._proposals[event.instance].append(event)
+        self._first = trace.first_decisions()
 
     def check_uniform_integrity(self, instance: int) -> None:
-        counts = Counter(e.process for e in self.trace.decides(instance))
+        counts = Counter(e.process for e in self._decides.get(instance, ()))
         for process, count in counts.items():
             if count > 1:
                 raise ProtocolViolationError(
@@ -41,7 +51,7 @@ class ConsensusChecker:
                 )
 
     def check_uniform_agreement(self, instance: int) -> None:
-        decisions = {e.value for e in self.trace.decides(instance)}
+        decisions = {e.value for e in self._decides.get(instance, ())}
         if len(decisions) > 1:
             raise ProtocolViolationError(
                 "Consensus Uniform agreement",
@@ -50,8 +60,8 @@ class ConsensusChecker:
             )
 
     def check_uniform_validity(self, instance: int) -> None:
-        proposals = {e.value for e in self.trace.proposals(instance)}
-        for event in self.trace.decides(instance):
+        proposals = {e.value for e in self._proposals.get(instance, ())}
+        for event in self._decides.get(instance, ()):
             if event.value not in proposals:
                 raise ProtocolViolationError(
                     "Consensus Uniform validity",
@@ -61,8 +71,8 @@ class ConsensusChecker:
 
     def check_termination(self, instance: int) -> None:
         """Every correct proposer of ``instance`` decided (quiescent trace)."""
-        proposers = {e.process for e in self.trace.proposals(instance)}
-        deciders = {e.process for e in self.trace.decides(instance)}
+        proposers = {e.process for e in self._proposals.get(instance, ())}
+        deciders = {e.process for e in self._decides.get(instance, ())}
         for process in proposers & self.correct:
             if process not in deciders:
                 raise ProtocolViolationError(
@@ -73,7 +83,7 @@ class ConsensusChecker:
 
     def check_no_loss(self, instance: int) -> None:
         """One *correct* process held ``msgs(v)`` at the first decision time."""
-        first = self.trace.first_decision(instance)
+        first = self._first.get(instance)
         if first is None:
             return
         holders = self.trace.holders_at(first.value, first.time)
@@ -101,7 +111,7 @@ class ConsensusChecker:
         double-count a crash: once against the holder set and once
         against the ``f`` budget.)
         """
-        first = self.trace.first_decision(instance)
+        first = self._first.get(instance)
         if first is None:
             return
         holders = self.trace.holders_at(
@@ -118,7 +128,7 @@ class ConsensusChecker:
 
     def check_all(self, no_loss: bool = False, v_stability: bool = False) -> None:
         """Run every applicable check on every decided instance."""
-        for instance in self.trace.instances():
+        for instance in self._first:
             self.check_uniform_integrity(instance)
             self.check_uniform_agreement(instance)
             self.check_uniform_validity(instance)

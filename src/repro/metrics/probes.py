@@ -93,13 +93,14 @@ class MetricValue:
         fields: ``(name, number)`` pairs — the flat columns a
             :class:`~repro.harness.results.ResultSet` exposes as
             ``"<probe>.<name>"``.
-        series: ``(name, samples)`` pairs — raw sample vectors (e.g.
-            the latency probe's per-delivery samples) for consumers
-            that need distributions, not just summaries.
+        series: ``(name, packed samples)`` pairs — raw sample vectors
+            (e.g. the latency probe's per-delivery samples), each held
+            bit-exact as the bytes of an ``array('d')``, 8 B a sample;
+            :meth:`sample` unpacks one.
     """
 
     fields: tuple[tuple[str, float], ...] = ()
-    series: tuple[tuple[str, tuple[float, ...]], ...] = ()
+    series: tuple[tuple[str, bytes], ...] = ()
 
     @classmethod
     def of(
@@ -116,10 +117,11 @@ class MetricValue:
                     f"metric field {name!r} must be a number, got {number!r}"
                 )
             packed_fields.append((name, number))
-        packed_series = []
-        for name in sorted(series or {}):
-            packed_series.append((name, tuple(float(v) for v in (series or {})[name])))
-        return cls(fields=tuple(packed_fields), series=tuple(packed_series))
+        packed_series = tuple(
+            (name, array("d", series[name]).tobytes())
+            for name in sorted(series or {})
+        )
+        return cls(fields=tuple(packed_fields), series=packed_series)
 
     def __getitem__(self, name: str) -> float:
         for key, value in self.fields:
@@ -138,9 +140,9 @@ class MetricValue:
 
     def sample(self, name: str) -> tuple[float, ...]:
         """The named sample vector (e.g. ``"samples"`` on the latency probe)."""
-        for key, values in self.series:
+        for key, packed in self.series:
             if key == name:
-                return values
+                return tuple(array("d", packed))
         raise KeyError(
             f"metric has no series {name!r} "
             f"(series: {', '.join(k for k, _ in self.series) or 'none'})"
@@ -153,7 +155,9 @@ class MetricValue:
         """Plain-data view (used by ``ResultSet.to_json``)."""
         return {
             "fields": dict(self.fields),
-            "series": {name: list(values) for name, values in self.series},
+            "series": {
+                name: array("d", packed).tolist() for name, packed in self.series
+            },
         }
 
 
@@ -236,7 +240,8 @@ class LatencyProbe(Probe):
     in ``array('d')`` columns, and once all ``processes`` of the group
     have delivered a message its entries are retired and only counted
     (every correct set is a subset of the group, so a retired message
-    is fully delivered whatever :meth:`report` is asked).
+    is fully delivered whatever :meth:`report` is asked).  Who has
+    delivered a message in flight is a pid bitmask: a shared small int.
     """
 
     def __init__(
@@ -248,11 +253,12 @@ class LatencyProbe(Probe):
         super().__init__(None)
         self.warmup = warmup
         self.cutoff = cutoff
-        self._processes = processes
         #: Send time of every measured message not yet retired.
         self._sent: dict[MessageId, float] = {}
         self._samples: dict[ProcessId, array] = defaultdict(partial(array, "d"))
-        self._delivered_by: dict[MessageId, set[ProcessId]] = defaultdict(set)
+        self._delivered_by: dict[MessageId, int] = {}
+        #: The mask of a message every process delivered (pids 1..n).
+        self._everyone = (1 << (processes + 1)) - 2
         self._measured = 0
         self._retired = 0
 
@@ -263,12 +269,13 @@ class LatencyProbe(Probe):
             sent = self._sent.get(mid)
             if sent is not None:
                 self._samples[event.process].append(event.time - sent)
-                delivered_by = self._delivered_by[mid]
-                delivered_by.add(event.process)
-                if len(delivered_by) == self._processes:
+                mask = self._delivered_by.get(mid, 0) | 1 << event.process
+                if mask == self._everyone:
                     del self._sent[mid]
-                    del self._delivered_by[mid]
+                    self._delivered_by.pop(mid, None)
                     self._retired += 1
+                else:
+                    self._delivered_by[mid] = mask
         elif cls is ABroadcastEvent:
             time = event.time
             if time >= self.warmup and (
@@ -302,11 +309,11 @@ class LatencyProbe(Probe):
                 "no measured message was adelivered; the run is too short "
                 "or the stack is stuck"
             )
-        empty: frozenset[ProcessId] = frozenset()
+        mask = sum(1 << process for process in correct)
         fully = self._retired + sum(
             1
             for mid in self._sent
-            if correct <= self._delivered_by.get(mid, empty)
+            if (self._delivered_by.get(mid, 0) & mask) == mask
         )
         return LatencyReport(
             stats=summarize(samples),

@@ -8,8 +8,8 @@ hands the event to each subscribed **sink** — the per-event hooks of
 the run's metric probes (:mod:`repro.metrics.probes`) — so measurement
 rides the same call in both retention policies:
 
-* :class:`Trace` — the full, append-only event list plus per-kind
-  indexes.  It is the single source of truth for correctness checking
+* :class:`Trace` — the full, append-only event list, each event held
+  once.  It is the single source of truth for correctness checking
   (the properties of the paper are predicates over traces) and for
   post-hoc analysis; checkers and scenario tests require it.
 
@@ -25,8 +25,8 @@ policy from the experiment's ``trace_mode`` and subscribes the probes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from math import inf
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.core.events import (
@@ -83,8 +83,11 @@ class Trace(TraceObserver):
     """Append-only, time-ordered record of protocol events.
 
     Events arrive in simulated-time order because the engine is
-    single-threaded; the trace simply appends.  Accessors return typed
-    views so checkers never need isinstance ladders.
+    single-threaded; the trace simply appends, so each event is held
+    once.  Each accessor derives its typed view with one filtered pass
+    over :attr:`events`, so checkers never need isinstance ladders; a
+    caller that visits every instance groups once instead
+    (:meth:`first_decisions`).
     """
 
     def __init__(
@@ -92,38 +95,16 @@ class Trace(TraceObserver):
     ) -> None:
         super().__init__(sinks)
         self.events: list[ProtocolEvent] = []
-        self._adeliveries: dict[ProcessId, list[ADeliverEvent]] = defaultdict(list)
-        self._abroadcasts: list[ABroadcastEvent] = []
-        self._rdeliveries: dict[ProcessId, list[RDeliverEvent]] = defaultdict(list)
-        self._rbroadcasts: list[RBroadcastEvent] = []
-        self._decides: dict[int, list[DecideEvent]] = defaultdict(list)
-        self._proposals: dict[int, list[ProposeEvent]] = defaultdict(list)
-        #: process -> (deliveries indexed so far, {mid: earliest
-        #: r-delivery time among them}); :meth:`holders_at` extends it
-        #: on demand, so recording pays nothing for it.
-        self._first_rdelivery: dict[
-            ProcessId, tuple[int, dict[MessageId, float]]
-        ] = {}
+        #: Events indexed so far, and process -> {mid: earliest
+        #: r-delivery time among them}; :meth:`holders_at` extends the
+        #: index on demand, so recording pays nothing for it.
+        self._indexed = 0
+        self._first_rdelivery: dict[ProcessId, dict[MessageId, float]] = {}
 
     def record(self, event: ProtocolEvent) -> None:
-        """Append ``event``, update the per-kind indexes, feed the sinks."""
+        """Append ``event``, note a crash, feed the sinks."""
         self.events.append(event)
-        # Event classes are final (slotted dataclasses, never
-        # subclassed), so identity tests replace isinstance calls.
-        cls = type(event)
-        if cls is ADeliverEvent:
-            self._adeliveries[event.process].append(event)
-        elif cls is ABroadcastEvent:
-            self._abroadcasts.append(event)
-        elif cls is RDeliverEvent:
-            self._rdeliveries[event.process].append(event)
-        elif cls is RBroadcastEvent:
-            self._rbroadcasts.append(event)
-        elif cls is DecideEvent:
-            self._decides[event.instance].append(event)
-        elif cls is ProposeEvent:
-            self._proposals[event.instance].append(event)
-        elif cls is CrashEvent:
+        if type(event) is CrashEvent:
             self._crashes[event.process] = event
         for sink in self.sinks:
             sink(event)
@@ -132,41 +113,51 @@ class Trace(TraceObserver):
     # Typed accessors
     # ------------------------------------------------------------------
 
+    def _of(self, cls: type, process: ProcessId | None = None) -> list:
+        """Events of class ``cls`` (of one process, or all), in time order.
+
+        Event classes are final (slotted dataclasses, never
+        subclassed), so identity tests replace isinstance calls.
+        """
+        if process is None:
+            return [e for e in self.events if type(e) is cls]
+        return [
+            e for e in self.events if type(e) is cls and e.process == process
+        ]
+
     def abroadcasts(self) -> list[ABroadcastEvent]:
         """All ``abroadcast`` invocations, in time order."""
-        return list(self._abroadcasts)
+        return self._of(ABroadcastEvent)
 
     def adeliveries(self, process: ProcessId | None = None) -> list[ADeliverEvent]:
         """``adeliver`` events of one process (or all, time-ordered)."""
-        if process is not None:
-            return list(self._adeliveries.get(process, ()))
-        return [e for e in self.events if isinstance(e, ADeliverEvent)]
+        return self._of(ADeliverEvent, process)
 
     def adelivery_sequence(self, process: ProcessId) -> list[MessageId]:
         """The sequence of message ids adelivered by ``process``."""
-        return [e.message.mid for e in self._adeliveries.get(process, ())]
+        return [e.message.mid for e in self._of(ADeliverEvent, process)]
 
     def rbroadcasts(self) -> list[RBroadcastEvent]:
-        return list(self._rbroadcasts)
+        return self._of(RBroadcastEvent)
 
     def rdeliveries(self, process: ProcessId | None = None) -> list[RDeliverEvent]:
-        if process is not None:
-            return list(self._rdeliveries.get(process, ()))
-        return [e for e in self.events if isinstance(e, RDeliverEvent)]
+        return self._of(RDeliverEvent, process)
 
     def proposals(self, instance: int | None = None) -> list[ProposeEvent]:
-        if instance is not None:
-            return list(self._proposals.get(instance, ()))
-        return [e for e in self.events if isinstance(e, ProposeEvent)]
+        return [
+            e for e in self._of(ProposeEvent)
+            if instance is None or e.instance == instance
+        ]
 
     def decides(self, instance: int | None = None) -> list[DecideEvent]:
-        if instance is not None:
-            return list(self._decides.get(instance, ()))
-        return [e for e in self.events if isinstance(e, DecideEvent)]
+        return [
+            e for e in self._of(DecideEvent)
+            if instance is None or e.instance == instance
+        ]
 
     def instances(self) -> list[int]:
         """All consensus instance numbers that reached a decision."""
-        return sorted(self._decides)
+        return sorted({e.instance for e in self._of(DecideEvent)})
 
     def crash_time(self, process: ProcessId) -> float | None:
         event = self._crashes.get(process)
@@ -194,45 +185,45 @@ class Trace(TraceObserver):
         because the run-wide bound of at most ``f`` crashes is what
         turns ``f + 1`` holders into one correct holder.
         """
+        # ``process`` held ``mid`` at ``t`` iff its first r-delivery
+        # time is ``<= t``, so one index answers every query; events
+        # only append, so it is extended from where it stopped.
+        index = self._first_rdelivery
+        for event in self.events[self._indexed:]:
+            if type(event) is RDeliverEvent:
+                first = index.setdefault(event.process, {})
+                mid = event.message.mid
+                if event.time < first.get(mid, inf):
+                    first[mid] = event.time
+        self._indexed = len(self.events)
         holders = set()
-        for process, deliveries in self._rdeliveries.items():
+        for process, first in index.items():
             if not include_crashed:
                 crash = self._crashes.get(process)
                 if crash is not None and crash.time <= time:
                     continue
-            first = self._first_rdelivery_times(process, deliveries)
             if all(first.get(mid, inf) <= time for mid in ids):
                 holders.add(process)
         return frozenset(holders)
 
-    def _first_rdelivery_times(
-        self, process: ProcessId, deliveries: list[RDeliverEvent]
-    ) -> dict[MessageId, float]:
-        """``mid -> earliest r-delivery time`` at ``process``.
-
-        ``process`` held ``mid`` at ``t`` iff that time is ``<= t``, so
-        one index answers every ``holders_at`` query instead of one
-        pass over the deliveries per query.  The delivery lists only
-        grow, so the index is extended from where it stopped.
-        """
-        indexed, first = self._first_rdelivery.get(process, (0, {}))
-        if indexed < len(deliveries):
-            for event in deliveries[indexed:]:
-                mid = event.message.mid
-                if event.time < first.get(mid, inf):
-                    first[mid] = event.time
-            self._first_rdelivery[process] = (len(deliveries), first)
-        return first
-
     def first_decision(self, instance: int) -> DecideEvent | None:
         """Earliest decide event of ``instance``, if any."""
-        events = self._decides.get(instance)
-        if not events:
-            return None
-        return min(events, key=lambda e: (e.time, e.process))
+        return min(self.decides(instance), key=_EARLIEST, default=None)
+
+    def first_decisions(self) -> dict[int, DecideEvent]:
+        """Earliest decide event of every decided instance, in instance
+        order: one call for callers that visit every instance."""
+        first: dict[int, DecideEvent] = {}
+        for event in sorted(self._of(DecideEvent), key=_EARLIEST):
+            first.setdefault(event.instance, event)
+        return dict(sorted(first.items()))
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+#: The order in which a decide event is the first of its instance.
+_EARLIEST = attrgetter("time", "process")
 
 
 class CountingTrace(TraceObserver):

@@ -89,7 +89,7 @@ def test_a_decide_frame_that_overtakes_its_predecessor():
         """(process, instance) of every decision so far, in time order."""
         # From p1 to p3 through the network: p3 forwards it to p1, p2.
         fabric.transports[1].send(3, "cti.decide", body=(k, value), size=0)
-        fabric.run(until=fabric.engine.now + 1.0)
+        fabric.run()
         return [(e.process, e.instance) for e in fabric.trace.events
                 if type(e) is DecideEvent]
 

@@ -39,7 +39,22 @@ class Fabric:
     rngs: RngRegistry = field(default_factory=RngRegistry)
     services: dict[ProcessId, object] = field(default_factory=dict)
 
-    def run(self, until: float = 10.0, max_events: int = 2_000_000) -> float:
+    def run(
+        self, until: float | None = None, max_events: int = 2_000_000
+    ) -> float:
+        """Run to ``until``, by default 10 s past the current time.
+
+        The engine leaves its clock at ``until`` even when its queue
+        empties first, so a horizon that is not ahead of the clock
+        would run nothing: it is refused rather than passing vacuously.
+        """
+        if until is None:
+            until = self.engine.now + 10.0
+        elif until <= self.engine.now:
+            raise ValueError(
+                f"run(until={until}) is not ahead of the clock "
+                f"({self.engine.now})"
+            )
         return self.engine.run(until=until, max_events=max_events)
 
     def crash(self, pid: ProcessId, at: float) -> None:

@@ -91,8 +91,8 @@ class TestHoldersAt:
         assert trace.proposals(9) == []
         assert trace.decides(9) == []
         assert trace.holders_at(frozenset(), 0.0) == before == {4}
-        assert list(trace._rdeliveries) == [4]
-        assert not trace._adeliveries and not trace._proposals
+        assert trace.holders_at(frozenset(), 0.0, include_crashed=True) == {4}
+        assert trace.adeliveries() == [] and trace.proposals() == []
         assert trace.instances() == []
 
     def test_index_follows_deliveries_recorded_after_a_query(self):

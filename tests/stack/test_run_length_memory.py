@@ -25,6 +25,18 @@ One linear term is the protocol's own and is released before the
 snapshot, so the guard sees everything else: the sequencer's ordered
 ``log``, which its repair path and seal snapshots replay (a seal
 frame's size sums the whole log).
+
+Two legs bound what a run keeps per record rather than its growth:
+
+* the full-trace leg runs the same drive with a full ``Trace`` and
+  holds ``repro/sim/trace.py`` to ``TRACE_BYTES_PER_EVENT`` per
+  recorded event: the ``events`` list alone is about 8, and the
+  per-kind indexes that duplicated it brought the total to about 28;
+* the crash leg crashes p1, so no measured message is ever delivered
+  by the whole group and none retires from the latency probe, and
+  holds ``repro/metrics/probes.py`` to ``PROBE_BYTES_PER_MESSAGE`` per
+  measured message (about 93; a set of delivering pids per message
+  made it about 310).
 """
 
 from __future__ import annotations
@@ -36,11 +48,12 @@ import tracemalloc
 import pytest
 
 import repro
+from repro.failure.crash import CrashSchedule
 from repro.harness.experiment import ExperimentSpec
-from repro.metrics.probes import build_probes
+from repro.metrics.probes import LatencyProbe, build_probes
 from repro.net.setups import SETUP_1
 from repro.shard import ShardSpec, build_sharded_system
-from repro.sim.trace import CountingTrace
+from repro.sim.trace import CountingTrace, Trace
 from repro.stack.builder import StackSpec
 from repro.stack.layers import WORKLOADS
 
@@ -70,6 +83,12 @@ PARENT_CONSENSUS_BYTES = {"ct-indirect": 1115, "mr-indirect": 973}
 #: Router completion log: two ``array('d')`` slots per operation plus
 #: the arrays' over-allocation.
 SHARD_BYTES_PER_OP = 24
+#: ``repro/sim/trace.py`` bytes per recorded event: the ``events``
+#: list's slot plus its over-allocation, and nothing per kind.
+TRACE_BYTES_PER_EVENT = 12
+#: Latency-probe bytes per measured message that never retires: its
+#: send-time entry, its delivered-by entry and its samples.
+PROBE_BYTES_PER_MESSAGE = 150
 
 
 def _decided(system) -> int:
@@ -80,9 +99,16 @@ def _decided(system) -> int:
     return service.decided_through + len(service.decided_above)
 
 
-def _drive(spec: StackSpec | ShardSpec, duration: float):
-    """Build ``spec`` in metrics mode, load it for ``duration`` and run
-    the drain; returns ``(groups, completed operations, keep-alive)``."""
+def _drive(
+    spec: StackSpec | ShardSpec,
+    duration: float,
+    trace: type = CountingTrace,
+    crashes: CrashSchedule | None = None,
+):
+    """Build ``spec`` with the default probes feeding ``trace`` (a
+    ``CountingTrace`` is metrics mode), load it for ``duration`` and
+    run the drain; returns ``(groups, completed operations,
+    keep-alive)``."""
     if isinstance(spec, ShardSpec):
         service = build_sharded_system(
             spec, traces=[CountingTrace() for _ in range(spec.shards)]
@@ -104,7 +130,7 @@ def _drive(spec: StackSpec | ShardSpec, duration: float):
         probe.on_event for _, probe in build_probes(experiment)
         if probe.on_event is not None
     ]
-    system = repro.build_system(spec, trace=CountingTrace(sinks))
+    system = repro.build_system(spec, crashes, trace=trace(sinks))
     WORKLOADS.get("symmetric").factory(
         system, throughput=RATE, payload_size=100, duration=duration,
         arrivals="poisson",
@@ -147,6 +173,33 @@ def retained_by_layer(
     return by_layer, decided, completed
 
 
+def _measure(spec: StackSpec, duration: float, path: str, **drive):
+    """Run ``spec`` for ``duration`` and return ``(bytes retained in
+    repro/<path> with the system alive, the system)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        (system,), _, _ = _drive(spec, duration, **drive)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    system.close()
+    suffix = _REPRO + path.replace("/", os.sep)
+    held = sum(
+        stat.size for stat in snapshot.statistics("filename")
+        if stat.traceback[0].filename.endswith(suffix)
+    )
+    return held, system
+
+
+def assert_trace_lean(spec: StackSpec, longer: int = 1) -> None:
+    """The full-trace bound, on a run of ``spec`` for ``longer × T``."""
+    held, system = _measure(spec, longer * T, "sim/trace.py", trace=Trace)
+    per_event = held / len(system.trace)
+    assert per_event <= TRACE_BYTES_PER_EVENT, per_event
+
+
 def assert_flat(spec: StackSpec | ShardSpec, longer: int = 4) -> None:
     """The bounds above, on runs of ``spec`` for ``T`` and ``longer × T``."""
     short, short_decided, short_done = retained_by_layer(spec, T)
@@ -176,3 +229,22 @@ def test_retained_bytes_do_not_grow_with_run_length(name):
 
 def test_four_shard_service_retains_no_more_per_operation():
     assert_flat(SHARDED)
+
+
+def test_full_trace_keeps_each_event_once():
+    assert_trace_lean(STACKS["ct-indirect"], longer=4)
+
+
+def test_unretired_messages_cost_the_probe_no_set():
+    """With p1 crashed early, every measured message stays in flight."""
+    held, system = _measure(
+        STACKS["ct-indirect"], 4 * T, "metrics/probes.py",
+        crashes=CrashSchedule.single(1, 0.05),
+    )
+    (probe,) = (
+        sink.__self__ for sink in system.trace.sinks
+        if isinstance(sink.__self__, LatencyProbe)
+    )
+    assert probe._measured > 400 and probe._retired == 0
+    per_message = held / probe._measured
+    assert per_message <= PROBE_BYTES_PER_MESSAGE, per_message
