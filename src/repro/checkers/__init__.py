@@ -7,6 +7,9 @@ finished run.  Tests (including the hypothesis property-based ones)
 drive simulations and then hand the trace to these checkers; a violation
 raises :class:`~repro.core.exceptions.ProtocolViolationError` with the
 offending events, so a failing run prints a usable counterexample.
+The atomic broadcast checker is a streaming fold: it can also ride a
+running trace as a sink, which is how every ``run_experiment`` run is
+checked in either trace mode.
 
 Caveat on liveness: traces are finite, so the "eventually" properties
 (Validity, Agreement, Termination) are checked against *quiescent* runs

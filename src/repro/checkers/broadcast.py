@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.core.config import SystemConfig
+from repro.core.events import RBroadcastEvent, RDeliverEvent
 from repro.core.exceptions import ProtocolViolationError
 from repro.sim.trace import Trace
 
@@ -28,21 +29,27 @@ class BroadcastChecker:
         self.trace = trace
         self.config = config
         self.correct = trace.correct_processes(config.processes)
-        self._broadcast_ids = {e.message.mid for e in trace.rbroadcasts()}
-        self._broadcasters = {
-            e.message.mid: (e.process, e.time) for e in trace.rbroadcasts()
-        }
-        self._delivered_by: dict[int, list] = {
-            p: trace.rdeliveries(p) for p in config.processes
+        #: One pass: every rbroadcast, and each process's rdeliveries
+        #: and the set of ids among them.
+        self._broadcasts: list[RBroadcastEvent] = []
+        self._delivered_by: dict[int, list] = {p: [] for p in config.processes}
+        for event in trace.events:
+            cls = type(event)
+            if cls is RDeliverEvent and event.process in self._delivered_by:
+                self._delivered_by[event.process].append(event)
+            elif cls is RBroadcastEvent:
+                self._broadcasts.append(event)
+        self._broadcast_ids = {e.message.mid for e in self._broadcasts}
+        self._delivered = {
+            p: {e.message.mid for e in events}
+            for p, events in self._delivered_by.items()
         }
 
     def check_validity(self) -> None:
         """A correct broadcaster delivers its own message."""
-        for mid, (sender, _time) in self._broadcasters.items():
-            if sender not in self.correct:
-                continue
-            delivered = {e.message.mid for e in self._delivered_by[sender]}
-            if mid not in delivered:
+        for event in self._broadcasts:
+            sender, mid = event.process, event.message.mid
+            if sender in self.correct and mid not in self._delivered[sender]:
                 raise ProtocolViolationError(
                     "RB Validity",
                     f"correct p{sender} rbroadcast {mid} but never rdelivered it",
@@ -66,10 +73,8 @@ class BroadcastChecker:
 
     def check_agreement(self) -> None:
         """Correct processes deliver the same set of messages."""
-        delivered_by_correct = {
-            p: {e.message.mid for e in self._delivered_by[p]} for p in self.correct
-        }
-        union = set().union(*delivered_by_correct.values()) if delivered_by_correct else set()
+        delivered_by_correct = {p: self._delivered[p] for p in self.correct}
+        union = set().union(*delivered_by_correct.values())
         for process, delivered in delivered_by_correct.items():
             missing = union - delivered
             if missing:
@@ -86,8 +91,7 @@ class BroadcastChecker:
             e.message.mid for e in self.trace.rdeliveries() if e.uniform
         }
         for process in self.correct:
-            delivered = {e.message.mid for e in self._delivered_by[process]}
-            missing = delivered_by_anyone - delivered
+            missing = delivered_by_anyone - self._delivered[process]
             if missing:
                 sample = sorted(missing)[:3]
                 raise ProtocolViolationError(

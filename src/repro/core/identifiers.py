@@ -92,7 +92,7 @@ class IdWatermark:
 
     The per-frame paths of the protocol layers test and insert inline
     on ``through`` and ``above`` (see ``BroadcastService._deliver``);
-    ``in`` and ``len`` are for everything else.
+    ``in``, ``len`` and :meth:`add` are for everything else.
 
     Args:
         n: Group size: the origins are the process ids ``1 .. n``.
@@ -110,3 +110,17 @@ class IdWatermark:
 
     def __len__(self) -> int:
         return sum(self.through) + len(self.above)
+
+    def add(self, mid: MessageId) -> None:
+        """Insert ``mid``: extend its origin's watermark, absorbing the
+        members parked just above it, or park it above."""
+        origin, seq = mid
+        through = self.through
+        if seq == through[origin] + 1:
+            above = self.above
+            while above and (origin, seq + 1) in above:
+                seq += 1
+                above.remove((origin, seq))
+            through[origin] = seq
+        elif seq > through[origin]:
+            self.above.add(mid)

@@ -269,9 +269,9 @@ def obs_main(argv: list[str]) -> int:
                              "seconds; 0 disables sampling (default: 0.005)")
     parser.add_argument("--trace-mode", choices=("full", "metrics"),
                         default="full",
-                        help="'metrics' skips trace retention and safety "
-                             "checks; the span forest is identical either "
-                             "way")
+                        help="'metrics' skips trace retention; both modes "
+                             "are safety-checked and the span forest is "
+                             "identical either way")
     parser.add_argument(
         "--export", nargs=2, action="append", default=[],
         metavar=("FORMAT", "PATH"),
@@ -302,7 +302,6 @@ def obs_main(argv: list[str]) -> int:
             warmup=args.warmup,
             drain=args.drain,
             trace_mode=args.trace_mode,
-            safety_checks=args.trace_mode == "full",
         )
         run = observe_experiment(spec, period=args.period or None)
     except ConfigurationError as error:
@@ -390,9 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-mode",
         choices=("full", "metrics"),
         default="full",
-        help="'full' safety-checks every run; 'metrics' retains no event "
-             "trace (far less memory on long sweeps); the metric probes "
-             "report identical values either way",
+        help="'metrics' retains no event trace (far less memory on "
+             "long sweeps); both modes safety-check every run and the "
+             "metric probes report identical values either way",
     )
     parser.add_argument(
         "--metrics",

@@ -25,7 +25,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.checkers.abcast import check_abcast
+from repro.checkers.abcast import AbcastChecker
+from repro.core.config import SystemConfig
 from repro.core.exceptions import ConfigurationError
 from repro.failure.crash import CrashSchedule
 from repro.metrics.probes import (
@@ -65,16 +66,16 @@ class ExperimentSpec:
         label: Presentation-only curve/grid label (set by
             :class:`~repro.harness.suite.SweepSpec` expansion; excluded
             from the result-cache key, like ``name``).
-        safety_checks: Run the (safety-only) abcast checks on the trace;
+        safety_checks: Run the (safety-only) abcast checks on the run;
             on by default — a performance number from an incorrect run
-            is worthless.  Requires ``trace_mode="full"``.
+            is worthless.  The checker is a streaming sink next to the
+            probes, so it checks either trace mode alike.
         trace_mode: ``"full"`` retains the complete event trace (a
-            :class:`~repro.sim.trace.Trace`, needed by the checkers);
+            :class:`~repro.sim.trace.Trace`, for post-hoc analysis);
             ``"metrics"`` retains no event list (a
             :class:`~repro.sim.trace.CountingTrace`) — the cheap mode
-            for long sweeps whose configuration has already been
-            safety-checked once.  Either trace calls the subscribed
-            probes from its own ``record``, so the probes observe the
+            for long sweeps.  Either trace calls the subscribed probes
+            and checker from its own ``record``, so they observe the
             same stream and report identical values.
         max_events: Engine runaway guard.
     """
@@ -103,12 +104,6 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unknown trace_mode {self.trace_mode!r}; "
                 "choose 'full' or 'metrics'"
-            )
-        if self.trace_mode == "metrics" and self.safety_checks:
-            raise ConfigurationError(
-                "trace_mode='metrics' retains no event trace, so the "
-                "safety checkers cannot run; set safety_checks=False "
-                "(after safety-checking the configuration with a full run)"
             )
         if self.throughput <= 0:
             raise ConfigurationError(
@@ -172,6 +167,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Build, drive, probe, and (safety-)check one run.
 
+    With ``spec.safety_checks`` a fresh
+    :class:`~repro.checkers.abcast.AbcastChecker` is subscribed to the
+    trace after the probes, in either trace mode, and its safety
+    verdicts are asked for once the run ends.
+
     Args:
         spec: The run description.
         extra_probes: Additional ``(name, probe)`` pairs appended after
@@ -202,6 +202,10 @@ def run_experiment(
         probe.on_event for _, probe in named_probes
         if probe.on_event is not None
     ]
+    checker = None
+    if spec.safety_checks:
+        checker = AbcastChecker(None, SystemConfig(n=spec.stack.n))
+        sinks.append(checker.on_event)
     trace_cls = CountingTrace if spec.trace_mode == "metrics" else Trace
     with build_system(
         spec.stack, CrashSchedule.none(), trace=trace_cls(sinks)
@@ -235,10 +239,10 @@ def run_experiment(
                    stop_when=drained)
         sent = workload.sent
 
-        if spec.safety_checks:
+        if checker is not None:
             # Liveness is not asserted here (a saturated run legitimately
             # has undelivered backlog); safety must hold regardless.
-            check_abcast(system.trace, system.config, expect_quiescent=False)
+            checker.check_all(expect_quiescent=False)
 
         metrics = {
             name: probe.finish(system, sent) for name, probe in named_probes

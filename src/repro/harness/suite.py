@@ -86,11 +86,10 @@ class SweepSpec:
             :data:`repro.metrics.probes.PROBES`) measured at every grid
             point; a registered custom probe sweeps end-to-end by being
             named here.
-        trace_mode: ``"full"`` (checkable event trace) or ``"metrics"``
-            (streaming latency accumulators; cheap on long runs).
-        safety_checks: Run the abcast safety checkers on each point.
-            ``None`` (default) means "on exactly when the trace is
-            full" — metrics mode cannot be checked.
+        trace_mode: ``"full"`` (retained event trace) or ``"metrics"``
+            (no event list; cheap on long runs).
+        safety_checks: Run the abcast safety checker on each point, in
+            either trace mode.
         max_events: Per-run engine runaway guard.
     """
 
@@ -108,7 +107,7 @@ class SweepSpec:
     workload: str = "symmetric"
     metrics: tuple[str, ...] = DEFAULT_PROBES
     trace_mode: str = "full"
-    safety_checks: bool | None = None
+    safety_checks: bool = True
     max_events: int = 50_000_000
 
     def __post_init__(self) -> None:
@@ -164,10 +163,6 @@ class SweepSpec:
             raise ConfigurationError(
                 f"unknown trace_mode {self.trace_mode!r}"
             )
-        if self.safety_checks and self.trace_mode == "metrics":
-            raise ConfigurationError(
-                "safety_checks=True requires trace_mode='full'"
-            )
 
     @staticmethod
     def point_label(variant: str, fault: str = "", topology: str = "") -> str:
@@ -196,11 +191,6 @@ class SweepSpec:
 
     def experiments(self) -> tuple[ExperimentSpec, ...]:
         """Expand the grid into concrete experiment specs, in order."""
-        checks = (
-            self.trace_mode == "full"
-            if self.safety_checks is None
-            else self.safety_checks
-        )
         specs = []
         for label, stack in self.variants:
             for fault_label, fault_rules in self.fault_sets:
@@ -239,7 +229,7 @@ class SweepSpec:
                                     workload=self.workload,
                                     metrics=self.metrics,
                                     label=point_label,
-                                    safety_checks=checks,
+                                    safety_checks=self.safety_checks,
                                     trace_mode=self.trace_mode,
                                     max_events=self.max_events,
                                 ))

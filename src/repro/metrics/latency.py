@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import SystemConfig
+from repro.core.events import ABroadcastEvent, ADeliverEvent
 from repro.metrics.stats import SummaryStats
 from repro.sim.trace import Trace
 
@@ -50,9 +51,9 @@ def measure_latency(
 ) -> LatencyReport:
     """Compute the latency report from a finished run's trace.
 
-    Replays the trace's abroadcasts, then each correct process's
-    adeliveries (ascending pid), through the latency probe's fold —
-    the same window, correct-process filter and sample order as the
+    Replays the trace's abroadcasts and the correct processes'
+    adeliveries, in one pass, through the latency probe's fold — the
+    same window, correct-process filter and sample order as the
     ``"latency"`` probe of a run measured with the same window.
 
     Args:
@@ -71,9 +72,10 @@ def measure_latency(
 
     correct = trace.correct_processes(config.processes)
     fold = LatencyProbe(config.n, warmup, cutoff)
-    for event in trace.abroadcasts():
-        fold.on_event(event)
-    for process in sorted(correct):
-        for event in trace.adeliveries(process):
+    for event in trace.events:
+        cls = type(event)
+        if cls is ABroadcastEvent or (
+            cls is ADeliverEvent and event.process in correct
+        ):
             fold.on_event(event)
     return fold.report(correct)

@@ -64,6 +64,7 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.core.events import (
     ABroadcastEvent,
     ADeliverEvent,
+    CrashEvent,
     DecideEvent,
     ProposeEvent,
     ProtocolEvent,
@@ -237,11 +238,12 @@ class LatencyProbe(Probe):
     replays a retained trace through the same fold.
 
     Memory is per message in flight, not per message sent: samples sit
-    in ``array('d')`` columns, and once all ``processes`` of the group
-    have delivered a message its entries are retired and only counted
-    (every correct set is a subset of the group, so a retired message
-    is fully delivered whatever :meth:`report` is asked).  Who has
-    delivered a message in flight is a pid bitmask: a shared small int.
+    in ``array('d')`` columns, and once every live process (one whose
+    ``CrashEvent`` has not been seen) has delivered a message its
+    entries are retired and only counted.  The live set only shrinks
+    and contains the correct set :meth:`report` is asked for, so a
+    retired message is fully delivered there.  Who has delivered a
+    message in flight is a pid bitmask: a shared small int.
     """
 
     def __init__(
@@ -257,8 +259,8 @@ class LatencyProbe(Probe):
         self._sent: dict[MessageId, float] = {}
         self._samples: dict[ProcessId, array] = defaultdict(partial(array, "d"))
         self._delivered_by: dict[MessageId, int] = {}
-        #: The mask of a message every process delivered (pids 1..n).
-        self._everyone = (1 << (processes + 1)) - 2
+        #: Pid mask of the processes not crashed so far (pids 1..n).
+        self._live = (1 << (processes + 1)) - 2
         self._measured = 0
         self._retired = 0
 
@@ -270,7 +272,7 @@ class LatencyProbe(Probe):
             if sent is not None:
                 self._samples[event.process].append(event.time - sent)
                 mask = self._delivered_by.get(mid, 0) | 1 << event.process
-                if mask == self._everyone:
+                if mask & self._live == self._live:
                     del self._sent[mid]
                     self._delivered_by.pop(mid, None)
                     self._retired += 1
@@ -283,6 +285,8 @@ class LatencyProbe(Probe):
             ):
                 self._sent[event.message.mid] = time
                 self._measured += 1
+        elif cls is CrashEvent:
+            self._live &= ~(1 << event.process)
 
     def report(self, correct: frozenset[ProcessId]) -> LatencyReport:
         """Summarise the samples of the ``correct`` processes.

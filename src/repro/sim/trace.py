@@ -5,13 +5,13 @@ Every layer of every process emits
 :class:`TraceObserver`, one :meth:`~TraceObserver.record` call per
 event.  The observer keeps what its retention policy says and then
 hands the event to each subscribed **sink** — the per-event hooks of
-the run's metric probes (:mod:`repro.metrics.probes`) — so measurement
-rides the same call in both retention policies:
+the run's metric probes (:mod:`repro.metrics.probes`) and of its abcast
+checker (:mod:`repro.checkers.abcast`) — so measurement and safety
+checking ride the same call in both retention policies:
 
 * :class:`Trace` — the full, append-only event list, each event held
-  once.  It is the single source of truth for correctness checking
-  (the properties of the paper are predicates over traces) and for
-  post-hoc analysis; checkers and scenario tests require it.
+  once: what post-hoc analysis, the batch checkers and scenario tests
+  read (the properties of the paper are predicates over traces).
 
 * :class:`CountingTrace` — the cheap observer for pure performance
   runs: it counts events and remembers crashes, nothing else, so a
@@ -20,7 +20,8 @@ rides the same call in both retention policies:
   without a second measurement code path.
 
 ``build_system`` accepts either; ``run_experiment`` picks the retention
-policy from the experiment's ``trace_mode`` and subscribes the probes.
+policy from the experiment's ``trace_mode`` and subscribes the probes
+and the checker.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class TraceObserver:
     every subscribed sink with the same event, in subscription order.
 
     Args:
-        sinks: Per-event callables (``Probe.on_event`` hooks), fixed at
-            construction.
+        sinks: Per-event callables (``Probe.on_event`` and
+            ``AbcastChecker.on_event`` hooks), fixed at construction.
     """
 
     def __init__(

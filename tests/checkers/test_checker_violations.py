@@ -12,7 +12,12 @@ traces, crash exemptions; this file is the exhaustive "does it fire"
 matrix.)
 """
 
+import pickle
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checkers.abcast import AbcastChecker
 from repro.checkers.broadcast import BroadcastChecker
@@ -33,7 +38,7 @@ from repro.core.events import (
 from repro.core.exceptions import ProtocolViolationError
 from repro.core.identifiers import MessageId
 from repro.core.message import AppMessage, make_payload
-from repro.sim.trace import Trace
+from repro.sim.trace import CountingTrace, Trace
 
 
 def msg(origin, seq=1):
@@ -115,19 +120,6 @@ VIOLATIONS = {
             ADeliverEvent(time=0.2, process=2, message=M1),
         ),
         (), "total order",
-    ),
-    "abcast.check_correct_prefix_consistency": (
-        AbcastChecker, CFG2,
-        lambda: trace_of(
-            ABroadcastEvent(time=0.0, process=1, message=M1),
-            ABroadcastEvent(time=0.0, process=2, message=M2),
-            # same total order, but p2's sequence is a strict prefix —
-            # agreement-style divergence caught wholesale
-            ADeliverEvent(time=0.1, process=1, message=M1),
-            ADeliverEvent(time=0.2, process=1, message=M2),
-            ADeliverEvent(time=0.1, process=2, message=M1),
-        ),
-        (), "consistency",
     ),
     "abcast.check_hypothesis_a": (
         AbcastChecker, CFG2,
@@ -430,10 +422,8 @@ def test_v_stability_counts_holders_that_crashed_after_receiving():
     assert trace.holders_at(IDS1, 0.1, include_crashed=True) == frozenset({1, 2})
 
 
-def test_uniform_total_order_forbids_skipping_a_message_before_a_crash():
-    """p1 adelivers a then b and crashes; p2 and p3 adeliver a, c, b.
-    Each pair agrees on the relative order of what both delivered, but
-    p1 adelivered b without c before it, which the property forbids."""
+def _skip_before_a_crash():
+    """p1 adelivers a then b and crashes; p2 and p3 adeliver a, c, b."""
     a, b, c = msg(1), msg(2), msg(3)
     events = [ABroadcastEvent(time=0.0, process=m.sender, message=m)
               for m in (a, b, c)]
@@ -448,7 +438,14 @@ def test_uniform_total_order_forbids_skipping_a_message_before_a_crash():
             ADeliverEvent(time=0.2, process=process, message=c),
             ADeliverEvent(time=0.3, process=process, message=b),
         ]
-    checker = AbcastChecker(trace_of(*events), CFG3)
+    return trace_of(*events)
+
+
+def test_uniform_total_order_forbids_skipping_a_message_before_a_crash():
+    """Each pair agrees on the relative order of what both delivered,
+    but p1 adelivered b without c before it, which the property
+    forbids."""
+    checker = AbcastChecker(_skip_before_a_crash(), CFG3)
     with pytest.raises(
         ProtocolViolationError,
         match=r"Uniform total order.*p1 and p2 .* contradictory orders "
@@ -460,11 +457,12 @@ def test_uniform_total_order_forbids_skipping_a_message_before_a_crash():
 # ----------------------------------------------------------------------
 # The linearised checks against their definitions.
 #
-# ``check_validity`` looks a message up in a per-process delivered set
-# and ``holders_at`` answers from a first-r-delivery-time index; the
+# The abcast and rb ``check_validity`` (and rb ``check_uniform_agreement``)
+# look a message up in a delivered set built once per process, and
+# ``holders_at`` answers from a first-r-delivery-time index; the
 # definitions below are the quadratic originals (list membership, the
-# held set rebuilt per query).  Each linearised check must raise the
-# same property and the same detail string on every trace here.
+# set rebuilt per message or query).  Each linearised check must raise
+# the same property and the same detail string on every trace here.
 # ----------------------------------------------------------------------
 
 
@@ -494,6 +492,128 @@ def reference_check_validity(trace, config):
                 "Abcast Validity",
                 f"correct p{event.process} abroadcast {mid} "
                 f"but never adelivered it",
+            )
+
+
+def reference_sequences(trace, config):
+    return {p: trace.adelivery_sequence(p) for p in config.processes}
+
+
+def reference_check_uniform_integrity(trace, config):
+    abroadcast = {e.message.mid for e in trace.abroadcasts()}
+    for process, sequence in reference_sequences(trace, config).items():
+        for mid, count in Counter(sequence).items():
+            if count > 1:
+                raise ProtocolViolationError(
+                    "Abcast Uniform integrity",
+                    f"p{process} adelivered {mid} {count} times",
+                )
+            if mid not in abroadcast:
+                raise ProtocolViolationError(
+                    "Abcast Uniform integrity",
+                    f"p{process} adelivered {mid} which was never abroadcast",
+                )
+
+
+def reference_check_uniform_agreement(trace, config):
+    sequences = reference_sequences(trace, config)
+    delivered_by_anyone = set().union(*sequences.values())
+    for process in trace.correct_processes(config.processes):
+        missing = delivered_by_anyone - set(sequences[process])
+        if missing:
+            raise ProtocolViolationError(
+                "Abcast Uniform agreement",
+                f"correct p{process} missed {len(missing)} adelivered "
+                f"messages, e.g. {sorted(missing)[:3]}",
+            )
+
+
+def reference_check_uniform_total_order(trace, config):
+    """For each pair, with ``k`` the messages both adelivered, the first
+    ``k`` entries of both sequences are equal."""
+    sequences = reference_sequences(trace, config)
+    processes = [p for p, seq in sequences.items() if seq]
+    for i, p in enumerate(processes):
+        for q in processes[i + 1:]:
+            k = len(set(sequences[p]) & set(sequences[q]))
+            by_p, by_q = sequences[p][:k], sequences[q][:k]
+            if by_p != by_q:
+                divergence = next((a, b) for a, b in zip(by_p, by_q) if a != b)
+                raise ProtocolViolationError(
+                    "Abcast Uniform total order",
+                    f"p{p} and p{q} deliver in contradictory orders "
+                    f"around {divergence}",
+                )
+
+
+def reference_check_correct_prefix_consistency(trace, config):
+    """Correct processes' sequences are identical; never fires once
+    integrity, total order and agreement hold."""
+    sequences = reference_sequences(trace, config)
+    correct = sorted(trace.correct_processes(config.processes))
+    for process in correct:
+        if sequences[process] != sequences[correct[0]]:
+            raise ProtocolViolationError(
+                "Abcast order consistency",
+                f"correct p{process} delivered a different sequence "
+                f"than correct p{correct[0]}",
+            )
+
+
+def reference_check_hypothesis_a(trace, config):
+    decided_ids = set()
+    for first in trace.first_decisions().values():
+        decided_ids.update(first.value)
+    rdelivered = {
+        p: {e.message.mid for e in trace.rdeliveries(p)}
+        for p in trace.correct_processes(config.processes)
+    }
+    union = set().union(*rdelivered.values())
+    for process, held in rdelivered.items():
+        missing = (decided_ids & union) - held
+        if missing:
+            raise ProtocolViolationError(
+                "Hypothesis A",
+                f"correct p{process} never rdelivered decided messages "
+                f"{sorted(missing)[:3]} held by other correct processes",
+            )
+
+
+def reference_check_all(trace, config, expect_quiescent=True):
+    """The batch ``AbcastChecker.check_all`` the streaming fold replaced."""
+    reference_check_uniform_integrity(trace, config)
+    reference_check_uniform_total_order(trace, config)
+    if expect_quiescent:
+        reference_check_validity(trace, config)
+        reference_check_uniform_agreement(trace, config)
+        reference_check_correct_prefix_consistency(trace, config)
+        reference_check_hypothesis_a(trace, config)
+
+
+def reference_rb_check_validity(trace, config):
+    correct = trace.correct_processes(config.processes)
+    for event in trace.rbroadcasts():
+        sender, mid = event.process, event.message.mid
+        delivered = {e.message.mid for e in trace.rdeliveries(sender)}
+        if sender in correct and mid not in delivered:
+            raise ProtocolViolationError(
+                "RB Validity",
+                f"correct p{sender} rbroadcast {mid} but never rdelivered it",
+            )
+
+
+def reference_rb_check_uniform_agreement(trace, config):
+    delivered_by_anyone = {
+        e.message.mid for e in trace.rdeliveries() if e.uniform
+    }
+    for process in trace.correct_processes(config.processes):
+        delivered = {e.message.mid for e in trace.rdeliveries(process)}
+        missing = delivered_by_anyone - delivered
+        if missing:
+            raise ProtocolViolationError(
+                "URB Uniform agreement",
+                f"correct p{process} missed {len(missing)} urb-delivered "
+                f"messages, e.g. {sorted(missing)[:3]}",
             )
 
 
@@ -538,8 +658,8 @@ def _crash_at_decision_time():
 
 
 #: check/trace -> (checker class, the check's definition, config, trace
-#: builder, args); the check's method name is the definition's, less
-#: ``reference_``.
+#: builder, args); the check's method name is the definition's from
+#: ``check_`` on.
 EQUIVALENCE = {
     "validity/matrix": (
         AbcastChecker, reference_check_validity,
@@ -553,6 +673,38 @@ EQUIVALENCE = {
             # both adeliver M1; correct p2 never adelivers its own M2
             ADeliverEvent(time=0.1, process=1, message=M1),
             ADeliverEvent(time=0.1, process=2, message=M1),
+        ),
+        (),
+    ),
+    "rb_validity/matrix": (
+        BroadcastChecker, reference_rb_check_validity,
+        *VIOLATIONS["broadcast.check_validity"][1:4],
+    ),
+    "rb_validity/second-of-two-senders": (
+        BroadcastChecker, reference_rb_check_validity, CFG2,
+        lambda: trace_of(
+            RBroadcastEvent(time=0.0, process=1, message=M1),
+            RBroadcastEvent(time=0.0, process=2, message=M2),
+            RDeliverEvent(time=0.1, process=1, message=M1),
+            RDeliverEvent(time=0.1, process=2, message=M1),
+        ),
+        (),
+    ),
+    "rb_uniform_agreement/matrix": (
+        BroadcastChecker, reference_rb_check_uniform_agreement,
+        *VIOLATIONS["broadcast.check_uniform_agreement"][1:4],
+    ),
+    "rb_uniform_agreement/one-of-two-missed": (
+        BroadcastChecker, reference_rb_check_uniform_agreement,
+        SystemConfig(n=3, f=1),
+        lambda: trace_of(
+            RBroadcastEvent(time=0.0, process=1, message=M1, uniform=True),
+            RBroadcastEvent(time=0.0, process=2, message=M2, uniform=True),
+            RDeliverEvent(time=0.1, process=1, message=M1, uniform=True),
+            RDeliverEvent(time=0.1, process=1, message=M2, uniform=True),
+            RDeliverEvent(time=0.1, process=2, message=M2, uniform=True),
+            RDeliverEvent(time=0.2, process=3, message=M1, uniform=True),
+            RDeliverEvent(time=0.2, process=3, message=M2, uniform=True),
         ),
         (),
     ),
@@ -581,7 +733,7 @@ EQUIVALENCE = {
 def test_linearised_check_matches_its_definition(case):
     cls, reference, config, build, args = EQUIVALENCE[case]
     check = getattr(
-        cls(build(), config), reference.__name__.removeprefix("reference_")
+        cls(build(), config), "check_" + reference.__name__.split("check_")[1]
     )
     with pytest.raises(ProtocolViolationError) as expected:
         reference(build(), config, *args)
@@ -603,3 +755,193 @@ def test_holders_at_matches_its_definition_at_the_crash_instant():
     # ... and a decision that holds under f + 1 = 2 passes both ways.
     ConsensusChecker(trace, CFG3).check_v_stability(1)
     reference_check_v_stability(trace, CFG3, 1)
+
+
+# ----------------------------------------------------------------------
+# The streaming abcast fold against the batch definitions it replaced.
+#
+# ``AbcastChecker`` folds one event at a time and forgets a message once
+# every live process adelivered it; the ``reference_check_*`` functions
+# above are the batch checker it replaced, which held every sequence.
+# ----------------------------------------------------------------------
+
+
+def _crashed_prefix_diverges():
+    """p1 adelivers a, b and crashes; p2 adelivers a, c.  A common prefix
+    then disjoint suffixes: total order holds pairwise, although no one
+    sequence has both as prefixes."""
+    a, b, c = msg(1), msg(2), msg(3)
+    return trace_of(
+        *(ABroadcastEvent(time=0.0, process=m.sender, message=m)
+          for m in (a, b, c)),
+        ADeliverEvent(time=0.1, process=1, message=a),
+        ADeliverEvent(time=0.1, process=2, message=a),
+        ADeliverEvent(time=0.2, process=1, message=b),
+        CrashEvent(time=0.3, process=1),
+        ADeliverEvent(time=0.4, process=2, message=c),
+    )
+
+
+def _tied_first_decisions():
+    """Instance 1 is decided twice at the same instant: p2 first in the
+    trace, but p1's decision is the first by (time, pid).  Only p1's M2
+    is decided, and correct p2 never rdelivers it."""
+    return trace_of(
+        RDeliverEvent(time=0.05, process=1, message=M1),
+        RDeliverEvent(time=0.05, process=1, message=M2),
+        DecideEvent(time=0.1, process=2, instance=1, value=frozenset({M1.mid})),
+        DecideEvent(time=0.1, process=1, instance=1, value=frozenset({M2.mid})),
+    )
+
+
+def _late_disagreeing_decision():
+    """p2 decides instance 1 differently after p1's first decision (and
+    after instance 2's): it is not a first decision, so M2 is not
+    decided, although correct p1 alone rdelivered it."""
+    return trace_of(
+        RDeliverEvent(time=0.05, process=1, message=M1),
+        RDeliverEvent(time=0.05, process=2, message=M1),
+        RDeliverEvent(time=0.05, process=1, message=M2),
+        DecideEvent(time=0.1, process=1, instance=1, value=frozenset({M1.mid})),
+        DecideEvent(time=0.15, process=1, instance=2, value=frozenset()),
+        DecideEvent(time=0.2, process=2, instance=1, value=frozenset({M2.mid})),
+    )
+
+
+#: name -> (config, trace builder): every abcast case of this module.
+ABCAST_CASES = {
+    **{
+        case: VIOLATIONS[case][1:3]
+        for case in VIOLATIONS if VIOLATIONS[case][0] is AbcastChecker
+    },
+    "validity/delivers-others-not-own":
+        EQUIVALENCE["validity/delivers-others-not-own"][2:4],
+    "total-order/skip-before-a-crash": (CFG3, _skip_before_a_crash),
+    "total-order/crashed-prefix-diverges": (CFG3, _crashed_prefix_diverges),
+    "hypothesis-a/tied-first-decisions": (CFG2, _tied_first_decisions),
+    "hypothesis-a/late-disagreeing-decision": (
+        CFG2, _late_disagreeing_decision,
+    ),
+}
+
+ABCAST_REFERENCES = (
+    reference_check_validity,
+    reference_check_uniform_integrity,
+    reference_check_uniform_agreement,
+    reference_check_uniform_total_order,
+    reference_check_hypothesis_a,
+)
+
+
+def verdict(check, *args):
+    """``(prop, detail)`` of the violation ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except ProtocolViolationError as error:
+        return error.prop, error.detail
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(ABCAST_CASES))
+def test_fold_matches_the_batch_definitions(case):
+    config, build = ABCAST_CASES[case]
+    replayed = AbcastChecker(build(), config)
+    streamed = AbcastChecker(None, config)
+    feed = CountingTrace([streamed.on_event])
+    for event in build().events:
+        feed.record(event)
+    # A sink must survive pickling with the system it rides on.
+    copied = pickle.loads(pickle.dumps(feed)).sinks[0].__self__
+    for checker in (replayed, streamed, copied):
+        for quiescent in (True, False):
+            assert verdict(checker.check_all, quiescent) == verdict(
+                reference_check_all, build(), config, quiescent
+            )
+        for reference in ABCAST_REFERENCES:
+            check = getattr(checker, "check_" + reference.__name__.split("check_")[1])
+            assert verdict(check) == verdict(reference, build(), config)
+
+
+def test_a_crashed_prefix_may_diverge():
+    AbcastChecker(_crashed_prefix_diverges(), CFG3).check_all(
+        expect_quiescent=False
+    )
+
+
+#: Step kinds, weighted: "adeliver" takes the next id of the process's
+#: planned sequence, "stray" adelivers any id (a repeat, or one nobody
+#: abroadcast or planned).
+_KINDS = ("adeliver",) * 20 + ("rdeliver",) * 8 + ("decide",) * 6 + (
+    "crash", "abroadcast", "stray",
+)
+
+
+@st.composite
+def random_traces(draw):
+    """A trace of n <= 4 processes over <= 6 ids: abroadcasts, each
+    process's adeliveries (a prefix of one shared order, or of its own
+    for about one process in three,
+    completed at the end in about half the traces), stray adeliveries,
+    rdeliveries, decides (same-time ties and disagreeing values
+    included) and crashes.  As in every simulated run, a crashed
+    process records nothing after its crash."""
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(
+        st.builds(MessageId, st.integers(1, n), st.integers(1, 3)),
+        min_size=1, max_size=6, unique=True,
+    ))
+    shared = draw(st.permutations(ids))
+    plans = {
+        p: list(draw(st.permutations(ids)) if draw(st.integers(0, 2)) == 0
+                else shared)
+        for p in range(1, n + 1)
+    }
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(_KINDS), st.integers(1, n), st.sampled_from(ids),
+        st.integers(1, 3), st.frozensets(st.sampled_from(ids), max_size=3),
+        st.integers(0, 1),
+    ), min_size=5, max_size=40))
+    if draw(st.booleans()):
+        steps += [
+            ("adeliver", p, ids[0], 1, frozenset(), 1)
+            for p in plans for _ in ids
+        ]
+    trace, now, crashed = Trace(), 0, set()
+    for mid in ids:
+        if draw(st.integers(0, 19)):
+            trace.record(ABroadcastEvent(0, mid.origin, msg(*mid)))
+    for kind, process, mid, instance, value, tick in steps:
+        now += tick
+        if process in crashed or kind == "adeliver" and not plans[process]:
+            continue
+        if kind == "adeliver":
+            mid = plans[process].pop(0)
+        message = msg(*mid)
+        trace.record({
+            "abroadcast": lambda: ABroadcastEvent(now, process, message),
+            "adeliver": lambda: ADeliverEvent(now, process, message),
+            "stray": lambda: ADeliverEvent(now, process, message),
+            "rdeliver": lambda: RDeliverEvent(now, process, message),
+            "decide": lambda: DecideEvent(now, process, instance, value),
+            "crash": lambda: CrashEvent(now, process),
+        }[kind]())
+        if kind == "crash":
+            crashed.add(process)
+    return trace, SystemConfig(n=n)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(random_traces())
+def test_fold_gives_the_batch_verdict_on_random_traces(case):
+    """Same verdict and property at both ``expect_quiescent`` values;
+    the same detail too, except that uniform integrity names a process's
+    earliest breaking adelivery where the batch definition named the
+    earliest first occurrence of a breaking id."""
+    trace, config = case
+    checker = AbcastChecker(trace, config)
+    for quiescent in (True, False):
+        expected = verdict(reference_check_all, trace, config, quiescent)
+        actual = verdict(checker.check_all, quiescent)
+        if expected and expected[0] == "Abcast Uniform integrity":
+            expected, actual = expected[0], actual and actual[0]
+        assert actual == expected

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, ProtocolViolationError
 from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.runner import (
     ResultCache,
@@ -277,9 +277,55 @@ class TestMetricsTraceMode:
         )
         assert metrics.sent == full.sent
 
-    def test_metrics_mode_with_safety_checks_rejected(self):
-        with pytest.raises(ConfigurationError):
-            exp_spec(trace_mode="metrics", safety_checks=True)
+    def test_metrics_mode_runs_checked_by_default(self):
+        spec = exp_spec(trace_mode="metrics")
+        assert spec.safety_checks
+        assert run_experiment(spec).sent > 0
+
+    def test_a_planted_reordering_fails_both_trace_modes_alike(
+        self, monkeypatch
+    ):
+        """Mutant: the first process to order a decided batch of two or
+        more ids adelivers that batch reversed.  The run fails with the
+        same total-order violation in both trace modes, and the batch
+        definition of the property, read off the full trace, agrees."""
+        from tests.checkers.test_checker_violations import (
+            reference_check_all,
+        )
+
+        verdicts = {}
+        for mode in ("full", "metrics"):
+            reversed_batches = []
+
+            def order_id_set(ids):
+                ordered = tuple(sorted(ids))
+                if len(ordered) > 1 and not reversed_batches:
+                    reversed_batches.append(ordered)
+                    return ordered[::-1]
+                return ordered
+
+            monkeypatch.setattr(
+                "repro.abcast.base.order_id_set", order_id_set
+            )
+            systems = []
+            with pytest.raises(ProtocolViolationError) as raised:
+                run_experiment(
+                    exp_spec(trace_mode=mode, throughput=400.0),
+                    on_system=systems.append,
+                )
+            assert reversed_batches
+            verdicts[mode] = (raised.value.prop, raised.value.detail)
+            if mode == "full":
+                with pytest.raises(ProtocolViolationError) as reference:
+                    reference_check_all(
+                        systems[0].trace, systems[0].config,
+                        expect_quiescent=False,
+                    )
+                assert verdicts[mode] == (
+                    reference.value.prop, reference.value.detail
+                )
+        assert verdicts["full"] == verdicts["metrics"]
+        assert verdicts["full"][0] == "Abcast Uniform total order"
 
     def test_unknown_trace_mode_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -85,14 +85,15 @@ class TestSafetyDefaults:
         assert all(s.safety_checks for s in sweep().experiments())
         assert all(s.trace_mode == "full" for s in sweep().experiments())
 
-    def test_metrics_mode_checks_off(self):
+    def test_metrics_mode_checks_on(self):
         specs = sweep(trace_mode="metrics").experiments()
-        assert all(not s.safety_checks for s in specs)
+        assert all(s.safety_checks for s in specs)
         assert all(s.trace_mode == "metrics" for s in specs)
 
-    def test_explicit_checks_with_metrics_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sweep(trace_mode="metrics", safety_checks=True)
+    @pytest.mark.parametrize("trace_mode", ["full", "metrics"])
+    def test_checks_switch_off_in_either_mode(self, trace_mode):
+        specs = sweep(trace_mode=trace_mode, safety_checks=False).experiments()
+        assert not any(s.safety_checks for s in specs)
 
 
 class TestValidation:

@@ -4,13 +4,16 @@ Every protocol event a run emits is recorded once by the run's trace,
 which then calls each subscribed probe hook itself.  This module pins
 that path as exact counts (``sys.setprofile``, so they repeat on any
 machine) on a fixed small ``SETUP_1`` drive with the default probes, in
-both trace modes:
+both trace modes, checked and unchecked:
 
 * calls to functions named ``record`` or ``on_event`` defined in
-  ``repro`` — exactly three per protocol event: the trace's ``record``,
-  the latency probe and the consensus probe.  When a wrapper tap sat in
-  front of the trace and the latency probe fed a second accumulator,
-  the same drive made five (``PARENT_CALLS_PER_EVENT``);
+  ``repro`` — exactly three per protocol event unchecked: the trace's
+  ``record``, the latency probe and the consensus probe.  When a
+  wrapper tap sat in front of the trace and the latency probe fed a
+  second accumulator, the same drive made five
+  (``PARENT_CALLS_PER_EVENT``);
+* ``safety_checks`` adds exactly one: the abcast checker's
+  ``on_event``, the same in both trace modes;
 * the traffic, fd and utilisation probes read end-of-run counters and
   are never called per event.
 """
@@ -33,8 +36,9 @@ _REPRO_DIR = os.sep + "repro" + os.sep
 #: moved into the trace: tap, trace, latency probe, its accumulator's
 #: ``record``, consensus probe.
 PARENT_CALLS_PER_EVENT = 5
-#: ...and now: trace, latency probe, consensus probe.
-CALLS_PER_EVENT = 3
+#: ...and now: trace, latency probe, consensus probe, and the abcast
+#: checker when the run is checked.
+CALLS_PER_EVENT = {False: 3, True: 4}
 #: Protocol events the drive emits (the same in both trace modes).
 EVENTS = 504
 
@@ -45,7 +49,7 @@ def _record_path(code) -> str | None:
     return None
 
 
-def drive(trace_mode: str) -> dict:
+def drive(trace_mode: str, checked: bool) -> dict:
     spec = ExperimentSpec(
         name="record-path",
         stack=StackSpec(n=3, seed=5, abcast="indirect",
@@ -57,7 +61,7 @@ def drive(trace_mode: str) -> dict:
         warmup=0.05,
         drain=0.4,
         trace_mode=trace_mode,
-        safety_checks=trace_mode == "full",
+        safety_checks=checked,
     )
     systems = []
     result, calls = count_calls(
@@ -71,13 +75,16 @@ def drive(trace_mode: str) -> dict:
     }
 
 
+@pytest.mark.parametrize("checked", [False, True])
 @pytest.mark.parametrize("trace_mode", ["full", "metrics"])
 class TestRecordPathBudget:
-    def test_three_calls_per_protocol_event(self, trace_mode):
-        run = drive(trace_mode)
+    def test_calls_per_protocol_event(self, trace_mode, checked):
+        run = drive(trace_mode, checked)
         assert run["result"].spec.metrics == DEFAULT_PROBES
         assert run["events"] == EVENTS
         assert run["record"] == EVENTS
-        assert run["on_event"] == 2 * EVENTS
-        assert run["record"] + run["on_event"] == CALLS_PER_EVENT * EVENTS
-        assert CALLS_PER_EVENT < PARENT_CALLS_PER_EVENT
+        assert run["on_event"] == (2 + checked) * EVENTS
+        assert run["record"] + run["on_event"] == (
+            CALLS_PER_EVENT[checked] * EVENTS
+        )
+        assert CALLS_PER_EVENT[checked] < PARENT_CALLS_PER_EVENT

@@ -26,28 +26,36 @@ snapshot, so the guard sees everything else: the sequencer's ordered
 ``log``, which its repair path and seal snapshots replay (a seal
 frame's size sums the whole log).
 
-Two legs bound what a run keeps per record rather than its growth:
+The full-trace leg bounds what a run keeps per record rather than its
+growth: it runs the same drive with a full ``Trace`` and holds
+``repro/sim/trace.py`` to ``TRACE_BYTES_PER_EVENT`` per recorded
+event: the ``events`` list alone is about 8, and the per-kind indexes
+that duplicated it brought the total to about 28.
 
-* the full-trace leg runs the same drive with a full ``Trace`` and
-  holds ``repro/sim/trace.py`` to ``TRACE_BYTES_PER_EVENT`` per
-  recorded event: the ``events`` list alone is about 8, and the
-  per-kind indexes that duplicated it brought the total to about 28;
-* the crash leg crashes p1, so no measured message is ever delivered
-  by the whole group and none retires from the latency probe, and
-  holds ``repro/metrics/probes.py`` to ``PROBE_BYTES_PER_MESSAGE`` per
-  measured message (about 93; a set of delivering pids per message
-  made it about 310).
+The checked legs add the streaming abcast checker to the probes (as a
+``trace_mode="metrics"`` run with ``safety_checks`` does), with and
+without p1 crashing early, and hold the ``checkers`` and ``metrics``
+layers to the same 1.3× as ``FLAT``.  The latency probe's samples
+columns are the measurement itself, one 8-byte float per delivery, so
+they are held to ``SAMPLE_BYTES`` per sample instead and left out of
+the ``metrics`` figure.  With p1 crashed no measured message is ever
+delivered by the whole group: the probe and the checker retire a
+message once every process still live delivered it (before, the probe
+waited for all n and kept about 93 bytes per measured message).
 """
 
 from __future__ import annotations
 
 import gc
+import inspect
 import os
 import tracemalloc
 
 import pytest
 
 import repro
+from repro.checkers.abcast import AbcastChecker
+from repro.core.config import SystemConfig
 from repro.failure.crash import CrashSchedule
 from repro.harness.experiment import ExperimentSpec
 from repro.metrics.probes import LatencyProbe, build_probes
@@ -86,9 +94,16 @@ SHARD_BYTES_PER_OP = 24
 #: ``repro/sim/trace.py`` bytes per recorded event: the ``events``
 #: list's slot plus its over-allocation, and nothing per kind.
 TRACE_BYTES_PER_EVENT = 12
-#: Latency-probe bytes per measured message that never retires: its
-#: send-time entry, its delivered-by entry and its samples.
-PROBE_BYTES_PER_MESSAGE = 150
+#: Latency-probe bytes per delivery sample: the float plus the
+#: ``array('d')`` column's over-allocation.
+SAMPLE_BYTES = 10
+
+
+def _samples_at() -> tuple[str, int]:
+    """``(file, line)`` where the latency probe appends a sample."""
+    lines, start = inspect.getsourcelines(LatencyProbe.on_event)
+    offset = next(i for i, line in enumerate(lines) if "self._samples[" in line)
+    return LatencyProbe.on_event.__code__.co_filename, start + offset
 
 
 def _decided(system) -> int:
@@ -104,11 +119,12 @@ def _drive(
     duration: float,
     trace: type = CountingTrace,
     crashes: CrashSchedule | None = None,
+    checked: bool = False,
 ):
-    """Build ``spec`` with the default probes feeding ``trace`` (a
-    ``CountingTrace`` is metrics mode), load it for ``duration`` and
-    run the drain; returns ``(groups, completed operations,
-    keep-alive)``."""
+    """Build ``spec`` with the default probes (and, ``checked``, the
+    abcast checker) feeding ``trace`` (a ``CountingTrace`` is metrics
+    mode), load it for ``duration`` and run the drain; returns
+    ``(groups, completed operations, keep-alive)``."""
     if isinstance(spec, ShardSpec):
         service = build_sharded_system(
             spec, traces=[CountingTrace() for _ in range(spec.shards)]
@@ -130,6 +146,8 @@ def _drive(
         probe.on_event for _, probe in build_probes(experiment)
         if probe.on_event is not None
     ]
+    if checked:
+        sinks.append(AbcastChecker(None, SystemConfig(n=spec.n)).on_event)
     system = repro.build_system(spec, crashes, trace=trace(sinks))
     WORKLOADS.get("symmetric").factory(
         system, throughput=RATE, payload_size=100, duration=duration,
@@ -140,16 +158,17 @@ def _drive(
 
 
 def retained_by_layer(
-    spec: StackSpec | ShardSpec, duration: float
+    spec: StackSpec | ShardSpec, duration: float, **drive
 ) -> tuple[dict, int, int]:
     """Run ``spec`` (one group, or a sharded service) for ``duration``
     and return (bytes by layer, decided instances at p1 summed over the
     groups, operations the router completed), measured with the system
-    alive."""
+    alive.  The latency samples count as layer ``"samples"``, not
+    ``"metrics"``, and ``"sample_count"`` is how many there are."""
     gc.collect()
     tracemalloc.start()
     try:
-        groups, completed, alive = _drive(spec, duration)
+        groups, completed, alive = _drive(spec, duration, **drive)
         for system in groups:
             abcasts = system.abcasts.values()
             assert min(abcast.delivered_count() for abcast in abcasts) > 0
@@ -158,16 +177,25 @@ def retained_by_layer(
                 if log is not None:
                     log.clear()
         decided = sum(_decided(system) for system in groups)
+        probes = [
+            sink.__self__ for system in groups for sink in system.trace.sinks
+            if isinstance(sink.__self__, LatencyProbe)
+        ]
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    by_layer: dict[str, int] = {}
-    for stat in snapshot.statistics("filename"):
-        filename = stat.traceback[0].filename
-        at = filename.find(_REPRO)
+    by_layer = {"sample_count": sum(
+        len(column) for probe in probes for column in probe._samples.values()
+    )}
+    samples_at = _samples_at()
+    for stat in snapshot.statistics("lineno"):
+        frame = stat.traceback[0]
+        at = frame.filename.find(_REPRO)
         if at >= 0:
-            layer = filename[at + len(_REPRO):].split(os.sep)[0]
+            layer = frame.filename[at + len(_REPRO):].split(os.sep)[0]
+            if (frame.filename, frame.lineno) == samples_at:
+                layer = "samples"
             by_layer[layer] = by_layer.get(layer, 0) + stat.size
     alive.close()
     return by_layer, decided, completed
@@ -235,16 +263,24 @@ def test_full_trace_keeps_each_event_once():
     assert_trace_lean(STACKS["ct-indirect"], longer=4)
 
 
-def test_unretired_messages_cost_the_probe_no_set():
-    """With p1 crashed early, every measured message stays in flight."""
-    held, system = _measure(
-        STACKS["ct-indirect"], 4 * T, "metrics/probes.py",
-        crashes=CrashSchedule.single(1, 0.05),
+def assert_checked_flat(
+    spec: StackSpec, crash: bool = False, longer: int = 4
+) -> None:
+    """The checked-leg bounds on runs of ``spec`` for ``T`` and
+    ``longer × T``, with p1 crashing at 50 ms if ``crash``."""
+    crashes = CrashSchedule.single(1, 0.05) if crash else None
+    short, _, _ = retained_by_layer(spec, T, crashes=crashes, checked=True)
+    long, _, _ = retained_by_layer(
+        spec, longer * T, crashes=crashes, checked=True
     )
-    (probe,) = (
-        sink.__self__ for sink in system.trace.sinks
-        if isinstance(sink.__self__, LatencyProbe)
-    )
-    assert probe._measured > 400 and probe._retired == 0
-    per_message = held / probe._measured
-    assert per_message <= PROBE_BYTES_PER_MESSAGE, per_message
+    for layer in FLAT + ("checkers", "metrics"):
+        assert long.get(layer, 0) <= 1.3 * short.get(layer, 0), (
+            layer, short, long,
+        )
+    per_sample = long["samples"] / long["sample_count"]
+    assert per_sample <= SAMPLE_BYTES, per_sample
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["clean", "p1-crashed"])
+def test_checked_metrics_run_retains_no_more_with_run_length(crash):
+    assert_checked_flat(STACKS["ct-indirect"], crash=crash)
