@@ -49,8 +49,13 @@ def round_statistics(system: System) -> RoundStatistics:
     decision: dict[int, int] = {}
     churn: dict[int, int] = {}
     for consensus in system.consensuses.values():
-        for k, entries in consensus.round_log.items():
-            rounds = len(entries)
+        # An instance's rounds entered is the length of its slice of
+        # the log's ``times``: the difference of consecutive ends.
+        log = consensus.round_log
+        start = 0
+        for k, end in zip(log.instances, log.ends):
+            rounds = end - start
+            start = end
             decision[k] = min(decision.get(k, rounds), rounds)
             churn[k] = max(churn.get(k, 0), rounds)
     if not decision:

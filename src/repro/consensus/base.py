@@ -13,7 +13,9 @@ per-instance state machine; the base class owns:
 * buffering of frames that arrive before the local ``propose`` (a
   process may receive round messages or even decisions for instances it
   has not started yet);
-* trace records (``ProposeEvent`` / ``DecideEvent``) and the resilience
+* trace records (``ProposeEvent`` / ``DecideEvent``, whose id sets go
+  through the trace's :meth:`~repro.sim.trace.TraceObserver.share`, so
+  a full trace holds each distinct value once) and the resilience
   guard that enforces each algorithm's ``f`` bound at configuration time.
 """
 
@@ -236,9 +238,10 @@ class ConsensusService:
         instance = self._instance(k)
         if instance.proposed:
             raise ConfigurationError(f"p{self.pid}: instance {k} already proposed")
-        self.process.trace.record(
-            ProposeEvent(self.engine.now, self.pid, k, self.codec.to_ids(value))
-        )
+        trace = self.process.trace
+        trace.record(ProposeEvent(
+            self.engine.now, self.pid, k, trace.share(self.codec.to_ids(value))
+        ))
         instance.start(value, rcv)
 
     def has_decided(self, k: int) -> bool:
@@ -352,8 +355,9 @@ class ConsensusService:
                 log.instances.append(k)
                 log.times.extend(instance.round_entries)
                 log.ends.append(len(log.times))
-        self.process.trace.record(
-            DecideEvent(self.engine.now, self.pid, k, self.codec.to_ids(value))
-        )
+        trace = self.process.trace
+        trace.record(DecideEvent(
+            self.engine.now, self.pid, k, trace.share(self.codec.to_ids(value))
+        ))
         for callback in self._callbacks:
             callback(k, value)

@@ -100,7 +100,12 @@ class RDeliverEvent(ProtocolEvent):
 @_fast_init
 @dataclass(frozen=True, slots=True)
 class ProposeEvent(ProtocolEvent):
-    """``propose(k, v, rcv)`` for consensus instance ``k``."""
+    """``propose(k, v, rcv)`` for consensus instance ``k``.
+
+    ``value`` is the identifier set the proposal orders.  A full trace
+    records an equal set once (:meth:`~repro.sim.trace.TraceObserver.share`),
+    so the propose and decide events of an instance share it.
+    """
 
     instance: int
     value: frozenset[MessageId]
@@ -111,15 +116,13 @@ class ProposeEvent(ProtocolEvent):
 class DecideEvent(ProtocolEvent):
     """``decide(k, v)`` for consensus instance ``k``.
 
-    ``holders_at_decision`` records which processes held ``msgs(v)`` at
-    the moment of the *first* decision of the instance — the observation
-    the No loss checker needs (it must hold at decision time ``t``, not
-    merely eventually).
+    Who held ``msgs(v)`` at the first decision — the observation the No
+    loss checker needs — is derived from the trace's r-deliveries
+    (:meth:`~repro.sim.trace.Trace.holders_at`), not stored here.
     """
 
     instance: int
     value: frozenset[MessageId]
-    holders_at_decision: frozenset[ProcessId] = frozenset()
 
 
 @_fast_init

@@ -28,7 +28,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -168,6 +167,10 @@ class ResultCache:
         (the hash ignores names); the returned result carries the
         caller's spec so reports label points correctly.
         """
+        # Imported here (and in ``store`` and ``_pickles``): a serial,
+        # uncached run never loads ``pickle``.
+        import pickle
+
         try:
             with self.path_for(spec, key).open("rb") as fh:
                 result: ExperimentResult = pickle.load(fh)
@@ -189,6 +192,8 @@ class ResultCache:
         key: str | None = None,
     ) -> None:
         """Persist ``result`` under ``spec``'s key (atomic)."""
+        import pickle
+
         path = self.path_for(spec, key)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with tmp.open("wb") as fh:
@@ -203,6 +208,8 @@ class ResultCache:
 
 def _pickles(obj: object) -> bool:
     """Whether ``obj`` can cross a process boundary."""
+    import pickle
+
     try:
         pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
     except Exception:

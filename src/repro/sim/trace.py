@@ -11,7 +11,9 @@ checking ride the same call in both retention policies:
 
 * :class:`Trace` — the full, append-only event list, each event held
   once: what post-hoc analysis, the batch checkers and scenario tests
-  read (the properties of the paper are predicates over traces).
+  read (the properties of the paper are predicates over traces).  The
+  consensus values its propose and decide events carry are held once
+  per distinct value, too (:meth:`TraceObserver.share`).
 
 * :class:`CountingTrace` — the cheap observer for pure performance
   runs: it counts events and remembers crashes, nothing else, so a
@@ -42,6 +44,11 @@ from repro.core.events import (
 )
 from repro.core.identifiers import MessageId, ProcessId
 
+#: Distinct consensus values a :class:`Trace` remembers for sharing.
+#: An instance's proposals and decisions are recorded close together,
+#: so a small table finds nearly every repeat.
+SHARE_TABLE_SIZE = 256
+
 
 class TraceObserver:
     """Sink for protocol events emitted during a run.
@@ -64,6 +71,15 @@ class TraceObserver:
 
     def record(self, event: ProtocolEvent) -> None:
         raise NotImplementedError
+
+    def share(self, value: frozenset[MessageId]) -> frozenset[MessageId]:
+        """The object to record for the consensus value ``value``.
+
+        The consensus services pass each propose and decide value
+        through here before recording it.  An observer that keeps no
+        events returns ``value`` itself and keeps nothing.
+        """
+        return value
 
     def instances(self) -> list[int]:
         """All consensus instance numbers that reached a decision."""
@@ -89,6 +105,13 @@ class Trace(TraceObserver):
     over :attr:`events`, so checkers never need isinstance ladders; a
     caller that visits every instance groups once instead
     (:meth:`first_decisions`).
+
+    Every process builds its own copy of a proposed id set, and an
+    instance's proposals and decisions are mostly equal, so
+    :meth:`share` maps each value to an equal one recorded recently:
+    the events of an instance then hold one ``frozenset`` between them.
+    Its table keeps at most :data:`SHARE_TABLE_SIZE` values and starts
+    over when full, so it costs O(1) memory whatever the run length.
     """
 
     def __init__(
@@ -101,6 +124,18 @@ class Trace(TraceObserver):
         #: index on demand, so recording pays nothing for it.
         self._indexed = 0
         self._first_rdelivery: dict[ProcessId, dict[MessageId, float]] = {}
+        #: Recently recorded consensus values, each mapped to itself.
+        self._values: dict[frozenset[MessageId], frozenset[MessageId]] = {}
+
+    def share(self, value: frozenset[MessageId]) -> frozenset[MessageId]:
+        """An equal value among the recent ones, else ``value`` (noted)."""
+        values = self._values
+        if value in values:
+            return values[value]
+        if len(values) >= SHARE_TABLE_SIZE:
+            values.clear()
+        values[value] = value
+        return value
 
     def record(self, event: ProtocolEvent) -> None:
         """Append ``event``, note a crash, feed the sinks."""
@@ -188,15 +223,18 @@ class Trace(TraceObserver):
         """
         # ``process`` held ``mid`` at ``t`` iff its first r-delivery
         # time is ``<= t``, so one index answers every query; events
-        # only append, so it is extended from where it stopped.
+        # only append, so it is extended from where it stopped, reading
+        # the new events in place.
         index = self._first_rdelivery
-        for event in self.events[self._indexed:]:
+        events = self.events
+        for at in range(self._indexed, len(events)):
+            event = events[at]
             if type(event) is RDeliverEvent:
                 first = index.setdefault(event.process, {})
                 mid = event.message.mid
                 if event.time < first.get(mid, inf):
                     first[mid] = event.time
-        self._indexed = len(self.events)
+        self._indexed = len(events)
         holders = set()
         for process, first in index.items():
             if not include_crashed:

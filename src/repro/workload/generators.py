@@ -3,7 +3,9 @@
 All generators schedule ``abroadcast`` calls on a built
 :class:`~repro.stack.builder.System`; they draw inter-arrival times from
 the system's named RNG streams, so the arrival pattern is reproducible
-and independent of any other randomness in the run.
+and independent of any other randomness in the run.  Every message of a
+source carries the same frozen, content-free
+:class:`~repro.core.message.Payload` object, built once per source.
 
 Both generators are registered in the ``workload`` layer registry
 (:data:`repro.stack.layers.WORKLOADS`), which is how
@@ -73,6 +75,9 @@ class SymmetricWorkload:
         self.duration = duration
         self.start = start
         self.arrivals = arrivals
+        #: The payload every message carries: frozen and content-free,
+        #: so one object serves the whole run.
+        self.payload = make_payload(payload_size)
         #: Number of abroadcasts issued so far.
         self.sent = 0
         # Per-pid stream cache: ``rngs.stream`` memoizes by name, so
@@ -123,7 +128,7 @@ class SymmetricWorkload:
         rate: float,
         interval: float | None,
     ) -> None:
-        self.system.abcasts[pid].abroadcast(make_payload(self.payload_size))
+        self.system.abcasts[pid].abroadcast(self.payload)
         self.sent += 1
         if interval is None:
             next_time = time + self._streams[pid].expovariate(rate)
@@ -187,6 +192,8 @@ class ClosedLoopWorkload:
         self.duration = duration
         self.start = start
         self.arrivals = arrivals
+        #: The payload every message carries (one object, as above).
+        self.payload = make_payload(payload_size)
         #: Number of abroadcasts issued so far.
         self.sent = 0
         #: Outstanding message id per client (None = thinking).
@@ -224,9 +231,7 @@ class ClosedLoopWorkload:
     def _send(self, pid: "ProcessId") -> None:
         if self.system.processes[pid].engine.now >= self.end:
             return
-        message = self.system.abcasts[pid].abroadcast(
-            make_payload(self.payload_size)
-        )
+        message = self.system.abcasts[pid].abroadcast(self.payload)
         if message is None:
             return  # crashed client
         self.sent += 1

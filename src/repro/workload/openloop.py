@@ -22,7 +22,9 @@ Two arrival processes:
 Both are registered in the workload layer registry
 (:data:`repro.stack.layers.WORKLOADS`) under ``"poisson"`` and
 ``"bursty"`` with ``meta={"aggregate": True}``, which is how the shard
-sweep discovers that they accept a ``sink``.
+sweep discovers that they accept a ``sink``.  Like the per-replica
+generators, a source builds its frozen, content-free payload once and
+hands the same object to every arrival.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ class PoissonWorkload:
         self.start = start
         self.arrivals = arrivals
         self.sink = sink
+        #: The payload every arrival carries: frozen and content-free,
+        #: so one object serves the whole run.
+        self.payload = make_payload(payload_size)
         #: Number of arrivals injected so far.
         self.sent = 0
         self._rng = system.rngs.stream(self.STREAM)
@@ -123,7 +128,7 @@ class PoissonWorkload:
             self.system.engine.schedule_at(next_time, self._fire, next_time)
 
     def _inject(self) -> None:
-        payload = make_payload(self.payload_size)
+        payload = self.payload
         if self.sink is not None:
             self.sink(payload)
             self.sent += 1

@@ -42,9 +42,8 @@ CASES = [
      dict(time=1.5, process=1, message=MESSAGE, uniform=True)),
     (ProposeEvent, (1.5, 1, 7, IDS),
      dict(time=1.5, process=1, instance=7, value=IDS)),
-    (DecideEvent, (1.5, 1, 7, IDS, frozenset({1, 2})),
-     dict(time=1.5, process=1, instance=7, value=IDS,
-          holders_at_decision=frozenset({1, 2}))),
+    (DecideEvent, (1.5, 1, 7, IDS),
+     dict(time=1.5, process=1, instance=7, value=IDS)),
     (CrashEvent, (1.5, 3), dict(time=1.5, process=3)),
 ]
 IDS_OF = [case[0].__name__ for case in CASES]
@@ -87,8 +86,16 @@ def test_defaults_hold():
     assert RDeliverEvent(0.0, 1, MESSAGE).uniform is False
     assert RDeliverEvent(time=0.0, process=1, message=MESSAGE).uniform is False
     decide = DecideEvent(0.0, 1, 3, IDS)
-    assert decide.holders_at_decision == frozenset()
     assert decide == DecideEvent(time=0.0, process=1, instance=3, value=IDS)
+
+
+def test_decide_event_has_no_holders_field():
+    # The trace derives holders from its r-deliveries (``holders_at``).
+    assert [f.name for f in dataclasses.fields(DecideEvent)] == [
+        "time", "process", "instance", "value",
+    ]
+    with pytest.raises(TypeError):
+        DecideEvent(0.0, 1, 3, IDS, frozenset({1}))
 
 
 def test_classes_of_equal_fields_stay_distinct():

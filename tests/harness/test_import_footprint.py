@@ -2,9 +2,9 @@
 
 Every sweep worker and every benchmark process pays for ``import repro``
 in resident memory.  The process pool (``multiprocessing``, which pulls
-in ``socket``), the CSV writer and the did-you-mean matcher (``difflib``)
-are imported inside the functions that use them, so a serial run never
-loads them.  The check runs in a fresh interpreter, which then starts a
+in ``socket``), the CSV writer, the did-you-mean matcher (``difflib``)
+and the result cache's and pool's ``pickle`` are imported inside the
+functions that use them, so a serial, uncached run never loads them.  The check runs in a fresh interpreter, which then starts a
 pool without ``multiprocessing`` ever having been preloaded.
 """
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 
-LAZY = ("multiprocessing", "socket", "csv", "difflib")
+LAZY = ("multiprocessing", "socket", "csv", "difflib", "pickle")
 
 SCRIPT = f"""
 import sys

@@ -1,5 +1,6 @@
 """Tests for the trace observers and their derived queries."""
 
+import repro
 from repro.core.events import (
     ABroadcastEvent,
     ADeliverEvent,
@@ -10,7 +11,9 @@ from repro.core.events import (
 )
 from repro.core.identifiers import MessageId
 from repro.core.message import AppMessage, make_payload
-from repro.sim.trace import CountingTrace, Trace, TraceObserver
+from repro.net.setups import SETUP_1
+from repro.sim.trace import SHARE_TABLE_SIZE, CountingTrace, Trace, TraceObserver
+from repro.stack.builder import StackSpec
 
 
 def msg(origin, seq):
@@ -161,3 +164,59 @@ class TestSinks:
         for trace in (Trace(), CountingTrace()):
             assert isinstance(trace, TraceObserver)
             assert trace.sinks == ()
+
+
+def ids(*seqs):
+    """A fresh id set (a new object on every call)."""
+    return frozenset(MessageId(1, seq) for seq in seqs)
+
+
+class TestSharedValues:
+    """A full trace holds one object per distinct consensus value."""
+
+    def test_equal_values_from_different_processes_share_one_object(self):
+        trace = Trace()
+        first = trace.share(ids(1, 2))
+        again = trace.share(ids(1, 2))
+        assert again is first
+        assert trace.share(ids(3)) is not first
+        # In a run: every process proposes and decides its own copy.
+        system = repro.build_system(
+            StackSpec(n=3, abcast="indirect", consensus="ct-indirect",
+                      params=SETUP_1, seed=0),
+            trace=Trace(),
+        )
+        for seq in range(6):
+            for pid in (1, 2, 3):
+                system.processes[pid].schedule_at(
+                    seq * 2e-3, system.abcasts[pid].abroadcast,
+                    make_payload(64),
+                )
+        system.run(until=1.0)
+        values = [
+            e.value for e in system.trace.events
+            if type(e) in (ProposeEvent, DecideEvent)
+        ]
+        assert len(values) > 2 * len(system.trace.instances()) > 0
+        objects = {}
+        for value in values:
+            assert objects.setdefault(value, value) is value
+        system.close()
+
+    def test_the_table_stays_within_its_bound_on_a_long_run(self):
+        trace = Trace()
+        for seq in range(10 * SHARE_TABLE_SIZE):
+            value = ids(seq)
+            assert trace.share(value) is value
+            assert trace.share(ids(seq)) is value
+            assert len(trace._values) <= SHARE_TABLE_SIZE
+        assert trace.events == []
+
+    def test_counting_trace_returns_the_value_and_keeps_nothing(self):
+        trace = CountingTrace()
+        state = dict(vars(trace))
+        for _ in range(3):
+            value = ids(1, 2)
+            assert trace.share(value) is value
+        assert vars(trace) == state
+        assert len(trace) == 0

@@ -32,6 +32,14 @@ growth: it runs the same drive with a full ``Trace`` and holds
 event: the ``events`` list alone is about 8, and the per-kind indexes
 that duplicated it brought the total to about 28.
 
+The shared-values leg runs the same drive with a full ``Trace`` too,
+at ``T`` and ``4T``, and looks at what the recorded events point to:
+the distinct id-set objects of the propose and decide events come to
+at most ``VALUE_BYTES_PER_EVENT`` per such event (about 110 while each
+process recorded its own copy of every value, about 50 now), and every
+abroadcast message of the one workload source carries the same
+``Payload`` object (there was one per message).
+
 The checked legs add the streaming abcast checker to the probes (as a
 ``trace_mode="metrics"`` run with ``safety_checks`` does), with and
 without p1 crashing early, and hold the ``checkers`` and ``metrics``
@@ -49,6 +57,7 @@ from __future__ import annotations
 import gc
 import inspect
 import os
+import sys
 import tracemalloc
 
 import pytest
@@ -56,6 +65,7 @@ import pytest
 import repro
 from repro.checkers.abcast import AbcastChecker
 from repro.core.config import SystemConfig
+from repro.core.events import ABroadcastEvent, DecideEvent, ProposeEvent
 from repro.failure.crash import CrashSchedule
 from repro.harness.experiment import ExperimentSpec
 from repro.metrics.probes import LatencyProbe, build_probes
@@ -94,6 +104,10 @@ SHARD_BYTES_PER_OP = 24
 #: ``repro/sim/trace.py`` bytes per recorded event: the ``events``
 #: list's slot plus its over-allocation, and nothing per kind.
 TRACE_BYTES_PER_EVENT = 12
+#: Bytes of distinct id-set objects per propose or decide event of a
+#: full trace: the trace shares equal values, so an instance's events
+#: point at one set (each process's own copy cost about 110).
+VALUE_BYTES_PER_EVENT = 64
 #: Latency-probe bytes per delivery sample: the float plus the
 #: ``array('d')`` column's over-allocation.
 SAMPLE_BYTES = 10
@@ -261,6 +275,31 @@ def test_four_shard_service_retains_no_more_per_operation():
 
 def test_full_trace_keeps_each_event_once():
     assert_trace_lean(STACKS["ct-indirect"], longer=4)
+
+
+def assert_values_shared(spec: StackSpec, longer: int = 4) -> None:
+    """The shared-values bounds on full-trace runs of ``spec`` for
+    ``T`` and ``longer × T``."""
+    for duration in (T, longer * T):
+        (system,), _, _ = _drive(spec, duration, trace=Trace)
+        events = system.trace.events
+        values = [
+            e.value for e in events if type(e) in (ProposeEvent, DecideEvent)
+        ]
+        distinct = {id(value): value for value in values}.values()
+        per_event = sum(map(sys.getsizeof, distinct)) / len(values)
+        assert per_event <= VALUE_BYTES_PER_EVENT, (duration, per_event)
+        payloads = {
+            id(e.message.payload) for e in events
+            if type(e) is ABroadcastEvent
+        }
+        assert len(payloads) == 1, (duration, len(payloads))
+        system.close()
+
+
+@pytest.mark.parametrize("name", ["ct-indirect", "mr-indirect"])
+def test_full_trace_holds_each_value_and_payload_once(name):
+    assert_values_shared(STACKS[name])
 
 
 def assert_checked_flat(
