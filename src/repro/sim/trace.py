@@ -130,12 +130,12 @@ class Trace(TraceObserver):
     def share(self, value: frozenset[MessageId]) -> frozenset[MessageId]:
         """An equal value among the recent ones, else ``value`` (noted)."""
         values = self._values
-        if value in values:
-            return values[value]
-        if len(values) >= SHARE_TABLE_SIZE:
-            values.clear()
-        values[value] = value
-        return value
+        shared = values.get(value)
+        if shared is None:
+            if len(values) >= SHARE_TABLE_SIZE:
+                values.clear()
+            shared = values[value] = value
+        return shared
 
     def record(self, event: ProtocolEvent) -> None:
         """Append ``event``, note a crash, feed the sinks."""
