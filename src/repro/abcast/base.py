@@ -121,9 +121,10 @@ class AtomicBroadcast:
         if self.process.crashed:
             return None
         self._seq += 1
-        now = self.engine.now
-        message = AppMessage(MessageId(self.pid, self._seq), self.pid, payload, now)
-        self.process.trace.record(ABroadcastEvent(now, self.pid, message))
+        message = AppMessage(MessageId(self.pid, self._seq), payload)
+        self.process.trace.record(
+            ABroadcastEvent(self.engine.now, self.pid, message)
+        )
         self.broadcast.broadcast(message)
         return message
 

@@ -179,9 +179,10 @@ class SequencerAtomicBroadcast:
         if self.process.crashed:
             return None
         self._seq += 1
-        now = self.engine.now
-        message = AppMessage(MessageId(self.pid, self._seq), self.pid, payload, now)
-        self.process.trace.record(ABroadcastEvent(now, self.pid, message))
+        message = AppMessage(MessageId(self.pid, self._seq), payload)
+        self.process.trace.record(
+            ABroadcastEvent(self.engine.now, self.pid, message)
+        )
         self.pending[message.mid] = message
         self._forward(message)
         return message
@@ -213,7 +214,6 @@ class SequencerAtomicBroadcast:
             "seq.fwd.data",
             body=message,
             size=message.wire_size(),
-            control=False,
         )
 
     def _on_fwd(self, frame: Frame) -> None:
@@ -239,7 +239,6 @@ class SequencerAtomicBroadcast:
             body=(self.epoch, seqno, message),
             size=message.wire_size() + SEQUENCER_HEADER_SIZE,
             include_self=False,
-            control=False,
         )
         self.log[seqno] = (self.epoch, message)
         self._ordered_mids.add(message.mid)
@@ -282,7 +281,6 @@ class SequencerAtomicBroadcast:
                 body=(epoch, seqno, message),
                 size=message.wire_size() + SEQUENCER_HEADER_SIZE,
                 include_self=False,
-                control=False,
             )
         self.log[seqno] = (epoch, message)
         self._ordered_mids.add(message.mid)
@@ -532,5 +530,4 @@ class SequencerAtomicBroadcast:
                 "seq.order.data",
                 body=(epoch, seqno, message),
                 size=message.wire_size() + SEQUENCER_HEADER_SIZE,
-                control=False,
             )

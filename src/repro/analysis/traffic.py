@@ -7,16 +7,17 @@ decisions, heartbeats).  This is where the O(n) vs O(n^2) broadcast
 difference and the messages-vs-identifiers consensus difference become
 countable facts rather than asymptotic claims.
 
-The counters and the data-versus-control rule
-(:func:`~repro.metrics.probes.is_data_kind`) belong to the traffic
-probe; :class:`TrafficBreakdown` is a view over its value.
+The counters belong to the traffic probe and the data-versus-control
+rule to the frame (:func:`~repro.net.frame.is_data_kind`);
+:class:`TrafficBreakdown` is a view over the probe's value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.metrics.probes import MetricValue, TrafficProbe, is_data_kind
+from repro.metrics.probes import MetricValue, TrafficProbe
+from repro.net.frame import is_data_kind
 from repro.net.models import Network
 
 

@@ -46,8 +46,6 @@ class BroadcastService:
         #: Ids delivered here (at-most-once), as per-origin watermarks.
         self._delivered = IdWatermark(len(transport.peers))
         self._callbacks: list[DeliverCallback] = []
-        #: Number of messages this process has broadcast (diagnostics).
-        self.broadcast_count = 0
 
     def on_deliver(self, callback: DeliverCallback) -> None:
         """Register a delivery callback (called in registration order)."""
@@ -63,7 +61,6 @@ class BroadcastService:
         eventually delivers its own message)."""
         if self.process.crashed:
             return
-        self.broadcast_count += 1
         self.process.trace.record(
             RBroadcastEvent(self.engine.now, self.pid, message, self.uniform)
         )

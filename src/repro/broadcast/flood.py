@@ -41,7 +41,6 @@ class FloodReliableBroadcast(BroadcastService):
             body=message,
             size=message.wire_size(),
             include_self=False,
-            control=False,
         )
 
     def _on_data(self, frame: Frame) -> None:
@@ -58,6 +57,5 @@ class FloodReliableBroadcast(BroadcastService):
             body=message,
             size=message.wire_size(),
             include_self=False,
-            control=False,
         )
         self._deliver(message)

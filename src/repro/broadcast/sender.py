@@ -80,5 +80,4 @@ class SenderReliableBroadcast(BroadcastService):
             body=message,
             size=message.wire_size(),
             include_self=False,
-            control=False,
         )

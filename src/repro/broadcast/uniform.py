@@ -55,7 +55,6 @@ class UniformReliableBroadcast(BroadcastService):
             body=message,
             size=message.wire_size(),
             include_self=False,
-            control=False,
         )
 
     def _on_data(self, frame: Frame) -> None:
@@ -76,7 +75,6 @@ class UniformReliableBroadcast(BroadcastService):
                 body=message,
                 size=message.wire_size(),
                 include_self=False,
-                control=False,
             )
 
     def _note_copy(self, message: AppMessage, holder: int) -> None:

@@ -38,12 +38,6 @@ from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.consensus.ct_indirect import CTIndirectConsensus
 from repro.consensus.mostefaoui_raynal import MostefaouiRaynalConsensus
 from repro.consensus.mr_indirect import MRIndirectConsensus
-from repro.consensus.quorums import (
-    adoption_threshold,
-    intersection_lower_bound,
-    max_resilience_for_intersection,
-    phase2_quorum,
-)
 
 __all__ = [
     "ChandraTouegConsensus",
@@ -54,8 +48,4 @@ __all__ = [
     "MostefaouiRaynalConsensus",
     "MRIndirectConsensus",
     "ValueCodec",
-    "adoption_threshold",
-    "intersection_lower_bound",
-    "max_resilience_for_intersection",
-    "phase2_quorum",
 ]

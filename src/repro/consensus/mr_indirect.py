@@ -13,8 +13,8 @@ original algorithm (bold line numbers in the paper's Algorithm 3):
 2. **Phase-2 quorum** (lines 21-22): every process waits for
    ``⌈(2n+1)/3⌉`` echoes instead of ``n - f``.  Any two such quorums
    intersect in at least ``⌈(n+1)/3⌉ ≥ f + 1`` processes (Figure 2 and
-   :mod:`repro.consensus.quorums`), which is what makes condition 3
-   sound.
+   :func:`~repro.harness.figures.figure2_table`), which is what makes
+   condition 3 sound.
 
 3. **Conditional adoption** (lines 27-29): on ``rec_p = {v, ⊥}`` the
    process adopts ``v`` only if ``rcv(v)`` holds **or** ``v`` was

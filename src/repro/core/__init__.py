@@ -2,8 +2,8 @@
 
 This package holds the vocabulary of the paper: processes and message
 identifiers (:mod:`repro.core.identifiers`), application messages
-(:mod:`repro.core.message`), indirect-consensus proposals and the ``rcv``
-predicate (:mod:`repro.core.proposal`, :mod:`repro.core.rcv`), the system
+(:mod:`repro.core.message`), the store of received messages behind the
+``rcv`` predicate of indirect consensus (:mod:`repro.core.rcv`), the system
 configuration (:mod:`repro.core.config`), and the protocol-level event
 records that checkers consume (:mod:`repro.core.events`).
 
@@ -30,7 +30,6 @@ from repro.core.exceptions import (
 )
 from repro.core.identifiers import MessageId, ProcessId
 from repro.core.message import AppMessage, make_payload
-from repro.core.proposal import IndirectProposal
 from repro.core.rcv import ReceivedStore, RcvFunction
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "ConfigurationError",
     "CrashEvent",
     "DecideEvent",
-    "IndirectProposal",
     "MessageId",
     "ProcessId",
     "ProposeEvent",

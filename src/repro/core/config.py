@@ -8,13 +8,15 @@ from those two numbers.
 The quorum arithmetic matters: the adaptation of the Mostefaoui-Raynal
 algorithm is exactly the story of ``majority_quorum`` (``⌈(n+1)/2⌉``)
 being replaced by ``two_thirds_quorum`` (``⌈(2n+1)/3⌉``), which drops the
-resilience from ``f < n/2`` to ``f < n/3``.
+resilience from ``f < n/2`` to ``f < n/3``.  The quorum sizes live here;
+each algorithm's resilience is its class's ``resilience_bound``, and
+:func:`~repro.harness.figures.figure2_table` reads both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import ProcessId
@@ -71,16 +73,6 @@ class SystemConfig:
         """
         return (round_number % self.n) + 1
 
-    def majority_holds(self, f: int | None = None) -> bool:
-        """``f < n/2`` — resilience condition of CT (original and indirect)."""
-        faults = self.f if f is None else f
-        return faults < self.n / 2
-
-    def third_holds(self, f: int | None = None) -> bool:
-        """``f < n/3`` — resilience condition of indirect MR."""
-        faults = self.f if f is None else f
-        return faults < self.n / 3
-
     def stability_threshold(self) -> int:
         """``f + 1`` — processes that must hold ``msgs(v)`` for v-stability.
 
@@ -89,7 +81,3 @@ class SystemConfig:
         is what the No loss property promises.
         """
         return self.f + 1
-
-    def with_f(self, f: int) -> "SystemConfig":
-        """Return a copy of this configuration with a different ``f``."""
-        return SystemConfig(n=self.n, f=f)

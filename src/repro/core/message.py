@@ -10,10 +10,10 @@ network model the exact number of bytes the real system would ship.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.core.identifiers import MessageId, ProcessId
+from repro.core.identifiers import MessageId
 
 #: Bytes of framing added to every application message on the wire
 #: (identifier + length field), independent of the payload.
@@ -52,18 +52,16 @@ def make_payload(size: int, content: Any = None) -> Payload:
 class AppMessage:
     """An atomically-broadcast application message ``m``.
 
+    Each fact is held once: the sender is ``mid.origin`` and the time
+    of ``abroadcast`` is the trace's ``ABroadcastEvent`` for it.
+
     Attributes:
-        mid: The unique identifier ``id(m)``.
-        sender: The process that called ``abroadcast(m)``.
+        mid: The unique identifier ``id(m)``, which names the sender.
         payload: Application payload (size drives the network model).
-        sent_at: Simulated time at which ``abroadcast`` was invoked; used
-            by the metrics layer to compute delivery latency.
     """
 
     mid: MessageId
-    sender: ProcessId
-    payload: Payload = field(default_factory=lambda: Payload(1))
-    sent_at: float = 0.0
+    payload: Payload
 
     def wire_size(self) -> int:
         """Serialized size of the full message, in bytes."""

@@ -25,37 +25,31 @@ RcvFunction = Callable[[Iterable[MessageId]], bool]
 
 
 class ReceivedStore:
-    """The ``received_p`` set of Algorithm 1, with cost accounting.
+    """The ``received_p`` set of Algorithm 1.
 
-    Besides answering membership queries, the store counts how many
-    identifier lookups the ``rcv`` predicate performs.  The performance
-    sections of the paper attribute the measurable overhead of indirect
-    consensus to exactly these lookups ("the calls to the rcv function
-    ... take more and more time" as throughput grows), so the simulation
-    charges CPU time per lookup; the counter is how the protocol layer
-    learns the bill.
+    The performance sections of the paper attribute the measurable
+    overhead of indirect consensus to the ``rcv`` lookups ("the calls to
+    the rcv function ... take more and more time" as throughput grows).
+    The store only answers them; the consensus service bills the CPU
+    time, per identifier checked, when it calls :meth:`rcv`.
 
     ``received_p`` only grows, but a payload is needed only until its
     message is adelivered: :meth:`take` hands it to the delivery and
     drops it, and the id stays received through ``adelivered``, the
     atomic broadcast layer's watermark of delivered ids.  Membership
     (``has``, ``in``, ``rcv``, ``add``) answers exactly as if every
-    payload were still held, with the same lookup counts.
+    payload were still held.
 
     Args:
         adelivered: The ids whose payloads have been taken.
     """
 
-    __slots__ = ("_messages", "adelivered", "lookup_count", "rcv_call_count")
+    __slots__ = ("_messages", "adelivered")
 
     def __init__(self, adelivered: IdWatermark) -> None:
         #: Payloads received and not yet adelivered.
         self._messages: dict[MessageId, AppMessage] = {}
         self.adelivered = adelivered
-        #: Total individual identifier membership checks performed by rcv().
-        self.lookup_count = 0
-        #: Total invocations of the rcv() predicate.
-        self.rcv_call_count = 0
 
     def add(self, message: AppMessage) -> bool:
         """Record an R-delivered message; return False if already received
@@ -71,7 +65,7 @@ class ReceivedStore:
         return True
 
     def has(self, mid: MessageId) -> bool:
-        """Membership test that does *not* count as an rcv() lookup."""
+        """Whether ``mid`` was received (its payload held or taken)."""
         return mid in self._messages or mid in self.adelivered
 
     def get(self, mid: MessageId) -> AppMessage | None:
@@ -96,39 +90,15 @@ class ReceivedStore:
         """The ``rcv`` predicate of Algorithm 1 (lines 9-10).
 
         ``rcv(ids)`` is true iff every identifier in ``ids`` has a
-        corresponding message in the store.  Every individual lookup is
-        counted so the simulation can charge CPU time for it.
+        corresponding message in the store.
         """
-        self.rcv_call_count += 1
         messages = self._messages
         through = self.adelivered.through
         above = self.adelivered.above
-        result = True
         for mid in ids:
-            self.lookup_count += 1
             if mid not in messages:
                 # Inline IdWatermark membership: no call per lookup.
                 origin, seq = mid
                 if seq > through[origin] and mid not in above:
-                    result = False
-                    break
-        return result
-
-    def missing(self, ids: Iterable[MessageId]) -> frozenset[MessageId]:
-        """Identifiers in ``ids`` whose messages have not been received.
-
-        Used by diagnostics and by the wait-instead-of-nack ablation of
-        the CT-indirect algorithm.
-        """
-        return frozenset(mid for mid in ids if not self.has(mid))
-
-    def snapshot_ids(self) -> frozenset[MessageId]:
-        """All identifiers received so far (for checkers and tests)."""
-        adelivered = self.adelivered
-        return frozenset(
-            [
-                MessageId(origin, seq)
-                for origin, through in enumerate(adelivered.through)
-                for seq in range(1, through + 1)
-            ]
-        ).union(adelivered.above, self._messages)
+                    return False
+        return True

@@ -67,7 +67,7 @@ from types import MethodType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.exceptions import ConfigurationError
-from repro.net.frame import Frame
+from repro.net.frame import Frame, is_data_kind
 from repro.net.models import Network
 from repro.sim.engine import (
     AGAIN,
@@ -313,7 +313,7 @@ class ExploreScheduler(Scheduler):
         indices = []
         for i, record in enumerate(ready):
             frame = event_of(record)
-            if type(frame) is not Frame or frame.control:
+            if type(frame) is not Frame or not is_data_kind(frame.kind):
                 continue
             if record[TIME] == fire_time and record[SEQ] <= fire_seq:
                 continue

@@ -32,9 +32,9 @@ The selected figures execute through one
 :func:`repro.harness.runner.run_suite` call
 (:func:`repro.harness.figures.run_figures`): points fan out over a
 process pool (``--jobs``) and completed points are cached on disk
-(``--cache-dir``, ``--no-cache``), so re-running a figure only
-computes what is missing.  ``--metrics`` picks the probe
-set measured at every point (any registered probe name), and
+(``--cache-dir``; ``--no-cache`` neither reads nor writes it), so
+re-running a figure only computes what is missing.  ``--metrics`` picks
+the probe set measured at every point (any registered probe name), and
 ``--format csv|json`` exports the full per-point
 :class:`~repro.harness.results.ResultSet` — every spec axis and every
 probe field as columns — instead of the per-panel latency tables.
@@ -383,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore cached results and recompute every point",
+        help="recompute every point, reading and writing no cache",
     )
     parser.add_argument(
         "--trace-mode",

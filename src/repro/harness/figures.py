@@ -19,12 +19,9 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from repro.consensus.quorums import (
-    adoption_threshold,
-    intersection_lower_bound,
-    max_resilience_for_intersection,
-    phase2_quorum,
-)
+from repro.consensus.mostefaoui_raynal import MostefaouiRaynalConsensus
+from repro.consensus.mr_indirect import MRIndirectConsensus
+from repro.core.config import SystemConfig
 from repro.core.exceptions import ConfigurationError
 from repro.harness.results import ResultSet
 from repro.harness.runner import run_suite
@@ -256,15 +253,15 @@ def figure2_table() -> ResultSet:
     resulting maximum resilience — including the paper's illustration
     n=7, f=2 where two 5-element quorums share at least 3 processes.
     """
-    ns = list(range(2, 13))
-    fs = [max_resilience_for_intersection(n) for n in ns]
+    configs = [SystemConfig(n) for n in range(2, 13)]
+    fs = [MRIndirectConsensus.resilience_bound(c) for c in configs]
     return ResultSet({
-        "n": ns,
+        "n": [c.n for c in configs],
         "f_max (indirect MR)": fs,
-        "phase2 quorum ⌈(2n+1)/3⌉": [phase2_quorum(n) for n in ns],
-        "min overlap (n-2f)": [
-            intersection_lower_bound(n, f) for n, f in zip(ns, fs)
+        "phase2 quorum ⌈(2n+1)/3⌉": [c.two_thirds_quorum for c in configs],
+        "min overlap (n-2f)": [c.n - 2 * f for c, f in zip(configs, fs)],
+        "adoption threshold ⌈(n+1)/3⌉": [c.third_quorum for c in configs],
+        "f_max (original MR)": [
+            MostefaouiRaynalConsensus.resilience_bound(c) for c in configs
         ],
-        "adoption threshold ⌈(n+1)/3⌉": [adoption_threshold(n) for n in ns],
-        "f_max (original MR)": [(n - 1) // 2 for n in ns],
     })

@@ -15,6 +15,10 @@ flat list of :class:`~repro.harness.experiment.ExperimentSpec`) and:
 3. stores the computed results atomically and returns everything in
    input order.
 
+With ``use_cache=False`` steps 1 and 3 are skipped: no cache is read,
+written or created, so such a run never loads ``pickle`` unless its
+pool does.
+
 Determinism: ``run_experiment`` is a pure function of its spec (all
 randomness flows from the seeded RNG registry), so a point computed in
 a worker process is bit-for-bit identical to one computed serially —
@@ -358,9 +362,10 @@ def run_suite(
             ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-sweeps``.  An
             unwritable location degrades gracefully: everything runs
             live and nothing is stored.
-        use_cache: Disable to force recomputation (results are still
-            stored).  Points that are physically identical within one
-            call are computed once either way.
+        use_cache: Disable to recompute every point without touching
+            the cache: nothing is read or written (``cache_dir`` is not
+            even created).  Points that are physically identical within
+            one call are computed once either way.
 
     Returns:
         A :class:`SuiteResult` with results in input order plus cache
@@ -382,12 +387,14 @@ def run_suite(
         else:
             specs = list(suite)  # type: ignore[arg-type]
 
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-    try:
-        cache: ResultCache | None = ResultCache(cache_dir)
-    except OSError:
-        cache = None  # unwritable cache location: run everything live
+    cache: ResultCache | None = None
+    if use_cache:
+        if cache_dir is None:
+            cache_dir = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+        try:
+            cache = ResultCache(cache_dir)
+        except OSError:
+            pass  # unwritable cache location: run everything live
 
     results: list[ExperimentResult | None] = [None] * len(specs)
     # Points sharing a content hash are computed once per call;
@@ -398,7 +405,7 @@ def run_suite(
         # Hash once per point; the same key serves lookup, in-call
         # dedup grouping, and the store after computation.
         key = spec_key(spec)
-        if use_cache and cache:
+        if cache is not None:
             cached = cache.load(spec, key=key)
             if cached is not None:
                 results[index] = cached

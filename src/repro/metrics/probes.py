@@ -73,6 +73,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import MessageId, ProcessId
 from repro.metrics.latency import LatencyReport
 from repro.metrics.stats import summarize
+from repro.net.frame import is_data_kind
 from repro.stack.registry import LayerRegistry
 
 
@@ -348,18 +349,12 @@ class LatencyProbe(Probe):
         )
 
 
-def is_data_kind(kind: str) -> bool:
-    """The data-versus-control rule: a ``.data`` frame kind carries bulk
-    payload diffusion (the rb/urb data planes); any other is control."""
-    return kind.endswith(".data")
-
-
 class TrafficProbe(Probe):
     """Wire traffic by frame kind, read from the network's counters.
 
     Fields: one ``frames.<kind>`` / ``bytes.<kind>`` pair per frame
     kind that hit the wire, totals, the bulk-data vs control byte split
-    (by :func:`is_data_kind`), and the drop counter.
+    (by :func:`~repro.net.frame.is_data_kind`), and the drop counter.
     :class:`~repro.analysis.traffic.TrafficBreakdown` is a view over
     this value — from a (cached) result or, through :meth:`measure`,
     from a live network.

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import ProcessId
-from repro.net.frame import Frame
+from repro.net.frame import Frame, is_data_kind
 from repro.sim.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,7 +58,8 @@ class LinkRule:
         kind_prefix: Only frames whose ``kind`` starts with this string
             (``""`` = any; an exact kind is its own prefix).
         control: Only control (``True``) or only data (``False``)
-            frames; ``None`` = both classes.
+            frames, by :func:`~repro.net.frame.is_data_kind`; ``None`` =
+            both classes.
     """
 
     src: ProcessId | None = None
@@ -74,7 +75,8 @@ class LinkRule:
             return False
         if self.kind_prefix and not frame.kind.startswith(self.kind_prefix):
             return False
-        if self.control is not None and frame.control != self.control:
+        control = self.control
+        if control is not None and is_data_kind(frame.kind) == control:
             return False
         return True
 

@@ -10,11 +10,13 @@ real buffers) is what lets the simulation push millions of messages per
 second of simulated traffic while still modelling, byte for byte, the
 difference between shipping full payloads and shipping 12-byte message
 identifiers.
+
+Whether a frame is bulk data or protocol control is read off its kind
+(:func:`is_data_kind`), never stored beside it.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, NamedTuple
 
 from repro.core.identifiers import ProcessId
@@ -23,66 +25,49 @@ from repro.core.identifiers import ProcessId
 #: (UDP/IP-style framing).
 FRAME_HEADER_SIZE = 28
 
-#: The one frame numbering.  ``Network.multicast`` uses it and
-#: ``_tuple_new`` too, to build a frame's tuple inline.
-_next_seq = itertools.count(1).__next__
+#: ``Network.multicast`` builds each frame's tuple inline with it.
 _tuple_new = tuple.__new__
 
 
-class _FrameFields(NamedTuple):
+def is_data_kind(kind: str) -> bool:
+    """The data-versus-control rule: a ``.data`` frame kind carries bulk
+    payload diffusion (the rb/urb/sequencer data planes); any other is
+    control (consensus rounds, acks, heartbeats).
+
+    The one classifier: fault rules (``LinkRule.control``), the
+    explorer's data-only defers and the traffic probe all use it.
+    """
+    return kind.endswith(".data")
+
+
+class Frame(NamedTuple):
+    """One datagram in flight from ``src`` to ``dst``.
+
+    Immutable, and a plain tuple underneath: the simulator builds one
+    per destination of every multicast, so construction is a single
+    C-level tuple allocation rather than a per-field ``__setattr__``.
+    Two frames with equal fields are equal.
+
+    Attributes:
+        src: Sending process.
+        dst: Destination process.
+        kind: Routing key, e.g. ``"rb1.data"`` or ``"cti.ack"``.  The
+            receiving transport dispatches on this string, and its
+            ``.data`` suffix marks bulk data (:func:`is_data_kind`).
+        body: Protocol payload (any picklable value; never inspected by
+            the network).
+        size: Protocol-level size in bytes, *excluding* the frame header.
+    """
+
     src: ProcessId
     dst: ProcessId
     kind: str
     body: Any
     size: int
-    control: bool
-    seq: int
-
-
-class Frame(_FrameFields):
-    """One datagram in flight from ``src`` to ``dst``.
-
-    Immutable, and a tuple underneath: the simulator builds one per
-    destination of every multicast, so construction is a single
-    C-level tuple allocation rather than a per-field ``__setattr__``.
-
-    Attributes:
-        src: Sending process.
-        dst: Destination process.
-        kind: Routing key, e.g. ``"rb.data"`` or ``"cons.ack"``.  The
-            receiving transport dispatches on this string.
-        body: Protocol payload (any picklable value; never inspected by
-            the network).
-        size: Protocol-level size in bytes, *excluding* the frame header.
-        control: True for small protocol-control traffic (consensus
-            rounds, acks, heartbeats); False for application data.  Some
-            network policies treat the two classes differently, mirroring
-            the separate sockets/channels a real stack uses per layer.
-        seq: Globally unique frame number (diagnostics, determinism
-            tie-break); auto-numbered unless given.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        src: ProcessId,
-        dst: ProcessId,
-        kind: str,
-        body: Any,
-        size: int,
-        control: bool = True,
-        seq: int | None = None,
-    ) -> "Frame":
-        return _tuple_new(
-            cls,
-            (src, dst, kind, body, size, control,
-             _next_seq() if seq is None else seq),
-        )
 
     def wire_size(self) -> int:
         """Bytes actually occupying the wire: body plus frame header."""
         return self.size + FRAME_HEADER_SIZE
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Frame#{self.seq}({self.kind} p{self.src}->p{self.dst}, {self.size}B)"
+        return f"Frame({self.kind} p{self.src}->p{self.dst}, {self.size}B)"

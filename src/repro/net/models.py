@@ -46,7 +46,7 @@ from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import ProcessId
 from repro.net.faults import DelayRule, FaultPipeline
-from repro.net.frame import FRAME_HEADER_SIZE, Frame, _next_seq, _tuple_new
+from repro.net.frame import FRAME_HEADER_SIZE, Frame, _tuple_new
 from repro.net.topology import Topology
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.equeue import PENDING, STATE
@@ -195,7 +195,7 @@ class Network:
         transmits ``frame`` itself rather than building its own."""
         self.multicast(
             frame.src, (frame.dst,), frame.kind, frame.body, frame.size,
-            frame.control, frame,
+            frame,
         )
 
     def multicast(
@@ -205,7 +205,6 @@ class Network:
         kind: str,
         body: Any,
         size: int,
-        control: bool = True,
         frame: Frame | None = None,
     ) -> None:
         """The one send routine: a frame from ``src`` to each of ``dsts``.
@@ -215,8 +214,8 @@ class Network:
         once for the whole fan-out; then one frame per destination is
         built (in ``dsts`` order; ``frame`` is :meth:`send`'s own) and
         transmitted.  Each frame is the tuple ``Frame(...)`` would build,
-        allocated inline: the same fields and the same ``seq`` counter,
-        without a Python-level ``__new__`` call per destination.  While
+        allocated inline, without a Python-level ``__new__`` call per
+        destination.  While
         the fault pipeline is armed each frame first passes it, which may
         drop it (loss rules, partition windows) or fan it out into
         duplicate copies.
@@ -242,9 +241,7 @@ class Network:
         armed = self.pipeline.armed
         for dst in dsts:
             out = (
-                _tuple_new(
-                    Frame, (src, dst, kind, body, size, control, _next_seq())
-                )
+                _tuple_new(Frame, (src, dst, kind, body, size))
                 if frame is None
                 else frame
             )

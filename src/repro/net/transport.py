@@ -76,10 +76,9 @@ class Transport:
         kind: str,
         body: Any,
         size: int,
-        control: bool = True,
     ) -> None:
         """Send one frame to ``dst`` (which may be this process itself)."""
-        self._net_multicast(self.pid, (dst,), kind, body, size, control)
+        self._net_multicast(self.pid, (dst,), kind, body, size)
 
     def send_all(
         self,
@@ -87,7 +86,6 @@ class Transport:
         body: Any,
         size: int,
         include_self: bool = True,
-        control: bool = True,
     ) -> None:
         """Send to every attached process (optionally skipping self).
 
@@ -109,5 +107,4 @@ class Transport:
             kind,
             body,
             size,
-            control,
         )

@@ -99,12 +99,11 @@ class Span:
 class _Msg:
     """Mutable per-message accumulator (abroadcast + adelivers)."""
 
-    __slots__ = ("order", "ab_time", "sender", "kind", "label", "adelivers")
+    __slots__ = ("order", "ab_time", "kind", "label", "adelivers")
 
     def __init__(self, order: int) -> None:
         self.order = order
         self.ab_time: float | None = None
-        self.sender: int | None = None
         self.kind = "abcast"
         self.label = ""
         self.adelivers: list[tuple[float, int]] = []
@@ -190,20 +189,17 @@ class SpanRecorder(Probe):
         if cls is ADeliverEvent:
             record = self._msg(event.message.mid)
             record.adelivers.append((event.time, event.process))
-            if record.sender is None:
-                record.sender = event.message.sender
         elif cls is ABroadcastEvent:
             record = self._msg(event.message.mid)
             if record.ab_time is None:
                 record.ab_time = event.time
-                record.sender = event.message.sender
                 record.kind, record.label = _classify(event.message)
         elif cls is RDeliverEvent:
             rb = self._rb(event.message.mid)
             rb.rdelivers.append((event.time, event.process))
             rb.uniform = rb.uniform or event.uniform
             if rb.origin is None:
-                rb.origin = event.message.sender
+                rb.origin = event.message.mid.origin
         elif cls is RBroadcastEvent:
             rb = self._rb(event.message.mid)
             if rb.rb_time is None:
@@ -287,7 +283,7 @@ class SpanRecorder(Probe):
                 record.kind, record.label = "abcast", str(mid)
             end = max([start] + [t for t, _ in record.adelivers])
             parent = emit(
-                record.kind, record.label, record.sender, start, end, None
+                record.kind, record.label, mid.origin, start, end, None
             )
             for t, pid in sorted(record.adelivers):
                 emit(

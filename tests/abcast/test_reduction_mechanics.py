@@ -71,7 +71,7 @@ class TestAdeliverGate:
         # The blocked head clears the moment its message shows up.
         from repro.core.message import AppMessage
         a1._on_rdeliver(
-            AppMessage(mid=missing, sender=2, payload=make_payload(1))
+            AppMessage(mid=missing, payload=make_payload(1))
         )
         assert missing in a1.adelivered
         assert a1.backlog()["ordered_awaiting_message"] == 0

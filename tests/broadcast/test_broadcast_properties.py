@@ -80,7 +80,6 @@ def run_scenario(kind, scenario):
     for seq, (sender, at, size) in enumerate(sends, start=1):
         message = AppMessage(
             mid=MessageId(sender, seq * 100 + sender),
-            sender=sender,
             payload=make_payload(size),
         )
         fabric.processes[sender].schedule_at(

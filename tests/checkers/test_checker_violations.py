@@ -42,9 +42,7 @@ from repro.sim.trace import CountingTrace, Trace
 
 
 def msg(origin, seq=1):
-    return AppMessage(
-        mid=MessageId(origin, seq), sender=origin, payload=make_payload(1)
-    )
+    return AppMessage(mid=MessageId(origin, seq), payload=make_payload(1))
 
 
 def trace_of(*events):
@@ -58,7 +56,6 @@ def op_msg(origin, seq, content):
     """A message carrying a shard operation as its payload content."""
     return AppMessage(
         mid=MessageId(origin, seq),
-        sender=origin,
         payload=make_payload(8, content=content),
     )
 
@@ -425,7 +422,7 @@ def test_v_stability_counts_holders_that_crashed_after_receiving():
 def _skip_before_a_crash():
     """p1 adelivers a then b and crashes; p2 and p3 adeliver a, c, b."""
     a, b, c = msg(1), msg(2), msg(3)
-    events = [ABroadcastEvent(time=0.0, process=m.sender, message=m)
+    events = [ABroadcastEvent(time=0.0, process=m.mid.origin, message=m)
               for m in (a, b, c)]
     events += [
         ADeliverEvent(time=0.1, process=1, message=a),
@@ -772,7 +769,7 @@ def _crashed_prefix_diverges():
     sequence has both as prefixes."""
     a, b, c = msg(1), msg(2), msg(3)
     return trace_of(
-        *(ABroadcastEvent(time=0.0, process=m.sender, message=m)
+        *(ABroadcastEvent(time=0.0, process=m.mid.origin, message=m)
           for m in (a, b, c)),
         ADeliverEvent(time=0.1, process=1, message=a),
         ADeliverEvent(time=0.1, process=2, message=a),

@@ -26,9 +26,7 @@ from repro.sim.trace import Trace
 
 
 def msg(origin, seq):
-    return AppMessage(
-        mid=MessageId(origin, seq), sender=origin, payload=make_payload(1)
-    )
+    return AppMessage(mid=MessageId(origin, seq), payload=make_payload(1))
 
 
 def trace_of(*events):

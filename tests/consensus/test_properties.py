@@ -54,9 +54,7 @@ def run_consensus(cls, n, holders_map, crash_pids, crash_times, suspicions):
             lambda k, v, _pid=pid: decisions[_pid].setdefault(k, v)
         )
     messages = {
-        origin: AppMessage(
-            mid=MessageId(origin, 1), sender=origin, payload=make_payload(4)
-        )
+        origin: AppMessage(mid=MessageId(origin, 1), payload=make_payload(4))
         for origin in fabric.config.processes
     }
     indirect = cls.REQUIRES_RCV

@@ -63,9 +63,7 @@ def run_pinned_scenario():
             lambda k, v, _pid=pid: decisions[_pid].setdefault(k, v)
         )
     messages = {
-        origin: AppMessage(
-            mid=MessageId(origin, 1), sender=origin, payload=make_payload(4)
-        )
+        origin: AppMessage(mid=MessageId(origin, 1), payload=make_payload(4))
         for origin in fabric.config.processes
     }
     for pid in fabric.config.processes:

@@ -27,7 +27,7 @@ from repro.core.events import (
 from repro.core.identifiers import MessageId
 from repro.core.message import AppMessage, make_payload
 
-MESSAGE = AppMessage(MessageId(2, 5), 2, make_payload(64), 0.25)
+MESSAGE = AppMessage(MessageId(2, 5), make_payload(64))
 IDS = frozenset({MessageId(1, 1), MessageId(2, 5)})
 
 #: (class, positional arguments, the same as keywords): every field given.

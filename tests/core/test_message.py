@@ -1,12 +1,14 @@
-"""Tests for payloads, application messages, and indirect proposals."""
+"""Tests for payloads and application messages."""
+
+import dataclasses
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.identifiers import MESSAGE_ID_WIRE_SIZE, MessageId
+from repro.core.identifiers import MessageId
 from repro.core.message import APP_MESSAGE_HEADER_SIZE, AppMessage, make_payload
-from repro.core.proposal import IndirectProposal
 
 
 class TestPayload:
@@ -24,46 +26,46 @@ class TestPayload:
 
 
 class TestAppMessage:
+    def test_a_message_is_its_id_and_payload(self):
+        """``id(m)`` names the sender and the trace times the
+        abroadcast, so a message holds neither a second time."""
+        names = [f.name for f in dataclasses.fields(AppMessage)]
+        assert names == ["mid", "payload"]
+        assert AppMessage.__slots__ == ("mid", "payload")
+
+    @pytest.mark.parametrize(
+        "field,value", [("sender", 1), ("sent_at", 0.5)]
+    )
+    def test_dropped_fields_are_not_accepted(self, field, value):
+        with pytest.raises(TypeError):
+            AppMessage(mid=MessageId(1, 1), payload=make_payload(1),
+                       **{field: value})
+
+    def test_payload_is_required(self):
+        with pytest.raises(TypeError):
+            AppMessage(mid=MessageId(1, 1))  # type: ignore[call-arg]
+
+    def test_a_held_message_is_two_references(self):
+        """A retained message costs what a bare two-slot object does:
+        no boxed timestamp and no sender beside its id."""
+
+        class TwoSlots:
+            __slots__ = ("a", "b")
+
+        m = AppMessage(mid=MessageId(1, 1), payload=make_payload(1))
+        assert sys.getsizeof(m) == sys.getsizeof(TwoSlots())
+
     def test_wire_size_adds_header(self):
-        m = AppMessage(mid=MessageId(1, 1), sender=1, payload=make_payload(100))
+        m = AppMessage(mid=MessageId(1, 1), payload=make_payload(100))
         assert m.wire_size() == APP_MESSAGE_HEADER_SIZE + 100
 
     def test_messages_hashable_by_identity_fields(self):
-        a = AppMessage(mid=MessageId(1, 1), sender=1, payload=make_payload(5))
-        b = AppMessage(mid=MessageId(1, 1), sender=1, payload=make_payload(5))
+        a = AppMessage(mid=MessageId(1, 1), payload=make_payload(5))
+        b = AppMessage(mid=MessageId(1, 1), payload=make_payload(5))
         assert a == b
         assert len({a, b}) == 1
 
     @given(st.integers(0, 100_000))
     def test_wire_size_monotone_in_payload(self, size):
-        m = AppMessage(mid=MessageId(1, 1), sender=1, payload=make_payload(size))
+        m = AppMessage(mid=MessageId(1, 1), payload=make_payload(size))
         assert m.wire_size() == APP_MESSAGE_HEADER_SIZE + size
-
-
-class TestIndirectProposal:
-    def test_holds_value_and_rcv(self):
-        ids = frozenset({MessageId(1, 1), MessageId(2, 1)})
-        prop = IndirectProposal(value=ids, rcv=lambda v: True)
-        assert prop.value == ids
-        assert prop.rcv(ids) is True
-
-    def test_coerces_value_to_frozenset(self):
-        prop = IndirectProposal(value={MessageId(1, 1)}, rcv=lambda v: True)  # type: ignore[arg-type]
-        assert isinstance(prop.value, frozenset)
-
-    def test_wire_size_counts_only_ids(self):
-        """The rcv function never travels; only |v| identifiers do."""
-        ids = frozenset({MessageId(1, i) for i in range(1, 8)})
-        prop = IndirectProposal(value=ids, rcv=lambda v: True)
-        assert prop.wire_size() == 7 * MESSAGE_ID_WIRE_SIZE
-
-    def test_ordered_is_canonical(self):
-        ids = frozenset({MessageId(2, 1), MessageId(1, 5)})
-        prop = IndirectProposal(value=ids, rcv=lambda v: True)
-        assert prop.ordered() == (MessageId(1, 5), MessageId(2, 1))
-
-    def test_equality_ignores_rcv(self):
-        ids = frozenset({MessageId(1, 1)})
-        assert IndirectProposal(ids, lambda v: True) == IndirectProposal(
-            ids, lambda v: False
-        )

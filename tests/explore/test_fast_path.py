@@ -27,6 +27,7 @@ from repro.explore import explore_spec, registry_explore_specs, replay
 from repro.explore.executor import ScheduleExecutor
 from repro.explore.scheduler import ExploreScheduler, parse_deviations
 from repro.explore.strategies import run_strategy
+from repro.net.frame import is_data_kind
 from repro.sim.engine import FIRE, Scheduler
 from repro.sim.trace import Trace
 from tests.helpers import DecidesAt, EngineTap, trace_fingerprint
@@ -57,7 +58,7 @@ class EveryStep(ExploreScheduler):
         expected = tuple(
             i for i, (record, frame) in enumerate(zip(ready, frames))
             if frame is not None
-            and not frame.control
+            and is_data_kind(frame.kind)
             and record not in self.seen
         )
         assert self._deferrable(ready) == expected, (self.steps, expected)

@@ -192,7 +192,7 @@ def fresh_mid(origin: int = 1) -> MessageId:
 def app_message(origin: int = 1, seq: int | None = None, size: int = 10) -> AppMessage:
     """A small application message for broadcast-layer tests."""
     mid = fresh_mid(origin) if seq is None else MessageId(origin, seq)
-    return AppMessage(mid=mid, sender=origin, payload=make_payload(size))
+    return AppMessage(mid=mid, payload=make_payload(size))
 
 
 class EngineTap:

@@ -61,9 +61,7 @@ class TestStats:
 
 
 def msg(origin, seq, size=1):
-    return AppMessage(
-        mid=MessageId(origin, seq), sender=origin, payload=make_payload(size)
-    )
+    return AppMessage(mid=MessageId(origin, seq), payload=make_payload(size))
 
 
 def trace_with(events):

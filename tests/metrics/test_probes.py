@@ -17,13 +17,14 @@ from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.harness.report import render_resultset
 from repro.harness.runner import run_suite, spec_key
 from repro.harness.suite import SweepSpec, registry_variants
+from repro.core.message import AppMessage
 from repro.metrics.probes import (
     DEFAULT_PROBES,
     PROBES,
     MetricValue,
     Probe,
-    is_data_kind,
 )
+from repro.net.frame import is_data_kind
 from repro.net.models import Network
 from repro.net.setups import SETUP_1
 from repro.net.topology import Topology
@@ -243,20 +244,23 @@ class TestCustomProbeEndToEnd:
         params=SETUP_1, seed=4,
     )
 ])
-def test_traffic_class_of_every_kind_is_its_frames_control_flag(
+def test_traffic_class_of_every_kind_is_whether_it_diffuses_a_message(
     variant, monkeypatch
 ):
     """One rule for data versus control: the class ``TrafficProbe``
-    gives a frame kind (:func:`is_data_kind`) is the ``control`` flag
-    of every frame of that kind, which the explorer's data-only defers
-    and ``LinkRule(control=...)`` read."""
-    flags: dict[str, set[bool]] = {}
+    gives a frame kind (:func:`is_data_kind`), which the explorer's
+    data-only defers and ``LinkRule(control=...)`` read too, is whether
+    every frame of that kind diffuses one application message (the body
+    is the message, or a tuple that ends with it)."""
+    diffuses: dict[str, set[bool]] = {}
     multicast = Network.multicast
 
-    def recording(self, src, dsts, kind, body, size, control=True,
-                  frame=None):
-        flags.setdefault(kind, set()).add(control)
-        multicast(self, src, dsts, kind, body, size, control, frame)
+    def recording(self, src, dsts, kind, body, size, frame=None):
+        one_message = type(body) is AppMessage or (
+            type(body) is tuple and type(body[-1]) is AppMessage
+        )
+        diffuses.setdefault(kind, set()).add(one_message)
+        multicast(self, src, dsts, kind, body, size, frame)
 
     monkeypatch.setattr(Network, "multicast", recording)
     # p1 coordinates, sequences and crashes: the handover kinds fly too.
@@ -264,5 +268,5 @@ def test_traffic_class_of_every_kind_is_its_frames_control_flag(
     SymmetricWorkload(system, throughput=300.0, payload_size=64,
                       duration=0.2).install()
     system.run(until=0.6)
-    assert any(is_data_kind(kind) for kind in flags)
-    assert {kind: {not is_data_kind(kind)} for kind in flags} == flags
+    assert any(is_data_kind(kind) for kind in diffuses)
+    assert {kind: {is_data_kind(kind)} for kind in diffuses} == diffuses

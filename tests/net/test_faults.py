@@ -35,15 +35,15 @@ def make_net(n=2, faults=(), seed=0, **kwargs):
     return engine, network, inboxes
 
 
-def frame(src=1, dst=2, size=100, kind="test.data", control=False):
-    return Frame(src=src, dst=dst, kind=kind, body="x", size=size, control=control)
+def frame(src=1, dst=2, size=100, kind="test.data"):
+    return Frame(src=src, dst=dst, kind=kind, body="x", size=size)
 
 
 class TestMatching:
     def test_unconstrained_rule_matches_everything(self):
         rule = DelayRule(delay=1e-3)
         assert rule.matches(frame())
-        assert rule.matches(frame(src=9, dst=7, kind="x.y", control=True))
+        assert rule.matches(frame(src=9, dst=7, kind="x.y"))
 
     def test_each_constraint_filters(self):
         assert DelayRule(src=1, delay=1e-3).matches(frame(src=1))
@@ -52,8 +52,13 @@ class TestMatching:
         assert not DelayRule(dst=3, delay=1e-3).matches(frame(dst=2))
         assert DelayRule(kind_prefix="test.", delay=1e-3).matches(frame())
         assert not DelayRule(kind_prefix="ct.", delay=1e-3).matches(frame())
-        assert DelayRule(control=False, delay=1e-3).matches(frame(control=False))
-        assert not DelayRule(control=True, delay=1e-3).matches(frame(control=False))
+        # The traffic class is the kind's: ``.data`` is data.
+        assert DelayRule(control=False, delay=1e-3).matches(frame())
+        assert not DelayRule(control=True, delay=1e-3).matches(frame())
+        assert DelayRule(control=True, delay=1e-3).matches(frame(kind="x.y"))
+        assert not DelayRule(control=False, delay=1e-3).matches(
+            frame(kind="x.y")
+        )
 
 
 class TestLoss:

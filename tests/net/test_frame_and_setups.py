@@ -10,14 +10,6 @@ class TestFrame:
         f = Frame(src=1, dst=2, kind="k", body=None, size=100)
         assert f.wire_size() == 100 + FRAME_HEADER_SIZE
 
-    def test_sequence_numbers_are_unique_and_increasing(self):
-        a = Frame(src=1, dst=2, kind="k", body=None, size=0)
-        b = Frame(src=1, dst=2, kind="k", body=None, size=0)
-        assert b.seq > a.seq
-
-    def test_control_flag_default(self):
-        assert Frame(src=1, dst=2, kind="k", body=None, size=0).control is True
-
     def test_frames_are_immutable(self):
         import pytest
         f = Frame(src=1, dst=2, kind="k", body=None, size=0)

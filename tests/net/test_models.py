@@ -37,8 +37,8 @@ def make_net(n=2, kind="constant", **kwargs):
     return engine, network, processes, inboxes
 
 
-def frame(src=1, dst=2, size=100, kind="test.data", control=False, body="x"):
-    return Frame(src=src, dst=dst, kind=kind, body=body, size=size, control=control)
+def frame(src=1, dst=2, size=100, kind="test.data", body="x"):
+    return Frame(src=src, dst=dst, kind=kind, body=body, size=size)
 
 
 class TestParamsValidation:
@@ -75,8 +75,8 @@ class TestConstantLatency:
         engine, network, _, inboxes = make_net(
             faults=(DelayRule(control=False, delay=5e-3),)
         )
-        network.send(frame(control=False))
-        network.send(frame(control=True))
+        network.send(frame())
+        network.send(frame(kind="test.ctl"))
         engine.run(until=2e-3)
         assert len(inboxes[2]) == 1  # control frame took the 1ms default
         engine.run(until=10e-3)

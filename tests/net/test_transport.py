@@ -1,8 +1,13 @@
 """Tests for the per-process transport endpoint."""
 
+import inspect
+
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.net.frame import Frame
+from repro.net.models import Network
+from repro.net.transport import Transport
 from tests.helpers import make_fabric
 
 
@@ -76,14 +81,33 @@ class TestSendPrimitives:
         fabric = make_fabric(3)
         assert fabric.transports[2].peers == (1, 2, 3)
 
+    def test_received_frame_is_the_sent_fields(self):
+        """What arrives is exactly ``(src, dst, kind, body, size)``."""
+        fabric = make_fabric(2)
+        got = []
+        fabric.transports[2].register("k.data", got.append)
+        fabric.transports[1].send(2, "k.data", body=("m", 1), size=40)
+        fabric.run()
+        assert got == [Frame(1, 2, "k.data", ("m", 1), 40)]
 
-def _naive_send_all(transport, kind, body, size, include_self=True,
-                    control=True) -> None:
+
+@pytest.mark.parametrize(
+    "send",
+    [Transport.send, Transport.send_all, Network.multicast, Network.send],
+    ids=lambda fn: fn.__qualname__,
+)
+def test_the_kind_alone_carries_the_traffic_class(send):
+    """No send path takes a data/control flag beside the kind
+    (:func:`repro.net.frame.is_data_kind` reads it off the kind)."""
+    assert "control" not in inspect.signature(send).parameters
+
+
+def _naive_send_all(transport, kind, body, size, include_self=True) -> None:
     """Reference fan-out: rebuild and re-sort the destinations per call."""
     peers = tuple(sorted(transport.network._processes))
     dsts = [p for p in peers if include_self or p != transport.pid]
     transport.network.multicast(
-        transport.pid, sorted(dsts), kind, body, size, control
+        transport.pid, sorted(dsts), kind, body, size
     )
 
 

@@ -84,6 +84,21 @@ class TestSpanAgreement:
             if span.kind == "round":
                 assert by_sid[span.parent].kind == "consensus"
 
+    @pytest.mark.parametrize("stack_name", sorted(GOLDEN_STACKS))
+    def test_message_spans_belong_to_the_id_origin(self, stack_name):
+        """A message's sender is ``id(m)``'s origin: every abcast and
+        rb/urb root span is owned by the process its id names."""
+        (_, recorder), _ = run_pair(GOLDEN_STACKS[stack_name])
+        roots = [
+            span for span in recorder.spans
+            if span.kind in ("abcast", "rb", "urb")
+        ]
+        assert any(span.kind == "abcast" for span in roots)
+        for span in roots:
+            mid = span.name.rsplit(" ", 1)[-1]  # "m<origin>.<seq>"
+            origin = int(mid[1:].split(".")[0])
+            assert span.process == origin, span
+
     def test_crash_markers_appear_for_faulty_stack(self):
         from repro.explore.executor import replay
         from repro.explore.runner import explore_spec

@@ -17,7 +17,7 @@ from repro.stack.builder import StackSpec
 
 
 def msg(origin, seq):
-    return AppMessage(mid=MessageId(origin, seq), sender=origin, payload=make_payload(1))
+    return AppMessage(mid=MessageId(origin, seq), payload=make_payload(1))
 
 
 class TestTraceIndexing:
