@@ -34,7 +34,6 @@ from typing import Any, Callable
 from repro.broadcast.base import BroadcastService
 from repro.consensus.base import ConsensusService
 from repro.core.config import SystemConfig
-from repro.core.events import ABroadcastEvent, ADeliverEvent
 from repro.core.exceptions import ConfigurationError, ProtocolViolationError
 from repro.core.identifiers import IdWatermark, MessageId, order_id_set
 from repro.core.message import AppMessage, Payload
@@ -122,9 +121,7 @@ class AtomicBroadcast:
             return None
         self._seq += 1
         message = AppMessage(MessageId(self.pid, self._seq), payload)
-        self.process.trace.record(
-            ABroadcastEvent(self.engine.now, self.pid, message)
-        )
+        self.process.trace.abroadcast(self.engine.now, self.pid, message)
         self.broadcast.broadcast(message)
         return message
 
@@ -252,9 +249,7 @@ class AtomicBroadcast:
             else:
                 above.add(head)
             self._adelivered_count += 1
-            self.process.trace.record(
-                ADeliverEvent(self.engine.now, self.pid, message)
-            )
+            self.process.trace.adeliver(self.engine.now, self.pid, message)
             for callback in self._callbacks:
                 callback(message)
 

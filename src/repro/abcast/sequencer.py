@@ -59,7 +59,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.core.config import SystemConfig
-from repro.core.events import ABroadcastEvent, ADeliverEvent
 from repro.core.exceptions import ConfigurationError
 from repro.core.identifiers import IdWatermark, MessageId, ProcessId
 from repro.core.message import AppMessage, Payload
@@ -139,8 +138,8 @@ class SequencerAtomicBroadcast:
         transport.register("seq.fwd.data", self._on_fwd)
         transport.register("seq.order.data", self._on_order)
         transport.register("seq.wedge", self._on_wedge)
-        transport.register("seq.state", self._on_state)
-        transport.register("seq.seal", self._on_seal)
+        transport.register("seq.state.data", self._on_state)
+        transport.register("seq.seal.data", self._on_seal)
         transport.register("seq.sync", self._on_sync)
         transport.register("seq.repair", self._on_repair)
         detector.on_change(self._on_detector_change)
@@ -180,9 +179,7 @@ class SequencerAtomicBroadcast:
             return None
         self._seq += 1
         message = AppMessage(MessageId(self.pid, self._seq), payload)
-        self.process.trace.record(
-            ABroadcastEvent(self.engine.now, self.pid, message)
-        )
+        self.process.trace.abroadcast(self.engine.now, self.pid, message)
         self.pending[message.mid] = message
         self._forward(message)
         return message
@@ -318,9 +315,7 @@ class SequencerAtomicBroadcast:
             else:
                 above.add(mid)
             self._adelivered_count += 1
-            self.process.trace.record(
-                ADeliverEvent(self.engine.now, self.pid, message)
-            )
+            self.process.trace.adeliver(self.engine.now, self.pid, message)
             for callback in self._callbacks:
                 callback(message)
 
@@ -374,7 +369,7 @@ class SequencerAtomicBroadcast:
         snapshot = self._log_snapshot()
         self.transport.send(
             frame.src,
-            "seq.state",
+            "seq.state.data",
             body=(epoch, snapshot),
             size=sum(m.wire_size() for _, _, m in snapshot)
             + SEQUENCER_HEADER_SIZE,
@@ -408,7 +403,7 @@ class SequencerAtomicBroadcast:
         self._states = {}
         self._apply_seal(epoch, merged, sealed_through)
         self.transport.send_all(
-            "seq.seal",
+            "seq.seal.data",
             body=(epoch, self._log_snapshot(), sealed_through),
             size=sum(m.wire_size() for _, m in self.log.values())
             + SEQUENCER_HEADER_SIZE,
@@ -461,7 +456,7 @@ class SequencerAtomicBroadcast:
         # Relay on first adoption, then apply: a seal reaching any
         # correct process reaches all of them.
         self.transport.send_all(
-            "seq.seal",
+            "seq.seal.data",
             body=(epoch, snapshot, sealed_through),
             size=sum(m.wire_size() for _, _, m in snapshot)
             + SEQUENCER_HEADER_SIZE,
@@ -515,7 +510,7 @@ class SequencerAtomicBroadcast:
         if self.epoch > 0:
             self.transport.send(
                 frame.src,
-                "seq.seal",
+                "seq.seal.data",
                 body=(self.epoch, self._log_snapshot(), self.sealed_through),
                 size=sum(m.wire_size() for _, m in self.log.values())
                 + SEQUENCER_HEADER_SIZE,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.events import RBroadcastEvent, RDeliverEvent
 from repro.core.identifiers import IdWatermark, MessageId
 from repro.core.message import AppMessage
 from repro.net.transport import Transport
@@ -61,8 +60,8 @@ class BroadcastService:
         eventually delivers its own message)."""
         if self.process.crashed:
             return
-        self.process.trace.record(
-            RBroadcastEvent(self.engine.now, self.pid, message, self.uniform)
+        self.process.trace.rbroadcast(
+            self.engine.now, self.pid, message, self.uniform
         )
         self._diffuse(message)
 
@@ -95,8 +94,8 @@ class BroadcastService:
             through[origin] = seq
         else:
             above.add(mid)
-        self.process.trace.record(
-            RDeliverEvent(self.engine.now, self.pid, message, self.uniform)
+        self.process.trace.rdeliver(
+            self.engine.now, self.pid, message, self.uniform
         )
         for callback in self._callbacks:
             callback(message)

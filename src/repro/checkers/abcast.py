@@ -24,9 +24,10 @@ but stated on the ids consensus actually ordered).
 All of them are one streaming fold, a monitor in the manner of Havelund
 and Roşu (STTT 2004).  ``run_experiment`` subscribes
 :meth:`AbcastChecker.on_event` to the run's trace like a probe, in
-either trace mode, and folds what it takes in batches;
-``AbcastChecker(trace, config)`` replays a retained trace through the
-same fold at its first check.  Verdicts surface only from a ``check_*``
+either trace mode, and folds what it takes in batches, one row per
+event of a kind it reads; ``AbcastChecker(trace, config)`` folds a
+retained trace's rows (:meth:`~repro.sim.trace.Trace.rows`, no event
+objects) at its first check.  Verdicts surface only from a ``check_*``
 method.
 State is what is in flight: a message is forgotten once every live
 process has adelivered it (crash events shrink the live set) and stays
@@ -58,6 +59,8 @@ from repro.sim.trace import Trace
 #: one pass: interleaved with the simulation event by event, the fold ran
 #: at about half the speed it has over a batch.
 _BATCH = 512
+#: The event kinds the fold reads.
+_FOLDED = (ABroadcastEvent, ADeliverEvent, RDeliverEvent, DecideEvent, CrashEvent)
 
 
 class AbcastChecker:
@@ -106,40 +109,53 @@ class AbcastChecker:
         #: per repeated adelivery and per id not abroadcast when
         #: adelivered (a later abroadcast still counts).
         self._suspect: list[tuple[ProcessId, tuple, MessageId]] = []
-        #: Earliest decide event of each instance first decided at
-        #: ``_tie_time`` (a lower pid may still tie it), and the instances
-        #: whose first decision is final, as ids ``(0, k)``.
-        self._ties: dict[int, DecideEvent] = {}
+        #: ``(time, process, value)`` of the earliest decide event of
+        #: each instance first decided at ``_tie_time`` (a lower pid may
+        #: still tie it), and the instances whose first decision is
+        #: final, as ids ``(0, k)``.
+        self._ties: dict[int, tuple] = {}
         self._tie_time = -1.0
         self._settled = IdWatermark(0)
-        #: Events taken by :meth:`on_event` and not folded yet: the first
-        #: ``_taken`` slots.
+        #: Rows of the events taken by :meth:`on_event` and not folded
+        #: yet: the first ``_taken`` slots.
         self._batch: list = [None] * _BATCH
         self._taken = 0
-        #: A retained trace's events, folded at the first check.
-        self._replay = trace.events if trace is not None else ()
+        #: A retained trace, folded at the first check.
+        self._replay = trace
 
     def on_event(self, event: ProtocolEvent) -> None:
-        """Take one event; the trace calls this per recorded event."""
-        self._batch[self._taken] = event
+        """Take one event as a row (see :meth:`_fold`); the trace calls
+        this per recorded event."""
+        cls = type(event)
+        if cls is ADeliverEvent or cls is RDeliverEvent or cls is ABroadcastEvent:
+            row = (cls, event.time, event.process, event.message, 0)
+        elif cls is DecideEvent:
+            row = (cls, event.time, event.process, event.value, event.instance)
+        elif cls is CrashEvent:
+            row = (cls, event.time, event.process, None, 0)
+        else:
+            return  # a kind the fold does not read
+        self._batch[self._taken] = row
         self._taken += 1
         if self._taken == _BATCH:
             self._taken = 0
             self._fold(self._batch)
 
     def _flush(self) -> None:
-        """Fold what is not folded yet: the replayed trace, then the
-        events taken since the last full batch."""
-        if self._replay:
-            self._fold(self._replay)
-            self._replay = ()
+        """Fold what is not folded yet: the replayed trace's rows, then
+        the events taken since the last full batch."""
+        if self._replay is not None:
+            self._fold(self._replay.rows(*_FOLDED))
+            self._replay = None
         if self._taken:
             self._fold(self._batch[:self._taken])
             self._taken = 0
 
-    def _fold(self, events) -> None:
-        """Fold ``events`` in, in order: the one implementation of the
-        properties' bookkeeping."""
+    def _fold(self, rows) -> None:
+        """Fold ``rows`` in, in order: the one implementation of the
+        properties' bookkeeping.  A row is :meth:`~repro.sim.trace.Trace.rows`'s
+        ``(class, time, process, message or value, instance)``, so a
+        replay builds no event object."""
         live = self._live
         holders, rheld, owed, ties = (
             self._holders, self._rheld, self._owed, self._ties
@@ -150,11 +166,9 @@ class AbcastChecker:
         length, positions, at_of, peers = (
             self._length, self._position, self._at, self._peers
         )
-        for event in events:
-            cls = type(event)
+        for cls, time, p, ref, k in rows:
             if cls is ADeliverEvent:
-                p = event.process
-                mid = event.message.mid
+                mid = ref.mid
                 origin, seq = mid
                 held = holders[mid] if mid in holders else 0
                 at = length[p]
@@ -199,9 +213,9 @@ class AbcastChecker:
                             del position[mid]
                 adelivered.add(mid)
             elif cls is RDeliverEvent:
-                mid = event.message.mid
+                mid = ref.mid
                 if mid[1] > rdelivered.through[mid[0]] and mid not in rdelivered.above:
-                    mask = (rheld[mid] if mid in rheld else 0) | 1 << event.process
+                    mask = (rheld[mid] if mid in rheld else 0) | 1 << p
                     if mask & live != live:
                         rheld[mid] = mask
                     else:
@@ -209,29 +223,28 @@ class AbcastChecker:
                             del rheld[mid]
                         rdelivered.add(mid)
             elif cls is ABroadcastEvent:
-                heard.add(event.message.mid)
-                owed[event.message.mid, event.process] = None
+                heard.add(ref.mid)
+                owed[ref.mid, p] = None
             elif cls is DecideEvent:
-                k = event.instance
                 if k in ties:
                     first = ties[k]
-                    if event.time == first.time and event.process < first.process:
-                        ties[k] = event
+                    if time == first[0] and p < first[1]:
+                        ties[k] = (time, p, ref)
                 elif k > settled.through[0] and (0, k) not in settled.above:
-                    if event.time > self._tie_time:
+                    if time > self._tie_time:
                         self._settle()
-                        self._tie_time = event.time
-                    ties[k] = event
+                        self._tie_time = time
+                    ties[k] = (time, p, ref)
             elif cls is CrashEvent:
-                live &= ~(1 << event.process)
+                live &= ~(1 << p)
                 self._live = live
 
     def _settle(self) -> None:
         """Mark the ids of the pending first decisions decided."""
         rheld, done = self._rheld, self._rdelivered
-        for k, first in self._ties.items():
+        for k, (_, _, value) in self._ties.items():
             self._settled.add((0, k))
-            for mid in first.value:
+            for mid in value:
                 if mid in rheld:
                     rheld[mid] |= 1
                 elif mid[1] > done.through[mid[0]] and mid not in done.above:
@@ -316,8 +329,8 @@ class AbcastChecker:
         """Decided + rdelivered-by-one-correct implies rdelivered-by-all-correct."""
         self._flush()
         held = dict(self._rheld)
-        for first in self._ties.values():
-            for mid in first.value & held.keys():
+        for _, _, value in self._ties.values():
+            for mid in value & held.keys():
                 held[mid] |= 1
         self._first_correct_missing(
             "Hypothesis A",

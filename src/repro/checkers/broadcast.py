@@ -19,6 +19,7 @@ from collections import Counter
 from repro.core.config import SystemConfig
 from repro.core.events import RBroadcastEvent, RDeliverEvent
 from repro.core.exceptions import ProtocolViolationError
+from repro.core.identifiers import MessageId
 from repro.sim.trace import Trace
 
 
@@ -29,26 +30,26 @@ class BroadcastChecker:
         self.trace = trace
         self.config = config
         self.correct = trace.correct_processes(config.processes)
-        #: One pass: every rbroadcast, and each process's rdeliveries
-        #: and the set of ids among them.
-        self._broadcasts: list[RBroadcastEvent] = []
+        #: One pass over the trace's rows: every rbroadcast as
+        #: ``(process, mid)``, and each process's rdelivered ids in
+        #: order and as a set.
+        self._broadcasts: list[tuple[int, MessageId]] = []
         self._delivered_by: dict[int, list] = {p: [] for p in config.processes}
-        for event in trace.events:
-            cls = type(event)
-            if cls is RDeliverEvent and event.process in self._delivered_by:
-                self._delivered_by[event.process].append(event)
-            elif cls is RBroadcastEvent:
-                self._broadcasts.append(event)
-        self._broadcast_ids = {e.message.mid for e in self._broadcasts}
+        for cls, _, process, message, _ in trace.rows(
+            RDeliverEvent, RBroadcastEvent
+        ):
+            if cls is RBroadcastEvent:
+                self._broadcasts.append((process, message.mid))
+            elif process in self._delivered_by:
+                self._delivered_by[process].append(message.mid)
+        self._broadcast_ids = {mid for _, mid in self._broadcasts}
         self._delivered = {
-            p: {e.message.mid for e in events}
-            for p, events in self._delivered_by.items()
+            p: set(mids) for p, mids in self._delivered_by.items()
         }
 
     def check_validity(self) -> None:
         """A correct broadcaster delivers its own message."""
-        for event in self._broadcasts:
-            sender, mid = event.process, event.message.mid
+        for sender, mid in self._broadcasts:
             if sender in self.correct and mid not in self._delivered[sender]:
                 raise ProtocolViolationError(
                     "RB Validity",
@@ -58,7 +59,7 @@ class BroadcastChecker:
     def check_uniform_integrity(self) -> None:
         """At most one delivery per message per process; no spurious messages."""
         for process, deliveries in self._delivered_by.items():
-            counts = Counter(e.message.mid for e in deliveries)
+            counts = Counter(deliveries)
             for mid, count in counts.items():
                 if count > 1:
                     raise ProtocolViolationError(

@@ -31,18 +31,21 @@ class ConsensusChecker:
         self.trace = trace
         self.config = config
         self.correct = trace.correct_processes(config.processes)
-        # Grouped by instance in one pass, not one pass per instance.
-        self._decides: dict[int, list[DecideEvent]] = defaultdict(list)
-        self._proposals: dict[int, list[ProposeEvent]] = defaultdict(list)
-        for event in trace.events:
-            if type(event) is DecideEvent:
-                self._decides[event.instance].append(event)
-            elif type(event) is ProposeEvent:
-                self._proposals[event.instance].append(event)
+        # Grouped by instance in one pass over the trace's rows, not one
+        # pass per instance: per instance, the deciders and their values
+        # in recorded order, and the same of the proposers, as flat
+        # ``[process, value, process, value, ...]`` lists (no object per
+        # event: pids are small ints and the trace shares equal values).
+        self._decides: dict[int, list] = defaultdict(list)
+        self._proposals: dict[int, list] = defaultdict(list)
+        for cls, _, process, value, k in trace.rows(DecideEvent, ProposeEvent):
+            group = (self._decides if cls is DecideEvent else self._proposals)[k]
+            group.append(process)
+            group.append(value)
         self._first = trace.first_decisions()
 
     def check_uniform_integrity(self, instance: int) -> None:
-        counts = Counter(e.process for e in self._decides.get(instance, ()))
+        counts = Counter(self._decides.get(instance, [])[::2])
         for process, count in counts.items():
             if count > 1:
                 raise ProtocolViolationError(
@@ -51,7 +54,7 @@ class ConsensusChecker:
                 )
 
     def check_uniform_agreement(self, instance: int) -> None:
-        decisions = {e.value for e in self._decides.get(instance, ())}
+        decisions = set(self._decides.get(instance, [])[1::2])
         if len(decisions) > 1:
             raise ProtocolViolationError(
                 "Consensus Uniform agreement",
@@ -60,19 +63,19 @@ class ConsensusChecker:
             )
 
     def check_uniform_validity(self, instance: int) -> None:
-        proposals = {e.value for e in self._proposals.get(instance, ())}
-        for event in self._decides.get(instance, ()):
-            if event.value not in proposals:
+        proposals = set(self._proposals.get(instance, [])[1::2])
+        for value in self._decides.get(instance, [])[1::2]:
+            if value not in proposals:
                 raise ProtocolViolationError(
                     "Consensus Uniform validity",
-                    f"instance {instance} decided {sorted(event.value)} "
+                    f"instance {instance} decided {sorted(value)} "
                     f"which no process proposed",
                 )
 
     def check_termination(self, instance: int) -> None:
         """Every correct proposer of ``instance`` decided (quiescent trace)."""
-        proposers = {e.process for e in self._proposals.get(instance, ())}
-        deciders = {e.process for e in self._decides.get(instance, ())}
+        proposers = set(self._proposals.get(instance, [])[::2])
+        deciders = set(self._decides.get(instance, [])[::2])
         for process in proposers & self.correct:
             if process not in deciders:
                 raise ProtocolViolationError(

@@ -13,9 +13,9 @@ per-instance state machine; the base class owns:
 * buffering of frames that arrive before the local ``propose`` (a
   process may receive round messages or even decisions for instances it
   has not started yet);
-* trace records (``ProposeEvent`` / ``DecideEvent``, whose id sets go
-  through the trace's :meth:`~repro.sim.trace.TraceObserver.share`, so
-  a full trace holds each distinct value once) and the resilience
+* trace records (the trace's ``propose`` / ``decide`` recorders, which
+  pass each id set through :meth:`~repro.sim.trace.TraceObserver.share`,
+  so a full trace holds each distinct value once) and the resilience
   guard that enforces each algorithm's ``f`` bound at configuration time.
 """
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generic, Hashable, Iterator, TypeVar
 
 from repro.core.config import SystemConfig
-from repro.core.events import DecideEvent, ProposeEvent
 from repro.core.exceptions import ConfigurationError, ResilienceExceededError
 from repro.core.identifiers import MessageId, id_set_wire_size
 from repro.core.message import AppMessage
@@ -238,10 +237,9 @@ class ConsensusService:
         instance = self._instance(k)
         if instance.proposed:
             raise ConfigurationError(f"p{self.pid}: instance {k} already proposed")
-        trace = self.process.trace
-        trace.record(ProposeEvent(
-            self.engine.now, self.pid, k, trace.share(self.codec.to_ids(value))
-        ))
+        self.process.trace.propose(
+            self.engine.now, self.pid, k, self.codec.to_ids(value)
+        )
         instance.start(value, rcv)
 
     def has_decided(self, k: int) -> bool:
@@ -355,9 +353,8 @@ class ConsensusService:
                 log.instances.append(k)
                 log.times.extend(instance.round_entries)
                 log.ends.append(len(log.times))
-        trace = self.process.trace
-        trace.record(DecideEvent(
-            self.engine.now, self.pid, k, trace.share(self.codec.to_ids(value))
-        ))
+        self.process.trace.decide(
+            self.engine.now, self.pid, k, self.codec.to_ids(value)
+        )
         for callback in self._callbacks:
             callback(k, value)

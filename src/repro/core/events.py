@@ -11,12 +11,18 @@ the paper (Validity, Uniform integrity, Uniform agreement, Uniform total
 order, No loss, ...) are all predicates over event traces, and that is
 literally how the checkers evaluate them.
 
-A run builds one event per protocol action (hundreds of thousands on a
-loaded run), so construction is on the hot path: the emit sites pass
-fields positionally, and :func:`_fast_init` gives every class an
-``__init__`` that stores each field through its slot descriptor instead
-of the frozen dataclass's ``object.__setattr__`` per field.  The classes
-stay frozen, hashable and equal by value.
+The protocol layers do not build these records themselves: they call
+the trace's typed recorders (``trace.adeliver(now, pid, message)``,
+...).  A full :class:`~repro.sim.trace.Trace` keeps each action as one
+row of parallel columns and builds the event only when it is read
+(:attr:`~repro.sim.trace.Trace.events` is a view) or when a sink (a
+metric probe, the streaming abcast checker) is subscribed, so a run
+that keeps its trace holds no event objects.  Where events are built
+(hundreds of thousands on a loaded run) construction is on the hot
+path: fields are passed positionally, and :func:`_fast_init` gives
+every class an ``__init__`` that stores each field through its slot
+descriptor instead of the frozen dataclass's ``object.__setattr__`` per
+field.  The classes stay frozen, hashable and equal by value.
 """
 
 from __future__ import annotations

@@ -72,10 +72,7 @@ def measure_latency(
 
     correct = trace.correct_processes(config.processes)
     fold = LatencyProbe(config.n, warmup, cutoff)
-    for event in trace.events:
-        cls = type(event)
-        if cls is ABroadcastEvent or (
-            cls is ADeliverEvent and event.process in correct
-        ):
+    for event in trace.select(ABroadcastEvent, ADeliverEvent):
+        if type(event) is ABroadcastEvent or event.process in correct:
             fold.on_event(event)
     return fold.report(correct)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.core.events import CrashEvent
 from repro.core.identifiers import ProcessId
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.resources import FifoResource
@@ -93,7 +92,7 @@ class SimProcess:
         if self.crashed:
             return
         self.crashed = True
-        self.trace.record(CrashEvent(self.engine.now, self.pid))
+        self.trace.crash(self.engine.now, self.pid)
         for listener in self._crash_listeners:
             listener()
 

@@ -347,8 +347,8 @@ ABCASTS.register(
     "fixed-sequencer ordering with FD-driven epoch handover (no consensus)",
     factory=_build_sequencer_stack,
     frame_kinds=(
-        "seq.fwd.data", "seq.order.data", "seq.wedge", "seq.state",
-        "seq.seal", "seq.sync", "seq.repair",
+        "seq.fwd.data", "seq.order.data", "seq.wedge", "seq.state.data",
+        "seq.seal.data", "seq.sync", "seq.repair",
     ),
     meta={
         "compatible_consensus": ("none",),

@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.abcast.sequencer import SequencerAtomicBroadcast
 from repro.core.exceptions import ConfigurationError
+from repro.metrics.probes import TrafficProbe
 
 
 def spec(n=3, **overrides):
@@ -96,6 +97,31 @@ class TestSequencerCrashHandover:
             if e.message.mid.origin != 1
         }
         assert survivors_sent <= set(seq2)
+
+    def test_the_traffic_probe_counts_a_handover_as_data(self):
+        """The handover's state and seal frames ship whole message logs,
+        so their bytes count as data, like the forwards and orderings;
+        control is the wedges, syncs, repairs and heartbeats."""
+        system = build_system(spec(), CrashSchedule.single(1, 0.010))
+        send_burst(system, [(1, 0.001), (2, 0.002), (3, 0.003), (2, 0.020)])
+        system.run(until=1.0, max_events=2_000_000)
+        fields = dict(TrafficProbe.measure(system.network).fields)
+        sent = {
+            name[len("bytes."):]: total for name, total in fields.items()
+            if name.startswith("bytes.")
+        }
+        handover = [
+            kind for kind in sent if kind.startswith(("seq.state", "seq.seal"))
+        ]
+        carrying = ("seq.fwd", "seq.order", "seq.state", "seq.seal")
+        assert len(handover) == 2 and all(sent[kind] > 0 for kind in handover)
+        assert fields["data_bytes"] == sum(
+            total for kind, total in sent.items() if kind.startswith(carrying)
+        )
+        assert fields["control_bytes"] == sum(
+            total for kind, total in sent.items()
+            if not kind.startswith(carrying)
+        ) > 0
 
     def test_renumbered_copy_after_adelivery_leaves_no_ordered_id(self):
         """After a handover, a renumbered copy of an adelivered message

@@ -250,16 +250,25 @@ def test_traffic_class_of_every_kind_is_whether_it_diffuses_a_message(
     """One rule for data versus control: the class ``TrafficProbe``
     gives a frame kind (:func:`is_data_kind`), which the explorer's
     data-only defers and ``LinkRule(control=...)`` read too, is whether
-    every frame of that kind diffuses one application message (the body
-    is the message, or a tuple that ends with it)."""
+    every frame of that kind carries application messages: it diffuses
+    one (the body is the message, or a tuple that ends with it) or ships
+    a log of them (a tuple in the body of ``(..., message)`` entries, as
+    the sequencer's handover state and seal frames do)."""
     diffuses: dict[str, set[bool]] = {}
     multicast = Network.multicast
+
+    def is_log(part) -> bool:
+        return type(part) is tuple and len(part) > 0 and all(
+            type(entry) is tuple and type(entry[-1]) is AppMessage
+            for entry in part
+        )
 
     def recording(self, src, dsts, kind, body, size, frame=None):
         one_message = type(body) is AppMessage or (
             type(body) is tuple and type(body[-1]) is AppMessage
         )
-        diffuses.setdefault(kind, set()).add(one_message)
+        ships_log = type(body) is tuple and any(map(is_log, body))
+        diffuses.setdefault(kind, set()).add(one_message or ships_log)
         multicast(self, src, dsts, kind, body, size, frame)
 
     monkeypatch.setattr(Network, "multicast", recording)

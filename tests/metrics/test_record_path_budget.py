@@ -6,9 +6,11 @@ that path as exact counts (``sys.setprofile``, so they repeat on any
 machine) on a fixed small ``SETUP_1`` drive with the default probes, in
 both trace modes, checked and unchecked:
 
-* calls to functions named ``record`` or ``on_event`` defined in
-  ``repro`` — exactly three per protocol event unchecked: the trace's
-  ``record``, the latency probe and the consensus probe.  When a
+* calls to the trace's recorders (``record`` and the typed ones the
+  layers call, counted as ``record``) and to functions named
+  ``on_event`` defined in ``repro`` — exactly three per protocol event
+  unchecked: the trace's recorder, the latency probe and the consensus
+  probe.  When a
   wrapper tap sat in front of the trace and the latency probe fed a
   second accumulator, the same drive made five
   (``PARENT_CALLS_PER_EVENT``);
@@ -31,6 +33,12 @@ from repro.stack.builder import StackSpec
 from tests.helpers import count_calls
 
 _REPRO_DIR = os.sep + "repro" + os.sep
+_TRACE_FILE = os.path.join("repro", "sim", "trace.py")
+#: The trace's recorders: the generic ``record`` and the typed ones.
+RECORDERS = frozenset({
+    "record", "abroadcast", "adeliver", "rbroadcast", "rdeliver",
+    "propose", "decide", "crash",
+})
 
 #: Calls on the record path per protocol event before the fan-out
 #: moved into the trace: tap, trace, latency probe, its accumulator's
@@ -44,8 +52,10 @@ EVENTS = 504
 
 
 def _record_path(code) -> str | None:
-    if code.co_name in ("record", "on_event") and _REPRO_DIR in code.co_filename:
-        return code.co_name
+    if code.co_name == "on_event" and _REPRO_DIR in code.co_filename:
+        return "on_event"
+    if code.co_name in RECORDERS and code.co_filename.endswith(_TRACE_FILE):
+        return "record"
     return None
 
 

@@ -61,7 +61,9 @@ def test_repr_names_every_field():
 
 
 def test_the_kind_says_data_or_control():
-    for kind in ("rb1.data", "rb2.data", "urb.data", "seq.order.data"):
+    for kind in (
+        "rb1.data", "rb2.data", "urb.data", "seq.order.data", "seq.seal.data",
+    ):
         assert is_data_kind(kind)
-    for kind in ("cti.ack", "mri.echo", "fd.heartbeat", "seq.seal", "data"):
+    for kind in ("cti.ack", "mri.echo", "fd.heartbeat", "seq.wedge", "data"):
         assert not is_data_kind(kind)

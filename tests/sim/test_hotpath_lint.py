@@ -2,7 +2,8 @@
 
 ``tools/hotpath_lint.py`` is CI's guard on the event-core hot path
 (``__slots__`` everywhere, no ``getattr``/dict literals in the run
-loops and the per-event scheduling sites, a bare per-frame send path, consensus phase bodies that
+loops and the per-event scheduling sites, a bare per-frame send path
+and bare trace recorders, consensus phase bodies that
 read constants instead of ``config``, closure-free wiring); running it under pytest too
 means a regression fails the ordinary test suite as well, with the
 lint's own diagnostics attached.
@@ -102,6 +103,29 @@ def test_frame_path_lint_names_each_way_of_giving_the_budget_back():
         "dict/list literal on the frame path",
         "getattr() on the frame path",
     ]
+
+
+def test_recorder_lint_names_an_allocation_planted_in_a_trace_recorder():
+    source = (_ROOT / "src" / "repro" / "sim" / "trace.py").read_text()
+    append = "        self._kinds.append(ADELIVER)\n"
+    assert source.count(append) == 1
+    planted = source.replace(
+        append, '        getattr(self, "sinks")\n        row = [ADELIVER]\n'
+        + append,
+    )
+    lint = _lint_module()
+    path = "the trace's record path"
+    assert lint.frame_path_problems(
+        ast.parse(source), "repro.sim.trace", "adeliver", path
+    ) == []
+    problems = lint.frame_path_problems(
+        ast.parse(planted), "repro.sim.trace", "adeliver", path
+    )
+    assert [p.split(": ", 1)[1].split(" (")[0] for p in problems] == [
+        "getattr() on the trace's record path",
+        "dict/list literal on the trace's record path",
+    ]
+    assert all("Trace.adeliver" in problem for problem in problems)
 
 
 _CONFIG_PER_STEP = """

@@ -27,10 +27,14 @@ snapshot, so the guard sees everything else: the sequencer's ordered
 frame's size sums the whole log).
 
 The full-trace leg bounds what a run keeps per record rather than its
-growth: it runs the same drive with a full ``Trace`` and holds
-``repro/sim/trace.py`` to ``TRACE_BYTES_PER_EVENT`` per recorded
-event: the ``events`` list alone is about 8, and the per-kind indexes
-that duplicated it brought the total to about 28.
+growth: it runs the same drive with a full ``Trace`` and with a
+``CountingTrace``, at ``T`` and at a longer run, and holds the
+difference of everything tracemalloc sees retained, divided by the
+events recorded, to ``TRACE_BYTES_PER_EVENT``.  That is all a full
+trace costs: its rows, the id sets and the messages it keeps alive.
+While the trace kept one event object per record (about 61 bytes,
+plus a boxed time for most and a list slot) it came to about 110; as
+columns (26 bytes a row) it is about 55.
 
 The shared-values leg runs the same drive with a full ``Trace`` too,
 at ``T`` and ``4T``, and looks at what the recorded events point to:
@@ -101,9 +105,10 @@ PARENT_CONSENSUS_BYTES = {"ct-indirect": 1115, "mr-indirect": 973}
 #: Router completion log: two ``array('d')`` slots per operation plus
 #: the arrays' over-allocation.
 SHARD_BYTES_PER_OP = 24
-#: ``repro/sim/trace.py`` bytes per recorded event: the ``events``
-#: list's slot plus its over-allocation, and nothing per kind.
-TRACE_BYTES_PER_EVENT = 12
+#: Bytes a full ``Trace`` retains beyond a ``CountingTrace`` per
+#: recorded event: its 26-byte row plus the id sets and messages it
+#: keeps alive (about 110 while it kept an event object per record).
+TRACE_BYTES_PER_EVENT = 64
 #: Bytes of distinct id-set objects per propose or decide event of a
 #: full trace: the trace shares equal values, so an instance's events
 #: point at one set (each process's own copy cost about 110).
@@ -215,31 +220,31 @@ def retained_by_layer(
     return by_layer, decided, completed
 
 
-def _measure(spec: StackSpec, duration: float, path: str, **drive):
-    """Run ``spec`` for ``duration`` and return ``(bytes retained in
-    repro/<path> with the system alive, the system)``."""
+def _retained(spec: StackSpec, duration: float, trace: type) -> tuple[int, int]:
+    """(bytes retained with the system alive, events recorded) for a
+    run of ``spec`` for ``duration`` recording into ``trace``."""
     gc.collect()
     tracemalloc.start()
     try:
-        (system,), _, _ = _drive(spec, duration, **drive)
+        (system,), _, _ = _drive(spec, duration, trace=trace)
         gc.collect()
-        snapshot = tracemalloc.take_snapshot()
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    events = len(system.trace)
     system.close()
-    suffix = _REPRO + path.replace("/", os.sep)
-    held = sum(
-        stat.size for stat in snapshot.statistics("filename")
-        if stat.traceback[0].filename.endswith(suffix)
-    )
-    return held, system
+    return held, events
 
 
-def assert_trace_lean(spec: StackSpec, longer: int = 1) -> None:
-    """The full-trace bound, on a run of ``spec`` for ``longer × T``."""
-    held, system = _measure(spec, longer * T, "sim/trace.py", trace=Trace)
-    per_event = held / len(system.trace)
-    assert per_event <= TRACE_BYTES_PER_EVENT, per_event
+def assert_trace_lean(spec: StackSpec, longer: int = 4) -> None:
+    """The full-trace bound, on runs of ``spec`` for ``T`` and
+    ``longer × T``."""
+    for duration in (T, longer * T):
+        full, events = _retained(spec, duration, Trace)
+        counted, counted_events = _retained(spec, duration, CountingTrace)
+        assert events == counted_events > 0
+        per_event = (full - counted) / events
+        assert per_event <= TRACE_BYTES_PER_EVENT, (duration, per_event)
 
 
 def assert_flat(spec: StackSpec | ShardSpec, longer: int = 4) -> None:

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Allocation-discipline lint for the event-core hot path.
 
-The event core, the frame path and the consensus phases hold their
-per-event cost down by four disciplines, and a built system stays
-copyable by a fifth; nothing in the type system enforces them:
+The event core, the frame path, the trace's recorders and the
+consensus phases hold their per-event cost down by five disciplines,
+and a built system stays copyable by a sixth; nothing in the type
+system enforces them:
 
 * **no instance dicts** — every class in the hot modules
   (``sim/equeue.py``, ``sim/engine.py``, ``sim/resources.py``,
@@ -26,6 +27,12 @@ copyable by a fifth; nothing in the type system enforces them:
   no ``getattr``, no dict/list literal, no call on the topology at all
   (segments are a table built on attach) and no call on the fault
   pipeline except under an ``armed`` / ``has_delay`` guard;
+* **bare trace recorders** — the trace's typed recorders
+  (``abroadcast``, ``adeliver``, ``rbroadcast``, ``rdeliver``,
+  ``propose``, ``decide``, ``crash`` in ``sim/trace.py``, every class's
+  definition) run once per protocol event and append one row to the
+  full trace's columns or count it: like the frame path, no
+  ``getattr`` and no dict/list literal;
 * **constant protocol steps** — the consensus phase bodies
   (``_try_phase*``, ``_enter_round``) and frame dispatchers (``_on_*``,
   ``_on_decide_frame`` included) run per frame and read pid, ``n``,
@@ -41,7 +48,7 @@ copyable by a fifth; nothing in the type system enforces them:
   which then keeps calling into the original
   (``tests/stack/test_system_copy.py`` is the behavioural guard).
 
-The first four are trivially easy to regress with an innocent-looking edit,
+The first five are trivially easy to regress with an innocent-looking edit,
 and no such regression fails a functional test — they just quietly
 give back ns/event (``tests/net/test_frame_path_budget.py``
 pins the resulting call counts).  CI runs this script so the
@@ -105,6 +112,16 @@ FRAME_PATH_METHODS = (
     ("repro.net.models", "_enter_medium"),
     ("repro.net.models", "_enter_receiver"),
     ("repro.net.models", "_deliver"),
+)
+
+#: (module, method) bodies run once per recorded protocol event: the
+#: trace's typed recorders, held to the frame path's rule.
+RECORDER_METHODS = tuple(
+    ("repro.sim.trace", name)
+    for name in (
+        "abroadcast", "adeliver", "rbroadcast", "rdeliver", "propose",
+        "decide", "crash",
+    )
 )
 
 #: Method-name patterns (``fnmatch``) of the per-frame protocol bodies,
@@ -207,19 +224,23 @@ def _mentions_pipeline_guard(test: ast.expr) -> bool:
     )
 
 
-def check_frame_path(module_name: str, method: str) -> list[str]:
+def check_frame_path(
+    module_name: str, method: str, path: str = "the frame path"
+) -> list[str]:
     """The per-frame bodies allocate nothing and ask nobody."""
     source_path = Path(
         importlib.import_module(module_name).__file__  # type: ignore[arg-type]
     )
     tree = ast.parse(source_path.read_text(), filename=str(source_path))
-    return frame_path_problems(tree, module_name, method)
+    return frame_path_problems(tree, module_name, method, path)
 
 
 def frame_path_problems(
-    tree: ast.Module, module_name: str, method: str
+    tree: ast.Module, module_name: str, method: str,
+    path: str = "the frame path",
 ) -> list[str]:
-    """:func:`check_frame_path` on an already-parsed module."""
+    """:func:`check_frame_path` on an already-parsed module; ``path``
+    names the kind of body in the diagnostics."""
     defs = _drain_defs(tree, method)
     if not defs:
         return [f"{module_name}: no {method!r} method found to lint"]
@@ -237,7 +258,7 @@ def frame_path_problems(
             return
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name) and node.func.id == "getattr":
-                problems.append(f"{where}: getattr() on the frame path")
+                problems.append(f"{where}: getattr() on {path}")
             receiver = _receiver_chain(node.func)
             if "topology" in receiver:
                 problems.append(
@@ -253,8 +274,8 @@ def frame_path_problems(
             node, (ast.Dict, ast.DictComp, ast.List, ast.ListComp)
         ):
             problems.append(
-                f"{where}: dict/list literal on the frame path "
-                f"(allocation per frame)"
+                f"{where}: dict/list literal on {path} "
+                f"(an allocation per call)"
             )
         for child in ast.iter_child_nodes(node):
             visit(child, qualname, guarded)
@@ -388,6 +409,10 @@ def main() -> int:
         problems += check_drain(module_name, method, "a scheduling site")
     for module_name, method in FRAME_PATH_METHODS:
         problems += check_frame_path(module_name, method)
+    for module_name, method in RECORDER_METHODS:
+        problems += check_frame_path(
+            module_name, method, "the trace's record path"
+        )
     protocol_modules = _protocol_modules()
     for module_name in protocol_modules:
         problems += check_protocol_path(module_name)
@@ -411,7 +436,8 @@ def main() -> int:
         f"hotpath-lint: OK ({len(SLOTTED_MODULES)} modules slotted, "
         f"{drains} run loops and {len(SCHEDULING_METHODS)} scheduling "
         f"sites clean, "
-        f"{len(FRAME_PATH_METHODS)} frame-path methods bare, "
+        f"{len(FRAME_PATH_METHODS)} frame-path methods and "
+        f"{len(RECORDER_METHODS)} trace recorders bare, "
         f"{len(protocol_modules)} consensus modules read constants, "
         f"{len(wired_modules)} modules wire without closures)"
     )
